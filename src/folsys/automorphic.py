@@ -16,11 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra
-from .errors import (BlowUpError, DimensionMismatchError, DomainExitError,
-                     IncompatibleActionError)
+from .errors import DimensionMismatchError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
 from .foliated import FoliatedSystem, assemble, leaf_of
-from .integrate import DEFAULT_STEP, Trajectory, _time_grid, integrate
+from .integrate import DEFAULT_STEP, Trajectory, integrate
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -210,7 +209,8 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
 
     The curve is not reprojected onto the group; drift is measured by the
-    caller, never corrected here.
+    caller, never corrected here.  A determinant below the floor is a domain
+    exit; errors carry the flattened entries so far as ``partial``.
     """
     if asys.kind != MATRIX:
         raise ValueError("solve_matrix requires a matrix system")
@@ -218,30 +218,18 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     gens = asys.generators
     d = gens[0].shape[0]
 
-    def coeff_matrix(t):
+    def rhs(t, g):
         M = np.zeros((d, d))
         for c, A in zip(asys.coeffs, gens):
             M += c(t, k) * A
-        return M
+        return (M @ g.reshape(d, d)).ravel()
 
-    times = _time_grid(t0, t1, h)
-    elements = np.empty((times.size, d, d))
-    g = np.eye(d)
-    elements[0] = g
-    for i in range(times.size - 1):
-        t = times[i]
-        dt = times[i + 1] - t
-        k1 = coeff_matrix(t) @ g
-        k2 = coeff_matrix(t + 0.5 * dt) @ (g + 0.5 * dt * k1)
-        k3 = coeff_matrix(t + 0.5 * dt) @ (g + 0.5 * dt * k2)
-        k4 = coeff_matrix(t + dt) @ (g + dt * k3)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(g)):
-            raise BlowUpError(times[i + 1])
-        if abs(np.linalg.det(g)) < _DET_FLOOR:
-            raise DomainExitError(times[i + 1], "determinant collapse")
-        elements[i + 1] = g
-    return GroupCurve(MATRIX, times, elements, h)
+    def domain(g):
+        return abs(np.linalg.det(g.reshape(d, d))) >= _DET_FLOOR
+
+    F = TDependentVectorField(d * d, rhs, domain=domain)
+    traj = integrate(F, np.eye(d).ravel(), t0, t1, h)
+    return GroupCurve(MATRIX, traj.times, traj.states.reshape(-1, d, d), h)
 
 
 def solve_group(asys: AutomorphicSystem, k, t0: float, t1: float,

@@ -96,6 +96,14 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     return lambda env: float(evaluate(tree, env))
 
 
+def _number(section: dict, key: str, default, kind=float):
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     model: str
@@ -109,6 +117,17 @@ class ScenarioConfig:
     out: str = "out"
     fmt: str = "json"
 
+    def __post_init__(self):
+        # also covers values set after parsing, such as --step
+        for name in ("t0", "t1", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.t1 > self.t0:
+            raise ConfigError("need t1 > t0")
+        if not 0.0 < self.step <= self.t1 - self.t0:
+            raise ConfigError(
+                f"step must lie in (0, t1 - t0 = {self.t1 - self.t0}], got {self.step}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
@@ -117,22 +136,29 @@ class ScenarioConfig:
         if model not in mdl.MODEL_NAMES:
             raise ConfigError(f"unknown model {model!r}; known: {mdl.MODEL_NAMES}")
         integ = raw.get("integration", {})
-        t0 = float(integ.get("t0", 0.0))
-        t1 = float(integ.get("t1", 2.0))
-        step = float(integ.get("step", 1e-3))
-        if step <= 0.0:
-            raise ConfigError(f"step must be positive, got {step}")
-        if not t1 > t0:
-            raise ConfigError("need t1 > t0")
+        t0 = _number(integ, "t0", 0.0)
+        t1 = _number(integ, "t1", 2.0)
+        step = _number(integ, "step", 1e-3)
+        params = dict(raw.get("params", {}))
+        if model in ("hamilton_jacobi", "lax"):
+            n = _number(params, "n", 2, int)
+            if n < 1:
+                raise ConfigError(f"n must be >= 1, got {n}")
         checks = tuple(raw.get("checks", []))
         for c in checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; known: {CHECK_NAMES}")
         init = raw.get("initial_state")
-        return cls(model=model, params=dict(raw.get("params", {})),
+        if init is not None:
+            # one flat state: a nested list would reach the integrator as a batch
+            if not (isinstance(init, list)
+                    and all(isinstance(v, (int, float)) for v in init)):
+                raise ConfigError(f"initial_state must be a list of numbers, got {init!r}")
+            init = tuple(init)
+        return cls(model=model, params=params,
                    t0=t0, t1=t1, step=step, checks=checks,
                    seed=int(raw.get("seed", 42)),
-                   initial_state=tuple(init) if init is not None else None,
+                   initial_state=init,
                    out=str(raw.get("out", "out")),
                    fmt=str(raw.get("format", "json")))
 

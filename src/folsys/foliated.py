@@ -114,14 +114,27 @@ class FoliatedSystem:
 
 
 def assemble(fs: FoliatedSystem) -> TDependentVectorField:
-    """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x)."""
+    """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x).
+
+    ``x`` is one state ``(N,)`` or a batch ``(B, N)``.  Each field is called
+    once on the whole array and must return an array of its shape; each
+    coefficient is called once per row with that row's state, so a
+    coefficient that is not constant on leaves still shows in every row.
+    """
     flds = fs.realized.fields
     coeffs = fs.coeffs
 
     def func(t, x):
-        out = np.zeros(fs.dim)
+        out = np.zeros(x.shape)
+        batch = x.ndim == 2
         for g, X in zip(coeffs, flds):
-            out += g(t, x) * X(x)
+            c = np.array([g(t, row) for row in x])[:, None] if batch else g(t, x)
+            v = X(x)
+            if v.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"field {X.name!r} returned shape {v.shape} for states "
+                    f"of shape {x.shape}")
+            out += c * v
         return out
 
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name)

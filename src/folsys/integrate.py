@@ -18,7 +18,11 @@ DEFAULT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled solution curve; the last interval may be shorter."""
+    """Uniformly sampled solution curve; the last interval may be shorter.
+
+    ``states`` has shape ``(T, N)`` for one solution or ``(T, B, N)`` for a
+    batch of B solutions sampled on the same grid.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -27,8 +31,8 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or x.ndim != 2 or t.size != x.shape[0]:
-            raise ValueError("times and states must be aligned 1-d / 2-d arrays")
+        if t.ndim != 1 or x.ndim not in (2, 3) or t.size != x.shape[0]:
+            raise ValueError("times and states must be aligned 1-d / 2-d or 3-d arrays")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         t.setflags(write=False)
@@ -41,7 +45,7 @@ class Trajectory:
 
     @property
     def state_dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -60,19 +64,29 @@ def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
 
 def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
               h: float = DEFAULT_STEP) -> Trajectory:
-    """Classical 4th-order Runge-Kutta from t0 to t1 (reached exactly)."""
+    """Classical 4th-order Runge-Kutta from t0 to t1 (reached exactly).
+
+    ``x0`` is one state ``(N,)`` or a batch ``(B, N)`` of independent states
+    stepped together on one grid; ``F`` is then called on the whole batch and
+    must return an array of the same shape.  Every row of a batch goes
+    through the domain guard, and a blow-up or domain exit in any row raises
+    at the earliest failing step with the whole batch as ``partial``.
+    """
     x0 = np.asarray(x0, dtype=float)
-    if x0.size != F.dim:
-        raise ValueError(f"initial state must have dimension {F.dim}")
+    if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
+        raise ValueError(f"initial state must have shape ({F.dim},) or (B, {F.dim})")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     if not 0.0 < h <= t1 - t0:
         raise ValueError("need 0 < h <= t1 - t0")
-    if F.domain is not None and not F.domain(x0):
+    inside = F.domain
+    if inside is not None and x0.ndim == 2:
+        inside = lambda x: all(F.domain(row) for row in x)
+    if inside is not None and not inside(x0):
         raise DomainExitError(t0, "initial state outside domain")
 
     times = _time_grid(t0, t1, h)
-    states = np.empty((times.size, x0.size))
+    states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     x = x0.copy()
     for k in range(times.size - 1):
@@ -85,7 +99,7 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise BlowUpError(times[k + 1], partial=_partial(times, states, k, h))
-        if F.domain is not None and not F.domain(x):
+        if inside is not None and not inside(x):
             raise DomainExitError(times[k + 1],
                                   partial=_partial(times, states, k, h))
         states[k + 1] = x
@@ -129,6 +143,8 @@ def convergence_order(F: TDependentVectorField, x0, t0: float, t1: float,
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write header ``t,x1,...,xN`` and one row per sample, 17 significant digits."""
+    if traj.states.ndim != 2:
+        raise ValueError("CSV export takes a single trajectory, not a batch")
     path = Path(path)
     cols = ",".join(f"x{i + 1}" for i in range(traj.state_dim))
     with path.open("w", encoding="utf-8") as fh:

@@ -102,10 +102,13 @@ def riccati_rule() -> SuperpositionRule:
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     zero_jac = lambda x: np.zeros((1, 1))
-    x0f = VectorField(1, lambda x: np.array([1.0]), jac=zero_jac, name="X0")
-    x1f = VectorField(1, lambda x: np.array([x[0]]),
+    # fields act on the last axis, so one call serves a batch of states;
+    # float_power rounds through libm pow like the scalar x ** 2, where
+    # array ** 2 takes numpy's square shortcut and can differ in the last bit
+    x0f = VectorField(1, lambda x: np.ones(x.shape), jac=zero_jac, name="X0")
+    x1f = VectorField(1, lambda x: x.copy(),
                       jac=lambda x: np.array([[1.0]]), name="X1")
-    x2f = VectorField(1, lambda x: np.array([x[0] ** 2]),
+    x2f = VectorField(1, lambda x: np.float_power(x, 2),
                       jac=lambda x: np.array([[2.0 * x[0]]]), name="X2")
     realized = RealizedAlgebra(_riccati_algebra(), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
@@ -179,8 +182,8 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
 
     def make_field(i):
         def func(x):
-            out = np.zeros(dim)
-            out[i] = 1.0
+            out = np.zeros(x.shape)
+            out[..., i] = 1.0
             return out
         return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
                            name=f"dQ{i + 1}")
@@ -283,8 +286,8 @@ def lax_system(spec: LaxSpec) -> ModelBundle:
 
     def make_field(a):
         def func(x):
-            out = np.zeros(dim)
-            out[a] = 2.0
+            out = np.zeros(x.shape)
+            out[..., a] = 2.0
             return out
         return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
                            name=f"2dv{a + 1}")
@@ -347,10 +350,12 @@ def _ermakov_algebra() -> la.LieAlgebra:
 
 def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorField]:
     c1, c2 = spec.c1, spec.c2
+    half = np.array([0.5, 0.5, -0.5, -0.5])
 
+    # fields act on the last axis: s.T unpacks a (B, 4) batch into (B,) columns
     def f1(s):
-        x, y, vx, vy = s
-        return np.array([vx, vy, c2 / (x * x * y), c1 / (x * y * y)])
+        x, y, vx, vy = s.T
+        return np.array([vx, vy, c2 / (x * x * y), c1 / (x * y * y)]).T
 
     def j1(s):
         x, y, vx, vy = s
@@ -362,12 +367,12 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
         ])
 
     def f2(s):
-        x, y, vx, vy = s
-        return 0.5 * np.array([x, y, -vx, -vy])
+        return s * half  # (x, y, -vx, -vy) / 2
 
     def f3(s):
-        x, y, vx, vy = s
-        return np.array([0.0, 0.0, -x, -y])
+        out = np.zeros(s.shape)
+        out[..., 2:] = -s[..., :2]
+        return out
 
     j2 = lambda s: 0.5 * np.diag([1.0, 1.0, -1.0, -1.0])
 

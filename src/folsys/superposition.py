@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (AbelianDerivationError, DimensionMismatchError,
-                     NoParameterFoundError)
+                     NoParameterFoundError, SingularCombinationError)
 from .fields import (diagonal_prolongation, directional_derivative,
                      minimal_particular_solutions)
 from .foliated import FoliatedSystem, assemble
@@ -76,7 +76,7 @@ def solve_parameters(rule: SuperpositionRule, sols0: Sequence[np.ndarray],
     def residual(k):
         try:
             return apply_rule(rule, sols0, k) - target0
-        except Exception:
+        except (SingularCombinationError, ArithmeticError):
             return None
 
     def refine(k):
@@ -196,24 +196,28 @@ def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
     """Empirical check that one parameter fit at t0 reconstructs the target for all t.
 
     Per trial: draw rule.m particular initial conditions and one target on a
-    common random leaf, integrate everything, solve psi(sols(t0), k) =
-    target(t0), then measure the sup reconstruction error over the grid.
+    common random leaf, solve psi(sols(t0), k) = target(t0), then measure the
+    sup reconstruction error over the grid.  The solutions of all trials are
+    integrated together as one batch.
     """
     t0, t1 = horizon
-    F = assemble(fs)
+    m = rule.m
+    pts = []
+    for trial in range(trials):
+        rng = seeded_rng(seed + trial)  # independent, reproducible trials
+        pts += _sample_on_leaf(fs, rng, m + 1, min_separation=min_separation)
+    traj = integrate(assemble(fs), np.array(pts), t0, t1, h)
+    # axes (time, trial, solution, state): m particular solutions, then the target
+    runs = traj.states.reshape(len(traj), trials, m + 1, fs.dim)
     max_err = 0.0
     max_param_res = 0.0
     for trial in range(trials):
-        rng = seeded_rng(seed + trial)  # independent, reproducible trials
-        pts = _sample_on_leaf(fs, rng, rule.m + 1, min_separation=min_separation)
-        sol_trajs = [integrate(F, p, t0, t1, h) for p in pts[:rule.m]]
-        target_traj = integrate(F, pts[rule.m], t0, t1, h)
-        k, res = solve_parameters(rule, [tr.states[0] for tr in sol_trajs],
-                                  target_traj.states[0], seed=seed + trial)
+        sols, target = runs[:, trial, :m], runs[:, trial, m]
+        k, res = solve_parameters(rule, list(sols[0]), target[0], seed=seed + trial)
         max_param_res = max(max_param_res, res)
-        for i in range(len(target_traj)):
-            rec = apply_rule(rule, [tr.states[i] for tr in sol_trajs], k)
-            max_err = max(max_err, float(np.max(np.abs(rec - target_traj.states[i]))))
+        for i in range(len(traj)):
+            rec = apply_rule(rule, list(sols[i]), k)
+            max_err = max(max_err, float(np.max(np.abs(rec - target[i]))))
     return RuleReport(max_reconstruction_error=max_err,
                       param_solve_residual=max_param_res)
 

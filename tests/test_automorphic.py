@@ -10,7 +10,7 @@ from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 group_curve_consistency, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
-from folsys.errors import IncompatibleActionError
+from folsys.errors import BlowUpError, DomainExitError, IncompatibleActionError
 from folsys.foliated import assemble
 from folsys.integrate import integrate
 from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, default_model,
@@ -147,6 +147,20 @@ def test_solve_matrix_zero_coefficients_identity():
                                             (lambda t, k: 0.0, lambda t, k: 0.0), 0)
     curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == np.eye(2))
+
+
+def test_solve_matrix_errors_carry_partial():
+    # g' = -c g: c < 0 overflows the entries, c > 0 collapses the determinant
+    for coeff, error in ((-1e3, BlowUpError), (100.0, DomainExitError)):
+        asys = AutomorphicSystem.from_reduction(
+            MATRIX, (np.eye(2),), (lambda t, k, _c=coeff: _c,), 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as exc:
+                solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+        partial = exc.value.partial
+        assert partial is not None
+        assert partial.states.shape[1:] == (4,)
+        assert np.all(np.isfinite(partial.states))
 
 
 def test_reconstruct_identity_curve_is_constant():

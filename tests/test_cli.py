@@ -133,6 +133,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"integration": {"t0": 0.0, "t1": 1.0, "step": 2}},
+    {"integration": {"step": "nan"}},
+    {"integration": {"t1": "inf"}},
+    {"model": "lax", "params": {"n": 0}},
+    {"initial_state": [[0.0, 0.0, 1.0, 1.5]]},
+])
+def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
+    path = write_config(tmp_path / "bad.json", **overrides)
+    rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_ermakov_uncoupled_automorphic(tmp_path):
     cfg = ScenarioConfig.from_dict({
         "model": "ermakov",

@@ -6,10 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from folsys.errors import BlowUpError, DomainExitError, ErrorFloorError
-from folsys.fields import TDependentVectorField
+from folsys.algebra import builtin_realization
+from folsys.automorphic import (MATRIX, AutomorphicSystem, reduce_system,
+                                solve_matrix)
+from folsys.errors import (BlowUpError, DimensionMismatchError,
+                           DomainExitError, ErrorFloorError)
+from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
+from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
+                             leaf_of)
 from folsys.integrate import (Trajectory, convergence_order, integrate,
                               interpolate, trajectory_to_csv)
+from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
+                           ermakov_matrix_action, ermakov_system)
+from folsys.util import Box, seeded_rng
 
 EXP = TDependentVectorField(1, lambda t, x: x.copy())
 ZERO = TDependentVectorField(3, lambda t, x: np.zeros(3))
@@ -139,3 +148,102 @@ def test_csv_export_format(tmp_path):
     t_back, x_back = (float(v) for v in lines[-1].split(","))
     assert t_back == traj.times[-1]
     assert x_back == traj.states[-1, 0]
+
+
+# --- batches -------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_batch_equals_single_runs(name):
+    fs = default_model(name).system
+    F = assemble(fs)
+    x0 = fs.realized.box.sample_many(seeded_rng(3), 4)
+    batch = integrate(F, x0, 0.0, 0.5, 0.01)
+    assert batch.states.shape == (len(batch), 4, fs.dim)
+    assert batch.state_dim == fs.dim
+    for b, x in enumerate(x0):
+        assert np.array_equal(batch.states[:, b], integrate(F, x, 0.0, 0.5, 0.01).states)
+
+
+def test_batch_blow_up_in_one_row():
+    F = TDependentVectorField(1, lambda t, x: x ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as single:
+            integrate(F, np.array([3.0]), 0.0, 2.0, 1e-2)
+        with pytest.raises(BlowUpError) as batch:
+            integrate(F, np.array([[0.1], [3.0]]), 0.0, 2.0, 1e-2)
+    assert batch.value.t == single.value.t
+    partial = batch.value.partial
+    assert partial.states.ndim == 3 and partial.states.shape[1:] == (2, 1)
+    assert np.all(np.isfinite(partial.states))
+
+
+def test_batch_domain_guard_checks_every_row():
+    F = TDependentVectorField(1, lambda t, x: np.ones_like(x),
+                              domain=lambda x: x[0] < 0.5)
+    with pytest.raises(DomainExitError) as single:
+        integrate(F, np.array([0.3]), 0.0, 2.0, 1e-2)
+    with pytest.raises(DomainExitError) as batch:
+        integrate(F, np.array([[0.0], [0.3]]), 0.0, 2.0, 1e-2)
+    assert batch.value.t == single.value.t
+    assert batch.value.partial.states.shape[1:] == (2, 1)
+    with pytest.raises(DomainExitError):
+        integrate(F, np.array([[0.0], [0.7]]), 0.0, 2.0, 1e-2)
+
+
+def test_single_point_field_rejected_in_batch():
+    X = VectorField(1, lambda x: np.array([1.0]))  # ignores the batch axis
+    ra = RealizedAlgebra(builtin_realization("abelian:1").algebra, (X,),
+                         Box([-1.0], [1.0]))
+    F = assemble(FoliatedSystem(ra, (lambda t, x: 1.0,), FoliationChart.split(1, 1)))
+    assert integrate(F, np.array([0.0]), 0.0, 0.1, 0.01).final_state[0] > 0.0
+    with pytest.raises(DimensionMismatchError):
+        integrate(F, np.zeros((3, 1)), 0.0, 0.1, 0.01)
+
+
+def test_csv_export_rejects_batch(tmp_path):
+    traj = integrate(EXP, np.array([[1.0], [2.0]]), 0.0, 0.1, 1e-2)
+    with pytest.raises(ValueError):
+        trajectory_to_csv(traj, tmp_path / "batch.csv")
+
+
+# --- solve_matrix on the kernel ----------------------------------------------
+
+def matrix_rk4_reference(asys, k, times):
+    """RK4 written out on d x d matrices, as a reference for solve_matrix."""
+    def coeff_matrix(t):
+        M = np.zeros_like(asys.generators[0])
+        for c, A in zip(asys.coeffs, asys.generators):
+            M += c(t, k) * A
+        return M
+
+    g = np.eye(asys.generators[0].shape[0])
+    out = [g]
+    for t, t_next in zip(times[:-1], times[1:]):
+        dt = t_next - t
+        k1 = coeff_matrix(t) @ g
+        k2 = coeff_matrix(t + 0.5 * dt) @ (g + 0.5 * dt * k1)
+        k3 = coeff_matrix(t + 0.5 * dt) @ (g + 0.5 * dt * k2)
+        k4 = coeff_matrix(t + dt) @ (g + dt * k3)
+        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(g)
+    return np.array(out)
+
+
+def test_solve_matrix_matches_reference_loop():
+    spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.02 * I,
+                       c1=0.0, c2=0.0)
+    fs = ermakov_system(spec).system
+    erm = reduce_system(fs, ermakov_matrix_action(spec))
+    k = leaf_of(fs.chart, np.array([1.0, 1.2, 0.3, -0.2]))
+
+    real = builtin_realization("glp:1")
+    glp = AutomorphicSystem.from_reduction(
+        MATRIX, real.matrices,
+        (lambda t, k: 1.0 + 0.5 * np.sin(t), lambda t, k: -0.7 * np.cos(t)), 0,
+        algebra=real.algebra)
+
+    for asys, kk in ((erm, k), (glp, np.zeros(0))):
+        curve = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)
+        assert curve.elements.shape == (len(curve), 2, 2)
+        assert np.array_equal(curve.elements,
+                              matrix_rk4_reference(asys, kk, curve.times))

@@ -163,6 +163,15 @@ def test_verify_rule_wrong_rule_raises():
         verify_rule(wrong, bundle.system, (0.0, 1.0), trials=1, seed=42)
 
 
+def test_solve_parameters_propagates_programming_errors():
+    def psi(sols, k):
+        raise TypeError("broken rule")
+
+    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=psi)
+    with pytest.raises(TypeError, match="broken rule"):
+        solve_parameters(rule, [np.array([0.1])], np.array([0.2]))
+
+
 def test_solve_parameters_exactness_on_translations():
     rule = default_model("hamilton_jacobi").rule
     sol = np.array([0.3, -0.2, 1.0, 1.5])
