@@ -11,7 +11,7 @@ from .fields import (RealizedAlgebra, TDependentVectorField, VectorField,
                      directional_derivative, lie_bracket_at,
                      minimal_particular_solutions, rank_at)
 from .foliated import (FoliatedSystem, FoliationChart, assemble, leaf_drift,
-                       leaf_of, verify_foliated)
+                       leaf_of, sup_drift, verify_foliated)
 from .integrate import (Trajectory, convergence_order, integrate, interpolate,
                         trajectory_to_csv)
 from .superposition import (SuperpositionRule, apply_rule, derive_abelian_rule,

@@ -18,7 +18,7 @@ import scipy.linalg
 from .algebra import LieAlgebra
 from .errors import DimensionMismatchError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
-from .foliated import FoliatedSystem, assemble, leaf_of
+from .foliated import FoliatedSystem, leaf_of
 from .integrate import DEFAULT_STEP, Trajectory, integrate
 from .util import seeded_rng
 
@@ -264,14 +264,13 @@ def group_curve_consistency(asys: AutomorphicSystem, curve: GroupCurve, k) -> fl
     return worst
 
 
-def reconstruction_error(fs: FoliatedSystem, action: GroupAction, x0,
-                         t0: float, t1: float, h: float = DEFAULT_STEP,
-                         seed: int = 42) -> float:
-    """Sup-norm gap between the group-reconstructed and directly integrated flows."""
-    x0 = np.asarray(x0, dtype=float)
+def reconstruction_error(fs: FoliatedSystem, action: GroupAction,
+                         direct: Trajectory, seed: int = 42) -> float:
+    """Sup-norm gap between ``direct``, an integrated flow of ``fs``, and its
+    group reconstruction from ``direct.states[0]`` on the same time grid."""
+    x0 = direct.states[0]
     asys = reduce_system(fs, action, seed=seed)
     k = leaf_of(fs.chart, x0)
-    curve = solve_group(asys, k, t0, t1, h)
+    curve = solve_group(asys, k, direct.times[0], direct.times[-1], direct.step)
     rec = reconstruct(action, curve, x0)
-    direct = integrate(assemble(fs), x0, t0, t1, h)
     return float(np.max(np.abs(rec.states - direct.states)))

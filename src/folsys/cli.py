@@ -23,8 +23,9 @@ from . import models as mdl
 from .algebra import builtin_algebra, killing_form, InvariantMetric
 from .automorphic import reconstruction_error
 from .errors import ConfigError, FolsysError
-from .foliated import assemble, leaf_drift, verify_foliated
-from .integrate import convergence_order, integrate, trajectory_to_csv
+from .foliated import assemble, leaf_drift, sup_drift, verify_foliated
+from .integrate import (Trajectory, convergence_order, integrate,
+                        trajectory_to_csv)
 from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
                       is_foliated_lie_hamilton, jacobiator, kirillov_bivector,
                       linear_coordinates, poisson_bracket,
@@ -93,7 +94,14 @@ def compile_expression(text: str, variables: tuple[str, ...]):
             return env[node.id]
         return float(node.value)
 
-    return lambda env: float(evaluate(tree, env))
+    def value(env):
+        try:
+            return float(evaluate(tree, env))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            # division by zero, overflow, math domain, or a complex power
+            raise ConfigError(f"expression {text!r} cannot be evaluated: {exc}") from exc
+
+    return value
 
 
 def _number(section: dict, key: str, default, kind=float):
@@ -136,10 +144,14 @@ class ScenarioConfig:
         if model not in mdl.MODEL_NAMES:
             raise ConfigError(f"unknown model {model!r}; known: {mdl.MODEL_NAMES}")
         integ = raw.get("integration", {})
+        params = raw.get("params", {})
+        for key, section in (("integration", integ), ("params", params)):
+            if not isinstance(section, dict):
+                raise ConfigError(f"{key} must be a JSON object, got {section!r}")
         t0 = _number(integ, "t0", 0.0)
         t1 = _number(integ, "t1", 2.0)
         step = _number(integ, "step", 1e-3)
-        params = dict(raw.get("params", {}))
+        params = dict(params)
         if model in ("hamilton_jacobi", "lax"):
             n = _number(params, "n", 2, int)
             if n < 1:
@@ -237,13 +249,9 @@ def _timed(check: str, model: str, seed: int, value: float, tol: float,
                        seed=seed)
 
 
-def _state(bundle, cfg):
-    if cfg.initial_state is not None:
-        return np.asarray(cfg.initial_state, dtype=float)
-    return bundle.default_state
-
-
-def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig) -> list[CheckReport]:
+def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
+               traj: Trajectory) -> list[CheckReport]:
+    """Rows of one check; every check reads the scenario's trajectory ``traj``."""
     t0, t1, h, seed = cfg.t0, cfg.t1, cfg.step, cfg.seed
     start = time.perf_counter()
     model = bundle.name
@@ -257,7 +265,6 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig) -> list[
         ]
 
     if name == "leaf_drift":
-        traj = integrate(assemble(bundle.system), _state(bundle, cfg), t0, t1, h)
         drift = leaf_drift(traj, bundle.system.chart)
         if model == "ermakov":
             ref = abs(mdl.lewis_invariant(bundle.spec, traj.states[0]))
@@ -279,36 +286,28 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig) -> list[
         if bundle.action is None:
             raise ConfigError(f"check 'automorphic' not supported for {model}"
                               " (ermakov requires c1 = c2 = 0)")
-        err = reconstruction_error(bundle.system, bundle.action,
-                                   _state(bundle, cfg), t0, t1, h, seed=seed)
+        err = reconstruction_error(bundle.system, bundle.action, traj, seed=seed)
         tol = 1e-6 if model == "ermakov" else 1e-8
         return [_timed("automorphic.reconstruction", model, seed, err, tol, start)]
 
     if name == "poisson":
         return _poisson_battery(model, seed)
 
-    if name == "spectrum":
-        if model != "lax":
-            raise ConfigError("check 'spectrum' requires the lax model")
-        traj = integrate(assemble(bundle.system), _state(bundle, cfg), t0, t1, h)
-        spec_fn = bundle.observables["spectrum"]
-        ref = spec_fn(traj.states[0])
-        drift = max(float(np.max(np.abs(spec_fn(s) - ref))) for s in traj.states)
-        return [_timed("spectrum.drift", model, seed, drift, 1e-12, start)]
-
-    if name == "lewis":
-        if model != "ermakov":
-            raise ConfigError("check 'lewis' requires the ermakov model")
-        traj = integrate(assemble(bundle.system), _state(bundle, cfg), t0, t1, h)
-        lw = bundle.observables["lewis"]
-        ref = lw(traj.states[0])
-        drift = max(abs(lw(s) - ref) for s in traj.states)
+    if name in ("spectrum", "lewis"):
+        # conserved observables: the lax spectrum, the ermakov invariant
+        obs = bundle.observables.get(name)
+        if obs is None:
+            raise ConfigError(f"check {name!r} not supported for {model}")
+        drift = sup_drift(obs, traj.states)
+        if name == "spectrum":
+            return [_timed("spectrum.drift", model, seed, drift, 1e-12, start)]
+        ref = abs(obs(traj.states[0]))
         return [_timed("lewis.relative_drift", model, seed,
-                       drift / max(abs(ref), 1e-30), 1e-6, start)]
+                       drift / max(ref, 1e-30), 1e-6, start)]
 
     if name == "convergence":
         coarse = (t1 - t0) / 50.0
-        order = convergence_order(assemble(bundle.system), _state(bundle, cfg),
+        order = convergence_order(assemble(bundle.system), traj.states[0],
                                   t0, t1, coarse)
         return [_timed("convergence.order_gap", model, seed,
                        abs(order - 4.0), 0.5, start)]
@@ -376,15 +375,20 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
 def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     """Execute the scenario; returns reports and the written data files."""
     bundle = build_bundle(cfg)
+    x0 = bundle.default_state
+    if cfg.initial_state is not None:
+        x0 = np.asarray(cfg.initial_state, dtype=float)
+        if x0.size != bundle.system.dim:
+            raise ConfigError(f"initial_state must have {bundle.system.dim} entries "
+                              f"for {bundle.name}, got {x0.size}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = integrate(assemble(bundle.system), _state(bundle, cfg),
-                     cfg.t0, cfg.t1, cfg.step)
+    traj = integrate(assemble(bundle.system), x0, cfg.t0, cfg.t1, cfg.step)
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
     reports = []
     for name in cfg.checks:
-        reports.extend(_run_check(name, bundle, cfg))
+        reports.extend(_run_check(name, bundle, cfg, traj))
     reports.sort(key=lambda r: (r.check, r.model))
     return reports, {"trajectory": str(traj_path)}
 
@@ -440,13 +444,13 @@ def main(argv=None) -> int:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         cfg = ScenarioConfig.from_dict(raw)
         if args.seed is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.step is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "step": args.step})
+            cfg = dataclasses.replace(cfg, step=args.step)
         if args.out is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "out": args.out})
+            cfg = dataclasses.replace(cfg, out=args.out)
         if args.format is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "fmt": args.format})
+            cfg = dataclasses.replace(cfg, fmt=args.format)
         reports, _ = run(cfg)
         report_render(reports, cfg.out, fmt=cfg.fmt)
     except (ConfigError, FolsysError, OSError, json.JSONDecodeError) as exc:

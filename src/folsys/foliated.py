@@ -182,12 +182,18 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     return FoliationReport(com_residual=com, rank_ok=True, chart_residual=chart_res)
 
 
+def sup_drift(observable: Callable[[np.ndarray], object], states) -> float:
+    """Max sup-norm deviation of ``observable`` along ``states`` from its
+    value at ``states[0]``; the observable may return a scalar or an array."""
+    ref = observable(states[0])
+    worst = 0.0
+    for row in states:
+        worst = max(worst, float(np.max(np.abs(observable(row) - ref))))
+    return worst
+
+
 def leaf_drift(traj: Trajectory, chart: FoliationChart) -> float:
     """Max sup-norm displacement of the leaf label along a trajectory."""
     if chart.n_labels == 0:
         return 0.0
-    ref = leaf_of(chart, traj.states[0])
-    worst = 0.0
-    for row in traj.states:
-        worst = max(worst, float(np.max(np.abs(leaf_of(chart, row) - ref))))
-    return worst
+    return sup_drift(lambda x: leaf_of(chart, x), traj.states)

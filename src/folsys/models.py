@@ -68,9 +68,9 @@ class RiccatiSpec:
         return cls(lambda t: a0, lambda t: a1, lambda t: a2)
 
 
-def _riccati_algebra() -> la.LieAlgebra:
-    # basis (X0, X1, X2) = (d/dx, x d/dx, x^2 d/dx):
-    # [X0,X1] = X0, [X0,X2] = 2 X1, [X1,X2] = X2
+def _sl2_algebra(names: tuple[str, str, str]) -> la.LieAlgebra:
+    # basis (A, B, C) with [A,B] = A, [A,C] = 2 B, [B,C] = C: the Riccati
+    # fields (d/dx, x d/dx, x^2 d/dx) and the Ermakov fields (X1, X2, X3)
     c = np.zeros((3, 3, 3))
     c[0, 1, 0] = 1.0
     c[1, 0, 0] = -1.0
@@ -78,7 +78,7 @@ def _riccati_algebra() -> la.LieAlgebra:
     c[2, 0, 1] = -2.0
     c[1, 2, 2] = 1.0
     c[2, 1, 2] = -1.0
-    return la.LieAlgebra(3, ("X0", "X1", "X2"), c)
+    return la.LieAlgebra(3, names, c)
 
 
 def riccati_rule() -> SuperpositionRule:
@@ -110,7 +110,7 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
                       jac=lambda x: np.array([[1.0]]), name="X1")
     x2f = VectorField(1, lambda x: np.float_power(x, 2),
                       jac=lambda x: np.array([[2.0 * x[0]]]), name="X2")
-    realized = RealizedAlgebra(_riccati_algebra(), (x0f, x1f, x2f),
+    realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
     coeffs = (
@@ -165,6 +165,44 @@ def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
     )
 
 
+def _translation_model(name: str, spec, scale: float, coeffs, q0,
+                       labels: tuple[str, str], observables=None) -> ModelBundle:
+    """Leaves P = const of R^{2n} = (Q, P), fields ``scale`` d/dQ^i.
+
+    The abelian action moves Q by -scale * lambda; ``labels`` are the field
+    name prefix and the action name.  The default state is (q0, P) with P
+    spread over [1, 1.5].
+    """
+    n = spec.n
+    dim = 2 * n
+
+    def make_field(i):
+        def func(x):
+            out = np.zeros(x.shape)
+            out[..., i] = scale
+            return out
+        return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
+                           name=f"{labels[0]}{i + 1}")
+
+    flds = tuple(make_field(i) for i in range(n))
+    box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
+    realized = RealizedAlgebra(la.builtin_algebra(f"abelian:{n}"), flds, box)
+    system = FoliatedSystem(realized, coeffs, FoliationChart.split(dim, n),
+                            name=name)
+
+    def act(lam, x):
+        out = np.asarray(x, dtype=float).copy()
+        out[:n] = out[:n] - scale * np.asarray(lam, dtype=float)
+        return out
+
+    action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
+                         generators=tuple(np.eye(n)), name=labels[1])
+    default_state = np.concatenate([q0, np.linspace(1.0, 1.5, n)])
+    return ModelBundle(name=name, system=system, rule=derive_abelian_rule(system),
+                       action=action, default_state=default_state,
+                       horizon=(0.0, 2.0), observables=observables or {}, spec=spec)
+
+
 def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     """Flow of dQ/dt = -dH/dP(t, P), dP/dt = 0 as a decomposed system.
 
@@ -175,41 +213,15 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     decomposition (and everything built on it) exploits.
     """
     n = spec.n
-    dim = 2 * n
     res = spec.gradient_consistency()
     if res > 1e-5:
         raise ValueError(f"declared gradient disagrees with H: residual {res:.3e}")
-
-    def make_field(i):
-        def func(x):
-            out = np.zeros(x.shape)
-            out[..., i] = 1.0
-            return out
-        return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
-                           name=f"dQ{i + 1}")
-
-    flds = tuple(make_field(i) for i in range(n))
-    box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
-    realized = RealizedAlgebra(la.builtin_algebra(f"abelian:{n}"), flds, box)
-    chart = FoliationChart.split(dim, n)
     coeffs = tuple(
         (lambda t, x, _i=i: -float(spec.gradient(t, x[n:])[_i]))
         for i in range(n)
     )
-    system = FoliatedSystem(realized, coeffs, chart, name="hamilton_jacobi")
-
-    def act(lam, x):
-        out = np.asarray(x, dtype=float).copy()
-        out[:n] = out[:n] - np.asarray(lam, dtype=float)
-        return out
-
-    action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
-                         generators=tuple(np.eye(n)), name="Q-translation")
-    rule = derive_abelian_rule(system)
-    default_state = np.concatenate([np.zeros(n), np.linspace(1.0, 1.5, n)])
-    return ModelBundle(name="hamilton_jacobi", system=system, rule=rule,
-                       action=action, default_state=default_state,
-                       horizon=(0.0, 2.0), spec=spec)
+    return _translation_model("hamilton_jacobi", spec, 1.0, coeffs, np.zeros(n),
+                              ("dQ", "Q-translation"))
 
 
 # ---------------------------------------------------------------------------
@@ -282,41 +294,14 @@ def lax_spectrum(n: int, v) -> np.ndarray:
 
 def lax_system(spec: LaxSpec) -> ModelBundle:
     n = spec.n
-    dim = 2 * n
-
-    def make_field(a):
-        def func(x):
-            out = np.zeros(x.shape)
-            out[..., a] = 2.0
-            return out
-        return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
-                           name=f"2dv{a + 1}")
-
-    flds = tuple(make_field(a) for a in range(n))
-    box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
-    realized = RealizedAlgebra(la.builtin_algebra(f"abelian:{n}"), flds, box)
-    chart = FoliationChart.split(dim, n)
     # coefficients relative to 2 d/dv^a, from dv^a/dt = -2 f_a v^{n+a}
     coeffs = tuple(
         (lambda t, x, _a=a: -float(spec.f[_a](t, x[n:])) * float(x[n + _a]))
         for a in range(n)
     )
-    system = FoliatedSystem(realized, coeffs, chart, name="lax")
-
-    def act(lam, x):
-        out = np.asarray(x, dtype=float).copy()
-        out[:n] = out[:n] - 2.0 * np.asarray(lam, dtype=float)
-        return out
-
-    action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
-                         generators=tuple(np.eye(n)), name="block-translation")
-    rule = derive_abelian_rule(system)
-    default_state = np.concatenate([np.linspace(0.5, -0.3, n),
-                                    np.linspace(1.0, 1.5, n)])
-    observables = {"spectrum": lambda x: lax_spectrum(n, x)}
-    return ModelBundle(name="lax", system=system, rule=rule, action=action,
-                       default_state=default_state, horizon=(0.0, 2.0),
-                       observables=observables, spec=spec)
+    return _translation_model("lax", spec, 2.0, coeffs, np.linspace(0.5, -0.3, n),
+                              ("2dv", "block-translation"),
+                              observables={"spectrum": lambda x: lax_spectrum(n, x)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +319,6 @@ def lewis_invariant(spec: ErmakovSpec, state) -> float:
     x, y, vx, vy = np.asarray(state, dtype=float)
     w = x * vy - y * vx
     return 0.5 * w * w + spec.c1 * x / y + spec.c2 * y / x
-
-
-def _ermakov_algebra() -> la.LieAlgebra:
-    # basis (X1, X2, X3): [X1,X2] = X1, [X1,X3] = 2 X2, [X2,X3] = X3
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 0] = 1.0
-    c[1, 0, 0] = -1.0
-    c[0, 2, 1] = 2.0
-    c[2, 0, 1] = -2.0
-    c[1, 2, 2] = 1.0
-    c[2, 1, 2] = -1.0
-    return la.LieAlgebra(3, ("X1", "X2", "X3"), c)
 
 
 def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorField]:
@@ -392,7 +365,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     # box keeps x, y away from the axes so finite differences of the
     # invariant stay well below the verification tolerances
     box = Box([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6])
-    realized = RealizedAlgebra(_ermakov_algebra(), flds, box)
+    realized = RealizedAlgebra(_sl2_algebra(("X1", "X2", "X3")), flds, box)
 
     def invariants(s):
         return np.array([lewis_invariant(spec, s)])

@@ -79,6 +79,11 @@ def solve_parameters(rule: SuperpositionRule, sols0: Sequence[np.ndarray],
         except (SingularCombinationError, ArithmeticError):
             return None
 
+    def probe(k):
+        # finite-difference probe: a singular combination reads as infinite
+        r = residual(k)
+        return np.full(target0.size, np.inf) if r is None else r
+
     def refine(k):
         r = residual(k)
         if r is None:
@@ -87,9 +92,7 @@ def solve_parameters(rule: SuperpositionRule, sols0: Sequence[np.ndarray],
         for _ in range(max_iter):
             if rn <= tol:
                 break
-            rk = residual  # closure for jacobian_fd
-            J = jacobian_fd(lambda kk: np.full(target0.size, np.inf)
-                            if rk(kk) is None else rk(kk), k)
+            J = jacobian_fd(probe, k)
             if not np.all(np.isfinite(J)):
                 break
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)

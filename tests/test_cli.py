@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import folsys.automorphic
+import folsys.cli
 from folsys.cli import (ScenarioConfig, build_bundle, compile_expression,
                         main, run)
 from folsys.errors import ConfigError
+from folsys.integrate import integrate
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -39,6 +42,14 @@ def test_expression_rejects_unsafe_syntax():
                 "lambda: 1", "'s'"):
         with pytest.raises(ConfigError):
             compile_expression(bad, ("t",))
+
+
+@pytest.mark.parametrize("text", ["1/(t-t)", "pow(-t, 0.5)", "(-t)**0.5",
+                                  "10.0**(1000*t)"])
+def test_expression_arithmetic_errors_are_config_errors(text):
+    fn = compile_expression(text, ("t",))
+    with pytest.raises(ConfigError, match="cannot be evaluated"):
+        fn({"t": 1.0})
 
 
 # --- config validation -----------------------------------------------------------
@@ -96,11 +107,32 @@ def test_run_all_checks_pass(tmp_path):
 
 
 def test_run_rejects_unsupported_check(tmp_path):
+    for model, check in (("riccati", "spectrum"), ("lax", "lewis")):
+        cfg = ScenarioConfig.from_dict({
+            "model": model, "checks": [check], "out": str(tmp_path),
+        })
+        with pytest.raises(ConfigError, match=f"check '{check}' not supported"):
+            run(cfg)
+
+
+def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    for module in (folsys.cli, folsys.automorphic):
+        monkeypatch.setattr(module, "integrate", counting)
     cfg = ScenarioConfig.from_dict({
-        "model": "riccati", "checks": ["spectrum"], "out": str(tmp_path),
+        "model": "lax", "checks": ["leaf_drift", "spectrum", "automorphic"],
+        "integration": {"t0": 0.0, "t1": 1.0, "step": 1e-2},
+        "out": str(tmp_path),
     })
-    with pytest.raises(ConfigError):
-        run(cfg)
+    reports, _ = run(cfg)
+    assert all(r.status == "pass" for r in reports)
+    # the scenario flow, then the abelian quadrature of the reconstruction
+    assert len(calls) == 2
 
 
 def test_cli_exit_codes_and_reports(tmp_path):
@@ -139,6 +171,10 @@ def test_cli_config_error_exit_code(tmp_path):
     {"integration": {"t1": "inf"}},
     {"model": "lax", "params": {"n": 0}},
     {"initial_state": [[0.0, 0.0, 1.0, 1.5]]},
+    {"integration": [1, 2]},
+    {"params": [1]},
+    {"model": "riccati", "initial_state": [0.1, 0.2]},
+    {"model": "ermakov", "params": {"omega2": "1/(t-t)"}},
 ])
 def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path / "bad.json", **overrides)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,24 @@ def test_solve_parameters_propagates_programming_errors():
     rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=psi)
     with pytest.raises(TypeError, match="broken rule"):
         solve_parameters(rule, [np.array([0.1])], np.array([0.2]))
+
+
+def test_solve_parameters_evaluates_each_probe_once():
+    rule = riccati_rule()
+    calls = []
+
+    def psi(sols, k):
+        calls.append(1)
+        return rule.psi(sols, k)
+
+    counted = dataclasses.replace(rule, psi=psi)
+    sols = [np.array([0.1]), np.array([0.5]), np.array([-0.3])]
+    k, res = solve_parameters(counted, sols, np.array([0.3]))
+    # 1 start + 5 Gauss-Newton iterations of 2 Jacobian probes and 1
+    # line-search step; the exact k is 2
+    assert len(calls) == 16
+    assert k[0] == 1.9999999990686783
+    assert res == 4.656608432185294e-11
 
 
 def test_solve_parameters_exactness_on_translations():
