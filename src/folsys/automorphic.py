@@ -103,30 +103,39 @@ def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField
 
 @dataclass(frozen=True)
 class AutomorphicSystem:
-    """Group-valued system g' = sum_a coeffs_a(t,k) X^R_a(g), leafwise constant."""
+    """Group-valued system g' = sum_a c_a(t,k) X^R_a(g), leafwise constant.
+
+    ``coeffs(t, k)`` returns (c_1, ..., c_r)(t, k) as one array of shape
+    ``(r,)``, one entry per generator.
+    """
 
     kind: str
     generators: tuple[np.ndarray, ...]
-    coeffs: tuple[Callable[[float, np.ndarray], float], ...]
+    coeffs: Callable[[float, np.ndarray], np.ndarray]
     leaf_space_dim: int
     algebra: LieAlgebra | None = None
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.generators):
-            raise DimensionMismatchError("one coefficient per generator")
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @classmethod
     def from_reduction(cls, kind: str, generators, foliated_coeffs,
                        leaf_space_dim: int, algebra: LieAlgebra | None = None,
                        ) -> "AutomorphicSystem":
-        """Build the reduced system from foliated coefficients (sign absorbed)."""
-        negated = tuple(
-            (lambda t, k, _g=g: -float(_g(t, k))) for g in foliated_coeffs
-        )
-        return cls(kind=kind, generators=tuple(generators), coeffs=negated,
+        """Build the reduced system from a foliated coefficient map (sign
+        absorbed); a map that does not return one value per generator raises
+        DimensionMismatchError when evaluated."""
+        r = len(generators)
+
+        def coeffs(t, k):
+            c = -np.asarray(foliated_coeffs(t, k), dtype=float)
+            if c.shape != (r,):
+                raise DimensionMismatchError(
+                    f"coefficient map returned shape {c.shape}; need {r} coefficients")
+            return c
+
+        return cls(kind=kind, generators=tuple(generators), coeffs=coeffs,
                    leaf_space_dim=leaf_space_dim, algebra=algebra)
 
     def generator_commutator_residual(self) -> float:
@@ -178,13 +187,10 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     if chart.leaf_point is None:
         raise IncompatibleActionError("chart has no representative-point map")
 
-    on_leaf = tuple(
-        (lambda t, k, _g=g: float(_g(t, chart.leaf_point(np.atleast_1d(k)))))
-        for g in fs.coeffs
-    )
     return AutomorphicSystem.from_reduction(
         kind=action.kind, generators=action.generators,
-        foliated_coeffs=on_leaf, leaf_space_dim=chart.n_labels,
+        foliated_coeffs=lambda t, k: fs.coeffs(t, chart.leaf_point(np.atleast_1d(k))),
+        leaf_space_dim=chart.n_labels,
         algebra=fs.realized.algebra,
     )
 
@@ -196,11 +202,8 @@ def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
         raise ValueError("solve_abelian requires an abelian system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = len(asys.generators)
-
-    def rhs(t, lam):
-        return np.array([c(t, k) for c in asys.coeffs])
-
-    traj = integrate(TDependentVectorField(r, rhs), np.zeros(r), t0, t1, h)
+    traj = integrate(TDependentVectorField(r, lambda t, lam: asys.coeffs(t, k)),
+                     np.zeros(r), t0, t1, h)
     return GroupCurve(ABELIAN, traj.times, traj.states, h)
 
 
@@ -220,8 +223,8 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
 
     def rhs(t, g):
         M = np.zeros((d, d))
-        for c, A in zip(asys.coeffs, gens):
-            M += c(t, k) * A
+        for c, A in zip(asys.coeffs(t, k), gens):
+            M += c * A
         return (M @ g.reshape(d, d)).ravel()
 
     def domain(g):
@@ -258,8 +261,8 @@ def group_curve_consistency(asys: AutomorphicSystem, curve: GroupCurve, k) -> fl
         dt = curve.times[i + 1] - curve.times[i - 1]
         gdot = (curve.elements[i + 1] - curve.elements[i - 1]) / dt
         lhs = gdot @ np.linalg.inv(curve.elements[i])
-        rhs = sum(c(curve.times[i], k) * A
-                  for c, A in zip(asys.coeffs, asys.generators))
+        rhs = sum(c * A for c, A in zip(asys.coeffs(curve.times[i], k),
+                                        asys.generators))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

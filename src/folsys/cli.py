@@ -35,6 +35,11 @@ from .util import coordinate_function, seeded_rng
 
 CHECK_NAMES = ("foliated", "leaf_drift", "superposition", "automorphic",
                "poisson", "spectrum", "lewis", "convergence")
+PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
+               "hamilton_jacobi": ("n", "hamiltonian"),
+               "lax": ("n", "hamiltonian"),
+               "ermakov": ("omega2", "c1", "c2")}
+REPORT_FORMATS = ("json", "csv")
 
 _ALLOWED_CALLS = {"sin": math.sin, "cos": math.cos, "pow": math.pow}
 _ALLOWED_BINOPS = {ast.Add: lambda a, b: a + b,
@@ -107,9 +112,12 @@ def compile_expression(text: str, variables: tuple[str, ...]):
 def _number(section: dict, key: str, default, kind=float):
     value = section.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,10 @@ class ScenarioConfig:
         if not 0.0 < self.step <= self.t1 - self.t0:
             raise ConfigError(
                 f"step must lie in (0, t1 - t0 = {self.t1 - self.t0}], got {self.step}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.fmt not in REPORT_FORMATS:
+            raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {self.fmt!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -152,11 +164,18 @@ class ScenarioConfig:
         t1 = _number(integ, "t1", 2.0)
         step = _number(integ, "step", 1e-3)
         params = dict(params)
+        unknown = sorted(set(params) - set(PARAM_NAMES[model]))
+        if unknown:
+            raise ConfigError(f"unknown {model} params {unknown}; "
+                              f"known: {PARAM_NAMES[model]}")
         if model in ("hamilton_jacobi", "lax"):
             n = _number(params, "n", 2, int)
             if n < 1:
                 raise ConfigError(f"n must be >= 1, got {n}")
-        checks = tuple(raw.get("checks", []))
+        checks = raw.get("checks", [])
+        if not isinstance(checks, list):
+            raise ConfigError(f"checks must be a list, got {checks!r}")
+        checks = tuple(checks)
         for c in checks:
             if c not in CHECK_NAMES:
                 raise ConfigError(f"unknown check {c!r}; known: {CHECK_NAMES}")
@@ -169,10 +188,10 @@ class ScenarioConfig:
             init = tuple(init)
         return cls(model=model, params=params,
                    t0=t0, t1=t1, step=step, checks=checks,
-                   seed=int(raw.get("seed", 42)),
+                   seed=raw.get("seed", 42),
                    initial_state=init,
                    out=str(raw.get("out", "out")),
-                   fmt=str(raw.get("format", "json")))
+                   fmt=raw.get("format", "json"))
 
 
 @dataclass(frozen=True)
@@ -232,7 +251,7 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
         w_fn = _expr_coeff(p.get("omega2", "1+0.1*sin(t)"), ("t", "I"))
         spec = mdl.ErmakovSpec(
             omega2=lambda t, I: w_fn({"t": t, "I": I}),
-            c1=float(p.get("c1", 1.0)), c2=float(p.get("c2", 1.0)))
+            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0))
         bundle = mdl.ermakov_system(spec)
         if spec.c1 == 0.0 and spec.c2 == 0.0:
             # only the uncoupled member admits the linear group action
@@ -428,7 +447,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--step", type=float, default=None, help="override step size")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=REPORT_FORMATS, default=None,
                         help="report format (json always written; csv adds report.csv)")
     parser.add_argument("--list-models", action="store_true",
                         help="list registered model names and exit")

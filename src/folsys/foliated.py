@@ -13,10 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegeneratePointError, DimensionMismatchError
-from .fields import (RealizedAlgebra, TDependentVectorField,
-                     directional_derivative, rank_at)
+from .fields import RealizedAlgebra, TDependentVectorField, rank_at
 from .integrate import Trajectory
-from .util import seeded_rng
+from .util import jacobian_fd, seeded_rng
 
 DEFAULT_TOL = 1e-6
 
@@ -93,20 +92,22 @@ def chart_roundtrip_residual(chart: FoliationChart, points: Sequence[np.ndarray]
 
 @dataclass(frozen=True)
 class FoliatedSystem:
-    """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over a realized algebra."""
+    """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over a realized algebra.
+
+    ``coeffs(t, x)`` returns all r coefficients (g_1, ..., g_r)(t, x) as one
+    array of shape ``(r,)``, so values they share (a gradient, an invariant)
+    are computed once per state; ``assemble`` checks the shape.
+    """
 
     realized: RealizedAlgebra
-    coeffs: tuple[Callable[[float, np.ndarray], float], ...]
+    coeffs: Callable[[float, np.ndarray], np.ndarray]
     chart: FoliationChart
     name: str = ""
     domain: Callable[[np.ndarray], bool] | None = None
 
     def __post_init__(self):
-        if len(self.coeffs) != self.realized.algebra.dim:
-            raise DimensionMismatchError("need one coefficient per basis field")
         if self.chart.dim != self.realized.ambient_dim:
             raise DimensionMismatchError("chart dimension must match the realization")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
     def dim(self) -> int:
@@ -117,24 +118,32 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x).
 
     ``x`` is one state ``(N,)`` or a batch ``(B, N)``.  Each field is called
-    once on the whole array and must return an array of its shape; each
-    coefficient is called once per row with that row's state, so a
-    coefficient that is not constant on leaves still shows in every row.
+    once on the whole array and must return an array of its shape; the
+    coefficient map is called once per row with that row's state, so a
+    coefficient that is not constant on leaves still shows in every row, and
+    must return ``(r,)`` there.
     """
     flds = fs.realized.fields
     coeffs = fs.coeffs
+    r = len(flds)
 
     def func(t, x):
+        if x.ndim == 2:
+            c = np.array([coeffs(t, row) for row in x])
+        else:
+            c = np.asarray(coeffs(t, x))
+        if c.shape != x.shape[:-1] + (r,):
+            raise DimensionMismatchError(
+                f"coefficient map returned shape {c.shape} for states of shape "
+                f"{x.shape}; need {r} coefficients per state")
         out = np.zeros(x.shape)
-        batch = x.ndim == 2
-        for g, X in zip(coeffs, flds):
-            c = np.array([g(t, row) for row in x])[:, None] if batch else g(t, x)
+        for a, X in enumerate(flds):
             v = X(x)
             if v.shape != x.shape:
                 raise DimensionMismatchError(
                     f"field {X.name!r} returned shape {v.shape} for states "
                     f"of shape {x.shape}")
-            out += c * v
+            out += c[..., a, None] * v
         return out
 
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name)
@@ -155,13 +164,13 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     """Check the constants-of-motion, regularity and chart conditions at samples.
 
     A sampled point where the realized fields drop below the leaf rank aborts
-    with DegeneratePointError instead of silently resampling.
+    with DegeneratePointError instead of silently resampling.  Per sample the
+    coefficient map and the leaf labels are differentiated once each.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
     ra = fs.realized
-    r = ra.algebra.dim
     com = 0.0
     chart_res = 0.0
     for _ in range(trials):
@@ -170,15 +179,12 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
         rank = rank_at(ra.fields, x)
         if rank < fs.chart.leaf_dim:
             raise DegeneratePointError(x, rank, fs.chart.leaf_dim)
-        for b in range(r):
-            g_b = fs.coeffs[b]
-            frozen = lambda y, _t=t, _g=g_b: float(_g(_t, y))
-            for a in range(r):
-                com = max(com, abs(directional_derivative(ra.fields[a], frozen, x)))
-        for j in range(fs.chart.n_labels):
-            label_j = lambda y, _j=j: float(leaf_of(fs.chart, y)[_j])
-            for a in range(r):
-                chart_res = max(chart_res, abs(directional_derivative(ra.fields[a], label_j, x)))
+        values = [X(x) for X in ra.fields]
+        # rows of the Jacobians are the gradients of g_b and of label j
+        for grad in jacobian_fd(lambda y: fs.coeffs(t, y), x):
+            com = max(com, *(abs(float(grad @ v)) for v in values))
+        for grad in jacobian_fd(lambda y: leaf_of(fs.chart, y), x):
+            chart_res = max(chart_res, *(abs(float(grad @ v)) for v in values))
     return FoliationReport(com_residual=com, rank_ok=True, chart_residual=chart_res)
 
 

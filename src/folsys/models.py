@@ -28,7 +28,7 @@ import numpy as np
 from . import algebra as la
 from .automorphic import (ABELIAN, GroupAction, GroupCurve, reduce_system,
                           solve_abelian, reconstruct)
-from .errors import DimensionMismatchError, SingularCombinationError
+from .errors import SingularCombinationError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart, assemble
 from .integrate import DEFAULT_STEP, integrate
@@ -113,11 +113,7 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
-    coeffs = (
-        lambda t, x: float(spec.a0(t)),
-        lambda t, x: float(spec.a1(t)),
-        lambda t, x: float(spec.a2(t)),
-    )
+    coeffs = lambda t, x: np.array([spec.a0(t), spec.a1(t), spec.a2(t)], dtype=float)
     system = FoliatedSystem(realized, coeffs, chart, name="riccati")
     return ModelBundle(
         name="riccati", system=system, rule=riccati_rule(), action=None,
@@ -216,10 +212,7 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     res = spec.gradient_consistency()
     if res > 1e-5:
         raise ValueError(f"declared gradient disagrees with H: residual {res:.3e}")
-    coeffs = tuple(
-        (lambda t, x, _i=i: -float(spec.gradient(t, x[n:])[_i]))
-        for i in range(n)
-    )
+    coeffs = lambda t, x: -spec.gradient(t, x[n:])
     return _translation_model("hamilton_jacobi", spec, 1.0, coeffs, np.zeros(n),
                               ("dQ", "Q-translation"))
 
@@ -230,26 +223,18 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class LaxSpec:
-    """Coefficients f_a(t, leaf) depending only on time and leaf coordinates."""
+    """Coefficients f(t, I) = (f_1, ..., f_n)(t, I), one array of shape
+    ``(n,)``, depending only on time and the leaf coordinates I."""
 
     n: int
-    f: tuple[Callable[[float, np.ndarray], float], ...]
-
-    def __post_init__(self):
-        if len(self.f) != self.n:
-            raise DimensionMismatchError("need one coefficient per block")
-        object.__setattr__(self, "f", tuple(self.f))
+    f: Callable[[float, np.ndarray], np.ndarray]
 
 
 def lax_from_hamiltonian(n: int,
                          dh: Callable[[float, np.ndarray], np.ndarray]) -> LaxSpec:
     """Coefficients f_a = (dh/dI_a) / I_a, defined where the leaf coordinates
     are nonzero; the reduced group system then has coefficients dh/dI_a."""
-    fs = tuple(
-        (lambda t, I, _a=a: float(dh(t, I)[_a]) / float(I[_a]))
-        for a in range(n)
-    )
-    return LaxSpec(n=n, f=fs)
+    return LaxSpec(n=n, f=lambda t, I: dh(t, I) / I)
 
 
 def lax_matrix(n: int, v) -> np.ndarray:
@@ -267,8 +252,9 @@ def lax_m_matrix(spec: LaxSpec, t: float, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = spec.n
     M = np.zeros((2 * n, 2 * n))
+    f = spec.f(t, v[n:])
     for a in range(n):
-        M[2 * a, 2 * a + 1] = -spec.f[a](t, v[n:])
+        M[2 * a, 2 * a + 1] = -f[a]
     return M
 
 
@@ -295,10 +281,7 @@ def lax_spectrum(n: int, v) -> np.ndarray:
 def lax_system(spec: LaxSpec) -> ModelBundle:
     n = spec.n
     # coefficients relative to 2 d/dv^a, from dv^a/dt = -2 f_a v^{n+a}
-    coeffs = tuple(
-        (lambda t, x, _a=a: -float(spec.f[_a](t, x[n:])) * float(x[n + _a]))
-        for a in range(n)
-    )
+    coeffs = lambda t, x: -spec.f(t, x[n:]) * x[n:]
     return _translation_model("lax", spec, 2.0, coeffs, np.linspace(0.5, -0.3, n),
                               ("2dv", "block-translation"),
                               observables={"spectrum": lambda x: lax_spectrum(n, x)})
@@ -379,11 +362,8 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
 
     chart = FoliationChart.from_invariants(4, 3, invariants, 1,
                                            leaf_point=leaf_point)
-    coeffs = (
-        lambda t, s: 1.0,
-        lambda t, s: 0.0,
-        lambda t, s: float(spec.omega2(t, lewis_invariant(spec, s))),
-    )
+    coeffs = lambda t, s: np.array(
+        [1.0, 0.0, spec.omega2(t, lewis_invariant(spec, s))], dtype=float)
 
     def domain(s):
         return abs(s[0]) >= ERMAKOV_GUARD and abs(s[1]) >= ERMAKOV_GUARD
@@ -458,11 +438,7 @@ def hj_lax_equivalence(spec: HamiltonJacobiSpec, x0_hj, v0_lax,
     t0, t1 = horizon
 
     hj = hj_system(spec)
-    half_fs = tuple(
-        (lambda t, I, _a=a: float(spec.gradient(t, I)[_a]) / (2.0 * float(I[_a])))
-        for a in range(n)
-    )
-    lax = lax_system(LaxSpec(n=n, f=half_fs))
+    lax = lax_system(LaxSpec(n=n, f=lambda t, I: spec.gradient(t, I) / (2.0 * I)))
 
     hj_red = reduce_system(hj.system, hj.action, seed=seed)
     lax_red = reduce_system(lax.system, lax.action, seed=seed)
@@ -472,10 +448,9 @@ def hj_lax_equivalence(spec: HamiltonJacobiSpec, x0_hj, v0_lax,
     for _ in range(samples):
         t = float(rng.uniform(t0, t1))
         k = rng.uniform(0.5, 2.0, size=n)
-        for a in range(n):
-            # the block action moves v^a by -2 lambda_a per unit lambda
-            shared = max(shared, abs(2.0 * lax_red.coeffs[a](t, k)
-                                     - hj_red.coeffs[a](t, k)))
+        # the block action moves v^a by -2 lambda_a per unit lambda
+        gap = 2.0 * lax_red.coeffs(t, k) - hj_red.coeffs(t, k)
+        shared = max(shared, float(np.max(np.abs(gap))))
 
     mu = solve_abelian(hj_red, x0_hj[n:], t0, t1, h)
     rec_hj = reconstruct(hj.action, mu, x0_hj)

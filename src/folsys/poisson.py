@@ -280,14 +280,10 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
     def casimir(v):
         return float(v @ G @ v)
 
-    if coeffs is None:
-        coeffs = (
-            lambda t, v: 1.0,
-            lambda t, v: 0.5 * np.cos(t),
-            lambda t, v: 0.1 * casimir(v),
-        )
-        if len(coeffs) != r:
-            coeffs = tuple(lambda t, v: 1.0 for _ in range(r))
+    if coeffs is None and r == 3:
+        coeffs = lambda t, v: np.array([1.0, 0.5 * np.cos(t), 0.1 * casimir(v)])
+    elif coeffs is None:
+        coeffs = lambda t, v: np.ones(r)
     if box is None:
         box = Box(np.full(r, 0.6), np.full(r, 1.4))
     s = r - 1 if leaf_dim is None else leaf_dim
@@ -296,7 +292,7 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
         n_labels=1,
     )
     realized = RealizedAlgebra(alg, flds, box)
-    return FoliatedSystem(realized, tuple(coeffs), chart, name="adjoint")
+    return FoliatedSystem(realized, coeffs, chart, name="adjoint")
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def test_criterion_07_group_reconstruction():
     worst_mat = 0.0
     for gen, coeff in ((e1, 1.0), (h1, 1.0), (h1, -0.7)):
         asys = AutomorphicSystem.from_reduction(
-            MATRIX, (gen,), (lambda t, k, _c=coeff: _c,), 0)
+            MATRIX, (gen,), lambda t, k, _c=coeff: np.array([_c]), 0)
         curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
         closed = scipy.linalg.expm(-coeff * gen)
         worst_mat = max(worst_mat, float(np.max(np.abs(curve.elements[-1] - closed))))
@@ -154,7 +154,7 @@ def test_criterion_07_group_reconstruction():
     hj = default_model("hamilton_jacobi")
     asys0 = AutomorphicSystem.from_reduction(
         "abelian", hj.action.generators,
-        tuple(lambda t, k: 0.0 for _ in range(2)), 2)
+        lambda t, k: np.zeros(2), 2)
     curve0 = solve_abelian(asys0, np.array([1.0, 1.5]), 0.0, 2.0, 1e-3)
     x0 = np.array([0.3, -0.4, 1.0, 1.5])
     rec0 = reconstruct(hj.action, curve0, x0)

@@ -10,7 +10,8 @@ from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 group_curve_consistency, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
-from folsys.errors import BlowUpError, DomainExitError, IncompatibleActionError
+from folsys.errors import (BlowUpError, DimensionMismatchError, DomainExitError,
+                           IncompatibleActionError)
 from folsys.foliated import assemble
 from folsys.integrate import integrate
 from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, default_model,
@@ -62,7 +63,7 @@ def test_reduce_hj_coefficients_are_hamiltonian_gradient():
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
         expected = -t * np.sin(t * k)  # dH/dP for H = sum cos(t P)
-        got = np.array([c(t, k) for c in asys.coeffs])
+        got = asys.coeffs(t, k)
         assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_reduce_lax_coefficients_are_leaf_gradient():
     for _ in range(20):
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
-        got = np.array([c(t, k) for c in asys.coeffs])
+        got = asys.coeffs(t, k)
         assert np.allclose(got, -t * np.sin(t * k), atol=1e-12)
 
 
@@ -90,8 +91,7 @@ def test_shared_reduction_coefficients_pointwise_equal():
     for _ in range(30):
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
-        for a in range(2):
-            assert abs(hj_red.coeffs[a](t, k) - lax_red.coeffs[a](t, k)) <= 1e-12
+        assert np.max(np.abs(hj_red.coeffs(t, k) - lax_red.coeffs(t, k))) <= 1e-12
 
 
 def test_solve_abelian_quadrature_cos_hamiltonian():
@@ -106,9 +106,17 @@ def test_solve_abelian_quadrature_cos_hamiltonian():
 
 def test_solve_abelian_zero_coefficients_identity():
     asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            (lambda t, k: 0.0, lambda t, k: 0.0), 0)
+                                            lambda t, k: np.zeros(2), 0)
     curve = solve_abelian(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == 0.0)
+
+
+def test_reduced_coefficient_map_of_wrong_shape_raises():
+    for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
+                              (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
+        asys = AutomorphicSystem.from_reduction(kind, gens, lambda t, k: np.ones(1), 0)
+        with pytest.raises(DimensionMismatchError):
+            solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
 
 
 def test_solve_abelian_constant_gradient():
@@ -128,13 +136,13 @@ def test_solve_abelian_constant_gradient():
 def test_solve_matrix_affine_exponentials():
     real = builtin_realization("glp:1")
     e1, h1 = real.matrices
-    sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), (lambda t, k: 1.0,),
+    sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), lambda t, k: np.ones(1),
                                              0, algebra=real.algebra)
     curve = solve_matrix(sys_e, np.zeros(0), 0.0, 1.0, 1e-3)
     # nilpotent generator: RK4 step polynomial equals the exponential exactly
     assert np.array_equal(curve.elements[-1], np.array([[1.0, -1.0], [0.0, 1.0]]))
 
-    sys_h = AutomorphicSystem.from_reduction(MATRIX, (h1,), (lambda t, k: 1.0,), 0)
+    sys_h = AutomorphicSystem.from_reduction(MATRIX, (h1,), lambda t, k: np.ones(1), 0)
     curve_h = solve_matrix(sys_h, np.zeros(0), 0.0, 1.0, 1e-3)
     expected = scipy.linalg.expm(-h1)
     assert np.max(np.abs(curve_h.elements[-1] - expected)) <= 1e-10
@@ -144,7 +152,7 @@ def test_solve_matrix_affine_exponentials():
 def test_solve_matrix_zero_coefficients_identity():
     real = builtin_realization("glp:1")
     asys = AutomorphicSystem.from_reduction(MATRIX, real.matrices,
-                                            (lambda t, k: 0.0, lambda t, k: 0.0), 0)
+                                            lambda t, k: np.zeros(2), 0)
     curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == np.eye(2))
 
@@ -153,7 +161,7 @@ def test_solve_matrix_errors_carry_partial():
     # g' = -c g: c < 0 overflows the entries, c > 0 collapses the determinant
     for coeff, error in ((-1e3, BlowUpError), (100.0, DomainExitError)):
         asys = AutomorphicSystem.from_reduction(
-            MATRIX, (np.eye(2),), (lambda t, k, _c=coeff: _c,), 0)
+            MATRIX, (np.eye(2),), lambda t, k, _c=coeff: np.array([_c]), 0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(error) as exc:
                 solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)

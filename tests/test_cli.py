@@ -173,8 +173,14 @@ def test_cli_config_error_exit_code(tmp_path):
     {"initial_state": [[0.0, 0.0, 1.0, 1.5]]},
     {"integration": [1, 2]},
     {"params": [1]},
-    {"model": "riccati", "initial_state": [0.1, 0.2]},
+    {"model": "riccati", "params": {}, "initial_state": [0.1, 0.2]},
     {"model": "ermakov", "params": {"omega2": "1/(t-t)"}},
+    {"seed": "abc"},
+    {"seed": -1},
+    {"checks": 5},
+    {"model": "ermakov", "params": {"c1": "abc"}},
+    {"model": "riccati", "params": {"a9": 1}},
+    {"format": "xml"},
 ])
 def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path / "bad.json", **overrides)

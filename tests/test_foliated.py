@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from folsys.algebra import builtin_algebra
-from folsys.errors import DegeneratePointError
+from folsys.errors import DegeneratePointError, DimensionMismatchError
 from folsys.fields import RealizedAlgebra, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              chart_roundtrip_residual, leaf_drift, leaf_of,
@@ -25,10 +25,19 @@ def test_assemble_hj_matches_closed_form():
 def test_assemble_zero_coefficients():
     hj = hj_system(sum_cos_spec(2))
     fs = hj.system
-    zeroed = FoliatedSystem(fs.realized, tuple(lambda t, x: 0.0 for _ in fs.coeffs),
-                            fs.chart)
+    zeroed = FoliatedSystem(fs.realized, lambda t, x: np.zeros(2), fs.chart)
     F = assemble(zeroed)
     assert np.all(F(1.3, np.array([0.1, 0.2, 1.0, 1.5])) == 0.0)
+
+
+def test_assemble_rejects_coefficient_map_of_wrong_shape():
+    fs = hj_system(sum_cos_spec(2)).system
+    for wrong in (lambda t, x: np.zeros(3), lambda t, x: 0.0):
+        F = assemble(FoliatedSystem(fs.realized, wrong, fs.chart))
+        with pytest.raises(DimensionMismatchError):
+            F(0.5, np.array([0.1, 0.2, 1.0, 1.5]))
+        with pytest.raises(DimensionMismatchError):
+            F(0.5, np.array([[0.1, 0.2, 1.0, 1.5], [0.0, 0.0, 1.2, 0.9]]))
 
 
 def test_assemble_lax_commutator_sign():
@@ -46,9 +55,9 @@ def test_assemble_linear_in_coefficients_exact_integers():
     x1 = VectorField(1, lambda x: np.array([2.0]))
     ra = RealizedAlgebra(builtin_algebra("abelian:1"), (x1,), Box([-1], [1]))
     chart = FoliationChart.split(1, 1)
-    f1 = FoliatedSystem(ra, (lambda t, x: 2.0,), chart)
-    f2 = FoliatedSystem(ra, (lambda t, x: 3.0,), chart)
-    fsum = FoliatedSystem(ra, (lambda t, x: 2.0 + 3.0,), chart)
+    f1 = FoliatedSystem(ra, lambda t, x: np.array([2.0]), chart)
+    f2 = FoliatedSystem(ra, lambda t, x: np.array([3.0]), chart)
+    fsum = FoliatedSystem(ra, lambda t, x: np.array([2.0 + 3.0]), chart)
     x = np.array([0.3])
     assert np.array_equal(assemble(fsum)(0.0, x),
                           assemble(f1)(0.0, x) + assemble(f2)(0.0, x))
@@ -57,11 +66,8 @@ def test_assemble_linear_in_coefficients_exact_integers():
 def test_assemble_linear_in_coefficients_generic():
     hj = hj_system(sum_cos_spec(2))
     fs = hj.system
-    other = tuple((lambda t, x, _i=i: np.cos(t + _i)) for i in range(2))
-    summed = tuple(
-        (lambda t, x, _g=g, _o=o: _g(t, x) + _o(t, x))
-        for g, o in zip(fs.coeffs, other)
-    )
+    other = lambda t, x: np.cos(t + np.arange(2))
+    summed = lambda t, x: fs.coeffs(t, x) + other(t, x)
     f_sum = assemble(FoliatedSystem(fs.realized, summed, fs.chart))
     f_a = assemble(fs)
     f_b = assemble(FoliatedSystem(fs.realized, other, fs.chart))
@@ -90,16 +96,30 @@ def test_verify_foliated_ermakov_with_invariant_coupling():
 def test_verify_foliated_broken_coefficient():
     hj = hj_system(sum_cos_spec(1))
     fs = hj.system
-    broken = FoliatedSystem(fs.realized, (lambda t, x: x[0],), fs.chart)
+    broken = FoliatedSystem(fs.realized, lambda t, x: x[:1], fs.chart)
     rep = verify_foliated(broken, trials=20, seed=42)
     assert rep.com_residual == pytest.approx(1.0, rel=1e-6)
+
+
+def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
+    # one central-difference Jacobian: 2 evaluations per coordinate, N = 4
+    fs = hj_system(sum_cos_spec(2)).system
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return fs.coeffs(t, x)
+
+    rep = verify_foliated(FoliatedSystem(fs.realized, counted, fs.chart), trials=1)
+    assert len(calls) == 2 * fs.dim == 8
+    assert rep.com_residual <= 1e-8
 
 
 def test_verify_foliated_degenerate_point_aborts():
     # field vanishing on half the box: rank drops below leaf_dim there
     X = VectorField(1, lambda x: np.array([max(x[0], 0.0)]))
     ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1], [1]))
-    fs = FoliatedSystem(ra, (lambda t, x: 1.0,), FoliationChart.split(1, 1))
+    fs = FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
     with pytest.raises(DegeneratePointError):
         verify_foliated(fs, trials=200, seed=1)
 
@@ -157,9 +177,7 @@ def test_plain_lie_system_restriction_freezing():
     hj = hj_system(sum_cos_spec(1))
     fs = hj.system
     leaf_rep = fs.chart.leaf_point(np.array([1.3]))
-    frozen = tuple(
-        (lambda t, x, _g=g: _g(t, leaf_rep)) for g in fs.coeffs
-    )
+    frozen = lambda t, x: fs.coeffs(t, leaf_rep)
     F = assemble(fs)
     F_frozen = assemble(FoliatedSystem(fs.realized, frozen, fs.chart))
     for q in (-1.0, 0.0, 2.0):

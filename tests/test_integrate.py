@@ -194,7 +194,7 @@ def test_single_point_field_rejected_in_batch():
     X = VectorField(1, lambda x: np.array([1.0]))  # ignores the batch axis
     ra = RealizedAlgebra(builtin_realization("abelian:1").algebra, (X,),
                          Box([-1.0], [1.0]))
-    F = assemble(FoliatedSystem(ra, (lambda t, x: 1.0,), FoliationChart.split(1, 1)))
+    F = assemble(FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1)))
     assert integrate(F, np.array([0.0]), 0.0, 0.1, 0.01).final_state[0] > 0.0
     with pytest.raises(DimensionMismatchError):
         integrate(F, np.zeros((3, 1)), 0.0, 0.1, 0.01)
@@ -212,8 +212,8 @@ def matrix_rk4_reference(asys, k, times):
     """RK4 written out on d x d matrices, as a reference for solve_matrix."""
     def coeff_matrix(t):
         M = np.zeros_like(asys.generators[0])
-        for c, A in zip(asys.coeffs, asys.generators):
-            M += c(t, k) * A
+        for c, A in zip(asys.coeffs(t, k), asys.generators):
+            M += c * A
         return M
 
     g = np.eye(asys.generators[0].shape[0])
@@ -239,7 +239,7 @@ def test_solve_matrix_matches_reference_loop():
     real = builtin_realization("glp:1")
     glp = AutomorphicSystem.from_reduction(
         MATRIX, real.matrices,
-        (lambda t, k: 1.0 + 0.5 * np.sin(t), lambda t, k: -0.7 * np.cos(t)), 0,
+        lambda t, k: np.array([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)]), 0,
         algebra=real.algebra)
 
     for asys, kk in ((erm, k), (glp, np.zeros(0))):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import folsys.models
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
@@ -12,6 +13,28 @@ from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, LaxSpec,
                            lax_matrix_rhs, lax_spectrum, lax_system,
                            lewis_invariant, riccati_system, sum_cos_spec)
 from folsys.util import seeded_rng
+
+
+# --- coefficient maps ----------------------------------------------------------
+
+def test_translation_models_take_one_gradient_per_rhs_evaluation(monkeypatch):
+    # interpreted H (no analytic gradient): every coefficient of the map comes
+    # from one central-difference gradient of H
+    spec = HamiltonJacobiSpec(3, H=lambda t, P: float(np.sum(np.cos(t * P))))
+    bundles = (hj_system(spec), lax_system(lax_from_hamiltonian(3, spec.gradient)))
+    grad_fd = folsys.models.grad_fd
+    calls = []
+
+    def counted(f, x, step=None):
+        calls.append(x)
+        return grad_fd(f, x, step)
+
+    monkeypatch.setattr(folsys.models, "grad_fd", counted)
+    x = np.array([0.1, -0.2, 0.3, 1.0, 1.2, 1.4])
+    for bundle in bundles:
+        calls.clear()
+        assemble(bundle.system)(0.7, x)
+        assert len(calls) == 1
 
 
 # --- Riccati -----------------------------------------------------------------
@@ -94,7 +117,7 @@ def test_lax_block_matrix_and_spectrum():
 
 
 def test_lax_commutator_rhs_hand_value():
-    spec = LaxSpec(n=1, f=(lambda t, I: 1.0,))
+    spec = LaxSpec(n=1, f=lambda t, I: np.ones(1))
     v = np.array([5.0, 3.0])
     # oracle: 2x2 blocks [[6,5],[0,0]] and [[0,-1],[0,0]] by hand
     V = np.array([[6.0, 5.0], [0.0, 0.0]])
@@ -173,7 +196,7 @@ def test_ermakov_frequency_coefficient_is_leafwise_constant():
     spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.2 * I,
                        c1=1.0, c2=1.0)
     bundle = ermakov_system(spec)
-    g3 = bundle.system.coeffs[2]
+    g3 = lambda t, y: bundle.system.coeffs(t, y)[2]
     rng = seeded_rng(5)
     worst = 0.0
     for _ in range(100):
