@@ -38,9 +38,6 @@ class LieAlgebra:
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-    def label_index(self, label: str) -> int:
-        return self.basis_labels.index(label)
-
     @property
     def is_abelian(self) -> bool:
         return bool(np.max(np.abs(self.structure)) == 0.0)

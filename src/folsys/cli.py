@@ -2,8 +2,8 @@
 
 Configs are JSON.  Mathematical expressions for Hamiltonians and frequency
 laws use a small whitelisted grammar (+, -, *, /, **, sin, cos, pow, numbers
-and the variables t, P1..Pn, I) evaluated over a validated AST, never
-through eval().
+and the variables t, P1..Pn, I), compiled once into closures over a
+validated AST, never through eval().
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -50,58 +51,51 @@ _ALLOWED_BINOPS = {ast.Add: lambda a, b: a + b,
 
 
 def compile_expression(text: str, variables: tuple[str, ...]):
-    """Compile a whitelisted arithmetic expression to a function of an env dict."""
+    """Compile a whitelisted arithmetic expression to a function ``f(*values)``.
+
+    ``f`` takes one value per name in ``variables``, positionally and in that
+    order.  The AST is validated once, here, and turned into nested closures,
+    so a call visits no AST node and builds no dict.
+    """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"bad expression {text!r}: {exc}") from exc
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
+            op, left, right = (_ALLOWED_BINOPS[type(node.op)],
+                               build(node.left), build(node.right))
+            return lambda args: op(left(args), right(args))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = build(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return operand
+            return lambda args: -operand(args)
+        if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name)
                     and node.func.id in _ALLOWED_CALLS
                     and not node.keywords):
                 raise ConfigError(f"call not allowed in expression: {ast.dump(node)}")
-            for a in node.args:
-                check(a)
-        elif isinstance(node, ast.Name):
+            fn, operands = _ALLOWED_CALLS[node.func.id], [build(a) for a in node.args]
+            return lambda args: fn(*[a(args) for a in operands])
+        if isinstance(node, ast.Name):
             if node.id not in variables:
                 raise ConfigError(
                     f"unknown variable {node.id!r}; allowed: {sorted(variables)}")
-        elif isinstance(node, ast.Constant):
+            return operator.itemgetter(variables.index(node.id))
+        if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ConfigError(f"non-numeric constant: {node.value!r}")
-        else:
-            raise ConfigError(f"forbidden syntax in expression: {type(node).__name__}")
+            constant = float(node.value)
+            return lambda args: constant
+        raise ConfigError(f"forbidden syntax in expression: {type(node).__name__}")
 
-    check(tree)
+    body = build(tree.body)
 
-    def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _ALLOWED_BINOPS[type(node.op)](
-                evaluate(node.left, env), evaluate(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            v = evaluate(node.operand, env)
-            return v if isinstance(node.op, ast.UAdd) else -v
-        if isinstance(node, ast.Call):
-            args = [evaluate(a, env) for a in node.args]
-            return _ALLOWED_CALLS[node.func.id](*args)
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        return float(node.value)
-
-    def value(env):
+    def value(*args):
         try:
-            return float(evaluate(tree, env))
+            return float(body(args))
         except (ArithmeticError, ValueError, TypeError) as exc:
             # division by zero, overflow, math domain, or a complex power
             raise ConfigError(f"expression {text!r} cannot be evaluated: {exc}") from exc
@@ -109,10 +103,10 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     return value
 
 
-def _number(section: dict, key: str, default, kind=float):
+def _number(section: dict, key: str, default):
     value = section.get(key, default)
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
     if not math.isfinite(number):
@@ -169,9 +163,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown {model} params {unknown}; "
                               f"known: {PARAM_NAMES[model]}")
         if model in ("hamilton_jacobi", "lax"):
-            n = _number(params, "n", 2, int)
-            if n < 1:
-                raise ConfigError(f"n must be >= 1, got {n}")
+            n = params.get("n", 2)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ConfigError(f"n must be an integer >= 1, got {n!r}")
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError(f"checks must be a list, got {checks!r}")
@@ -215,7 +209,7 @@ class CheckReport:
 
 def _expr_coeff(value, variables):
     if isinstance(value, (int, float)):
-        return lambda env: float(value)
+        return lambda *args: float(value)
     if isinstance(value, str):
         return compile_expression(value, variables)
     raise ConfigError(f"coefficient must be a number or expression: {value!r}")
@@ -226,31 +220,25 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
     if cfg.model == "riccati":
         names = ("a0", "a1", "a2")
         defaults = (1.0, 0.0, -1.0)
-        fns = [_expr_coeff(p.get(nm, dv), ("t",)) for nm, dv in zip(names, defaults)]
-        spec = mdl.RiccatiSpec(*[(lambda t, _f=f: _f({"t": t})) for f in fns])
+        spec = mdl.RiccatiSpec(*[_expr_coeff(p.get(nm, dv), ("t",))
+                                 for nm, dv in zip(names, defaults)])
         return mdl.riccati_system(spec)
     if cfg.model in ("hamilton_jacobi", "lax"):
-        n = int(p.get("n", 2))
+        n = p.get("n", 2)
         ham = p.get("hamiltonian", "sum_cos")
         if ham == "sum_cos":
             spec = mdl.sum_cos_spec(n)
         else:
             variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))
             fn = compile_expression(str(ham), variables)
-
-            def H(t, P, _fn=fn):
-                env = {"t": t}
-                env.update({f"P{i + 1}": float(P[i]) for i in range(n)})
-                return _fn(env)
-
-            spec = mdl.HamiltonJacobiSpec(n=n, H=H)
+            spec = mdl.HamiltonJacobiSpec(
+                n=n, H=lambda t, P: fn(t, *(float(v) for v in P)))
         if cfg.model == "hamilton_jacobi":
             return mdl.hj_system(spec)
         return mdl.lax_system(mdl.lax_from_hamiltonian(n, spec.gradient))
     if cfg.model == "ermakov":
-        w_fn = _expr_coeff(p.get("omega2", "1+0.1*sin(t)"), ("t", "I"))
         spec = mdl.ErmakovSpec(
-            omega2=lambda t, I: w_fn({"t": t, "I": I}),
+            omega2=_expr_coeff(p.get("omega2", "1+0.1*sin(t)"), ("t", "I")),
             c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0))
         bundle = mdl.ermakov_system(spec)
         if spec.c1 == 0.0 and spec.c2 == 0.0:

@@ -50,9 +50,6 @@ class TDependentVectorField:
     def __call__(self, t: float, x) -> np.ndarray:
         return np.asarray(self.func(float(t), np.asarray(x, dtype=float)), dtype=float)
 
-    def frozen_at(self, t: float) -> VectorField:
-        return VectorField(self.dim, lambda x: self(t, x), name=f"{self.name}@t={t:g}")
-
 
 def check_jacobian(X: VectorField, points: Sequence[np.ndarray], rtol: float = 1e-5) -> float:
     """Relative deviation of the attached Jacobian from central differences."""

@@ -8,7 +8,7 @@ symbolically, since coefficient functions are arbitrary numeric callables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -17,34 +17,29 @@ from .fields import RealizedAlgebra, TDependentVectorField, rank_at
 from .integrate import Trajectory
 from .util import jacobian_fd, seeded_rng
 
-DEFAULT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class FoliationChart:
     """Coordinates adapted to a foliation.
 
-    ``leaf_map`` extracts the transverse labels and is always present.  The
-    full adapted chart (``to_adapted`` / ``from_adapted``) is optional: a
-    model may expose fewer labels than its true codimension (e.g. a single
-    conserved quantity) and then only drift checks are available.
+    ``leaf_map`` extracts the transverse labels and is always present.  A
+    split chart (``is_split``, set only by ``FoliationChart.split``) runs along
+    the leaf in the first ``leaf_dim`` coordinates and is labelled by the
+    rest; a model may instead expose fewer labels than its true codimension
+    (e.g. a single conserved quantity) and then only drift checks are
+    available.
     """
 
     dim: int
     leaf_dim: int
     n_labels: int
     leaf_map: Callable[[np.ndarray], np.ndarray]
-    to_adapted: Callable[[np.ndarray], np.ndarray] | None = None
-    from_adapted: Callable[[np.ndarray], np.ndarray] | None = None
     leaf_point: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def has_full_chart(self) -> bool:
-        return self.to_adapted is not None and self.from_adapted is not None
+    is_split: bool = False
 
     @classmethod
     def split(cls, dim: int, leaf_dim: int) -> "FoliationChart":
-        """Identity chart: the first ``leaf_dim`` coordinates run along the leaf."""
+        """Split chart: the first ``leaf_dim`` coordinates run along the leaf."""
         s = leaf_dim
 
         def leaf_point(labels):
@@ -55,9 +50,8 @@ class FoliationChart:
             leaf_dim=s,
             n_labels=dim - s,
             leaf_map=lambda x: np.asarray(x, dtype=float)[s:].copy(),
-            to_adapted=lambda x: np.asarray(x, dtype=float).copy(),
-            from_adapted=lambda a: np.asarray(a, dtype=float).copy(),
             leaf_point=leaf_point,
+            is_split=True,
         )
 
     @classmethod
@@ -77,17 +71,6 @@ def leaf_of(chart: FoliationChart, x) -> np.ndarray:
     if x.size != chart.dim:
         raise DimensionMismatchError(f"point must have dimension {chart.dim}")
     return np.atleast_1d(np.asarray(chart.leaf_map(x), dtype=float))
-
-
-def chart_roundtrip_residual(chart: FoliationChart, points: Sequence[np.ndarray]) -> float:
-    if not chart.has_full_chart:
-        raise ValueError("chart does not carry adapted coordinates")
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        back = chart.from_adapted(chart.to_adapted(x))
-        worst = max(worst, float(np.max(np.abs(back - x))))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -154,9 +137,6 @@ class FoliationReport:
     com_residual: float
     rank_ok: bool
     chart_residual: float
-
-    def passed(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.rank_ok and self.com_residual <= tol and self.chart_residual <= tol
 
 
 def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,

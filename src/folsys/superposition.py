@@ -170,16 +170,15 @@ def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
             if min_separation <= 0.0 or _separated(pts, min_separation):
                 return pts
         raise RuntimeError("could not draw separated sample points")
-    if not chart.has_full_chart:
-        raise ValueError("leaf sampling needs a full adapted chart")
-    anchor = chart.to_adapted(box.sample(rng))
-    labels = anchor[chart.leaf_dim:]
+    if not chart.is_split:
+        raise ValueError("leaf sampling needs a split chart")
+    labels = box.sample(rng)[chart.leaf_dim:]
     for _ in range(200):
         pts = []
         for _ in range(count):
-            a = chart.to_adapted(box.sample(rng))
-            a[chart.leaf_dim:] = labels
-            pts.append(chart.from_adapted(a))
+            x = box.sample(rng)
+            x[chart.leaf_dim:] = labels
+            pts.append(x)
         if min_separation <= 0.0 or _separated(pts, min_separation):
             return pts
     raise RuntimeError("could not draw separated sample points")
@@ -229,9 +228,10 @@ def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,
                         check_points: int = 25) -> SuperpositionRule:
     """Closed-form leaf-preserving rule for abelian translation realizations.
 
-    Requires, and verifies numerically, that in the adapted chart every
-    realized field is a constant translation along the leaf coordinates.  The
-    rule is then psi(x_(1), k) = from_adapted(theta(x_(1)) + k, I(x_(1))).
+    Requires a split chart and verifies numerically that every realized field
+    is a constant translation along the leaf coordinates.  The rule is then
+    psi(x_(1), k) = x_(1) + (k, 0): the leaf coordinates move by k, the
+    labels stay.
     """
     alg = fs.realized.algebra
     if not alg.is_abelian:
@@ -239,20 +239,15 @@ def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,
             "abelian derivation inapplicable: algebra is not abelian"
         )
     chart = fs.chart
-    if not chart.has_full_chart:
+    if not chart.is_split:
         raise AbelianDerivationError(
-            "abelian derivation inapplicable: no adapted chart"
+            "abelian derivation inapplicable: chart is not split"
         )
     rng = seeded_rng(seed)
     pts = fs.realized.box.sample_many(rng, check_points)
     s = chart.leaf_dim
-    pushed = []
     for X in fs.realized.fields:
-        rows = []
-        for x in pts:
-            J = jacobian_fd(chart.to_adapted, x)
-            rows.append(J @ X(x))
-        rows = np.asarray(rows)
+        rows = np.asarray([X(x) for x in pts])
         if np.max(np.abs(rows[:, s:])) > 1e-8:
             raise AbelianDerivationError(
                 "abelian derivation inapplicable: fields leak into leaf labels"
@@ -261,14 +256,12 @@ def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,
             raise AbelianDerivationError(
                 "abelian derivation inapplicable: fields are not constant translations"
             )
-        pushed.append(rows[0][:s])
     m = minimal_particular_solutions(fs.realized, seed=seed)
 
     def psi(sols, k):
-        a = chart.to_adapted(sols[0])
-        out = a.copy()
-        out[:s] = a[:s] + k
-        return chart.from_adapted(out)
+        out = np.array(sols[0], dtype=float)
+        out[:s] += k
+        return out
 
     return SuperpositionRule(
         m=m, state_dim=fs.dim, param_dim=s, psi=psi,

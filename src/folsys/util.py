@@ -113,10 +113,6 @@ class Box:
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
 
 def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -1,10 +1,14 @@
 import json
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import folsys.automorphic
 import folsys.cli
@@ -32,9 +36,9 @@ def write_config(path: Path, **overrides) -> Path:
 def test_expression_arithmetic_and_functions():
     fn = compile_expression("1 + 0.1*sin(t) - I/2 + pow(t, 2)", ("t", "I"))
     t, I = 0.7, 1.4
-    assert fn({"t": t, "I": I}) == pytest.approx(1 + 0.1 * np.sin(t) - I / 2 + t ** 2)
+    assert fn(t, I) == pytest.approx(1 + 0.1 * np.sin(t) - I / 2 + t ** 2)
     fn2 = compile_expression("cos(t*P1) + P2**2", ("t", "P1", "P2"))
-    assert fn2({"t": 0.5, "P1": 1.0, "P2": 2.0}) == pytest.approx(np.cos(0.5) + 4.0)
+    assert fn2(0.5, 1.0, 2.0) == pytest.approx(np.cos(0.5) + 4.0)
 
 
 def test_expression_rejects_unsafe_syntax():
@@ -49,7 +53,48 @@ def test_expression_rejects_unsafe_syntax():
 def test_expression_arithmetic_errors_are_config_errors(text):
     fn = compile_expression(text, ("t",))
     with pytest.raises(ConfigError, match="cannot be evaluated"):
-        fn({"t": 1.0})
+        fn(1.0)
+
+
+# fully parenthesised expressions over the whitelisted grammar
+_VARIABLES = ("t", "P1", "I")
+_LEAVES = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_VARIABLES))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("({0[0]} {0[1]} {0[2]})".format),
+        st.tuples(inner, inner).map("({0[0]} ** {0[1]})".format),
+        st.tuples(st.sampled_from("+-"), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(st.sampled_from(("sin", "cos")), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(inner, inner).map("pow({0[0]}, {0[1]})".format))
+
+
+def _same_bits(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _compound, max_leaves=10),
+       st.lists(st.floats(-10, 10), min_size=3, max_size=3))
+def test_compiled_expression_matches_python_eval(text, values):
+    fn = compile_expression(text, _VARIABLES)
+    env = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "pow": math.pow}
+    try:
+        want = eval(text, env, dict(zip(_VARIABLES, values)))
+    except (ArithmeticError, ValueError, TypeError):
+        want = None
+    if not isinstance(want, float):
+        # the reference raised, or a negative base gave a complex power
+        with pytest.raises(ConfigError, match="cannot be evaluated"):
+            fn(*values)
+        return
+    got = fn(*values)
+    assert _same_bits(got, want), (text, values, got, want)
 
 
 # --- config validation -----------------------------------------------------------
@@ -170,6 +215,9 @@ def test_cli_config_error_exit_code(tmp_path):
     {"integration": {"step": "nan"}},
     {"integration": {"t1": "inf"}},
     {"model": "lax", "params": {"n": 0}},
+    {"model": "lax", "params": {"n": 2.7}},
+    {"model": "lax", "params": {"n": True}},
+    {"model": "lax", "params": {"n": "3"}},
     {"initial_state": [[0.0, 0.0, 1.0, 1.5]]},
     {"integration": [1, 2]},
     {"params": [1]},
