@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Digest the output of every reference scenario, for bitwise comparisons.
+
+The reference scenarios are the bundled configs in ``scripts/configs`` and
+the members of seeds 1 and 2 of every perfbench workload
+(``perfbench/scenarios.py``).  Each runs through ``cli.run`` and
+``cli.report_render`` in a temporary directory, and the script prints one
+line per scenario: its name, the sha256 of ``trajectory.csv`` and the sha256
+of the ``report.json`` rows without ``runtime_s`` (the only field that may
+vary between identical runs), or the error the scenario raised.
+
+The scenarios run on the folsys package of the checkout holding this
+script.  Run it from the repository root of two checkouts and diff:
+
+    python3 scripts/output_digest.py > digest.txt
+"""
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import scenarios  # noqa: E402
+from folsys.cli import ScenarioConfig, report_render, run  # noqa: E402
+from folsys.errors import ConfigError, FolsysError  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def reference_configs():
+    """(name, config) of every reference scenario, in a fixed order."""
+    for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
+        yield f"configs/{path.stem}", json.loads(path.read_text(encoding="utf-8"))
+    for workload in scenarios.WORKLOADS:
+        for seed in SEEDS:
+            for member in scenarios.generate(workload, seed):
+                yield f"{workload}:{seed}:{member['name']}", member["config"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(config: dict, out_dir: Path) -> str:
+    cfg = ScenarioConfig.from_dict(dict(config, out=str(out_dir)))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            reports, _ = run(cfg)
+            report_render(reports, cfg.out, fmt=cfg.fmt)
+    except (ConfigError, FolsysError) as exc:
+        return f"error {type(exc).__name__}: {exc}"
+    rows = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    for row in rows:
+        del row["runtime_s"]
+    return " ".join((sha256((out_dir / "trajectory.csv").read_bytes()),
+                     sha256(json.dumps(rows, sort_keys=True).encode())))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, config) in enumerate(reference_configs()):
+            print(name, digest(config, Path(tmp) / str(i)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,7 +42,8 @@ PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
                "ermakov": ("omega2", "c1", "c2")}
 REPORT_FORMATS = ("json", "csv")
 
-_ALLOWED_CALLS = {"sin": math.sin, "cos": math.cos, "pow": math.pow}
+# name -> (function, number of arguments)
+_ALLOWED_CALLS = {"sin": (math.sin, 1), "cos": (math.cos, 1), "pow": (math.pow, 2)}
 _ALLOWED_BINOPS = {ast.Add: lambda a, b: a + b,
                    ast.Sub: lambda a, b: a - b,
                    ast.Mult: lambda a, b: a * b,
@@ -77,7 +78,11 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                     and node.func.id in _ALLOWED_CALLS
                     and not node.keywords):
                 raise ConfigError(f"call not allowed in expression: {ast.dump(node)}")
-            fn, operands = _ALLOWED_CALLS[node.func.id], [build(a) for a in node.args]
+            fn, arity = _ALLOWED_CALLS[node.func.id]
+            if len(node.args) != arity:
+                raise ConfigError(f"{node.func.id}() takes {arity} argument(s), "
+                                  f"got {len(node.args)} in {text!r}")
+            operands = [build(a) for a in node.args]
             return lambda args: fn(*[a(args) for a in operands])
         if isinstance(node, ast.Name):
             if node.id not in variables:

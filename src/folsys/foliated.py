@@ -49,7 +49,7 @@ class FoliationChart:
             dim=dim,
             leaf_dim=s,
             n_labels=dim - s,
-            leaf_map=lambda x: np.asarray(x, dtype=float)[s:].copy(),
+            leaf_map=lambda x: np.asarray(x, dtype=float)[..., s:].copy(),
             leaf_point=leaf_point,
             is_split=True,
         )
@@ -66,9 +66,13 @@ class FoliationChart:
 
 
 def leaf_of(chart: FoliationChart, x) -> np.ndarray:
-    """Transverse label block identifying the leaf through x."""
+    """Transverse label block identifying the leaf through x.
+
+    ``x`` is one point ``(N,)`` or a block ``(..., N)``; the labels then have
+    shape ``(..., n_labels)``.
+    """
     x = np.asarray(x, dtype=float)
-    if x.size != chart.dim:
+    if x.shape[-1:] != (chart.dim,):
         raise DimensionMismatchError(f"point must have dimension {chart.dim}")
     return np.atleast_1d(np.asarray(chart.leaf_map(x), dtype=float))
 
@@ -77,9 +81,9 @@ def leaf_of(chart: FoliationChart, x) -> np.ndarray:
 class FoliatedSystem:
     """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over a realized algebra.
 
-    ``coeffs(t, x)`` returns all r coefficients (g_1, ..., g_r)(t, x) as one
-    array of shape ``(r,)``, so values they share (a gradient, an invariant)
-    are computed once per state; ``assemble`` checks the shape.
+    ``coeffs(t, x)`` maps states ``(..., N)`` to all r coefficients as one
+    array ``(..., r)``, or ``(r,)`` when they do not depend on x, so values they
+    share (a gradient, an invariant) are computed once per call.
     """
 
     realized: RealizedAlgebra
@@ -100,22 +104,18 @@ class FoliatedSystem:
 def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x).
 
-    ``x`` is one state ``(N,)`` or a batch ``(B, N)``.  Each field is called
-    once on the whole array and must return an array of its shape; the
-    coefficient map is called once per row with that row's state, so a
-    coefficient that is not constant on leaves still shows in every row, and
-    must return ``(r,)`` there.
+    ``x`` is one state ``(N,)`` or a batch ``(B, N)``.  Each field and the
+    coefficient map are called once on the whole array; a field must return
+    an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
+    x-independent ``(r,)``, which is broadcast over the batch.
     """
     flds = fs.realized.fields
     coeffs = fs.coeffs
     r = len(flds)
 
     def func(t, x):
-        if x.ndim == 2:
-            c = np.array([coeffs(t, row) for row in x])
-        else:
-            c = np.asarray(coeffs(t, x))
-        if c.shape != x.shape[:-1] + (r,):
+        c = np.asarray(coeffs(t, x))
+        if c.shape not in (x.shape[:-1] + (r,), (r,)):
             raise DimensionMismatchError(
                 f"coefficient map returned shape {c.shape} for states of shape "
                 f"{x.shape}; need {r} coefficients per state")
@@ -170,12 +170,10 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
 
 def sup_drift(observable: Callable[[np.ndarray], object], states) -> float:
     """Max sup-norm deviation of ``observable`` along ``states`` from its
-    value at ``states[0]``; the observable may return a scalar or an array."""
-    ref = observable(states[0])
-    worst = 0.0
-    for row in states:
-        worst = max(worst, float(np.max(np.abs(observable(row) - ref))))
-    return worst
+    value at ``states[0]``.  The observable is evaluated once on the whole
+    ``(T, N)`` block and returns ``(T,)`` or ``(T, ...)``."""
+    values = np.asarray(observable(states))
+    return float(np.max(np.abs(values - values[0])))
 
 
 def leaf_drift(traj: Trajectory, chart: FoliationChart) -> float:

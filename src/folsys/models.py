@@ -53,6 +53,14 @@ class ModelBundle:
     extras: dict = field(default_factory=dict)
 
 
+def _rowwise(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
+    """``fn`` on each row of ``x``: where a scalar closure meets a batch."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    rows = [fn(row) for row in x.reshape(-1, x.shape[-1])]
+    return np.reshape(rows, x.shape[:-1] + np.shape(rows[0]))
+
+
 # ---------------------------------------------------------------------------
 # Riccati: dx/dt = a0(t) + a1(t) x + a2(t) x^2
 # ---------------------------------------------------------------------------
@@ -85,16 +93,16 @@ def riccati_rule() -> SuperpositionRule:
     """Cross-ratio rule in three particular solutions and one constant."""
 
     def psi(sols, k):
-        u1, u2, u3 = (float(s[0]) for s in sols)
+        u1, u2, u3 = (s[..., 0] for s in sols)
         kk = float(k[0])
-        scale = max(1.0, abs(u1), abs(u2), abs(u3))
-        if min(abs(u1 - u2), abs(u1 - u3), abs(u2 - u3)) < 1e-12 * scale:
+        scale = np.maximum(1.0, np.max(np.abs([u1, u2, u3]), axis=0))
+        if np.any(np.min(np.abs([u1 - u2, u1 - u3, u2 - u3]), axis=0) < 1e-12 * scale):
             raise SingularCombinationError("coincident particular solutions")
         den = (u3 - u2) + kk * (u3 - u1)
-        if abs(den) < 1e-12 * scale * max(1.0, abs(kk)):
+        if np.any(np.abs(den) < 1e-12 * scale * max(1.0, abs(kk))):
             raise SingularCombinationError("vanishing denominator")
         num = u1 * (u3 - u2) + kk * u2 * (u3 - u1)
-        return np.array([num / den])
+        return (num / den)[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi,
                              leaf_preserving=False, vg_dim=3, name="riccati")
@@ -133,9 +141,10 @@ class HamiltonJacobiSpec:
     dH: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def gradient(self, t: float, P: np.ndarray) -> np.ndarray:
+        """dH/dP at momenta ``(..., n)``: analytic ``dH`` at once, else per row."""
         if self.dH is not None:
             return np.asarray(self.dH(t, np.asarray(P, dtype=float)), dtype=float)
-        return grad_fd(lambda p: self.H(t, p), np.asarray(P, dtype=float))
+        return _rowwise(lambda p: grad_fd(lambda q: self.H(t, q), p), np.asarray(P, float))
 
     def gradient_consistency(self, seed: int = 42, trials: int = 10) -> float:
         """Relative deviation of the declared gradient from central differences."""
@@ -212,7 +221,7 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     res = spec.gradient_consistency()
     if res > 1e-5:
         raise ValueError(f"declared gradient disagrees with H: residual {res:.3e}")
-    coeffs = lambda t, x: -spec.gradient(t, x[n:])
+    coeffs = lambda t, x: -spec.gradient(t, x[..., n:])
     return _translation_model("hamilton_jacobi", spec, 1.0, coeffs, np.zeros(n),
                               ("dQ", "Q-translation"))
 
@@ -238,12 +247,12 @@ def lax_from_hamiltonian(n: int,
 
 
 def lax_matrix(n: int, v) -> np.ndarray:
-    """Block-diagonal matrix with 2x2 blocks [[2 v^{n+a}, v^a], [0, 0]]."""
+    """Block-diagonal matrix with 2x2 blocks [[2 v^{n+a}, v^a], [0, 0]], per state."""
     v = np.asarray(v, dtype=float)
-    M = np.zeros((2 * n, 2 * n))
+    M = np.zeros(v.shape[:-1] + (2 * n, 2 * n))
     for a in range(n):
-        M[2 * a, 2 * a] = 2.0 * v[n + a]
-        M[2 * a, 2 * a + 1] = v[a]
+        M[..., 2 * a, 2 * a] = 2.0 * v[..., n + a]
+        M[..., 2 * a, 2 * a + 1] = v[..., a]
     return M
 
 
@@ -273,15 +282,15 @@ def lax_matrix_rhs(spec: LaxSpec, t: float, v) -> np.ndarray:
 
 
 def lax_spectrum(n: int, v) -> np.ndarray:
-    """Sorted eigenvalues of the block matrix: {2 v^{n+a}, 0} per block."""
+    """Sorted eigenvalues of the block matrix, {2 v^{n+a}, 0} per block, per state."""
     eig = np.linalg.eigvals(lax_matrix(n, v))
-    return np.sort(eig.real)
+    return np.sort(eig.real, axis=-1)
 
 
 def lax_system(spec: LaxSpec) -> ModelBundle:
     n = spec.n
     # coefficients relative to 2 d/dv^a, from dv^a/dt = -2 f_a v^{n+a}
-    coeffs = lambda t, x: -spec.f(t, x[n:]) * x[n:]
+    coeffs = lambda t, x: -spec.f(t, x[..., n:]) * x[..., n:]
     return _translation_model("lax", spec, 2.0, coeffs, np.linspace(0.5, -0.3, n),
                               ("2dv", "block-translation"),
                               observables={"spectrum": lambda x: lax_spectrum(n, x)})
@@ -298,10 +307,11 @@ class ErmakovSpec:
     c2: float = 1.0
 
 
-def lewis_invariant(spec: ErmakovSpec, state) -> float:
-    x, y, vx, vy = np.asarray(state, dtype=float)
+def lewis_invariant(spec: ErmakovSpec, state):
+    # .T splits off the last axis and puts the result back: (..., 4) -> (...)
+    x, y, vx, vy = np.asarray(state, dtype=float).T
     w = x * vy - y * vx
-    return 0.5 * w * w + spec.c1 * x / y + spec.c2 * y / x
+    return (0.5 * w * w + spec.c1 * x / y + spec.c2 * y / x).T
 
 
 def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorField]:
@@ -350,9 +360,6 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     box = Box([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6])
     realized = RealizedAlgebra(_sl2_algebra(("X1", "X2", "X3")), flds, box)
 
-    def invariants(s):
-        return np.array([lewis_invariant(spec, s)])
-
     def leaf_point(labels):
         k = float(np.atleast_1d(labels)[0])
         w2 = 2.0 * (k - spec.c1 - spec.c2)
@@ -360,10 +367,14 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
             raise ValueError(f"no representative point for invariant value {k}")
         return np.array([1.0, 1.0, 0.0, np.sqrt(w2)])
 
-    chart = FoliationChart.from_invariants(4, 3, invariants, 1,
-                                           leaf_point=leaf_point)
-    coeffs = lambda t, s: np.array(
-        [1.0, 0.0, spec.omega2(t, lewis_invariant(spec, s))], dtype=float)
+    chart = FoliationChart.from_invariants(
+        4, 3, lambda s: lewis_invariant(spec, s)[..., None], 1, leaf_point=leaf_point)
+
+    def coeffs(t, s):
+        # omega2 is a scalar closure, so a batch is evaluated state by state
+        if s.ndim > 1:
+            return _rowwise(lambda x: coeffs(t, x), s)
+        return np.array([1.0, 0.0, spec.omega2(t, lewis_invariant(spec, s))])
 
     def domain(s):
         return abs(s[0]) >= ERMAKOV_GUARD and abs(s[1]) >= ERMAKOV_GUARD
@@ -467,10 +478,9 @@ def hj_lax_equivalence(spec: HamiltonJacobiSpec, x0_hj, v0_lax,
         t = float(rng.uniform(t0, t1))
         k = rng.uniform(0.5, 2.0, size=n)
         g = spec.gradient(t, k)
-        for a in range(n):
-            # m = sum 2 (dH/dP^a) e_a means f_a = -2 dH/dP^a, hence
-            # dv^a/dt = 4 (dH/dP^a) v^{n+a}; compare with -dH/dP^a
-            doubled = max(doubled, abs(4.0 * g[a] * k[a] + g[a]))
+        # m = sum 2 (dH/dP^a) e_a means f_a = -2 dH/dP^a, hence
+        # dv^a/dt = 4 (dH/dP^a) v^{n+a}; compare with -dH/dP^a
+        doubled = max(doubled, float(np.max(np.abs(4.0 * g * k + g))))
 
     return EquivalenceReport(shared_coeff_residual=shared, hj_error=hj_error,
                              lax_error=lax_error, doubled_gradient_residual=doubled)

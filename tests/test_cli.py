@@ -56,6 +56,23 @@ def test_expression_arithmetic_errors_are_config_errors(text):
         fn(1.0)
 
 
+@pytest.mark.parametrize("text", ["sin(t, t)", "cos()", "pow(t)", "pow(t, I, t)"])
+def test_expression_call_arity_is_checked_at_compile_time(text):
+    with pytest.raises(ConfigError, match="argument"):
+        compile_expression(text, ("t", "I"))
+
+
+def test_cli_call_arity_error_exits_2_before_writing_output(tmp_path):
+    path = write_config(tmp_path / "bad.json", model="ermakov",
+                        params={"omega2": "sin(t, t)"}, checks=["lewis"])
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "folsys.cli", "--config", str(path),
+                           "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # fully parenthesised expressions over the whitelisted grammar
 _VARIABLES = ("t", "P1", "I")
 _LEAVES = st.one_of(

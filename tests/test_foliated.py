@@ -1,16 +1,40 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import builtin_algebra
+from folsys.cli import ScenarioConfig, build_bundle
 from folsys.errors import DegeneratePointError, DimensionMismatchError
 from folsys.fields import RealizedAlgebra, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
-                             leaf_drift, leaf_of, verify_foliated)
+                             leaf_drift, leaf_of, sup_drift, verify_foliated)
 from folsys.integrate import integrate
-from folsys.models import (ErmakovSpec, default_model, ermakov_system,
-                           hj_system, lewis_invariant, sum_cos_spec)
-from folsys.util import Box
+from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
+                           ermakov_system, hj_system, lewis_invariant,
+                           sum_cos_spec)
+from folsys.util import Box, seeded_rng
+
+# configured (interpreted) coefficients: scalar closures met by batches
+INTERPRETED = {
+    "hamilton_jacobi-expr": {"model": "hamilton_jacobi", "params": {
+        "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}},
+    "lax-expr": {"model": "lax", "params": {
+        "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"}},
+    "ermakov-expr": {"model": "ermakov", "params": {
+        "omega2": "1.1+0.1*sin(t)+0.03*I", "c1": 0.7, "c2": 1.2}},
+}
+
+
+@functools.cache
+def _bundle(name):
+    if name in INTERPRETED:
+        return build_bundle(ScenarioConfig.from_dict(INTERPRETED[name]))
+    return default_model(name)
 
 
 def test_assemble_hj_matches_closed_form():
@@ -37,6 +61,39 @@ def test_assemble_rejects_coefficient_map_of_wrong_shape():
             F(0.5, np.array([0.1, 0.2, 1.0, 1.5]))
         with pytest.raises(DimensionMismatchError):
             F(0.5, np.array([[0.1, 0.2, 1.0, 1.5], [0.0, 0.0, 1.2, 0.9]]))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_assemble_calls_the_coefficient_map_once_per_stage(name):
+    fs = _bundle(name).system
+    shapes = []
+
+    def counted(t, x):
+        shapes.append(x.shape)
+        return fs.coeffs(t, x)
+
+    F = assemble(dataclasses.replace(fs, coeffs=counted))
+    rng = seeded_rng(5)
+    box = fs.realized.box
+    for x0 in (box.sample(rng), box.sample_many(rng, 1), box.sample_many(rng, 7)):
+        shapes.clear()
+        traj = integrate(F, x0, 0.0, 0.1, 0.01)
+        assert len(shapes) == 4 * (len(traj) - 1)
+        assert set(shapes) == {x0.shape}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES + tuple(INTERPRETED))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+       t=st.floats(0.0, 2.0))
+def test_assembled_batch_rows_equal_single_states_bitwise(name, seed, rows, t):
+    fs = _bundle(name).system
+    F = assemble(fs)
+    X = fs.realized.box.sample_many(seeded_rng(seed), rows)
+    batch = F(t, X)
+    for i in range(rows):
+        # tobytes also tells -0.0 from 0.0
+        assert batch[i].tobytes() == F(t, X[i]).tobytes()
 
 
 def test_assemble_lax_commutator_sign():
@@ -143,6 +200,28 @@ def test_leaf_of_ermakov_lewis_label():
     oracle = 0.5 * w ** 2 + integral + 2.0
     assert val.size == 1
     assert leaf_of(erm.system.chart, state)[0] == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ("hamilton_jacobi", "lax", "ermakov", *INTERPRETED))
+def test_sup_drift_evaluates_the_observable_once_on_the_block(name):
+    bundle = _bundle(name)
+    fs = bundle.system
+    x0 = fs.realized.box.sample(seeded_rng(8))
+    states = integrate(assemble(fs), x0, 0.0, 0.5, 0.01).states
+    # leaf labels, and the lax spectrum or the Lewis invariant
+    observables = [lambda x: leaf_of(fs.chart, x), *bundle.observables.values()]
+    for obs in observables:
+        block = np.asarray(obs(states))
+        for i, row in enumerate(states):
+            assert block[i].tobytes() == np.asarray(obs(row)).tobytes()
+        # the per-row loop the block evaluation replaced, as the reference
+        ref = obs(states[0])
+        worst = 0.0
+        for row in states:
+            worst = max(worst, float(np.max(np.abs(obs(row) - ref))))
+        calls = []
+        assert sup_drift(lambda x: calls.append(x.shape) or obs(x), states) == worst
+        assert calls == [states.shape]
 
 
 def test_leaf_drift_exact_zero_hj_lax():

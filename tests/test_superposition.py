@@ -47,6 +47,41 @@ def test_riccati_rule_singular_inputs():
     # denominator (u3 - u2) + k (u3 - u1) = 0
     with pytest.raises(SingularCombinationError):
         apply_rule(rule, [np.array([0.0]), np.array([1.0]), np.array([2.0])], [-0.5])
+    # one singular sample in a block raises for the block
+    u1 = np.array([[0.1], [0.5], [-0.2]])
+    with pytest.raises(SingularCombinationError):
+        apply_rule(rule, [u1, np.array([[0.3], [0.5], [0.4]]), -u1], [0.5])
+
+
+@pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi", "lax"])
+def test_rule_over_a_block_equals_per_sample_bitwise(name):
+    bundle = default_model(name)
+    rule = bundle.rule
+    rng = seeded_rng(11)
+    sols = [bundle.system.realized.box.sample_many(rng, 40) for _ in range(rule.m)]
+    k = rng.uniform(-1.0, 1.0, size=rule.param_dim)
+    block = apply_rule(rule, sols, k)
+    assert block.shape == (40, rule.state_dim)
+    for i in range(40):
+        single = apply_rule(rule, [s[i] for s in sols], k)
+        assert block[i].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
+def test_verify_rule_applies_the_rule_once_per_trial(name):
+    bundle = default_model(name)
+    blocks = []
+
+    def psi(sols, k):
+        if sols[0].ndim > 1:
+            blocks.append(sols[0].shape)
+        return bundle.rule.psi(sols, k)
+
+    counted = dataclasses.replace(bundle.rule, psi=psi)
+    verify_rule(counted, bundle.system, (0.0, 0.5), trials=3, seed=42, h=0.01,
+                min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    # one reconstruction per trial, over all 51 samples of the grid
+    assert blocks == [(51, bundle.system.dim)] * 3
 
 
 def test_hj_rule_translation():
