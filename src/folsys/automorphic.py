@@ -89,13 +89,16 @@ def action_consistency_residual(action: GroupAction, points: Sequence[np.ndarray
 
 def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField],
                                points: Sequence[np.ndarray]) -> float:
-    """Max deviation of d/ds|_0 act(exp(s A_a), x) from -X_a(x)."""
+    """Max deviation of d/ds|_0 act(exp(s A_a), x) from -X_a(x).
+
+    The two group elements exp(+-eps A_a) of each generator are computed once.
+    """
+    steps = [(action.exp(_FD_EPS, a), action.exp(-_FD_EPS, a))
+             for a in range(len(fields))]
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
-        for a, X in enumerate(fields):
-            gp = action.exp(_FD_EPS, a)
-            gm = action.exp(-_FD_EPS, a)
+        for (gp, gm), X in zip(steps, fields):
             d = (action.act(gp, x) - action.act(gm, x)) / (2.0 * _FD_EPS)
             worst = max(worst, float(np.max(np.abs(d + X(x)))))
     return worst

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -338,19 +339,19 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
     c = sl2.structure
 
     start = time.perf_counter()
-    worst = 0.0
     pts = rng.uniform(-2.0, 2.0, size=(100, 3))
-    for v in pts:
-        for a in range(3):
-            for b in range(3):
-                lhs = poisson_bracket(L, lin[a], lin[b], v)
-                rhs = sum(c[a, b, g] * lin[g](v) for g in range(3))
-                worst = max(worst, abs(lhs - rhs))
+    vals = [f(pts) for f in lin]
+    worst = 0.0
+    for a in range(3):
+        for b in range(3):
+            lhs = poisson_bracket(L, lin[a], lin[b], pts)
+            rhs = sum(c[a, b, g] * vals[g] for g in range(3))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     out.append(_timed("poisson.kirillov_identity", model, seed, worst, 1e-12, start))
 
     start = time.perf_counter()
     coords = [coordinate_function(i, 3) for i in range(3)]
-    worst = max(abs(jacobiator(L, coords[0], coords[1], coords[2], v)) for v in pts)
+    worst = float(np.max(np.abs(jacobiator(L, *coords, pts))))
     out.append(_timed("poisson.kirillov_jacobiator", model, seed, worst, 1e-10, start))
 
     start = time.perf_counter()
@@ -368,13 +369,8 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
                                rng.uniform(0.5, 2.0, 100),
                                rng.uniform(-1.0, 1.0, 100)])
     coords4 = [coordinate_function(i, 4) for i in range(4)]
-    worst = 0.0
-    for x in aff_pts:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    worst = max(worst, abs(jacobiator(Lr, coords4[i], coords4[j],
-                                                      coords4[k], x)))
+    worst = max(float(np.max(np.abs(jacobiator(Lr, *triple, aff_pts))))
+                for triple in itertools.combinations(coords4, 3))
     out.append(_timed("poisson.rmatrix_jacobiator", model, seed, worst, 1e-10, start))
 
     start = time.perf_counter()

@@ -8,6 +8,10 @@ Shipped bivectors carry analytic coefficient derivatives so that bracket and
 Jacobiator checks are limited by roundoff, not finite differences; gradients
 of candidate functions are analytic whenever the callable carries a
 ``gradient`` attribute.
+
+Everything here takes one point ``(N,)`` or a block of points ``(..., N)``;
+products are taken per point in the order of the one-point formulas, so a
+block gives the values of a per-point loop bit for bit.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ from . import algebra as la
 from .errors import DimensionMismatchError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart
-from .util import (Box, FuncWithGrad, gradient_of, jacobian_fd, linear_form,
-                   seeded_rng)
+from .util import (Box, FuncWithGrad, central_differences, dot_last,
+                   gradient_of, linear_form, matvec, seeded_rng, vecmat)
 
 # step for differentiating bivector coefficients when no analytic derivative
 # is attached; central differences are exact for the polynomial coefficient
@@ -33,7 +37,11 @@ _DCOEFF_STEP = 1e-4
 class PoissonBivector:
     """Antisymmetric coefficient field Lambda^{ij}(x) with optional derivative.
 
-    ``dcoeff(x)[m, i, j]`` = d_m Lambda^{ij}(x) when provided.
+    ``dcoeff(x)[..., m, i, j]`` = d_m Lambda^{ij}(x) when provided.  For
+    points ``(..., N)`` ``coeff`` returns ``(..., N, N)`` and ``dcoeff``
+    ``(..., N, N, N)``, or ``(N, N)`` and ``(N, N, N)`` when they do not
+    depend on x; ``matrix`` and ``derivative`` check these shapes, and the
+    finite-difference fallback of ``derivative`` makes one ``coeff`` call.
     """
 
     dim: int
@@ -41,38 +49,50 @@ class PoissonBivector:
     dcoeff: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
+    def _checked(self, value, x: np.ndarray, rank: int) -> np.ndarray:
+        value = np.asarray(value, dtype=float)
+        per_point = (self.dim,) * rank
+        if value.shape not in (x.shape[:-1] + per_point, per_point):
+            raise DimensionMismatchError(
+                f"bivector coefficients of shape {value.shape} for points of "
+                f"shape {x.shape}; need {per_point} per point")
+        return value
+
     def matrix(self, x) -> np.ndarray:
-        M = np.asarray(self.coeff(np.asarray(x, dtype=float)), dtype=float)
-        if M.shape != (self.dim, self.dim):
-            raise DimensionMismatchError("coefficient matrix has wrong shape")
-        return M
+        x = np.asarray(x, dtype=float)
+        return self._checked(self.coeff(x), x, 2)
 
     def derivative(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.dcoeff is not None:
-            return np.asarray(self.dcoeff(x), dtype=float)
-        out = np.empty((self.dim, self.dim, self.dim))
-        h = _DCOEFF_STEP * max(1.0, float(np.max(np.abs(x))))
-        for m in range(self.dim):
-            xp = x.copy()
-            xm = x.copy()
-            xp[m] += h
-            xm[m] -= h
-            out[m] = (self.matrix(xp) - self.matrix(xm)) / (2.0 * h)
-        return out
+            return self._checked(self.dcoeff(x), x, 3)
+        d = central_differences(self.matrix, x, (self.dim,) * 2, scale=_DCOEFF_STEP)
+        return np.moveaxis(d, 0, -3)
 
 
-def poisson_bracket(L: PoissonBivector, f, g, x) -> float:
-    """{f, g}(x) = grad f . Lambda(x) . grad g."""
+def _per_point(value, x: np.ndarray):
+    """A float for one point ``(N,)``, an array ``(...,)`` for a block."""
+    if x.ndim == 1:
+        return float(value)
+    return np.broadcast_to(value, x.shape[:-1])
+
+
+def poisson_bracket(L: PoissonBivector, f, g, x):
+    """{f, g}(x) = grad f . Lambda(x) . grad g.
+
+    A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
+    """
     x = np.asarray(x, dtype=float)
-    return float(gradient_of(f, x) @ L.matrix(x) @ gradient_of(g, x))
+    return _per_point(dot_last(vecmat(gradient_of(f, x), L.matrix(x)),
+                               gradient_of(g, x)), x)
 
 
 def _hessian_of(f, x) -> np.ndarray:
     h = getattr(f, "hessian", None)
     if h is not None:
         return np.asarray(h(x), dtype=float)
-    return jacobian_fd(lambda y: gradient_of(f, y), x)
+    d = central_differences(lambda y: gradient_of(f, y), x, x.shape[-1:])
+    return np.moveaxis(d, 0, -1)
 
 
 def _bracket_gradient(L: PoissonBivector, g, h, x) -> np.ndarray:
@@ -83,42 +103,42 @@ def _bracket_gradient(L: PoissonBivector, g, h, x) -> np.ndarray:
     gh = gradient_of(h, x)
     Hg = _hessian_of(g, x)
     Hh = _hessian_of(h, x)
-    term_g = Hg @ (Lam @ gh)
-    term_h = Hh @ (Lam.T @ gg)
-    term_l = np.einsum("i,mij,j->m", gg, dLam, gh)
+    term_g = matvec(Hg, matvec(Lam, gh))
+    term_h = matvec(Hh, matvec(np.swapaxes(Lam, -1, -2), gg))
+    term_l = np.einsum("...i,...mij,...j->...m", gg, dLam, gh)
     return term_g + term_l + term_h
 
 
-def jacobiator(L: PoissonBivector, f, g, h, x) -> float:
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} at x."""
+def jacobiator(L: PoissonBivector, f, g, h, x):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} at x.
+
+    A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
+    """
     x = np.asarray(x, dtype=float)
     Lam = L.matrix(x)
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        total += float(gradient_of(a, x) @ Lam @ _bracket_gradient(L, b, c, x))
-    return total
+        total += dot_last(vecmat(gradient_of(a, x), Lam), _bracket_gradient(L, b, c, x))
+    return _per_point(total, x)
 
 
 def hamiltonian_field(L: PoissonBivector, f) -> VectorField:
     """Field with components sum_j Lambda^{ij}(x) d_j f(x)."""
-    return VectorField(L.dim, lambda x: L.matrix(x) @ gradient_of(f, x),
+    return VectorField(L.dim, lambda x: matvec(L.matrix(x), gradient_of(f, x)),
                        name=getattr(f, "name", ""))
 
 
 def hamiltonian_residual(L: PoissonBivector, X: VectorField, f,
-                         samples: Sequence[np.ndarray]) -> tuple[float, int]:
-    """Best-sign deviation of X from +-(i_{df} Lambda) over samples.
+                         samples: np.ndarray) -> tuple[float, int]:
+    """Best-sign deviation of X from +-(i_{df} Lambda) over samples ``(P, N)``.
 
     Returns (residual, sign); sign = -1 means X matches minus the contraction.
     """
-    plus = 0.0
-    minus = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        hf = L.matrix(x) @ gradient_of(f, x)
-        val = X(x)
-        plus = max(plus, float(np.max(np.abs(val - hf))))
-        minus = max(minus, float(np.max(np.abs(val + hf))))
+    x = np.asarray(samples, dtype=float)
+    hf = matvec(L.matrix(x), gradient_of(f, x))
+    val = X(x)
+    plus = float(np.max(np.abs(val - hf), initial=0.0))
+    minus = float(np.max(np.abs(val + hf), initial=0.0))
     return (plus, 1) if plus <= minus else (minus, -1)
 
 
@@ -149,7 +169,7 @@ def kirillov_bivector(alg: la.LieAlgebra, metric: la.InvariantMetric) -> Poisson
     dLam = np.einsum("ia,mab,bj->mij", Ginv, dLam, Ginv)
 
     def coeff(v):
-        C = np.einsum("abg,g->ab", c, G @ v)
+        C = np.einsum("abg,...g->...ab", c, matvec(G, v))
         return Ginv @ C @ Ginv
 
     return PoissonBivector(alg.dim, coeff, dcoeff=lambda v: dLam,
@@ -169,8 +189,8 @@ def aff_right_invariant_fields(n: int) -> list[VectorField]:
         bi = 2 * i + 1
 
         def e_func(x, _b=bi):
-            out = np.zeros(dim)
-            out[_b] = 1.0
+            out = np.zeros(x.shape)
+            out[..., _b] = 1.0
             return out
 
         fields.append(VectorField(dim, e_func,
@@ -180,9 +200,9 @@ def aff_right_invariant_fields(n: int) -> list[VectorField]:
         ai, bi = 2 * i, 2 * i + 1
 
         def h_func(x, _a=ai, _b=bi):
-            out = np.zeros(dim)
-            out[_a] = 2.0 * x[_a]
-            out[_b] = 2.0 * x[_b]
+            out = np.zeros(x.shape)
+            out[..., _a] = 2.0 * x[..., _a]
+            out[..., _b] = 2.0 * x[..., _b]
             return out
 
         def h_jac(x, _a=ai, _b=bi):
@@ -202,14 +222,14 @@ def rmatrix_bivector_aff(n: int) -> PoissonBivector:
     dim = 2 * n
 
     def coeff(x):
-        if np.any(x[0::2] <= 0.0):
+        if np.any(x[..., 0::2] <= 0.0):
             raise ValueError("domain requires a_i > 0")
-        M = np.zeros((dim, dim))
+        M = np.zeros(x.shape[:-1] + (dim, dim))
         for i in range(n):
             ai, bi = 2 * i, 2 * i + 1
             # X_e ^ X_h on the (a_i, b_i) block: Lambda^{a b} = -2 a_i
-            M[ai, bi] = -2.0 * x[ai]
-            M[bi, ai] = 2.0 * x[ai]
+            M[..., ai, bi] = -2.0 * x[..., ai]
+            M[..., bi, ai] = 2.0 * x[..., ai]
         return M
 
     def dcoeff(x):
@@ -231,7 +251,7 @@ class HamiltonianCheck:
     sign: int
 
 
-def check_rmatrix_hamiltonian(n: int, samples: Sequence[np.ndarray]) -> list[HamiltonianCheck]:
+def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCheck]:
     """Verify each X^R_e factor is Hamiltonian with candidate -1/2 log a_i."""
     L = rmatrix_bivector_aff(n)
     flds = aff_right_invariant_fields(n)
@@ -240,16 +260,16 @@ def check_rmatrix_hamiltonian(n: int, samples: Sequence[np.ndarray]) -> list[Ham
         ai = 2 * i
 
         def F(x, _a=ai):
-            return -0.5 * np.log(x[_a])
+            return -0.5 * np.log(x[..., _a])
 
         def dF(x, _a=ai):
-            g = np.zeros(2 * n)
-            g[_a] = -0.5 / x[_a]
+            g = np.zeros(x.shape)
+            g[..., _a] = -0.5 / x[..., _a]
             return g
 
         def HF(x, _a=ai):
-            H = np.zeros((2 * n, 2 * n))
-            H[_a, _a] = 0.5 / x[_a] ** 2
+            H = np.zeros(x.shape + (2 * n,))
+            H[..., _a, _a] = 0.5 / x[..., _a] ** 2
             return H
 
         cand = FuncWithGrad(F, dF, hess=HF, name=f"-log(a{i + 1})/2")
@@ -270,7 +290,7 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
     r = alg.dim
     ads = [la.adjoint_matrix(alg, a) for a in range(r)]
     flds = tuple(
-        VectorField(r, lambda v, _A=ads[a]: -(_A @ v),
+        VectorField(r, lambda v, _A=ads[a]: -matvec(_A, v),
                     jac=lambda v, _A=ads[a]: -_A,
                     name=f"Xad_{alg.basis_labels[a]}")
         for a in range(r)
@@ -278,17 +298,25 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
     G = metric.g
 
     def casimir(v):
-        return float(v @ G @ v)
+        return dot_last(vecmat(v, G), v)
+
+    def sl2_coeffs(t, v):
+        cas = casimir(v)
+        out = np.empty(cas.shape + (3,))
+        out[..., 0] = 1.0
+        out[..., 1] = 0.5 * np.cos(t)
+        out[..., 2] = 0.1 * cas
+        return out
 
     if coeffs is None and r == 3:
-        coeffs = lambda t, v: np.array([1.0, 0.5 * np.cos(t), 0.1 * casimir(v)])
+        coeffs = sl2_coeffs
     elif coeffs is None:
         coeffs = lambda t, v: np.ones(r)
     if box is None:
         box = Box(np.full(r, 0.6), np.full(r, 1.4))
     s = r - 1 if leaf_dim is None else leaf_dim
     chart = FoliationChart.from_invariants(
-        dim=r, leaf_dim=s, invariants=lambda v: np.array([casimir(v)]),
+        dim=r, leaf_dim=s, invariants=lambda v: casimir(v)[..., None],
         n_labels=1,
     )
     realized = RealizedAlgebra(alg, flds, box)

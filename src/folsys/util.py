@@ -6,6 +6,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 # Central-difference step; balances truncation and roundoff in double precision.
 FD_SCALE = 1e-6
 
@@ -44,12 +46,74 @@ def jacobian_fd(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.column_stack(cols)
 
 
+def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                        tail: tuple[int, ...], scale: float = FD_SCALE) -> np.ndarray:
+    """Central differences of a map that takes blocks, from one call of F.
+
+    ``x`` is one point ``(N,)`` or a block ``(..., N)``.  F is called once on
+    the 2N perturbed copies of x stacked on a new leading axis and returns
+    ``tail`` per point, ``(2N,) + x.shape[:-1] + tail``, or an x-independent
+    ``tail`` once; any other shape raises DimensionMismatchError.  Entry j of
+    the result, shape ``(N,) + x.shape[:-1] + tail``, is
+    (F(x + h e_j) - F(x - h e_j)) / (2h) with the step
+    h = scale * max(1, max|x|) of each point: the values ``jacobian_fd``
+    gives one point at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = scale * np.maximum(1.0, np.abs(x).max(axis=-1))
+    pts = np.empty((2 * n,) + x.shape)
+    pts[...] = x
+    # only the perturbed coordinate of each copy is written, as x[j] += h
+    along = np.eye(n, dtype=bool).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
+    np.add(pts[:n], h[..., None], out=pts[:n], where=along)
+    np.subtract(pts[n:], h[..., None], out=pts[n:], where=along)
+    vals = np.asarray(F(pts), dtype=float)
+    if vals.shape == tail:
+        vals = np.broadcast_to(vals, pts.shape[:-1] + tail)
+    elif vals.shape != pts.shape[:-1] + tail:
+        raise DimensionMismatchError(
+            f"map returned shape {vals.shape} for points of shape {pts.shape}; "
+            f"need {tail} per point")
+    two_h = np.reshape(2.0 * h, h.shape + (1,) * len(tail))
+    return (vals[:n] - vals[n:]) / two_h
+
+
 def gradient_of(f: Callable, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Use an attached analytic gradient when the callable carries one."""
+    """Use an attached analytic gradient when the callable carries one.
+
+    ``x`` is one point ``(N,)`` or a block ``(..., N)``.  An attached
+    gradient returns ``(..., N)`` or an x-independent ``(N,)``; a callable
+    without one is differenced point by point.
+    """
     g = getattr(f, "gradient", None)
     if g is not None:
         return np.asarray(g(x), dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        rows = [grad_fd(f, row, step=step) for row in x.reshape(-1, x.shape[-1])]
+        return np.reshape(rows, x.shape)
     return grad_fd(f, x, step=step)
+
+
+def dot_last(u, v) -> np.ndarray:
+    """Dot product over the last axis, broadcast over the leading axes.
+
+    Each product is the BLAS dot of ``u @ v`` for two 1-D arrays, so a block
+    gives the values of a per-point loop bit for bit (``u @ v`` with a 2-D
+    ``u`` is a matrix-vector product and need not).
+    """
+    return (np.asarray(u)[..., None, :] @ np.asarray(v)[..., :, None])[..., 0, 0]
+
+
+def matvec(M, v) -> np.ndarray:
+    """``M @ v`` for matrices ``(..., N, N)`` and vectors ``(..., N)``."""
+    return (M @ np.asarray(v)[..., None])[..., 0]
+
+
+def vecmat(v, M) -> np.ndarray:
+    """``v @ M`` for vectors ``(..., N)`` and matrices ``(..., N, N)``."""
+    return (np.asarray(v)[..., None, :] @ M)[..., 0, :]
 
 
 class FuncWithGrad:
@@ -68,7 +132,9 @@ class FuncWithGrad:
                                                 dtype=float)
 
     def __call__(self, x):
-        return float(self._func(np.asarray(x, dtype=float)))
+        """A float at one point, an array ``(...,)`` on a block ``(..., N)``."""
+        value = np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
+        return float(value) if value.ndim == 0 else value
 
     def gradient(self, x):
         return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
@@ -77,7 +143,7 @@ class FuncWithGrad:
 def linear_form(weights: np.ndarray, name: str = "") -> FuncWithGrad:
     w = np.asarray(weights, dtype=float)
     return FuncWithGrad(
-        lambda x: float(w @ x),
+        lambda x: dot_last(x, w),
         lambda x: w.copy(),
         hess=lambda x: np.zeros((w.size, w.size)),
         name=name,

@@ -38,6 +38,35 @@ def test_fundamental_field_gate_matches_models():
         assert res <= 1e-8
 
 
+def _fundamental_field_residual_per_point(action, fields, points):
+    """The loop that computed both exponentials at every point."""
+    worst = 0.0
+    for x in points:
+        for a, X in enumerate(fields):
+            gp, gm = action.exp(1e-6, a), action.exp(-1e-6, a)
+            d = (action.act(gp, x) - action.act(gm, x)) / (2.0 * 1e-6)
+            worst = max(worst, float(np.max(np.abs(d + X(x)))))
+    return worst
+
+
+def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
+    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
+    cases = [(default_model(name).action, default_model(name).system)
+             for name in ("hamilton_jacobi", "lax")]
+    cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
+    for action, fs in cases:
+        pts = fs.realized.box.sample_many(seeded_rng(3), 25)
+        ref = _fundamental_field_residual_per_point(action, fs.realized.fields, pts)
+        calls = []
+        exp = GroupAction.exp
+        monkeypatch.setattr(GroupAction, "exp",
+                            lambda self, c, i: calls.append(i) or exp(self, c, i))
+        res = fundamental_field_residual(action, fs.realized.fields, pts)
+        monkeypatch.undo()
+        assert len(calls) == 2 * len(fs.realized.fields)
+        assert res == ref
+
+
 def test_reduce_rejects_sign_flipped_action():
     bundle = default_model("hamilton_jacobi")
     n = 2

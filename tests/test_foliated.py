@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from folsys.algebra import builtin_algebra
+from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
 from folsys.cli import ScenarioConfig, build_bundle
 from folsys.errors import DegeneratePointError, DimensionMismatchError
 from folsys.fields import RealizedAlgebra, VectorField
@@ -17,7 +17,8 @@ from folsys.integrate import integrate
 from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_system, hj_system, lewis_invariant,
                            sum_cos_spec)
-from folsys.util import Box, seeded_rng
+from folsys.poisson import adjoint_foliated_system
+from folsys.util import Box, jacobian_fd, seeded_rng
 
 # configured (interpreted) coefficients: scalar closures met by batches
 INTERPRETED = {
@@ -56,11 +57,14 @@ def test_assemble_zero_coefficients():
 def test_assemble_rejects_coefficient_map_of_wrong_shape():
     fs = hj_system(sum_cos_spec(2)).system
     for wrong in (lambda t, x: np.zeros(3), lambda t, x: 0.0):
-        F = assemble(FoliatedSystem(fs.realized, wrong, fs.chart))
+        broken = FoliatedSystem(fs.realized, wrong, fs.chart)
+        F = assemble(broken)
         with pytest.raises(DimensionMismatchError):
             F(0.5, np.array([0.1, 0.2, 1.0, 1.5]))
         with pytest.raises(DimensionMismatchError):
             F(0.5, np.array([[0.1, 0.2, 1.0, 1.5], [0.0, 0.0, 1.2, 0.9]]))
+        with pytest.raises(DimensionMismatchError):
+            verify_foliated(broken, trials=1)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -152,23 +156,56 @@ def test_verify_foliated_ermakov_with_invariant_coupling():
 def test_verify_foliated_broken_coefficient():
     hj = hj_system(sum_cos_spec(1))
     fs = hj.system
-    broken = FoliatedSystem(fs.realized, lambda t, x: x[:1], fs.chart)
+    broken = FoliatedSystem(fs.realized, lambda t, x: x[..., :1], fs.chart)
     rep = verify_foliated(broken, trials=20, seed=42)
     assert rep.com_residual == pytest.approx(1.0, rel=1e-6)
 
 
 def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
-    # one central-difference Jacobian: 2 evaluations per coordinate, N = 4
+    # one call per sample on the 2N = 8 perturbed points of a central difference
     fs = hj_system(sum_cos_spec(2)).system
     calls = []
+    label_calls = []
 
     def counted(t, x):
-        calls.append(t)
+        calls.append(x.shape)
         return fs.coeffs(t, x)
 
-    rep = verify_foliated(FoliatedSystem(fs.realized, counted, fs.chart), trials=1)
-    assert len(calls) == 2 * fs.dim == 8
+    def counted_labels(x):
+        label_calls.append(x.shape)
+        return fs.chart.leaf_map(x)
+
+    chart = dataclasses.replace(fs.chart, leaf_map=counted_labels)
+    rep = verify_foliated(FoliatedSystem(fs.realized, counted, chart), trials=3)
+    assert calls == label_calls == [(2 * fs.dim, fs.dim)] * 3
     assert rep.com_residual <= 1e-8
+
+
+def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
+    """The per-point loop of Jacobians the block differences replaced."""
+    rng = seeded_rng(seed)
+    com = chart_res = 0.0
+    for _ in range(trials):
+        x = fs.realized.box.sample(rng)
+        t = float(rng.uniform(*t_range))
+        values = [X(x) for X in fs.realized.fields]
+        for grad in jacobian_fd(lambda y: fs.coeffs(t, y), x):
+            com = max(com, *(abs(float(grad @ v)) for v in values))
+        for grad in jacobian_fd(lambda y: leaf_of(fs.chart, y), x):
+            chart_res = max(chart_res, *(abs(float(grad @ v)) for v in values))
+    return com, chart_res
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES + ("hamilton_jacobi-expr", "lax-expr",
+                                                "sl2-adjoint"))
+def test_verify_foliated_block_differences_equal_the_per_point_loop(name):
+    if name == "sl2-adjoint":
+        sl2 = builtin_algebra("sl2")
+        fs = adjoint_foliated_system(sl2, InvariantMetric(sl2, killing_form(sl2)))
+    else:
+        fs = _bundle(name).system
+    rep = verify_foliated(fs, trials=30, seed=7)
+    assert (rep.com_residual, rep.chart_residual) == _verify_foliated_per_point(fs, 30, 7)
 
 
 def test_verify_foliated_degenerate_point_aborts():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from folsys.algebra import (InvariantMetric, builtin_algebra, killing_form)
+from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at
+from folsys.foliated import assemble, leaf_of
 from folsys.models import default_model
 from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             aff_right_invariant_fields,
@@ -10,7 +12,8 @@ from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             hamiltonian_residual, is_foliated_lie_hamilton,
                             jacobiator, kirillov_bivector, linear_coordinates,
                             poisson_bracket, rmatrix_bivector_aff)
-from folsys.util import coordinate_function, linear_form, seeded_rng
+from folsys.util import (FuncWithGrad, coordinate_function, gradient_of,
+                         linear_form, seeded_rng)
 
 
 def sl2_setup():
@@ -217,3 +220,160 @@ def test_rmatrix_hamiltonian_checks():
     b_coord = coordinate_function(1, 2)
     res, _ = hamiltonian_residual(L, flds[0], b_coord, pts[:10, :2])
     assert res > 0.1
+
+
+# ---------------------------------------------------------------------------
+# Blocks of points: the same values as a per-point loop, bit for bit.
+# ---------------------------------------------------------------------------
+
+def _quadratic(dim):
+    """Nonlinear candidate with an analytic gradient and no Hessian."""
+    w = np.linspace(0.5, 1.5, dim)
+
+    def grad(x):
+        g = w * x
+        g[..., 0] += x[..., 1]
+        g[..., 1] += x[..., 0]
+        return g
+
+    return FuncWithGrad(lambda x: 0.5 * np.sum(w * x * x, axis=-1) + x[..., 0] * x[..., 1],
+                        grad, name="quadratic")
+
+
+def _plain(x):
+    """Candidate without a gradient: differenced one point at a time."""
+    return float(np.sin(x[0]) * x[-1] + x[1] ** 3)
+
+
+def _rmatrix_points(rng, rows):
+    return np.column_stack([rng.uniform(0.5, 2.0, rows), rng.uniform(-1.0, 1.0, rows),
+                            rng.uniform(0.5, 2.0, rows), rng.uniform(-1.0, 1.0, rows)])
+
+
+def _block_cases():
+    """(name, bivector, candidates, field/candidate pairs, block)."""
+    sl2, metric, L = sl2_setup()
+    adj = adjoint_foliated_system(sl2, metric)
+    lin = linear_coordinates(metric)
+    kir_pts = seeded_rng(11).uniform(-2.0, 2.0, size=(40, 3))
+    kir_cands = ([coordinate_function(i, 3) for i in range(3)] + lin
+                 + [_quadratic(3), _plain])
+    kir_pairs = list(zip(adj.realized.fields, lin))
+    Lr = rmatrix_bivector_aff(2)
+    aff_pts = _rmatrix_points(seeded_rng(12), 40)
+    aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4), _plain]
+    aff_pairs = [(ch.field, ch.hamiltonian)
+                 for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]
+    aff_pairs.append((aff_right_invariant_fields(2)[2], aff_cands[0]))
+    fd = lambda B: PoissonBivector(B.dim, B.coeff, dcoeff=None, name=B.name + "-fd")
+    return [("kirillov", L, kir_cands, kir_pairs, kir_pts),
+            ("kirillov-fd", fd(L), kir_cands, kir_pairs, kir_pts),
+            ("rmatrix", Lr, aff_cands, aff_pairs, aff_pts),
+            ("rmatrix-fd", fd(Lr), aff_cands, aff_pairs, aff_pts)]
+
+
+def _hamiltonian_residual_per_point(L, X, f, samples):
+    """The per-point loop the block evaluation replaced."""
+    plus = minus = 0.0
+    for x in samples:
+        hf = L.matrix(x) @ gradient_of(f, x)
+        val = X(x)
+        plus = max(plus, float(np.max(np.abs(val - hf))))
+        minus = max(minus, float(np.max(np.abs(val + hf))))
+    return (plus, 1) if plus <= minus else (minus, -1)
+
+
+@pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
+def test_block_evaluation_equals_the_per_point_loop_bitwise(case):
+    _, L, cands, pairs, pts = case
+    assert L.matrix(pts).shape == (len(pts), L.dim, L.dim)
+    assert L.derivative(pts).shape[-3:] == (L.dim,) * 3
+    for f in cands:
+        for g in cands:
+            block = poisson_bracket(L, f, g, pts)
+            loop = np.array([poisson_bracket(L, f, g, x) for x in pts])
+            assert block.tobytes() == loop.tobytes()
+    quadratic, plain = cands[-2:]
+    for triple in ((cands[0], cands[1], cands[2]), (quadratic, cands[1], cands[0]),
+                   (plain, quadratic, cands[0])):
+        block = jacobiator(L, *triple, pts)
+        loop = np.array([jacobiator(L, *triple, x) for x in pts])
+        assert block.tobytes() == loop.tobytes()
+    for X, f in pairs:
+        assert (hamiltonian_residual(L, X, f, pts)
+                == _hamiltonian_residual_per_point(L, X, f, pts))
+
+
+def test_block_results_keep_the_block_shape_for_constant_terms():
+    # constant bivector and linear candidates: nothing depends on x
+    L = PoissonBivector(2, lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                        dcoeff=lambda x: np.zeros((2, 2, 2)))
+    f, g = coordinate_function(0, 2), coordinate_function(1, 2)
+    pts = np.ones((5, 2))
+    assert np.array_equal(poisson_bracket(L, f, g, pts), np.ones(5))
+    assert np.array_equal(jacobiator(L, f, g, f, pts), np.zeros(5))
+    assert poisson_bracket(L, f, g, pts[0]) == 1.0
+
+
+def test_bivector_of_wrong_shape_raises():
+    pts = np.ones((4, 2))
+    for coeff in (lambda x: np.zeros((3, 2, 2)), lambda x: np.zeros(2)):
+        with pytest.raises(DimensionMismatchError):
+            PoissonBivector(2, coeff).matrix(pts)
+    bad = PoissonBivector(2, lambda x: np.zeros((2, 2)), dcoeff=lambda x: np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        bad.derivative(pts)
+
+
+def test_rmatrix_domain_guard_tests_every_row_of_a_block():
+    L = rmatrix_bivector_aff(2)
+    pts = _rmatrix_points(seeded_rng(13), 6)
+    pts[:, 1::2] = -np.abs(pts[:, 1::2])  # every b_i negative: still valid
+    M = L.matrix(pts)
+    for x, row in zip(pts, M):
+        assert row.tobytes() == L.matrix(x).tobytes()
+    bad = pts.copy()
+    bad[3, 2] = -0.5  # a_2 of the point in the odd row 3
+    with pytest.raises(ValueError):
+        L.matrix(bad)
+
+
+def test_adjoint_system_takes_blocks_row_by_row():
+    sl2, metric, _ = sl2_setup()
+    fs = adjoint_foliated_system(sl2, metric)
+    block = np.array([[1.0, 0.7, 1.3], [0.6, 1.4, 0.9]])
+    F = assemble(fs)
+    evaluations = [lambda v: fs.coeffs(0.4, v), lambda v: leaf_of(fs.chart, v),
+                   lambda v: F(0.4, v), *fs.realized.fields]
+    for fn in evaluations:
+        rows = np.asarray(fn(block))
+        assert rows.shape[0] == 2
+        for x, row in zip(block, rows):
+            assert row.tobytes() == np.asarray(fn(x)).tobytes()
+
+
+def test_battery_evaluates_each_bivector_a_fixed_number_of_times(monkeypatch):
+    import folsys.cli as cli
+    import folsys.poisson as poisson
+
+    counts = {}
+
+    def counting(build):
+        def wrapped(*args):
+            B = build(*args)
+
+            def coeff(x):
+                counts[B.name] = counts.get(B.name, 0) + 1
+                return B.coeff(x)
+
+            return PoissonBivector(B.dim, coeff, B.dcoeff, B.name)
+        return wrapped
+
+    monkeypatch.setattr(cli, "kirillov_bivector", counting(kirillov_bivector))
+    monkeypatch.setattr(cli, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
+    monkeypatch.setattr(poisson, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
+    rows = cli._poisson_battery("m", 3)
+    assert all(row.status == "pass" for row in rows)
+    # kirillov: 9 brackets, a Jacobiator (1 + 3) and 3 Hamiltonian fields;
+    # r-matrix: 4 Jacobiators (1 + 3 each) and 2 Hamiltonian fields
+    assert counts == {"kirillov": 16, "rmatrix-aff2": 18}
