@@ -43,21 +43,62 @@ PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
                "ermakov": ("omega2", "c1", "c2")}
 REPORT_FORMATS = ("json", "csv")
 
+
+def _divide(a, b):
+    # Python floats raise on a zero divisor; numpy would give inf or nan
+    if np.count_nonzero(b) < np.size(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _power(a, b):
+    # float_power rounds through libm pow like math.pow; np.power can
+    # differ in the last bit.  Finite operands with a non-finite result are
+    # what Python raises on: overflow, a zero base with a negative exponent,
+    # and a negative base with a fractional exponent (a complex power)
+    out = np.float_power(a, b)
+    if np.count_nonzero(np.isfinite(a) & np.isfinite(b) & ~np.isfinite(out)):
+        raise ArithmeticError("power out of range or not real")
+    return out
+
+
+def _periodic(scalar_fn, array_fn):
+    def call(a):
+        if isinstance(a, float):
+            return scalar_fn(a)  # raises on infinities, as Python does
+        if np.count_nonzero(np.isinf(a)):
+            raise ValueError("math domain error")
+        return array_fn(a)
+    return call
+
+
+def _apply(fn, operands):
+    """Closure calling ``fn`` on the values of one or two operand closures."""
+    if len(operands) == 1:
+        (a,) = operands
+        return lambda args: fn(a(args))
+    a, b = operands
+    return lambda args: fn(a(args), b(args))
+
+
 # name -> (function, number of arguments)
-_ALLOWED_CALLS = {"sin": (math.sin, 1), "cos": (math.cos, 1), "pow": (math.pow, 2)}
-_ALLOWED_BINOPS = {ast.Add: lambda a, b: a + b,
-                   ast.Sub: lambda a, b: a - b,
-                   ast.Mult: lambda a, b: a * b,
-                   ast.Div: lambda a, b: a / b,
-                   ast.Pow: lambda a, b: a ** b}
+_ALLOWED_CALLS = {"sin": (_periodic(math.sin, np.sin), 1),
+                  "cos": (_periodic(math.cos, np.cos), 1),
+                  "pow": (_power, 2)}
+_ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: _power}
 
 
 def compile_expression(text: str, variables: tuple[str, ...]):
     """Compile a whitelisted arithmetic expression to a function ``f(*values)``.
 
     ``f`` takes one value per name in ``variables``, positionally and in that
-    order.  The AST is validated once, here, and turned into nested closures,
-    so a call visits no AST node and builds no dict.
+    order: floats or arrays, which broadcast against each other.  The AST is
+    validated once, here, and turned into nested closures, so a call visits
+    no AST node and builds no dict.  Every element gets the value and the
+    error of Python float arithmetic: ``+ - *`` overflow to inf, while a zero
+    divisor, an overflowing or complex power and ``sin``/``cos`` of an
+    infinity raise ConfigError if they occur in any element.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -66,14 +107,13 @@ def compile_expression(text: str, variables: tuple[str, ...]):
 
     def build(node):
         if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-            op, left, right = (_ALLOWED_BINOPS[type(node.op)],
-                               build(node.left), build(node.right))
-            return lambda args: op(left(args), right(args))
+            return _apply(_ALLOWED_BINOPS[type(node.op)],
+                          [build(node.left), build(node.right)])
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             operand = build(node.operand)
             if isinstance(node.op, ast.UAdd):
                 return operand
-            return lambda args: -operand(args)
+            return _apply(operator.neg, [operand])
         if isinstance(node, ast.Call):
             if not (isinstance(node.func, ast.Name)
                     and node.func.id in _ALLOWED_CALLS
@@ -83,8 +123,7 @@ def compile_expression(text: str, variables: tuple[str, ...]):
             if len(node.args) != arity:
                 raise ConfigError(f"{node.func.id}() takes {arity} argument(s), "
                                   f"got {len(node.args)} in {text!r}")
-            operands = [build(a) for a in node.args]
-            return lambda args: fn(*[a(args) for a in operands])
+            return _apply(fn, [build(a) for a in node.args])
         if isinstance(node, ast.Name):
             if node.id not in variables:
                 raise ConfigError(
@@ -97,13 +136,14 @@ def compile_expression(text: str, variables: tuple[str, ...]):
             return lambda args: constant
         raise ConfigError(f"forbidden syntax in expression: {type(node).__name__}")
 
-    body = build(tree.body)
+    # the checks above raise where Python would; numpy warns nowhere (the
+    # decorator form of errstate costs less per call than the with block)
+    body = np.errstate(all="ignore")(build(tree.body))
 
     def value(*args):
         try:
-            return float(body(args))
+            return body(args)
         except (ArithmeticError, ValueError, TypeError) as exc:
-            # division by zero, overflow, math domain, or a complex power
             raise ConfigError(f"expression {text!r} cannot be evaluated: {exc}") from exc
 
     return value
@@ -237,8 +277,15 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
         else:
             variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))
             fn = compile_expression(str(ham), variables)
-            spec = mdl.HamiltonJacobiSpec(
-                n=n, H=lambda t, P: fn(t, *(float(v) for v in P)))
+
+            def H(t, P):
+                # .T splits off the last axis and puts the result back
+                v = fn(t, *P.T)
+                # one value per point, also where the expression has no P
+                return v.T if isinstance(v, np.ndarray) else np.broadcast_to(
+                    v, P.shape[:-1])
+
+            spec = mdl.HamiltonJacobiSpec(n=n, H=H)
         if cfg.model == "hamilton_jacobi":
             return mdl.hj_system(spec)
         return mdl.lax_system(mdl.lax_from_hamiltonian(n, spec.gradient))

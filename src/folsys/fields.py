@@ -134,14 +134,18 @@ def diagonality_defect(Z: VectorField, n: int, samples: Sequence[np.ndarray]) ->
     return defect
 
 
-def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank of the N x r matrix of field values at x."""
+def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL):
+    """Numerical rank of the N x r matrix of field values at x.
+
+    ``x`` is one point ``(N,)``, which gives an int, or a block ``(..., N)``,
+    which gives one rank per point from one stacked SVD.
+    """
     x = np.asarray(x, dtype=float)
-    M = np.column_stack([X(x) for X in fields])
+    M = np.stack([X(x) for X in fields], axis=-1)
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    # a zero matrix has rank 0: no singular value exceeds rtol * 0
+    ranks = np.sum(sv > rtol * sv[..., :1], axis=-1)
+    return int(ranks) if x.ndim == 1 else ranks
 
 
 @dataclass(frozen=True)

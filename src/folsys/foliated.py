@@ -109,7 +109,7 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
     x-independent ``(r,)``, which is broadcast over the batch.
     """
-    flds = fs.realized.fields
+    flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
     r = len(flds)
 
@@ -119,14 +119,17 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
             raise DimensionMismatchError(
                 f"coefficient map returned shape {c.shape} for states of shape "
                 f"{x.shape}; need {r} coefficients per state")
+        # entry a is the coefficient of field a: one number for all states,
+        # or a column of one per state (c.T[..., None] for a batch (B, r))
+        cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
         out = np.zeros(x.shape)
-        for a, X in enumerate(flds):
-            v = X(x)
+        for a, (name, field) in enumerate(flds):
+            v = np.asarray(field(x), dtype=float)
             if v.shape != x.shape:
                 raise DimensionMismatchError(
-                    f"field {X.name!r} returned shape {v.shape} for states "
+                    f"field {name!r} returned shape {v.shape} for states "
                     f"of shape {x.shape}")
-            out += c[..., a, None] * v
+            out += cols[a] * v
         return out
 
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name)
@@ -139,12 +142,12 @@ class FoliationReport:
     chart_residual: float
 
 
-def _worst_rate(F, k: int, x: np.ndarray, values: np.ndarray) -> float:
-    """Max |grad F_j(x) . X_a(x)| over the k components of F and the field
-    values ``(r, N)``, with one call of F on the block of perturbed points."""
+def _rates(grads: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """|grad F_j(x) . X_a(x)| ``(..., k, r)`` from the central differences
+    ``(N, ..., k)`` of the k components of F and the field values ``(..., r, N)``."""
     # rows are the gradients of the components, contiguous like 1-D points
-    grads = central_differences(F, x, (k,)).T.copy()
-    return float(np.abs(dot_last(grads[:, None, :], values)).max(initial=0.0))
+    rows = grads.transpose((*range(1, grads.ndim), 0)).copy()
+    return np.abs(dot_last(rows[..., :, None, :], values[..., None, :, :]))
 
 
 def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
@@ -152,26 +155,37 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     """Check the constants-of-motion, regularity and chart conditions at samples.
 
     A sampled point where the realized fields drop below the leaf rank aborts
-    with DegeneratePointError instead of silently resampling.  Per sample the
-    coefficient map and the leaf labels are each called once, on the block
-    of the 2N points of a central-difference Jacobian.
+    with DegeneratePointError (for the first such sample) instead of silently
+    resampling.  The ranks (one stacked SVD), the field values and the
+    central differences of the leaf labels each come from one evaluation on
+    the ``(trials, N)`` block of all samples; the coefficient map, which
+    takes one time per call, is called once per sample on the ``(2N, N)``
+    block of its central differences.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
     ra = fs.realized
-    com = 0.0
-    chart_res = 0.0
-    for _ in range(trials):
-        x = ra.box.sample(rng)
-        t = float(rng.uniform(*t_range))
-        rank = rank_at(ra.fields, x)
-        if rank < fs.chart.leaf_dim:
-            raise DegeneratePointError(x, rank, fs.chart.leaf_dim)
-        values = np.array([X(x) for X in ra.fields])
-        com = max(com, _worst_rate(lambda y: fs.coeffs(t, y), len(ra.fields), x, values))
-        chart_res = max(chart_res, _worst_rate(lambda y: leaf_of(fs.chart, y),
-                                               fs.chart.n_labels, x, values))
+    xs = np.empty((trials, ra.ambient_dim))
+    ts = []
+    for i in range(trials):
+        xs[i] = ra.box.sample(rng)
+        ts.append(float(rng.uniform(*t_range)))
+    ranks = rank_at(ra.fields, xs)
+    low = np.flatnonzero(ranks < fs.chart.leaf_dim)
+    if low.size:
+        raise DegeneratePointError(xs[low[0]].copy(), int(ranks[low[0]]),
+                                   fs.chart.leaf_dim)
+    # (trials, r, N): the values at each sample are contiguous rows
+    values = np.stack([X(xs) for X in ra.fields], axis=1)
+    r = len(ra.fields)
+    # np.max, unlike the builtin, keeps a NaN rate
+    com = float(np.max([
+        _rates(central_differences(lambda y: fs.coeffs(t, y), x, (r,)), v).max(initial=0.0)
+        for t, x, v in zip(ts, xs, values)]))
+    labels = central_differences(lambda y: leaf_of(fs.chart, y), xs,
+                                 (fs.chart.n_labels,))
+    chart_res = float(_rates(labels, values).max(initial=0.0))
     return FoliationReport(com_residual=com, rank_ok=True, chart_residual=chart_res)
 
 

@@ -89,15 +89,17 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     x = x0.copy()
+    grid = times.tolist()  # Python floats: no numpy scalar per stage
     for k in range(times.size - 1):
-        t = times[k]
-        dt = times[k + 1] - t
+        t = grid[k]
+        dt = grid[k + 1] - t
+        mid = t + 0.5 * dt
         k1 = F(t, x)
-        k2 = F(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = F(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k2 = F(mid, x + 0.5 * dt * k1)
+        k3 = F(mid, x + 0.5 * dt * k2)
         k4 = F(t + dt, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise BlowUpError(times[k + 1], partial=_partial(times, states, k, h))
         if inside is not None and not inside(x):
             raise DomainExitError(times[k + 1],
@@ -145,10 +147,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write header ``t,x1,...,xN`` and one row per sample, 17 significant digits."""
     if traj.states.ndim != 2:
         raise ValueError("CSV export takes a single trajectory, not a batch")
-    path = Path(path)
     cols = ",".join(f"x{i + 1}" for i in range(traj.state_dim))
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"t,{cols}\n")
-        for t, row in zip(traj.times, traj.states):
-            vals = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{t:.17g},{vals}\n")
+    table = np.column_stack([traj.times, traj.states])
+    # one format for all rows; "%.17g" formats a float as f"{v:.17g}" does
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = (line * len(table)) % tuple(table.ravel().tolist())
+    Path(path).write_text(f"t,{cols}\n{text}", encoding="utf-8")

@@ -28,12 +28,12 @@ import numpy as np
 from . import algebra as la
 from .automorphic import (ABELIAN, GroupAction, GroupCurve, reduce_system,
                           solve_abelian, reconstruct)
-from .errors import SingularCombinationError
+from .errors import DimensionMismatchError, SingularCombinationError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart, assemble
 from .integrate import DEFAULT_STEP, integrate
 from .superposition import SuperpositionRule, derive_abelian_rule
-from .util import Box, grad_fd, seeded_rng
+from .util import Box, central_differences, grad_fd, seeded_rng
 
 ERMAKOV_GUARD = 1e-6
 
@@ -51,14 +51,6 @@ class ModelBundle:
     observables: dict = field(default_factory=dict)
     spec: object = None
     extras: dict = field(default_factory=dict)
-
-
-def _rowwise(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
-    """``fn`` on each row of ``x``: where a scalar closure meets a batch."""
-    if x.ndim == 1:
-        return np.asarray(fn(x), dtype=float)
-    rows = [fn(row) for row in x.reshape(-1, x.shape[-1])]
-    return np.reshape(rows, x.shape[:-1] + np.shape(rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +128,31 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class HamiltonJacobiSpec:
+    """H(t, P) maps momenta ``(..., n)`` to one value per point ``(...)``;
+    ``dH`` maps them to ``(..., n)``."""
+
     n: int
-    H: Callable[[float, np.ndarray], float]
+    H: Callable[[float, np.ndarray], np.ndarray]
     dH: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def gradient(self, t: float, P: np.ndarray) -> np.ndarray:
-        """dH/dP at momenta ``(..., n)``: analytic ``dH`` at once, else per row."""
+        """dH/dP at momenta ``(..., n)``: the analytic ``dH``, else central
+        differences from one call of H on the ``(2n, ..., n)`` block of
+        perturbed momenta, where H must return one value per point."""
+        P = np.asarray(P, dtype=float)
         if self.dH is not None:
-            return np.asarray(self.dH(t, np.asarray(P, dtype=float)), dtype=float)
-        return _rowwise(lambda p: grad_fd(lambda q: self.H(t, q), p), np.asarray(P, float))
+            return np.asarray(self.dH(t, P), dtype=float)
+
+        def values(pts):
+            v = np.asarray(self.H(t, pts), dtype=float)
+            if v.shape != pts.shape[:-1]:
+                raise DimensionMismatchError(
+                    f"H returned shape {v.shape} for momenta of shape {pts.shape}; "
+                    f"need one value per point")
+            return v
+
+        g = central_differences(values, P, ())
+        return g.transpose((*range(1, g.ndim), 0))  # (n, ...) -> (..., n)
 
     def gradient_consistency(self, seed: int = 42, trials: int = 10) -> float:
         """Relative deviation of the declared gradient from central differences."""
@@ -165,7 +173,7 @@ def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
     """H(t, P) = sum_i cos(t P_i) with analytic gradient -t sin(t P_i)."""
     return HamiltonJacobiSpec(
         n=n,
-        H=lambda t, P: float(np.sum(np.cos(t * P))),
+        H=lambda t, P: np.sum(np.cos(t * P), axis=-1),
         dH=lambda t, P: -t * np.sin(t * P),
     )
 
@@ -302,7 +310,10 @@ def lax_system(spec: LaxSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class ErmakovSpec:
-    omega2: Callable[[float, float], float]
+    """omega2(t, I) takes invariant values ``(...)`` and returns one frequency
+    per value, or one I-independent frequency."""
+
+    omega2: Callable[[float, np.ndarray], np.ndarray]
     c1: float = 1.0
     c2: float = 1.0
 
@@ -371,10 +382,10 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
         4, 3, lambda s: lewis_invariant(spec, s)[..., None], 1, leaf_point=leaf_point)
 
     def coeffs(t, s):
-        # omega2 is a scalar closure, so a batch is evaluated state by state
-        if s.ndim > 1:
-            return _rowwise(lambda x: coeffs(t, x), s)
-        return np.array([1.0, 0.0, spec.omega2(t, lewis_invariant(spec, s))])
+        out = np.zeros(s.shape[:-1] + (3,))
+        out[..., 0] = 1.0
+        out[..., 2] = spec.omega2(t, lewis_invariant(spec, s))
+        return out
 
     def domain(s):
         return abs(s[0]) >= ERMAKOV_GUARD and abs(s[1]) >= ERMAKOV_GUARD

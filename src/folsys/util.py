@@ -1,6 +1,7 @@
 """Numerics helpers: finite differences, sampling boxes, callable wrappers."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,14 @@ def jacobian_fd(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.column_stack(cols)
 
 
+@functools.cache
+def _unit_mask(n: int, ndim: int) -> np.ndarray:
+    """e_j for copy j, shaped to broadcast over ``(n,) + (..., n)`` blocks."""
+    mask = np.eye(n, dtype=bool).reshape((n,) + (1,) * (ndim - 1) + (n,))
+    mask.setflags(write=False)
+    return mask
+
+
 def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                         tail: tuple[int, ...], scale: float = FD_SCALE) -> np.ndarray:
     """Central differences of a map that takes blocks, from one call of F.
@@ -65,7 +74,7 @@ def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     pts = np.empty((2 * n,) + x.shape)
     pts[...] = x
     # only the perturbed coordinate of each copy is written, as x[j] += h
-    along = np.eye(n, dtype=bool).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
+    along = _unit_mask(n, x.ndim)
     np.add(pts[:n], h[..., None], out=pts[:n], where=along)
     np.subtract(pts[n:], h[..., None], out=pts[n:], where=along)
     vals = np.asarray(F(pts), dtype=float)
@@ -75,7 +84,7 @@ def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         raise DimensionMismatchError(
             f"map returned shape {vals.shape} for points of shape {pts.shape}; "
             f"need {tail} per point")
-    two_h = np.reshape(2.0 * h, h.shape + (1,) * len(tail))
+    two_h = (2.0 * h).reshape(h.shape + (1,) * len(tail))
     return (vals[:n] - vals[n:]) / two_h
 
 

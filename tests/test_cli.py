@@ -114,6 +114,50 @@ def test_compiled_expression_matches_python_eval(text, values):
     assert _same_bits(got, want), (text, values, got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _compound, max_leaves=10),
+       st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+                min_size=1, max_size=5))
+def test_compiled_expression_on_a_block_matches_python_eval(text, rows):
+    # one call on the columns of a block: every element bitwise equal to
+    # Python's float evaluation of its row, and an error if any row raises
+    fn = compile_expression(text, _VARIABLES)
+    env = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "pow": math.pow}
+    want = []
+    for values in rows:
+        try:
+            want.append(eval(text, env, dict(zip(_VARIABLES, values))))
+        except (ArithmeticError, ValueError, TypeError):
+            want.append(None)
+    columns = np.array(rows).T
+    if not all(isinstance(w, float) for w in want):
+        with pytest.raises(ConfigError, match="cannot be evaluated"):
+            fn(*columns)
+        return
+    # an expression without variables gives one value for the whole block
+    got = np.broadcast_to(fn(*columns), (len(rows),))
+    for g, w in zip(got, want):
+        assert _same_bits(float(g), w), (text, rows, got, want)
+
+
+@pytest.mark.parametrize("text", ["1/(t-2)", "pow(1-t, 0.5)", "(1-t)**0.5",
+                                  "10.0**(400*t)", "0.0**(1.5-t)", "sin(1e308*t*t)",
+                                  "cos(1e308*t*t)"])
+def test_expression_error_in_one_element_of_a_block(text):
+    fn = compile_expression(text, ("t",))
+    # each text raises at t = 2 and nowhere else in the block
+    assert np.all(np.isfinite(fn(np.array([0.5, 0.25]))))
+    with pytest.raises(ConfigError, match="cannot be evaluated"):
+        fn(np.array([0.5, 2.0, 0.25]))
+
+
+def test_expression_block_overflow_and_underflow_do_not_raise():
+    # like Python floats: + - * overflow to inf, underflow is silent
+    fn = compile_expression("1e308*t + 10.0**(-400*t) + 2.2e-308*t/1e10", ("t",))
+    assert fn(np.array([10.0, 1.0]))[0] == math.inf
+    assert fn(np.array([10.0, 1.0]))[1] == 1e308 + 10.0 ** -400 + 2.2e-308 / 1e10
+
+
 # --- config validation -----------------------------------------------------------
 
 def test_config_rejects_bad_step_and_horizon():

@@ -184,6 +184,19 @@ def test_rank_prolonged_riccati_vandermonde():
     assert rank_at(flds, joint) == 3
 
 
+def test_rank_on_a_block_equals_the_rank_at_each_point():
+    # a field vanishing for x < 0 drops the rank there
+    flds = [VectorField(2, lambda x: np.maximum(x, 0.0) * [1.0, 0.0]),
+            VectorField(2, lambda x: np.ones(x.shape) * [0.0, 1.0]),
+            VectorField(2, lambda x: np.zeros(x.shape))]
+    pts = seeded_rng(3).uniform(-1.0, 1.0, size=(4, 5, 2))
+    ranks = rank_at(flds, pts)
+    assert ranks.shape == (4, 5)
+    assert ranks.tolist() == [[rank_at(flds, p) for p in row] for row in pts]
+    assert set(ranks.ravel()) == {1, 2}
+    assert rank_at(flds[2:], pts).tolist() == np.zeros((4, 5)).tolist()
+
+
 def test_rank_invariant_under_reordering():
     flds = list(riccati_fields())
     joint_flds = [diagonal_prolongation(X, 3) for X in flds]

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
 from folsys.cli import ScenarioConfig, build_bundle
 from folsys.errors import DegeneratePointError, DimensionMismatchError
-from folsys.fields import RealizedAlgebra, VectorField
+from folsys.fields import RealizedAlgebra, VectorField, rank_at
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_drift, leaf_of, sup_drift, verify_foliated)
 from folsys.integrate import integrate
@@ -18,9 +18,10 @@ from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_system, hj_system, lewis_invariant,
                            sum_cos_spec)
 from folsys.poisson import adjoint_foliated_system
-from folsys.util import Box, jacobian_fd, seeded_rng
+from folsys.util import (Box, central_differences, dot_last, jacobian_fd,
+                         seeded_rng)
 
-# configured (interpreted) coefficients: scalar closures met by batches
+# configured (interpreted) coefficients, compiled from expressions
 INTERPRETED = {
     "hamilton_jacobi-expr": {"model": "hamilton_jacobi", "params": {
         "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}},
@@ -162,7 +163,8 @@ def test_verify_foliated_broken_coefficient():
 
 
 def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
-    # one call per sample on the 2N = 8 perturbed points of a central difference
+    # one map call per sample on the 2N = 8 perturbed points of a central
+    # difference, one label call on the perturbed copies of all samples
     fs = hj_system(sum_cos_spec(2)).system
     calls = []
     label_calls = []
@@ -177,8 +179,23 @@ def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
 
     chart = dataclasses.replace(fs.chart, leaf_map=counted_labels)
     rep = verify_foliated(FoliatedSystem(fs.realized, counted, chart), trials=3)
-    assert calls == label_calls == [(2 * fs.dim, fs.dim)] * 3
+    assert calls == [(2 * fs.dim, fs.dim)] * 3
+    assert label_calls == [(2 * fs.dim, 3, fs.dim)]
     assert rep.com_residual <= 1e-8
+
+
+def test_verify_foliated_evaluates_each_field_on_the_block_of_samples():
+    fs = _bundle("ermakov").system
+    shapes = []
+
+    def counted(X):
+        return dataclasses.replace(X, func=lambda x: shapes.append(x.shape) or X.func(x))
+
+    fields = tuple(counted(X) for X in fs.realized.fields)
+    realized = dataclasses.replace(fs.realized, fields=fields)
+    verify_foliated(dataclasses.replace(fs, realized=realized), trials=5)
+    # twice per field: for the ranks and for the rates
+    assert shapes == [(5, 4)] * 6
 
 
 def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
@@ -196,25 +213,68 @@ def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
     return com, chart_res
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES + ("hamilton_jacobi-expr", "lax-expr",
-                                                "sl2-adjoint"))
-def test_verify_foliated_block_differences_equal_the_per_point_loop(name):
+def _verify_foliated_per_sample(fs, trials, seed, t_range=(0.0, 2.0)):
+    """The per-sample loop the block evaluation replaced: one rank, one set of
+    field values and one difference block of the labels per sample."""
+    rng = seeded_rng(seed)
+    ra = fs.realized
+    com = chart_res = 0.0
+    for _ in range(trials):
+        x = ra.box.sample(rng)
+        t = float(rng.uniform(*t_range))
+        rank = rank_at(ra.fields, x)
+        if rank < fs.chart.leaf_dim:
+            raise DegeneratePointError(x, rank, fs.chart.leaf_dim)
+        values = np.array([X(x) for X in ra.fields])
+        rates = []
+        for F, k in ((lambda y: fs.coeffs(t, y), len(ra.fields)),
+                     (lambda y: leaf_of(fs.chart, y), fs.chart.n_labels)):
+            grads = central_differences(F, x, (k,)).T.copy()
+            rates.append(float(np.abs(dot_last(grads[:, None, :], values)).max(initial=0.0)))
+        com, chart_res = max(com, rates[0]), max(chart_res, rates[1])
+    return com, chart_res
+
+
+def _system(name):
     if name == "sl2-adjoint":
         sl2 = builtin_algebra("sl2")
-        fs = adjoint_foliated_system(sl2, InvariantMetric(sl2, killing_form(sl2)))
-    else:
-        fs = _bundle(name).system
+        return adjoint_foliated_system(sl2, InvariantMetric(sl2, killing_form(sl2)))
+    return _bundle(name).system
+
+
+_VERIFIED = MODEL_NAMES + ("hamilton_jacobi-expr", "lax-expr", "ermakov-expr",
+                           "sl2-adjoint")
+
+
+@pytest.mark.parametrize("name", _VERIFIED)
+def test_verify_foliated_block_differences_equal_the_per_point_loop(name):
+    fs = _system(name)
     rep = verify_foliated(fs, trials=30, seed=7)
     assert (rep.com_residual, rep.chart_residual) == _verify_foliated_per_point(fs, 30, 7)
 
 
+@pytest.mark.parametrize("name", _VERIFIED)
+def test_verify_foliated_on_blocks_equals_the_per_sample_loop_bitwise(name):
+    fs = _system(name)
+    rep = verify_foliated(fs, trials=40, seed=11, t_range=(0.5, 3.0))
+    got = np.array([rep.com_residual, rep.chart_residual])
+    want = np.array(_verify_foliated_per_sample(fs, 40, 11, (0.5, 3.0)))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_verify_foliated_degenerate_point_aborts():
     # field vanishing on half the box: rank drops below leaf_dim there
-    X = VectorField(1, lambda x: np.array([max(x[0], 0.0)]))
+    X = VectorField(1, lambda x: np.maximum(x, 0.0))
     ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1], [1]))
     fs = FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError) as block:
         verify_foliated(fs, trials=200, seed=1)
+    # the first degenerate draw, as the per-sample loop reports it
+    with pytest.raises(DegeneratePointError) as loop:
+        _verify_foliated_per_sample(fs, 200, 1)
+    assert block.value.point.tobytes() == loop.value.point.tobytes()
+    assert block.value.point[0] <= 0.0
+    assert (block.value.rank, block.value.expected) == (0, 1)
 
 
 def test_leaf_of_identity_charts():

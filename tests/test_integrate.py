@@ -150,6 +150,21 @@ def test_csv_export_format(tmp_path):
     assert x_back == traj.states[-1, 0]
 
 
+def test_csv_export_bytes_equal_the_per_value_format(tmp_path):
+    rng = np.random.default_rng(2)
+    states = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+    states[0] = [-0.0, np.inf, -np.inf]
+    states[1] = [np.nan, 5e-324, 1.0 / 3.0]
+    traj = Trajectory(np.linspace(0.0, 1.0, 40) ** 3, states, 0.1)
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+    # the row-by-row writer the single format replaced
+    want = "t,x1,x2,x3\n" + "".join(
+        f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+        for t, row in zip(traj.times, traj.states))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 # --- batches -------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

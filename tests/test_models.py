@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import folsys.models
+from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
@@ -12,29 +12,49 @@ from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, LaxSpec,
                            lax_from_hamiltonian, lax_m_matrix, lax_matrix,
                            lax_matrix_rhs, lax_spectrum, lax_system,
                            lewis_invariant, riccati_system, sum_cos_spec)
-from folsys.util import seeded_rng
+from folsys.util import grad_fd, seeded_rng
 
 
 # --- coefficient maps ----------------------------------------------------------
 
-def test_translation_models_take_one_gradient_per_rhs_evaluation(monkeypatch):
+def test_translation_models_take_one_gradient_per_rhs_evaluation():
     # interpreted H (no analytic gradient): every coefficient of the map comes
-    # from one central-difference gradient of H
-    spec = HamiltonJacobiSpec(3, H=lambda t, P: float(np.sum(np.cos(t * P))))
+    # from one central-difference gradient, one call of H on the 2n perturbed
+    # copies of the momenta
+    shapes = []
+
+    def H(t, P):
+        shapes.append(P.shape)
+        return np.sum(np.cos(t * P), axis=-1)
+
+    spec = HamiltonJacobiSpec(3, H=H)
     bundles = (hj_system(spec), lax_system(lax_from_hamiltonian(3, spec.gradient)))
-    grad_fd = folsys.models.grad_fd
-    calls = []
-
-    def counted(f, x, step=None):
-        calls.append(x)
-        return grad_fd(f, x, step)
-
-    monkeypatch.setattr(folsys.models, "grad_fd", counted)
     x = np.array([0.1, -0.2, 0.3, 1.0, 1.2, 1.4])
     for bundle in bundles:
-        calls.clear()
-        assemble(bundle.system)(0.7, x)
-        assert len(calls) == 1
+        for states in (x, np.stack([x, 2.0 * x])):
+            shapes.clear()
+            assemble(bundle.system)(0.7, states)
+            assert shapes == [(6,) + states.shape[:-1] + (3,)]
+
+
+def test_hj_block_gradient_equals_grad_fd_per_point_bitwise():
+    spec = HamiltonJacobiSpec(2, H=lambda t, P: np.sum(np.cos(t * P), axis=-1))
+    P = seeded_rng(4).uniform(0.5, 2.0, size=(3, 5, 2))
+    block = spec.gradient(0.9, P)
+    assert block.shape == P.shape
+    for idx in np.ndindex(P.shape[:-1]):
+        ref = grad_fd(lambda p: spec.H(0.9, p), P[idx])
+        assert block[idx].tobytes() == ref.tobytes()
+
+
+def test_hj_gradient_needs_one_value_of_H_per_point():
+    # a scalar-collapsing H would be broadcast as P-independent and give a
+    # zero gradient; the fallback rejects it instead
+    spec = HamiltonJacobiSpec(2, H=lambda t, P: float(np.sum(np.cos(t * P))))
+    with pytest.raises(DimensionMismatchError, match="one value per point"):
+        spec.gradient(0.5, np.array([1.0, 1.5]))
+    with pytest.raises(DimensionMismatchError):
+        hj_system(spec).system.coeffs(0.5, np.array([0.0, 0.0, 1.0, 1.5]))
 
 
 # --- Riccati -----------------------------------------------------------------
@@ -96,7 +116,7 @@ def test_hj_gradient_consistency_guard():
 
 
 def test_hj_finite_difference_gradient_fallback():
-    spec = HamiltonJacobiSpec(2, H=lambda t, P: float(np.sum(np.cos(t * P))))
+    spec = HamiltonJacobiSpec(2, H=lambda t, P: np.sum(np.cos(t * P), axis=-1))
     ref = sum_cos_spec(2)
     rng = seeded_rng(9)
     for _ in range(10):
