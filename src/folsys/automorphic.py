@@ -16,10 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra
-from .errors import DimensionMismatchError, IncompatibleActionError
+from .errors import BlowUpError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
-from .foliated import FoliatedSystem, leaf_of
-from .integrate import DEFAULT_STEP, Trajectory, integrate
+from .foliated import FoliatedSystem, coefficient_values, leaf_of
+from .integrate import (DEFAULT_STEP, Trajectory, integrate, partial_trajectory,
+                        time_grid)
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -35,10 +36,11 @@ MATRIX = "matrix"
 class GroupAction:
     """Left action of an abelian or matrix group on R^N.
 
-    ``generators`` pairs with the realized fields of the system being
-    reduced: generators[a] corresponds to field X_a.  For abelian groups a
-    generator is a vector in the group's R^r; for matrix groups a d x d
-    algebra matrix A_a with right-invariant field A_a g.
+    ``act(g, x)`` moves one point ``(N,)`` or a block ``(..., N)`` of points
+    by one group element.  ``generators`` pairs with the realized fields of
+    the system being reduced: generators[a] corresponds to field X_a.  For
+    abelian groups a generator is a vector in the group's R^r; for matrix
+    groups a d x d algebra matrix A_a with right-invariant field A_a g.
     """
 
     kind: str
@@ -91,16 +93,16 @@ def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField
                                points: Sequence[np.ndarray]) -> float:
     """Max deviation of d/ds|_0 act(exp(s A_a), x) from -X_a(x).
 
-    The two group elements exp(+-eps A_a) of each generator are computed once.
+    ``points`` is a block ``(P, N)``: the two group elements exp(+-eps A_a)
+    of each generator are computed once and act on the whole block, and each
+    field is evaluated once on it.
     """
-    steps = [(action.exp(_FD_EPS, a), action.exp(-_FD_EPS, a))
-             for a in range(len(fields))]
+    pts = np.asarray(points, dtype=float)
     worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        for (gp, gm), X in zip(steps, fields):
-            d = (action.act(gp, x) - action.act(gm, x)) / (2.0 * _FD_EPS)
-            worst = max(worst, float(np.max(np.abs(d + X(x)))))
+    for a, X in enumerate(fields):
+        gp, gm = action.exp(_FD_EPS, a), action.exp(-_FD_EPS, a)
+        d = (action.act(gp, pts) - action.act(gm, pts)) / (2.0 * _FD_EPS)
+        worst = max(worst, float(np.max(np.abs(d + X(pts)))))
     return worst
 
 
@@ -108,8 +110,9 @@ def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField
 class AutomorphicSystem:
     """Group-valued system g' = sum_a c_a(t,k) X^R_a(g), leafwise constant.
 
-    ``coeffs(t, k)`` returns (c_1, ..., c_r)(t, k) as one array of shape
-    ``(r,)``, one entry per generator.
+    ``coeffs(t, k)`` returns (c_1, ..., c_r)(t, k), one entry per generator,
+    as one array of shape ``np.shape(t) + (r,)``: ``(r,)`` for a float time,
+    one row per time for an array of times.
     """
 
     kind: str
@@ -127,16 +130,14 @@ class AutomorphicSystem:
                        leaf_space_dim: int, algebra: LieAlgebra | None = None,
                        ) -> "AutomorphicSystem":
         """Build the reduced system from a foliated coefficient map (sign
-        absorbed); a map that does not return one value per generator raises
-        DimensionMismatchError when evaluated."""
+        absorbed).  The map returns one row per time or, when it does not
+        depend on t, one ``(r,)`` row that is broadcast; any other shape
+        raises DimensionMismatchError when evaluated."""
         r = len(generators)
 
         def coeffs(t, k):
-            c = -np.asarray(foliated_coeffs(t, k), dtype=float)
-            if c.shape != (r,):
-                raise DimensionMismatchError(
-                    f"coefficient map returned shape {c.shape}; need {r} coefficients")
-            return c
+            c = -np.asarray(coefficient_values(foliated_coeffs, r, t, k), dtype=float)
+            return np.broadcast_to(c, np.shape(t) + (r,))
 
         return cls(kind=kind, generators=tuple(generators), coeffs=coeffs,
                    leaf_space_dim=leaf_space_dim, algebra=algebra)
@@ -175,7 +176,7 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     The action's generator flows are compared against the realized fields at
     seeded sample points before anything else; mismatch beyond 1e-6 raises.
     Coefficient maps are evaluated at the chart's representative point of the
-    requested leaf.
+    requested leaf, repeated once per requested time.
     """
     if len(action.generators) != fs.realized.algebra.dim:
         raise IncompatibleActionError("one generator per realized field is required")
@@ -190,31 +191,63 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     if chart.leaf_point is None:
         raise IncompatibleActionError("chart has no representative-point map")
 
+    def leaf_coeffs(t, k):
+        x = chart.leaf_point(np.atleast_1d(k))
+        return fs.coeffs(t, np.broadcast_to(x, np.shape(t) + x.shape))
+
     return AutomorphicSystem.from_reduction(
-        kind=action.kind, generators=action.generators,
-        foliated_coeffs=lambda t, k: fs.coeffs(t, chart.leaf_point(np.atleast_1d(k))),
+        kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs,
         leaf_space_dim=chart.n_labels,
         algebra=fs.realized.algebra,
     )
 
 
+def _stage_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps ``(T-1,)`` of a grid and its RK4 stage times ``(3, T-1)``: start,
+    midpoint and end of each step, computed as ``integrate`` computes them."""
+    t = times[:-1]
+    dt = times[1:] - t
+    return dt, np.stack([t, t + 0.5 * dt, t + dt])
+
+
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
                   h: float = DEFAULT_STEP) -> GroupCurve:
-    """Quadrature of the abelian system from the identity (lambda(t0) = 0)."""
+    """Quadrature of the abelian system from the identity (lambda(t0) = 0).
+
+    The right-hand side depends on t only, so classical RK4 reduces to
+    Simpson's rule on each step (Hairer, Norsett, Wanner, *Solving ODEs I*,
+    Sec. II.1): one coefficient call on all stage times, increments
+    (dt/6)(c(t) + 2c(t+dt/2) + 2c(t+dt/2) + c(t+dt)) in the order of
+    operations of ``integrate``, and a sequential running sum, so the curve
+    equals ``integrate``'s bit for bit.  A non-finite node raises
+    BlowUpError with the curve before it as ``partial``.
+    """
     if asys.kind != ABELIAN:
         raise ValueError("solve_abelian requires an abelian system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    r = len(asys.generators)
-    traj = integrate(TDependentVectorField(r, lambda t, lam: asys.coeffs(t, k)),
-                     np.zeros(r), t0, t1, h)
-    return GroupCurve(ABELIAN, traj.times, traj.states, h)
+    times = time_grid(t0, t1, h)
+    dt, stages = _stage_times(times)
+    c1, c2, c4 = asys.coeffs(stages, k)
+    states = np.zeros((times.size, len(asys.generators)))
+    # non-finite values are reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[1:] = (dt[:, None] / 6.0) * (c1 + 2.0 * c2 + 2.0 * c2 + c4)
+        # row by row from the zero row: 0.0 + inc turns a -0.0 into 0.0
+        np.add.accumulate(states, axis=0, out=states)
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        j = bad[0]
+        raise BlowUpError(times[j], partial=partial_trajectory(times, states, j - 1, h))
+    return GroupCurve(ABELIAN, times, states, h)
 
 
 def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
                  h: float = DEFAULT_STEP) -> GroupCurve:
     """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
 
-    The curve is not reprojected onto the group; drift is measured by the
+    The coefficient matrices of all stage times come from one coefficient
+    call before stepping; the right-hand side looks them up by time.  The
+    curve is not reprojected onto the group; drift is measured by the
     caller, never corrected here.  A determinant below the floor is a domain
     exit; errors carry the flattened entries so far as ``partial``.
     """
@@ -223,12 +256,16 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     gens = asys.generators
     d = gens[0].shape[0]
+    _, stages = _stage_times(time_grid(t0, t1, h))
+    c = asys.coeffs(stages, k)
+    M = np.zeros(stages.shape + (d, d))
+    for a, A in enumerate(gens):
+        M += c[..., a, None, None] * A
+    # integrate computes the same stage times as Python floats
+    matrices = dict(zip(stages.ravel().tolist(), M.reshape(-1, d, d)))
 
     def rhs(t, g):
-        M = np.zeros((d, d))
-        for c, A in zip(asys.coeffs(t, k), gens):
-            M += c * A
-        return (M @ g.reshape(d, d)).ravel()
+        return (matrices[t] @ g.reshape(d, d)).ravel()
 
     def domain(g):
         return abs(np.linalg.det(g.reshape(d, d))) >= _DET_FLOOR

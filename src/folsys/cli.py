@@ -279,7 +279,10 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
             fn = compile_expression(str(ham), variables)
 
             def H(t, P):
-                # .T splits off the last axis and puts the result back
+                # .T splits off the last axis and puts the result back;
+                # times, one per point, are laid out like the columns
+                if isinstance(t, np.ndarray):
+                    t = np.broadcast_to(t, P.shape[:-1]).T
                 v = fn(t, *P.T)
                 # one value per point, also where the expression has no P
                 return v.T if isinstance(v, np.ndarray) else np.broadcast_to(

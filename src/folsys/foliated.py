@@ -82,8 +82,11 @@ class FoliatedSystem:
     """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over a realized algebra.
 
     ``coeffs(t, x)`` maps states ``(..., N)`` to all r coefficients as one
-    array ``(..., r)``, or ``(r,)`` when they do not depend on x, so values they
-    share (a gradient, an invariant) are computed once per call.
+    array ``(..., r)``, so values they share (a gradient, an invariant) are
+    computed once per call.  ``t`` is a float or an array of times, one per
+    point, broadcasting against ``x.shape[:-1]``.  A map whose values do not
+    depend on x may return ``np.shape(t) + (r,)`` instead, or ``(r,)`` when
+    they depend on neither; see ``coefficient_values``.
     """
 
     realized: RealizedAlgebra
@@ -101,6 +104,25 @@ class FoliatedSystem:
         return self.realized.ambient_dim
 
 
+def coefficient_values(coeffs, r: int, t, x: np.ndarray) -> np.ndarray:
+    """``coeffs(t, x)`` as an array, checked against the coefficient-map contract.
+
+    ``t`` is a float or an array of times broadcasting against
+    ``x.shape[:-1]``.  The value has shape ``x.shape[:-1] + (r,)``, or, when
+    it does not depend on x, ``np.shape(t) + (r,)`` or ``(r,)``; any other
+    shape raises DimensionMismatchError.  The time-array shape is tested
+    last, so a float ``t`` adds no numpy call to the check.
+    """
+    c = np.asarray(coeffs(t, x))
+    if (c.shape != x.shape[:-1] + (r,) and c.shape != (r,)
+            and not (isinstance(t, np.ndarray) and c.shape == t.shape + (r,))):
+        raise DimensionMismatchError(
+            f"coefficient map returned shape {c.shape} for states of shape "
+            f"{x.shape} at times of shape {np.shape(t)}; need {r} coefficients "
+            f"per state")
+    return c
+
+
 def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x).
 
@@ -114,11 +136,7 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     r = len(flds)
 
     def func(t, x):
-        c = np.asarray(coeffs(t, x))
-        if c.shape not in (x.shape[:-1] + (r,), (r,)):
-            raise DimensionMismatchError(
-                f"coefficient map returned shape {c.shape} for states of shape "
-                f"{x.shape}; need {r} coefficients per state")
+        c = coefficient_values(coeffs, r, t, x)
         # entry a is the coefficient of field a: one number for all states,
         # or a column of one per state (c.T[..., None] for a batch (B, r))
         cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
@@ -156,21 +174,20 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
 
     A sampled point where the realized fields drop below the leaf rank aborts
     with DegeneratePointError (for the first such sample) instead of silently
-    resampling.  The ranks (one stacked SVD), the field values and the
-    central differences of the leaf labels each come from one evaluation on
-    the ``(trials, N)`` block of all samples; the coefficient map, which
-    takes one time per call, is called once per sample on the ``(2N, N)``
-    block of its central differences.
+    resampling.  The ranks (one stacked SVD), the field values, the central
+    differences of the leaf labels and those of the coefficient map (with the
+    ``(trials,)`` sample times) each come from one evaluation on the
+    ``(trials, N)`` block of all samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
     ra = fs.realized
     xs = np.empty((trials, ra.ambient_dim))
-    ts = []
+    ts = np.empty(trials)
     for i in range(trials):
         xs[i] = ra.box.sample(rng)
-        ts.append(float(rng.uniform(*t_range)))
+        ts[i] = rng.uniform(*t_range)
     ranks = rank_at(ra.fields, xs)
     low = np.flatnonzero(ranks < fs.chart.leaf_dim)
     if low.size:
@@ -179,10 +196,14 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     # (trials, r, N): the values at each sample are contiguous rows
     values = np.stack([X(xs) for X in ra.fields], axis=1)
     r = len(ra.fields)
-    # np.max, unlike the builtin, keeps a NaN rate
-    com = float(np.max([
-        _rates(central_differences(lambda y: fs.coeffs(t, y), x, (r,)), v).max(initial=0.0)
-        for t, x, v in zip(ts, xs, values)]))
+
+    def coeffs(y):
+        # y is (2N, trials, N); a value of one row per time is spread over 2N
+        return np.broadcast_to(coefficient_values(fs.coeffs, r, ts, y),
+                               y.shape[:-1] + (r,))
+
+    # ndarray.max, unlike the builtin max, keeps a NaN rate
+    com = float(_rates(central_differences(coeffs, xs, (r,)), values).max(initial=0.0))
     labels = central_differences(lambda y: leaf_of(fs.chart, y), xs,
                                  (fs.chart.n_labels,))
     chart_res = float(_rates(labels, values).max(initial=0.0))

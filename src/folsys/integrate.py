@@ -52,7 +52,13 @@ class Trajectory:
         return self.states[-1].copy()
 
 
-def _time_grid(t0: float, t1: float, h: float) -> np.ndarray:
+def time_grid(t0: float, t1: float, h: float) -> np.ndarray:
+    """Sample times from t0 to t1 (reached exactly) in steps of h, the last
+    step possibly shorter; ValueError unless t0 < t1 and 0 < h <= t1 - t0."""
+    if not t1 > t0:
+        raise ValueError("need t1 > t0")
+    if not 0.0 < h <= t1 - t0:
+        raise ValueError("need 0 < h <= t1 - t0")
     n_full = int(np.floor((t1 - t0) / h + 1e-9))
     times = t0 + h * np.arange(n_full + 1)
     if times[-1] < t1 - 1e-9 * h:
@@ -75,17 +81,13 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
         raise ValueError(f"initial state must have shape ({F.dim},) or (B, {F.dim})")
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    if not 0.0 < h <= t1 - t0:
-        raise ValueError("need 0 < h <= t1 - t0")
+    times = time_grid(t0, t1, h)
     inside = F.domain
     if inside is not None and x0.ndim == 2:
         inside = lambda x: all(F.domain(row) for row in x)
     if inside is not None and not inside(x0):
         raise DomainExitError(t0, "initial state outside domain")
 
-    times = _time_grid(t0, t1, h)
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     x = x0.copy()
@@ -100,16 +102,18 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
         k4 = F(t + dt, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
-            raise BlowUpError(times[k + 1], partial=_partial(times, states, k, h))
+            raise BlowUpError(times[k + 1],
+                              partial=partial_trajectory(times, states, k, h))
         if inside is not None and not inside(x):
             raise DomainExitError(times[k + 1],
-                                  partial=_partial(times, states, k, h))
+                                  partial=partial_trajectory(times, states, k, h))
         states[k + 1] = x
     return Trajectory(times, states, h)
 
 
-def _partial(times, states, k, h):
-    # samples up to the last accepted step; reported alongside guard exits
+def partial_trajectory(times, states, k, h):
+    """Samples up to step k, the last accepted one, reported alongside guard
+    exits; None when only the initial state was accepted (k = 0)."""
     if k < 1:
         return None
     return Trajectory(times[:k + 1].copy(), states[:k + 1].copy(), h)

@@ -59,6 +59,9 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class RiccatiSpec:
+    """Coefficients a_i(t): a float for a float t; for an array of times, one
+    value per time or one constant value."""
+
     a0: Callable[[float], float]
     a1: Callable[[float], float]
     a2: Callable[[float], float]
@@ -113,7 +116,16 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
-    coeffs = lambda t, x: np.array([spec.a0(t), spec.a1(t), spec.a2(t)], dtype=float)
+
+    def coeffs(t, x):
+        c = (spec.a0(t), spec.a1(t), spec.a2(t))
+        if not isinstance(t, np.ndarray):
+            return np.array(c, dtype=float)
+        out = np.empty(t.shape + (3,))  # one row per time
+        for a, value in enumerate(c):
+            out[..., a] = value
+        return out
+
     system = FoliatedSystem(realized, coeffs, chart, name="riccati")
     return ModelBundle(
         name="riccati", system=system, rule=riccati_rule(), action=None,
@@ -129,7 +141,8 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
 @dataclass(frozen=True)
 class HamiltonJacobiSpec:
     """H(t, P) maps momenta ``(..., n)`` to one value per point ``(...)``;
-    ``dH`` maps them to ``(..., n)``."""
+    ``dH`` maps them to ``(..., n)``.  ``t`` is a float or an array of
+    times ``(...)``, one per point."""
 
     n: int
     H: Callable[[float, np.ndarray], np.ndarray]
@@ -171,11 +184,18 @@ class HamiltonJacobiSpec:
 
 def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
     """H(t, P) = sum_i cos(t P_i) with analytic gradient -t sin(t P_i)."""
-    return HamiltonJacobiSpec(
-        n=n,
-        H=lambda t, P: np.sum(np.cos(t * P), axis=-1),
-        dH=lambda t, P: -t * np.sin(t * P),
-    )
+
+    def H(t, P):
+        if isinstance(t, np.ndarray):
+            t = t[..., None]  # times (...) against momenta (..., n)
+        return np.sum(np.cos(t * P), axis=-1)
+
+    def dH(t, P):
+        if isinstance(t, np.ndarray):
+            t = t[..., None]
+        return -t * np.sin(t * P)
+
+    return HamiltonJacobiSpec(n=n, H=H, dH=dH)
 
 
 def _translation_model(name: str, spec, scale: float, coeffs, q0,
@@ -205,7 +225,7 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
 
     def act(lam, x):
         out = np.asarray(x, dtype=float).copy()
-        out[:n] = out[:n] - scale * np.asarray(lam, dtype=float)
+        out[..., :n] = out[..., :n] - scale * np.asarray(lam, dtype=float)
         return out
 
     action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
@@ -240,8 +260,9 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class LaxSpec:
-    """Coefficients f(t, I) = (f_1, ..., f_n)(t, I), one array of shape
-    ``(n,)``, depending only on time and the leaf coordinates I."""
+    """Coefficients f(t, I) = (f_1, ..., f_n)(t, I), depending only on time
+    and the leaf coordinates I: an array ``(..., n)`` for coordinates
+    ``(..., n)`` and a float time or an array of times ``(...)``."""
 
     n: int
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -310,8 +331,9 @@ def lax_system(spec: LaxSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class ErmakovSpec:
-    """omega2(t, I) takes invariant values ``(...)`` and returns one frequency
-    per value, or one I-independent frequency."""
+    """omega2(t, I) takes invariant values ``(...)``, and a float time or an
+    array of times broadcasting against them, and returns one frequency per
+    value, or one I-independent frequency."""
 
     omega2: Callable[[float, np.ndarray], np.ndarray]
     c1: float = 1.0
@@ -414,10 +436,15 @@ def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
 
     def act(g, s):
         g = np.asarray(g, dtype=float)
-        x, y, vx, vy = np.asarray(s, dtype=float)
-        px = g @ np.array([x, vx])
-        py = g @ np.array([y, vy])
-        return np.array([px[0], py[0], px[1], py[1]])
+        s = np.asarray(s, dtype=float)
+        out = np.empty(s.shape)
+        rows = out.reshape(-1, 4)
+        # point by point: a stacked product need not round like g @ pair
+        for i, (x, y, vx, vy) in enumerate(s.reshape(-1, 4).tolist()):
+            px = g @ np.array([x, vx])
+            py = g @ np.array([y, vy])
+            rows[i] = px[0], py[0], px[1], py[1]
+        return out
 
     return GroupAction(kind="matrix", act=act, identity=np.eye(2),
                        generators=(A1, A2, A3), name="pairwise-linear")

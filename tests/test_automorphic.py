@@ -12,7 +12,9 @@ from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 solve_abelian, solve_matrix)
 from folsys.errors import (BlowUpError, DimensionMismatchError, DomainExitError,
                            IncompatibleActionError)
-from folsys.foliated import assemble
+from folsys.cli import ScenarioConfig, build_bundle
+from folsys.fields import TDependentVectorField
+from folsys.foliated import assemble, leaf_of
 from folsys.integrate import integrate
 from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, default_model,
                            ermakov_matrix_action, ermakov_system, hj_system,
@@ -73,7 +75,7 @@ def test_reduce_rejects_sign_flipped_action():
 
     def flipped(lam, x):
         out = np.asarray(x, dtype=float).copy()
-        out[:n] = out[:n] + np.asarray(lam, dtype=float)
+        out[..., :n] = out[..., :n] + np.asarray(lam, dtype=float)
         return out
 
     bad = GroupAction(kind=ABELIAN, act=flipped, identity=np.zeros(n),
@@ -269,3 +271,159 @@ def test_group_curve_consistency_second_order():
     curve = solve_matrix(asys, k, 0.0, 1.0, h)
     # central differences of the stored curve estimate g' to O(h^2)
     assert group_curve_consistency(asys, curve, k) <= 10.0 * h ** 2
+
+
+# --- group solves against the integrate loops they replaced ------------------
+
+def _solve_abelian_on_integrate(asys, k, t0, t1, h):
+    """RK4 through integrate on the t-only field, one coefficient call per
+    stage: the loop the Simpson quadrature of solve_abelian replaced."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    r = len(asys.generators)
+    return integrate(TDependentVectorField(r, lambda t, lam: asys.coeffs(t, k)),
+                     np.zeros(r), t0, t1, h)
+
+
+def _solve_matrix_on_integrate(asys, k, t0, t1, h):
+    """integrate with one coefficient call and one matrix sum per stage: the
+    loop the single coefficient call of solve_matrix replaced."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    gens = asys.generators
+    d = gens[0].shape[0]
+
+    def rhs(t, g):
+        M = np.zeros((d, d))
+        for c, A in zip(asys.coeffs(t, k), gens):
+            M += c * A
+        return (M @ g.reshape(d, d)).ravel()
+
+    def domain(g):
+        return abs(np.linalg.det(g.reshape(d, d))) >= 1e-12
+
+    return integrate(TDependentVectorField(d * d, rhs, domain=domain),
+                     np.eye(d).ravel(), t0, t1, h)
+
+
+_GRIDS = ((0.0, 2.0, 3e-3), (0.3, 1.7, 0.07), (-1.0, 1.0, 0.01))
+
+
+def _configured(model, params):
+    return build_bundle(ScenarioConfig.from_dict({"model": model, "params": params}))
+
+
+def _abelian_cases():
+    hj_expr = _configured("hamilton_jacobi", {
+        "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2+sin(t)"})
+    lax_expr = _configured("lax", {
+        "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"})
+    cases = {name: (reduce_system(b.system, b.action), b.default_state, b.system.chart)
+             for name, b in (("hamilton_jacobi", default_model("hamilton_jacobi")),
+                             ("lax", default_model("lax")),
+                             ("hamilton_jacobi-expr", hj_expr),
+                             ("lax-expr", lax_expr))}
+    return {name: (asys, leaf_of(chart, x0)) for name, (asys, x0, chart) in cases.items()}
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_solve_abelian_equals_the_integrate_loop_bitwise(grid):
+    cases = _abelian_cases()
+    # -0.0 coefficients: the running sum starts from a zero row, as the loop
+    # turned 0.0 + (-0.0) into 0.0
+    cases["negative-zero"] = (AutomorphicSystem.from_reduction(
+        ABELIAN, tuple(np.eye(2)), lambda t, k: np.zeros(np.shape(t) + (2,)), 0),
+        np.zeros(0))
+    for name, (asys, k) in cases.items():
+        curve = solve_abelian(asys, k, *grid)
+        ref = _solve_abelian_on_integrate(asys, k, *grid)
+        assert curve.times.tobytes() == ref.times.tobytes(), name
+        assert curve.elements.tobytes() == ref.states.tobytes(), name
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
+    cases = []
+    for omega2 in (0.9, "0.9+0.05*sin(t)+0.02*I"):
+        b = _configured("ermakov", {"omega2": omega2, "c1": 0.0, "c2": 0.0})
+        cases.append((reduce_system(b.system, b.action),
+                      leaf_of(b.system.chart, np.array([1.0, 1.2, 0.3, -0.2]))))
+    real = builtin_realization("glp:1")
+    cases.append((AutomorphicSystem.from_reduction(
+        MATRIX, real.matrices,
+        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0),
+        np.zeros(0)))
+    for asys, k in cases:
+        curve = solve_matrix(asys, k, *grid)
+        ref = _solve_matrix_on_integrate(asys, k, *grid)
+        assert curve.times.tobytes() == ref.times.tobytes()
+        assert curve.elements.tobytes() == ref.states.reshape(-1, 2, 2).tobytes()
+
+
+def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():
+    blowups = {
+        "inf": lambda t, k: np.where(np.asarray(t) < 5.0, 1.0, np.inf)[..., None],
+        "nan": lambda t, k: np.where(np.asarray(t) < 2.5, 1.0, np.nan)[..., None],
+        "inf-at-t0": lambda t, k: np.full(np.shape(t) + (1,), -np.inf),
+        # finite increments whose running sum overflows near t = 18
+        "overflow": lambda t, k: np.full(np.shape(t) + (1,), -1e307),
+    }
+    for name, coeffs in blowups.items():
+        asys = AutomorphicSystem.from_reduction(ABELIAN, (np.eye(1)[0],), coeffs, 0)
+        with pytest.raises(BlowUpError) as exc:
+            solve_abelian(asys, np.zeros(0), 0.0, 100.0, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as loop:
+            _solve_abelian_on_integrate(asys, np.zeros(0), 0.0, 100.0, 0.5)
+        assert exc.value.t == loop.value.t, name
+        got, want = exc.value.partial, loop.value.partial
+        if name == "inf-at-t0":
+            assert got is None and want is None
+            continue
+        assert got.times.tobytes() == want.times.tobytes(), name
+        assert got.states.tobytes() == want.states.tobytes(), name
+        assert np.all(np.isfinite(got.states)), name
+
+
+def test_time_independent_reduced_map_is_broadcast():
+    asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
+                                            lambda t, k: np.array([1.0, -2.0]), 0)
+    times = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    c = asys.coeffs(times, np.zeros(0))
+    assert c.shape == (3, 4, 2)
+    assert np.all(c == [-1.0, 2.0])
+    assert asys.coeffs(0.5, np.zeros(0)).shape == (2,)
+    curve = solve_abelian(asys, np.zeros(0), 0.0, 1.0, 0.125)
+    assert np.allclose(curve.elements[-1], [-1.0, 2.0], rtol=0, atol=1e-15)
+
+
+def test_reduced_map_stacked_on_the_wrong_axis_raises():
+    # one row per time is np.shape(t) + (r,); coefficients first is rejected
+    for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
+                              (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
+        asys = AutomorphicSystem.from_reduction(
+            kind, gens, lambda t, k: np.stack([np.cos(t), np.sin(t)]), 0)
+        with pytest.raises(DimensionMismatchError):
+            solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
+
+
+def test_solve_abelian_keeps_the_argument_errors_of_integrate():
+    asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
+                                            lambda t, k: np.ones(2), 0)
+    for t0, t1, h, match in ((1.0, 1.0, 0.1, "t1 > t0"), (0.0, 1.0, 0.0, "0 < h"),
+                             (0.0, 1.0, 2.0, "0 < h")):
+        for solve in (solve_abelian, _solve_abelian_on_integrate):
+            with pytest.raises(ValueError, match=match):
+                solve(asys, np.zeros(0), t0, t1, h)
+
+
+def test_shipped_actions_act_on_blocks_point_by_point():
+    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
+    rng = seeded_rng(5)
+    cases = [(default_model(name).action, default_model(name).system)
+             for name in ("hamilton_jacobi", "lax")]
+    cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
+    for action, fs in cases:
+        pts = fs.realized.box.sample_many(rng, 12).reshape(3, 4, -1)
+        for a in range(len(action.generators)):
+            g = action.exp(0.3, a)
+            block = action.act(g, pts)
+            loop = np.array([action.act(g, x) for x in pts.reshape(12, -1)])
+            assert block.tobytes() == loop.reshape(pts.shape).tobytes()

@@ -12,7 +12,8 @@ from folsys.cli import ScenarioConfig, build_bundle
 from folsys.errors import DegeneratePointError, DimensionMismatchError
 from folsys.fields import RealizedAlgebra, VectorField, rank_at
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
-                             leaf_drift, leaf_of, sup_drift, verify_foliated)
+                             coefficient_values, leaf_drift, leaf_of, sup_drift,
+                             verify_foliated)
 from folsys.integrate import integrate
 from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_system, hj_system, lewis_invariant,
@@ -162,15 +163,15 @@ def test_verify_foliated_broken_coefficient():
     assert rep.com_residual == pytest.approx(1.0, rel=1e-6)
 
 
-def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
-    # one map call per sample on the 2N = 8 perturbed points of a central
-    # difference, one label call on the perturbed copies of all samples
+def test_verify_foliated_differentiates_the_coefficient_map_once():
+    # one map call and one label call, each on the 2N = 8 perturbed copies
+    # of all samples; the map gets the sample times, one per sample
     fs = hj_system(sum_cos_spec(2)).system
     calls = []
     label_calls = []
 
     def counted(t, x):
-        calls.append(x.shape)
+        calls.append((np.shape(t), x.shape))
         return fs.coeffs(t, x)
 
     def counted_labels(x):
@@ -179,7 +180,7 @@ def test_verify_foliated_differentiates_the_coefficient_map_once_per_sample():
 
     chart = dataclasses.replace(fs.chart, leaf_map=counted_labels)
     rep = verify_foliated(FoliatedSystem(fs.realized, counted, chart), trials=3)
-    assert calls == [(2 * fs.dim, fs.dim)] * 3
+    assert calls == [((3,), (2 * fs.dim, 3, fs.dim))]
     assert label_calls == [(2 * fs.dim, 3, fs.dim)]
     assert rep.com_residual <= 1e-8
 
@@ -244,6 +245,46 @@ def _system(name):
 
 _VERIFIED = MODEL_NAMES + ("hamilton_jacobi-expr", "lax-expr", "ermakov-expr",
                            "sl2-adjoint")
+
+
+# configured models with constant or time-only coefficients
+_CONFIGURED = {
+    "riccati-const": {"model": "riccati", "params": {"a0": 1.2, "a1": 0.0, "a2": -0.7}},
+    "riccati-expr": {"model": "riccati", "params": {
+        "a0": "1+0.3*sin(t)", "a1": 0.1, "a2": "-0.6-0.1*cos(2*t)"}},
+    "ermakov-const": {"model": "ermakov", "params": {"omega2": 1.2, "c1": 0.0, "c2": 0.0}},
+}
+
+
+@pytest.mark.parametrize("name", _VERIFIED + tuple(_CONFIGURED))
+def test_coefficients_at_an_array_of_times_equal_the_per_time_calls(name):
+    fs = (build_bundle(ScenarioConfig.from_dict(_CONFIGURED[name])).system
+          if name in _CONFIGURED else _system(name))
+    r = len(fs.realized.fields)
+    rng = seeded_rng(4)
+    ts = rng.uniform(-1.0, 3.0, size=6)
+    # one time per sample, on the samples and on a block of copies of them
+    for xs in (fs.realized.box.sample_many(rng, 6),
+               fs.realized.box.sample_many(rng, 12).reshape(2, 6, -1)):
+        got = np.broadcast_to(coefficient_values(fs.coeffs, r, ts, xs),
+                              xs.shape[:-1] + (r,))
+        want = np.array([[fs.coeffs(float(t), x) for t, x in zip(ts, row)]
+                         for row in xs.reshape(-1, 6, fs.dim)]).reshape(got.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_coefficient_map_of_wrong_shape_at_an_array_of_times_raises():
+    fs = hj_system(sum_cos_spec(2)).system
+    ts = np.linspace(0.0, 1.0, 3)
+    xs = np.ones((3, 4))
+    # coefficients first, a row of the wrong length, a time axis the map dropped
+    for wrong in (lambda t, x: np.stack([np.cos(t), np.sin(t)]),
+                  lambda t, x: np.zeros(np.shape(t) + (3,)),
+                  lambda t, x: np.zeros((1, 2))):
+        with pytest.raises(DimensionMismatchError):
+            coefficient_values(wrong, 2, ts, xs)
+        with pytest.raises(DimensionMismatchError):
+            verify_foliated(FoliatedSystem(fs.realized, wrong, fs.chart), trials=3)
 
 
 @pytest.mark.parametrize("name", _VERIFIED)

@@ -254,7 +254,7 @@ def test_solve_matrix_matches_reference_loop():
     real = builtin_realization("glp:1")
     glp = AutomorphicSystem.from_reduction(
         MATRIX, real.matrices,
-        lambda t, k: np.array([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)]), 0,
+        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0,
         algebra=real.algebra)
 
     for asys, kk in ((erm, k), (glp, np.zeros(0))):
