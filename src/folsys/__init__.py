@@ -7,12 +7,11 @@ from .algebra import (InvariantMetric, LieAlgebra, MatrixRealization,
                       builtin_realization, jacobi_residual, killing_form,
                       realization_residual)
 from .fields import (RealizedAlgebra, TDependentVectorField, VectorField,
-                     diagonal_prolongation, diagonality_defect,
-                     directional_derivative, lie_bracket_at,
-                     minimal_particular_solutions, rank_at)
+                     diagonal_prolongation, directional_derivative,
+                     lie_bracket_at, minimal_particular_solutions, rank_at)
 from .foliated import (FoliatedSystem, FoliationChart, assemble, leaf_drift,
                        leaf_of, sup_drift, verify_foliated)
-from .integrate import (Trajectory, convergence_order, integrate, interpolate,
+from .integrate import (Trajectory, convergence_order, integrate,
                         trajectory_to_csv)
 from .superposition import (SuperpositionRule, apply_rule, derive_abelian_rule,
                             first_integral_residual, solve_parameters,

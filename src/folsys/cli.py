@@ -343,7 +343,9 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
                           min_separation=bundle.extras.get("rule_min_separation", 0.0))
         tol = 1e-6 if model == "riccati" else 1e-8
         return [_timed("superposition.reconstruction", model, seed,
-                       rep.max_reconstruction_error, tol, start)]
+                       rep.max_reconstruction_error, tol, start),
+                _timed("superposition.first_integral", model, seed,
+                       rep.first_integral, 1e-8, start)]
 
     if name == "automorphic":
         if bundle.action is None:

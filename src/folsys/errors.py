@@ -50,10 +50,6 @@ class AbelianDerivationError(FolsysError):
     """Closed-form rule derivation requires an abelian translation realization."""
 
 
-class NoParameterFoundError(FolsysError):
-    """Parameter solve did not converge for any multistart."""
-
-
 class IncompatibleActionError(FolsysError):
     """Group action generators do not match the realized vector fields."""
 

@@ -51,17 +51,6 @@ class TDependentVectorField:
         return np.asarray(self.func(float(t), np.asarray(x, dtype=float)), dtype=float)
 
 
-def check_jacobian(X: VectorField, points: Sequence[np.ndarray], rtol: float = 1e-5) -> float:
-    """Relative deviation of the attached Jacobian from central differences."""
-    worst = 0.0
-    for x in points:
-        J = X.jacobian_at(np.asarray(x, dtype=float))
-        J_fd = jacobian_fd(X, np.asarray(x, dtype=float))
-        scale = max(1.0, float(np.max(np.abs(J_fd))))
-        worst = max(worst, float(np.max(np.abs(J - J_fd))) / scale)
-    return worst
-
-
 def lie_bracket_at(X: VectorField, Y: VectorField, x) -> np.ndarray:
     """[X, Y](x) = J_Y(x) X(x) - J_X(x) Y(x)."""
     x = np.asarray(x, dtype=float)
@@ -98,40 +87,6 @@ def diagonal_prolongation(X: VectorField, m: int) -> VectorField:
             return J
 
     return VectorField(n * m, func, jac=jac, name=f"{X.name}^[{m}]" if X.name else "")
-
-
-def diagonality_defect(Z: VectorField, n: int, samples: Sequence[np.ndarray]) -> float:
-    """0 iff Z looks like a diagonal prolongation of a field on R^n over the samples.
-
-    Measures (a) cross-slot locality: block a must not react when another slot
-    moves, and (b) slot agreement: all blocks must realize the same function.
-    """
-    if Z.dim % n != 0:
-        raise DimensionMismatchError("prolonged dimension must be divisible by n")
-    samples = [np.asarray(s, dtype=float) for s in samples]
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    m = Z.dim // n
-    defect = 0.0
-    for idx, xi in enumerate(samples):
-        other = samples[(idx + 1) % len(samples)]
-        z0 = Z(xi)
-        for b in range(m):
-            moved = xi.copy()
-            moved[b * n:(b + 1) * n] = other[b * n:(b + 1) * n]
-            zb = Z(moved)
-            for a in range(m):
-                if a == b:
-                    continue
-                block = slice(a * n, (a + 1) * n)
-                defect = max(defect, float(np.max(np.abs(zb[block] - z0[block]))))
-        # all slots on the diagonal point must return the same block value
-        diag = np.tile(xi[:n], m)
-        zd = Z(diag)
-        first = zd[:n]
-        for a in range(1, m):
-            defect = max(defect, float(np.max(np.abs(zd[a * n:(a + 1) * n] - first))))
-    return defect
 
 
 def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL):

@@ -119,19 +119,6 @@ def partial_trajectory(times, states, k, h):
     return Trajectory(times[:k + 1].copy(), states[:k + 1].copy(), h)
 
 
-def interpolate(traj: Trajectory, t: float) -> np.ndarray:
-    """Piecewise-linear interpolation; bitwise exact at stored sample times."""
-    times = traj.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t out of range: {t} not in [{times[0]}, {times[-1]}]")
-    idx = int(np.searchsorted(times, t))
-    if idx < times.size and times[idx] == t:
-        return traj.states[idx].copy()
-    lo, hi = idx - 1, idx
-    w = (t - times[lo]) / (times[hi] - times[lo])
-    return (1.0 - w) * traj.states[lo] + w * traj.states[hi]
-
-
 def convergence_order(F: TDependentVectorField, x0, t0: float, t1: float,
                       h: float) -> float:
     """log2 of the terminal-error ratio between steps h and h/2.

@@ -84,22 +84,37 @@ def _sl2_algebra(names: tuple[str, str, str]) -> la.LieAlgebra:
     return la.LieAlgebra(3, names, c)
 
 
+def _distinct_scale(pairs) -> np.ndarray:
+    """max(1, largest |value|) of each sample; raises SingularCombinationError
+    where the two values of a pair agree to 1e-12 of it."""
+    scale = np.maximum(1.0, np.max(np.abs(pairs), axis=(0, 1)))
+    if np.any(np.min(np.abs([a - b for a, b in pairs]), axis=0) < 1e-12 * scale):
+        raise SingularCombinationError("coincident points in the cross ratio")
+    return scale
+
+
 def riccati_rule() -> SuperpositionRule:
-    """Cross-ratio rule in three particular solutions and one constant."""
+    """Cross-ratio rule in three particular solutions and one constant; its
+    first integral is the cross ratio k = (x-u1)(u3-u2) / ((u2-x)(u3-u1))."""
 
     def psi(sols, k):
         u1, u2, u3 = (s[..., 0] for s in sols)
         kk = float(k[0])
-        scale = np.maximum(1.0, np.max(np.abs([u1, u2, u3]), axis=0))
-        if np.any(np.min(np.abs([u1 - u2, u1 - u3, u2 - u3]), axis=0) < 1e-12 * scale):
-            raise SingularCombinationError("coincident particular solutions")
+        scale = _distinct_scale([(u1, u2), (u1, u3), (u2, u3)])
         den = (u3 - u2) + kk * (u3 - u1)
         if np.any(np.abs(den) < 1e-12 * scale * max(1.0, abs(kk))):
             raise SingularCombinationError("vanishing denominator")
         num = u1 * (u3 - u2) + kk * u2 * (u3 - u1)
         return (num / den)[..., None]
 
-    return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi,
+    def F(x, sols):
+        u1, u2, u3 = (s[..., 0] for s in sols)
+        u = x[..., 0]
+        # x = u2 is the pole of k
+        _distinct_scale([(u1, u2), (u1, u3), (u2, u3), (u2, u)])
+        return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
+
+    return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
                              leaf_preserving=False, vg_dim=3, name="riccati")
 
 

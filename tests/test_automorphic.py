@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import folsys.automorphic
 from folsys.algebra import builtin_realization
 from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 GroupAction, GroupCurve,
@@ -67,6 +70,27 @@ def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == 2 * len(fs.realized.fields)
         assert res == ref
+
+
+def test_gate_residual_keeps_a_nan_field():
+    bundle = default_model("hamilton_jacobi")
+    fs = bundle.system
+    nan_field = dataclasses.replace(fs.realized.fields[0],
+                                    func=lambda x: np.full(x.shape, np.nan))
+    realized = dataclasses.replace(
+        fs.realized, fields=(nan_field,) + fs.realized.fields[1:])
+    pts = realized.box.sample_many(seeded_rng(3), 25)
+    assert np.isnan(fundamental_field_residual(bundle.action, realized.fields, pts))
+    with pytest.raises(IncompatibleActionError):
+        reduce_system(dataclasses.replace(fs, realized=realized), bundle.action)
+
+
+def test_reduce_rejects_a_nan_gate_residual(monkeypatch):
+    bundle = default_model("hamilton_jacobi")
+    monkeypatch.setattr(folsys.automorphic, "fundamental_field_residual",
+                        lambda action, fields, points: float("nan"))
+    with pytest.raises(IncompatibleActionError, match="residual nan"):
+        reduce_system(bundle.system, bundle.action)
 
 
 def test_reduce_rejects_sign_flipped_action():

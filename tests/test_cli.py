@@ -263,6 +263,19 @@ def test_cli_exit_codes_and_reports(tmp_path):
     assert any(r["status"] == "fail" for r in rows)
 
 
+def test_cli_riccati_seed_2_fits_its_rule(tmp_path):
+    # a seed whose cross-ratio fit lies beyond the pole of the rule in k
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "riccati.json"
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "folsys.cli", "--config", str(config),
+                           "--seed", "2", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((out / "report.json").read_text())
+    assert {"superposition.first_integral", "superposition.reconstruction"} <= {
+        r["check"] for r in rows}
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": "riccati",

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from folsys.algebra import builtin_algebra
 from folsys.errors import RankDeficiencyError
-from folsys.fields import (RealizedAlgebra, VectorField, check_jacobian,
-                           diagonal_prolongation, diagonality_defect,
+from folsys.fields import (RealizedAlgebra, VectorField, diagonal_prolongation,
                            directional_derivative, lie_bracket_at,
                            minimal_particular_solutions, rank_at,
                            structure_residual)
@@ -134,37 +133,6 @@ def test_prolongation_morphism_on_builtin_models():
                     assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
-def test_diagonality_defect_zero_for_prolongations():
-    X = VectorField(1, lambda x: np.array([np.sin(x[0])]))
-    Z = diagonal_prolongation(X, 2)
-    samples = [np.array([0.3, 1.2]), np.array([-0.5, 0.7])]
-    assert diagonality_defect(Z, 1, samples) == 0.0
-
-
-def test_diagonality_defect_sum_of_prolongations():
-    X = VectorField(1, lambda x: np.array([x[0]]))
-    Y = VectorField(1, lambda x: np.array([np.cos(x[0])]))
-    ZX = diagonal_prolongation(X, 2)
-    ZY = diagonal_prolongation(Y, 2)
-    Z = VectorField(2, lambda xi: ZX(xi) + ZY(xi))
-    samples = [np.array([0.3, 1.2]), np.array([-0.5, 0.7])]
-    assert diagonality_defect(Z, 1, samples) <= 1e-14
-
-
-def test_diagonality_defect_detects_slot_coupling():
-    X = VectorField(1, lambda x: np.array([1.0]))
-    Z0 = diagonal_prolongation(X, 2)
-    Z = VectorField(2, lambda xi: xi[0] * Z0(xi))  # coefficient depends on slot 1
-    samples = [np.array([0.3, 1.2]), np.array([1.5, 0.7])]
-    assert diagonality_defect(Z, 1, samples) > 0.1
-
-
-def test_diagonality_defect_needs_samples():
-    X = VectorField(1, lambda x: np.array([1.0]))
-    with pytest.raises(ValueError):
-        diagonality_defect(diagonal_prolongation(X, 2), 1, [np.zeros(2)])
-
-
 def test_rank_translations():
     flds = [const_field(4, 0), const_field(4, 1)]
     assert rank_at(flds, np.array([0.1, 2.0, -1.0, 3.0])) == 2
@@ -231,14 +199,6 @@ def test_minimal_solutions_rank_deficiency():
                          Box([-2, -2], [2, 2]))
     with pytest.raises(RankDeficiencyError):
         minimal_particular_solutions(ra, cap=4)
-
-
-def test_check_jacobian_on_model_fields():
-    for name in ("riccati", "ermakov"):
-        ra = default_model(name).system.realized
-        pts = ra.box.sample_many(seeded_rng(11), 10)
-        for X in ra.fields:
-            assert check_jacobian(X, pts) <= 1e-5
 
 
 def test_structure_residual_builtins_at_seeded_points():

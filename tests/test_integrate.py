@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import builtin_realization
@@ -15,7 +13,7 @@ from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_of)
 from folsys.integrate import (Trajectory, convergence_order, integrate,
-                              interpolate, trajectory_to_csv)
+                              trajectory_to_csv)
 from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_matrix_action, ermakov_system)
 from folsys.util import Box, seeded_rng
@@ -89,35 +87,6 @@ def test_precondition_errors():
         integrate(EXP, np.array([1.0]), 1.0, 0.0, 1e-3)
     with pytest.raises(ValueError):
         integrate(EXP, np.array([1.0]), 0.0, 1.0, 2.0)
-
-
-def test_interpolate_constant_and_midpoint():
-    traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [2.0]]), 1.0)
-    assert interpolate(traj, 0.5)[0] == pytest.approx(1.0)
-    czero = integrate(ZERO, np.array([1.0, 2.0, 3.0]), 0.0, 1.0, 0.25)
-    assert np.array_equal(interpolate(czero, 0.4), czero.states[0])
-
-
-def test_interpolate_exact_at_nodes():
-    traj = integrate(EXP, np.array([1.0]), 0.0, 1.0, 0.1)
-    for k in (0, 3, len(traj) - 1):
-        assert np.array_equal(interpolate(traj, traj.times[k]), traj.states[k])
-
-
-def test_interpolate_out_of_range():
-    traj = integrate(EXP, np.array([1.0]), 0.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        interpolate(traj, -0.1)
-    with pytest.raises(ValueError):
-        interpolate(traj, 1.1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(0.0, 1.0))
-def test_interpolate_linear_between_nodes(t):
-    traj = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0)
-    val = interpolate(traj, t)
-    assert np.allclose(val, [2.0 * t, 1.0 + 2.0 * t], atol=1e-12)
 
 
 def test_convergence_order_exponential():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folsys.errors import (AbelianDerivationError, DimensionMismatchError,
-                           NoParameterFoundError, SingularCombinationError)
+                           SingularCombinationError)
 from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
@@ -108,8 +108,8 @@ def test_apply_rule_dimension_checks():
 
 def test_rule_parameter_count_guard():
     with pytest.raises(ValueError):
-        SuperpositionRule(m=1, state_dim=2, param_dim=1,
-                          psi=lambda s, k: s[0], vg_dim=3)
+        SuperpositionRule(m=1, state_dim=2, param_dim=1, psi=lambda s, k: s[0],
+                          F=lambda x, s: x[..., :1] - s[0][..., :1], vg_dim=3)
 
 
 def test_constructed_rules_satisfy_count():
@@ -154,22 +154,27 @@ def test_leaf_preservation_of_derived_rules():
 
 def test_first_integral_residual_hj():
     hj = hj_system(sum_cos_spec(1))
-    # joint layout (x_(0), x_(1)) = (Q0, P0, Q1, P1)
-    good = [lambda xi: xi[0] - xi[2], lambda xi: xi[1]]
+    rule = derive_abelian_rule(hj.system)
+    # joint points (x_(1), x): (Q1, P1), (Q, P)
     rng = seeded_rng(4)
-    samples = rng.uniform(-2, 2, size=(10, 4))
-    assert first_integral_residual(hj.system, good, samples) <= 1e-8
-    bad = [lambda xi: xi[0]]
-    assert first_integral_residual(hj.system, bad, samples) == pytest.approx(1.0, rel=1e-6)
+    joint = rng.uniform(-1, 1, size=(10, 2, 2))
+    assert first_integral_residual(rule, hj.system, joint) <= 1e-8
+    # Q alone moves along d/dQ at unit rate; |Q| <= 1 leaves it unscaled
+    bad = dataclasses.replace(rule, F=lambda x, sols: x[..., :1])
+    assert first_integral_residual(bad, hj.system, joint) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_first_integral_residual_lax():
     lax = default_model("lax")
-    # n = 2: slots of size 4; differences of the translated block and one label
-    good = [lambda xi: xi[0] - xi[4], lambda xi: xi[1] - xi[5], lambda xi: xi[2]]
     rng = seeded_rng(4)
-    samples = rng.uniform(0.5, 2.0, size=(10, 8))
-    assert first_integral_residual(lax.system, good, samples) <= 1e-8
+    joint = rng.uniform(0.5, 2.0, size=(10, 2, 4))
+    assert first_integral_residual(lax.rule, lax.system, joint) <= 1e-8
+
+
+def test_first_integral_residual_riccati_block_shape():
+    ric = default_model("riccati")
+    with pytest.raises(DimensionMismatchError):
+        first_integral_residual(ric.rule, ric.system, np.zeros((5, 3, 1)))
 
 
 def test_verify_rule_hj():
@@ -191,49 +196,120 @@ def test_verify_rule_riccati():
     assert rep.max_reconstruction_error <= 1e-6
 
 
-def test_verify_rule_wrong_rule_raises():
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_rule_riccati_over_seeds(seed):
+    bundle = default_model("riccati")
+    rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=seed,
+                      h=0.02, min_separation=0.15)
+    assert rep.max_reconstruction_error <= 1e-6
+    assert rep.first_integral <= 1e-8
+
+
+def test_verify_rule_wrong_rule_fails_a_row():
     bundle = default_model("hamilton_jacobi")
+    # F is the translation first integral, but psi ignores the parameter
     wrong = SuperpositionRule(m=1, state_dim=4, param_dim=2,
                               psi=lambda sols, k: sols[0].copy(),
+                              F=lambda x, sols: x[..., :2] - sols[0][..., :2],
                               leaf_preserving=True)
-    with pytest.raises(NoParameterFoundError):
-        verify_rule(wrong, bundle.system, (0.0, 1.0), trials=1, seed=42)
+    rep = verify_rule(wrong, bundle.system, (0.0, 1.0), trials=1, seed=42)
+    assert rep.max_reconstruction_error > 1e-8  # superposition.reconstruction
+    assert rep.first_integral <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
+def test_verify_rule_wrong_first_integral_fails(name):
+    bundle = default_model(name)
+    rule = bundle.rule
+    # scaling the leaf coordinate of x breaks the invariance of F
+    wrong = dataclasses.replace(
+        rule, F=lambda x, sols: rule.F(x * np.r_[1.5, np.ones(x.shape[-1] - 1)], sols))
+    rep = verify_rule(wrong, bundle.system, (0.0, 1.0), trials=3, seed=42, h=0.05,
+                      min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    assert rep.first_integral > 1e-3  # superposition.first_integral: 1e-8
+
+
+def test_verify_rule_keeps_a_nan_reconstruction_error():
+    bundle = default_model("hamilton_jacobi")
+
+    def psi(sols, k):
+        out = bundle.rule.psi(sols, k)
+        # the fit at t0 sees one point; the reconstruction of the grid is NaN
+        return np.full_like(out, np.nan) if out.ndim > 1 else out
+
+    nan_rule = dataclasses.replace(bundle.rule, psi=psi)
+    rep = verify_rule(nan_rule, bundle.system, (0.0, 0.5), trials=3, seed=42, h=0.05)
+    assert np.isnan(rep.max_reconstruction_error)
 
 
 def test_solve_parameters_propagates_programming_errors():
     def psi(sols, k):
         raise TypeError("broken rule")
 
-    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=psi)
+    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=psi,
+                             F=lambda x, sols: x - sols[0])
     with pytest.raises(TypeError, match="broken rule"):
         solve_parameters(rule, [np.array([0.1])], np.array([0.2]))
-
-
-def test_solve_parameters_evaluates_each_probe_once():
-    rule = riccati_rule()
-    calls = []
-
-    def psi(sols, k):
-        calls.append(1)
-        return rule.psi(sols, k)
-
-    counted = dataclasses.replace(rule, psi=psi)
-    sols = [np.array([0.1]), np.array([0.5]), np.array([-0.3])]
-    k, res = solve_parameters(counted, sols, np.array([0.3]))
-    # 1 start + 5 Gauss-Newton iterations of 2 Jacobian probes and 1
-    # line-search step; the exact k is 2
-    assert len(calls) == 16
-    assert k[0] == 1.9999999990686783
-    assert res == 4.656608432185294e-11
 
 
 def test_solve_parameters_exactness_on_translations():
     rule = default_model("hamilton_jacobi").rule
     sol = np.array([0.3, -0.2, 1.0, 1.5])
     target = np.array([1.1, 0.4, 1.0, 1.5])
-    k, res = solve_parameters(rule, [sol], target, seed=0)
-    assert np.allclose(k, [0.8, 0.6], atol=1e-9)
-    assert res <= 1e-10
+    k, res = solve_parameters(rule, [sol], target)
+    assert np.array_equal(k, target[:2] - sol[:2])
+    assert res <= 1e-15
+
+
+def test_solve_parameters_crosses_the_cross_ratio_pole():
+    # x just beyond u2 gives k far outside any bounded search box
+    rule = riccati_rule()
+    sols = [np.array([0.1]), np.array([0.5]), np.array([-0.3])]
+    k, res = solve_parameters(rule, sols, np.array([0.51]))
+    assert abs(k[0]) > 20.0
+    assert res <= 1e-14
+
+
+def test_riccati_first_integral_singular_inputs():
+    rule = riccati_rule()
+    with pytest.raises(SingularCombinationError):
+        rule.F(np.array([0.3]), [np.array([1.0]), np.array([1.0]), np.array([2.0])])
+    # x at u2 is the pole of the cross ratio
+    with pytest.raises(SingularCombinationError):
+        rule.F(np.array([1.0]), [np.array([0.0]), np.array([1.0]), np.array([2.0])])
+
+
+@st.composite
+def separated_samples(draw, n, copies, width):
+    """n samples of ``copies`` states in R^width whose states differ by at
+    least 0.05 in every coordinate."""
+    out = np.empty((n, copies, width))
+    for i in range(n):
+        for j in range(width):
+            gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=copies - 1,
+                                 max_size=copies - 1))
+            vals = draw(st.floats(-3, 3)) + np.concatenate([[0.0], np.cumsum(gaps)])
+            out[i, :, j] = vals[draw(st.permutations(range(copies)))]
+    return out
+
+
+@pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_integral_inverts_the_rule(name, data):
+    rule = default_model(name).rule
+    n = 6
+    pts = data.draw(separated_samples(n, rule.m + 1, rule.state_dim))
+    x, sols = pts[:, -1], [pts[:, i] for i in range(rule.m)]
+    if rule.leaf_preserving:  # x on the leaf of x_(1)
+        x[:, rule.chart.leaf_dim:] = sols[0][:, rule.chart.leaf_dim:]
+    k = rule.F(x, sols)
+    assert k.shape == (n, rule.param_dim)
+    for i in range(n):
+        single = [s[i] for s in sols]
+        assert k[i].tobytes() == rule.F(x[i], single).tobytes()
+        back = apply_rule(rule, single, k[i])
+        assert np.allclose(back, x[i], rtol=1e-12, atol=1e-12)
 
 
 def test_riccati_cross_ratio_constant_along_flow():
