@@ -32,7 +32,7 @@ from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
                       is_foliated_lie_hamilton, jacobiator, kirillov_bivector,
                       linear_coordinates, poisson_bracket,
                       rmatrix_bivector_aff)
-from .superposition import verify_rule
+from .superposition import rule_points, rule_report
 from .util import coordinate_function, seeded_rng
 
 CHECK_NAMES = ("foliated", "leaf_drift", "superposition", "automorphic",
@@ -42,6 +42,7 @@ PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
                "lax": ("n", "hamiltonian"),
                "ermakov": ("omega2", "c1", "c2")}
 REPORT_FORMATS = ("json", "csv")
+RULE_TRIALS = 3
 
 
 def _divide(a, b):
@@ -312,10 +313,24 @@ def _timed(check: str, model: str, seed: int, value: float, tol: float,
                        seed=seed)
 
 
+def _require_support(name: str, bundle: mdl.ModelBundle) -> None:
+    """ConfigError unless the bundle carries what check ``name`` reads: a rule,
+    a group action or a conserved observable."""
+    needs = {"superposition": bundle.rule, "automorphic": bundle.action,
+             "spectrum": bundle.observables.get("spectrum"),
+             "lewis": bundle.observables.get("lewis")}
+    if name in needs and needs[name] is None:
+        hint = " (ermakov requires c1 = c2 = 0)" if name == "automorphic" else ""
+        raise ConfigError(f"check {name!r} not supported for {bundle.name}{hint}")
+
+
 def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
-               traj: Trajectory) -> list[CheckReport]:
-    """Rows of one check; every check reads the scenario's trajectory ``traj``."""
-    t0, t1, h, seed = cfg.t0, cfg.t1, cfg.step, cfg.seed
+               traj: Trajectory,
+               rule_runs: np.ndarray | FolsysError | None) -> list[CheckReport]:
+    """Rows of one check; every check reads the scenario's trajectory ``traj``,
+    and superposition the rule runs sampled on its grid, or the error that
+    integrating them raised."""
+    t0, t1, seed = cfg.t0, cfg.t1, cfg.seed
     start = time.perf_counter()
     model = bundle.name
 
@@ -336,11 +351,9 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
         return [_timed("leaf_drift", model, seed, drift, 0.0, start)]
 
     if name == "superposition":
-        if bundle.rule is None:
-            raise ConfigError(f"check 'superposition' not supported for {model}")
-        rep = verify_rule(bundle.rule, bundle.system, (t0, t1), trials=3,
-                          seed=seed, h=h,
-                          min_separation=bundle.extras.get("rule_min_separation", 0.0))
+        if isinstance(rule_runs, FolsysError):
+            raise rule_runs
+        rep = rule_report(bundle.rule, bundle.system, rule_runs, RULE_TRIALS)
         tol = 1e-6 if model == "riccati" else 1e-8
         return [_timed("superposition.reconstruction", model, seed,
                        rep.max_reconstruction_error, tol, start),
@@ -348,9 +361,6 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
                        rep.first_integral, 1e-8, start)]
 
     if name == "automorphic":
-        if bundle.action is None:
-            raise ConfigError(f"check 'automorphic' not supported for {model}"
-                              " (ermakov requires c1 = c2 = 0)")
         err = reconstruction_error(bundle.system, bundle.action, traj, seed=seed)
         tol = 1e-6 if model == "ermakov" else 1e-8
         return [_timed("automorphic.reconstruction", model, seed, err, tol, start)]
@@ -360,9 +370,7 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
 
     if name in ("spectrum", "lewis"):
         # conserved observables: the lax spectrum, the ermakov invariant
-        obs = bundle.observables.get(name)
-        if obs is None:
-            raise ConfigError(f"check {name!r} not supported for {model}")
+        obs = bundle.observables[name]
         drift = sup_drift(obs, traj.states)
         if name == "spectrum":
             return [_timed("spectrum.drift", model, seed, drift, 1e-12, start)]
@@ -433,8 +441,14 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
 
 
 def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
-    """Execute the scenario; returns reports and the written data files."""
+    """Execute the scenario; returns reports and the written data files.
+
+    The scenario trajectory and the superposition trials share one RK4 batch:
+    x0 is its last row, on the scenario grid.
+    """
     bundle = build_bundle(cfg)
+    for name in cfg.checks:
+        _require_support(name, bundle)
     x0 = bundle.default_state
     if cfg.initial_state is not None:
         x0 = np.asarray(cfg.initial_state, dtype=float)
@@ -443,12 +457,31 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
                               f"for {bundle.name}, got {x0.size}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = integrate(assemble(bundle.system), x0, cfg.t0, cfg.t1, cfg.step)
+    F = assemble(bundle.system)
+    grid = (cfg.t0, cfg.t1, cfg.step)
+    traj = rule_runs = None
+    if "superposition" in cfg.checks:
+        try:
+            pts = rule_points(bundle.rule, bundle.system, RULE_TRIALS, cfg.seed,
+                              bundle.extras.get("rule_min_separation", 0.0))
+            joint = integrate(F, np.vstack([pts, x0]), *grid)
+        except FolsysError as exc:
+            # a failing trial must not cost the scenario its trajectory:
+            # x0 is integrated alone below, and the check raises exc
+            rule_runs = exc
+        else:
+            # batch rows are elementwise: the last one is x0 integrated alone,
+            # copied to the contiguous layout it has there
+            traj = Trajectory(joint.times, np.ascontiguousarray(joint.states[:, -1]),
+                              joint.step)
+            rule_runs = joint.states[:, :-1]
+    if traj is None:
+        traj = integrate(F, x0, *grid)
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
     reports = []
     for name in cfg.checks:
-        reports.extend(_run_check(name, bundle, cfg, traj))
+        reports.extend(_run_check(name, bundle, cfg, traj, rule_runs))
     reports.sort(key=lambda r: (r.check, r.model))
     return reports, {"trajectory": str(traj_path)}
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AbelianDerivationError, DimensionMismatchError
+from .errors import AbelianDerivationError, DimensionMismatchError, FolsysError
 from .fields import minimal_particular_solutions
 from .foliated import FoliatedSystem, assemble
 from .integrate import DEFAULT_STEP, integrate
@@ -120,7 +120,7 @@ def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
             pts = [box.sample(rng) for _ in range(count)]
             if min_separation <= 0.0 or _separated(pts, min_separation):
                 return pts
-        raise RuntimeError("could not draw separated sample points")
+        raise FolsysError("could not draw separated sample points")
     if not chart.is_split:
         raise ValueError("leaf sampling needs a split chart")
     labels = box.sample(rng)[chart.leaf_dim:]
@@ -132,7 +132,7 @@ def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
             pts.append(x)
         if min_separation <= 0.0 or _separated(pts, min_separation):
             return pts
-    raise RuntimeError("could not draw separated sample points")
+    raise FolsysError("could not draw separated sample points")
 
 
 def _separated(pts, eps: float) -> bool:
@@ -143,26 +143,30 @@ def _separated(pts, eps: float) -> bool:
     return True
 
 
-def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
-                horizon: tuple[float, float], trials: int = 3, seed: int = 42,
-                h: float = DEFAULT_STEP, min_separation: float = 0.0) -> RuleReport:
-    """Empirical check that one parameter fit at t0 reconstructs the target for all t.
-
-    Per trial: draw rule.m particular initial conditions and one target on a
-    common random leaf, read k = F(target(t0), sols(t0)), then rebuild the
-    whole grid in one rule call and measure the sup reconstruction error.  The
-    solutions of all trials are integrated together as one batch, and the
-    first-integral residual is measured on the joint points drawn at t0.
-    """
-    t0, t1 = horizon
-    m = rule.m
+def rule_points(rule: SuperpositionRule, fs: FoliatedSystem, trials: int = 3,
+                seed: int = 42, min_separation: float = 0.0) -> np.ndarray:
+    """Initial points ``(trials * (m+1), N)`` of the rule runs, trial by trial:
+    rule.m particular initial conditions, then one target, on a common random
+    leaf drawn from its own generator ``seed + trial``."""
     pts = []
     for trial in range(trials):
         rng = seeded_rng(seed + trial)  # independent, reproducible trials
-        pts += _sample_on_leaf(fs, rng, m + 1, min_separation=min_separation)
-    traj = integrate(assemble(fs), np.array(pts), t0, t1, h)
+        pts += _sample_on_leaf(fs, rng, rule.m + 1, min_separation=min_separation)
+    return np.array(pts)
+
+
+def rule_report(rule: SuperpositionRule, fs: FoliatedSystem, states,
+                trials: int) -> RuleReport:
+    """Measure the runs ``states`` ``(T, trials * (m+1), N)`` of the points
+    drawn by ``rule_points``, sampled on one grid.
+
+    Per trial, read k = F(target(t0), sols(t0)), then rebuild the whole grid in
+    one rule call and measure the sup reconstruction error; the first-integral
+    residual is measured on the joint points at t0.
+    """
+    m = rule.m
     # axes (time, trial, solution, state): m particular solutions, then the target
-    runs = traj.states.reshape(len(traj), trials, m + 1, fs.dim)
+    runs = states.reshape(len(states), trials, m + 1, fs.dim)
     errs = []
     for trial in range(trials):
         sols, target = runs[:, trial, :m], runs[:, trial, m]
@@ -172,6 +176,17 @@ def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
     # np.max keeps a NaN that the builtin max would drop
     return RuleReport(max_reconstruction_error=float(np.max(errs)),
                       first_integral=first_integral_residual(rule, fs, runs[0]))
+
+
+def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
+                horizon: tuple[float, float], trials: int = 3, seed: int = 42,
+                h: float = DEFAULT_STEP, min_separation: float = 0.0) -> RuleReport:
+    """Empirical check that one parameter fit at t0 reconstructs the target for all t:
+    the points of ``rule_points``, integrated together as one batch over the
+    horizon, measured by ``rule_report``."""
+    pts = rule_points(rule, fs, trials, seed, min_separation)
+    traj = integrate(assemble(fs), pts, *horizon, h)
+    return rule_report(rule, fs, traj.states, trials)
 
 
 def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,

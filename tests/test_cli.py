@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 import folsys.automorphic
 import folsys.cli
+import folsys.superposition
 from folsys.cli import (ScenarioConfig, build_bundle, compile_expression,
                         main, run)
 from folsys.errors import ConfigError
-from folsys.integrate import integrate
+from folsys.foliated import assemble
+from folsys.integrate import integrate, trajectory_to_csv
+from folsys.superposition import rule_points
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -213,12 +216,15 @@ def test_run_all_checks_pass(tmp_path):
 
 
 def test_run_rejects_unsupported_check(tmp_path):
-    for model, check in (("riccati", "spectrum"), ("lax", "lewis")):
+    for model, check in (("riccati", "spectrum"), ("lax", "lewis"),
+                         ("ermakov", "superposition"), ("riccati", "automorphic")):
         cfg = ScenarioConfig.from_dict({
-            "model": model, "checks": [check], "out": str(tmp_path),
+            "model": model, "checks": ["leaf_drift", check], "out": str(tmp_path),
         })
         with pytest.raises(ConfigError, match=f"check '{check}' not supported"):
             run(cfg)
+        # rejected before any integration
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
@@ -228,18 +234,58 @@ def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
         calls.append(1)
         return integrate(*args, **kwargs)
 
-    for module in (folsys.cli, folsys.automorphic):
+    for module in (folsys.cli, folsys.automorphic, folsys.superposition):
         monkeypatch.setattr(module, "integrate", counting)
-    cfg = ScenarioConfig.from_dict({
-        "model": "lax", "checks": ["leaf_drift", "spectrum", "automorphic"],
-        "integration": {"t0": 0.0, "t1": 1.0, "step": 1e-2},
-        "out": str(tmp_path),
-    })
-    reports, _ = run(cfg)
-    assert all(r.status == "pass" for r in reports)
-    # the scenario flow only: the abelian quadrature of the reconstruction
-    # sums Simpson increments without stepping through integrate
-    assert len(calls) == 1
+    for checks in (["leaf_drift", "spectrum", "automorphic"],
+                   ["leaf_drift", "superposition", "spectrum"]):
+        calls.clear()
+        cfg = ScenarioConfig.from_dict({
+            "model": "lax", "checks": checks,
+            "integration": {"t0": 0.0, "t1": 1.0, "step": 1e-2},
+            "out": str(tmp_path),
+        })
+        reports, _ = run(cfg)
+        assert all(r.status == "pass" for r in reports)
+        # the scenario flow only: the superposition trials ride in the
+        # scenario's batch, and the abelian quadrature of the reconstruction
+        # sums Simpson increments without stepping through integrate
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, params", [
+    ("riccati", {}),
+    ("riccati", {"a0": "sin(t)", "a1": "0.5*cos(t)", "a2": -1}),
+    ("hamilton_jacobi", {"n": 2}),
+    ("lax", {"n": 2}),
+    ("lax", {"n": 3, "hamiltonian": "cos(P1) + P2*P3 + t*P1**2"}),
+])
+def test_scenario_row_of_the_rule_batch_is_bitwise_its_own_run(model, params):
+    bundle = build_bundle(ScenarioConfig.from_dict({"model": model,
+                                                    "params": params}))
+    pts = rule_points(bundle.rule, bundle.system, trials=3, seed=5,
+                      min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    F = assemble(bundle.system)
+    x0 = bundle.default_state
+    alone = integrate(F, x0, 0.0, 1.0, 0.01).states
+    joint = integrate(F, np.vstack([pts, x0]), 0.0, 1.0, 0.01).states
+    assert np.array_equal(joint[:, -1], alone)
+
+
+def test_failing_trials_keep_the_scenario_trajectory(tmp_path, capsys):
+    # x' = x^2 from -0.5 stays finite; rule trials from positive states blow up
+    path = write_config(tmp_path / "blow.json", model="riccati",
+                        params={"a0": 0, "a1": 0, "a2": 1},
+                        integration={"t0": 0, "t1": 3, "step": 0.01},
+                        initial_state=[-0.5], checks=["superposition"])
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "blow-up at t=1.21" in capsys.readouterr().err
+    bundle = build_bundle(ScenarioConfig.from_dict(json.loads(path.read_text())))
+    trajectory_to_csv(integrate(assemble(bundle.system), np.array([-0.5]),
+                                0.0, 3.0, 0.01), tmp_path / "alone.csv")
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_cli_exit_codes_and_reports(tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folsys.errors import (AbelianDerivationError, DimensionMismatchError,
-                           SingularCombinationError)
+                           FolsysError, SingularCombinationError)
 from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
 from folsys.models import default_model, hj_system, sum_cos_spec
-from folsys.superposition import (SuperpositionRule, apply_rule,
+from folsys.superposition import (SuperpositionRule, _sample_on_leaf, apply_rule,
                                   derive_abelian_rule, first_integral_residual,
                                   solve_parameters, verify_rule)
 from folsys.util import seeded_rng
@@ -203,6 +203,13 @@ def test_verify_rule_riccati_over_seeds(seed):
                       h=0.02, min_separation=0.15)
     assert rep.max_reconstruction_error <= 1e-6
     assert rep.first_integral <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
+def test_sample_on_leaf_raises_a_folsys_error_when_separation_is_impossible(name):
+    fs = default_model(name).system
+    with pytest.raises(FolsysError, match="could not draw separated sample points"):
+        _sample_on_leaf(fs, seeded_rng(0), 3, min_separation=1e9)
 
 
 def test_verify_rule_wrong_rule_fails_a_row():
