@@ -4,13 +4,16 @@
 The reference scenarios are the bundled configs in ``scripts/configs`` and
 the members of seeds 1 and 2 of every perfbench workload
 (``perfbench/scenarios.py``).  Each runs through ``cli.run`` and
-``cli.report_render`` in a temporary directory, and the script prints one
-line per scenario: its name, the sha256 of ``trajectory.csv`` and the sha256
-of the ``report.json`` rows without ``runtime_s`` (the only field that may
-vary between identical runs), or the error the scenario raised.
+``cli.report_render`` in a temporary directory.  For each scenario the
+script prints its name and the sha256 of ``trajectory.csv``, or the error
+the scenario raised, and then one line per ``report.json`` row: the name,
+the row's check and the sha256 of the row without ``runtime_s`` (the only
+field that may vary between identical runs).  A diff of two outputs thus
+names every row that was added, removed or changed.
 
 The scenarios run on the folsys package of the checkout holding this
-script.  Run it from the repository root of two checkouts and diff:
+script, so to compare with another commit, copy the script into a checkout
+of it.  Run it from the repository root of both checkouts and diff:
 
     python3 scripts/output_digest.py > digest.txt
 """
@@ -46,25 +49,28 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(config: dict, out_dir: Path) -> str:
+def digest(config: dict, out_dir: Path) -> list[str]:
+    """The trajectory digest, then one ``<check> <digest>`` per report row."""
     cfg = ScenarioConfig.from_dict(dict(config, out=str(out_dir)))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             reports, _ = run(cfg)
             report_render(reports, cfg.out, fmt=cfg.fmt)
     except (ConfigError, FolsysError) as exc:
-        return f"error {type(exc).__name__}: {exc}"
+        return [f"error {type(exc).__name__}: {exc}"]
     rows = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    lines = [sha256((out_dir / "trajectory.csv").read_bytes())]
     for row in rows:
         del row["runtime_s"]
-    return " ".join((sha256((out_dir / "trajectory.csv").read_bytes()),
-                     sha256(json.dumps(rows, sort_keys=True).encode())))
+        lines.append(f"{row['check']} {sha256(json.dumps(row, sort_keys=True).encode())}")
+    return lines
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, config) in enumerate(reference_configs()):
-            print(name, digest(config, Path(tmp) / str(i)), flush=True)
+            for line in digest(config, Path(tmp) / str(i)):
+                print(name, line, flush=True)
     return 0
 
 

@@ -339,7 +339,8 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
         return [
             _timed("foliated.com_residual", model, seed, rep.com_residual, 1e-6, start),
             _timed("foliated.chart_residual", model, seed, rep.chart_residual, 1e-6, start),
-            _timed("foliated.rank", model, seed, 0.0 if rep.rank_ok else 1.0, 0.0, start),
+            _timed("foliated.rank", model, seed, rep.rank_shortfall, 0.0, start),
+            _timed("foliated.structure", model, seed, rep.structure_residual, 1e-6, start),
         ]
 
     if name == "leaf_drift":

@@ -62,17 +62,5 @@ class MetricError(FolsysError):
     """Bilinear form is not symmetric, nondegenerate and invariant."""
 
 
-class DegeneratePointError(FolsysError):
-    """Sampled point where the realized fields drop rank."""
-
-    def __init__(self, point, rank: int, expected: int):
-        self.point = point
-        self.rank = rank
-        self.expected = expected
-        super().__init__(
-            f"degenerate point: rank {rank} < {expected} at {point}"
-        )
-
-
 class ConfigError(FolsysError):
     """Scenario configuration failed validation."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import algebra as la
 from .errors import DimensionMismatchError, RankDeficiencyError
-from .util import Box, grad_fd, jacobian_fd, seeded_rng
+from .util import FD_SCALE, Box, grad_fd, seeded_rng
 
 RANK_RTOL = 1e-10
 DEFAULT_SEED = 42
@@ -21,21 +21,14 @@ PROLONGATION_CAP = 10
 
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous vector field; ``jac`` is optional and analytic when given."""
+    """Autonomous vector field."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float)
-        return jacobian_fd(self.__call__, x)
 
 
 @dataclass(frozen=True)
@@ -52,11 +45,21 @@ class TDependentVectorField:
 
 
 def lie_bracket_at(X: VectorField, Y: VectorField, x) -> np.ndarray:
-    """[X, Y](x) = J_Y(x) X(x) - J_X(x) Y(x)."""
+    """[X, Y](x) = DY(x) X(x) - DX(x) Y(x) from field values only.
+
+    ``x`` is one point ``(N,)`` or a block ``(..., N)``.  Each derivative is a
+    central difference along the other field,
+    (Y(x + hX) - Y(x - hX) - X(x + hY) + X(x - hY)) / 2h, with the step
+    h = FD_SCALE * max(1, max|x|) of each point; the fields must take blocks
+    when x is one.
+    """
     x = np.asarray(x, dtype=float)
-    if not (X.dim == Y.dim == x.size):
+    if not (X.dim == Y.dim and x.shape[-1:] == (X.dim,)):
         raise DimensionMismatchError("fields and point must share a dimension")
-    return Y.jacobian_at(x) @ X(x) - X.jacobian_at(x) @ Y(x)
+    h = FD_SCALE * np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
+    hX = h * X(x)
+    hY = h * Y(x)
+    return (Y(x + hX) - Y(x - hX) - X(x + hY) + X(x - hY)) / (2.0 * h)
 
 
 def directional_derivative(X: VectorField, f: Callable[[np.ndarray], float], x) -> float:
@@ -77,27 +80,20 @@ def diagonal_prolongation(X: VectorField, m: int) -> VectorField:
             out[a * n:(a + 1) * n] = X(xi[a * n:(a + 1) * n])
         return out
 
-    jac = None
-    if X.jac is not None:
-        def jac(xi):
-            J = np.zeros((n * m, n * m))
-            for a in range(m):
-                sl = slice(a * n, (a + 1) * n)
-                J[sl, sl] = X.jac(xi[sl])
-            return J
-
-    return VectorField(n * m, func, jac=jac, name=f"{X.name}^[{m}]" if X.name else "")
+    return VectorField(n * m, func, name=f"{X.name}^[{m}]" if X.name else "")
 
 
 def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL):
     """Numerical rank of the N x r matrix of field values at x.
 
     ``x`` is one point ``(N,)``, which gives an int, or a block ``(..., N)``,
-    which gives one rank per point from one stacked SVD.
+    which gives one rank per point from one stacked SVD.  A point where a
+    field value is not finite has rank 0.
     """
     x = np.asarray(x, dtype=float)
     M = np.stack([X(x) for X in fields], axis=-1)
-    sv = np.linalg.svd(M, compute_uv=False)
+    finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
+    sv = np.linalg.svd(np.where(finite, M, 0.0), compute_uv=False)
     # a zero matrix has rank 0: no singular value exceeds rtol * 0
     ranks = np.sum(sv > rtol * sv[..., :1], axis=-1)
     return int(ranks) if x.ndim == 1 else ranks
@@ -126,18 +122,25 @@ class RealizedAlgebra:
         return self.fields[0].dim
 
 
-def structure_residual(ra: RealizedAlgebra, points: Sequence[np.ndarray]) -> float:
-    """Max deviation of numeric brackets from the structure constants."""
+def structure_residual(ra: RealizedAlgebra, x) -> float:
+    """Max deviation of the brackets [X_a, X_b] from sum_g c[a,b,g] X_g.
+
+    ``x`` is one point ``(N,)`` or a block ``(..., N)``; the fields are called
+    once on it for their values and ``lie_bracket_at`` once per pair a < b.
+    A NaN deviation is kept, so the value then fails any tolerance.
+    """
+    x = np.asarray(x, dtype=float)
     c = ra.algebra.structure
-    worst = 0.0
-    for x in points:
-        vals = [X(x) for X in ra.fields]
-        for a in range(ra.algebra.dim):
-            for b in range(a + 1, ra.algebra.dim):
-                lhs = lie_bracket_at(ra.fields[a], ra.fields[b], x)
-                rhs = sum(c[a, b, g] * vals[g] for g in range(ra.algebra.dim))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    vals = [X(x) for X in ra.fields]
+    r = len(vals)
+    worst = []
+    for a in range(r):
+        for b in range(a + 1, r):
+            lhs = lie_bracket_at(ra.fields[a], ra.fields[b], x)
+            rhs = sum(c[a, b, g] * vals[g] for g in range(r))
+            worst.append(np.abs(lhs - rhs).max(initial=0.0))
+    # ndarray.max, unlike the builtin max, keeps a NaN deviation
+    return float(np.max(worst, initial=0.0))
 
 
 def minimal_particular_solutions(ra: RealizedAlgebra, trials: int = 5,

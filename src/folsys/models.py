@@ -119,15 +119,12 @@ def riccati_rule() -> SuperpositionRule:
 
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
-    zero_jac = lambda x: np.zeros((1, 1))
     # fields act on the last axis, so one call serves a batch of states;
     # float_power rounds through libm pow like the scalar x ** 2, where
     # array ** 2 takes numpy's square shortcut and can differ in the last bit
-    x0f = VectorField(1, lambda x: np.ones(x.shape), jac=zero_jac, name="X0")
-    x1f = VectorField(1, lambda x: x.copy(),
-                      jac=lambda x: np.array([[1.0]]), name="X1")
-    x2f = VectorField(1, lambda x: np.float_power(x, 2),
-                      jac=lambda x: np.array([[2.0 * x[0]]]), name="X2")
+    x0f = VectorField(1, lambda x: np.ones(x.shape), name="X0")
+    x1f = VectorField(1, lambda x: x.copy(), name="X1")
+    x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
@@ -229,8 +226,7 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
             out = np.zeros(x.shape)
             out[..., i] = scale
             return out
-        return VectorField(dim, func, jac=lambda x: np.zeros((dim, dim)),
-                           name=f"{labels[0]}{i + 1}")
+        return VectorField(dim, func, name=f"{labels[0]}{i + 1}")
 
     flds = tuple(make_field(i) for i in range(n))
     box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
@@ -371,15 +367,6 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
         x, y, vx, vy = s.T
         return np.array([vx, vy, c2 / (x * x * y), c1 / (x * y * y)]).T
 
-    def j1(s):
-        x, y, vx, vy = s
-        return np.array([
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-2.0 * c2 / (x ** 3 * y), -c2 / (x * y) ** 2, 0.0, 0.0],
-            [-c1 / (x * y) ** 2, -2.0 * c1 / (x * y ** 3), 0.0, 0.0],
-        ])
-
     def f2(s):
         return s * half  # (x, y, -vx, -vy) / 2
 
@@ -388,17 +375,9 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
         out[..., 2:] = -s[..., :2]
         return out
 
-    j2 = lambda s: 0.5 * np.diag([1.0, 1.0, -1.0, -1.0])
-
-    def j3(s):
-        J = np.zeros((4, 4))
-        J[2, 0] = -1.0
-        J[3, 1] = -1.0
-        return J
-
-    return (VectorField(4, f1, jac=j1, name="X1"),
-            VectorField(4, f2, jac=j2, name="X2"),
-            VectorField(4, f3, jac=j3, name="X3"))
+    return (VectorField(4, f1, name="X1"),
+            VectorField(4, f2, name="X2"),
+            VectorField(4, f3, name="X3"))
 
 
 def ermakov_system(spec: ErmakovSpec) -> ModelBundle:

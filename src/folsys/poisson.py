@@ -193,9 +193,7 @@ def aff_right_invariant_fields(n: int) -> list[VectorField]:
             out[..., _b] = 1.0
             return out
 
-        fields.append(VectorField(dim, e_func,
-                                  jac=lambda x: np.zeros((dim, dim)),
-                                  name=f"XR_e{i + 1}"))
+        fields.append(VectorField(dim, e_func, name=f"XR_e{i + 1}"))
     for i in range(n):
         ai, bi = 2 * i, 2 * i + 1
 
@@ -205,13 +203,7 @@ def aff_right_invariant_fields(n: int) -> list[VectorField]:
             out[..., _b] = 2.0 * x[..., _b]
             return out
 
-        def h_jac(x, _a=ai, _b=bi):
-            J = np.zeros((dim, dim))
-            J[_a, _a] = 2.0
-            J[_b, _b] = 2.0
-            return J
-
-        fields.append(VectorField(dim, h_func, jac=h_jac, name=f"XR_h{i + 1}"))
+        fields.append(VectorField(dim, h_func, name=f"XR_h{i + 1}"))
     return fields
 
 
@@ -291,7 +283,6 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
     ads = [la.adjoint_matrix(alg, a) for a in range(r)]
     flds = tuple(
         VectorField(r, lambda v, _A=ads[a]: -matvec(_A, v),
-                    jac=lambda v, _A=ads[a]: -_A,
                     name=f"Xad_{alg.basis_labels[a]}")
         for a in range(r)
     )

@@ -212,7 +212,7 @@ def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,
     pts = fs.realized.box.sample_many(rng, check_points)
     s = chart.leaf_dim
     for X in fs.realized.fields:
-        rows = np.asarray([X(x) for x in pts])
+        rows = X(pts)
         if np.max(np.abs(rows[:, s:])) > 1e-8:
             raise AbelianDerivationError(
                 "abelian derivation inapplicable: fields leak into leaf labels"

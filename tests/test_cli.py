@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -15,10 +16,13 @@ import folsys.cli
 import folsys.superposition
 from folsys.cli import (ScenarioConfig, build_bundle, compile_expression,
                         main, run)
+from folsys.algebra import builtin_algebra
 from folsys.errors import ConfigError
-from folsys.foliated import assemble
+from folsys.fields import RealizedAlgebra, VectorField
+from folsys.foliated import FoliatedSystem, FoliationChart, assemble
 from folsys.integrate import integrate, trajectory_to_csv
 from folsys.superposition import rule_points
+from folsys.util import Box
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -356,6 +360,62 @@ def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _negated_constants(fs):
+    alg = fs.realized.algebra
+    realized = dataclasses.replace(
+        fs.realized, algebra=dataclasses.replace(alg, structure=-alg.structure))
+    return dataclasses.replace(fs, realized=realized)
+
+
+def _nan_field(fs):
+    # X2 is NaN for x < -0.5: inside the sampling box [-0.9, 0.9], but away
+    # from the trajectory from x0 = 0, which rises to tanh(2)
+    X2 = fs.realized.fields[2]
+    nan = dataclasses.replace(
+        X2, func=lambda x: np.where(x < -0.5, np.nan, X2.func(x)))
+    realized = dataclasses.replace(fs.realized,
+                                   fields=fs.realized.fields[:2] + (nan,))
+    return dataclasses.replace(fs, realized=realized)
+
+
+def _vanishing_field(fs):
+    # one field vanishing for x < 0: the rank drops on half the sampling box,
+    # and x0 = 0 stays put
+    X = VectorField(1, lambda x: np.maximum(x, 0.0), name="X")
+    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1.0], [1.0]))
+    return FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
+
+
+@pytest.mark.parametrize("model, broken, failing", [
+    ("riccati", _negated_constants, {"foliated.structure"}),
+    ("ermakov", _negated_constants, {"foliated.structure"}),
+    ("riccati", _nan_field,
+     {"foliated.com_residual", "foliated.rank", "foliated.structure"}),
+    ("riccati", _vanishing_field, {"foliated.rank"}),
+], ids=("riccati-negated", "ermakov-negated", "nan-field", "vanishing-field"))
+def test_cli_foliated_rows_fail_on_broken_realizations(tmp_path, monkeypatch,
+                                                       model, broken, failing):
+    def build(cfg):
+        bundle = build_bundle(cfg)
+        return dataclasses.replace(bundle, system=broken(bundle.system))
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", build)
+    cfg_path = write_config(tmp_path / "cfg.json", model=model, params={},
+                            checks=["foliated"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    rows = {r["check"]: r for r in json.loads((out / "report.json").read_text())}
+    assert set(rows) == {"foliated.com_residual", "foliated.chart_residual",
+                         "foliated.rank", "foliated.structure"}
+    assert {name for name, r in rows.items() if r["status"] == "fail"} == failing
+    if broken is _nan_field:
+        assert math.isnan(rows["foliated.structure"]["value"])
+    elif broken is _vanishing_field:
+        assert rows["foliated.rank"]["value"] == 1.0
+    else:
+        assert rows["foliated.structure"]["value"] > 1.0
 
 
 def test_cli_ermakov_uncoupled_automorphic(tmp_path):

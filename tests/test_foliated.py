@@ -9,8 +9,9 @@ from scipy.integrate import quad
 
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
 from folsys.cli import ScenarioConfig, build_bundle
-from folsys.errors import DegeneratePointError, DimensionMismatchError
-from folsys.fields import RealizedAlgebra, VectorField, rank_at
+from folsys.errors import DimensionMismatchError
+from folsys.fields import (RealizedAlgebra, VectorField, rank_at,
+                           structure_residual)
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              coefficient_values, leaf_drift, leaf_of, sup_drift,
                              verify_foliated)
@@ -140,9 +141,10 @@ def test_assemble_linear_in_coefficients_generic():
 def test_verify_foliated_hj_and_lax():
     for name in ("hamilton_jacobi", "lax"):
         rep = verify_foliated(default_model(name).system, trials=100, seed=42)
-        assert rep.rank_ok
+        assert rep.rank_shortfall == 0.0
         assert rep.com_residual <= 1e-8
         assert rep.chart_residual <= 1e-8
+        assert rep.structure_residual == 0.0
 
 
 def test_verify_foliated_ermakov_with_invariant_coupling():
@@ -150,9 +152,10 @@ def test_verify_foliated_ermakov_with_invariant_coupling():
     spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.05 * I,
                        c1=1.0, c2=1.0)
     rep = verify_foliated(ermakov_system(spec).system, trials=100, seed=42)
-    assert rep.rank_ok
+    assert rep.rank_shortfall == 0.0
     assert rep.com_residual <= 1e-8
     assert rep.chart_residual <= 1e-6
+    assert rep.structure_residual <= 1e-8
 
 
 def test_verify_foliated_broken_coefficient():
@@ -195,8 +198,9 @@ def test_verify_foliated_evaluates_each_field_on_the_block_of_samples():
     fields = tuple(counted(X) for X in fs.realized.fields)
     realized = dataclasses.replace(fs.realized, fields=fields)
     verify_foliated(dataclasses.replace(fs, realized=realized), trials=5)
-    # twice per field: for the ranks and for the rates
-    assert shapes == [(5, 4)] * 6
+    # for the ranks, for the rates, for the structure residual's values, and
+    # six times for each of the three brackets of a pair a < b
+    assert shapes == [(5, 4)] * (3 + 3 + 3 + 3 * 6)
 
 
 def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
@@ -216,16 +220,17 @@ def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
 
 def _verify_foliated_per_sample(fs, trials, seed, t_range=(0.0, 2.0)):
     """The per-sample loop the block evaluation replaced: one rank, one set of
-    field values and one difference block of the labels per sample."""
+    field values, one difference block of the labels and one structure
+    residual per sample; returns the four values of the report."""
     rng = seeded_rng(seed)
     ra = fs.realized
-    com = chart_res = 0.0
+    com = chart_res = structure = 0.0
+    rank = fs.chart.leaf_dim
     for _ in range(trials):
         x = ra.box.sample(rng)
         t = float(rng.uniform(*t_range))
-        rank = rank_at(ra.fields, x)
-        if rank < fs.chart.leaf_dim:
-            raise DegeneratePointError(x, rank, fs.chart.leaf_dim)
+        rank = min(rank, rank_at(ra.fields, x))
+        structure = max(structure, structure_residual(ra, x))
         values = np.array([X(x) for X in ra.fields])
         rates = []
         for F, k in ((lambda y: fs.coeffs(t, y), len(ra.fields)),
@@ -233,7 +238,7 @@ def _verify_foliated_per_sample(fs, trials, seed, t_range=(0.0, 2.0)):
             grads = central_differences(F, x, (k,)).T.copy()
             rates.append(float(np.abs(dot_last(grads[:, None, :], values)).max(initial=0.0)))
         com, chart_res = max(com, rates[0]), max(chart_res, rates[1])
-    return com, chart_res
+    return com, chart_res, float(fs.chart.leaf_dim - rank), structure
 
 
 def _system(name):
@@ -298,24 +303,23 @@ def test_verify_foliated_block_differences_equal_the_per_point_loop(name):
 def test_verify_foliated_on_blocks_equals_the_per_sample_loop_bitwise(name):
     fs = _system(name)
     rep = verify_foliated(fs, trials=40, seed=11, t_range=(0.5, 3.0))
-    got = np.array([rep.com_residual, rep.chart_residual])
+    got = np.array([rep.com_residual, rep.chart_residual, rep.rank_shortfall,
+                    rep.structure_residual])
     want = np.array(_verify_foliated_per_sample(fs, 40, 11, (0.5, 3.0)))
     assert got.tobytes() == want.tobytes()
 
 
-def test_verify_foliated_degenerate_point_aborts():
-    # field vanishing on half the box: rank drops below leaf_dim there
+def test_verify_foliated_reports_the_rank_shortfall():
+    # field vanishing on half the box: rank drops below leaf_dim there, and
+    # the other conditions are still measured
     X = VectorField(1, lambda x: np.maximum(x, 0.0))
     ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1], [1]))
     fs = FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
-    with pytest.raises(DegeneratePointError) as block:
-        verify_foliated(fs, trials=200, seed=1)
-    # the first degenerate draw, as the per-sample loop reports it
-    with pytest.raises(DegeneratePointError) as loop:
-        _verify_foliated_per_sample(fs, 200, 1)
-    assert block.value.point.tobytes() == loop.value.point.tobytes()
-    assert block.value.point[0] <= 0.0
-    assert (block.value.rank, block.value.expected) == (0, 1)
+    rep = verify_foliated(fs, trials=200, seed=1)
+    assert rep.rank_shortfall == 1.0
+    got = (rep.com_residual, rep.chart_residual, rep.rank_shortfall,
+           rep.structure_residual)
+    assert got == _verify_foliated_per_sample(fs, 200, 1) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_leaf_of_identity_charts():

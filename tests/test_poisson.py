@@ -3,7 +3,7 @@ import pytest
 
 from folsys.algebra import (InvariantMetric, builtin_algebra, killing_form)
 from folsys.errors import DimensionMismatchError
-from folsys.fields import lie_bracket_at
+from folsys.fields import lie_bracket_at, structure_residual
 from folsys.foliated import assemble, leaf_of
 from folsys.models import default_model
 from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
@@ -140,15 +140,9 @@ def test_adjoint_foliated_structure_and_brackets():
     sl2, metric, _ = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
     pts = adj.realized.box.sample_many(seeded_rng(6), 30)
-    c = sl2.structure
-    for v in pts:
-        vals = [X(v) for X in adj.realized.fields]
-        for a in range(3):
-            for b in range(3):
-                lhs = lie_bracket_at(adj.realized.fields[a],
-                                     adj.realized.fields[b], v)
-                rhs = sum(c[a, b, g] * vals[g] for g in range(3))
-                assert np.max(np.abs(lhs - rhs)) <= 1e-10
+    # the fields are linear, so the value-only bracket is exact but for the
+    # roundoff of its differences, of order eps |X| / h, below 1e-9 here
+    assert structure_residual(adj.realized, pts) <= 1e-8
 
 
 def test_foliated_lie_hamilton_adjoint_true():
