@@ -2,10 +2,8 @@
 coefficients are leafwise constant, their leaf-preserving reconstruction
 rules, group-valued reductions, and compatible Poisson structures."""
 
-from .algebra import (InvariantMetric, LieAlgebra, MatrixRealization,
-                      adjoint_matrix, bracket, builtin_algebra,
-                      builtin_realization, jacobi_residual, killing_form,
-                      realization_residual)
+from .algebra import (InvariantMetric, LieAlgebra, adjoint_matrix,
+                      builtin_algebra, killing_form)
 from .fields import (RealizedAlgebra, TDependentVectorField, VectorField,
                      diagonal_prolongation, directional_derivative,
                      lie_bracket_at, minimal_particular_solutions, rank_at)
@@ -21,10 +19,9 @@ from .automorphic import (AutomorphicSystem, GroupAction, GroupCurve,
                           solve_abelian, solve_matrix)
 from .poisson import (HamiltonianCheck, PoissonBivector,
                       adjoint_foliated_system, check_rmatrix_hamiltonian,
-                      hamiltonian_field, hamiltonian_residual,
-                      is_foliated_lie_hamilton, jacobiator, kirillov_bivector,
-                      linear_coordinates, poisson_bracket,
-                      rmatrix_bivector_aff)
+                      hamiltonian_residual, is_foliated_lie_hamilton,
+                      jacobiator, kirillov_bivector, linear_coordinates,
+                      poisson_bracket, rmatrix_bivector_aff)
 from .util import Box
 
 __version__ = "0.1.0"

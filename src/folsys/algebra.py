@@ -7,11 +7,10 @@ part of the data contract.  Basis indices in the API are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MetricError
+from .errors import MetricError
 
 ANTISYMMETRY_ATOL = 1e-12
 METRIC_COND_CUTOFF = 1e-10
@@ -43,30 +42,11 @@ class LieAlgebra:
         return bool(np.max(np.abs(self.structure)) == 0.0)
 
 
-def bracket(alg: LieAlgebra, u: Sequence[float], v: Sequence[float]) -> np.ndarray:
-    """w^g = sum_{a,b} c[a,b,g] u^a v^b."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (alg.dim,) or v.shape != (alg.dim,):
-        raise DimensionMismatchError(
-            f"coordinate vectors must have length {alg.dim}"
-        )
-    return np.einsum("abg,a,b->g", alg.structure, u, v)
-
-
 def adjoint_matrix(alg: LieAlgebra, index: int) -> np.ndarray:
     """Matrix of ad_{e_index} acting on coordinates: (ad)_{g,b} = c[index,b,g]."""
     if not 0 <= index < alg.dim:
         raise IndexError(f"basis index out of range: {index}")
     return alg.structure[index].T.copy()
-
-
-def jacobi_residual(alg: LieAlgebra) -> float:
-    """Max absolute Jacobi sum over all index tuples; 0 for a valid Lie algebra."""
-    c = alg.structure
-    term = np.einsum("abm,mgn->abgn", c, c)
-    total = term + term.transpose(1, 2, 0, 3) + term.transpose(2, 0, 1, 3)
-    return float(np.max(np.abs(total)))
 
 
 def killing_form(alg: LieAlgebra) -> np.ndarray:
@@ -86,45 +66,6 @@ def ad_invariance_residual(alg: LieAlgebra, g: np.ndarray) -> float:
     first = np.einsum("abd,dc->abc", c, g)
     second = np.einsum("acd,bd->abc", c, g)
     return float(np.max(np.abs(first + second)))
-
-
-@dataclass(frozen=True)
-class MatrixRealization:
-    """Homomorphic image of the algebra inside d x d real matrices."""
-
-    algebra: LieAlgebra
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(np.asarray(A, dtype=float) for A in self.matrices)
-        if len(mats) != self.algebra.dim:
-            raise DimensionMismatchError("need one matrix per basis element")
-        d = mats[0].shape[0]
-        for A in mats:
-            if A.shape != (d, d):
-                raise DimensionMismatchError("all matrices must be square of equal size")
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def size(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def element(self, coords: Sequence[float]) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        return sum(c * A for c, A in zip(coords, self.matrices))
-
-
-def realization_residual(real: MatrixRealization) -> float:
-    """Max entrywise defect of A_a A_b - A_b A_a - sum_g c[a,b,g] A_g."""
-    c = real.algebra.structure
-    mats = real.matrices
-    worst = 0.0
-    for a in range(real.algebra.dim):
-        for b in range(real.algebra.dim):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            expected = sum(c[a, b, g] * mats[g] for g in range(real.algebra.dim))
-            worst = max(worst, float(np.max(np.abs(comm - expected))))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -196,26 +137,3 @@ def builtin_algebra(name: str) -> LieAlgebra:
         return _glp(int(name.split(":", 1)[1]))
     raise KeyError(f"unknown algebra name: {name!r}")
 
-
-def builtin_realization(name: str) -> MatrixRealization:
-    if name.startswith("abelian:"):
-        n = int(name.split(":", 1)[1])
-        # zero matrices commute, matching the vanishing structure constants
-        return MatrixRealization(_abelian(n), tuple(np.zeros((1, 1)) for _ in range(n)))
-    if name == "sl2":
-        e = np.array([[0.0, 1.0], [0.0, 0.0]])
-        h = np.array([[1.0, 0.0], [0.0, -1.0]])
-        f = np.array([[0.0, 0.0], [1.0, 0.0]])
-        return MatrixRealization(_sl2(), (e, h, f))
-    if name.startswith("glp:"):
-        n = int(name.split(":", 1)[1])
-        eb = np.array([[0.0, 1.0], [0.0, 0.0]])
-        hb = np.array([[2.0, 0.0], [0.0, 0.0]])
-        mats = []
-        for base in (eb, hb):
-            for i in range(n):
-                A = np.zeros((2 * n, 2 * n))
-                A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = base
-                mats.append(A)
-        return MatrixRealization(_glp(n), tuple(mats))
-    raise KeyError(f"no built-in matrix realization for {name!r}")

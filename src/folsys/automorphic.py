@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import LieAlgebra
 from .errors import BlowUpError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
 from .foliated import FoliatedSystem, coefficient_values, leaf_of
@@ -63,31 +62,6 @@ class GroupAction:
             return coeff * A
         return scipy.linalg.expm(coeff * A)
 
-    def compose(self, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-        if self.kind == ABELIAN:
-            return g1 + g2
-        return g1 @ g2
-
-
-def action_consistency_residual(action: GroupAction, points: Sequence[np.ndarray],
-                                seed: int = 42, group_samples: int = 20) -> float:
-    """Residual of act(e, x) = x and act(g h, x) = act(g, act(h, x)) at samples."""
-    rng = seeded_rng(seed)
-    worst = 0.0
-    r = len(action.generators)
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        worst = max(worst, float(np.max(np.abs(action.act(action.identity, x) - x))))
-        for _ in range(group_samples):
-            c1, c2 = rng.uniform(-0.5, 0.5, size=2)
-            i1, i2 = rng.integers(0, r, size=2)
-            g1 = action.exp(float(c1), int(i1))
-            g2 = action.exp(float(c2), int(i2))
-            lhs = action.act(action.compose(g1, g2), x)
-            rhs = action.act(g1, action.act(g2, x))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
 
 def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField],
                                points: Sequence[np.ndarray]) -> float:
@@ -119,7 +93,6 @@ class AutomorphicSystem:
     generators: tuple[np.ndarray, ...]
     coeffs: Callable[[float, np.ndarray], np.ndarray]
     leaf_space_dim: int
-    algebra: LieAlgebra | None = None
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
@@ -127,8 +100,7 @@ class AutomorphicSystem:
 
     @classmethod
     def from_reduction(cls, kind: str, generators, foliated_coeffs,
-                       leaf_space_dim: int, algebra: LieAlgebra | None = None,
-                       ) -> "AutomorphicSystem":
+                       leaf_space_dim: int) -> "AutomorphicSystem":
         """Build the reduced system from a foliated coefficient map (sign
         absorbed).  The map returns one row per time or, when it does not
         depend on t, one ``(r,)`` row that is broadcast; any other shape
@@ -140,20 +112,7 @@ class AutomorphicSystem:
             return np.broadcast_to(c, np.shape(t) + (r,))
 
         return cls(kind=kind, generators=tuple(generators), coeffs=coeffs,
-                   leaf_space_dim=leaf_space_dim, algebra=algebra)
-
-    def generator_commutator_residual(self) -> float:
-        """Defect of [A_a, A_b] = sum_g c[a,b,g] A_g for matrix generators."""
-        if self.kind != MATRIX or self.algebra is None:
-            raise ValueError("commutator check needs matrix generators and an algebra")
-        c = self.algebra.structure
-        worst = 0.0
-        for a, A in enumerate(self.generators):
-            for b, B in enumerate(self.generators):
-                comm = A @ B - B @ A
-                expected = sum(c[a, b, g] * G for g, G in enumerate(self.generators))
-                worst = max(worst, float(np.max(np.abs(comm - expected))))
-        return worst
+                   leaf_space_dim=leaf_space_dim)
 
 
 @dataclass(frozen=True)
@@ -197,9 +156,7 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
 
     return AutomorphicSystem.from_reduction(
         kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs,
-        leaf_space_dim=chart.n_labels,
-        algebra=fs.realized.algebra,
-    )
+        leaf_space_dim=chart.n_labels)
 
 
 def _stage_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,22 +246,6 @@ def reconstruct(action: GroupAction, curve: GroupCurve, x0) -> Trajectory:
     for i in range(len(curve)):
         states[i] = action.act(curve.elements[i], x0)
     return Trajectory(curve.times, states, curve.step)
-
-
-def group_curve_consistency(asys: AutomorphicSystem, curve: GroupCurve, k) -> float:
-    """Finite-difference defect of g' g^{-1} = sum_a c_a A_a along a matrix curve."""
-    if curve.kind != MATRIX:
-        raise ValueError("consistency check is for matrix curves")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    worst = 0.0
-    for i in range(1, len(curve) - 1):
-        dt = curve.times[i + 1] - curve.times[i - 1]
-        gdot = (curve.elements[i + 1] - curve.elements[i - 1]) / dt
-        lhs = gdot @ np.linalg.inv(curve.elements[i])
-        rhs = sum(c * A for c, A in zip(asys.coeffs(curve.times[i], k),
-                                        asys.generators))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 def reconstruction_error(fs: FoliatedSystem, action: GroupAction,

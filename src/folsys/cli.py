@@ -374,7 +374,12 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
         obs = bundle.observables[name]
         drift = sup_drift(obs, traj.states)
         if name == "spectrum":
-            return [_timed("spectrum.drift", model, seed, drift, 1e-12, start)]
+            row = _timed("spectrum.drift", model, seed, drift, 1e-12, start)
+            # the Lax-pair form: the assembled field is [V, M] at every state
+            gap = np.max(np.abs(
+                assemble(bundle.system).func(traj.times, traj.states)
+                - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states)))
+            return [row, _timed("spectrum.lax_pair", model, seed, gap, 1e-12, start)]
         ref = abs(obs(traj.states[0]))
         return [_timed("lewis.relative_drift", model, seed,
                        drift / max(ref, 1e-30), 1e-6, start)]
@@ -417,11 +422,9 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
 
     start = time.perf_counter()
     adj = adjoint_foliated_system(sl2, metric)
-    rep = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=seed)
+    residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=seed)
     out.append(_timed("poisson.adjoint_hamiltonian", model, seed,
-                      max(rep.residuals), 1e-8, start))
-    out.append(_timed("poisson.foliated_lie_hamilton", model, seed,
-                      0.0 if rep.ok else 1.0, 0.0, start))
+                      max(residuals), 1e-8, start))
 
     start = time.perf_counter()
     Lr = rmatrix_bivector_aff(2)
@@ -488,13 +491,19 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
 
 
 def report_render(reports: list[CheckReport], out_dir, fmt: str = "json") -> dict:
-    """Write the machine-readable report and print a table; deterministic order."""
+    """Write the machine-readable report and print a table; deterministic order.
+
+    ``report.json`` is strict JSON: a NaN or infinite value is written as
+    the string ``repr(value)``, ``"nan"``, ``"inf"`` or ``"-inf"``;
+    ``report.csv`` keeps it a number."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [r.to_dict() for r in sorted(reports, key=lambda r: (r.check, r.model))]
     json_path = out_dir / "report.json"
+    json_rows = [dict(r, value=r["value"] if math.isfinite(r["value"])
+                      else repr(r["value"])) for r in rows]
     with json_path.open("w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
+        json.dump(json_rows, fh, indent=2, allow_nan=False)
         fh.write("\n")
     written = {"report_json": str(json_path)}
     if fmt == "csv":

@@ -26,12 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import algebra as la
-from .automorphic import (ABELIAN, GroupAction, GroupCurve, reduce_system,
-                          solve_abelian, reconstruct)
+from .automorphic import ABELIAN, GroupAction
 from .errors import DimensionMismatchError, SingularCombinationError
 from .fields import RealizedAlgebra, VectorField
-from .foliated import FoliatedSystem, FoliationChart, assemble
-from .integrate import DEFAULT_STEP, integrate
+from .foliated import FoliatedSystem, FoliationChart
 from .superposition import SuperpositionRule, derive_abelian_rule
 from .util import Box, central_differences, grad_fd, seeded_rng
 
@@ -296,28 +294,25 @@ def lax_matrix(n: int, v) -> np.ndarray:
     return M
 
 
-def lax_m_matrix(spec: LaxSpec, t: float, v) -> np.ndarray:
-    """m(t, v) = -sum_a f_a(t, v) e_a in the same block layout."""
-    v = np.asarray(v, dtype=float)
-    n = spec.n
-    M = np.zeros((2 * n, 2 * n))
-    f = spec.f(t, v[n:])
-    for a in range(n):
-        M[2 * a, 2 * a + 1] = -f[a]
-    return M
+def lax_pair_rhs(spec: LaxSpec, t, v) -> np.ndarray:
+    """Component derivatives read off the commutator [V, M], where
+    M = -sum_a f_a(t, I) e_a and I = (v^{n+1}..v^{2n}).
 
-
-def lax_matrix_rhs(spec: LaxSpec, t: float, v) -> np.ndarray:
-    """Component derivatives read off the commutator [v, m]."""
+    ``v`` is one state ``(2n,)`` or a block ``(..., 2n)``; ``t`` is a float
+    or an array of times broadcasting against ``v.shape[:-1]``.
+    """
     v = np.asarray(v, dtype=float)
     n = spec.n
     V = lax_matrix(n, v)
-    M = lax_m_matrix(spec, t, v)
-    C = V @ M - M @ V
-    out = np.empty(2 * n)
+    M = np.zeros(V.shape)
+    f = spec.f(t, v[..., n:])
     for a in range(n):
-        out[a] = C[2 * a, 2 * a + 1]
-        out[n + a] = 0.5 * C[2 * a, 2 * a]
+        M[..., 2 * a, 2 * a + 1] = -f[..., a]
+    C = V @ M - M @ V
+    out = np.empty(v.shape)
+    for a in range(n):
+        out[..., a] = C[..., 2 * a, 2 * a + 1]
+        out[..., n + a] = 0.5 * C[..., 2 * a, 2 * a]
     return out
 
 
@@ -442,80 +437,6 @@ def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
 
     return GroupAction(kind="matrix", act=act, identity=np.eye(2),
                        generators=(A1, A2, A3), name="pairwise-linear")
-
-
-# ---------------------------------------------------------------------------
-# Shared reduction of the Hamiltonian and block models.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    shared_coeff_residual: float
-    hj_error: float
-    lax_error: float
-    doubled_gradient_residual: float
-
-
-def hj_lax_equivalence(spec: HamiltonJacobiSpec, x0_hj, v0_lax,
-                       horizon: tuple[float, float], h: float = DEFAULT_STEP,
-                       seed: int = 42, samples: int = 50) -> EquivalenceReport:
-    """One quadrature, two reconstructions.
-
-    The block model is built with f_a = (dH/dI_a) / (2 I_a), which makes its
-    component equations coincide with dQ^a/dt = -dH/dP^a under the identity
-    identification v^a = Q^a, v^{n+a} = P^a.  Both models then reduce to the
-    translation system lambda' = dH/dP(t, k); the actions differ by a factor
-    2 in the group coordinate, which is normalized away before comparing
-    coefficients and when reusing the single quadrature for both
-    reconstructions.
-
-    Also reported: the component-equation mismatch of the alternative
-    generator matrix m = sum_a 2 (dH/dP^a) e_a, which is measured rather than
-    asserted to vanish.
-    """
-    n = spec.n
-    x0_hj = np.asarray(x0_hj, dtype=float)
-    v0_lax = np.asarray(v0_lax, dtype=float)
-    if np.max(np.abs(x0_hj[n:] - v0_lax[n:])) > 1e-12:
-        raise ValueError("leaf mismatch: initial states must share leaf labels")
-    t0, t1 = horizon
-
-    hj = hj_system(spec)
-    lax = lax_system(LaxSpec(n=n, f=lambda t, I: spec.gradient(t, I) / (2.0 * I)))
-
-    hj_red = reduce_system(hj.system, hj.action, seed=seed)
-    lax_red = reduce_system(lax.system, lax.action, seed=seed)
-
-    rng = seeded_rng(seed)
-    shared = 0.0
-    for _ in range(samples):
-        t = float(rng.uniform(t0, t1))
-        k = rng.uniform(0.5, 2.0, size=n)
-        # the block action moves v^a by -2 lambda_a per unit lambda
-        gap = 2.0 * lax_red.coeffs(t, k) - hj_red.coeffs(t, k)
-        shared = max(shared, float(np.max(np.abs(gap))))
-
-    mu = solve_abelian(hj_red, x0_hj[n:], t0, t1, h)
-    rec_hj = reconstruct(hj.action, mu, x0_hj)
-    direct_hj = integrate(assemble(hj.system), x0_hj, t0, t1, h)
-    hj_error = float(np.max(np.abs(rec_hj.states - direct_hj.states)))
-
-    half_curve = GroupCurve(ABELIAN, mu.times, 0.5 * mu.elements, mu.step)
-    rec_lax = reconstruct(lax.action, half_curve, v0_lax)
-    direct_lax = integrate(assemble(lax.system), v0_lax, t0, t1, h)
-    lax_error = float(np.max(np.abs(rec_lax.states - direct_lax.states)))
-
-    doubled = 0.0
-    for _ in range(samples):
-        t = float(rng.uniform(t0, t1))
-        k = rng.uniform(0.5, 2.0, size=n)
-        g = spec.gradient(t, k)
-        # m = sum 2 (dH/dP^a) e_a means f_a = -2 dH/dP^a, hence
-        # dv^a/dt = 4 (dH/dP^a) v^{n+a}; compare with -dH/dP^a
-        doubled = max(doubled, float(np.max(np.abs(4.0 * g * k + g))))
-
-    return EquivalenceReport(shared_coeff_residual=shared, hj_error=hj_error,
-                             lax_error=lax_error, doubled_gradient_residual=doubled)
 
 
 # ---------------------------------------------------------------------------

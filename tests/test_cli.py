@@ -388,6 +388,10 @@ def _vanishing_field(fs):
     return FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 @pytest.mark.parametrize("model, broken, failing", [
     ("riccati", _negated_constants, {"foliated.structure"}),
     ("ermakov", _negated_constants, {"foliated.structure"}),
@@ -406,16 +410,38 @@ def test_cli_foliated_rows_fail_on_broken_realizations(tmp_path, monkeypatch,
                             checks=["foliated"])
     out = tmp_path / "out"
     assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
-    rows = {r["check"]: r for r in json.loads((out / "report.json").read_text())}
+    rows = {r["check"]: r for r in json.loads((out / "report.json").read_text(),
+                                              parse_constant=_reject_constant)}
     assert set(rows) == {"foliated.com_residual", "foliated.chart_residual",
                          "foliated.rank", "foliated.structure"}
     assert {name for name, r in rows.items() if r["status"] == "fail"} == failing
     if broken is _nan_field:
-        assert math.isnan(rows["foliated.structure"]["value"])
+        # strict JSON: the NaN is written as a string
+        assert rows["foliated.structure"]["value"] == "nan"
     elif broken is _vanishing_field:
         assert rows["foliated.rank"]["value"] == 1.0
     else:
         assert rows["foliated.structure"]["value"] > 1.0
+
+
+def test_cli_lax_pair_row_fails_on_a_doubled_coefficient_map(tmp_path, monkeypatch):
+    # doubled coefficients still leave P, hence the spectrum, constant, but
+    # the assembled field is no longer the commutator [V, M]
+    def build(cfg):
+        bundle = build_bundle(cfg)
+        fs = bundle.system
+        doubled = dataclasses.replace(fs, coeffs=lambda t, x: 2.0 * fs.coeffs(t, x))
+        return dataclasses.replace(bundle, system=doubled)
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", build)
+    cfg_path = write_config(tmp_path / "cfg.json", model="lax", checks=["spectrum"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    rows = {r["check"]: r for r in json.loads((out / "report.json").read_text())}
+    assert set(rows) == {"spectrum.drift", "spectrum.lax_pair"}
+    assert rows["spectrum.drift"]["status"] == "pass"
+    assert rows["spectrum.lax_pair"]["status"] == "fail"
+    assert rows["spectrum.lax_pair"]["value"] > 0.1
 
 
 def test_cli_ermakov_uncoupled_automorphic(tmp_path):

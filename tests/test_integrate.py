@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from folsys.algebra import builtin_realization
+from folsys.algebra import builtin_algebra
 from folsys.automorphic import (MATRIX, AutomorphicSystem, reduce_system,
                                 solve_matrix)
 from folsys.errors import (BlowUpError, DimensionMismatchError,
@@ -176,7 +176,7 @@ def test_batch_domain_guard_checks_every_row():
 
 def test_single_point_field_rejected_in_batch():
     X = VectorField(1, lambda x: np.array([1.0]))  # ignores the batch axis
-    ra = RealizedAlgebra(builtin_realization("abelian:1").algebra, (X,),
+    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,),
                          Box([-1.0], [1.0]))
     F = assemble(FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1)))
     assert integrate(F, np.array([0.0]), 0.0, 0.1, 0.01).final_state[0] > 0.0
@@ -220,11 +220,10 @@ def test_solve_matrix_matches_reference_loop():
     erm = reduce_system(fs, ermakov_matrix_action(spec))
     k = leaf_of(fs.chart, np.array([1.0, 1.2, 0.3, -0.2]))
 
-    real = builtin_realization("glp:1")
+    glp1 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
     glp = AutomorphicSystem.from_reduction(
-        MATRIX, real.matrices,
-        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0,
-        algebra=real.algebra)
+        MATRIX, glp1,
+        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0)
 
     for asys, kk in ((erm, k), (glp, np.zeros(0))):
         curve = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from folsys.automorphic import reconstruction_error
 from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
 from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, LaxSpec,
                            RiccatiSpec, default_model, ermakov_fields,
-                           ermakov_system, hj_lax_equivalence, hj_system,
-                           lax_from_hamiltonian, lax_m_matrix, lax_matrix,
-                           lax_matrix_rhs, lax_spectrum, lax_system,
+                           ermakov_system, hj_system, lax_from_hamiltonian,
+                           lax_matrix, lax_pair_rhs, lax_spectrum, lax_system,
                            lewis_invariant, riccati_system, sum_cos_spec)
 from folsys.util import grad_fd, seeded_rng
 
@@ -144,8 +144,7 @@ def test_lax_commutator_rhs_hand_value():
     M = np.array([[0.0, -1.0], [0.0, 0.0]])
     C = V @ M - M @ V
     assert np.array_equal(C, np.array([[0.0, -6.0], [0.0, 0.0]]))
-    assert np.allclose(lax_matrix_rhs(spec, 0.0, v), [-6.0, 0.0])
-    assert np.allclose(lax_m_matrix(spec, 0.0, v), M)
+    assert np.array_equal(lax_pair_rhs(spec, 0.0, v), [-6.0, 0.0])
 
 
 def test_lax_assembled_equals_commutator_rhs():
@@ -156,7 +155,17 @@ def test_lax_assembled_equals_commutator_rhs():
     for _ in range(25):
         t = float(rng.uniform(0, 2))
         v = bundle.system.realized.box.sample(rng)
-        assert np.allclose(F(t, v), lax_matrix_rhs(spec, t, v), atol=1e-13)
+        assert np.allclose(F(t, v), lax_pair_rhs(spec, t, v), atol=1e-13)
+
+
+def test_lax_pair_on_a_block_equals_the_loop_bitwise():
+    bundle = default_model("lax")
+    traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 2.0, 1e-2)
+    block = lax_pair_rhs(bundle.spec, traj.times, traj.states)
+    loop = np.array([lax_pair_rhs(bundle.spec, float(t), v)
+                     for t, v in zip(traj.times, traj.states)])
+    assert block.shape == traj.states.shape
+    assert block.tobytes() == loop.tobytes()
 
 
 def test_lax_leaf_drift_and_spectrum_drift():
@@ -255,48 +264,12 @@ def test_ermakov_domain_guard():
 
 # --- shared reduction ----------------------------------------------------------
 
-def test_equivalence_constant_gradient():
-    spec = HamiltonJacobiSpec(1, H=lambda t, P: float(P[0] ** 2) / 2.0,
-                              dH=lambda t, P: P.copy())
-    rep = hj_lax_equivalence(spec, np.array([0.0, 3.0]), np.array([0.0, 3.0]),
-                             (0.0, 1.0))
-    assert rep.shared_coeff_residual <= 1e-12
-    assert rep.hj_error <= 1e-8
-    assert rep.lax_error <= 1e-8
-
-
-def test_equivalence_sum_cos_two_dof():
-    rep = hj_lax_equivalence(sum_cos_spec(2), np.array([0.0, 0.0, 1.0, 1.5]),
-                             np.array([0.5, -0.3, 1.0, 1.5]), (0.0, 2.0))
-    assert rep.shared_coeff_residual <= 1e-12
-    assert rep.hj_error <= 1e-8
-    assert rep.lax_error <= 1e-8
-    # the doubled-gradient generator matrix does not reproduce the component
-    # equations; the mismatch is reported, not asserted away
-    assert rep.doubled_gradient_residual > 0.1
-
-
 def test_equivalence_constant_hamiltonian_trivial():
-    spec = HamiltonJacobiSpec(1, H=lambda t, P: 1.0,
-                              dH=lambda t, P: np.zeros(1))
-    rep = hj_lax_equivalence(spec, np.array([0.3, 1.0]), np.array([0.7, 1.0]),
-                             (0.0, 2.0))
-    assert rep.hj_error == 0.0
-    assert rep.lax_error == 0.0
-
-
-def test_equivalence_leaf_mismatch_rejected():
-    with pytest.raises(ValueError):
-        hj_lax_equivalence(sum_cos_spec(1), np.array([0.0, 1.0]),
-                           np.array([0.0, 2.0]), (0.0, 1.0))
-
-
-def test_equivalence_q_pi_case():
-    # H = cos(t P) at P = 1: both routes land on Q(pi) = pi
-    spec = sum_cos_spec(1)
-    rep = hj_lax_equivalence(spec, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                             (0.0, np.pi))
-    assert rep.hj_error <= 1e-8
-    hj = hj_system(spec)
-    traj = integrate(assemble(hj.system), np.array([0.0, 1.0]), 0.0, np.pi, 1e-3)
-    assert traj.final_state[0] == pytest.approx(np.pi, abs=1e-8)
+    # a constant H leaves both translation models at rest, and each
+    # reconstructs its flow exactly from the identity curve
+    spec = HamiltonJacobiSpec(1, H=lambda t, P: 1.0, dH=lambda t, P: np.zeros(1))
+    x0 = np.array([0.3, 1.0])
+    for bundle in (hj_system(spec), lax_system(lax_from_hamiltonian(1, spec.dH))):
+        direct = integrate(assemble(bundle.system), x0, 0.0, 2.0, 1e-3)
+        assert np.all(direct.states == x0)
+        assert reconstruction_error(bundle.system, bundle.action, direct) == 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from folsys.foliated import assemble, leaf_of
 from folsys.models import default_model
 from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             aff_right_invariant_fields,
-                            check_rmatrix_hamiltonian, hamiltonian_field,
-                            hamiltonian_residual, is_foliated_lie_hamilton,
+                            check_rmatrix_hamiltonian, hamiltonian_residual,
+                            is_foliated_lie_hamilton,
                             jacobiator, kirillov_bivector, linear_coordinates,
                             poisson_bracket, rmatrix_bivector_aff)
 from folsys.util import (FuncWithGrad, coordinate_function, gradient_of,
@@ -96,9 +98,8 @@ def test_adjoint_fields_are_hamiltonian_for_linear_candidates():
     lin = linear_coordinates(metric)
     pts = adj.realized.box.sample_many(seeded_rng(4), 100)
     for X, f in zip(adj.realized.fields, lin):
-        res, sign = hamiltonian_residual(L, X, f, pts)
-        assert res <= 1e-8
-        assert sign == -1  # contraction convention lands on the opposite sign
+        # X_f = -i_{df} Lambda
+        assert hamiltonian_residual(L, X, f, pts) <= 1e-8
 
 
 def test_wrong_candidate_has_large_residual():
@@ -106,25 +107,7 @@ def test_wrong_candidate_has_large_residual():
     adj = adjoint_foliated_system(sl2, metric)
     lin = linear_coordinates(metric)
     pts = adj.realized.box.sample_many(seeded_rng(5), 30)
-    res, _ = hamiltonian_residual(L, adj.realized.fields[0], lin[1], pts)
-    assert res > 0.1
-
-
-def test_hamiltonian_field_zero_function():
-    _, metric, L = sl2_setup()
-    zero = linear_form(np.zeros(3))
-    X = hamiltonian_field(L, zero)
-    assert np.all(X(np.array([1.0, -2.0, 0.5])) == 0.0)
-
-
-def test_hamiltonian_field_linear_in_function():
-    _, metric, L = sl2_setup()
-    lin = linear_coordinates(metric)
-    combo = linear_form(metric.g[0] + metric.g[1])
-    v = np.array([0.4, 1.2, -0.8])
-    lhs = hamiltonian_field(L, combo)(v)
-    rhs = hamiltonian_field(L, lin[0])(v) + hamiltonian_field(L, lin[1])(v)
-    assert np.allclose(lhs, rhs, atol=1e-13)
+    assert hamiltonian_residual(L, adj.realized.fields[0], lin[1], pts) > 0.1
 
 
 def test_metric_invariance_index_identity():
@@ -148,10 +131,10 @@ def test_adjoint_foliated_structure_and_brackets():
 def test_foliated_lie_hamilton_adjoint_true():
     sl2, metric, L = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
-    rep = is_foliated_lie_hamilton(adj, L, linear_coordinates(metric),
-                                   trials=100, seed=42)
-    assert rep.ok
-    assert max(rep.residuals) <= 1e-8
+    residuals = is_foliated_lie_hamilton(adj, L, linear_coordinates(metric),
+                                         trials=100, seed=42)
+    assert len(residuals) == 3
+    assert max(residuals) <= 1e-8
 
 
 def test_foliated_lie_hamilton_zero_bivector_false():
@@ -159,8 +142,23 @@ def test_foliated_lie_hamilton_zero_bivector_false():
     zero = PoissonBivector(4, lambda x: np.zeros((4, 4)),
                            dcoeff=lambda x: np.zeros((4, 4, 4)))
     candidates = [linear_form(np.eye(4)[i]) for i in range(2)]
-    rep = is_foliated_lie_hamilton(hj.system, zero, candidates, trials=20)
-    assert not rep.ok
+    # the zero bivector has only the zero Hamiltonian field: the residual is
+    # the size of each unit translation field
+    assert is_foliated_lie_hamilton(hj.system, zero, candidates, trials=20) == (1.0, 1.0)
+
+
+def test_foliated_lie_hamilton_fails_a_field_of_the_opposite_sign():
+    sl2, metric, L = sl2_setup()
+    adj = adjoint_foliated_system(sl2, metric)
+    X = adj.realized.fields[0]
+    negated = dataclasses.replace(X, func=lambda v: -X.func(v))
+    realized = dataclasses.replace(adj.realized,
+                                   fields=(negated,) + adj.realized.fields[1:])
+    residuals = is_foliated_lie_hamilton(
+        dataclasses.replace(adj, realized=realized), L,
+        linear_coordinates(metric), trials=100, seed=42)
+    assert residuals[0] > 1.0  # |X + i_{df} Lambda| = 2 |X|
+    assert max(residuals[1:]) <= 1e-8
 
 
 def test_rmatrix_bivector_coefficients():
@@ -206,13 +204,12 @@ def test_rmatrix_hamiltonian_checks():
     assert len(checks) == 2
     for ch in checks:
         assert ch.residual <= 1e-8
-        assert ch.sign == -1
 
     # a wrong candidate fails loudly
     L = rmatrix_bivector_aff(1)
     flds = aff_right_invariant_fields(1)
     b_coord = coordinate_function(1, 2)
-    res, _ = hamiltonian_residual(L, flds[0], b_coord, pts[:10, :2])
+    res = hamiltonian_residual(L, flds[0], b_coord, pts[:10, :2])
     assert res > 0.1
 
 
@@ -268,13 +265,11 @@ def _block_cases():
 
 def _hamiltonian_residual_per_point(L, X, f, samples):
     """The per-point loop the block evaluation replaced."""
-    plus = minus = 0.0
+    worst = 0.0
     for x in samples:
         hf = L.matrix(x) @ gradient_of(f, x)
-        val = X(x)
-        plus = max(plus, float(np.max(np.abs(val - hf))))
-        minus = max(minus, float(np.max(np.abs(val + hf))))
-    return (plus, 1) if plus <= minus else (minus, -1)
+        worst = max(worst, float(np.max(np.abs(X(x) + hf))))
+    return worst
 
 
 @pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
