@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BlowUpError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
@@ -60,7 +59,28 @@ class GroupAction:
         A = self.generators[index]
         if self.kind == ABELIAN:
             return coeff * A
-        return scipy.linalg.expm(coeff * A)
+        return _expm(coeff * A)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the degree-18 Taylor
+    polynomial (Moler and Van Loan, SIAM Review 45 (2003), Secs. 3 and 6).
+
+    A is scaled by 2**-s to a 1-norm below 1, where the remainder of the
+    series is of order 1/19!; the polynomial is evaluated in Horner form and
+    squared s times.  A non-finite entry gives a non-finite result, without a warning.
+    """
+    _, s = np.frexp(np.abs(A).sum(axis=0).max(initial=0.0))
+    s = max(int(s), 0)  # frexp gives exponent 0 for inf and NaN
+    B = np.ldexp(A, -s)
+    eye = np.eye(A.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = eye
+        for k in range(18, 0, -1):
+            E = eye + B @ E / k
+        for _ in range(s):
+            E = E @ E
+    return E
 
 
 def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField],

@@ -44,21 +44,23 @@ class TDependentVectorField:
         return np.asarray(self.func(float(t), np.asarray(x, dtype=float)), dtype=float)
 
 
-def lie_bracket_at(X: VectorField, Y: VectorField, x) -> np.ndarray:
+def lie_bracket_at(X: VectorField, Y: VectorField, x, values=None) -> np.ndarray:
     """[X, Y](x) = DY(x) X(x) - DX(x) Y(x) from field values only.
 
     ``x`` is one point ``(N,)`` or a block ``(..., N)``.  Each derivative is a
     central difference along the other field,
     (Y(x + hX) - Y(x - hX) - X(x + hY) + X(x - hY)) / 2h, with the step
     h = FD_SCALE * max(1, max|x|) of each point; the fields must take blocks
-    when x is one.
+    when x is one.  ``values`` is the pair (X(x), Y(x)) when the caller has
+    it, which leaves the four shifted evaluations.
     """
     x = np.asarray(x, dtype=float)
     if not (X.dim == Y.dim and x.shape[-1:] == (X.dim,)):
         raise DimensionMismatchError("fields and point must share a dimension")
     h = FD_SCALE * np.maximum(1.0, np.abs(x).max(axis=-1, keepdims=True))
-    hX = h * X(x)
-    hY = h * Y(x)
+    vx, vy = (X(x), Y(x)) if values is None else values
+    hX = h * vx
+    hY = h * vy
     return (Y(x + hX) - Y(x - hX) - X(x + hY) + X(x - hY)) / (2.0 * h)
 
 
@@ -83,15 +85,17 @@ def diagonal_prolongation(X: VectorField, m: int) -> VectorField:
     return VectorField(n * m, func, name=f"{X.name}^[{m}]" if X.name else "")
 
 
-def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL):
+def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL,
+            values=None):
     """Numerical rank of the N x r matrix of field values at x.
 
     ``x`` is one point ``(N,)``, which gives an int, or a block ``(..., N)``,
     which gives one rank per point from one stacked SVD.  A point where a
-    field value is not finite has rank 0.
+    field value is not finite has rank 0.  ``values`` is the list of the
+    field values at x when the caller has them.
     """
     x = np.asarray(x, dtype=float)
-    M = np.stack([X(x) for X in fields], axis=-1)
+    M = np.stack([X(x) for X in fields] if values is None else values, axis=-1)
     finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
     sv = np.linalg.svd(np.where(finite, M, 0.0), compute_uv=False)
     # a zero matrix has rank 0: no singular value exceeds rtol * 0
@@ -122,21 +126,22 @@ class RealizedAlgebra:
         return self.fields[0].dim
 
 
-def structure_residual(ra: RealizedAlgebra, x) -> float:
+def structure_residual(ra: RealizedAlgebra, x, values=None) -> float:
     """Max deviation of the brackets [X_a, X_b] from sum_g c[a,b,g] X_g.
 
     ``x`` is one point ``(N,)`` or a block ``(..., N)``; the fields are called
-    once on it for their values and ``lie_bracket_at`` once per pair a < b.
-    A NaN deviation is kept, so the value then fails any tolerance.
+    once on it for their values, unless ``values`` lists them, and
+    ``lie_bracket_at`` once per pair a < b with those values.  A NaN
+    deviation is kept, so the value then fails any tolerance.
     """
     x = np.asarray(x, dtype=float)
     c = ra.algebra.structure
-    vals = [X(x) for X in ra.fields]
+    vals = [X(x) for X in ra.fields] if values is None else values
     r = len(vals)
     worst = []
     for a in range(r):
         for b in range(a + 1, r):
-            lhs = lie_bracket_at(ra.fields[a], ra.fields[b], x)
+            lhs = lie_bracket_at(ra.fields[a], ra.fields[b], x, (vals[a], vals[b]))
             rhs = sum(c[a, b, g] * vals[g] for g in range(r))
             worst.append(np.abs(lhs - rhs).max(initial=0.0))
     # ndarray.max, unlike the builtin max, keeps a NaN deviation

@@ -178,10 +178,11 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
 
     The rank shortfall is ``leaf_dim`` minus the least rank of the realized
     fields over the samples, or 0.0 when no sample drops below the leaf
-    rank.  The ranks (one stacked SVD), the field values, the central
-    differences of the leaf labels and those of the coefficient map (with the
-    ``(trials,)`` sample times) and the brackets of the structure residual
-    each come from evaluations on the ``(trials, N)`` block of all samples.
+    rank.  Each field is evaluated once on the ``(trials, N)`` block of all
+    samples, and its values serve the ranks (one stacked SVD), the rates and
+    the structure residual.  The central differences of the leaf labels and
+    those of the coefficient map (with the ``(trials,)`` sample times) and the
+    shifted evaluations of the brackets are block evaluations too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -192,9 +193,11 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     for i in range(trials):
         xs[i] = ra.box.sample(rng)
         ts[i] = rng.uniform(*t_range)
-    shortfall = float(max(0, fs.chart.leaf_dim - int(rank_at(ra.fields, xs).min())))
+    vals = [X(xs) for X in ra.fields]
+    shortfall = float(max(0, fs.chart.leaf_dim
+                          - int(rank_at(ra.fields, xs, values=vals).min())))
     # (trials, r, N): the values at each sample are contiguous rows
-    values = np.stack([X(xs) for X in ra.fields], axis=1)
+    values = np.stack(vals, axis=1)
     r = len(ra.fields)
 
     def coeffs(y):
@@ -209,7 +212,7 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     chart_res = float(_rates(labels, values).max(initial=0.0))
     return FoliationReport(com_residual=com, rank_shortfall=shortfall,
                            chart_residual=chart_res,
-                           structure_residual=structure_residual(ra, xs))
+                           structure_residual=structure_residual(ra, xs, vals))
 
 
 def sup_drift(observable: Callable[[np.ndarray], object], states) -> float:

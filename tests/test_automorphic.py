@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg
 
 import folsys.automorphic
 from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
-                                GroupAction, GroupCurve,
+                                GroupAction, GroupCurve, _expm,
                                 fundamental_field_residual, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
@@ -108,6 +109,51 @@ def test_reduce_rejects_sign_flipped_action():
                       generators=tuple(np.eye(n)))
     with pytest.raises(IncompatibleActionError):
         reduce_system(bundle.system, bad)
+
+
+# --- the matrix exponential against scipy's ----------------------------------
+
+def test_expm_matches_scipy_on_random_matrices():
+    rng = seeded_rng(11)
+    for n in (2, 3):
+        # 1-norms from 1e-8 to 6, so that 0 to 3 squarings run
+        for norm in np.geomspace(1e-8, 6.0, 200):
+            A = rng.standard_normal((n, n))
+            A *= norm / np.abs(A).sum(axis=0).max()
+            expected = scipy.linalg.expm(A)
+            err = np.max(np.abs(_expm(A) - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-12, (n, norm)
+
+
+def test_expm_of_zero_is_the_identity():
+    for n in (1, 2, 3):
+        assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_expm_of_a_non_finite_entry_is_non_finite_without_a_warning(value):
+    A = np.array([[0.0, -1.0], [0.5, 0.0]])
+    for i, j in np.ndindex(A.shape):
+        bad = A.copy()
+        bad[i, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _expm(bad)
+        assert not np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_reduce_rejects_a_non_finite_generator(value):
+    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
+    action = ermakov_matrix_action(spec)
+    A = action.generators[1].copy()
+    A[0, 0] = value
+    bad = dataclasses.replace(action, generators=(action.generators[0], A,
+                                                  action.generators[2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompatibleActionError, match="residual nan"):
+            reduce_system(ermakov_system(spec).system, bad)
 
 
 def test_reduce_hj_coefficients_are_hamiltonian_gradient():

@@ -198,9 +198,9 @@ def test_verify_foliated_evaluates_each_field_on_the_block_of_samples():
     fields = tuple(counted(X) for X in fs.realized.fields)
     realized = dataclasses.replace(fs.realized, fields=fields)
     verify_foliated(dataclasses.replace(fs, realized=realized), trials=5)
-    # for the ranks, for the rates, for the structure residual's values, and
-    # six times for each of the three brackets of a pair a < b
-    assert shapes == [(5, 4)] * (3 + 3 + 3 + 3 * 6)
+    # once for the values that serve the ranks, the rates and the structure
+    # residual, and four shifted times for each of the three pairs a < b
+    assert shapes == [(5, 4)] * (3 + 3 * 4)
 
 
 def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
