@@ -5,13 +5,12 @@ rules, group-valued reductions, and compatible Poisson structures."""
 from .algebra import (InvariantMetric, LieAlgebra, adjoint_matrix,
                       builtin_algebra, killing_form)
 from .fields import (RealizedAlgebra, TDependentVectorField, VectorField,
-                     diagonal_prolongation, directional_derivative,
-                     lie_bracket_at, minimal_particular_solutions, rank_at)
+                     directional_derivative, lie_bracket_at, rank_at)
 from .foliated import (FoliatedSystem, FoliationChart, assemble, leaf_drift,
                        leaf_of, sup_drift, verify_foliated)
 from .integrate import (Trajectory, convergence_order, integrate,
                         trajectory_to_csv)
-from .superposition import (SuperpositionRule, apply_rule, derive_abelian_rule,
+from .superposition import (SuperpositionRule, apply_rule,
                             first_integral_residual, solve_parameters,
                             verify_rule)
 from .automorphic import (AutomorphicSystem, GroupAction, GroupCurve,

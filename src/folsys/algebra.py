@@ -37,10 +37,6 @@ class LieAlgebra:
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.max(np.abs(self.structure)) == 0.0)
-
 
 def adjoint_matrix(alg: LieAlgebra, index: int) -> np.ndarray:
     """Matrix of ad_{e_index} acting on coordinates: (ad)_{g,b} = c[index,b,g]."""

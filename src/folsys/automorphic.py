@@ -112,15 +112,14 @@ class AutomorphicSystem:
     kind: str
     generators: tuple[np.ndarray, ...]
     coeffs: Callable[[float, np.ndarray], np.ndarray]
-    leaf_space_dim: int
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
         object.__setattr__(self, "generators", gens)
 
     @classmethod
-    def from_reduction(cls, kind: str, generators, foliated_coeffs,
-                       leaf_space_dim: int) -> "AutomorphicSystem":
+    def from_reduction(cls, kind: str, generators,
+                       foliated_coeffs) -> "AutomorphicSystem":
         """Build the reduced system from a foliated coefficient map (sign
         absorbed).  The map returns one row per time or, when it does not
         depend on t, one ``(r,)`` row that is broadcast; any other shape
@@ -131,8 +130,7 @@ class AutomorphicSystem:
             c = -np.asarray(coefficient_values(foliated_coeffs, r, t, k), dtype=float)
             return np.broadcast_to(c, np.shape(t) + (r,))
 
-        return cls(kind=kind, generators=tuple(generators), coeffs=coeffs,
-                   leaf_space_dim=leaf_space_dim)
+        return cls(kind=kind, generators=tuple(generators), coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,7 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
         return fs.coeffs(t, np.broadcast_to(x, np.shape(t) + x.shape))
 
     return AutomorphicSystem.from_reduction(
-        kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs,
-        leaf_space_dim=chart.n_labels)
+        kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs)
 
 
 def _stage_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

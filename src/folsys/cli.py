@@ -133,7 +133,10 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ConfigError(f"non-numeric constant: {node.value!r}")
-            constant = float(node.value)
+            try:
+                constant = float(node.value)
+            except OverflowError as exc:
+                raise ConfigError(f"constant out of float range in {text!r}") from exc
             return lambda args: constant
         raise ConfigError(f"forbidden syntax in expression: {type(node).__name__}")
 

@@ -42,14 +42,6 @@ class ErrorFloorError(FolsysError):
     """Reference solution too accurate to estimate a convergence order."""
 
 
-class RankDeficiencyError(FolsysError):
-    """Prolongations never reach full rank below the copy cap."""
-
-
-class AbelianDerivationError(FolsysError):
-    """Closed-form rule derivation requires an abelian translation realization."""
-
-
 class IncompatibleActionError(FolsysError):
     """Group action generators do not match the realized vector fields."""
 

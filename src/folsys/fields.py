@@ -1,7 +1,7 @@
-"""Vector fields on R^N: numeric brackets, prolongations, ranks.
+"""Vector fields on R^N: numeric brackets, ranks, realized algebras.
 
-Random sampling in this module is always driven by an explicit seed so that
-"generic point" checks are reproducible.
+A field acts on the last axis, so its values on a block ``(..., m, N)`` of
+m points are the values of its m-fold diagonal prolongation.
 """
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra as la
-from .errors import DimensionMismatchError, RankDeficiencyError
-from .util import FD_SCALE, Box, grad_fd, seeded_rng
+from .errors import DimensionMismatchError
+from .util import FD_SCALE, Box, grad_fd
 
 RANK_RTOL = 1e-10
-DEFAULT_SEED = 42
-PROLONGATION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -68,21 +66,6 @@ def directional_derivative(X: VectorField, f: Callable[[np.ndarray], float], x) 
     """(X f)(x) = grad f(x) . X(x), gradient by central differences."""
     x = np.asarray(x, dtype=float)
     return float(grad_fd(f, x) @ X(x))
-
-
-def diagonal_prolongation(X: VectorField, m: int) -> VectorField:
-    """Copy of X acting identically on each of the m factors of R^{N*m}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = X.dim
-
-    def func(xi):
-        out = np.empty(n * m)
-        for a in range(m):
-            out[a * n:(a + 1) * n] = X(xi[a * n:(a + 1) * n])
-        return out
-
-    return VectorField(n * m, func, name=f"{X.name}^[{m}]" if X.name else "")
 
 
 def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL,
@@ -147,26 +130,3 @@ def structure_residual(ra: RealizedAlgebra, x, values=None) -> float:
     # ndarray.max, unlike the builtin max, keeps a NaN deviation
     return float(np.max(worst, initial=0.0))
 
-
-def minimal_particular_solutions(ra: RealizedAlgebra, trials: int = 5,
-                                 seed: int = DEFAULT_SEED,
-                                 cap: int = PROLONGATION_CAP) -> int:
-    """Smallest m whose m-fold prolongations reach rank dim V at generic joint points.
-
-    Genericity is a sampling surrogate: the rank test must succeed for a
-    majority of seeded random joint points.
-    """
-    rng = seeded_rng(seed)
-    target = ra.algebra.dim
-    for m in range(1, cap + 1):
-        prolonged = [diagonal_prolongation(X, m) for X in ra.fields]
-        hits = 0
-        for _ in range(trials):
-            joint = np.concatenate([ra.box.sample(rng) for _ in range(m)])
-            if rank_at(prolonged, joint) == target:
-                hits += 1
-        if hits > trials // 2:
-            return m
-    raise RankDeficiencyError(
-        f"rank deficiency: prolongations reach rank < {target} for all m <= {cap}"
-    )

@@ -30,7 +30,7 @@ from .automorphic import ABELIAN, GroupAction
 from .errors import DimensionMismatchError, SingularCombinationError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart
-from .superposition import SuperpositionRule, derive_abelian_rule
+from .superposition import SuperpositionRule
 from .util import Box, central_differences, grad_fd, seeded_rng
 
 ERMAKOV_GUARD = 1e-6
@@ -45,7 +45,6 @@ class ModelBundle:
     rule: SuperpositionRule | None
     action: GroupAction | None
     default_state: np.ndarray
-    horizon: tuple[float, float]
     observables: dict = field(default_factory=dict)
     spec: object = None
     extras: dict = field(default_factory=dict)
@@ -113,7 +112,24 @@ def riccati_rule() -> SuperpositionRule:
         return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
-                             leaf_preserving=False, vg_dim=3, name="riccati")
+                             vg_dim=3, name="riccati")
+
+
+def translation_rule(n: int) -> SuperpositionRule:
+    """Rule of the translations along the leaves P = const of R^{2n} = (Q, P)
+    in one particular solution and n constants: x = x_(1) + (k, 0), whose
+    first integral is k = Q - Q_(1)."""
+
+    def psi(sols, k):
+        out = np.array(sols[0], dtype=float)
+        out[..., :n] += k
+        return out
+
+    def F(x, sols):
+        return x[..., :n] - sols[0][..., :n]
+
+    return SuperpositionRule(m=1, state_dim=2 * n, param_dim=n, psi=psi, F=F,
+                             vg_dim=n, name="translation")
 
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
@@ -139,7 +155,7 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     system = FoliatedSystem(realized, coeffs, chart, name="riccati")
     return ModelBundle(
         name="riccati", system=system, rule=riccati_rule(), action=None,
-        default_state=np.array([0.0]), horizon=(0.0, 2.0), spec=spec,
+        default_state=np.array([0.0]), spec=spec,
         extras={"rule_min_separation": 0.15},
     )
 
@@ -240,9 +256,9 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
     action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
                          generators=tuple(np.eye(n)), name=labels[1])
     default_state = np.concatenate([q0, np.linspace(1.0, 1.5, n)])
-    return ModelBundle(name=name, system=system, rule=derive_abelian_rule(system),
+    return ModelBundle(name=name, system=system, rule=translation_rule(n),
                        action=action, default_state=default_state,
-                       horizon=(0.0, 2.0), observables=observables or {}, spec=spec)
+                       observables=observables or {}, spec=spec)
 
 
 def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
@@ -406,7 +422,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     observables = {"lewis": lambda s: lewis_invariant(spec, s)}
     return ModelBundle(name="ermakov", system=system, rule=None,
                        action=None, default_state=np.array([1.0, 1.0, 0.0, 1.0]),
-                       horizon=(0.0, 5.0), observables=observables, spec=spec)
+                       observables=observables, spec=spec)
 
 
 def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:

@@ -226,7 +226,6 @@ def rmatrix_bivector_aff(n: int) -> PoissonBivector:
 
 @dataclass(frozen=True)
 class HamiltonianCheck:
-    field: VectorField
     hamiltonian: object
     residual: float
 
@@ -254,7 +253,7 @@ def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCh
 
         cand = FuncWithGrad(F, dF, hess=HF, name=f"-log(a{i + 1})/2")
         out.append(HamiltonianCheck(
-            field=flds[i], hamiltonian=cand,
+            hamiltonian=cand,
             residual=hamiltonian_residual(L, flds[i], cand, samples)))
     return out
 
@@ -264,9 +263,12 @@ def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCh
 # coefficients constant on orbits (functions of the metric Casimir).
 # ---------------------------------------------------------------------------
 
-def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
-                            coeffs=None, box: Box | None = None,
-                            leaf_dim: int | None = None) -> FoliatedSystem:
+def adjoint_foliated_system(alg: la.LieAlgebra,
+                            metric: la.InvariantMetric) -> FoliatedSystem:
+    """Fields -ad_a of the algebra with the coefficients (1, cos(t)/2,
+    Casimir/10) of sl2 on the box [0.6, 1.4]^r, foliated by the level sets of
+    the metric Casimir, of dimension r - 1.  Any algebra other than a
+    three-dimensional one fails the coefficient-map contract when evaluated."""
     r = alg.dim
     ads = [la.adjoint_matrix(alg, a) for a in range(r)]
     flds = tuple(
@@ -279,7 +281,7 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
     def casimir(v):
         return dot_last(vecmat(v, G), v)
 
-    def sl2_coeffs(t, v):
+    def coeffs(t, v):
         cas = casimir(v)
         out = np.empty(cas.shape + (3,))
         out[..., 0] = 1.0
@@ -287,18 +289,11 @@ def adjoint_foliated_system(alg: la.LieAlgebra, metric: la.InvariantMetric,
         out[..., 2] = 0.1 * cas
         return out
 
-    if coeffs is None and r == 3:
-        coeffs = sl2_coeffs
-    elif coeffs is None:
-        coeffs = lambda t, v: np.ones(r)
-    if box is None:
-        box = Box(np.full(r, 0.6), np.full(r, 1.4))
-    s = r - 1 if leaf_dim is None else leaf_dim
     chart = FoliationChart.from_invariants(
-        dim=r, leaf_dim=s, invariants=lambda v: casimir(v)[..., None],
+        dim=r, leaf_dim=r - 1, invariants=lambda v: casimir(v)[..., None],
         n_labels=1,
     )
-    realized = RealizedAlgebra(alg, flds, box)
+    realized = RealizedAlgebra(alg, flds, Box(np.full(r, 0.6), np.full(r, 1.4)))
     return FoliatedSystem(realized, coeffs, chart, name="adjoint")
 
 

@@ -1,4 +1,4 @@
-"""Superposition rules: representation, closed-form derivation, verification.
+"""Superposition rules: representation and verification.
 
 A rule is a pair of maps on the last axis of arrays ``(..., N)``: psi takes
 m particular solutions and a parameter k to a solution x, and its first
@@ -8,8 +8,8 @@ realized field, and psi(sols, F(x, sols)) = x: the construction of
 Carinena, Grabowski and Marmo (Rep. Math. Phys. 60, 2007), which holds
 leafwise for foliated systems.  So a fit reads k off F in closed form, and
 verification measures both the reconstruction over a horizon and how far F
-is from a first integral.  For leaf-preserving rules the leaf-restriction
-property is checked statistically, not enforced by the type.
+is from a first integral.  The rules themselves are stated in closed form
+with their models (``models.riccati_rule``, ``models.translation_rule``).
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AbelianDerivationError, DimensionMismatchError, FolsysError
-from .fields import minimal_particular_solutions
+from .errors import DimensionMismatchError, FolsysError
 from .foliated import FoliatedSystem, assemble
 from .integrate import DEFAULT_STEP, integrate
 from .util import seeded_rng
@@ -38,8 +37,6 @@ class SuperpositionRule:
     param_dim: int
     psi: Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray]
     F: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
-    leaf_preserving: bool = False
-    chart: object = None
     vg_dim: int | None = None
     name: str = ""
 
@@ -188,51 +185,3 @@ def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
     traj = integrate(assemble(fs), pts, *horizon, h)
     return rule_report(rule, fs, traj.states, trials)
 
-
-def derive_abelian_rule(fs: FoliatedSystem, seed: int = 42,
-                        check_points: int = 25) -> SuperpositionRule:
-    """Closed-form leaf-preserving rule for abelian translation realizations.
-
-    Requires a split chart and verifies numerically that every realized field
-    is a constant translation along the leaf coordinates.  The rule is then
-    psi(x_(1), k) = x_(1) + (k, 0): the leaf coordinates move by k, the
-    labels stay; its first integral is F(x, x_(1)) = x[:s] - x_(1)[:s].
-    """
-    alg = fs.realized.algebra
-    if not alg.is_abelian:
-        raise AbelianDerivationError(
-            "abelian derivation inapplicable: algebra is not abelian"
-        )
-    chart = fs.chart
-    if not chart.is_split:
-        raise AbelianDerivationError(
-            "abelian derivation inapplicable: chart is not split"
-        )
-    rng = seeded_rng(seed)
-    pts = fs.realized.box.sample_many(rng, check_points)
-    s = chart.leaf_dim
-    for X in fs.realized.fields:
-        rows = X(pts)
-        if np.max(np.abs(rows[:, s:])) > 1e-8:
-            raise AbelianDerivationError(
-                "abelian derivation inapplicable: fields leak into leaf labels"
-            )
-        if np.max(np.abs(rows - rows[0])) > 1e-8:
-            raise AbelianDerivationError(
-                "abelian derivation inapplicable: fields are not constant translations"
-            )
-    m = minimal_particular_solutions(fs.realized, seed=seed)
-
-    def psi(sols, k):
-        out = np.array(sols[0], dtype=float)
-        out[..., :s] += k
-        return out
-
-    def F(x, sols):
-        return x[..., :s] - sols[0][..., :s]
-
-    return SuperpositionRule(
-        m=m, state_dim=fs.dim, param_dim=s, psi=psi, F=F,
-        leaf_preserving=True, chart=chart, vg_dim=alg.dim,
-        name=f"{fs.name}-translation-rule" if fs.name else "translation-rule",
-    )

@@ -15,8 +15,7 @@ from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
 from folsys.automorphic import (MATRIX, AutomorphicSystem, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
-from folsys.fields import (directional_derivative,
-                           minimal_particular_solutions, structure_residual)
+from folsys.fields import directional_derivative, structure_residual
 from folsys.foliated import assemble, leaf_drift, verify_foliated
 from folsys.integrate import convergence_order, integrate
 from folsys.fields import TDependentVectorField
@@ -93,8 +92,9 @@ def test_criterion_04_leaf_invariance():
            f"ermakov_rel={rel:.2e}")
 
 
-def test_criterion_05_minimal_solution_counts():
-    counts = {name: minimal_particular_solutions(default_model(name).system.realized)
+def test_criterion_05_minimal_solution_counts(minimal_solutions):
+    # least m whose field values on blocks of m points reach rank dim V
+    counts = {name: minimal_solutions(default_model(name).system.realized)
               for name in ("riccati", "hamilton_jacobi", "lax")}
     ok = counts == {"riccati": 3, "hamilton_jacobi": 1, "lax": 1}
     report(5, "minimal solution counts", ok, f"{counts}")
@@ -145,7 +145,7 @@ def test_criterion_07_group_reconstruction():
     worst_mat = 0.0
     for gen, coeff in ((e1, 1.0), (h1, 1.0), (h1, -0.7)):
         asys = AutomorphicSystem.from_reduction(
-            MATRIX, (gen,), lambda t, k, _c=coeff: np.array([_c]), 0)
+            MATRIX, (gen,), lambda t, k, _c=coeff: np.array([_c]))
         curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
         closed = scipy.linalg.expm(-coeff * gen)
         worst_mat = max(worst_mat, float(np.max(np.abs(curve.elements[-1] - closed))))
@@ -153,7 +153,7 @@ def test_criterion_07_group_reconstruction():
     hj = default_model("hamilton_jacobi")
     asys0 = AutomorphicSystem.from_reduction(
         "abelian", hj.action.generators,
-        lambda t, k: np.zeros(2), 2)
+        lambda t, k: np.zeros(2))
     curve0 = solve_abelian(asys0, np.array([1.0, 1.5]), 0.0, 2.0, 1e-3)
     x0 = np.array([0.3, -0.4, 1.0, 1.5])
     rec0 = reconstruct(hj.action, curve0, x0)

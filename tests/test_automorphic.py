@@ -160,7 +160,6 @@ def test_reduce_hj_coefficients_are_hamiltonian_gradient():
     hj = hj_system(sum_cos_spec(2))
     asys = reduce_system(hj.system, hj.action)
     assert asys.kind == ABELIAN
-    assert asys.leaf_space_dim == 2
     rng = seeded_rng(3)
     for _ in range(20):
         t = float(rng.uniform(0, 2))
@@ -209,7 +208,7 @@ def test_solve_abelian_quadrature_cos_hamiltonian():
 
 def test_solve_abelian_zero_coefficients_identity():
     asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.zeros(2), 0)
+                                            lambda t, k: np.zeros(2))
     curve = solve_abelian(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == 0.0)
 
@@ -217,7 +216,7 @@ def test_solve_abelian_zero_coefficients_identity():
 def test_reduced_coefficient_map_of_wrong_shape_raises():
     for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
                               (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
-        asys = AutomorphicSystem.from_reduction(kind, gens, lambda t, k: np.ones(1), 0)
+        asys = AutomorphicSystem.from_reduction(kind, gens, lambda t, k: np.ones(1))
         with pytest.raises(DimensionMismatchError):
             solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
 
@@ -238,12 +237,12 @@ def test_solve_abelian_constant_gradient():
 
 def test_solve_matrix_affine_exponentials():
     e1, h1 = GLP1
-    sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), lambda t, k: np.ones(1), 0)
+    sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), lambda t, k: np.ones(1))
     curve = solve_matrix(sys_e, np.zeros(0), 0.0, 1.0, 1e-3)
     # nilpotent generator: RK4 step polynomial equals the exponential exactly
     assert np.array_equal(curve.elements[-1], np.array([[1.0, -1.0], [0.0, 1.0]]))
 
-    sys_h = AutomorphicSystem.from_reduction(MATRIX, (h1,), lambda t, k: np.ones(1), 0)
+    sys_h = AutomorphicSystem.from_reduction(MATRIX, (h1,), lambda t, k: np.ones(1))
     curve_h = solve_matrix(sys_h, np.zeros(0), 0.0, 1.0, 1e-3)
     expected = scipy.linalg.expm(-h1)
     assert np.max(np.abs(curve_h.elements[-1] - expected)) <= 1e-10
@@ -251,7 +250,7 @@ def test_solve_matrix_affine_exponentials():
 
 
 def test_solve_matrix_zero_coefficients_identity():
-    asys = AutomorphicSystem.from_reduction(MATRIX, GLP1, lambda t, k: np.zeros(2), 0)
+    asys = AutomorphicSystem.from_reduction(MATRIX, GLP1, lambda t, k: np.zeros(2))
     curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == np.eye(2))
 
@@ -260,7 +259,7 @@ def test_solve_matrix_errors_carry_partial():
     # g' = -c g: c < 0 overflows the entries, c > 0 collapses the determinant
     for coeff, error in ((-1e3, BlowUpError), (100.0, DomainExitError)):
         asys = AutomorphicSystem.from_reduction(
-            MATRIX, (np.eye(2),), lambda t, k, _c=coeff: np.array([_c]), 0)
+            MATRIX, (np.eye(2),), lambda t, k, _c=coeff: np.array([_c]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(error) as exc:
                 solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
@@ -387,7 +386,7 @@ def test_solve_abelian_equals_the_integrate_loop_bitwise(grid):
     # -0.0 coefficients: the running sum starts from a zero row, as the loop
     # turned 0.0 + (-0.0) into 0.0
     cases["negative-zero"] = (AutomorphicSystem.from_reduction(
-        ABELIAN, tuple(np.eye(2)), lambda t, k: np.zeros(np.shape(t) + (2,)), 0),
+        ABELIAN, tuple(np.eye(2)), lambda t, k: np.zeros(np.shape(t) + (2,))),
         np.zeros(0))
     for name, (asys, k) in cases.items():
         curve = solve_abelian(asys, k, *grid)
@@ -405,7 +404,7 @@ def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
                       leaf_of(b.system.chart, np.array([1.0, 1.2, 0.3, -0.2]))))
     cases.append((AutomorphicSystem.from_reduction(
         MATRIX, GLP1,
-        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0),
+        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1)),
         np.zeros(0)))
     for asys, k in cases:
         curve = solve_matrix(asys, k, *grid)
@@ -423,7 +422,7 @@ def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():
         "overflow": lambda t, k: np.full(np.shape(t) + (1,), -1e307),
     }
     for name, coeffs in blowups.items():
-        asys = AutomorphicSystem.from_reduction(ABELIAN, (np.eye(1)[0],), coeffs, 0)
+        asys = AutomorphicSystem.from_reduction(ABELIAN, (np.eye(1)[0],), coeffs)
         with pytest.raises(BlowUpError) as exc:
             solve_abelian(asys, np.zeros(0), 0.0, 100.0, 0.5)
         with np.errstate(over="ignore"), pytest.raises(BlowUpError) as loop:
@@ -440,7 +439,7 @@ def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():
 
 def test_time_independent_reduced_map_is_broadcast():
     asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.array([1.0, -2.0]), 0)
+                                            lambda t, k: np.array([1.0, -2.0]))
     times = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     c = asys.coeffs(times, np.zeros(0))
     assert c.shape == (3, 4, 2)
@@ -455,14 +454,14 @@ def test_reduced_map_stacked_on_the_wrong_axis_raises():
     for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
                               (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
         asys = AutomorphicSystem.from_reduction(
-            kind, gens, lambda t, k: np.stack([np.cos(t), np.sin(t)]), 0)
+            kind, gens, lambda t, k: np.stack([np.cos(t), np.sin(t)]))
         with pytest.raises(DimensionMismatchError):
             solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
 
 
 def test_solve_abelian_keeps_the_argument_errors_of_integrate():
     asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.ones(2), 0)
+                                            lambda t, k: np.ones(2))
     for t0, t1, h, match in ((1.0, 1.0, 0.1, "t1 > t0"), (0.0, 1.0, 0.0, "0 < h"),
                              (0.0, 1.0, 2.0, "0 < h")):
         for solve in (solve_abelian, _solve_abelian_on_integrate):

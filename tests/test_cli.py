@@ -80,6 +80,17 @@ def test_cli_call_arity_error_exits_2_before_writing_output(tmp_path):
     assert not out.exists()
 
 
+def test_cli_integer_constant_beyond_float_range_exits_2(tmp_path):
+    with pytest.raises(ConfigError, match="out of float range"):
+        compile_expression("1" + "0" * 400, ("t",))
+    path = write_config(tmp_path / "huge.json",
+                        params={"n": 1, "hamiltonian": "1" + "0" * 400 + "*P1"})
+    proc = subprocess.run([sys.executable, "-m", "folsys.cli", "--config", str(path),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 # fully parenthesised expressions over the whitelisted grammar
 _VARIABLES = ("t", "P1", "I")
 _LEAVES = st.one_of(

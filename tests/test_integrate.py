@@ -223,7 +223,7 @@ def test_solve_matrix_matches_reference_loop():
     glp1 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
     glp = AutomorphicSystem.from_reduction(
         MATRIX, glp1,
-        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1), 0)
+        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1))
 
     for asys, kk in ((erm, k), (glp, np.zeros(0))):
         curve = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)

@@ -253,8 +253,9 @@ def _block_cases():
     Lr = rmatrix_bivector_aff(2)
     aff_pts = _rmatrix_points(seeded_rng(12), 40)
     aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4), _plain]
-    aff_pairs = [(ch.field, ch.hamiltonian)
-                 for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]
+    aff_pairs = list(zip(aff_right_invariant_fields(2),
+                         [ch.hamiltonian
+                          for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]))
     aff_pairs.append((aff_right_invariant_fields(2)[2], aff_cands[0]))
     fd = lambda B: PoissonBivector(B.dim, B.coeff, dcoeff=None, name=B.name + "-fd")
     return [("kirillov", L, kir_cands, kir_pairs, kir_pts),

@@ -7,6 +7,10 @@ or a string constant (the benchmark tracer binds functions by name) in the
 package modules other than ``__init__.py``, in ``scripts/`` or in
 ``perfbench/``.  Names are matched without their module or class, so the
 check is loose: it finds definitions that nothing mentions at all.
+
+A public field of a dataclass counts as reached when its name occurs as an
+attribute or a string constant in the same files: a field that is only
+ever set, by a keyword or a positional argument, is read by nothing.
 """
 import ast
 from pathlib import Path
@@ -31,22 +35,52 @@ def public_definitions(package: Path):
                         yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
-def used_names(root: Path) -> set[str]:
+def dataclass_fields(package: Path):
+    """(qualified name, name) of each public field of a dataclass."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef)
+                    and any(_is_dataclass(d) for d in node.decorator_list)):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
+def program_nodes(root: Path):
     files = [p for p in (root / "src" / "folsys").glob("*.py")
              if p.name != "__init__.py"]
     files += list((root / "scripts").rglob("*.py"))
     files += list((root / "perfbench").rglob("*.py"))
-    used = set()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update(filter(None, (node.name, node.asname)))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def read_names(root: Path) -> set[str]:
+    """Names read as an attribute or held in a string constant."""
+    read = set()
+    for node in program_nodes(root):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def used_names(root: Path) -> set[str]:
+    used = read_names(root)
+    for node in program_nodes(root):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.update(filter(None, (node.name, node.asname)))
     return used
 
 
@@ -59,3 +93,17 @@ def unreached(root: Path) -> list[str]:
 
 def test_every_public_name_is_reached_outside_the_tests():
     assert unreached(ROOT) == []
+
+
+def unread_fields(root: Path) -> list[str]:
+    read = read_names(root)
+    return [qualified
+            for qualified, name in dataclass_fields(root / "src" / "folsys")
+            if name not in read]
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # the scan sees the fields of `@dataclass(...)` classes
+    assert {"superposition.SuperpositionRule.psi", "fields.VectorField.func"} <= {
+        qualified for qualified, _ in dataclass_fields(ROOT / "src" / "folsys")}
+    assert unread_fields(ROOT) == []

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folsys.errors import (AbelianDerivationError, DimensionMismatchError,
-                           FolsysError, SingularCombinationError)
+from folsys.errors import (DimensionMismatchError, FolsysError,
+                           SingularCombinationError)
 from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
-from folsys.models import default_model, hj_system, sum_cos_spec
+from folsys.models import default_model, hj_system, sum_cos_spec, translation_rule
 from folsys.superposition import (SuperpositionRule, _sample_on_leaf, apply_rule,
-                                  derive_abelian_rule, first_integral_residual,
-                                  solve_parameters, verify_rule)
+                                  first_integral_residual, solve_parameters,
+                                  verify_rule)
 from folsys.util import seeded_rng
 
 
@@ -119,24 +119,16 @@ def test_constructed_rules_satisfy_count():
         assert rule.m * rule.param_dim >= rule.vg_dim
 
 
-def test_derive_abelian_rule_hj_and_lax():
-    hj = hj_system(sum_cos_spec(2))
-    rule = derive_abelian_rule(hj.system)
-    assert rule.m == 1
-    assert rule.param_dim == 2
-    assert rule.leaf_preserving
-    lax = default_model("lax")
-    rule = derive_abelian_rule(lax.system)
-    assert rule.m == 1
-    assert rule.param_dim == 2
+def test_translation_rule_hj_and_lax():
+    rule = translation_rule(2)
+    assert (rule.m, rule.state_dim, rule.param_dim, rule.vg_dim) == (1, 4, 2, 2)
     out = apply_rule(rule, [np.array([5.0, 0.0, 3.0, 1.0])], [4.0, 0.0])
     assert np.array_equal(out, [9.0, 0.0, 3.0, 1.0])
-
-
-def test_derive_abelian_rule_rejects_riccati():
-    ric = default_model("riccati")
-    with pytest.raises(AbelianDerivationError):
-        derive_abelian_rule(ric.system)
+    for name in ("hamilton_jacobi", "lax"):
+        bundle = default_model(name)
+        assert (bundle.rule.m, bundle.rule.param_dim) == (1, 2)
+        assert apply_rule(bundle.rule, [np.array([5.0, 0.0, 3.0, 1.0])],
+                          [4.0, 0.0]).tobytes() == out.tobytes()
 
 
 def test_leaf_preservation_of_derived_rules():
@@ -154,7 +146,7 @@ def test_leaf_preservation_of_derived_rules():
 
 def test_first_integral_residual_hj():
     hj = hj_system(sum_cos_spec(1))
-    rule = derive_abelian_rule(hj.system)
+    rule = translation_rule(1)
     # joint points (x_(1), x): (Q1, P1), (Q, P)
     rng = seeded_rng(4)
     joint = rng.uniform(-1, 1, size=(10, 2, 2))
@@ -217,8 +209,7 @@ def test_verify_rule_wrong_rule_fails_a_row():
     # F is the translation first integral, but psi ignores the parameter
     wrong = SuperpositionRule(m=1, state_dim=4, param_dim=2,
                               psi=lambda sols, k: sols[0].copy(),
-                              F=lambda x, sols: x[..., :2] - sols[0][..., :2],
-                              leaf_preserving=True)
+                              F=lambda x, sols: x[..., :2] - sols[0][..., :2])
     rep = verify_rule(wrong, bundle.system, (0.0, 1.0), trials=1, seed=42)
     assert rep.max_reconstruction_error > 1e-8  # superposition.reconstruction
     assert rep.first_integral <= 1e-8
@@ -308,8 +299,8 @@ def test_first_integral_inverts_the_rule(name, data):
     n = 6
     pts = data.draw(separated_samples(n, rule.m + 1, rule.state_dim))
     x, sols = pts[:, -1], [pts[:, i] for i in range(rule.m)]
-    if rule.leaf_preserving:  # x on the leaf of x_(1)
-        x[:, rule.chart.leaf_dim:] = sols[0][:, rule.chart.leaf_dim:]
+    # x on the leaf of x_(1): the coordinates past the parameters are labels
+    x[:, rule.param_dim:] = sols[0][:, rule.param_dim:]
     k = rule.F(x, sols)
     assert k.shape == (n, rule.param_dim)
     for i in range(n):
