@@ -18,7 +18,7 @@ from .errors import BlowUpError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
 from .foliated import FoliatedSystem, coefficient_values, leaf_of
 from .integrate import (DEFAULT_STEP, Trajectory, integrate, partial_trajectory,
-                        time_grid)
+                        stage_times, time_grid)
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -176,14 +176,6 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
         kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs)
 
 
-def _stage_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps ``(T-1,)`` of a grid and its RK4 stage times ``(3, T-1)``: start,
-    midpoint and end of each step, computed as ``integrate`` computes them."""
-    t = times[:-1]
-    dt = times[1:] - t
-    return dt, np.stack([t, t + 0.5 * dt, t + dt])
-
-
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
                   h: float = DEFAULT_STEP) -> GroupCurve:
     """Quadrature of the abelian system from the identity (lambda(t0) = 0).
@@ -200,7 +192,7 @@ def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
         raise ValueError("solve_abelian requires an abelian system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     times = time_grid(t0, t1, h)
-    dt, stages = _stage_times(times)
+    dt, stages = stage_times(times)
     c1, c2, c4 = asys.coeffs(stages, k)
     states = np.zeros((times.size, len(asys.generators)))
     # non-finite values are reported below, not warned about
@@ -230,12 +222,12 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     gens = asys.generators
     d = gens[0].shape[0]
-    _, stages = _stage_times(time_grid(t0, t1, h))
+    _, stages = stage_times(time_grid(t0, t1, h))
     c = asys.coeffs(stages, k)
     M = np.zeros(stages.shape + (d, d))
     for a, A in enumerate(gens):
         M += c[..., a, None, None] * A
-    # integrate computes the same stage times as Python floats
+    # integrate steps on the same stage times, as Python floats
     matrices = dict(zip(stages.ravel().tolist(), M.reshape(-1, d, d)))
 
     def rhs(t, g):

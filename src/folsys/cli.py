@@ -26,8 +26,8 @@ from .algebra import builtin_algebra, killing_form, InvariantMetric
 from .automorphic import reconstruction_error
 from .errors import ConfigError, FolsysError
 from .foliated import assemble, leaf_drift, sup_drift, verify_foliated
-from .integrate import (Trajectory, convergence_order, integrate,
-                        trajectory_to_csv)
+from .integrate import (Trajectory, convergence_order, convergence_steps,
+                        integrate, order_from_finals, trajectory_to_csv)
 from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
                       is_foliated_lie_hamilton, jacobiator, kirillov_bivector,
                       linear_coordinates, poisson_bracket,
@@ -43,6 +43,7 @@ PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
                "ermakov": ("omega2", "c1", "c2")}
 REPORT_FORMATS = ("json", "csv")
 RULE_TRIALS = 3
+MAX_STEPS = 10 ** 6  # cap on (t1 - t0) / step, the RK4 steps of one grid
 
 
 def _divide(a, b):
@@ -187,6 +188,9 @@ class ScenarioConfig:
         if not 0.0 < self.step <= self.t1 - self.t0:
             raise ConfigError(
                 f"step must lie in (0, t1 - t0 = {self.t1 - self.t0}], got {self.step}")
+        if not (self.t1 - self.t0) / self.step <= MAX_STEPS:
+            raise ConfigError(f"step {self.step} makes {(self.t1 - self.t0) / self.step:.6g} "
+                              f"steps from t0 to t1; at most {MAX_STEPS} are allowed")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.fmt not in REPORT_FORMATS:
@@ -327,12 +331,18 @@ def _require_support(name: str, bundle: mdl.ModelBundle) -> None:
         raise ConfigError(f"check {name!r} not supported for {bundle.name}{hint}")
 
 
+def _coarse_step(cfg: ScenarioConfig) -> float:
+    """Coarsest step h of the convergence runs, which use h, h/2 and h/4."""
+    return (cfg.t1 - cfg.t0) / 50.0
+
+
 def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
-               traj: Trajectory,
-               rule_runs: np.ndarray | FolsysError | None) -> list[CheckReport]:
+               traj: Trajectory, rule_runs: np.ndarray | FolsysError | None,
+               finals: np.ndarray | None) -> list[CheckReport]:
     """Rows of one check; every check reads the scenario's trajectory ``traj``,
-    and superposition the rule runs sampled on its grid, or the error that
-    integrating them raised."""
+    superposition the rule runs sampled on its grid, or the error that
+    integrating them raised, and convergence the final states of x0 on the
+    convergence steps when the joint batch ran them."""
     t0, t1, seed = cfg.t0, cfg.t1, cfg.seed
     start = time.perf_counter()
     model = bundle.name
@@ -388,9 +398,11 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
                        drift / max(ref, 1e-30), 1e-6, start)]
 
     if name == "convergence":
-        coarse = (t1 - t0) / 50.0
-        order = convergence_order(assemble(bundle.system), traj.states[0],
-                                  t0, t1, coarse)
+        if finals is None:
+            order = convergence_order(assemble(bundle.system), traj.states[0],
+                                      t0, t1, _coarse_step(cfg))
+        else:
+            order = order_from_finals(*finals)
         return [_timed("convergence.order_gap", model, seed,
                        abs(order - 4.0), 0.5, start)]
 
@@ -451,7 +463,13 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     """Execute the scenario; returns reports and the written data files.
 
     The scenario trajectory and the superposition trials share one RK4 batch:
-    x0 is its last row, on the scenario grid.
+    x0 is the row after the trials, on the scenario grid.  When convergence
+    is requested too and the scenario step is at most the finest
+    convergence step (t1 - t0)/200, x0 is added once per convergence step,
+    each row on its own grid, so one loop serves the trajectory and both
+    checks.  If that batch raises, the runs are made as without
+    convergence, and the convergence runs follow, each raising as it would
+    then.
     """
     bundle = build_bundle(cfg)
     for name in cfg.checks:
@@ -466,29 +484,41 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     F = assemble(bundle.system)
     grid = (cfg.t0, cfg.t1, cfg.step)
-    traj = rule_runs = None
+    traj = rule_runs = finals = joint = None
     if "superposition" in cfg.checks:
+        conv = convergence_steps(_coarse_step(cfg))
         try:
             pts = rule_points(bundle.rule, bundle.system, RULE_TRIALS, cfg.seed,
                               bundle.extras.get("rule_min_separation", 0.0))
-            joint = integrate(F, np.vstack([pts, x0]), *grid)
+            if "convergence" in cfg.checks and cfg.step <= min(conv):
+                try:
+                    joint = integrate(F, np.vstack([pts, x0] + [x0] * len(conv)),
+                                      cfg.t0, cfg.t1,
+                                      [cfg.step] * (len(pts) + 1) + list(conv))
+                except FolsysError:
+                    pass  # the separate runs below raise in their own place
+                else:
+                    finals = joint.states[-1, -len(conv):]
+            if joint is None:
+                joint = integrate(F, np.vstack([pts, x0]), *grid)
         except FolsysError as exc:
             # a failing trial must not cost the scenario its trajectory:
             # x0 is integrated alone below, and the check raises exc
             rule_runs = exc
         else:
-            # batch rows are elementwise: the last one is x0 integrated alone,
+            # batch rows are elementwise: row len(pts) is x0 integrated alone,
             # copied to the contiguous layout it has there
-            traj = Trajectory(joint.times, np.ascontiguousarray(joint.states[:, -1]),
+            traj = Trajectory(joint.times,
+                              np.ascontiguousarray(joint.states[:, len(pts)]),
                               joint.step)
-            rule_runs = joint.states[:, :-1]
+            rule_runs = joint.states[:, :len(pts)]
     if traj is None:
         traj = integrate(F, x0, *grid)
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
     reports = []
     for name in cfg.checks:
-        reports.extend(_run_check(name, bundle, cfg, traj, rule_runs))
+        reports.extend(_run_check(name, bundle, cfg, traj, rule_runs, finals))
     reports.sort(key=lambda r: (r.check, r.model))
     return reports, {"trajectory": str(traj_path)}
 

@@ -31,15 +31,20 @@ class VectorField:
 
 @dataclass(frozen=True)
 class TDependentVectorField:
-    """Time-dependent vector field; ``domain`` guards integration when set."""
+    """Time-dependent vector field; ``domain`` guards integration when set.
+
+    ``t`` is a float, or an array of times, one per state of a batch, which
+    is passed through as it is."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool] | None = None
     name: str = ""
 
-    def __call__(self, t: float, x) -> np.ndarray:
-        return np.asarray(self.func(float(t), np.asarray(x, dtype=float)), dtype=float)
+    def __call__(self, t, x) -> np.ndarray:
+        if type(t) is not float and not isinstance(t, np.ndarray):
+            t = float(t)
+        return np.asarray(self.func(t, np.asarray(x, dtype=float)), dtype=float)
 
 
 def lie_bracket_at(X: VectorField, Y: VectorField, x, values=None) -> np.ndarray:

@@ -21,7 +21,8 @@ class Trajectory:
     """Uniformly sampled solution curve; the last interval may be shorter.
 
     ``states`` has shape ``(T, N)`` for one solution or ``(T, B, N)`` for a
-    batch of B solutions sampled on the same grid.
+    batch of B solutions sampled on the same grid (see ``integrate`` for a
+    batch with one step per row).
     """
 
     times: np.ndarray
@@ -68,20 +69,53 @@ def time_grid(t0: float, t1: float, h: float) -> np.ndarray:
     return times
 
 
+def stage_times(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps ``(T-1, ...)`` of a grid ``(T,)``, or of grids side by side
+    ``(T, B)``, and their RK4 stage times ``(3, T-1, ...)``: the start,
+    midpoint and end of each step."""
+    t = grids[:-1]
+    dt = grids[1:] - t
+    return dt, np.stack([t, t + 0.5 * dt, t + dt])
+
+
 def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
-              h: float = DEFAULT_STEP) -> Trajectory:
+              h: float | list[float] = DEFAULT_STEP) -> Trajectory:
     """Classical 4th-order Runge-Kutta from t0 to t1 (reached exactly).
 
     ``x0`` is one state ``(N,)`` or a batch ``(B, N)`` of independent states
-    stepped together on one grid; ``F`` is then called on the whole batch and
-    must return an array of the same shape.  Every row of a batch goes
-    through the domain guard, and a blow-up or domain exit in any row raises
-    at the earliest failing step with the whole batch as ``partial``.
+    stepped together; ``F`` is then called on the whole batch and must
+    return an array of the same shape.  Every row of a batch goes through
+    the domain guard, and a blow-up or domain exit in any row raises at the
+    earliest failing step with the whole batch as ``partial``.
+
+    ``h`` is one step for every row, on the grid ``time_grid(t0, t1, h)``,
+    or, for a batch, a sequence of one step per row.  Each row then runs on
+    its own ``time_grid(t0, t1, h_i)``, all rows stepped in lockstep by the
+    same loop with ``F`` called on one time per row; a row whose grid has
+    ended holds its state at t1 with ``dt = 0`` (x + 0 k = x, up to the sign
+    of a zero).  The trajectory is sampled on the grid of the smallest step,
+    which has the most samples: the rows on that step are on its times at
+    every sample, and ``states[-1]`` is every row at t1.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
         raise ValueError(f"initial state must have shape ({F.dim},) or (B, {F.dim})")
-    times = time_grid(t0, t1, h)
+    if np.ndim(h) == 0:
+        times = time_grid(t0, t1, h)
+        steps, stages = stage_times(times)
+        # Python floats: no numpy scalar per stage
+        steps, stages = steps.tolist(), stages.tolist()
+    else:
+        row_steps = np.asarray(h, dtype=float)
+        if x0.ndim != 2 or row_steps.shape != x0.shape[:1]:
+            raise ValueError("per-row steps need a batch (B, N) and one step per row")
+        grids = [time_grid(t0, t1, s) for s in row_steps.tolist()]
+        h = float(row_steps.min())
+        times = grids[int(np.argmin(row_steps))]
+        # (T, B): each row's grid, held at t1 once it has ended
+        steps, stages = stage_times(np.column_stack(
+            [np.pad(g, (0, times.size - g.size), mode="edge") for g in grids]))
+        steps = steps[..., None]  # one step per row, against states (B, N)
     inside = F.domain
     if inside is not None and x0.ndim == 2:
         inside = lambda x: all(F.domain(row) for row in x)
@@ -91,15 +125,11 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     x = x0.copy()
-    grid = times.tolist()  # Python floats: no numpy scalar per stage
-    for k in range(times.size - 1):
-        t = grid[k]
-        dt = grid[k + 1] - t
-        mid = t + 0.5 * dt
+    for k, (dt, t, mid, end) in enumerate(zip(steps, *stages)):
         k1 = F(t, x)
         k2 = F(mid, x + 0.5 * dt * k1)
         k3 = F(mid, x + 0.5 * dt * k2)
-        k4 = F(t + dt, x + dt * k3)
+        k4 = F(end, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             raise BlowUpError(times[k + 1],
@@ -119,19 +149,31 @@ def partial_trajectory(times, states, k, h):
     return Trajectory(times[:k + 1].copy(), states[:k + 1].copy(), h)
 
 
-def convergence_order(F: TDependentVectorField, x0, t0: float, t1: float,
-                      h: float) -> float:
-    """log2 of the terminal-error ratio between steps h and h/2.
+def convergence_steps(h: float) -> tuple[float, float, float]:
+    """Steps of the convergence runs: the reference h/4, then h and h/2."""
+    return h / 4.0, h, h / 2.0
 
-    The h/4 run serves as the reference; the expected value for a smooth
-    problem is log2((1 - 4^-4)/(2^-4 - 4^-4)) = log2(17) ~ 4.09.
+
+def order_from_finals(ref, coarse, fine) -> float:
+    """log2 of the terminal-error ratio between the final states of the runs
+    on steps h (``coarse``) and h/2 (``fine``), against the h/4 run ``ref``.
+
+    The expected value for a smooth problem is
+    log2((1 - 4^-4)/(2^-4 - 4^-4)) = log2(17) ~ 4.09; ErrorFloorError when
+    the h/2 error is below 1e-14.
     """
-    ref = integrate(F, x0, t0, t1, h / 4.0).final_state
-    e1 = float(np.max(np.abs(integrate(F, x0, t0, t1, h).final_state - ref)))
-    e2 = float(np.max(np.abs(integrate(F, x0, t0, t1, h / 2.0).final_state - ref)))
+    e1 = float(np.max(np.abs(coarse - ref)))
+    e2 = float(np.max(np.abs(fine - ref)))
     if e2 < 1e-14:
         raise ErrorFloorError("error floor reached")
     return float(np.log2(e1 / e2))
+
+
+def convergence_order(F: TDependentVectorField, x0, t0: float, t1: float,
+                      h: float) -> float:
+    """``order_from_finals`` of x0 integrated alone on the convergence steps."""
+    return order_from_finals(*(integrate(F, x0, t0, t1, s).final_state
+                               for s in convergence_steps(h)))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

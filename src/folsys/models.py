@@ -112,7 +112,7 @@ def riccati_rule() -> SuperpositionRule:
         return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
-                             vg_dim=3, name="riccati")
+                             vg_dim=3)
 
 
 def translation_rule(n: int) -> SuperpositionRule:
@@ -129,7 +129,7 @@ def translation_rule(n: int) -> SuperpositionRule:
         return x[..., :n] - sols[0][..., :n]
 
     return SuperpositionRule(m=1, state_dim=2 * n, param_dim=n, psi=psi, F=F,
-                             vg_dim=n, name="translation")
+                             vg_dim=n)
 
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:

@@ -38,7 +38,6 @@ class SuperpositionRule:
     psi: Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray]
     F: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
     vg_dim: int | None = None
-    name: str = ""
 
     def __post_init__(self):
         # necessary count: m * dim(O) must cover the algebra dimension

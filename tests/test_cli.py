@@ -303,6 +303,90 @@ def test_failing_trials_keep_the_scenario_trajectory(tmp_path, capsys):
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
+def _count_integrate(monkeypatch):
+    """Calls of ``integrate`` made by the runner and by ``convergence_order``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    for module in (folsys.cli, sys.modules["folsys.integrate"]):
+        monkeypatch.setattr(module, "integrate", counting)
+    return calls
+
+
+def test_convergence_runs_join_the_superposition_batch(tmp_path, monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    for step, count in ((0.005, 1), (0.01, 1), (0.02, 4)):
+        calls.clear()
+        reports, _ = run(ScenarioConfig.from_dict({
+            "model": "riccati", "checks": ["superposition", "convergence"],
+            "integration": {"t0": 0.0, "t1": 2.0, "step": step},
+            "out": str(tmp_path)}))
+        assert all(r.status == "pass" for r in reports)
+        # one batch when the scenario grid is the finest, (t1 - t0)/200 or less
+        assert len(calls) == count, step
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    # coefficients that keep every sampled solution bounded up to t1
+    {"a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)", "a2": "-0.7+0.05*cos(t)"},
+])
+def test_convergence_order_is_bitwise_the_same_in_the_joint_batch(
+        tmp_path, monkeypatch, params):
+    calls = _count_integrate(monkeypatch)
+    rows, csv = {}, {}
+    for checks in (["convergence"], ["superposition", "convergence"]):
+        calls.clear()
+        out = tmp_path / str(len(checks))
+        reports, files = run(ScenarioConfig.from_dict({
+            "model": "riccati", "params": params, "checks": checks,
+            "integration": {"t0": 0.0, "t1": 2.0, "step": 0.005},
+            "out": str(out)}))
+        # x0 alone and its three convergence runs, or the one joint batch
+        assert len(calls) == (1 if "superposition" in checks else 4)
+        rows[len(checks)] = {r.check: r.value for r in reports}
+        csv[len(checks)] = Path(files["trajectory"]).read_bytes()
+    assert rows[2]["convergence.order_gap"] == rows[1]["convergence.order_gap"]
+    assert csv[2] == csv[1]
+
+
+def test_blow_up_in_the_joint_batch_keeps_its_error_and_exit_code(tmp_path, capsys,
+                                                                   monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    path = write_config(tmp_path / "blow.json", model="riccati",
+                        params={"a0": 1, "a2": 1},
+                        integration={"t0": 0, "t1": 2, "step": 0.01},
+                        checks=["superposition", "convergence"])
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: blow-up at t=1.6"
+    # the joint batch, the trials with x0 on the scenario grid, then x0 alone
+    assert len(calls) == 3
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_step_count_beyond_the_cap_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path / "long.json",
+                        integration={"t0": 0, "t1": 1e300, "step": 1e-10})
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: step 1e-10 makes inf steps from t0 to t1; at most 1000000 are allowed\n")
+    assert not out.exists()
+    ok = write_config(tmp_path / "ok.json")
+    assert main(["--config", str(ok), "--out", str(out), "--step", "1e-7"]) == 2
+    assert "makes 2e+07 steps" in capsys.readouterr().err
+    assert not out.exists()
+    ScenarioConfig(model="riccati", t1=1.0, step=2.0 ** -19)  # 524288 steps
+    with pytest.raises(ConfigError):
+        ScenarioConfig(model="riccati", t1=1.0, step=2.0 ** -20)
+
+
 def test_cli_exit_codes_and_reports(tmp_path):
     cfg_path = write_config(tmp_path / "ok.json",
                             checks=["leaf_drift", "spectrum"], model="lax")

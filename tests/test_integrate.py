@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import builtin_algebra
@@ -12,7 +14,9 @@ from folsys.errors import (BlowUpError, DimensionMismatchError,
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_of)
-from folsys.integrate import (Trajectory, convergence_order, integrate,
+from folsys.cli import ScenarioConfig, build_bundle
+from folsys.integrate import (Trajectory, convergence_order, convergence_steps,
+                              integrate, order_from_finals, time_grid,
                               trajectory_to_csv)
 from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_matrix_action, ermakov_system)
@@ -188,6 +192,108 @@ def test_csv_export_rejects_batch(tmp_path):
     traj = integrate(EXP, np.array([[1.0], [2.0]]), 0.0, 0.1, 1e-2)
     with pytest.raises(ValueError):
         trajectory_to_csv(traj, tmp_path / "batch.csv")
+
+
+# --- one step per row ----------------------------------------------------------
+
+def reference_rk4(F, x0, t0, t1, h):
+    """Classical RK4 on ``time_grid(t0, t1, h)``, written out stage by stage on
+    Python-float times: the single-grid path of ``integrate`` must match it
+    bit for bit."""
+    times = time_grid(t0, t1, h)
+    grid = times.tolist()
+    x = np.asarray(x0, dtype=float).copy()
+    out = [x]
+    for k in range(len(grid) - 1):
+        t = grid[k]
+        dt = grid[k + 1] - t
+        mid = t + 0.5 * dt
+        k1 = F(t, x)
+        k2 = F(mid, x + 0.5 * dt * k1)
+        k3 = F(mid, x + 0.5 * dt * k2)
+        k4 = F(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return times, np.array(out)
+
+
+# a Riccati field with a sin(t) coefficient, compiled from an expression, and
+# a translation field whose coefficients depend on t
+ROW_STEP_SYSTEMS = {
+    "riccati": build_bundle(ScenarioConfig.from_dict({
+        "model": "riccati",
+        "params": {"a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)",
+                   "a2": "-0.7+0.05*cos(t)"}})).system,
+    "hamilton_jacobi": default_model("hamilton_jacobi").system,
+}
+ROW_STEPS = st.one_of(st.sampled_from([0.05, 0.1, 0.3]),
+                      st.floats(0.01, 0.5, allow_nan=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(sorted(ROW_STEP_SYSTEMS)),
+       steps=st.lists(ROW_STEPS, min_size=1, max_size=5),
+       seed=st.integers(0, 10 ** 6))
+def test_per_row_steps_match_the_runs_alone(model, steps, seed):
+    fs = ROW_STEP_SYSTEMS[model]
+    F = assemble(fs)
+    x0 = fs.realized.box.sample_many(seeded_rng(seed), len(steps))
+    ragged = integrate(F, x0, 0.0, 1.0, steps)
+    h = min(steps)
+    assert ragged.step == h
+    # each row ends at t1 bit for bit as its run alone
+    for row, (x, step) in enumerate(zip(x0, steps)):
+        alone = integrate(F, x, 0.0, 1.0, step)
+        assert np.array_equal(ragged.states[-1, row], alone.final_state)
+    # the rows on the smallest step are the single-grid batch at every sample
+    on = [row for row, step in enumerate(steps) if step == h]
+    single = integrate(F, x0[on], 0.0, 1.0, h)
+    assert np.array_equal(ragged.times, single.times)
+    assert np.array_equal(ragged.states[:, on], single.states)
+    # and a single-grid call is the stage-by-stage loop on Python floats
+    times, states = reference_rk4(F, x0[on], 0.0, 1.0, h)
+    assert np.array_equal(single.times, times)
+    assert np.array_equal(single.states, states)
+
+
+def test_per_row_steps_pass_one_time_per_row():
+    seen = []
+
+    def func(t, x):
+        seen.append(t)
+        return np.ones_like(x)
+
+    F = TDependentVectorField(1, func)
+    integrate(F, np.zeros((2, 1)), 0.0, 1.0, 0.25)
+    assert {type(t) for t in seen} == {float}
+    seen.clear()
+    traj = integrate(F, np.zeros((2, 1)), 0.0, 1.0, [0.5, 0.25])
+    assert all(isinstance(t, np.ndarray) and t.shape == (2,) for t in seen)
+    # the row on step 0.5 holds at t1 through the stages of the last step
+    assert [t.tolist() for t in seen[-4:]] == [[1.0, 0.75], [1.0, 0.875],
+                                               [1.0, 0.875], [1.0, 1.0]]
+    assert traj.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert traj.states[:, 0, 0].tolist() == [0.0, 0.5, 1.0, 1.0, 1.0]
+    assert traj.states[-1, :, 0].tolist() == [1.0, 1.0]
+
+
+def test_per_row_steps_need_one_step_per_row_of_a_batch():
+    with pytest.raises(ValueError):
+        integrate(EXP, np.array([1.0]), 0.0, 1.0, [0.1])
+    with pytest.raises(ValueError):
+        integrate(EXP, np.ones((3, 1)), 0.0, 1.0, [0.1, 0.2])
+
+
+def test_order_from_finals_is_convergence_order():
+    x0 = np.array([1.0])
+    finals = [integrate(EXP, x0, 0.0, 1.0, s).final_state
+              for s in convergence_steps(0.05)]
+    ragged = integrate(EXP, np.vstack([x0] * 3), 0.0, 1.0, convergence_steps(0.05))
+    assert np.array_equal(ragged.states[-1], np.array(finals))
+    assert order_from_finals(*ragged.states[-1]) == convergence_order(
+        EXP, x0, 0.0, 1.0, 0.05)
+    with pytest.raises(ErrorFloorError):
+        order_from_finals(np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
