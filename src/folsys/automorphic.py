@@ -35,7 +35,9 @@ class GroupAction:
     """Left action of an abelian or matrix group on R^N.
 
     ``act(g, x)`` moves one point ``(N,)`` or a block ``(..., N)`` of points
-    by one group element.  ``generators`` pairs with the realized fields of
+    by one element or by a stack of them (``(..., r)`` or ``(..., d, d)``)
+    whose leading axes broadcast against the points', each item bit for bit
+    as that element alone.  ``generators`` pairs with the realized fields of
     the system being reduced: generators[a] corresponds to field X_a.  For
     abelian groups a generator is a vector in the group's R^r; for matrix
     groups a d x d algebra matrix A_a with right-invariant field A_a g.
@@ -249,11 +251,8 @@ def solve_group(asys: AutomorphicSystem, k, t0: float, t1: float,
 
 
 def reconstruct(action: GroupAction, curve: GroupCurve, x0) -> Trajectory:
-    """Trajectory with states act(g(t_i), x0)."""
-    x0 = np.asarray(x0, dtype=float)
-    states = np.empty((len(curve), x0.size))
-    for i in range(len(curve)):
-        states[i] = action.act(curve.elements[i], x0)
+    """Trajectory with states act(g(t_i), x0), one act call on the curve."""
+    states = action.act(curve.elements, np.asarray(x0, dtype=float))
     return Trajectory(curve.times, states, curve.step)
 
 

@@ -44,6 +44,9 @@ PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
 REPORT_FORMATS = ("json", "csv")
 RULE_TRIALS = 3
 MAX_STEPS = 10 ** 6  # cap on (t1 - t0) / step, the RK4 steps of one grid
+# cap on samples x batch rows x state dim of the scenario's RK4 batch: 40 MB
+# of states, and below 0.8 GB with the transient text of trajectory.csv
+MAX_STATE_VALUES = 5 * 10 ** 6
 
 
 def _divide(a, b):
@@ -469,7 +472,8 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     each row on its own grid, so one loop serves the trajectory and both
     checks.  If that batch raises, the runs are made as without
     convergence, and the convergence runs follow, each raising as it would
-    then.
+    then.  A batch of more than MAX_STATE_VALUES sampled values is a
+    ConfigError raised before any output.
     """
     bundle = build_bundle(cfg)
     for name in cfg.checks:
@@ -480,17 +484,28 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
         if x0.size != bundle.system.dim:
             raise ConfigError(f"initial_state must have {bundle.system.dim} entries "
                               f"for {bundle.name}, got {x0.size}")
+    conv = convergence_steps(_coarse_step(cfg))
+    join = "convergence" in cfg.checks and cfg.step <= min(conv)
+    rows = 1
+    if "superposition" in cfg.checks:
+        rows += RULE_TRIALS * (bundle.rule.m + 1) + (len(conv) if join else 0)
+    # time_grid has at most floor((t1 - t0) / step + 1e-9) + 2 samples
+    samples = math.floor((cfg.t1 - cfg.t0) / cfg.step + 1e-9) + 2
+    values = samples * rows * bundle.system.dim
+    if values > MAX_STATE_VALUES:
+        raise ConfigError(f"the RK4 batch would hold {values} state values ({rows} rows "
+                          f"of dimension {bundle.system.dim}); at most "
+                          f"{MAX_STATE_VALUES} are allowed")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     F = assemble(bundle.system)
     grid = (cfg.t0, cfg.t1, cfg.step)
     traj = rule_runs = finals = joint = None
     if "superposition" in cfg.checks:
-        conv = convergence_steps(_coarse_step(cfg))
         try:
             pts = rule_points(bundle.rule, bundle.system, RULE_TRIALS, cfg.seed,
                               bundle.extras.get("rule_min_separation", 0.0))
-            if "convergence" in cfg.checks and cfg.step <= min(conv):
+            if join:
                 try:
                     joint = integrate(F, np.vstack([pts, x0] + [x0] * len(conv)),
                                       cfg.t0, cfg.t1,

@@ -178,21 +178,21 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
 
     The rank shortfall is ``leaf_dim`` minus the least rank of the realized
     fields over the samples, or 0.0 when no sample drops below the leaf
-    rank.  Each field is evaluated once on the ``(trials, N)`` block of all
-    samples, and its values serve the ranks (one stacked SVD), the rates and
-    the structure residual.  The central differences of the leaf labels and
-    those of the coefficient map (with the ``(trials,)`` sample times) and the
-    shifted evaluations of the brackets are block evaluations too.
+    rank.  The samples, a point and then its time per trial, come from one
+    draw of the generator.  Each field is evaluated once on the
+    ``(trials, N)`` block of all samples, and its values serve the ranks (one
+    stacked SVD), the rates and the structure residual.  The central
+    differences of the leaf labels and those of the coefficient map (with the
+    ``(trials,)`` sample times) and the shifted evaluations of the brackets
+    are block evaluations too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
     ra = fs.realized
-    xs = np.empty((trials, ra.ambient_dim))
-    ts = np.empty(trials)
-    for i in range(trials):
-        xs[i] = ra.box.sample(rng)
-        ts[i] = rng.uniform(*t_range)
+    lo, hi = np.append(ra.box.lo, t_range[0]), np.append(ra.box.hi, t_range[1])
+    draws = rng.uniform(lo, hi, size=(trials, lo.size))
+    xs, ts = np.ascontiguousarray(draws[:, :-1]), draws[:, -1].copy()
     vals = [X(xs) for X in ra.fields]
     shortfall = float(max(0, fs.chart.leaf_dim
                           - int(rank_at(ra.fields, xs, values=vals).min())))

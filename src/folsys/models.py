@@ -249,8 +249,11 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
                             name=name)
 
     def act(lam, x):
-        out = np.asarray(x, dtype=float).copy()
-        out[..., :n] = out[..., :n] - scale * np.asarray(lam, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        x = np.asarray(x, dtype=float)
+        lead = np.broadcast_shapes(lam.shape[:-1], x.shape[:-1])
+        out = np.broadcast_to(x, lead + x.shape[-1:]).copy()
+        out[..., :n] = out[..., :n] - scale * lam
         return out
 
     action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
@@ -442,14 +445,12 @@ def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
     def act(g, s):
         g = np.asarray(g, dtype=float)
         s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape)
-        rows = out.reshape(-1, 4)
-        # point by point: a stacked product need not round like g @ pair
-        for i, (x, y, vx, vy) in enumerate(s.reshape(-1, 4).tolist()):
-            px = g @ np.array([x, vx])
-            py = g @ np.array([y, vy])
-            rows[i] = px[0], py[0], px[1], py[1]
-        return out
+        # contiguous (x, vx), (y, vy) columns: one BLAS product per item, as
+        # g @ pair; the products written out elementwise would round otherwise
+        pairs = np.ascontiguousarray(
+            np.swapaxes(s.reshape(s.shape[:-1] + (2, 2)), -1, -2)[..., None])
+        moved = g[..., None, :, :] @ pairs
+        return np.swapaxes(moved[..., 0], -1, -2).reshape(moved.shape[:-3] + (4,))
 
     return GroupAction(kind="matrix", act=act, identity=np.eye(2),
                        generators=(A1, A2, A3), name="pairwise-linear")

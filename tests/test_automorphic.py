@@ -65,13 +65,16 @@ def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
     for action, fs in cases:
         pts = fs.realized.box.sample_many(seeded_rng(3), 25)
         ref = _fundamental_field_residual_per_point(action, fs.realized.fields, pts)
-        calls = []
+        calls, acts = [], []
         exp = GroupAction.exp
         monkeypatch.setattr(GroupAction, "exp",
                             lambda self, c, i: calls.append(i) or exp(self, c, i))
-        res = fundamental_field_residual(action, fs.realized.fields, pts)
+        # and one act call per element on the whole block
+        counted = dataclasses.replace(
+            action, act=lambda g, x, act=action.act: acts.append(g) or act(g, x))
+        res = fundamental_field_residual(counted, fs.realized.fields, pts)
         monkeypatch.undo()
-        assert len(calls) == 2 * len(fs.realized.fields)
+        assert len(calls) == len(acts) == 2 * len(fs.realized.fields)
         assert res == ref
 
 
@@ -482,3 +485,70 @@ def test_shipped_actions_act_on_blocks_point_by_point():
             block = action.act(g, pts)
             loop = np.array([action.act(g, x) for x in pts.reshape(12, -1)])
             assert block.tobytes() == loop.reshape(pts.shape).tobytes()
+
+
+# --- actions on stacks of group elements -----------------------------------
+
+def _act_item_by_item(action, g, x):
+    """The loop over the items of a stack: one act call per element, each on
+    the points its leading index broadcasts to."""
+    elem = g.ndim - (2 if action.kind == MATRIX else 1)
+    lead = np.broadcast_shapes(g.shape[:elem], x.shape[:-1])
+    gb = np.broadcast_to(g, lead + g.shape[elem:])
+    xb = np.broadcast_to(x, lead + x.shape[-1:])
+    out = np.empty(lead + x.shape[-1:])
+    for idx in np.ndindex(lead):
+        out[idx] = action.act(gb[idx], xb[idx])
+    return out
+
+
+def _shipped_actions_with_curves():
+    """(action, fields' system, solved curve, direct trajectory) of every
+    shipped action, the curve reduced and solved from the trajectory's x0."""
+    ermakov = _configured("ermakov", {"omega2": "0.9+0.05*sin(t)", "c1": 0.0, "c2": 0.0})
+    out = []
+    for b in (default_model("hamilton_jacobi"), default_model("lax"), ermakov):
+        x0 = b.default_state
+        direct = integrate(assemble(b.system), x0, 0.0, 1.0, 0.01)
+        asys = reduce_system(b.system, b.action)
+        curve = (solve_abelian if b.action.kind == ABELIAN else solve_matrix)(
+            asys, leaf_of(b.system.chart, x0), 0.0, 1.0, 0.01)
+        out.append((b.action, b.system, curve, direct))
+    return out
+
+
+def test_shipped_actions_act_on_stacks_element_by_element():
+    rng = seeded_rng(9)
+    for action, fs, curve, direct in _shipped_actions_with_curves():
+        T = len(curve)
+        pts = fs.realized.box.sample_many(rng, T)
+        exps = np.stack([action.exp(c, a) for c in (0.3, -0.7)
+                         for a in range(len(action.generators))])
+        batch = integrate(assemble(fs), pts[:3], 0.0, 1.0, 0.01).states
+        cases = [
+            (curve.elements, direct.states[0]),          # one point
+            (exps, direct.states[0]),
+            (curve.elements, pts),                        # matching leading axes
+            (curve.elements, direct.states),
+            (curve.elements[::2], batch[::2, 1]),         # non-contiguous slices
+            (curve.elements[:, None], pts[:5]),           # broadcast leading axes
+            (exps[:, None, None], batch[:4]),
+            (curve.elements[7], pts.reshape(T, 1, -1)),   # one element, a block
+        ]
+        for g, x in cases:
+            got = action.act(g, x)
+            want = _act_item_by_item(action, g, x)
+            assert got.shape == want.shape, action.name
+            assert got.tobytes() == want.tobytes(), action.name
+
+
+def test_reconstruct_calls_act_once():
+    for action, fs, curve, direct in _shipped_actions_with_curves():
+        calls = []
+        counted = dataclasses.replace(
+            action, act=lambda g, x, act=action.act: calls.append(g) or act(g, x))
+        rec = reconstruct(counted, curve, direct.states[0])
+        assert len(calls) == 1, action.name
+        assert rec.states.tobytes() == _act_item_by_item(
+            action, curve.elements, direct.states[0]).tobytes()
+

@@ -387,6 +387,29 @@ def test_step_count_beyond_the_cap_is_a_config_error(tmp_path, capsys):
         ScenarioConfig(model="riccati", t1=1.0, step=2.0 ** -20)
 
 
+def test_state_array_beyond_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("integrate reached")
+
+    monkeypatch.setattr(folsys.cli, "integrate", no_integration)
+    # 100002 samples x 7 rows (3 trials of 2 points, then x0) x 40 coordinates
+    path = write_config(tmp_path / "big.json", params={"n": 20, "hamiltonian": "sum_cos"},
+                        integration={"t0": 0, "t1": 2.0, "step": 2e-5})
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the RK4 batch would hold 28000560 state values (7 rows of dimension "
+        "40); at most 5000000 are allowed\n")
+    assert not out.exists()
+    # one row of 50 coordinates: 100000 samples reach the cap, 100001 exceed it
+    for t1, allowed in ((49999.0, True), (49999.5, False)):
+        cfg = ScenarioConfig(model="hamilton_jacobi", params={"n": 25}, t1=t1,
+                             step=0.5, checks=("leaf_drift",), out=str(out / str(t1)))
+        with pytest.raises(AssertionError if allowed else ConfigError):
+            run(cfg)
+        assert (out / str(t1)).exists() == allowed
+
+
 def test_cli_exit_codes_and_reports(tmp_path):
     cfg_path = write_config(tmp_path / "ok.json",
                             checks=["leaf_drift", "spectrum"], model="lax")
