@@ -18,7 +18,7 @@ from .errors import BlowUpError, IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
 from .foliated import FoliatedSystem, coefficient_values, leaf_of
 from .integrate import (DEFAULT_STEP, Trajectory, integrate, partial_trajectory,
-                        stage_times, time_grid)
+                        stage_blocks, stage_times, time_grid)
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -213,9 +213,11 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
                  h: float = DEFAULT_STEP) -> GroupCurve:
     """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
 
-    The coefficient matrices of all stage times come from one coefficient
-    call before stepping; the right-hand side looks them up by time.  The
-    curve is not reprojected onto the group; drift is measured by the
+    The coefficients of all stage times are evaluated before stepping, a
+    block of steps at a time, so an error in them raises first; they reach
+    ``integrate`` as the table of the right-hand side, indexed by step
+    number, from which each block of steps builds its coefficient matrices.
+    The curve is not reprojected onto the group; drift is measured by the
     caller, never corrected here.  A determinant below the floor is a domain
     exit; errors carry the flattened entries so far as ``partial``.
     """
@@ -224,21 +226,28 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     gens = asys.generators
     d = gens[0].shape[0]
-    _, stages = stage_times(time_grid(t0, t1, h))
-    c = asys.coeffs(stages, k)
-    M = np.zeros(stages.shape + (d, d))
-    for a, A in enumerate(gens):
-        M += c[..., a, None, None] * A
-    # integrate steps on the same stage times, as Python floats
-    matrices = dict(zip(stages.ravel().tolist(), M.reshape(-1, d, d)))
+    grid = time_grid(t0, t1, h)
+    c = np.empty((3, grid.size - 1, len(gens)))
+    for steps, _, stages in stage_blocks(grid, 3 * d * d):
+        c[:, steps] = asys.coeffs(stages, k)
+
+    def matrices(coeffs):
+        M = np.zeros(coeffs.shape[:-1] + (d, d))
+        for a, A in enumerate(gens):
+            M += coeffs[..., a, None, None] * A
+        return M
+
+    def combine(m, g):
+        return (m @ g.reshape(d, d)).ravel()
 
     def rhs(t, g):
-        return (matrices[t] @ g.reshape(d, d)).ravel()
+        return combine(matrices(asys.coeffs(t, k)), g)
 
     def domain(g):
         return abs(np.linalg.det(g.reshape(d, d))) >= _DET_FLOOR
 
-    F = TDependentVectorField(d * d, rhs, domain=domain)
+    F = TDependentVectorField(d * d, rhs, domain=domain, combine=combine,
+                              table=lambda steps, times, g0: matrices(c[:, steps]))
     traj = integrate(F, np.eye(d).ravel(), t0, t1, h)
     return GroupCurve(MATRIX, traj.times, traj.states.reshape(-1, d, d), h)
 

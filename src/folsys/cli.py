@@ -47,6 +47,9 @@ MAX_STEPS = 10 ** 6  # cap on (t1 - t0) / step, the RK4 steps of one grid
 # cap on samples x batch rows x state dim of the scenario's RK4 batch: 40 MB
 # of states, and below 0.8 GB with the transient text of trajectory.csv
 MAX_STATE_VALUES = 5 * 10 ** 6
+# matrix entries of one block of samples of the spectrum check: the (2n, 2n)
+# block matrices of 2**16 // (2n)**2 samples, about 2 MB at their peak
+SPECTRUM_BLOCK = 2 ** 16
 
 
 def _divide(a, b):
@@ -388,14 +391,20 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
     if name in ("spectrum", "lewis"):
         # conserved observables: the lax spectrum, the ermakov invariant
         obs = bundle.observables[name]
-        drift = sup_drift(obs, traj.states)
         if name == "spectrum":
+            # (2n, 2n) matrices per sample, taken a block of samples at a time
+            size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
+            drift = sup_drift(obs, traj.states, size)
             row = _timed("spectrum.drift", model, seed, drift, 1e-12, start)
             # the Lax-pair form: the assembled field is [V, M] at every state
-            gap = np.max(np.abs(
-                assemble(bundle.system).func(traj.times, traj.states)
-                - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states)))
+            F = assemble(bundle.system).func
+            gaps = []
+            for i in range(0, len(traj), size):
+                t, x = traj.times[i:i + size], traj.states[i:i + size]
+                gaps.append(np.max(np.abs(F(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
+            gap = np.max(gaps)  # np.max keeps a NaN
             return [row, _timed("spectrum.lax_pair", model, seed, gap, 1e-12, start)]
+        drift = sup_drift(obs, traj.states)
         ref = abs(obs(traj.states[0]))
         return [_timed("lewis.relative_drift", model, seed,
                        drift / max(ref, 1e-30), 1e-6, start)]

@@ -34,12 +34,23 @@ class TDependentVectorField:
     """Time-dependent vector field; ``domain`` guards integration when set.
 
     ``t`` is a float, or an array of times, one per state of a batch, which
-    is passed through as it is."""
+    is passed through as it is.
+
+    ``table`` and ``combine``, when set, split the field along a solution
+    into values that depend on time alone and a function of the state: at
+    stage s of step k of a solution from x0, ``func(t, x)`` equals
+    ``combine(table(steps, times, x0)[s, k'], x)``, where ``steps`` is a
+    slice of the steps of the solution's grid, k = steps.start + k', and
+    ``times`` ``(3, K, ...)`` are the start, midpoint and end times of those
+    steps, broadcasting against ``x0.shape[:-1]``.  ``integrate`` then builds
+    the values a block of steps at a time."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool] | None = None
     name: str = ""
+    table: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t, x) -> np.ndarray:
         if type(t) is not float and not isinstance(t, np.ndarray):

@@ -89,6 +89,14 @@ class FoliatedSystem:
     point, broadcasting against ``x.shape[:-1]``.  A map whose values do not
     depend on x may return ``np.shape(t) + (r,)`` instead, or ``(r,)`` when
     they depend on neither; see ``coefficient_values``.
+
+    On a split chart the coefficients are constants of motion in x, as the
+    decomposition requires of them: the map reads x only through the labels
+    ``x[..., leaf_dim:]``, and every realized field has exactly-zero label
+    components.  A step of RK4 then leaves the labels of every stage state
+    those of x0, bit for bit but for the sign of a zero label (-0.0 + 0.0
+    is 0.0); so along a solution the coefficients depend on time alone, and
+    ``assemble`` tabulates them.
     """
 
     realized: RealizedAlgebra
@@ -132,13 +140,19 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     coefficient map are called once on the whole array; a field must return
     an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
     x-independent ``(r,)``, which is broadcast over the batch.
+
+    On a split chart the field has a coefficient table (see
+    ``TDependentVectorField``): one call of the map on a block's stage times
+    ``(3, K[, B])`` and x0 broadcast to ``(3, K[, B], N)`` gives the
+    coefficients of every stage of the block, exactly, by the split-chart
+    contract of FoliatedSystem, so ``integrate`` calls the map once per
+    block of steps instead of four times per step.
     """
     flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
     r = len(flds)
 
-    def func(t, x):
-        c = coefficient_values(coeffs, r, t, x)
+    def combine(c, x):
         # entry a is the coefficient of field a: one number for all states,
         # or a column of one per state (c.T[..., None] for a batch (B, r))
         cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
@@ -152,7 +166,19 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
             out += cols[a] * v
         return out
 
-    return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name)
+    def func(t, x):
+        return combine(coefficient_values(coeffs, r, t, x), x)
+
+    def table(steps, times, x0):
+        # every stage state has the labels of x0, all the map reads
+        lead = times.shape[:2]
+        c = coefficient_values(coeffs, r, times,
+                               np.broadcast_to(x0, lead + x0.shape).copy())
+        return np.broadcast_to(c, lead + c.shape) if c.ndim == 1 else c
+
+    return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
+                                 table=table if fs.chart.is_split else None,
+                                 combine=combine)
 
 
 @dataclass(frozen=True)
@@ -215,12 +241,21 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
                            structure_residual=structure_residual(ra, xs, vals))
 
 
-def sup_drift(observable: Callable[[np.ndarray], object], states) -> float:
+def sup_drift(observable: Callable[[np.ndarray], object], states,
+              block: int | None = None) -> float:
     """Max sup-norm deviation of ``observable`` along ``states`` from its
     value at ``states[0]``.  The observable is evaluated once on the whole
-    ``(T, N)`` block and returns ``(T,)`` or ``(T, ...)``."""
-    values = np.asarray(observable(states))
-    return float(np.max(np.abs(values - values[0])))
+    ``(T, N)`` block, or on consecutive blocks of at most ``block`` samples,
+    and returns ``(T,)`` or ``(T, ...)``; a per-sample observable gives the
+    same value either way."""
+    size = len(states) if block is None else block
+    worst, ref = [], None
+    for i in range(0, len(states), size):
+        values = np.asarray(observable(states[i:i + size]))
+        if ref is None:
+            ref = values[0].copy()
+        worst.append(np.max(np.abs(values - ref)))
+    return float(np.max(worst))  # np.max keeps a NaN
 
 
 def leaf_drift(traj: Trajectory, chart: FoliationChart) -> float:

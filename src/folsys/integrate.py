@@ -6,14 +6,19 @@ deterministic runs, not adaptive efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BlowUpError, DomainExitError, ErrorFloorError
+from .errors import BlowUpError, DomainExitError, ErrorFloorError, FolsysError
 from .fields import TDependentVectorField
 
 DEFAULT_STEP = 1e-3
+# stage state values, 3 stages x K steps x B rows x N, of one block of steps;
+# building the coefficient table of a block then peaks at 0.23-0.30 MB
+# (tracemalloc) on the interpreted riccati, hamilton_jacobi and lax models
+TABLE_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,15 @@ def stage_times(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dt, np.stack([t, t + 0.5 * dt, t + dt])
 
 
+def stage_blocks(grid: np.ndarray, per_step: int):
+    """The steps of a grid ``(T,)``, or of grids side by side ``(T, B)``, in
+    consecutive blocks of at most ``TABLE_BLOCK // per_step`` steps (at least
+    one): per block, the slice of its steps and their ``stage_times``."""
+    size = max(1, TABLE_BLOCK // per_step)
+    for k in range(0, len(grid) - 1, size):
+        yield (slice(k, k + size), *stage_times(grid[k:k + size + 1]))
+
+
 def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
               h: float | list[float] = DEFAULT_STEP) -> Trajectory:
     """Classical 4th-order Runge-Kutta from t0 to t1 (reached exactly).
@@ -96,15 +110,20 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     of a zero).  The trajectory is sampled on the grid of the smallest step,
     which has the most samples: the rows on that step are on its times at
     every sample, and ``states[-1]`` is every row at t1.
+
+    The steps go in blocks of at most TABLE_BLOCK stage state values
+    (3 stages x K steps x B rows x N).  A field with a ``table`` is
+    evaluated as ``combine`` of its table rows, the table built once per
+    block from the block's stage times ``(3, K)``, ``(3, K, 1)`` for a batch
+    on one grid or ``(3, K, B)`` for one step per row; a block whose table
+    raises a FolsysError runs per stage, so the error surfaces at its own
+    step.  Any other field is called per stage with the stage times.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
         raise ValueError(f"initial state must have shape ({F.dim},) or (B, {F.dim})")
     if np.ndim(h) == 0:
-        times = time_grid(t0, t1, h)
-        steps, stages = stage_times(times)
-        # Python floats: no numpy scalar per stage
-        steps, stages = steps.tolist(), stages.tolist()
+        grid = times = time_grid(t0, t1, h)
     else:
         row_steps = np.asarray(h, dtype=float)
         if x0.ndim != 2 or row_steps.shape != x0.shape[:1]:
@@ -113,9 +132,8 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
         h = float(row_steps.min())
         times = grids[int(np.argmin(row_steps))]
         # (T, B): each row's grid, held at t1 once it has ended
-        steps, stages = stage_times(np.column_stack(
-            [np.pad(g, (0, times.size - g.size), mode="edge") for g in grids]))
-        steps = steps[..., None]  # one step per row, against states (B, N)
+        grid = np.column_stack(
+            [np.pad(g, (0, times.size - g.size), mode="edge") for g in grids])
     inside = F.domain
     if inside is not None and x0.ndim == 2:
         inside = lambda x: all(F.domain(row) for row in x)
@@ -125,11 +143,11 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     x = x0.copy()
-    for k, (dt, t, mid, end) in enumerate(zip(steps, *stages)):
-        k1 = F(t, x)
-        k2 = F(mid, x + 0.5 * dt * k1)
-        k3 = F(mid, x + 0.5 * dt * k2)
-        k4 = F(end, x + dt * k3)
+    for k, (dt, f, t, mid, end) in enumerate(_stage_values(F, x0, grid)):
+        k1 = f(t, x)
+        k2 = f(mid, x + 0.5 * dt * k1)
+        k3 = f(mid, x + 0.5 * dt * k2)
+        k4 = f(end, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             raise BlowUpError(times[k + 1],
@@ -139,6 +157,31 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
                                   partial=partial_trajectory(times, states, k, h))
         states[k + 1] = x
     return Trajectory(times, states, h)
+
+
+def _stage_values(F, x0, grid):
+    """Per step of ``grid``: dt, the right-hand side f(value, x), and its
+    values at the start, midpoint and end of the step, built a block at a
+    time.  The values are table rows for ``F.combine``, or stage times for
+    F: Python floats on one grid, so that path works on no numpy scalar."""
+    one_grid = grid.ndim == 1
+    # a batch on one grid: one time per step, against the rows of x0
+    spread = one_grid and x0.ndim == 2
+    for steps, dt, times in stage_blocks(grid, 3 * x0.size):
+        f, values = F, times
+        if F.table is not None:
+            try:
+                values = F.table(steps, times[..., None] if spread else times, x0)
+                f = F.combine
+            except FolsysError:
+                pass  # per stage, so the error surfaces at its own step
+        if not one_grid:
+            dt = dt[..., None]  # one step per row, against states (B, N)
+        else:
+            dt = dt.tolist()
+            if f is F:
+                values = values.tolist()
+        yield from zip(dt, repeat(f), *values)
 
 
 def partial_trajectory(times, states, k, h):

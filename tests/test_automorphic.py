@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 fundamental_field_residual, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
-from folsys.errors import (BlowUpError, DimensionMismatchError, DomainExitError,
-                           IncompatibleActionError)
+from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
+                           DomainExitError, IncompatibleActionError)
 from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import TDependentVectorField
 from folsys.foliated import assemble, leaf_of
@@ -272,6 +275,37 @@ def test_solve_matrix_errors_carry_partial():
         assert np.all(np.isfinite(partial.states))
 
 
+def test_solve_matrix_raises_a_coefficient_error_before_stepping():
+    # g' = 1e3 g overflows in the first steps; the coefficients cannot be
+    # evaluated at the stage times from t = 0.9 on, a later block
+    def coeffs(t, k):
+        if np.any(np.asarray(t) >= 0.9):
+            raise ConfigError("cannot be evaluated")
+        return np.full(np.shape(t) + (1,), -1e3)
+
+    asys = AutomorphicSystem.from_reduction(MATRIX, (np.eye(2),), coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match="cannot be evaluated"):
+            solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+
+
+def test_solve_matrix_memory_per_sample():
+    # the coefficients of every stage (72 B a sample) and the curve (32 B);
+    # one coefficient matrix per stage time in a dict took 786 B a sample
+    b = build_bundle(ScenarioConfig.from_dict({"model": "ermakov", "params": {
+        "omega2": "1+0.1*sin(t)", "c1": 0.0, "c2": 0.0}}))
+    asys = reduce_system(b.system, b.action)
+    k = leaf_of(b.system.chart, b.default_state)
+    tracemalloc.start()
+    try:
+        curve = solve_matrix(asys, k, 0.0, 1.0, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 20001
+    assert peak <= 200 * len(curve)
+
+
 def test_reconstruct_identity_curve_is_constant():
     bundle = default_model("hamilton_jacobi")
     times = np.linspace(0.0, 1.0, 11)
@@ -398,8 +432,7 @@ def test_solve_abelian_equals_the_integrate_loop_bitwise(grid):
         assert curve.elements.tobytes() == ref.states.tobytes(), name
 
 
-@pytest.mark.parametrize("grid", _GRIDS)
-def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
+def _matrix_cases():
     cases = []
     for omega2 in (0.9, "0.9+0.05*sin(t)+0.02*I"):
         b = _configured("ermakov", {"omega2": omega2, "c1": 0.0, "c2": 0.0})
@@ -409,11 +442,26 @@ def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
         MATRIX, GLP1,
         lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1)),
         np.zeros(0)))
-    for asys, k in cases:
+    return cases
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
+    for asys, k in _matrix_cases():
         curve = solve_matrix(asys, k, *grid)
         ref = _solve_matrix_on_integrate(asys, k, *grid)
         assert curve.times.tobytes() == ref.times.tobytes()
         assert curve.elements.tobytes() == ref.states.reshape(-1, 2, 2).tobytes()
+
+
+def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
+    # blocks of 3 steps (3 stages x 3 steps x 4 entries) over the 20 steps
+    with mock.patch.object(sys.modules["folsys.integrate"], "TABLE_BLOCK", 36):
+        for asys, k in _matrix_cases():
+            curve = solve_matrix(asys, k, 0.3, 1.7, 0.07)
+            ref = _solve_matrix_on_integrate(asys, k, 0.3, 1.7, 0.07)
+            assert len(curve) == 21
+            assert curve.elements.tobytes() == ref.states.reshape(-1, 2, 2).tobytes()
 
 
 def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():

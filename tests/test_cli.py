@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,10 @@ from folsys.cli import (ScenarioConfig, build_bundle, compile_expression,
                         main, run)
 from folsys.algebra import builtin_algebra
 from folsys.errors import ConfigError
-from folsys.fields import RealizedAlgebra, VectorField
+from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import FoliatedSystem, FoliationChart, assemble
-from folsys.integrate import integrate, trajectory_to_csv
+from folsys import models as mdl
+from folsys.integrate import Trajectory, integrate, trajectory_to_csv
 from folsys.superposition import rule_points
 from folsys.util import Box
 
@@ -615,3 +618,108 @@ def test_repeated_runs_identical_reports(tmp_path):
     assert rows_a == rows_b
     assert (outs[0] / "trajectory.csv").read_bytes() == \
         (outs[1] / "trajectory.csv").read_bytes()
+
+
+# --- coefficient tables against the per-stage field ----------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _per_stage_assemble(fs):
+    F = assemble(fs)
+    return TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
+        path, tmp_path, monkeypatch):
+    raw = json.loads(path.read_text())
+    outputs = []
+    for side in ("tabled", "per-stage"):
+        if side == "per-stage":
+            monkeypatch.setattr(folsys.cli, "assemble", _per_stage_assemble)
+        reports, files = run(ScenarioConfig.from_dict(dict(raw, out=str(tmp_path / side))))
+        outputs.append(([(r.check, struct.pack("<d", r.value)) for r in reports],
+                        Path(files["trajectory"]).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _stderr_lines(config: dict, tmp_path) -> tuple[int, list[str]]:
+    """Exit code and stderr of ``python -m folsys.cli`` on ``config``, each
+    warning's location cut to the file name."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-m", "folsys.cli", "--config", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    return proc.returncode, [re.sub(r"^\S*/(\w+\.py):\d+:", r"\1:", line)
+                             for line in proc.stderr.splitlines()]
+
+
+def test_an_error_in_a_coefficient_table_keeps_the_blow_up_before_it(tmp_path):
+    # the table of the only block cannot be built (a0 divides by zero at
+    # t = 1.75); stepped per stage, the run blows up at t = 0.375 first
+    rc, err = _stderr_lines({
+        "model": "riccati", "params": {"a0": "1+0*(1/(t-1.75))", "a2": 1},
+        "initial_state": [10.0], "checks": ["foliated"],
+        "integration": {"t0": 0, "t1": 2, "step": 0.125}}, tmp_path)
+    assert rc == 2
+    assert err == [
+        "models.py: RuntimeWarning: overflow encountered in float_power",
+        '  x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")',
+        "error: blow-up at t=0.375"]
+
+
+def test_riccati_blow_up_keeps_its_warnings_and_error(tmp_path):
+    rc, err = _stderr_lines({
+        "model": "riccati", "params": {"a0": 1, "a2": 1},
+        "checks": ["foliated", "superposition"],
+        "integration": {"t0": 0, "t1": 2, "step": 0.01}}, tmp_path)
+    assert rc == 2
+    assert err == [
+        "models.py: RuntimeWarning: overflow encountered in float_power",
+        '  x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")',
+        "foliated.py: RuntimeWarning: invalid value encountered in multiply",
+        "  out += cols[a] * v",
+        "error: blow-up at t=1.6"]
+
+
+def _moving_lax_trajectory(bundle, samples):
+    """Samples of the lax model whose labels (the spectrum) grow with time."""
+    n = bundle.spec.n
+    times = np.linspace(0.0, 2.0, samples)
+    states = np.tile(bundle.default_state, (samples, 1))
+    states[:, n:] *= 1.0 + 0.1 * times[:, None]
+    return Trajectory(times, states, times[1])
+
+
+def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
+    cfg = ScenarioConfig.from_dict({"model": "lax", "checks": ["spectrum"],
+                                    "params": {"n": 8, "hamiltonian": "sum_cos"}})
+    bundle = build_bundle(cfg)
+    fs = bundle.system
+    # doubled coefficients: the field is no longer [V, M], by more as t grows
+    bundle = dataclasses.replace(bundle, system=dataclasses.replace(
+        fs, coeffs=lambda t, x: 2.0 * fs.coeffs(t, x)))
+    traj = _moving_lax_trajectory(bundle, 2001)
+    rows = folsys.cli._run_check("spectrum", bundle, cfg, traj, None, None)
+    # the rows as evaluated on the whole trajectory at once
+    spectra = bundle.observables["spectrum"](traj.states)
+    gaps = np.abs(assemble(bundle.system).func(traj.times, traj.states)
+                  - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states))
+    assert [r.value for r in rows] == [np.max(np.abs(spectra - spectra[0])),
+                                       np.max(gaps)]
+    # both maxima lie beyond the first block of 256 samples
+    assert np.argmax(np.abs(spectra - spectra[0]).max(axis=1)) == 2000
+    assert np.argmax(gaps.max(axis=1)) > 256
+    # the (16, 16) matrices of 2001 and of 8001 samples: 16.8 and 67 MB at
+    # once, about 2.2 MB a block at a time
+    for samples in (2001, 8001):
+        long = _moving_lax_trajectory(bundle, samples)
+        tracemalloc.start()
+        try:
+            folsys.cli._run_check("spectrum", bundle, cfg, long, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (samples, peak)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from folsys.fields import (RealizedAlgebra, VectorField, rank_at,
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              coefficient_values, leaf_drift, leaf_of, sup_drift,
                              verify_foliated)
-from folsys.integrate import integrate
+from folsys.integrate import TABLE_BLOCK, integrate
 from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
                            ermakov_system, hj_system, lewis_invariant,
                            sum_cos_spec)
 from folsys.poisson import adjoint_foliated_system
 from folsys.util import (Box, central_differences, dot_last, jacobian_fd,
                          seeded_rng)
+
+folsys_integrate = sys.modules["folsys.integrate"]
 
 # configured (interpreted) coefficients, compiled from expressions
 INTERPRETED = {
@@ -71,7 +74,10 @@ def test_assemble_rejects_coefficient_map_of_wrong_shape():
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_assemble_calls_the_coefficient_map_once_per_stage(name):
+def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
+    # never once per row: on a split chart one call covers every stage of a
+    # block of steps, x0 broadcast to (3, K[, B], N); on another chart one
+    # call per stage, on the whole batch
     fs = _bundle(name).system
     shapes = []
 
@@ -83,10 +89,15 @@ def test_assemble_calls_the_coefficient_map_once_per_stage(name):
     rng = seeded_rng(5)
     box = fs.realized.box
     for x0 in (box.sample(rng), box.sample_many(rng, 1), box.sample_many(rng, 7)):
-        shapes.clear()
-        traj = integrate(F, x0, 0.0, 0.1, 0.01)
-        assert len(shapes) == 4 * (len(traj) - 1)
-        assert set(shapes) == {x0.shape}
+        for block, sizes in ((TABLE_BLOCK, [10]), (3 * 4 * x0.size, [4, 4, 2])):
+            monkeypatch.setattr(folsys_integrate, "TABLE_BLOCK", block)
+            shapes.clear()
+            traj = integrate(F, x0, 0.0, 0.1, 0.01)
+            assert len(traj) == 11
+            if fs.chart.is_split:
+                assert shapes == [(3, k) + x0.shape for k in sizes]
+            else:
+                assert shapes == [x0.shape] * 4 * 10
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES + tuple(INTERPRETED))
@@ -364,6 +375,64 @@ def test_sup_drift_evaluates_the_observable_once_on_the_block(name):
         calls = []
         assert sup_drift(lambda x: calls.append(x.shape) or obs(x), states) == worst
         assert calls == [states.shape]
+
+
+def test_sup_drift_over_blocks_equals_the_whole_block():
+    bundle = _bundle("lax-expr")
+    states = integrate(assemble(bundle.system), bundle.default_state, 0.0, 0.5,
+                       0.01).states
+    # the labels and the spectrum are conserved; the states themselves move
+    for obs in (lambda x: leaf_of(bundle.system.chart, x), bundle.observables["spectrum"],
+                lambda x: x):
+        whole = sup_drift(obs, states)
+        for block in (1, 7, 50, 51, 52):
+            calls = []
+            assert sup_drift(lambda x: calls.append(len(x)) or obs(x), states,
+                             block) == whole
+            assert calls == [len(states[i:i + block])
+                             for i in range(0, len(states), block)]
+    nan_late = states.copy()
+    nan_late[-1, -1] = np.nan
+    assert np.isnan(sup_drift(lambda x: x, nan_late, 7))
+
+
+# every split-chart model shipped, preset and configured
+_SPLIT = ("riccati", "hamilton_jacobi", "lax", "hamilton_jacobi-expr", "lax-expr",
+          "riccati-const", "riccati-expr")
+
+
+def test_split_chart_models_are_the_listed_ones():
+    split = {name for name in MODEL_NAMES + tuple(INTERPRETED) + tuple(_CONFIGURED)
+             if _split_system(name).chart.is_split}
+    assert split == set(_SPLIT)
+
+
+def _split_system(name):
+    if name in _CONFIGURED:
+        return build_bundle(ScenarioConfig.from_dict(_CONFIGURED[name])).system
+    return _bundle(name).system
+
+
+@pytest.mark.parametrize("name", _SPLIT)
+def test_split_chart_coefficients_read_only_the_labels(name):
+    # the contract the coefficient tables of assemble rest on: the map does
+    # not see the leaf coordinates, and no field moves the labels
+    fs = _split_system(name)
+    s = fs.chart.leaf_dim
+    r = len(fs.realized.fields)
+    rng = seeded_rng(12)
+    xs = fs.realized.box.sample_many(rng, 40)
+    ts = rng.uniform(0.0, 2.0, size=40)
+    redrawn = fs.realized.box.sample_many(rng, 40)
+    redrawn[:, s:] = xs[:, s:]
+    assert not np.array_equal(redrawn[:, :s], xs[:, :s])
+    for t, x, y in [(ts, xs, redrawn), *zip(ts[:5].tolist(), xs[:5], redrawn[:5])]:
+        assert (coefficient_values(fs.coeffs, r, t, x).tobytes()
+                == coefficient_values(fs.coeffs, r, t, y).tobytes())
+    for X in fs.realized.fields:
+        labels = X(xs)[:, s:]
+        # exactly 0.0: a -0.0 would still compare equal to zero
+        assert labels.tobytes() == np.zeros(labels.shape).tobytes()
 
 
 def test_leaf_drift_exact_zero_hj_lax():

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from scipy.integrate import quad
 from folsys.algebra import builtin_algebra
 from folsys.automorphic import (MATRIX, AutomorphicSystem, reduce_system,
                                 solve_matrix)
-from folsys.errors import (BlowUpError, DimensionMismatchError,
+from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, ErrorFloorError)
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
@@ -294,6 +297,87 @@ def test_order_from_finals_is_convergence_order():
         EXP, x0, 0.0, 1.0, 0.05)
     with pytest.raises(ErrorFloorError):
         order_from_finals(np.zeros(3), np.zeros(3), np.zeros(3))
+
+
+# --- coefficient tables of split charts ---------------------------------------
+
+def _configured_system(model, params):
+    return build_bundle(ScenarioConfig.from_dict({"model": model, "params": params})).system
+
+
+TABLE_SYSTEMS = {
+    "riccati-const": default_model("riccati").system,
+    "riccati-sin": _configured_system("riccati", {
+        "a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)", "a2": "-0.7+0.05*cos(t)"}),
+    "hamilton_jacobi": default_model("hamilton_jacobi").system,
+    "hamilton_jacobi-expr": _configured_system("hamilton_jacobi", {
+        "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}),
+    "lax": default_model("lax").system,
+    "lax-expr": _configured_system("lax", {
+        "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"}),
+}
+folsys_integrate = sys.modules["folsys.integrate"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(TABLE_SYSTEMS)),
+       rows=st.integers(0, 4),
+       per_row=st.booleans(),
+       block_steps=st.integers(1, 6),
+       extra=st.sampled_from([0, 1, 2, 3, 7]),
+       seed=st.integers(0, 10 ** 6))
+def test_coefficient_table_equals_the_per_stage_field_bitwise(
+        name, rows, per_row, block_steps, extra, seed):
+    fs = TABLE_SYSTEMS[name]
+    calls = []
+
+    def counted(t, x):
+        calls.append(x.shape)
+        return fs.coeffs(t, x)
+
+    F = assemble(dataclasses.replace(fs, coeffs=counted))
+    plain = TDependentVectorField(F.dim, F.func)
+    rng = seeded_rng(seed)
+    # one state (rows = 0) or a batch
+    x0 = (fs.realized.box.sample(rng) if rows == 0
+          else fs.realized.box.sample_many(rng, rows))
+    # exactly one block, one step more, or several blocks and a remainder
+    n = block_steps * (1 + extra // 2) + extra % 2
+    h = 0.6 / n
+    steps = h
+    if per_row and rows > 0:
+        steps = [h] + rng.uniform(h, 0.6, size=rows - 1).tolist()
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
+        tabled = integrate(F, x0, 0.0, 0.6, steps)
+        assert len(tabled) == n + 1
+        assert len(calls) == -(-n // block_steps)  # one call per block
+        per_stage = integrate(plain, x0, 0.0, 0.6, steps)
+    assert tabled.times.tobytes() == per_stage.times.tobytes()
+    assert tabled.states.tobytes() == per_stage.states.tobytes()
+
+
+def test_a_block_whose_table_raises_runs_per_stage():
+    # the coefficient a0 cannot be evaluated at t = 1.75, a stage time of the
+    # step from 1.625; x' = 1 - x^2 stays bounded up to there
+    fs = _configured_system("riccati", {"a0": "1+0*(1/(t-1.75))", "a2": -1})
+    calls = []
+
+    def counted(t, x):
+        calls.append(np.shape(t))
+        return fs.coeffs(t, x)
+
+    F = assemble(dataclasses.replace(fs, coeffs=counted))
+    plain = TDependentVectorField(F.dim, F.func)
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 4):
+        with pytest.raises(ConfigError) as tabled:
+            integrate(F, np.array([0.5]), 0.0, 2.0, 0.125)
+        # blocks of 4 steps: three tables, then the block from t = 1.5 fails
+        # as a table and runs per stage, the step from 1.625 raising at its
+        # last stage, 1.75
+        assert calls == [(3, 4)] * 4 + [()] * 8
+        with pytest.raises(ConfigError) as per_stage:
+            integrate(plain, np.array([0.5]), 0.0, 2.0, 0.125)
+    assert str(tabled.value) == str(per_stage.value)
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
