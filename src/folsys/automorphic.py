@@ -14,11 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, IncompatibleActionError
+from .errors import IncompatibleActionError
 from .fields import TDependentVectorField, VectorField
 from .foliated import FoliatedSystem, coefficient_values, leaf_of
-from .integrate import (DEFAULT_STEP, Trajectory, integrate, partial_trajectory,
-                        stage_blocks, stage_times, time_grid)
+from .integrate import (DEFAULT_STEP, Trajectory, integrate, stage_blocks,
+                        time_grid)
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -180,33 +180,24 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
 
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
                   h: float = DEFAULT_STEP) -> GroupCurve:
-    """Quadrature of the abelian system from the identity (lambda(t0) = 0).
+    """RK4 of the abelian system lambda' = c(t, k) from the identity
+    (lambda(t0) = 0).
 
-    The right-hand side depends on t only, so classical RK4 reduces to
-    Simpson's rule on each step (Hairer, Norsett, Wanner, *Solving ODEs I*,
-    Sec. II.1): one coefficient call on all stage times, increments
-    (dt/6)(c(t) + 2c(t+dt/2) + 2c(t+dt/2) + c(t+dt)) in the order of
-    operations of ``integrate``, and a sequential running sum, so the curve
-    equals ``integrate``'s bit for bit.  A non-finite node raises
-    BlowUpError with the curve before it as ``partial``.
+    The right-hand side depends on t only, so it is a time-only field whose
+    table is the coefficient map on a block's stage times, and ``integrate``
+    sums it a block at a time by Simpson's rule, bit for bit its RK4 loop.
+    Per stage (a block whose table raises) the map takes one time as an
+    array of one, so its shape is checked as on a table.  A non-finite node
+    raises BlowUpError with the curve before it as ``partial``.
     """
     if asys.kind != ABELIAN:
         raise ValueError("solve_abelian requires an abelian system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    times = time_grid(t0, t1, h)
-    dt, stages = stage_times(times)
-    c1, c2, c4 = asys.coeffs(stages, k)
-    states = np.zeros((times.size, len(asys.generators)))
-    # non-finite values are reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        states[1:] = (dt[:, None] / 6.0) * (c1 + 2.0 * c2 + 2.0 * c2 + c4)
-        # row by row from the zero row: 0.0 + inc turns a -0.0 into 0.0
-        np.add.accumulate(states, axis=0, out=states)
-    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
-    if bad.size:
-        j = bad[0]
-        raise BlowUpError(times[j], partial=partial_trajectory(times, states, j - 1, h))
-    return GroupCurve(ABELIAN, times, states, h)
+    r = len(asys.generators)
+    F = TDependentVectorField(r, lambda t, lam: asys.coeffs(np.full(1, t), k)[0],
+                              table=lambda steps, times, lam0: asys.coeffs(times, k))
+    traj = integrate(F, np.zeros(r), t0, t1, h)
+    return GroupCurve(ABELIAN, traj.times, traj.states, h)
 
 
 def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,

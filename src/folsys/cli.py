@@ -275,6 +275,14 @@ def _expr_coeff(value, variables):
     raise ConfigError(f"coefficient must be a number or expression: {value!r}")
 
 
+def _reads(value, name: str) -> bool:
+    """Whether the coefficient ``value``, a number or a valid expression,
+    reads the variable ``name``."""
+    return isinstance(value, str) and any(
+        isinstance(node, ast.Name) and node.id == name
+        for node in ast.walk(ast.parse(value, mode="eval")))
+
+
 def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
     p = cfg.params
     if cfg.model == "riccati":
@@ -307,9 +315,11 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
             return mdl.hj_system(spec)
         return mdl.lax_system(mdl.lax_from_hamiltonian(n, spec.gradient))
     if cfg.model == "ermakov":
+        omega2 = p.get("omega2", "1+0.1*sin(t)")
         spec = mdl.ErmakovSpec(
-            omega2=_expr_coeff(p.get("omega2", "1+0.1*sin(t)"), ("t", "I")),
-            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0))
+            omega2=_expr_coeff(omega2, ("t", "I")),
+            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0),
+            reads_invariant=_reads(omega2, "I"))
         bundle = mdl.ermakov_system(spec)
         if spec.c1 == 0.0 and spec.c2 == 0.0:
             # only the uncoupled member admits the linear group action
@@ -319,11 +329,13 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def _timed(check: str, model: str, seed: int, value: float, tol: float,
-           start: float) -> CheckReport:
-    return CheckReport(check=check, model=model, value=float(value),
-                       tolerance=float(tol), runtime_s=time.perf_counter() - start,
-                       seed=seed)
+def _timed(model: str, seed: int, start: float, *rows) -> list[CheckReport]:
+    """Reports of the ``(check, value, tolerance)`` rows of one call, which
+    share its time since ``start``."""
+    elapsed = time.perf_counter() - start
+    return [CheckReport(check=check, model=model, value=float(value),
+                        tolerance=float(tol), runtime_s=elapsed, seed=seed)
+            for check, value, tol in rows]
 
 
 def _require_support(name: str, bundle: mdl.ModelBundle) -> None:
@@ -348,42 +360,41 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
     """Rows of one check; every check reads the scenario's trajectory ``traj``,
     superposition the rule runs sampled on its grid, or the error that
     integrating them raised, and convergence the final states of x0 on the
-    convergence steps when the joint batch ran them."""
+    convergence steps when the joint batch ran them.  Rows computed by one
+    call share its ``runtime_s``; each other row is timed on its own."""
     t0, t1, seed = cfg.t0, cfg.t1, cfg.seed
     start = time.perf_counter()
     model = bundle.name
 
     if name == "foliated":
         rep = verify_foliated(bundle.system, trials=100, seed=seed, t_range=(t0, t1))
-        return [
-            _timed("foliated.com_residual", model, seed, rep.com_residual, 1e-6, start),
-            _timed("foliated.chart_residual", model, seed, rep.chart_residual, 1e-6, start),
-            _timed("foliated.rank", model, seed, rep.rank_shortfall, 0.0, start),
-            _timed("foliated.structure", model, seed, rep.structure_residual, 1e-6, start),
-        ]
+        return _timed(model, seed, start,
+                      ("foliated.com_residual", rep.com_residual, 1e-6),
+                      ("foliated.chart_residual", rep.chart_residual, 1e-6),
+                      ("foliated.rank", rep.rank_shortfall, 0.0),
+                      ("foliated.structure", rep.structure_residual, 1e-6))
 
     if name == "leaf_drift":
         drift = leaf_drift(traj, bundle.system.chart)
         if model == "ermakov":
             ref = abs(mdl.lewis_invariant(bundle.spec, traj.states[0]))
-            return [_timed("leaf_drift.relative", model, seed,
-                           drift / max(ref, 1e-30), 1e-6, start)]
-        return [_timed("leaf_drift", model, seed, drift, 0.0, start)]
+            return _timed(model, seed, start,
+                          ("leaf_drift.relative", drift / max(ref, 1e-30), 1e-6))
+        return _timed(model, seed, start, ("leaf_drift", drift, 0.0))
 
     if name == "superposition":
         if isinstance(rule_runs, FolsysError):
             raise rule_runs
         rep = rule_report(bundle.rule, bundle.system, rule_runs, RULE_TRIALS)
         tol = 1e-6 if model == "riccati" else 1e-8
-        return [_timed("superposition.reconstruction", model, seed,
-                       rep.max_reconstruction_error, tol, start),
-                _timed("superposition.first_integral", model, seed,
-                       rep.first_integral, 1e-8, start)]
+        return _timed(model, seed, start,
+                      ("superposition.reconstruction", rep.max_reconstruction_error, tol),
+                      ("superposition.first_integral", rep.first_integral, 1e-8))
 
     if name == "automorphic":
         err = reconstruction_error(bundle.system, bundle.action, traj, seed=seed)
         tol = 1e-6 if model == "ermakov" else 1e-8
-        return [_timed("automorphic.reconstruction", model, seed, err, tol, start)]
+        return _timed(model, seed, start, ("automorphic.reconstruction", err, tol))
 
     if name == "poisson":
         return _poisson_battery(model, seed)
@@ -395,19 +406,20 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
             # (2n, 2n) matrices per sample, taken a block of samples at a time
             size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
             drift = sup_drift(obs, traj.states, size)
-            row = _timed("spectrum.drift", model, seed, drift, 1e-12, start)
+            rows = _timed(model, seed, start, ("spectrum.drift", drift, 1e-12))
             # the Lax-pair form: the assembled field is [V, M] at every state
+            start = time.perf_counter()
             F = assemble(bundle.system).func
             gaps = []
             for i in range(0, len(traj), size):
                 t, x = traj.times[i:i + size], traj.states[i:i + size]
                 gaps.append(np.max(np.abs(F(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
             gap = np.max(gaps)  # np.max keeps a NaN
-            return [row, _timed("spectrum.lax_pair", model, seed, gap, 1e-12, start)]
+            return rows + _timed(model, seed, start, ("spectrum.lax_pair", gap, 1e-12))
         drift = sup_drift(obs, traj.states)
         ref = abs(obs(traj.states[0]))
-        return [_timed("lewis.relative_drift", model, seed,
-                       drift / max(ref, 1e-30), 1e-6, start)]
+        return _timed(model, seed, start,
+                      ("lewis.relative_drift", drift / max(ref, 1e-30), 1e-6))
 
     if name == "convergence":
         if finals is None:
@@ -415,8 +427,7 @@ def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
                                       t0, t1, _coarse_step(cfg))
         else:
             order = order_from_finals(*finals)
-        return [_timed("convergence.order_gap", model, seed,
-                       abs(order - 4.0), 0.5, start)]
+        return _timed(model, seed, start, ("convergence.order_gap", abs(order - 4.0), 0.5))
 
     raise ConfigError(f"unknown check {name!r}")
 
@@ -440,18 +451,17 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
             lhs = poisson_bracket(L, lin[a], lin[b], pts)
             rhs = sum(c[a, b, g] * vals[g] for g in range(3))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    out.append(_timed("poisson.kirillov_identity", model, seed, worst, 1e-12, start))
+    out += _timed(model, seed, start, ("poisson.kirillov_identity", worst, 1e-12))
 
     start = time.perf_counter()
     coords = [coordinate_function(i, 3) for i in range(3)]
     worst = float(np.max(np.abs(jacobiator(L, *coords, pts))))
-    out.append(_timed("poisson.kirillov_jacobiator", model, seed, worst, 1e-10, start))
+    out += _timed(model, seed, start, ("poisson.kirillov_jacobiator", worst, 1e-10))
 
     start = time.perf_counter()
     adj = adjoint_foliated_system(sl2, metric)
     residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=seed)
-    out.append(_timed("poisson.adjoint_hamiltonian", model, seed,
-                      max(residuals), 1e-8, start))
+    out += _timed(model, seed, start, ("poisson.adjoint_hamiltonian", max(residuals), 1e-8))
 
     start = time.perf_counter()
     Lr = rmatrix_bivector_aff(2)
@@ -462,12 +472,12 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
     coords4 = [coordinate_function(i, 4) for i in range(4)]
     worst = max(float(np.max(np.abs(jacobiator(Lr, *triple, aff_pts))))
                 for triple in itertools.combinations(coords4, 3))
-    out.append(_timed("poisson.rmatrix_jacobiator", model, seed, worst, 1e-10, start))
+    out += _timed(model, seed, start, ("poisson.rmatrix_jacobiator", worst, 1e-10))
 
     start = time.perf_counter()
     checks = check_rmatrix_hamiltonian(2, aff_pts[:50])
-    out.append(_timed("poisson.rmatrix_hamiltonian", model, seed,
-                      max(ch.residual for ch in checks), 1e-8, start))
+    out += _timed(model, seed, start, ("poisson.rmatrix_hamiltonian",
+                                       max(ch.residual for ch in checks), 1e-8))
     return out
 
 

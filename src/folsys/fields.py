@@ -17,13 +17,38 @@ from .util import FD_SCALE, Box, grad_fd
 RANK_RTOL = 1e-10
 
 
+class _Constant:
+    """The map from a block of points ``(..., N)`` to ``value`` ``(N,)`` at each."""
+
+    def __init__(self, value):
+        self.value = np.array(value, dtype=float)
+        self.value.setflags(write=False)
+
+    def __call__(self, x):
+        return np.broadcast_to(self.value, x.shape).copy()
+
+
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous vector field."""
+    """Autonomous vector field.
+
+    A field built by ``VectorField.constant`` declares itself constant: its
+    ``value`` is set, and its ``func`` is derived from that value, so the
+    two cannot disagree; any other field has ``value`` None."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+
+    @classmethod
+    def constant(cls, value, name: str = "") -> "VectorField":
+        """The field whose value is ``value`` ``(N,)`` at every point."""
+        func = _Constant(value)
+        return cls(func.value.size, func, name=name)
+
+    @property
+    def value(self) -> np.ndarray | None:
+        return self.func.value if isinstance(self.func, _Constant) else None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -43,7 +68,13 @@ class TDependentVectorField:
     slice of the steps of the solution's grid, k = steps.start + k', and
     ``times`` ``(3, K, ...)`` are the start, midpoint and end times of those
     steps, broadcasting against ``x0.shape[:-1]``.  ``integrate`` then builds
-    the values a block of steps at a time."""
+    the values a block of steps at a time.
+
+    A field with a ``table`` and no ``combine`` is time-only: along a
+    solution its value depends on time alone, and the table rows
+    ``(3, K, ..., N)`` are its values, so ``func(t, x)`` equals
+    ``table(steps, times, x0)[s, k']`` at every stage state x.  ``integrate``
+    then sums each block of steps at once (Simpson's rule)."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]

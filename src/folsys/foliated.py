@@ -96,7 +96,9 @@ class FoliatedSystem:
     components.  A step of RK4 then leaves the labels of every stage state
     those of x0, bit for bit but for the sign of a zero label (-0.0 + 0.0
     is 0.0); so along a solution the coefficients depend on time alone, and
-    ``assemble`` tabulates them.
+    ``assemble`` tabulates them.  ``coeffs_of_time`` declares the same on
+    any chart: the map's values do not depend on x at all (an Ermakov
+    frequency that does not read the invariant).
     """
 
     realized: RealizedAlgebra
@@ -104,6 +106,7 @@ class FoliatedSystem:
     chart: FoliationChart
     name: str = ""
     domain: Callable[[np.ndarray], bool] | None = None
+    coeffs_of_time: bool = False
 
     def __post_init__(self):
         if self.chart.dim != self.realized.ambient_dim:
@@ -141,12 +144,16 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
     x-independent ``(r,)``, which is broadcast over the batch.
 
-    On a split chart the field has a coefficient table (see
-    ``TDependentVectorField``): one call of the map on a block's stage times
-    ``(3, K[, B])`` and x0 broadcast to ``(3, K[, B], N)`` gives the
-    coefficients of every stage of the block, exactly, by the split-chart
-    contract of FoliatedSystem, so ``integrate`` calls the map once per
-    block of steps instead of four times per step.
+    On a split chart, or for a map declared ``coeffs_of_time``, the field
+    has a coefficient table (see ``TDependentVectorField``): one call of the
+    map on a block's stage times ``(3, K[, B])`` and x0 broadcast to
+    ``(3, K[, B], N)`` gives the coefficients of every stage of the block,
+    exactly, by the contract of FoliatedSystem, so ``integrate`` calls the
+    map once per block of steps instead of four times per step.  When
+    moreover every realized field is constant (declares its ``value``: the
+    translations of hamilton_jacobi and lax), the field is time-only: its
+    table holds the values sum_a g_a X_a of every stage, formed in the order
+    of operations of the per-stage sum, and it has no ``combine``.
     """
     flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
@@ -170,14 +177,27 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
         return combine(coefficient_values(coeffs, r, t, x), x)
 
     def table(steps, times, x0):
-        # every stage state has the labels of x0, all the map reads
+        # every stage state has the labels of x0, all a split-chart map
+        # reads; a map of time alone reads no x
         lead = times.shape[:2]
         c = coefficient_values(coeffs, r, times,
                                np.broadcast_to(x0, lead + x0.shape).copy())
         return np.broadcast_to(c, lead + c.shape) if c.ndim == 1 else c
 
+    tabled = fs.chart.is_split or fs.coeffs_of_time
+    values = [X.value for X in fs.realized.fields]
+    if tabled and all(v is not None for v in values):
+        def stage_values(steps, times, x0):
+            c = table(steps, times, x0)
+            out = np.zeros(times.shape[:2] + x0.shape)
+            for a, v in enumerate(values):
+                out += c[..., a, None] * v
+            return out
+
+        return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
+                                     table=stage_values)
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
-                                 table=table if fs.chart.is_split else None,
+                                 table=table if tabled else None,
                                  combine=combine)
 
 

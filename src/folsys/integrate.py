@@ -6,7 +6,7 @@ deterministic runs, not adaptive efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +112,17 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     every sample, and ``states[-1]`` is every row at t1.
 
     The steps go in blocks of at most TABLE_BLOCK stage state values
-    (3 stages x K steps x B rows x N).  A field with a ``table`` is
-    evaluated as ``combine`` of its table rows, the table built once per
-    block from the block's stage times ``(3, K)``, ``(3, K, 1)`` for a batch
-    on one grid or ``(3, K, B)`` for one step per row; a block whose table
-    raises a FolsysError runs per stage, so the error surfaces at its own
-    step.  Any other field is called per stage with the stage times.
+    (3 stages x K steps x B rows x N).  A field with a ``table`` has it
+    built once per block from the block's stage times ``(3, K)``,
+    ``(3, K, 1)`` for a batch on one grid or ``(3, K, B)`` for one step per
+    row.  With a ``combine`` the RK4 loop evaluates the field as
+    ``combine`` of the table rows.  Without one the field is time-only and
+    the rows are its stage values: then k2 = k3, RK4 is Simpson's rule on
+    each step, and the block's increments are formed at once and added to
+    the last state in step order, the loop's states bit for bit (see
+    ``_sum_block``).  A block whose table raises a FolsysError runs per
+    stage, so the error surfaces at its own step.  Any other field is
+    called per stage with the stage times.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
@@ -142,28 +147,34 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
-    x = x0.copy()
-    for k, (dt, f, t, mid, end) in enumerate(_stage_values(F, x0, grid)):
-        k1 = f(t, x)
-        k2 = f(mid, x + 0.5 * dt * k1)
-        k3 = f(mid, x + 0.5 * dt * k2)
-        k4 = f(end, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise BlowUpError(times[k + 1],
-                              partial=partial_trajectory(times, states, k, h))
-        if inside is not None and not inside(x):
-            raise DomainExitError(times[k + 1],
+    for k0, dts, f, values in _stage_values(F, x0, grid):
+        if f is None:
+            _sum_block(states, k0, dts, values, times, h, inside)
+            continue
+        x = states[k0].copy()
+        for k, dt, t, mid, end in zip(count(k0), dts, *values):
+            k1 = f(t, x)
+            k2 = f(mid, x + 0.5 * dt * k1)
+            k3 = f(mid, x + 0.5 * dt * k2)
+            k4 = f(end, x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(x).all():
+                raise BlowUpError(times[k + 1],
                                   partial=partial_trajectory(times, states, k, h))
-        states[k + 1] = x
+            if inside is not None and not inside(x):
+                raise DomainExitError(times[k + 1],
+                                      partial=partial_trajectory(times, states, k, h))
+            states[k + 1] = x
     return Trajectory(times, states, h)
 
 
 def _stage_values(F, x0, grid):
-    """Per step of ``grid``: dt, the right-hand side f(value, x), and its
-    values at the start, midpoint and end of the step, built a block at a
-    time.  The values are table rows for ``F.combine``, or stage times for
-    F: Python floats on one grid, so that path works on no numpy scalar."""
+    """Per block of steps of ``grid``: its first step, the steps dt, the
+    right-hand side f(value, x), and its values at the start, midpoint and
+    end of each step.  The values are table rows for ``F.combine``, stage
+    times for F (Python floats on one grid, so that path works on no numpy
+    scalar), or, with f None, the stage values of a time-only field, with
+    dt shaped to multiply them."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
@@ -175,13 +186,43 @@ def _stage_values(F, x0, grid):
                 f = F.combine
             except FolsysError:
                 pass  # per stage, so the error surfaces at its own step
-        if not one_grid:
+        if f is None:
+            dt = dt.reshape(dt.shape + (1,) * (values.ndim - 1 - dt.ndim))
+        elif not one_grid:
             dt = dt[..., None]  # one step per row, against states (B, N)
         else:
             dt = dt.tolist()
             if f is F:
                 values = values.tolist()
-        yield from zip(dt, repeat(f), *values)
+        yield steps.start, dt, f, values
+
+
+def _sum_block(states, k0, dt, v, times, h, inside):
+    """The steps from k0 of a time-only field, from ``states[k0]`` into the
+    next rows of ``states``, given its stage values ``v`` ``(3, K, ...)``.
+
+    No stage reads the state, so k2 = k3 and RK4 is Simpson's rule on each
+    step (Hairer, Norsett, Wanner, *Solving ODEs I*, Sec. II.1): the
+    increments (dt/6)(v0 + 2 v1 + 2 v1 + v2), in the order of operations of
+    the RK4 loop, added to the last state in step order, equal the loop's
+    states bit for bit.  The first non-finite state raises BlowUpError, and
+    the domain guard checks the rows before it in step order, each raising
+    with the loop's partial trajectory; non-finite values are not warned
+    about."""
+    block = states[k0:k0 + len(dt) + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block[1:] = (dt / 6.0) * (v[0] + 2.0 * v[1] + 2.0 * v[1] + v[2])
+        np.add.accumulate(block, axis=0, out=block)
+    finite = np.isfinite(block[1:]).reshape(len(dt), -1).all(axis=1)
+    stop = int(finite.argmin()) if not finite.all() else len(dt)
+    if inside is not None:
+        for i in range(stop):
+            if not inside(block[i + 1]):
+                raise DomainExitError(times[k0 + i + 1],
+                                      partial=partial_trajectory(times, states, k0 + i, h))
+    if stop < len(dt):
+        raise BlowUpError(times[k0 + stop + 1],
+                          partial=partial_trajectory(times, states, k0 + stop, h))
 
 
 def partial_trajectory(times, states, k, h):

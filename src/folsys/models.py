@@ -235,14 +235,9 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
     n = spec.n
     dim = 2 * n
 
-    def make_field(i):
-        def func(x):
-            out = np.zeros(x.shape)
-            out[..., i] = scale
-            return out
-        return VectorField(dim, func, name=f"{labels[0]}{i + 1}")
-
-    flds = tuple(make_field(i) for i in range(n))
+    # constant fields, so along a solution the system depends on time alone
+    flds = tuple(VectorField.constant(scale * np.eye(dim)[i], name=f"{labels[0]}{i + 1}")
+                 for i in range(n))
     box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
     realized = RealizedAlgebra(la.builtin_algebra(f"abelian:{n}"), flds, box)
     system = FoliatedSystem(realized, coeffs, FoliationChart.split(dim, n),
@@ -358,11 +353,14 @@ def lax_system(spec: LaxSpec) -> ModelBundle:
 class ErmakovSpec:
     """omega2(t, I) takes invariant values ``(...)``, and a float time or an
     array of times broadcasting against them, and returns one frequency per
-    value, or one I-independent frequency."""
+    value, or one I-independent frequency.  ``reads_invariant`` False
+    declares that omega2 ignores I, so the coefficients depend on time
+    alone."""
 
     omega2: Callable[[float, np.ndarray], np.ndarray]
     c1: float = 1.0
     c2: float = 1.0
+    reads_invariant: bool = True
 
 
 def lewis_invariant(spec: ErmakovSpec, state):
@@ -421,7 +419,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
         return abs(s[0]) >= ERMAKOV_GUARD and abs(s[1]) >= ERMAKOV_GUARD
 
     system = FoliatedSystem(realized, coeffs, chart, name="ermakov",
-                            domain=domain)
+                            domain=domain, coeffs_of_time=not spec.reads_invariant)
     observables = {"lewis": lambda s: lewis_invariant(spec, s)}
     return ModelBundle(name="ermakov", system=system, rule=None,
                        action=None, default_state=np.array([1.0, 1.0, 0.0, 1.0]),

@@ -306,6 +306,24 @@ def test_solve_matrix_memory_per_sample():
     assert peak <= 200 * len(curve)
 
 
+def test_solve_abelian_memory_per_sample():
+    # the curve (16 B a sample) and its times (8 B); the reduced map on the
+    # stage times of the whole grid at once, with the central differences of
+    # an interpreted Hamiltonian, took 544 B a sample
+    b = build_bundle(ScenarioConfig.from_dict({"model": "hamilton_jacobi", "params": {
+        "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}}))
+    asys = reduce_system(b.system, b.action)
+    k = leaf_of(b.system.chart, b.default_state)
+    tracemalloc.start()
+    try:
+        curve = solve_abelian(asys, k, 0.0, 1.0, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 20001
+    assert peak <= 200 * len(curve)
+
+
 def test_reconstruct_identity_curve_is_constant():
     bundle = default_model("hamilton_jacobi")
     times = np.linspace(0.0, 1.0, 11)

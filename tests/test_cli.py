@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -248,9 +250,9 @@ def test_run_rejects_unsupported_check(tmp_path):
 def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
+    def counting(F, *args, **kwargs):
+        calls.append(F.dim)
+        return integrate(F, *args, **kwargs)
 
     for module in (folsys.cli, folsys.automorphic, folsys.superposition):
         monkeypatch.setattr(module, "integrate", counting)
@@ -264,10 +266,10 @@ def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
         })
         reports, _ = run(cfg)
         assert all(r.status == "pass" for r in reports)
-        # the scenario flow only: the superposition trials ride in the
-        # scenario's batch, and the abelian quadrature of the reconstruction
-        # sums Simpson increments without stepping through integrate
-        assert len(calls) == 1
+        # the scenario flow (state dimension 4) once: the superposition
+        # trials ride in the scenario's batch; the reconstruction integrates
+        # its abelian group curve (dimension 2) once more
+        assert calls == [4] + [2] * ("automorphic" in checks)
 
 
 @pytest.mark.parametrize("model, params", [
@@ -310,9 +312,9 @@ def _count_integrate(monkeypatch):
     """Calls of ``integrate`` made by the runner and by ``convergence_order``."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
+    def counting(F, *args, **kwargs):
+        calls.append(F.dim)
+        return integrate(F, *args, **kwargs)
 
     for module in (folsys.cli, sys.modules["folsys.integrate"]):
         monkeypatch.setattr(module, "integrate", counting)
@@ -620,6 +622,21 @@ def test_repeated_runs_identical_reports(tmp_path):
         (outs[1] / "trajectory.csv").read_bytes()
 
 
+def test_rows_of_one_call_share_its_runtime(tmp_path, monkeypatch):
+    # a clock that advances by one at every reading: a row timed alone, or
+    # rows computed by one call, span exactly one reading after their start
+    clock = itertools.count()
+    monkeypatch.setattr(folsys.cli, "time",
+                        types.SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    cfg = ScenarioConfig.from_dict({
+        "model": "lax", "integration": {"t0": 0.0, "t1": 1.0, "step": 0.01},
+        "checks": ["foliated", "superposition", "spectrum", "poisson", "convergence"],
+        "out": str(tmp_path)})
+    reports, _ = run(cfg)
+    assert len(reports) == 4 + 2 + 2 + 5 + 1
+    assert {r.runtime_s for r in reports} == {1.0}
+
+
 # --- coefficient tables against the per-stage field ----------------------------
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -630,10 +647,39 @@ def _per_stage_assemble(fs):
     return TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
 
 
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+# the bundled configs, an interpreted hamilton_jacobi whose convergence runs
+# join the superposition batch (one step per row), a single-state
+# interpreted lax, an uncoupled Ermakov whose frequency reads no I and a
+# coupled one whose frequency reads I (no table)
+BITWISE_CONFIGS = [pytest.param(json.loads(path.read_text()), id=path.stem)
+                   for path in sorted(CONFIGS.glob("*.json"))] + [
+    pytest.param({"model": "hamilton_jacobi",
+                  "params": {"n": 3, "hamiltonian": "cos(t*P1)+P2*P3+0.3*sin(t)*P1**2"},
+                  "integration": {"t0": 0.0, "t1": 1.0, "step": 0.004},
+                  "checks": ["superposition", "convergence", "automorphic"]},
+                 id="hamilton_jacobi-expr-joint"),
+    pytest.param({"model": "lax",
+                  "params": {"n": 2, "hamiltonian": "cos(t*P1)+0.7*P1*P2"},
+                  "integration": {"t0": 0.0, "t1": 1.5, "step": 0.003},
+                  "checks": ["leaf_drift", "spectrum", "automorphic", "convergence"]},
+                 id="lax-expr-single"),
+    pytest.param({"model": "ermakov",
+                  "params": {"omega2": "0.9+0.05*sin(t)", "c1": 0.0, "c2": 0.0},
+                  "integration": {"t0": 0.0, "t1": 1.0, "step": 0.002},
+                  "initial_state": [1.2, 1.1, 0.1, -0.1],
+                  "checks": ["automorphic", "foliated", "lewis", "convergence"]},
+                 id="ermakov-uncoupled"),
+    pytest.param({"model": "ermakov",
+                  "params": {"omega2": "1+0.1*sin(t)+0.05*I"},
+                  "integration": {"t0": 0.0, "t1": 1.0, "step": 0.002},
+                  "checks": ["leaf_drift", "lewis", "convergence"]},
+                 id="ermakov-reads-I"),
+]
+
+
+@pytest.mark.parametrize("raw", BITWISE_CONFIGS)
 def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
-        path, tmp_path, monkeypatch):
-    raw = json.loads(path.read_text())
+        raw, tmp_path, monkeypatch):
     outputs = []
     for side in ("tabled", "per-stage"):
         if side == "per-stage":

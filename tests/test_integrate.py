@@ -299,7 +299,7 @@ def test_order_from_finals_is_convergence_order():
         order_from_finals(np.zeros(3), np.zeros(3), np.zeros(3))
 
 
-# --- coefficient tables of split charts ---------------------------------------
+# --- coefficient tables --------------------------------------------------------
 
 def _configured_system(model, params):
     return build_bundle(ScenarioConfig.from_dict({"model": model, "params": params})).system
@@ -315,7 +315,14 @@ TABLE_SYSTEMS = {
     "lax": default_model("lax").system,
     "lax-expr": _configured_system("lax", {
         "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"}),
+    # an invariant chart whose frequency reads no I: coefficients of time alone
+    "ermakov-sin": _configured_system("ermakov", {
+        "omega2": "0.9+0.06*sin(t)", "c1": 0.0, "c2": 0.0}),
+    "ermakov-const": _configured_system("ermakov", {"omega2": 1.1}),
 }
+# the translation systems, whose assembled fields are time-only
+TIME_ONLY_SYSTEMS = {name: TABLE_SYSTEMS[name] for name in (
+    "hamilton_jacobi", "hamilton_jacobi-expr", "lax", "lax-expr")}
 folsys_integrate = sys.modules["folsys.integrate"]
 
 
@@ -336,6 +343,10 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
         return fs.coeffs(t, x)
 
     F = assemble(dataclasses.replace(fs, coeffs=counted))
+    # the translation systems are time-only (summed by Simpson blocks), the
+    # Riccati and Ermakov ones combine their table rows with the state in the
+    # RK4 loop
+    assert (F.combine is None) == (name in TIME_ONLY_SYSTEMS)
     plain = TDependentVectorField(F.dim, F.func)
     rng = seeded_rng(seed)
     # one state (rows = 0) or a batch
@@ -354,6 +365,18 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
         per_stage = integrate(plain, x0, 0.0, 0.6, steps)
     assert tabled.times.tobytes() == per_stage.times.tobytes()
     assert tabled.states.tobytes() == per_stage.states.tobytes()
+
+
+def test_an_ermakov_frequency_that_reads_no_invariant_is_tabulated():
+    for omega2, tabled in (("1+0.1*sin(t)", True), (1.2, True), (2, True),
+                           ("1+0.02*I", False), ("sin(t*I)", False)):
+        fs = _configured_system("ermakov", {"omega2": omega2})
+        assert fs.coeffs_of_time is tabled, omega2
+        F = assemble(fs)
+        assert (F.table is not None) is tabled and F.combine is not None, omega2
+    # a spec states what its frequency reads; by default it reads I
+    fs = default_model("ermakov").system
+    assert not fs.coeffs_of_time and assemble(fs).table is None
 
 
 def test_a_block_whose_table_raises_runs_per_stage():
@@ -378,6 +401,126 @@ def test_a_block_whose_table_raises_runs_per_stage():
         with pytest.raises(ConfigError) as per_stage:
             integrate(plain, np.array([0.5]), 0.0, 2.0, 0.125)
     assert str(tabled.value) == str(per_stage.value)
+
+
+# --- time-only fields: the Simpson sum of a block ------------------------------
+
+def _counted_field(F, calls):
+    """F with each call of func, table and combine recorded in ``calls``."""
+    def counted(kind, fn):
+        def call(*args):
+            calls.append(kind)
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(
+        F, func=counted("func", F.func), table=counted("table", F.table),
+        combine=None if F.combine is None else counted("combine", F.combine))
+
+
+@pytest.mark.parametrize("name", sorted(TIME_ONLY_SYSTEMS))
+def test_time_only_route_makes_one_table_call_per_block_and_no_per_stage_call(name):
+    fs = TIME_ONLY_SYSTEMS[name]
+    box = fs.realized.box
+    rng = seeded_rng(8)
+    for x0, steps in ((box.sample(rng), 0.05), (box.sample_many(rng, 3), 0.05),
+                      (box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
+        calls = []
+        F = _counted_field(assemble(fs), calls)
+        # 20 steps in blocks of 6: 6, 6, 6 and 2
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * x0.size):
+            integrate(F, x0, 0.0, 1.0, steps)
+        assert calls == ["table"] * 4
+
+
+def _time_only_field(value, domain=None):
+    """Time-only field of dimension 1 whose value at time t is value(t)."""
+    return TDependentVectorField(
+        1, lambda t, x: np.array([value(t)]), domain=domain,
+        table=lambda steps, times, x0: value(times)[..., None])
+
+
+def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
+    # finite values whose running sum overflows, and values that turn
+    # infinite or NaN, on one state and on a batch, across blocks of 5 steps
+    values = {"overflow": lambda t: np.full(np.shape(t), 1e307),
+              "inf": lambda t: np.where(np.asarray(t) < 1.3, 0.5, np.inf),
+              "nan": lambda t: np.where(np.asarray(t) < 0.7, -0.5, np.nan)}
+    for name, value in values.items():
+        F = _time_only_field(value)
+        plain = TDependentVectorField(1, F.func)
+        for x0 in (np.array([0.25]), np.array([[0.25], [-1.0]])):
+            with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 5 * x0.size):
+                # the sum warns about none of its non-finite values
+                with pytest.raises(BlowUpError) as summed:
+                    integrate(F, x0, 0.0, 100.0, 0.1)
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(BlowUpError) as per_stage:
+                    integrate(plain, x0, 0.0, 100.0, 0.1)
+            assert summed.value.t == per_stage.value.t, name
+            got, want = summed.value.partial, per_stage.value.partial
+            assert got.times.tobytes() == want.times.tobytes(), name
+            assert got.states.tobytes() == want.states.tobytes(), name
+
+
+def test_time_only_domain_guard_checks_the_rows_in_step_order():
+    # x' = 1 from 0 leaves x < 0.55 at t = 0.6; x' = 1 then inf from 0.95
+    # blows up at t = 1.0 unless the domain exit comes first
+    inside = lambda x: x[0] < 0.55
+    cases = ((lambda t: np.ones(np.shape(t)), inside, DomainExitError),
+             (lambda t: np.where(np.asarray(t) < 0.95, 1.0, np.inf), inside,
+              DomainExitError),
+             (lambda t: np.where(np.asarray(t) < 0.35, 1.0, np.inf), inside,
+              BlowUpError))
+    for value, domain, error in cases:
+        F = _time_only_field(value, domain)
+        plain = TDependentVectorField(1, F.func, domain=domain)
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 50):
+            with pytest.raises(error) as summed:
+                integrate(F, np.array([0.0]), 0.0, 2.0, 0.05)
+            with np.errstate(invalid="ignore"), pytest.raises(error) as per_stage:
+                integrate(plain, np.array([0.0]), 0.0, 2.0, 0.05)
+        assert summed.value.t == per_stage.value.t
+        got, want = summed.value.partial, per_stage.value.partial
+        assert got.states.tobytes() == want.states.tobytes()
+
+
+def test_time_only_block_whose_table_raises_keeps_the_config_error():
+    # H = P1/(t-1) cannot be evaluated at t = 1, a stage time of two steps
+    fs = _configured_system("hamilton_jacobi", {"n": 2, "hamiltonian": "P1/(t-1)"})
+    F = assemble(fs)
+    assert F.combine is None
+    plain = TDependentVectorField(F.dim, F.func)
+    x0 = default_model("hamilton_jacobi").default_state
+    with pytest.raises(ConfigError) as summed:
+        integrate(F, x0, 0.0, 2.0, 0.125)
+    with pytest.raises(ConfigError) as per_stage:
+        integrate(plain, x0, 0.0, 2.0, 0.125)
+    assert "cannot be evaluated" in str(summed.value)
+    assert str(summed.value) == str(per_stage.value)
+
+
+def test_constant_fields_return_their_value_on_random_blocks():
+    systems = dict(TABLE_SYSTEMS, ermakov=default_model("ermakov").system)
+    rng = seeded_rng(21)
+    declared = 0
+    for name, fs in systems.items():
+        for X in fs.realized.fields:
+            if X.value is None:
+                continue
+            declared += 1
+            assert X.value.shape == (X.dim,)
+            for shape in ((X.dim,), (5, X.dim), (3, 4, X.dim)):
+                block = rng.uniform(-3.0, 3.0, size=shape)
+                got = X(block)
+                assert got.tobytes() == np.broadcast_to(X.value, shape).tobytes(), name
+    # the translations d/dQ^i of hamilton_jacobi and 2 d/dv^a of lax, n = 2
+    # and 3; no Riccati or Ermakov field declares itself constant
+    assert declared == 2 + 2 + 2 + 3
+    X = VectorField.constant([0.0, 2.0], name="c")
+    assert X.dim == 2 and X.name == "c"
+    assert X(np.ones((2, 2))).tolist() == [[0.0, 2.0], [0.0, 2.0]]
+    assert dataclasses.replace(X, func=lambda x: -x).value is None
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
