@@ -5,11 +5,13 @@ The reference scenarios are the bundled configs in ``scripts/configs`` and
 the members of seeds 1 and 2 of every perfbench workload
 (``perfbench/scenarios.py``).  Each runs through ``cli.run`` and
 ``cli.report_render`` in a temporary directory.  For each scenario the
-script prints its name and the sha256 of ``trajectory.csv``, or the error
-the scenario raised, and then one line per ``report.json`` row: the name,
-the row's check and the sha256 of the row without ``runtime_s`` (the only
-field that may vary between identical runs).  A diff of two outputs thus
-names every row that was added, removed or changed.
+script prints its name, the sha256 of ``trajectory.csv`` and the csv's last
+line (the final time and state), or the error the scenario raised, and then
+one line per ``report.json`` row: the name, the row's check, the sha256 of
+the row without ``runtime_s`` (the only field that may vary between
+identical runs) and the ``repr`` of the row's value.  A diff of two outputs
+thus names every row that was added, removed or changed, and shows by how
+much a value moved.
 
 The scenarios run on the folsys package of the checkout holding this
 script, so to compare with another commit, copy the script into a checkout
@@ -50,7 +52,8 @@ def sha256(data: bytes) -> str:
 
 
 def digest(config: dict, out_dir: Path) -> list[str]:
-    """The trajectory digest, then one ``<check> <digest>`` per report row."""
+    """The trajectory digest and final line, then one ``<check> <digest>
+    <value>`` per report row."""
     cfg = ScenarioConfig.from_dict(dict(config, out=str(out_dir)))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -59,10 +62,13 @@ def digest(config: dict, out_dir: Path) -> list[str]:
     except (ConfigError, FolsysError) as exc:
         return [f"error {type(exc).__name__}: {exc}"]
     rows = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    lines = [sha256((out_dir / "trajectory.csv").read_bytes())]
+    csv = (out_dir / "trajectory.csv").read_bytes()
+    last = csv.rstrip().rsplit(b"\n", 1)[-1].decode()
+    lines = [f"{sha256(csv)} {last}"]
     for row in rows:
         del row["runtime_s"]
-        lines.append(f"{row['check']} {sha256(json.dumps(row, sort_keys=True).encode())}")
+        lines.append(f"{row['check']} {sha256(json.dumps(row, sort_keys=True).encode())} "
+                     f"{row['value']!r}")
     return lines
 
 

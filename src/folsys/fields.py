@@ -28,13 +28,40 @@ class _Constant:
         return np.broadcast_to(self.value, x.shape).copy()
 
 
+class _Linear:
+    """The map from a block of points ``(..., N)`` to ``matrix @ x`` at each."""
+
+    def __init__(self, matrix):
+        self.matrix = np.array(matrix, dtype=float)
+        self.matrix.setflags(write=False)
+
+    def __call__(self, x):
+        return x @ self.matrix.T
+
+
+class _StageMatrices:
+    """A right-hand side ``func(t, x)`` that is linear along a solution,
+    carrying ``matrices(steps, times, x0)``: its matrices A with
+    ``func(t, x) = A x`` at a block's stage times (see TDependentVectorField)."""
+
+    def __init__(self, func, matrices):
+        self.func = func
+        self.matrices = matrices
+
+    def __call__(self, t, x):
+        return self.func(t, x)
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous vector field.
 
     A field built by ``VectorField.constant`` declares itself constant: its
     ``value`` is set, and its ``func`` is derived from that value, so the
-    two cannot disagree; any other field has ``value`` None."""
+    two cannot disagree; any other field has ``value`` None.  Likewise a
+    field built by ``VectorField.linear`` declares itself linear, x -> M x:
+    its ``matrix`` M is set and its ``func`` derived from it; any other
+    field has ``matrix`` None."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
@@ -46,9 +73,19 @@ class VectorField:
         func = _Constant(value)
         return cls(func.value.size, func, name=name)
 
+    @classmethod
+    def linear(cls, matrix, name: str = "") -> "VectorField":
+        """The field whose value at x is ``matrix @ x``, ``matrix`` ``(N, N)``."""
+        func = _Linear(matrix)
+        return cls(func.matrix.shape[0], func, name=name)
+
     @property
     def value(self) -> np.ndarray | None:
         return self.func.value if isinstance(self.func, _Constant) else None
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        return self.func.matrix if isinstance(self.func, _Linear) else None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -74,7 +111,15 @@ class TDependentVectorField:
     solution its value depends on time alone, and the table rows
     ``(3, K, ..., N)`` are its values, so ``func(t, x)`` equals
     ``table(steps, times, x0)[s, k']`` at every stage state x.  ``integrate``
-    then sums each block of steps at once (Simpson's rule)."""
+    then sums each block of steps at once (Simpson's rule).
+
+    A field built by ``TDependentVectorField.linear`` is linear along a
+    solution: at stage s of step k, ``func(t, x)`` equals ``A x`` with A
+    ``matrices(steps, times, x0)[s, k']`` ``(..., N, N)``, and ``integrate``
+    steps it by the RK4 step matrices of a block of steps.  The matrices
+    are carried by ``func`` itself, so a copy of the field rebuilt from
+    ``(dim, func, domain, name)`` takes the same route to the same bits;
+    ``matrices`` reads them back, None for any other field."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
@@ -82,6 +127,17 @@ class TDependentVectorField:
     name: str = ""
     table: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def linear(cls, dim: int, func, matrices, domain=None,
+               name: str = "") -> "TDependentVectorField":
+        """The field ``func``, declared linear along a solution with the
+        stage matrices ``matrices(steps, times, x0)``."""
+        return cls(dim, _StageMatrices(func, matrices), domain=domain, name=name)
+
+    @property
+    def matrices(self) -> Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None:
+        return self.func.matrices if isinstance(self.func, _StageMatrices) else None
 
     def __call__(self, t, x) -> np.ndarray:
         if type(t) is not float and not isinstance(t, np.ndarray):

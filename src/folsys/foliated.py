@@ -153,7 +153,12 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     moreover every realized field is constant (declares its ``value``: the
     translations of hamilton_jacobi and lax), the field is time-only: its
     table holds the values sum_a g_a X_a of every stage, formed in the order
-    of operations of the per-stage sum, and it has no ``combine``.
+    of operations of the per-stage sum, and it has no ``combine``.  When
+    instead every realized field is linear (declares its ``matrix`` M_a:
+    the uncoupled Ermakov fields), the field is linear along a solution
+    (``TDependentVectorField.linear``): its stage matrices are
+    sum_a g_a M_a, from the same coefficients, and its ``func`` carries
+    them.
     """
     flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
@@ -196,6 +201,17 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
 
         return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
                                      table=stage_values)
+    matrices = [X.matrix for X in fs.realized.fields]
+    if tabled and all(m is not None for m in matrices):
+        def stage_matrices(steps, times, x0):
+            c = table(steps, times, x0)
+            out = np.zeros(c.shape[:-1] + (fs.dim, fs.dim))
+            for a, m in enumerate(matrices):
+                out += c[..., a, None, None] * m
+            return out
+
+        return TDependentVectorField.linear(fs.dim, func, stage_matrices,
+                                            domain=fs.domain, name=fs.name)
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
                                  table=table if tabled else None,
                                  combine=combine)

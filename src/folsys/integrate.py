@@ -17,7 +17,8 @@ from .fields import TDependentVectorField
 DEFAULT_STEP = 1e-3
 # stage state values, 3 stages x K steps x B rows x N, of one block of steps;
 # building the coefficient table of a block then peaks at 0.23-0.30 MB
-# (tracemalloc) on the interpreted riccati, hamilton_jacobi and lax models
+# (tracemalloc) on the interpreted riccati, hamilton_jacobi and lax models.
+# Stage matrices hold N times as many: 0.13 MB for a block of Ermakov steps
 TABLE_BLOCK = 2 ** 12
 
 
@@ -112,17 +113,30 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     every sample, and ``states[-1]`` is every row at t1.
 
     The steps go in blocks of at most TABLE_BLOCK stage state values
-    (3 stages x K steps x B rows x N).  A field with a ``table`` has it
-    built once per block from the block's stage times ``(3, K)``,
-    ``(3, K, 1)`` for a batch on one grid or ``(3, K, B)`` for one step per
-    row.  With a ``combine`` the RK4 loop evaluates the field as
-    ``combine`` of the table rows.  Without one the field is time-only and
-    the rows are its stage values: then k2 = k3, RK4 is Simpson's rule on
-    each step, and the block's increments are formed at once and added to
-    the last state in step order, the loop's states bit for bit (see
-    ``_sum_block``).  A block whose table raises a FolsysError runs per
-    stage, so the error surfaces at its own step.  Any other field is
-    called per stage with the stage times.
+    (3 stages x K steps x B rows x N), and each block takes one of four
+    routes, read from the field:
+
+    - A field linear along a solution (``F.matrices``, carried by its
+      ``func``) has its stage matrices A_0, A_1, A_2 ``(3, K, ..., N, N)``
+      built once per block, and steps by the RK4 step matrices,
+      x_{k+1} = P_k x_k (see ``_product_block``).  The order of operations
+      is not the loop's: the states agree with the per-stage loop to within
+      1e-12 max(1, max|x|), and bit for bit between runs.
+    - A field with a ``table`` has it built once per block from the block's
+      stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
+      ``(3, K, B)`` for one step per row.  With a ``combine`` the RK4 loop
+      evaluates the field as ``combine`` of the table rows.
+    - Without one the field is time-only and the rows are its stage values:
+      then k2 = k3, RK4 is Simpson's rule on each step, and the block's
+      increments are formed at once and added to the last state in step
+      order, the loop's states bit for bit (see ``_sum_block``).
+    - Any other field is called per stage with the stage times.
+
+    A block whose table or matrices raise a FolsysError runs per stage, so
+    the error surfaces at its own step.  On the two block routes the first
+    non-finite state raises BlowUpError with the loop's partial trajectory
+    and without numpy warnings, and the domain guard checks the states
+    before it in step order.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
@@ -148,8 +162,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     for k0, dts, f, values in _stage_values(F, x0, grid):
-        if f is None:
-            _sum_block(states, k0, dts, values, times, h, inside)
+        if f in _BLOCK_ROUTES:
+            f(states[k0:k0 + len(dts) + 1], dts, values)
+            _guard_block(states, k0, len(dts), times, h, inside)
             continue
         x = states[k0].copy()
         for k, dt, t, mid, end in zip(count(k0), dts, *values):
@@ -169,24 +184,29 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 
 
 def _stage_values(F, x0, grid):
-    """Per block of steps of ``grid``: its first step, the steps dt, the
-    right-hand side f(value, x), and its values at the start, midpoint and
-    end of each step.  The values are table rows for ``F.combine``, stage
-    times for F (Python floats on one grid, so that path works on no numpy
-    scalar), or, with f None, the stage values of a time-only field, with
-    dt shaped to multiply them."""
+    """Per block of steps of ``grid``: its first step, the steps dt, how to
+    step it, and the field's values at the start, midpoint and end of each
+    step.  The block routes ``_product_block`` and ``_sum_block`` take the
+    stage matrices or the stage values of a time-only field, with dt shaped
+    to multiply them.  Otherwise the RK4 loop calls f(value, x) on table
+    rows, for ``F.combine``, or on stage times, for F (Python floats on one
+    grid, so that path works on no numpy scalar)."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
+    if F.matrices is not None:
+        table, combine = F.matrices, _product_block
+    else:
+        table, combine = F.table, F.combine or _sum_block
     for steps, dt, times in stage_blocks(grid, 3 * x0.size):
         f, values = F, times
-        if F.table is not None:
+        if table is not None:
             try:
-                values = F.table(steps, times[..., None] if spread else times, x0)
-                f = F.combine
+                values = table(steps, times[..., None] if spread else times, x0)
+                f = combine
             except FolsysError:
                 pass  # per stage, so the error surfaces at its own step
-        if f is None:
+        if f in _BLOCK_ROUTES:
             dt = dt.reshape(dt.shape + (1,) * (values.ndim - 1 - dt.ndim))
         elif not one_grid:
             dt = dt[..., None]  # one step per row, against states (B, N)
@@ -197,30 +217,66 @@ def _stage_values(F, x0, grid):
         yield steps.start, dt, f, values
 
 
-def _sum_block(states, k0, dt, v, times, h, inside):
-    """The steps from k0 of a time-only field, from ``states[k0]`` into the
-    next rows of ``states``, given its stage values ``v`` ``(3, K, ...)``.
+def _sum_block(block, dt, v):
+    """Fill ``block[1:]`` with the states after ``block[0]`` of a time-only
+    field, given its stage values ``v`` ``(3, K, ...)``.
 
     No stage reads the state, so k2 = k3 and RK4 is Simpson's rule on each
     step (Hairer, Norsett, Wanner, *Solving ODEs I*, Sec. II.1): the
     increments (dt/6)(v0 + 2 v1 + 2 v1 + v2), in the order of operations of
     the RK4 loop, added to the last state in step order, equal the loop's
-    states bit for bit.  The first non-finite state raises BlowUpError, and
-    the domain guard checks the rows before it in step order, each raising
-    with the loop's partial trajectory; non-finite values are not warned
-    about."""
-    block = states[k0:k0 + len(dt) + 1]
+    states bit for bit.  Non-finite values are not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         block[1:] = (dt / 6.0) * (v[0] + 2.0 * v[1] + 2.0 * v[1] + v[2])
         np.add.accumulate(block, axis=0, out=block)
-    finite = np.isfinite(block[1:]).reshape(len(dt), -1).all(axis=1)
-    stop = int(finite.argmin()) if not finite.all() else len(dt)
+
+
+def _product_block(block, dt, A):
+    """Fill ``block[1:]`` with the states after ``block[0]`` of a field
+    linear along the solution, given its stage matrices ``A``
+    ``(3, K, ..., N, N)``.
+
+    RK4 of x' = A(t) x is one matrix per step, x_{k+1} = P_k x_k, a
+    polynomial in the stage matrices (Hairer, Norsett, Wanner, *Solving
+    ODEs I*, Sec. II.1, with the stages written as matrix products):
+    K1 = A0, K2 = A1 (I + dt/2 K1), K3 = A1 (I + dt/2 K2),
+    K4 = A2 (I + dt K3) and P = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4), built
+    for the whole block by batched matmuls.  The loop's stage sum
+    (K1 + 2 K2 + 2 K3 + K4) x can overflow a step before its state does;
+    the state after such a step is set to inf, so the blow-up is at the
+    loop's step.  Non-finite values are not warned about."""
+    eye = np.eye(A.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        K1 = A[0]
+        K2 = A[1] @ (eye + (0.5 * dt) * K1)
+        K3 = A[1] @ (eye + (0.5 * dt) * K2)
+        K4 = A[2] @ (eye + dt * K3)
+        S = K1 + 2.0 * K2 + 2.0 * K3 + K4
+        P = eye + (dt / 6.0) * S
+        cols = block[..., None]  # each state a column, written in place
+        for k, step in enumerate(P):
+            np.matmul(step, cols[k], out=cols[k + 1])
+        sums = S @ cols[:-1]
+    block[1:][~np.isfinite(sums).reshape(len(sums), -1).all(axis=1)] = np.inf
+
+
+_BLOCK_ROUTES = (_sum_block, _product_block)
+
+
+def _guard_block(states, k0, n, times, h, inside):
+    """Check the states of the n steps from k0, filled into ``states``, as
+    the RK4 loop checks each new state: the first non-finite state raises
+    BlowUpError, and the domain guard checks the states before it in step
+    order, each raising with the loop's partial trajectory."""
+    block = states[k0:k0 + n + 1]
+    finite = np.isfinite(block[1:]).reshape(n, -1).all(axis=1)
+    stop = int(finite.argmin()) if not finite.all() else n
     if inside is not None:
         for i in range(stop):
             if not inside(block[i + 1]):
                 raise DomainExitError(times[k0 + i + 1],
                                       partial=partial_trajectory(times, states, k0 + i, h))
-    if stop < len(dt):
+    if stop < n:
         raise BlowUpError(times[k0 + stop + 1],
                           partial=partial_trajectory(times, states, k0 + stop, h))
 

@@ -371,8 +371,15 @@ def lewis_invariant(spec: ErmakovSpec, state):
 
 
 def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorField]:
+    """X1 = (vx, vy, c2/(x^2 y), c1/(x y^2)), X2 = (x, y, -vx, -vy)/2 and
+    X3 = (0, 0, -x, -y); with c1 = c2 = 0 all three are linear and built by
+    ``VectorField.linear``, so the uncoupled flow is linear."""
     c1, c2 = spec.c1, spec.c2
     half = np.array([0.5, 0.5, -0.5, -0.5])
+    if c1 == 0.0 and c2 == 0.0:
+        return (VectorField.linear(np.eye(4, k=2), name="X1"),
+                VectorField.linear(np.diag(half), name="X2"),
+                VectorField.linear(-np.eye(4, k=-2), name="X3"))
 
     # fields act on the last axis: s.T unpacks a (B, 4) batch into (B,) columns
     def f1(s):

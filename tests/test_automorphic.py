@@ -396,8 +396,9 @@ def _solve_abelian_on_integrate(asys, k, t0, t1, h):
 
 
 def _solve_matrix_on_integrate(asys, k, t0, t1, h):
-    """integrate with one coefficient call and one matrix sum per stage: the
-    loop the single coefficient call of solve_matrix replaced."""
+    """integrate with one coefficient call and one matrix sum per stage, and
+    the np.linalg.det guard: the per-stage loop that the step matrices of
+    solve_matrix replaced."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     gens = asys.generators
     d = gens[0].shape[0]
@@ -463,13 +464,23 @@ def _matrix_cases():
     return cases
 
 
+def _assert_within_tolerance(got, want):
+    """The stated tolerance of the step-matrix route against the per-stage
+    loop: 1e-12 max(1, max|g|)."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# the step matrices change the order of operations of the loop: the curve is
+# within the stated tolerance of it, and the same bits on every run
 @pytest.mark.parametrize("grid", _GRIDS)
 def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
     for asys, k in _matrix_cases():
         curve = solve_matrix(asys, k, *grid)
         ref = _solve_matrix_on_integrate(asys, k, *grid)
         assert curve.times.tobytes() == ref.times.tobytes()
-        assert curve.elements.tobytes() == ref.states.reshape(-1, 2, 2).tobytes()
+        _assert_within_tolerance(curve.elements, ref.states.reshape(-1, 2, 2))
+        assert curve.elements.tobytes() == solve_matrix(asys, k, *grid).elements.tobytes()
 
 
 def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
@@ -479,7 +490,40 @@ def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
             curve = solve_matrix(asys, k, 0.3, 1.7, 0.07)
             ref = _solve_matrix_on_integrate(asys, k, 0.3, 1.7, 0.07)
             assert len(curve) == 21
-            assert curve.elements.tobytes() == ref.states.reshape(-1, 2, 2).tobytes()
+            _assert_within_tolerance(curve.elements, ref.states.reshape(-1, 2, 2))
+            again = solve_matrix(asys, k, 0.3, 1.7, 0.07)
+            assert curve.elements.tobytes() == again.elements.tobytes()
+
+
+def test_the_closed_form_determinant_guard_agrees_with_numpy():
+    # 2 x 2 samples whose |det| spans 1e-16 to 1e-8 and O(1), away from the
+    # floor 1e-12 by more than a factor 1.01
+    rng = seeded_rng(5)
+    g = rng.uniform(-2.0, 2.0, size=(4000, 2, 2))
+    g[:3000] *= np.sqrt(10.0 ** rng.uniform(-16.0, -8.0, size=(3000, 1, 1))
+                        / np.abs(np.linalg.det(g[:3000]))[:, None, None])
+    det = np.abs(np.linalg.det(g))
+    g = g[np.abs(np.log(det / 1e-12)) > np.log(1.01)]
+    assert len(g) > 3500
+    guard = folsys.automorphic._det_guard(2)
+    got = [guard(m.ravel()) for m in g]
+    assert got == [abs(np.linalg.det(m)) >= 1e-12 for m in g]
+    assert 0 < sum(got) < len(g)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_determinant_crossing_the_floor_exits_as_with_the_numpy_guard(d):
+    # g' = -c g: det g = exp(-c d t) crosses the floor 1e-12 inside a step
+    for c in (100.0, 37.0):
+        asys = AutomorphicSystem.from_reduction(
+            MATRIX, (np.eye(d),), lambda t, k, _c=c: np.array([_c]))
+        with pytest.raises(DomainExitError) as got:
+            solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+        with pytest.raises(DomainExitError) as want:
+            _solve_matrix_on_integrate(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+        assert got.value.t == want.value.t
+        assert len(got.value.partial) == len(want.value.partial)
+        _assert_within_tolerance(got.value.partial.states, want.value.partial.states)
 
 
 def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():

@@ -650,7 +650,10 @@ def _per_stage_assemble(fs):
 # the bundled configs, an interpreted hamilton_jacobi whose convergence runs
 # join the superposition batch (one step per row), a single-state
 # interpreted lax, an uncoupled Ermakov whose frequency reads no I and a
-# coupled one whose frequency reads I (no table)
+# coupled one whose frequency reads I (no table).  A field rebuilt from
+# (dim, func, domain, name), as the perfbench tracer rebuilds it, drops its
+# table and combine but keeps the step-matrix route, which its func
+# carries: ermakov-uncoupled checks that it integrates to the same bits
 BITWISE_CONFIGS = [pytest.param(json.loads(path.read_text()), id=path.stem)
                    for path in sorted(CONFIGS.glob("*.json"))] + [
     pytest.param({"model": "hamilton_jacobi",

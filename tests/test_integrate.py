@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from folsys.algebra import builtin_algebra
 from folsys.automorphic import (MATRIX, AutomorphicSystem, reduce_system,
-                                solve_matrix)
+                                solve_abelian, solve_matrix)
 from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, ErrorFloorError)
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
@@ -323,7 +323,17 @@ TABLE_SYSTEMS = {
 # the translation systems, whose assembled fields are time-only
 TIME_ONLY_SYSTEMS = {name: TABLE_SYSTEMS[name] for name in (
     "hamilton_jacobi", "hamilton_jacobi-expr", "lax", "lax-expr")}
+# the uncoupled Ermakov system, whose assembled field is linear along a
+# solution and steps by its RK4 step matrices
+LINEAR_SYSTEMS = {"ermakov-sin": TABLE_SYSTEMS["ermakov-sin"]}
 folsys_integrate = sys.modules["folsys.integrate"]
+
+
+def assert_within_tolerance(got, want):
+    """The stated tolerance of the step-matrix route against the per-stage
+    loop: 1e-12 max(1, max|x|)."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -344,10 +354,13 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
 
     F = assemble(dataclasses.replace(fs, coeffs=counted))
     # the translation systems are time-only (summed by Simpson blocks), the
-    # Riccati and Ermakov ones combine their table rows with the state in the
+    # uncoupled Ermakov one steps by step matrices, and the Riccati and
+    # coupled Ermakov ones combine their table rows with the state in the
     # RK4 loop
-    assert (F.combine is None) == (name in TIME_ONLY_SYSTEMS)
-    plain = TDependentVectorField(F.dim, F.func)
+    assert (F.combine is None) == (name in TIME_ONLY_SYSTEMS or name in LINEAR_SYSTEMS)
+    assert (F.matrices is not None) == (name in LINEAR_SYSTEMS)
+    # a plain function: per stage on every system
+    plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
     rng = seeded_rng(seed)
     # one state (rows = 0) or a batch
     x0 = (fs.realized.box.sample(rng) if rows == 0
@@ -363,8 +376,14 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
         assert len(tabled) == n + 1
         assert len(calls) == -(-n // block_steps)  # one call per block
         per_stage = integrate(plain, x0, 0.0, 0.6, steps)
+        again = integrate(F, x0, 0.0, 0.6, steps)
     assert tabled.times.tobytes() == per_stage.times.tobytes()
-    assert tabled.states.tobytes() == per_stage.states.tobytes()
+    assert tabled.states.tobytes() == again.states.tobytes()
+    if name in LINEAR_SYSTEMS:
+        # a changed order of operations: the stated tolerance
+        assert_within_tolerance(tabled.states, per_stage.states)
+    else:
+        assert tabled.states.tobytes() == per_stage.states.tobytes()
 
 
 def test_an_ermakov_frequency_that_reads_no_invariant_is_tabulated():
@@ -405,17 +424,19 @@ def test_a_block_whose_table_raises_runs_per_stage():
 
 # --- time-only fields: the Simpson sum of a block ------------------------------
 
+def _counted(kind, fn, calls):
+    """fn with each call recorded in ``calls`` as ``kind``."""
+    def call(*args):
+        calls.append(kind)
+        return fn(*args)
+    return call
+
+
 def _counted_field(F, calls):
     """F with each call of func, table and combine recorded in ``calls``."""
-    def counted(kind, fn):
-        def call(*args):
-            calls.append(kind)
-            return fn(*args)
-        return call
-
     return dataclasses.replace(
-        F, func=counted("func", F.func), table=counted("table", F.table),
-        combine=None if F.combine is None else counted("combine", F.combine))
+        F, func=_counted("func", F.func, calls), table=_counted("table", F.table, calls),
+        combine=None if F.combine is None else _counted("combine", F.combine, calls))
 
 
 @pytest.mark.parametrize("name", sorted(TIME_ONLY_SYSTEMS))
@@ -523,6 +544,143 @@ def test_constant_fields_return_their_value_on_random_blocks():
     assert dataclasses.replace(X, func=lambda x: -x).value is None
 
 
+# --- fields linear along a solution: the RK4 step matrices -----------------------
+
+def _split_linear_system():
+    """x' = cos(t) k x on R^2 split into x and its label k = y: a linear field
+    whose stage matrices differ from row to row of a batch."""
+    X = VectorField.linear([[1.0, 0.0], [0.0, 0.0]], name="dilation")
+    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1.0, 0.5], [1.0, 1.5]))
+    return FoliatedSystem(ra, lambda t, x: np.cos(t)[..., None] * x[..., 1:],
+                          FoliationChart.split(2, 1), name="split-linear")
+
+
+STEP_MATRIX_SYSTEMS = {
+    "ermakov-sin": TABLE_SYSTEMS["ermakov-sin"],
+    "ermakov-const": _configured_system("ermakov", {"omega2": 0.9, "c1": 0.0, "c2": 0.0}),
+    "split-linear": _split_linear_system(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(STEP_MATRIX_SYSTEMS)),
+       layout=st.sampled_from(["one state", "one grid", "one step per row"]),
+       block_steps=st.integers(1, 5),
+       runs=st.sampled_from(["K", "K + 1", "2K + 1"]),
+       seed=st.integers(0, 10 ** 6))
+def test_step_matrices_are_within_tolerance_of_the_per_stage_loop(
+        name, layout, block_steps, runs, seed):
+    fs = STEP_MATRIX_SYSTEMS[name]
+    F = assemble(fs)
+    assert F.matrices is not None and F.table is None and F.combine is None
+    rng = seeded_rng(seed)
+    x0 = (fs.realized.box.sample(rng) if layout == "one state"
+          else fs.realized.box.sample_many(rng, 3))
+    n = {"K": block_steps, "K + 1": block_steps + 1, "2K + 1": 2 * block_steps + 1}[runs]
+    h = 0.8 / n
+    steps = [h, min(1.7 * h, 0.8), 0.8] if layout == "one step per row" else h
+    # a plain function is called per stage; a copy rebuilt from its parts, as
+    # the perfbench tracer rebuilds an assembled field, keeps the route
+    per_stage = TDependentVectorField(F.dim, lambda t, x: F.func(t, x), domain=F.domain)
+    rebuilt = TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
+    assert rebuilt.matrices is F.matrices
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
+        got = integrate(F, x0, 0.0, 0.8, steps)
+        ref = integrate(per_stage, x0, 0.0, 0.8, steps)
+        copy = integrate(rebuilt, x0, 0.0, 0.8, steps)
+    assert len(got) == n + 1
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert_within_tolerance(got.states, ref.states)
+    assert got.states.tobytes() == copy.states.tobytes()
+
+
+def _linear_field(value, domain=None):
+    """x' = value(t) M x on R^2, a growing spiral for value 1."""
+    M = np.array([[1.0, 1.0], [-1.0, 0.5]])
+    return TDependentVectorField.linear(
+        2, lambda t, x: np.asarray(value(t))[..., None] * (x @ M.T),
+        lambda steps, times, x0: value(times)[..., None, None] * M, domain=domain)
+
+
+def _assert_raises_as_per_stage(F, error, x0, t1, h):
+    """F raises ``error`` at the step and with the partial trajectory of the
+    per-stage loop, up to the stated tolerance, and without a warning."""
+    per_stage = TDependentVectorField(F.dim, lambda t, x: F.func(t, x), domain=F.domain)
+    with pytest.raises(error) as got:
+        integrate(F, x0, 0.0, t1, h)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as want:
+        integrate(per_stage, x0, 0.0, t1, h)
+    assert got.value.t == want.value.t
+    if want.value.partial is None:
+        assert got.value.partial is None
+        return
+    assert got.value.partial.times.tobytes() == want.value.partial.times.tobytes()
+    assert_within_tolerance(got.value.partial.states, want.value.partial.states)
+
+
+def test_step_matrix_blow_up_keeps_the_step_and_partial_of_the_per_stage_loop():
+    # finite values whose states overflow, and values that turn infinite or
+    # NaN, at t0 and later, on one state and on a batch, across blocks of 5 steps
+    values = {"overflow": lambda t: np.full(np.shape(t), 60.0),
+              "inf": lambda t: np.where(np.asarray(t) < 1.3, 0.5, np.inf),
+              "nan": lambda t: np.where(np.asarray(t) < 0.7, -0.5, np.nan),
+              "inf-at-t0": lambda t: np.full(np.shape(t), -np.inf)}
+    for name, value in values.items():
+        F = _linear_field(value)
+        for x0 in (np.array([0.25, 0.5]), np.array([[0.25, 0.5], [-1.0, 0.1]])):
+            with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 5 * x0.size):
+                _assert_raises_as_per_stage(F, BlowUpError, x0, 100.0, 0.1)
+
+
+def test_step_matrix_domain_guard_checks_the_states_in_step_order():
+    # x' = M x from (0.25, 0.5) leaves x < 0.55 near t = 0.25; with the
+    # value inf from 0.5 the domain exit comes first, from 0.15 the blow-up
+    inside = lambda x: np.all(x[..., 0] < 0.55)
+    for value, error in ((lambda t: np.ones(np.shape(t)), DomainExitError),
+                         (lambda t: np.where(np.asarray(t) < 0.5, 1.0, np.inf),
+                          DomainExitError),
+                         (lambda t: np.where(np.asarray(t) < 0.15, 1.0, np.inf),
+                          BlowUpError)):
+        F = _linear_field(value, inside)
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 50):
+            _assert_raises_as_per_stage(F, error, np.array([0.25, 0.5]), 2.0, 0.01)
+
+
+def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matrix_route():
+    systems = dict(TABLE_SYSTEMS, **{
+        "ermakov": default_model("ermakov").system,
+        "ermakov-uncoupled-const": STEP_MATRIX_SYSTEMS["ermakov-const"],
+        # linear fields, but the frequency reads I: not linear along a solution
+        "ermakov-uncoupled-reads-I": _configured_system("ermakov", {
+            "omega2": "0.9+0.02*I", "c1": 0.0, "c2": 0.0})})
+    routed = {name for name, fs in systems.items() if assemble(fs).matrices is not None}
+    assert routed == {"ermakov-sin", "ermakov-uncoupled-const"}
+    # the route builds the matrices once per block and calls no stage
+    F = assemble(systems["ermakov-sin"])
+    calls = []
+    G = TDependentVectorField.linear(F.dim, _counted("func", F.func, calls),
+                                     _counted("matrices", F.matrices, calls),
+                                     domain=F.domain)
+    # 20 steps in blocks of 6: 6, 6, 6 and 2
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * 4):
+        integrate(G, np.array([1.2, 1.1, 0.1, -0.1]), 0.0, 1.0, 0.05)
+    assert calls == ["matrices"] * 4
+    # the group solves: the matrix curve takes the route, the abelian one not
+    fields = []
+
+    def recorded(F, *args):
+        fields.append(F)
+        return integrate(F, *args)
+
+    erm = build_bundle(ScenarioConfig.from_dict({
+        "model": "ermakov", "params": {"omega2": 0.9, "c1": 0.0, "c2": 0.0}}))
+    hj = default_model("hamilton_jacobi")
+    with mock.patch.object(sys.modules["folsys.automorphic"], "integrate", recorded):
+        solve_matrix(reduce_system(erm.system, erm.action), np.ones(1), 0.0, 1.0, 0.1)
+        solve_abelian(reduce_system(hj.system, hj.action), np.zeros(2), 0.0, 1.0, 0.1)
+    assert [F.matrices is not None for F in fields] == [True, False]
+
+
 # --- solve_matrix on the kernel ----------------------------------------------
 
 def matrix_rk4_reference(asys, k, times):
@@ -561,5 +719,8 @@ def test_solve_matrix_matches_reference_loop():
     for asys, kk in ((erm, k), (glp, np.zeros(0))):
         curve = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)
         assert curve.elements.shape == (len(curve), 2, 2)
-        assert np.array_equal(curve.elements,
-                              matrix_rk4_reference(asys, kk, curve.times))
+        # the step matrices change the order of operations: the stated
+        # tolerance against the reference, and the same bits on every run
+        assert_within_tolerance(curve.elements, matrix_rk4_reference(asys, kk, curve.times))
+        again = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)
+        assert curve.elements.tobytes() == again.elements.tobytes()
