@@ -239,13 +239,14 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     return GroupCurve(MATRIX, traj.times, traj.states.reshape(-1, d, d), h)
 
 
-def _det_guard(d: int) -> Callable[[np.ndarray], bool]:
-    """The domain guard of a d x d curve on its row-major entries g:
-    |det g| at least the floor.  For d = 2 the determinant is written out,
-    as ``np.linalg.det`` would cost more than the rest of a step."""
+def _det_guard(d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The domain guard of a d x d curve on the row-major entries ``(..., d*d)``
+    of its elements: |det g| at least the floor, one bool per element.  For
+    d = 2 the determinant is written out, as ``np.linalg.det`` would cost
+    more than the rest of a step."""
     if d == 2:
-        return lambda g: abs(g[0] * g[3] - g[1] * g[2]) >= _DET_FLOOR
-    return lambda g: abs(np.linalg.det(g.reshape(d, d))) >= _DET_FLOOR
+        return lambda g: np.abs(g[..., 0] * g[..., 3] - g[..., 1] * g[..., 2]) >= _DET_FLOOR
+    return lambda g: np.abs(np.linalg.det(g.reshape(g.shape[:-1] + (d, d)))) >= _DET_FLOOR
 
 
 def solve_group(asys: AutomorphicSystem, k, t0: float, t1: float,

@@ -17,26 +17,21 @@ from .util import FD_SCALE, Box, grad_fd
 RANK_RTOL = 1e-10
 
 
-class _Constant:
-    """The map from a block of points ``(..., N)`` to ``value`` ``(N,)`` at each."""
+class _Polynomial:
+    """Points ``(..., N)`` to sum_d terms[d] x^d: each term None, a vector
+    ``(N,)`` scaling x^d coordinatewise (x^0 = 1) or a matrix ``(N, N)``; x^2
+    is libm's ``np.float_power(x, 2)``, not numpy's square (a last-bit gap)."""
 
-    def __init__(self, value):
-        self.value = np.array(value, dtype=float)
-        self.value.setflags(write=False)
-
-    def __call__(self, x):
-        return np.broadcast_to(self.value, x.shape).copy()
-
-
-class _Linear:
-    """The map from a block of points ``(..., N)`` to ``matrix @ x`` at each."""
-
-    def __init__(self, matrix):
-        self.matrix = np.array(matrix, dtype=float)
-        self.matrix.setflags(write=False)
+    def __init__(self, terms):
+        self.terms = tuple(None if c is None else np.array(c, dtype=float) for c in terms)
+        for c in filter(lambda c: c is not None, self.terms):
+            c.setflags(write=False)
 
     def __call__(self, x):
-        return x @ self.matrix.T
+        powers = (np.ones(x.shape), x, np.float_power(x, 2) if len(self.terms) > 2 else None)
+        parts = [p @ c.T if c.ndim == 2 else p * c
+                 for p, c in zip(powers, self.terms) if c is not None]
+        return sum(parts[1:], parts[0])
 
 
 class _StageMatrices:
@@ -54,38 +49,42 @@ class _StageMatrices:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous vector field.
-
-    A field built by ``VectorField.constant`` declares itself constant: its
-    ``value`` is set, and its ``func`` is derived from that value, so the
-    two cannot disagree; any other field has ``value`` None.  Likewise a
-    field built by ``VectorField.linear`` declares itself linear, x -> M x:
-    its ``matrix`` M is set and its ``func`` derived from it; any other
-    field has ``matrix`` None."""
+    """Autonomous vector field; ``VectorField.polynomial`` declares one of
+    degree at most 2, whose ``terms`` (see ``_Polynomial``) give its ``func``,
+    so the two cannot disagree (``terms`` is None for any other field):
+    ``value`` is b for terms (b,), ``matrix`` M for terms (None, M), else None."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     @classmethod
+    def polynomial(cls, terms, name: str = "") -> "VectorField":
+        """The field sum_d ``terms[d]`` x^d, d = 0, 1, 2 (see ``_Polynomial``)."""
+        return cls(len(next(c for c in terms if c is not None)), _Polynomial(terms), name)
+
+    @classmethod
     def constant(cls, value, name: str = "") -> "VectorField":
         """The field whose value is ``value`` ``(N,)`` at every point."""
-        func = _Constant(value)
-        return cls(func.value.size, func, name=name)
+        return cls.polynomial([value], name=name)
 
     @classmethod
     def linear(cls, matrix, name: str = "") -> "VectorField":
         """The field whose value at x is ``matrix @ x``, ``matrix`` ``(N, N)``."""
-        func = _Linear(matrix)
-        return cls(func.matrix.shape[0], func, name=name)
+        return cls.polynomial([None, matrix], name=name)
+
+    @property
+    def terms(self) -> tuple | None:
+        return self.func.terms if isinstance(self.func, _Polynomial) else None
 
     @property
     def value(self) -> np.ndarray | None:
-        return self.func.value if isinstance(self.func, _Constant) else None
+        return self.terms[0] if len(self.terms or ()) == 1 else None
 
     @property
     def matrix(self) -> np.ndarray | None:
-        return self.func.matrix if isinstance(self.func, _Linear) else None
+        t = self.terms or ()
+        return t[1] if len(t) == 2 and t[0] is None and t[1].ndim == 2 else None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -93,7 +92,8 @@ class VectorField:
 
 @dataclass(frozen=True)
 class TDependentVectorField:
-    """Time-dependent vector field; ``domain`` guards integration when set.
+    """Time-dependent vector field; ``domain``, when set, guards integration:
+    it maps states ``(..., N)`` to bools ``(...)``, so one call checks a block.
 
     ``t`` is a float, or an array of times, one per state of a batch, which
     is passed through as it is.
@@ -123,7 +123,7 @@ class TDependentVectorField:
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
-    domain: Callable[[np.ndarray], bool] | None = None
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
     table: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None

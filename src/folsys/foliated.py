@@ -99,13 +99,16 @@ class FoliatedSystem:
     ``assemble`` tabulates them.  ``coeffs_of_time`` declares the same on
     any chart: the map's values do not depend on x at all (an Ermakov
     frequency that does not read the invariant).
+
+    ``domain``, when set, maps states ``(..., N)`` to bools ``(...)``, True
+    inside the domain; ``integrate`` checks a block of states in one call.
     """
 
     realized: RealizedAlgebra
     coeffs: Callable[[float, np.ndarray], np.ndarray]
     chart: FoliationChart
     name: str = ""
-    domain: Callable[[np.ndarray], bool] | None = None
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
     coeffs_of_time: bool = False
 
     def __post_init__(self):
@@ -149,20 +152,37 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     map on a block's stage times ``(3, K[, B])`` and x0 broadcast to
     ``(3, K[, B], N)`` gives the coefficients of every stage of the block,
     exactly, by the contract of FoliatedSystem, so ``integrate`` calls the
-    map once per block of steps instead of four times per step.  When
-    moreover every realized field is constant (declares its ``value``: the
-    translations of hamilton_jacobi and lax), the field is time-only: its
-    table holds the values sum_a g_a X_a of every stage, formed in the order
-    of operations of the per-stage sum, and it has no ``combine``.  When
-    instead every realized field is linear (declares its ``matrix`` M_a:
-    the uncoupled Ermakov fields), the field is linear along a solution
-    (``TDependentVectorField.linear``): its stage matrices are
-    sum_a g_a M_a, from the same coefficients, and its ``func`` carries
-    them.
+    map once per block of steps instead of four times per step.
+
+    The route is read from the realized fields when every one declares its
+    ``terms`` (``VectorField.polynomial``):
+
+    - all constant (a ``value``: the translations of hamilton_jacobi and
+      lax) and tabled: the field is time-only; its table holds the values
+      sum_a g_a X_a of every stage, formed in the order of operations of
+      the per-stage sum, and it has no ``combine``;
+    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields) and
+      tabled: the field is linear along a solution
+      (``TDependentVectorField.linear``) with stage matrices sum_a g_a M_a;
+    - any other mix whose terms of degree 1 and 2 act coordinatewise (the
+      Riccati fields 1, x and x^2): a fused stage.  Its table holds, per
+      stage, the coefficients of x^0, x^1 and x^2 summed over the fields
+      from 0.0, laid out ``(3, ..., N)`` ahead of the rows, and the stage
+      is ``out = c1 * x; out += c0; out += c2 * x^2``, which calls no
+      field and checks no shape.  It is the per-field sum regrouped by
+      degree; with one unit field per degree in the order 1, x, x^2
+      (Riccati) it is that sum bit for bit, with its ``float_power`` and
+      the sign of its zeros.  ``func`` runs the same stage, so a copy
+      rebuilt from it gives the same bits.
+
+    Any other field (the coupled Ermakov fields declare no terms) is the
+    per-stage sum ``combine`` of the table rows, or of the coefficients at
+    each stage when there is no table.
     """
     flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
     r = len(flds)
+    polys = [X.terms for X in fs.realized.fields]
 
     def combine(c, x):
         # entry a is the coefficient of field a: one number for all states,
@@ -180,6 +200,26 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
 
     def func(t, x):
         return combine(coefficient_values(coeffs, r, t, x), x)
+
+    def by_degree(c, axis):
+        # coefficients (..., r) -> those of x^0, x^1 and x^2 (..., 3, ..., N),
+        # the power axis at ``axis``, so a stage reads c[d] with no transpose.
+        # The zeros start the sums as combine starts its own (0.0 + c0); an
+        # absent power keeps 0, whose products the 0.0 + c0 term absorbs
+        shape = c.shape[:-1] + (fs.dim,)
+        out = np.zeros(shape[:axis] + (3,) + shape[axis:])
+        powers = np.moveaxis(out, axis, 0)
+        for a, terms in enumerate(polys):
+            for d, term in enumerate(terms):
+                if term is not None:
+                    powers[d] += c[..., a, None] * term
+        return out
+
+    def fused(c, x):
+        out = c[1] * x
+        out += c[0]
+        out += c[2] * np.float_power(x, 2)
+        return out
 
     def table(steps, times, x0):
         # every stage state has the labels of x0, all a split-chart map
@@ -212,6 +252,15 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
 
         return TDependentVectorField.linear(fs.dim, func, stage_matrices,
                                             domain=fs.domain, name=fs.name)
+    if all(t is not None and all(m is None or m.ndim == 1 for m in t) for t in polys):
+        def stage_table(steps, times, x0):
+            return by_degree(table(steps, times, x0), 2)
+
+        def fused_func(t, x):
+            return fused(by_degree(coefficient_values(coeffs, r, t, x), 0), x)
+
+        return TDependentVectorField(fs.dim, fused_func, domain=fs.domain, name=fs.name,
+                                     table=stage_table if tabled else None, combine=fused)
     return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
                                  table=table if tabled else None,
                                  combine=combine)

@@ -99,9 +99,11 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 
     ``x0`` is one state ``(N,)`` or a batch ``(B, N)`` of independent states
     stepped together; ``F`` is then called on the whole batch and must
-    return an array of the same shape.  Every row of a batch goes through
-    the domain guard, and a blow-up or domain exit in any row raises at the
-    earliest failing step with the whole batch as ``partial``.
+    return an array of the same shape.  The domain guard ``F.domain`` maps
+    states ``(..., N)`` to bools ``(...)``: it is called on x0, on each new
+    state of the RK4 loop, and once on the states of a block route, and a
+    blow-up or domain exit in any row raises at the earliest failing step
+    with the whole batch as ``partial``.
 
     ``h`` is one step for every row, on the grid ``time_grid(t0, t1, h)``,
     or, for a batch, a sequence of one step per row.  Each row then runs on
@@ -125,7 +127,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     - A field with a ``table`` has it built once per block from the block's
       stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
       ``(3, K, B)`` for one step per row.  With a ``combine`` the RK4 loop
-      evaluates the field as ``combine`` of the table rows.
+      evaluates the field as ``combine`` of the table rows.  For the
+      Riccati systems that is ``assemble``'s fused stage, which reads the
+      coefficients of 1, x and x^2 from the rows and calls no field.
     - Without one the field is time-only and the rows are its stage values:
       then k2 = k3, RK4 is Simpson's rule on each step, and the block's
       increments are formed at once and added to the last state in step
@@ -133,9 +137,10 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     - Any other field is called per stage with the stage times.
 
     A block whose table or matrices raise a FolsysError runs per stage, so
-    the error surfaces at its own step.  On the two block routes the first
-    non-finite state raises BlowUpError with the loop's partial trajectory
-    and without numpy warnings, and the domain guard checks the states
+    the error surfaces at its own step.  No route warns about an overflow or
+    an invalid value in its steps (the RK4 loop runs each block under one
+    ``np.errstate``): the first non-finite state raises BlowUpError with the
+    loop's partial trajectory, and the domain guard checks the states
     before it in step order.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -154,9 +159,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
         grid = np.column_stack(
             [np.pad(g, (0, times.size - g.size), mode="edge") for g in grids])
     inside = F.domain
-    if inside is not None and x0.ndim == 2:
-        inside = lambda x: all(F.domain(row) for row in x)
-    if inside is not None and not inside(x0):
+    # one state's guard gives one bool; a batch's bools are reduced to one
+    holds = inside if inside is None or x0.ndim == 1 else lambda x: inside(x).all()
+    if holds is not None and not holds(x0):
         raise DomainExitError(t0, "initial state outside domain")
 
     states = np.empty((times.size,) + x0.shape)
@@ -167,19 +172,20 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
             _guard_block(states, k0, len(dts), times, h, inside)
             continue
         x = states[k0].copy()
-        for k, dt, t, mid, end in zip(count(k0), dts, *values):
-            k1 = f(t, x)
-            k2 = f(mid, x + 0.5 * dt * k1)
-            k3 = f(mid, x + 0.5 * dt * k2)
-            k4 = f(end, x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(x).all():
-                raise BlowUpError(times[k + 1],
-                                  partial=partial_trajectory(times, states, k, h))
-            if inside is not None and not inside(x):
-                raise DomainExitError(times[k + 1],
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, dt, t, mid, end in zip(count(k0), dts, *values):
+                k1 = f(t, x)
+                k2 = f(mid, x + 0.5 * dt * k1)
+                k3 = f(mid, x + 0.5 * dt * k2)
+                k4 = f(end, x + dt * k3)
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.isfinite(x).all():
+                    raise BlowUpError(times[k + 1],
                                       partial=partial_trajectory(times, states, k, h))
-            states[k + 1] = x
+                if holds is not None and not holds(x):
+                    raise DomainExitError(times[k + 1],
+                                          partial=partial_trajectory(times, states, k, h))
+                states[k + 1] = x
     return Trajectory(times, states, h)
 
 
@@ -266,16 +272,18 @@ _BLOCK_ROUTES = (_sum_block, _product_block)
 def _guard_block(states, k0, n, times, h, inside):
     """Check the states of the n steps from k0, filled into ``states``, as
     the RK4 loop checks each new state: the first non-finite state raises
-    BlowUpError, and the domain guard checks the states before it in step
-    order, each raising with the loop's partial trajectory."""
-    block = states[k0:k0 + n + 1]
-    finite = np.isfinite(block[1:]).reshape(n, -1).all(axis=1)
+    BlowUpError, and one call of the domain guard on the states before it
+    finds the first one outside, each raising with the loop's partial
+    trajectory at its step."""
+    block = states[k0 + 1:k0 + n + 1]
+    finite = np.isfinite(block).reshape(n, -1).all(axis=1)
     stop = int(finite.argmin()) if not finite.all() else n
-    if inside is not None:
-        for i in range(stop):
-            if not inside(block[i + 1]):
-                raise DomainExitError(times[k0 + i + 1],
-                                      partial=partial_trajectory(times, states, k0 + i, h))
+    if inside is not None and stop > 0:
+        ok = inside(block[:stop]).reshape(stop, -1).all(axis=1)
+        if not ok.all():
+            i = int(ok.argmin())
+            raise DomainExitError(times[k0 + i + 1],
+                                  partial=partial_trajectory(times, states, k0 + i, h))
     if stop < n:
         raise BlowUpError(times[k0 + stop + 1],
                           partial=partial_trajectory(times, states, k0 + stop, h))

@@ -133,12 +133,11 @@ def translation_rule(n: int) -> SuperpositionRule:
 
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
-    # fields act on the last axis, so one call serves a batch of states;
-    # float_power rounds through libm pow like the scalar x ** 2, where
-    # array ** 2 takes numpy's square shortcut and can differ in the last bit
-    x0f = VectorField(1, lambda x: np.ones(x.shape), name="X0")
-    x1f = VectorField(1, lambda x: x.copy(), name="X1")
-    x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")
+    # 1, x and x^2, declared coordinatewise: assemble steps them by its
+    # fused stage, which calls no field
+    x0f = VectorField.constant([1.0], name="X0")
+    x1f = VectorField.polynomial([None, [1.0]], name="X1")
+    x2f = VectorField.polynomial([None, None, [1.0]], name="X2")
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
@@ -423,7 +422,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
         return out
 
     def domain(s):
-        return abs(s[0]) >= ERMAKOV_GUARD and abs(s[1]) >= ERMAKOV_GUARD
+        return (np.abs(s[..., 0]) >= ERMAKOV_GUARD) & (np.abs(s[..., 1]) >= ERMAKOV_GUARD)
 
     system = FoliatedSystem(realized, coeffs, chart, name="ermakov",
                             domain=domain, coeffs_of_time=not spec.reads_invariant)

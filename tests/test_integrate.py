@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -21,8 +21,8 @@ from folsys.cli import ScenarioConfig, build_bundle
 from folsys.integrate import (Trajectory, convergence_order, convergence_steps,
                               integrate, order_from_finals, time_grid,
                               trajectory_to_csv)
-from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
-                           ermakov_matrix_action, ermakov_system)
+from folsys.models import (MODEL_NAMES, ErmakovSpec, RiccatiSpec, default_model,
+                           ermakov_matrix_action, ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
 
 EXP = TDependentVectorField(1, lambda t, x: x.copy())
@@ -170,7 +170,7 @@ def test_batch_blow_up_in_one_row():
 
 def test_batch_domain_guard_checks_every_row():
     F = TDependentVectorField(1, lambda t, x: np.ones_like(x),
-                              domain=lambda x: x[0] < 0.5)
+                              domain=lambda x: x[..., 0] < 0.5)
     with pytest.raises(DomainExitError) as single:
         integrate(F, np.array([0.3]), 0.0, 2.0, 1e-2)
     with pytest.raises(DomainExitError) as batch:
@@ -487,7 +487,7 @@ def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
 def test_time_only_domain_guard_checks_the_rows_in_step_order():
     # x' = 1 from 0 leaves x < 0.55 at t = 0.6; x' = 1 then inf from 0.95
     # blows up at t = 1.0 unless the domain exit comes first
-    inside = lambda x: x[0] < 0.55
+    inside = lambda x: x[..., 0] < 0.55
     cases = ((lambda t: np.ones(np.shape(t)), inside, DomainExitError),
              (lambda t: np.where(np.asarray(t) < 0.95, 1.0, np.inf), inside,
               DomainExitError),
@@ -536,8 +536,9 @@ def test_constant_fields_return_their_value_on_random_blocks():
                 got = X(block)
                 assert got.tobytes() == np.broadcast_to(X.value, shape).tobytes(), name
     # the translations d/dQ^i of hamilton_jacobi and 2 d/dv^a of lax, n = 2
-    # and 3; no Riccati or Ermakov field declares itself constant
-    assert declared == 2 + 2 + 2 + 3
+    # and 3, and the Riccati X0 = 1 of both Riccati systems; no Ermakov
+    # field declares itself constant
+    assert declared == 2 + 2 + 2 + 3 + 2
     X = VectorField.constant([0.0, 2.0], name="c")
     assert X.dim == 2 and X.name == "c"
     assert X(np.ones((2, 2))).tolist() == [[0.0, 2.0], [0.0, 2.0]]
@@ -635,7 +636,7 @@ def test_step_matrix_blow_up_keeps_the_step_and_partial_of_the_per_stage_loop():
 def test_step_matrix_domain_guard_checks_the_states_in_step_order():
     # x' = M x from (0.25, 0.5) leaves x < 0.55 near t = 0.25; with the
     # value inf from 0.5 the domain exit comes first, from 0.15 the blow-up
-    inside = lambda x: np.all(x[..., 0] < 0.55)
+    inside = lambda x: x[..., 0] < 0.55
     for value, error in ((lambda t: np.ones(np.shape(t)), DomainExitError),
                          (lambda t: np.where(np.asarray(t) < 0.5, 1.0, np.inf),
                           DomainExitError),
@@ -679,6 +680,115 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
         solve_matrix(reduce_system(erm.system, erm.action), np.ones(1), 0.0, 1.0, 0.1)
         solve_abelian(reduce_system(hj.system, hj.action), np.zeros(2), 0.0, 1.0, 0.1)
     assert [F.matrices is not None for F in fields] == [True, False]
+
+
+# --- declared polynomial fields: the fused Riccati stage ------------------------
+
+def _per_field_reference(fs):
+    """The assembled field written out as the per-field sum
+    out = 0; out += c_a X_a(x) over the realized fields, called per stage."""
+    def rhs(t, x):
+        c = np.asarray(fs.coeffs(t, x))
+        out = np.zeros(x.shape)
+        for a, X in enumerate(fs.realized.fields):
+            out += c[..., a, None] * X(x)
+        return out
+    return TDependentVectorField(fs.dim, rhs, domain=fs.domain)
+
+
+def _outcome(F, x0, t1, steps):
+    """The trajectory of F from x0, or the blow-up it raises, as bytes."""
+    try:
+        traj = integrate(F, x0, 0.0, t1, steps)
+    except BlowUpError as exc:
+        p = exc.partial
+        return "blow-up", exc.t, None if p is None else (p.times.tobytes(),
+                                                         p.states.tobytes())
+    return "trajectory", traj.times.tobytes(), traj.states.tobytes()
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.tuples(_SIGNED, _SIGNED, _SIGNED), timed=st.booleans(),
+       x=st.tuples(_SIGNED, _SIGNED, _SIGNED),
+       layout=st.sampled_from(["one state", "one grid", "one step per row"]),
+       block_steps=st.integers(1, 5),
+       runs=st.sampled_from(["K", "K + 1", "2K + 1"]))
+# c0 = -0.0 at x = -0.0: a stage without the 0.0 + c0 fold leaves the state
+# at -0.0, where the per-field sum, which starts from 0.0, makes it 0.0
+@example(a=(-0.0, 1.0, -1.0), timed=False, x=(-0.0, 0.0, -0.0), layout="one grid",
+         block_steps=2, runs="K + 1")
+def test_fused_stage_equals_the_per_field_sum_bitwise(a, timed, x, layout,
+                                                      block_steps, runs):
+    # constant coefficients (with c0 = -0.0 among them) or coefficients of
+    # time; states at +-0.0 among others; runs that blow up compare their
+    # step and partial trajectory
+    spec = (RiccatiSpec(*(lambda t, c=c: c + 0.25 * np.sin(t) for c in a)) if timed
+            else RiccatiSpec.constant(*a))
+    fs = riccati_system(spec).system
+    F = assemble(fs)
+    assert F.table is not None and F.combine is not None
+    x0 = np.array(x[:1]) if layout == "one state" else np.array(x)[:, None]
+    n = {"K": block_steps, "K + 1": block_steps + 1, "2K + 1": 2 * block_steps + 1}[runs]
+    h = 0.8 / n
+    steps = [h, min(1.7 * h, 0.8), 0.8] if layout == "one step per row" else h
+    # a copy rebuilt from func, as the perfbench tracer rebuilds it, runs per
+    # stage on the same stage
+    rebuilt = TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
+        want = _outcome(_per_field_reference(fs), x0, 0.8, steps)
+        assert _outcome(F, x0, 0.8, steps) == want
+        assert _outcome(rebuilt, x0, 0.8, steps) == want
+
+
+def _field_calls(fs, calls):
+    """fs with each call of a realized field recorded in ``calls``.  The
+    counting fields declare no terms, so this keeps the route only of
+    fields that declare none."""
+    fields = tuple(VectorField(X.dim, _counted(X.name, X.func, calls), name=X.name)
+                   for X in fs.realized.fields)
+    return dataclasses.replace(fs, realized=dataclasses.replace(fs.realized, fields=fields))
+
+
+def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
+    polynomial = sys.modules["folsys.fields"]._Polynomial
+    evaluate = polynomial.__call__
+    field_calls = []
+
+    def counted(self, x):
+        field_calls.append(x.shape)
+        return evaluate(self, x)
+
+    rng = seeded_rng(4)
+    for name in ("riccati-const", "riccati-sin"):
+        fs = TABLE_SYSTEMS[name]
+        for x0, steps in ((fs.realized.box.sample(rng), 0.05),
+                          (fs.realized.box.sample_many(rng, 3), 0.05),
+                          (fs.realized.box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
+            calls = []
+            F = _counted_field(assemble(fs), calls)
+            # 20 steps in blocks of 6: 6, 6, 6 and 2, each a table and then
+            # four stages a step
+            with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * x0.size), \
+                    mock.patch.object(polynomial, "__call__", counted):
+                integrate(F, x0, 0.0, 1.0, steps)
+            assert calls == [kind for k in (6, 6, 6, 2)
+                             for kind in ["table"] + ["combine"] * 4 * k], name
+            assert field_calls == [], name
+    # the coupled Ermakov fields declare no terms: called per stage, each once
+    calls = []
+    F = assemble(_field_calls(default_model("ermakov").system, calls))
+    integrate(F, default_model("ermakov").default_state, 0.0, 1.0, 0.05)
+    assert calls == ["X1", "X2", "X3"] * 4 * 20
+    # x' = 1 + x^2 blows up at t = pi/2: at the step and with the partial
+    # trajectory of the per-field sum
+    fs = riccati_system(RiccatiSpec.constant(1.0, 0.0, 1.0)).system
+    for x0 in (np.array([0.0]), np.array([[0.0], [-0.5]])):
+        got = _outcome(assemble(fs), x0, 2.0, 0.01)
+        assert got[:2] == ("blow-up", 1.6)
+        assert got == _outcome(_per_field_reference(fs), x0, 2.0, 0.01)
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
