@@ -194,8 +194,8 @@ def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
         raise ValueError("solve_abelian requires an abelian system")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = len(asys.generators)
-    F = TDependentVectorField(r, lambda t, lam: asys.coeffs(np.full(1, t), k)[0],
-                              table=lambda steps, times, lam0: asys.coeffs(times, k))
+    F = TDependentVectorField.tabled(r, lambda t, lam: asys.coeffs(np.full(1, t), k)[0],
+                                     lambda steps, times, lam0: asys.coeffs(times, k))
     traj = integrate(F, np.zeros(r), t0, t1, h)
     return GroupCurve(ABELIAN, traj.times, traj.states, h)
 

@@ -275,14 +275,6 @@ def _expr_coeff(value, variables):
     raise ConfigError(f"coefficient must be a number or expression: {value!r}")
 
 
-def _reads(value, name: str) -> bool:
-    """Whether the coefficient ``value``, a number or a valid expression,
-    reads the variable ``name``."""
-    return isinstance(value, str) and any(
-        isinstance(node, ast.Name) and node.id == name
-        for node in ast.walk(ast.parse(value, mode="eval")))
-
-
 def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
     p = cfg.params
     if cfg.model == "riccati":
@@ -318,8 +310,7 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
         omega2 = p.get("omega2", "1+0.1*sin(t)")
         spec = mdl.ErmakovSpec(
             omega2=_expr_coeff(omega2, ("t", "I")),
-            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0),
-            reads_invariant=_reads(omega2, "I"))
+            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0))
         bundle = mdl.ermakov_system(spec)
         if spec.c1 == 0.0 and spec.c2 == 0.0:
             # only the uncoupled member admits the linear group action

@@ -34,14 +34,13 @@ class _Polynomial:
         return sum(parts[1:], parts[0])
 
 
-class _StageMatrices:
-    """A right-hand side ``func(t, x)`` that is linear along a solution,
-    carrying ``matrices(steps, times, x0)``: its matrices A with
-    ``func(t, x) = A x`` at a block's stage times (see TDependentVectorField)."""
+class _Along:
+    """A right-hand side ``func(t, x)`` carrying how ``integrate`` builds it a
+    block of steps at a time: a ``table`` and a ``combine``, or the stage
+    ``matrices`` of a field linear along a solution (see TDependentVectorField)."""
 
-    def __init__(self, func, matrices):
-        self.func = func
-        self.matrices = matrices
+    def __init__(self, func, table=None, combine=None, matrices=None):
+        self.func, self.table, self.combine, self.matrices = func, table, combine, matrices
 
     def __call__(self, t, x):
         return self.func(t, x)
@@ -96,16 +95,19 @@ class TDependentVectorField:
     it maps states ``(..., N)`` to bools ``(...)``, so one call checks a block.
 
     ``t`` is a float, or an array of times, one per state of a batch, which
-    is passed through as it is.
+    is passed through as it is; the copy with ``func = combine`` that
+    ``integrate`` calls per stage takes the table rows in its place.
 
-    ``table`` and ``combine``, when set, split the field along a solution
-    into values that depend on time alone and a function of the state: at
-    stage s of step k of a solution from x0, ``func(t, x)`` equals
-    ``combine(table(steps, times, x0)[s, k'], x)``, where ``steps`` is a
-    slice of the steps of the solution's grid, k = steps.start + k', and
-    ``times`` ``(3, K, ...)`` are the start, midpoint and end times of those
-    steps, broadcasting against ``x0.shape[:-1]``.  ``integrate`` then builds
-    the values a block of steps at a time.
+    A field built by ``TDependentVectorField.tabled`` splits along a
+    solution into values that depend on time alone and a function of the
+    state: at stage s of step k of a solution from x0, ``integrate`` steps
+    ``combine(table(steps, times, x0)[s, k'], x)``, building the values a
+    block of steps at a time: ``steps`` is a slice of the grid's steps,
+    k = steps.start + k', and ``times`` ``(3, K, ...)`` are their start,
+    midpoint and end times, broadcasting against ``x0.shape[:-1]``.  That
+    is ``func(t, x)`` where the table reads all ``func`` reads of x (a split
+    chart's labels); else (Ermakov's invariant) the table freezes the field
+    at x0's leaf, and ``func``, the full field, runs where a table raises.
 
     A field with a ``table`` and no ``combine`` is time-only: along a
     solution its value depends on time alone, and the table rows
@@ -116,28 +118,34 @@ class TDependentVectorField:
     A field built by ``TDependentVectorField.linear`` is linear along a
     solution: at stage s of step k, ``func(t, x)`` equals ``A x`` with A
     ``matrices(steps, times, x0)[s, k']`` ``(..., N, N)``, and ``integrate``
-    steps it by the RK4 step matrices of a block of steps.  The matrices
-    are carried by ``func`` itself, so a copy of the field rebuilt from
-    ``(dim, func, domain, name)`` takes the same route to the same bits;
-    ``matrices`` reads them back, None for any other field."""
+    steps it by the RK4 step matrices of a block of steps.
+
+    ``table``, ``combine`` and ``matrices`` are carried by ``func`` itself,
+    so a copy of the field rebuilt from ``(dim, func, domain, name)`` takes
+    the same route to the same bits; they read None for any other field."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
-    table: Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None = None
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def tabled(cls, dim: int, func, table, combine=None, domain=None,
+               name: str = "") -> "TDependentVectorField":
+        """The field ``func``, declared to split along a solution into
+        ``table(steps, times, x0)`` and ``combine`` (time-only without one)."""
+        return cls(dim, _Along(func, table=table, combine=combine), domain=domain, name=name)
 
     @classmethod
     def linear(cls, dim: int, func, matrices, domain=None,
                name: str = "") -> "TDependentVectorField":
         """The field ``func``, declared linear along a solution with the
         stage matrices ``matrices(steps, times, x0)``."""
-        return cls(dim, _StageMatrices(func, matrices), domain=domain, name=name)
+        return cls(dim, _Along(func, matrices=matrices), domain=domain, name=name)
 
-    @property
-    def matrices(self) -> Callable[[slice, np.ndarray, np.ndarray], np.ndarray] | None:
-        return self.func.matrices if isinstance(self.func, _StageMatrices) else None
+    table = property(lambda s: s.func.table if isinstance(s.func, _Along) else None)
+    combine = property(lambda s: s.func.combine if isinstance(s.func, _Along) else None)
+    matrices = property(lambda s: s.func.matrices if isinstance(s.func, _Along) else None)
 
     def __call__(self, t, x) -> np.ndarray:
         if type(t) is not float and not isinstance(t, np.ndarray):

@@ -90,18 +90,20 @@ class FoliatedSystem:
     depend on x may return ``np.shape(t) + (r,)`` instead, or ``(r,)`` when
     they depend on neither; see ``coefficient_values``.
 
-    On a split chart the coefficients are constants of motion in x, as the
-    decomposition requires of them: the map reads x only through the labels
-    ``x[..., leaf_dim:]``, and every realized field has exactly-zero label
-    components.  A step of RK4 then leaves the labels of every stage state
-    those of x0, bit for bit but for the sign of a zero label (-0.0 + 0.0
-    is 0.0); so along a solution the coefficients depend on time alone, and
-    ``assemble`` tabulates them.  ``coeffs_of_time`` declares the same on
-    any chart: the map's values do not depend on x at all (an Ermakov
-    frequency that does not read the invariant).
+    The coefficients are constants of motion (``verify_foliated`` checks
+    it), so along a solution from x0 they are those at x0's labels:
+    ``assemble`` tabulates them there, which integrates the leafwise Lie
+    system sum_a g_a(t, x0) X_a(x).  On a split chart the map reads x only
+    through the labels ``x[..., leaf_dim:]``, which RK4 leaves unchanged
+    (realized fields have zero label components; only a zero label may
+    change sign), so the table is the coefficients at every stage state; on
+    another chart (Ermakov's invariant) it differs from them by the drift
+    of the labels.
 
     ``domain``, when set, maps states ``(..., N)`` to bools ``(...)``, True
     inside the domain; ``integrate`` checks a block of states in one call.
+    ``combine``, when set, is sum_a c_a X_a(x) in one function of the
+    coefficients and states, bit for bit the per-field sum of ``assemble``.
     """
 
     realized: RealizedAlgebra
@@ -109,7 +111,7 @@ class FoliatedSystem:
     chart: FoliationChart
     name: str = ""
     domain: Callable[[np.ndarray], np.ndarray] | None = None
-    coeffs_of_time: bool = False
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.chart.dim != self.realized.ambient_dim:
@@ -147,23 +149,22 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
     x-independent ``(r,)``, which is broadcast over the batch.
 
-    On a split chart, or for a map declared ``coeffs_of_time``, the field
-    has a coefficient table (see ``TDependentVectorField``): one call of the
-    map on a block's stage times ``(3, K[, B])`` and x0 broadcast to
-    ``(3, K[, B], N)`` gives the coefficients of every stage of the block,
-    exactly, by the contract of FoliatedSystem, so ``integrate`` calls the
-    map once per block of steps instead of four times per step.
+    The field has a coefficient table (see ``TDependentVectorField``): one
+    call of the map on a block's stage times ``(3, K[, B])`` and x0
+    broadcast to ``(3, K[, B], N)`` gives the coefficients of every stage
+    of the block at x0's labels (see FoliatedSystem), so ``integrate``
+    calls the map once per block of steps instead of four times per step.
 
     The route is read from the realized fields when every one declares its
     ``terms`` (``VectorField.polynomial``):
 
     - all constant (a ``value``: the translations of hamilton_jacobi and
-      lax) and tabled: the field is time-only; its table holds the values
+      lax): the field is time-only; its table holds the values
       sum_a g_a X_a of every stage, formed in the order of operations of
       the per-stage sum, and it has no ``combine``;
-    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields) and
-      tabled: the field is linear along a solution
-      (``TDependentVectorField.linear``) with stage matrices sum_a g_a M_a;
+    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields): the
+      field is linear along a solution (``TDependentVectorField.linear``)
+      with stage matrices sum_a g_a M_a;
     - any other mix whose terms of degree 1 and 2 act coordinatewise (the
       Riccati fields 1, x and x^2): a fused stage.  Its table holds, per
       stage, the coefficients of x^0, x^1 and x^2 summed over the fields
@@ -172,19 +173,19 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
       field and checks no shape.  It is the per-field sum regrouped by
       degree; with one unit field per degree in the order 1, x, x^2
       (Riccati) it is that sum bit for bit, with its ``float_power`` and
-      the sign of its zeros.  ``func`` runs the same stage, so a copy
-      rebuilt from it gives the same bits.
+      the sign of its zeros.
 
-    Any other field (the coupled Ermakov fields declare no terms) is the
-    per-stage sum ``combine`` of the table rows, or of the coefficients at
-    each stage when there is no table.
+    Any other field combines the table rows with the state by the system's
+    declared ``combine`` (coupled Ermakov), or else by the per-field sum
+    ``out = 0.0; out += c_a X_a(x)``, each field called once per stage.
+    Per stage, ``func`` runs the same on the coefficients at its own t, x.
     """
     flds = tuple((X.name, X.func) for X in fs.realized.fields)
     coeffs = fs.coeffs
     r = len(flds)
     polys = [X.terms for X in fs.realized.fields]
 
-    def combine(c, x):
+    def per_field(c, x):
         # entry a is the coefficient of field a: one number for all states,
         # or a column of one per state (c.T[..., None] for a batch (B, r))
         cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
@@ -198,13 +199,15 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
             out += cols[a] * v
         return out
 
+    combine = fs.combine or per_field
+
     def func(t, x):
         return combine(coefficient_values(coeffs, r, t, x), x)
 
     def by_degree(c, axis):
         # coefficients (..., r) -> those of x^0, x^1 and x^2 (..., 3, ..., N),
         # the power axis at ``axis``, so a stage reads c[d] with no transpose.
-        # The zeros start the sums as combine starts its own (0.0 + c0); an
+        # The zeros start the sums as per_field starts its own (0.0 + c0); an
         # absent power keeps 0, whose products the 0.0 + c0 term absorbs
         shape = c.shape[:-1] + (fs.dim,)
         out = np.zeros(shape[:axis] + (3,) + shape[axis:])
@@ -222,16 +225,14 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
         return out
 
     def table(steps, times, x0):
-        # every stage state has the labels of x0, all a split-chart map
-        # reads; a map of time alone reads no x
+        # the coefficients at the labels of x0, all a map reads of x
         lead = times.shape[:2]
         c = coefficient_values(coeffs, r, times,
                                np.broadcast_to(x0, lead + x0.shape).copy())
         return np.broadcast_to(c, lead + c.shape) if c.ndim == 1 else c
 
-    tabled = fs.chart.is_split or fs.coeffs_of_time
     values = [X.value for X in fs.realized.fields]
-    if tabled and all(v is not None for v in values):
+    if all(v is not None for v in values):
         def stage_values(steps, times, x0):
             c = table(steps, times, x0)
             out = np.zeros(times.shape[:2] + x0.shape)
@@ -239,10 +240,10 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
                 out += c[..., a, None] * v
             return out
 
-        return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
-                                     table=stage_values)
+        return TDependentVectorField.tabled(fs.dim, func, stage_values,
+                                            domain=fs.domain, name=fs.name)
     matrices = [X.matrix for X in fs.realized.fields]
-    if tabled and all(m is not None for m in matrices):
+    if all(m is not None for m in matrices):
         def stage_matrices(steps, times, x0):
             c = table(steps, times, x0)
             out = np.zeros(c.shape[:-1] + (fs.dim, fs.dim))
@@ -259,11 +260,10 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
         def fused_func(t, x):
             return fused(by_degree(coefficient_values(coeffs, r, t, x), 0), x)
 
-        return TDependentVectorField(fs.dim, fused_func, domain=fs.domain, name=fs.name,
-                                     table=stage_table if tabled else None, combine=fused)
-    return TDependentVectorField(fs.dim, func, domain=fs.domain, name=fs.name,
-                                 table=table if tabled else None,
-                                 combine=combine)
+        return TDependentVectorField.tabled(fs.dim, fused_func, stage_table, fused,
+                                            domain=fs.domain, name=fs.name)
+    return TDependentVectorField.tabled(fs.dim, func, table, combine,
+                                        domain=fs.domain, name=fs.name)
 
 
 @dataclass(frozen=True)

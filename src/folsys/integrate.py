@@ -5,7 +5,7 @@ deterministic runs, not adaptive efficiency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from pathlib import Path
 
@@ -101,9 +101,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     stepped together; ``F`` is then called on the whole batch and must
     return an array of the same shape.  The domain guard ``F.domain`` maps
     states ``(..., N)`` to bools ``(...)``: it is called on x0, on each new
-    state of the RK4 loop, and once on the states of a block route, and a
-    blow-up or domain exit in any row raises at the earliest failing step
-    with the whole batch as ``partial``.
+    state when ``F`` is called per stage, and once on the states of any
+    other block, and a blow-up or domain exit in any row raises at the
+    earliest failing step with the whole batch as ``partial``.
 
     ``h`` is one step for every row, on the grid ``time_grid(t0, t1, h)``,
     or, for a batch, a sequence of one step per row.  Each row then runs on
@@ -127,9 +127,8 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     - A field with a ``table`` has it built once per block from the block's
       stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
       ``(3, K, B)`` for one step per row.  With a ``combine`` the RK4 loop
-      evaluates the field as ``combine`` of the table rows.  For the
-      Riccati systems that is ``assemble``'s fused stage, which reads the
-      coefficients of 1, x and x^2 from the rows and calls no field.
+      calls F's copy with ``func = combine`` on the table rows (``assemble``'s
+      stages: the fused Riccati stage, the declared Ermakov one).
     - Without one the field is time-only and the rows are its stage values:
       then k2 = k3, RK4 is Simpson's rule on each step, and the block's
       increments are formed at once and added to the last state in step
@@ -141,7 +140,7 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     an invalid value in its steps (the RK4 loop runs each block under one
     ``np.errstate``): the first non-finite state raises BlowUpError with the
     loop's partial trajectory, and the domain guard checks the states
-    before it in step order.
+    before it in step order, also when a ``combine`` raises past them.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
@@ -159,9 +158,7 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
         grid = np.column_stack(
             [np.pad(g, (0, times.size - g.size), mode="edge") for g in grids])
     inside = F.domain
-    # one state's guard gives one bool; a batch's bools are reduced to one
-    holds = inside if inside is None or x0.ndim == 1 else lambda x: inside(x).all()
-    if holds is not None and not holds(x0):
+    if inside is not None and not np.all(inside(x0)):
         raise DomainExitError(t0, "initial state outside domain")
 
     states = np.empty((times.size,) + x0.shape)
@@ -172,20 +169,22 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
             _guard_block(states, k0, len(dts), times, h, inside)
             continue
         x = states[k0].copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, dt, t, mid, end in zip(count(k0), dts, *values):
-                k1 = f(t, x)
-                k2 = f(mid, x + 0.5 * dt * k1)
-                k3 = f(mid, x + 0.5 * dt * k2)
-                k4 = f(end, x + dt * k3)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.isfinite(x).all():
-                    raise BlowUpError(times[k + 1],
-                                      partial=partial_trajectory(times, states, k, h))
-                if holds is not None and not holds(x):
-                    raise DomainExitError(times[k + 1],
-                                          partial=partial_trajectory(times, states, k, h))
-                states[k + 1] = x
+        k = k0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, dt, t, mid, end in zip(count(k0), dts, *values):
+                    k1 = f(t, x)
+                    k2 = f(mid, x + 0.5 * dt * k1)
+                    k3 = f(mid, x + 0.5 * dt * k2)
+                    k4 = f(end, x + dt * k3)
+                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    states[k + 1] = x
+                    if f is F:  # a user's domain may take one step, its field fail past it
+                        _guard_block(states, k, 1, times, h, inside)
+                k += 1
+        finally:
+            if f is not F:  # the block's states, or those before a raising stage
+                _guard_block(states, k0, k - k0, times, h, inside)
     return Trajectory(times, states, h)
 
 
@@ -195,15 +194,16 @@ def _stage_values(F, x0, grid):
     step.  The block routes ``_product_block`` and ``_sum_block`` take the
     stage matrices or the stage values of a time-only field, with dt shaped
     to multiply them.  Otherwise the RK4 loop calls f(value, x) on table
-    rows, for ``F.combine``, or on stage times, for F (Python floats on one
-    grid, so that path works on no numpy scalar)."""
+    rows, for the leafwise field, or on stage times, for F (Python floats on
+    one grid, so that path works on no numpy scalar)."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
+    table, combine = F.table, _sum_block
     if F.matrices is not None:
         table, combine = F.matrices, _product_block
-    else:
-        table, combine = F.table, F.combine or _sum_block
+    elif F.combine is not None:  # F's class, so a subclass sees each stage
+        combine = replace(F, func=F.combine)
     for steps, dt, times in stage_blocks(grid, 3 * x0.size):
         f, values = F, times
         if table is not None:
@@ -276,7 +276,7 @@ def _guard_block(states, k0, n, times, h, inside):
     finds the first one outside, each raising with the loop's partial
     trajectory at its step."""
     block = states[k0 + 1:k0 + n + 1]
-    finite = np.isfinite(block).reshape(n, -1).all(axis=1)
+    finite = np.isfinite(block).all(axis=tuple(range(1, block.ndim)))
     stop = int(finite.argmin()) if not finite.all() else n
     if inside is not None and stop > 0:
         ok = inside(block[:stop]).reshape(stop, -1).all(axis=1)

@@ -352,14 +352,11 @@ def lax_system(spec: LaxSpec) -> ModelBundle:
 class ErmakovSpec:
     """omega2(t, I) takes invariant values ``(...)``, and a float time or an
     array of times broadcasting against them, and returns one frequency per
-    value, or one I-independent frequency.  ``reads_invariant`` False
-    declares that omega2 ignores I, so the coefficients depend on time
-    alone."""
+    value, or one I-independent frequency."""
 
     omega2: Callable[[float, np.ndarray], np.ndarray]
     c1: float = 1.0
     c2: float = 1.0
-    reads_invariant: bool = True
 
 
 def lewis_invariant(spec: ErmakovSpec, state):
@@ -398,6 +395,28 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
             VectorField(4, f3, name="X3"))
 
 
+def _ermakov_combine(spec: ErmakovSpec):
+    """g1 X1 + g2 X2 + g3 X3 of the coupled fields, coefficients ``(..., 3)``
+    against states ``(..., 4)``, in the order of operations of ``assemble``'s
+    per-field sum (from 0.0), so bit for bit that sum.  One state runs on
+    Python floats, and on numpy where Python raises (a zero divisor: inf)."""
+    def terms(g1, g2, g3, x, y, vx, vy):
+        return (0.0 + g1 * vx + g2 * (x * 0.5) + g3 * 0.0,
+                0.0 + g1 * vy + g2 * (y * 0.5) + g3 * 0.0,
+                0.0 + g1 * (spec.c2 / (x * x * y)) + g2 * (vx * -0.5) + g3 * -x,
+                0.0 + g1 * (spec.c1 / (x * y * y)) + g2 * (vy * -0.5) + g3 * -y)
+
+    def combine(c, s):
+        if s.ndim == 1:
+            try:
+                return np.array(terms(*c.tolist(), *s.tolist()))
+            except ZeroDivisionError:
+                pass
+        return np.stack(terms(*np.moveaxis(c, -1, 0), *np.moveaxis(s, -1, 0)), axis=-1)
+
+    return combine
+
+
 def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     flds = ermakov_fields(spec)
     # box keeps x, y away from the axes so finite differences of the
@@ -424,8 +443,10 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     def domain(s):
         return (np.abs(s[..., 0]) >= ERMAKOV_GUARD) & (np.abs(s[..., 1]) >= ERMAKOV_GUARD)
 
+    # the uncoupled fields are linear: assemble steps them by step matrices
+    combine = None if flds[0].matrix is not None else _ermakov_combine(spec)
     system = FoliatedSystem(realized, coeffs, chart, name="ermakov",
-                            domain=domain, coeffs_of_time=not spec.reads_invariant)
+                            domain=domain, combine=combine)
     observables = {"lewis": lambda s: lewis_invariant(spec, s)}
     return ModelBundle(name="ermakov", system=system, rule=None,
                        action=None, default_state=np.array([1.0, 1.0, 0.0, 1.0]),

@@ -643,17 +643,40 @@ CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _per_stage_assemble(fs):
+    """The assembled field called per stage: a plain function drops the table
+    and combine that a copy rebuilt from ``func`` keeps.  The step-matrix
+    route stays, since it changes the order of operations (test_integrate
+    checks it against the per-stage loop within its tolerance)."""
     F = assemble(fs)
-    return TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
+    func = F.func if F.matrices is not None else (lambda t, x: F.func(t, x))
+    return TDependentVectorField(F.dim, func, domain=F.domain, name=F.name)
+
+
+def _leafwise_per_stage(x0):
+    """``_per_stage_assemble`` of the leafwise system through x0: every
+    stage reads the coefficients at x0 instead of at its own state."""
+    def build(fs):
+        return _per_stage_assemble(dataclasses.replace(
+            fs, coeffs=lambda t, x: fs.coeffs(t, np.broadcast_to(x0, x.shape))))
+    return build
+
+
+def _outputs(raw, out):
+    """The report rows, their values as bytes, and the trajectory csv of ``raw``."""
+    reports, files = run(ScenarioConfig.from_dict(dict(raw, out=str(out))))
+    return ([(r.check, struct.pack("<d", r.value)) for r in reports],
+            Path(files["trajectory"]).read_bytes())
+
+
+def _csv_states(text: bytes) -> np.ndarray:
+    return np.loadtxt(text.decode().splitlines()[1:], delimiter=",", ndmin=2)[:, 1:]
 
 
 # the bundled configs, an interpreted hamilton_jacobi whose convergence runs
 # join the superposition batch (one step per row), a single-state
-# interpreted lax, an uncoupled Ermakov whose frequency reads no I and a
-# coupled one whose frequency reads I (no table).  A field rebuilt from
-# (dim, func, domain, name), as the perfbench tracer rebuilds it, drops its
-# table and combine but keeps the step-matrix route, which its func
-# carries: ermakov-uncoupled checks that it integrates to the same bits
+# interpreted lax, an uncoupled Ermakov (step matrices) and a coupled one
+# whose frequency reads I.  Every Ermakov run starts at the config's x0, so
+# its leafwise system is the one through x0
 BITWISE_CONFIGS = [pytest.param(json.loads(path.read_text()), id=path.stem)
                    for path in sorted(CONFIGS.glob("*.json"))] + [
     pytest.param({"model": "hamilton_jacobi",
@@ -683,14 +706,23 @@ BITWISE_CONFIGS = [pytest.param(json.loads(path.read_text()), id=path.stem)
 @pytest.mark.parametrize("raw", BITWISE_CONFIGS)
 def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
         raw, tmp_path, monkeypatch):
-    outputs = []
-    for side in ("tabled", "per-stage"):
-        if side == "per-stage":
-            monkeypatch.setattr(folsys.cli, "assemble", _per_stage_assemble)
-        reports, files = run(ScenarioConfig.from_dict(dict(raw, out=str(tmp_path / side))))
-        outputs.append(([(r.check, struct.pack("<d", r.value)) for r in reports],
-                        Path(files["trajectory"]).read_bytes()))
-    assert outputs[0] == outputs[1]
+    tabled = _outputs(raw, tmp_path / "tabled")
+    per_stage = _per_stage_assemble
+    if raw["model"] == "ermakov":
+        cfg = ScenarioConfig.from_dict(raw)
+        x0 = (build_bundle(cfg).default_state if cfg.initial_state is None
+              else np.array(cfg.initial_state))
+        per_stage = _leafwise_per_stage(x0)
+    monkeypatch.setattr(folsys.cli, "assemble", per_stage)
+    assert _outputs(raw, tmp_path / "per-stage") == tabled
+    if raw["model"] == "ermakov":
+        # the full per-stage field reads the coefficients at each stage
+        # state: within the stated tolerance, 1e-10 max(1, max|x|)
+        monkeypatch.setattr(folsys.cli, "assemble", _per_stage_assemble)
+        got, want = (_csv_states(out[1]) for out in (
+            tabled, _outputs(raw, tmp_path / "full")))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def _stderr_lines(config: dict, tmp_path) -> tuple[int, list[str]]:

@@ -75,9 +75,9 @@ def test_assemble_rejects_coefficient_map_of_wrong_shape():
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
-    # never once per row: on a split chart one call covers every stage of a
-    # block of steps, x0 broadcast to (3, K[, B], N); on another chart one
-    # call per stage, on the whole batch
+    # never once per row or per stage: on every chart, Ermakov's invariant
+    # chart too, one call covers every stage of a block of steps, x0
+    # broadcast to (3, K[, B], N)
     fs = _bundle(name).system
     shapes = []
 
@@ -94,10 +94,7 @@ def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
             shapes.clear()
             traj = integrate(F, x0, 0.0, 0.1, 0.01)
             assert len(traj) == 11
-            if fs.chart.is_split:
-                assert shapes == [(3, k) + x0.shape for k in sizes]
-            else:
-                assert shapes == [x0.shape] * 4 * 10
+            assert shapes == [(3, k) + x0.shape for k in sizes]
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES + tuple(INTERPRETED))

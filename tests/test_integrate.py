@@ -387,15 +387,15 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
 
 
 def test_an_ermakov_frequency_that_reads_no_invariant_is_tabulated():
-    for omega2, tabled in (("1+0.1*sin(t)", True), (1.2, True), (2, True),
-                           ("1+0.02*I", False), ("sin(t*I)", False)):
+    # every Ermakov system is tabulated at the labels of x0, whether its
+    # frequency reads I or not, and the coupled ones combine the rows with
+    # the state by their declared stage
+    for omega2 in ("1+0.1*sin(t)", 1.2, 2, "1+0.02*I", "sin(t*I)"):
         fs = _configured_system("ermakov", {"omega2": omega2})
-        assert fs.coeffs_of_time is tabled, omega2
         F = assemble(fs)
-        assert (F.table is not None) is tabled and F.combine is not None, omega2
-    # a spec states what its frequency reads; by default it reads I
+        assert F.table is not None and F.combine is fs.combine is not None, omega2
     fs = default_model("ermakov").system
-    assert not fs.coeffs_of_time and assemble(fs).table is None
+    assert assemble(fs).table is not None and assemble(fs).combine is fs.combine
 
 
 def test_a_block_whose_table_raises_runs_per_stage():
@@ -409,7 +409,7 @@ def test_a_block_whose_table_raises_runs_per_stage():
         return fs.coeffs(t, x)
 
     F = assemble(dataclasses.replace(fs, coeffs=counted))
-    plain = TDependentVectorField(F.dim, F.func)
+    plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
     with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 4):
         with pytest.raises(ConfigError) as tabled:
             integrate(F, np.array([0.5]), 0.0, 2.0, 0.125)
@@ -434,9 +434,10 @@ def _counted(kind, fn, calls):
 
 def _counted_field(F, calls):
     """F with each call of func, table and combine recorded in ``calls``."""
-    return dataclasses.replace(
-        F, func=_counted("func", F.func, calls), table=_counted("table", F.table, calls),
-        combine=None if F.combine is None else _counted("combine", F.combine, calls))
+    return TDependentVectorField.tabled(
+        F.dim, _counted("func", F.func, calls), _counted("table", F.table, calls),
+        None if F.combine is None else _counted("combine", F.combine, calls),
+        domain=F.domain)
 
 
 @pytest.mark.parametrize("name", sorted(TIME_ONLY_SYSTEMS))
@@ -456,9 +457,9 @@ def test_time_only_route_makes_one_table_call_per_block_and_no_per_stage_call(na
 
 def _time_only_field(value, domain=None):
     """Time-only field of dimension 1 whose value at time t is value(t)."""
-    return TDependentVectorField(
-        1, lambda t, x: np.array([value(t)]), domain=domain,
-        table=lambda steps, times, x0: value(times)[..., None])
+    return TDependentVectorField.tabled(
+        1, lambda t, x: np.array([value(t)]),
+        lambda steps, times, x0: value(times)[..., None], domain=domain)
 
 
 def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
@@ -469,7 +470,7 @@ def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
               "nan": lambda t: np.where(np.asarray(t) < 0.7, -0.5, np.nan)}
     for name, value in values.items():
         F = _time_only_field(value)
-        plain = TDependentVectorField(1, F.func)
+        plain = TDependentVectorField(1, lambda t, x: F.func(t, x))
         for x0 in (np.array([0.25]), np.array([[0.25], [-1.0]])):
             with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 5 * x0.size):
                 # the sum warns about none of its non-finite values
@@ -495,7 +496,7 @@ def test_time_only_domain_guard_checks_the_rows_in_step_order():
               BlowUpError))
     for value, domain, error in cases:
         F = _time_only_field(value, domain)
-        plain = TDependentVectorField(1, F.func, domain=domain)
+        plain = TDependentVectorField(1, lambda t, x: F.func(t, x), domain=domain)
         with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 50):
             with pytest.raises(error) as summed:
                 integrate(F, np.array([0.0]), 0.0, 2.0, 0.05)
@@ -511,7 +512,7 @@ def test_time_only_block_whose_table_raises_keeps_the_config_error():
     fs = _configured_system("hamilton_jacobi", {"n": 2, "hamiltonian": "P1/(t-1)"})
     F = assemble(fs)
     assert F.combine is None
-    plain = TDependentVectorField(F.dim, F.func)
+    plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
     x0 = default_model("hamilton_jacobi").default_state
     with pytest.raises(ConfigError) as summed:
         integrate(F, x0, 0.0, 2.0, 0.125)
@@ -651,11 +652,12 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
     systems = dict(TABLE_SYSTEMS, **{
         "ermakov": default_model("ermakov").system,
         "ermakov-uncoupled-const": STEP_MATRIX_SYSTEMS["ermakov-const"],
-        # linear fields, but the frequency reads I: not linear along a solution
+        # the frequency reads I, which the table freezes at x0's labels:
+        # linear along a solution too
         "ermakov-uncoupled-reads-I": _configured_system("ermakov", {
             "omega2": "0.9+0.02*I", "c1": 0.0, "c2": 0.0})})
     routed = {name for name, fs in systems.items() if assemble(fs).matrices is not None}
-    assert routed == {"ermakov-sin", "ermakov-uncoupled-const"}
+    assert routed == {"ermakov-sin", "ermakov-uncoupled-const", "ermakov-uncoupled-reads-I"}
     # the route builds the matrices once per block and calls no stage
     F = assemble(systems["ermakov-sin"])
     calls = []
@@ -697,13 +699,14 @@ def _per_field_reference(fs):
 
 
 def _outcome(F, x0, t1, steps):
-    """The trajectory of F from x0, or the blow-up it raises, as bytes."""
+    """The trajectory of F from x0, or the blow-up or domain exit it raises,
+    as bytes."""
     try:
         traj = integrate(F, x0, 0.0, t1, steps)
-    except BlowUpError as exc:
+    except (BlowUpError, DomainExitError) as exc:
         p = exc.partial
-        return "blow-up", exc.t, None if p is None else (p.times.tobytes(),
-                                                         p.states.tobytes())
+        return type(exc).__name__, exc.t, None if p is None else (p.times.tobytes(),
+                                                                  p.states.tobytes())
     return "trajectory", traj.times.tobytes(), traj.states.tobytes()
 
 
@@ -777,18 +780,134 @@ def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
             assert calls == [kind for k in (6, 6, 6, 2)
                              for kind in ["table"] + ["combine"] * 4 * k], name
             assert field_calls == [], name
-    # the coupled Ermakov fields declare no terms: called per stage, each once
+    # the coupled Ermakov system declares its stage, which calls no realized
+    # field either; without it the fields, which declare no terms, are
+    # called per stage, each once
     calls = []
-    F = assemble(_field_calls(default_model("ermakov").system, calls))
-    integrate(F, default_model("ermakov").default_state, 0.0, 1.0, 0.05)
+    fs = _field_calls(default_model("ermakov").system, calls)
+    x0 = default_model("ermakov").default_state
+    integrate(assemble(fs), x0, 0.0, 1.0, 0.05)
+    assert calls == []
+    integrate(assemble(dataclasses.replace(fs, combine=None)), x0, 0.0, 1.0, 0.05)
     assert calls == ["X1", "X2", "X3"] * 4 * 20
     # x' = 1 + x^2 blows up at t = pi/2: at the step and with the partial
     # trajectory of the per-field sum
     fs = riccati_system(RiccatiSpec.constant(1.0, 0.0, 1.0)).system
     for x0 in (np.array([0.0]), np.array([[0.0], [-0.5]])):
         got = _outcome(assemble(fs), x0, 2.0, 0.01)
-        assert got[:2] == ("blow-up", 1.6)
+        assert got[:2] == ("BlowUpError", 1.6)
         assert got == _outcome(_per_field_reference(fs), x0, 2.0, 0.01)
+
+
+# --- the declared Ermakov stage --------------------------------------------------
+
+def _ermakov_with(g, c1, c2, per_state):
+    """The coupled Ermakov system with the constant coefficients g, returned
+    as one row ``(3,)`` or one row per state ``(..., 3)``."""
+    fs = ermakov_system(ErmakovSpec(omega2=lambda t, I: 1.0, c1=c1, c2=c2)).system
+    g = np.array(g)
+    return dataclasses.replace(fs, coeffs=(
+        lambda t, x: np.broadcast_to(g, x.shape[:-1] + (3,)).copy()) if per_state
+        else lambda t, x: g)
+
+
+def _same_bits(a, b):
+    """a and b equal bit for bit, but for the sign and payload of a NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and \
+        np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes()
+
+
+_ENTRY = st.one_of(st.floats(-3.0, 3.0),
+                   st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+# regular coefficients and states, so that some runs reach t1
+_G = st.one_of(st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.tuples(*[_ENTRY] * 3))
+_STATE = st.one_of(st.tuples(*[st.floats(0.5, 1.5)] * 2, *[st.floats(-1.0, 1.0)] * 2),
+                   st.tuples(*[_ENTRY] * 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=_G,
+       c=st.tuples(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+                   st.floats(0.1, 2.0)),
+       states=st.lists(_STATE, min_size=1, max_size=3),
+       per_state=st.booleans(), guarded=st.booleans(),
+       layout=st.sampled_from(["one state", "one grid", "one step per row"]),
+       block_steps=st.integers(1, 4))
+# the start from 0.0 decides the sign of a zero stage value on Python floats,
+# a zero divisor (x = 0) falls back to numpy, and a regular run
+@example(g=(1.0, -0.0, -1.0), c=(1.0, 1.0), states=[(0.5, 0.7, -0.0, 0.3)],
+         per_state=False, guarded=True, layout="one state", block_steps=2)
+@example(g=(1.0, 0.5, 1.2), c=(0.0, 1.3), states=[(0.0, 0.9, 0.1, 0.2), (-0.0, 0.0, 1.0, 0.0)],
+         per_state=True, guarded=False, layout="one grid", block_steps=3)
+@example(g=(1.0, 0.0, 1.1), c=(1.4, 1.2), states=[(1.1, 0.9, 0.2, 0.3), (1.3, 1.0, -0.1, 0.0)],
+         per_state=True, guarded=True, layout="one step per row", block_steps=2)
+def test_ermakov_stage_equals_the_per_field_sum_bitwise(g, c, states, per_state, guarded,
+                                                        layout, block_steps):
+    # coefficients and states with +-0.0, zero divisors (x = 0 or y = 0),
+    # +-inf and NaN among them; with or without the domain guard, which
+    # stops a run before a zero divisor
+    fs = _ermakov_with(g, *c, per_state)
+    if not guarded:
+        fs = dataclasses.replace(fs, domain=None)
+    F, G = assemble(fs), assemble(dataclasses.replace(fs, combine=None))
+    assert F.combine is fs.combine is not None and G.combine is not fs.combine
+    batch = np.array(states)
+    x0 = batch[0] if layout == "one state" else batch
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the stage alone, on one state, each state of the batch and the batch
+        for x in (*batch, batch):
+            row = np.array(g) if not per_state else np.broadcast_to(g, x.shape[:-1] + (3,))
+            assert _same_bits(F.combine(row, x), G.combine(row, x))
+        # whole runs: trajectories, or the step and partial of a blow-up or
+        # domain exit, over K, K + 1 and 2K + 1 steps of 0.2
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
+            for n in (block_steps, block_steps + 1, 2 * block_steps + 1):
+                t1 = 0.2 * n
+                steps = 0.2 if layout != "one step per row" else [
+                    0.2, min(0.34, t1), t1][:len(batch)]
+                assert _outcome(F, x0, t1, steps) == _outcome(G, x0, t1, steps)
+
+
+# --- the rebuild contract ----------------------------------------------------
+
+ROUTES = {
+    "ermakov-stage": default_model("ermakov").system,
+    "riccati-fused": TABLE_SYSTEMS["riccati-sin"],
+    "simpson": TABLE_SYSTEMS["lax-expr"],
+    "step-matrices": TABLE_SYSTEMS["ermakov-sin"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(name):
+    # the perfbench tracer rebuilds every assembled field as a subclass
+    # that times its calls, from (F.dim, F.func, domain=F.domain, name=F.name)
+    calls = []
+
+    class Counted(TDependentVectorField):
+        def __call__(self, t, x):
+            calls.append(np.shape(x))
+            return super().__call__(t, x)
+
+    fs = ROUTES[name]
+    F = assemble(fs)
+    rebuilt = Counted(F.dim, F.func, domain=F.domain, name=F.name)
+    assert (F.table, F.combine, F.matrices) != (None, None, None)
+    assert rebuilt.table is F.table and rebuilt.combine is F.combine
+    assert rebuilt.matrices is F.matrices
+    rng = seeded_rng(22)
+    box = fs.realized.box
+    for x0, steps in ((box.sample(rng), 0.01), (box.sample_many(rng, 3), 0.01),
+                      (box.sample_many(rng, 3), [0.01, 0.02, 0.03])):
+        calls.clear()
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 40 * x0.size):
+            got = integrate(rebuilt, x0, 0.0, 1.0, steps)
+            # a stage route calls the field at every stage, a block route never
+            assert calls == ([x0.shape] * 4 * 100 if F.combine is not None else [])
+            want = integrate(F, x0, 0.0, 1.0, steps)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
