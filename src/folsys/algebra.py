@@ -80,10 +80,10 @@ class InvariantMetric:
         if np.max(np.abs(g - g.T)) > 1e-12:
             raise MetricError("metric must be symmetric")
         sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] < METRIC_COND_CUTOFF * sv[0]:
-            raise MetricError(
-                f"metric is degenerate: singular value ratio {sv[-1] / sv[0]:.3e}"
-            )
+        # a zero form passes the ratio test as 0 < 0, and has no ratio
+        if sv[0] == 0.0 or sv[-1] < METRIC_COND_CUTOFF * sv[0]:
+            raise MetricError(f"metric is degenerate: singular values "
+                              f"{sv[-1]:.3e} (smallest) and {sv[0]:.3e} (largest)")
         res = ad_invariance_residual(self.algebra, g)
         if res > 1e-12:
             raise MetricError(f"metric is not ad-invariant: residual {res:.3e}")

@@ -18,14 +18,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import models as mdl
 from .algebra import builtin_algebra, killing_form, InvariantMetric
-from .automorphic import reconstruction_error
+from .automorphic import MATRIX, reconstruction_error
 from .errors import ConfigError, FolsysError
-from .foliated import assemble, leaf_drift, sup_drift, verify_foliated
+from .fields import TDependentVectorField
+from .foliated import assemble, leaf_drift, leaf_of, sup_drift, verify_foliated
 from .integrate import (Trajectory, convergence_order, convergence_steps,
                         integrate, order_from_finals, trajectory_to_csv)
 from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
@@ -35,8 +37,6 @@ from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
 from .superposition import rule_points, rule_report
 from .util import coordinate_function, seeded_rng
 
-CHECK_NAMES = ("foliated", "leaf_drift", "superposition", "automorphic",
-               "poisson", "spectrum", "lewis", "convergence")
 PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
                "hamilton_jacobi": ("n", "hamiltonian"),
                "lax": ("n", "hamiltonian"),
@@ -231,8 +231,8 @@ class ScenarioConfig:
             raise ConfigError(f"checks must be a list, got {checks!r}")
         checks = tuple(checks)
         for c in checks:
-            if c not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {c!r}; known: {CHECK_NAMES}")
+            if c not in CHECKS:
+                raise ConfigError(f"unknown check {c!r}; known: {tuple(CHECKS)}")
         init = raw.get("initial_state")
         if init is not None:
             # one flat state: a nested list would reach the integrator as a batch
@@ -320,120 +320,69 @@ def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def _timed(model: str, seed: int, start: float, *rows) -> list[CheckReport]:
-    """Reports of the ``(check, value, tolerance)`` rows of one call, which
-    share its time since ``start``."""
-    elapsed = time.perf_counter() - start
-    return [CheckReport(check=check, model=model, value=float(value),
-                        tolerance=float(tol), runtime_s=elapsed, seed=seed)
-            for check, value, tol in rows]
-
-
-def _require_support(name: str, bundle: mdl.ModelBundle) -> None:
-    """ConfigError unless the bundle carries what check ``name`` reads: a rule,
-    a group action or a conserved observable."""
-    needs = {"superposition": bundle.rule, "automorphic": bundle.action,
-             "spectrum": bundle.observables.get("spectrum"),
-             "lewis": bundle.observables.get("lewis")}
-    if name in needs and needs[name] is None:
-        hint = " (ermakov requires c1 = c2 = 0)" if name == "automorphic" else ""
-        raise ConfigError(f"check {name!r} not supported for {bundle.name}{hint}")
-
-
 def _coarse_step(cfg: ScenarioConfig) -> float:
     """Coarsest step h of the convergence runs, which use h, h/2 and h/4."""
     return (cfg.t1 - cfg.t0) / 50.0
 
 
-def _run_check(name: str, bundle: mdl.ModelBundle, cfg: ScenarioConfig,
-               traj: Trajectory, rule_runs: np.ndarray | FolsysError | None,
-               finals: np.ndarray | None) -> list[CheckReport]:
-    """Rows of one check; every check reads the scenario's trajectory ``traj``,
-    superposition the rule runs sampled on its grid, or the error that
-    integrating them raised, and convergence the final states of x0 on the
-    convergence steps when the joint batch ran them.  Rows computed by one
-    call share its ``runtime_s``; each other row is timed on its own."""
-    t0, t1, seed = cfg.t0, cfg.t1, cfg.seed
-    start = time.perf_counter()
-    model = bundle.name
+@dataclass(frozen=True)
+class Scenario:
+    """What the checks read: the config, the bundle, its assembled field F,
+    the trajectory, the rule runs on its grid or the error they raised, and
+    the final states of the convergence runs when the joint batch ran them."""
 
-    if name == "foliated":
-        rep = verify_foliated(bundle.system, trials=100, seed=seed, t_range=(t0, t1))
-        return _timed(model, seed, start,
-                      ("foliated.com_residual", rep.com_residual, 1e-6),
-                      ("foliated.chart_residual", rep.chart_residual, 1e-6),
-                      ("foliated.rank", rep.rank_shortfall, 0.0),
-                      ("foliated.structure", rep.structure_residual, 1e-6))
-
-    if name == "leaf_drift":
-        drift = leaf_drift(traj, bundle.system.chart)
-        if model == "ermakov":
-            ref = abs(mdl.lewis_invariant(bundle.spec, traj.states[0]))
-            return _timed(model, seed, start,
-                          ("leaf_drift.relative", drift / max(ref, 1e-30), 1e-6))
-        return _timed(model, seed, start, ("leaf_drift", drift, 0.0))
-
-    if name == "superposition":
-        if isinstance(rule_runs, FolsysError):
-            raise rule_runs
-        rep = rule_report(bundle.rule, bundle.system, rule_runs, RULE_TRIALS)
-        tol = 1e-6 if model == "riccati" else 1e-8
-        return _timed(model, seed, start,
-                      ("superposition.reconstruction", rep.max_reconstruction_error, tol),
-                      ("superposition.first_integral", rep.first_integral, 1e-8))
-
-    if name == "automorphic":
-        err = reconstruction_error(bundle.system, bundle.action, traj, seed=seed)
-        tol = 1e-6 if model == "ermakov" else 1e-8
-        return _timed(model, seed, start, ("automorphic.reconstruction", err, tol))
-
-    if name == "poisson":
-        return _poisson_battery(model, seed)
-
-    if name in ("spectrum", "lewis"):
-        # conserved observables: the lax spectrum, the ermakov invariant
-        obs = bundle.observables[name]
-        if name == "spectrum":
-            # (2n, 2n) matrices per sample, taken a block of samples at a time
-            size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
-            drift = sup_drift(obs, traj.states, size)
-            rows = _timed(model, seed, start, ("spectrum.drift", drift, 1e-12))
-            # the Lax-pair form: the assembled field is [V, M] at every state
-            start = time.perf_counter()
-            F = assemble(bundle.system).func
-            gaps = []
-            for i in range(0, len(traj), size):
-                t, x = traj.times[i:i + size], traj.states[i:i + size]
-                gaps.append(np.max(np.abs(F(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
-            gap = np.max(gaps)  # np.max keeps a NaN
-            return rows + _timed(model, seed, start, ("spectrum.lax_pair", gap, 1e-12))
-        drift = sup_drift(obs, traj.states)
-        ref = abs(obs(traj.states[0]))
-        return _timed(model, seed, start,
-                      ("lewis.relative_drift", drift / max(ref, 1e-30), 1e-6))
-
-    if name == "convergence":
-        if finals is None:
-            order = convergence_order(assemble(bundle.system), traj.states[0],
-                                      t0, t1, _coarse_step(cfg))
-        else:
-            order = order_from_finals(*finals)
-        return _timed(model, seed, start, ("convergence.order_gap", abs(order - 4.0), 0.5))
-
-    raise ConfigError(f"unknown check {name!r}")
+    cfg: ScenarioConfig
+    bundle: mdl.ModelBundle
+    F: TDependentVectorField
+    traj: Trajectory
+    rule_runs: np.ndarray | FolsysError | None = None
+    finals: np.ndarray | None = None
 
 
-def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
-    """Structure-constant bracket, r-matrix and Hamiltonianity checks."""
-    out = []
-    rng = seeded_rng(seed)
+def _foliated(s: Scenario):
+    rep = verify_foliated(s.bundle.system, trials=100, seed=s.cfg.seed,
+                          t_range=(s.cfg.t0, s.cfg.t1))
+    yield [("foliated.com_residual", rep.com_residual, 1e-6),
+           ("foliated.chart_residual", rep.chart_residual, 1e-6),
+           ("foliated.rank", rep.rank_shortfall, 0.0),
+           ("foliated.structure", rep.structure_residual, 1e-6)]
+
+
+def _leaf_drift(s: Scenario):
+    chart = s.bundle.system.chart
+    drift = leaf_drift(s.traj, chart)
+    if chart.is_split:
+        yield [("leaf_drift", drift, 0.0)]
+    else:
+        # conserved labels rather than coordinates: drift relative to x0's
+        ref = float(np.max(np.abs(leaf_of(chart, s.traj.states[0]))))
+        yield [("leaf_drift.relative", drift / max(ref, 1e-30), 1e-6)]
+
+
+def _superposition(s: Scenario):
+    if isinstance(s.rule_runs, FolsysError):
+        raise s.rule_runs
+    rep = rule_report(s.bundle.rule, s.bundle.system, s.rule_runs, RULE_TRIALS)
+    tol = 1e-6 if s.bundle.name == "riccati" else 1e-8
+    yield [("superposition.reconstruction", rep.max_reconstruction_error, tol),
+           ("superposition.first_integral", rep.first_integral, 1e-8)]
+
+
+def _automorphic(s: Scenario):
+    err = reconstruction_error(s.bundle.system, s.bundle.action, s.traj, seed=s.cfg.seed)
+    tol = 1e-6 if s.bundle.action.kind == MATRIX else 1e-8
+    yield [("automorphic.reconstruction", err, tol)]
+
+
+def _poisson(s: Scenario):
+    """Structure-constant bracket, r-matrix and Hamiltonianity checks, which
+    do not read the scenario's model."""
+    rng = seeded_rng(s.cfg.seed)
     sl2 = builtin_algebra("sl2")
     metric = InvariantMetric(sl2, killing_form(sl2))
     L = kirillov_bivector(sl2, metric)
     lin = linear_coordinates(metric)
     c = sl2.structure
-
-    start = time.perf_counter()
     pts = rng.uniform(-2.0, 2.0, size=(100, 3))
     vals = [f(pts) for f in lin]
     worst = 0.0
@@ -442,19 +391,16 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
             lhs = poisson_bracket(L, lin[a], lin[b], pts)
             rhs = sum(c[a, b, g] * vals[g] for g in range(3))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    out += _timed(model, seed, start, ("poisson.kirillov_identity", worst, 1e-12))
+    yield [("poisson.kirillov_identity", worst, 1e-12)]
 
-    start = time.perf_counter()
     coords = [coordinate_function(i, 3) for i in range(3)]
     worst = float(np.max(np.abs(jacobiator(L, *coords, pts))))
-    out += _timed(model, seed, start, ("poisson.kirillov_jacobiator", worst, 1e-10))
+    yield [("poisson.kirillov_jacobiator", worst, 1e-10)]
 
-    start = time.perf_counter()
     adj = adjoint_foliated_system(sl2, metric)
-    residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=seed)
-    out += _timed(model, seed, start, ("poisson.adjoint_hamiltonian", max(residuals), 1e-8))
+    residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=s.cfg.seed)
+    yield [("poisson.adjoint_hamiltonian", max(residuals), 1e-8)]
 
-    start = time.perf_counter()
     Lr = rmatrix_bivector_aff(2)
     aff_pts = np.column_stack([rng.uniform(0.5, 2.0, 100),
                                rng.uniform(-1.0, 1.0, 100),
@@ -463,13 +409,62 @@ def _poisson_battery(model: str, seed: int) -> list[CheckReport]:
     coords4 = [coordinate_function(i, 4) for i in range(4)]
     worst = max(float(np.max(np.abs(jacobiator(Lr, *triple, aff_pts))))
                 for triple in itertools.combinations(coords4, 3))
-    out += _timed(model, seed, start, ("poisson.rmatrix_jacobiator", worst, 1e-10))
+    yield [("poisson.rmatrix_jacobiator", worst, 1e-10)]
 
-    start = time.perf_counter()
     checks = check_rmatrix_hamiltonian(2, aff_pts[:50])
-    out += _timed(model, seed, start, ("poisson.rmatrix_hamiltonian",
-                                       max(ch.residual for ch in checks), 1e-8))
-    return out
+    yield [("poisson.rmatrix_hamiltonian", max(ch.residual for ch in checks), 1e-8)]
+
+
+def _spectrum(s: Scenario):
+    bundle, traj = s.bundle, s.traj
+    # (2n, 2n) matrices per sample, taken a block of samples at a time
+    size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
+    drift = sup_drift(bundle.observables["spectrum"], traj.states, size)
+    yield [("spectrum.drift", drift, 1e-12)]
+    # the Lax-pair form: the assembled field is [V, M] at every state
+    gaps = []
+    for i in range(0, len(traj), size):
+        t, x = traj.times[i:i + size], traj.states[i:i + size]
+        gaps.append(np.max(np.abs(s.F.func(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
+    yield [("spectrum.lax_pair", np.max(gaps), 1e-12)]  # np.max keeps a NaN
+
+
+def _lewis(s: Scenario):
+    obs = s.bundle.observables["lewis"]
+    drift = sup_drift(obs, s.traj.states)
+    ref = abs(obs(s.traj.states[0]))
+    yield [("lewis.relative_drift", drift / max(ref, 1e-30), 1e-6)]
+
+
+def _convergence(s: Scenario):
+    if s.finals is None:
+        order = convergence_order(s.F, s.traj.states[0], s.cfg.t0, s.cfg.t1,
+                                  _coarse_step(s.cfg))
+    else:
+        order = order_from_finals(*s.finals)
+    yield [("convergence.order_gap", abs(order - 4.0), 0.5)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A generator of a check's rows, which yields groups of ``(row, value,
+    tolerance)`` from one Scenario, and what the bundle must carry for it:
+    ``"rule"``, ``"action"``, the name of an observable, or None."""
+
+    rows: Callable[[Scenario], Iterator[list[tuple[str, float, float]]]]
+    needs: str | None = None
+
+
+CHECKS = {
+    "foliated": Check(_foliated),
+    "leaf_drift": Check(_leaf_drift),
+    "superposition": Check(_superposition, "rule"),
+    "automorphic": Check(_automorphic, "action"),
+    "poisson": Check(_poisson),
+    "spectrum": Check(_spectrum, "spectrum"),
+    "lewis": Check(_lewis, "lewis"),
+    "convergence": Check(_convergence),
+}
 
 
 def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
@@ -483,11 +478,16 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     checks.  If that batch raises, the runs are made as without
     convergence, and the convergence runs follow, each raising as it would
     then.  A batch of more than MAX_STATE_VALUES sampled values is a
-    ConfigError raised before any output.
+    ConfigError raised before any output.  Each requested check's entry of
+    CHECKS then reads one Scenario; the rows it yields together share a
+    ``runtime_s``.
     """
     bundle = build_bundle(cfg)
     for name in cfg.checks:
-        _require_support(name, bundle)
+        need = CHECKS[name].needs
+        if need and bundle.observables.get(need, getattr(bundle, need, None)) is None:
+            raise ConfigError(f"check {name!r} not supported for {bundle.name}: "
+                              f"the model carries no {need}")
     x0 = bundle.default_state
     if cfg.initial_state is not None:
         x0 = np.asarray(cfg.initial_state, dtype=float)
@@ -541,9 +541,18 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
         traj = integrate(F, x0, *grid)
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
+    scenario = Scenario(cfg, bundle, F, traj, rule_runs, finals)
     reports = []
+    # each group of rows is timed from the end of the one before it
+    start = time.perf_counter()
     for name in cfg.checks:
-        reports.extend(_run_check(name, bundle, cfg, traj, rule_runs, finals))
+        for group in CHECKS[name].rows(scenario):
+            end = time.perf_counter()
+            reports += [CheckReport(check=row, model=bundle.name, value=float(value),
+                                    tolerance=float(tol), runtime_s=end - start,
+                                    seed=cfg.seed)
+                        for row, value, tol in group]
+            start = end
     reports.sort(key=lambda r: (r.check, r.model))
     return reports, {"trajectory": str(traj_path)}
 

@@ -4,10 +4,10 @@ Contraction sign fixed globally: (i_{df} Lambda)^i = sum_j Lambda^{ij} d_j f,
 and the Hamiltonian field of f is X_f = -i_{df} Lambda, the sign every
 shipped candidate has; a field of the opposite sign is not Hamiltonian for f.
 
-Shipped bivectors carry analytic coefficient derivatives so that bracket and
-Jacobiator checks are limited by roundoff, not finite differences; gradients
-of candidate functions are analytic whenever the callable carries a
-``gradient`` attribute.
+Bivectors carry analytic coefficient derivatives and candidate functions
+carry an analytic ``gradient`` (and a ``hessian`` for the Jacobiator), so
+bracket and Jacobiator checks are limited by roundoff, not finite
+differences.
 
 Everything here takes one point ``(N,)`` or a block of points ``(..., N)``;
 products are taken per point in the order of the one-point formulas, so a
@@ -24,29 +24,23 @@ from . import algebra as la
 from .errors import DimensionMismatchError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart
-from .util import (Box, FuncWithGrad, central_differences, dot_last,
-                   gradient_of, linear_form, matvec, seeded_rng, vecmat)
-
-# step for differentiating bivector coefficients when no analytic derivative
-# is attached; central differences are exact for the polynomial coefficient
-# fields shipped here
-_DCOEFF_STEP = 1e-4
+from .util import (Box, FuncWithGrad, dot_last, linear_form, matvec,
+                   seeded_rng, vecmat)
 
 
 @dataclass(frozen=True)
 class PoissonBivector:
-    """Antisymmetric coefficient field Lambda^{ij}(x) with optional derivative.
+    """Antisymmetric coefficient field Lambda^{ij}(x) and its derivative.
 
-    ``dcoeff(x)[..., m, i, j]`` = d_m Lambda^{ij}(x) when provided.  For
-    points ``(..., N)`` ``coeff`` returns ``(..., N, N)`` and ``dcoeff``
+    ``dcoeff(x)[..., m, i, j]`` = d_m Lambda^{ij}(x).  For points
+    ``(..., N)`` ``coeff`` returns ``(..., N, N)`` and ``dcoeff``
     ``(..., N, N, N)``, or ``(N, N)`` and ``(N, N, N)`` when they do not
-    depend on x; ``matrix`` and ``derivative`` check these shapes, and the
-    finite-difference fallback of ``derivative`` makes one ``coeff`` call.
+    depend on x; ``matrix`` and ``derivative`` check these shapes.
     """
 
     dim: int
     coeff: Callable[[np.ndarray], np.ndarray]
-    dcoeff: Callable[[np.ndarray], np.ndarray] | None = None
+    dcoeff: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def _checked(self, value, x: np.ndarray, rank: int) -> np.ndarray:
@@ -64,10 +58,7 @@ class PoissonBivector:
 
     def derivative(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.dcoeff is not None:
-            return self._checked(self.dcoeff(x), x, 3)
-        d = central_differences(self.matrix, x, (self.dim,) * 2, scale=_DCOEFF_STEP)
-        return np.moveaxis(d, 0, -3)
+        return self._checked(self.dcoeff(x), x, 3)
 
 
 def _per_point(value, x: np.ndarray):
@@ -83,26 +74,17 @@ def poisson_bracket(L: PoissonBivector, f, g, x):
     A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
     """
     x = np.asarray(x, dtype=float)
-    return _per_point(dot_last(vecmat(gradient_of(f, x), L.matrix(x)),
-                               gradient_of(g, x)), x)
-
-
-def _hessian_of(f, x) -> np.ndarray:
-    h = getattr(f, "hessian", None)
-    if h is not None:
-        return np.asarray(h(x), dtype=float)
-    d = central_differences(lambda y: gradient_of(f, y), x, x.shape[-1:])
-    return np.moveaxis(d, 0, -1)
+    return _per_point(dot_last(vecmat(f.gradient(x), L.matrix(x)), g.gradient(x)), x)
 
 
 def _bracket_gradient(L: PoissonBivector, g, h, x) -> np.ndarray:
     """Gradient of the function y -> {g, h}(y) at x."""
     Lam = L.matrix(x)
     dLam = L.derivative(x)
-    gg = gradient_of(g, x)
-    gh = gradient_of(h, x)
-    Hg = _hessian_of(g, x)
-    Hh = _hessian_of(h, x)
+    gg = g.gradient(x)
+    gh = h.gradient(x)
+    Hg = g.hessian(x)
+    Hh = h.hessian(x)
     term_g = matvec(Hg, matvec(Lam, gh))
     term_h = matvec(Hh, matvec(np.swapaxes(Lam, -1, -2), gg))
     term_l = np.einsum("...i,...mij,...j->...m", gg, dLam, gh)
@@ -118,7 +100,7 @@ def jacobiator(L: PoissonBivector, f, g, h, x):
     Lam = L.matrix(x)
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        total += dot_last(vecmat(gradient_of(a, x), Lam), _bracket_gradient(L, b, c, x))
+        total += dot_last(vecmat(a.gradient(x), Lam), _bracket_gradient(L, b, c, x))
     return _per_point(total, x)
 
 
@@ -127,7 +109,7 @@ def hamiltonian_residual(L: PoissonBivector, X: VectorField, f,
     """Max deviation |X + i_{df} Lambda| of X from the Hamiltonian field of f
     over samples ``(P, N)``."""
     x = np.asarray(samples, dtype=float)
-    hf = matvec(L.matrix(x), gradient_of(f, x))
+    hf = matvec(L.matrix(x), f.gradient(x))
     return float(np.max(np.abs(X(x) + hf), initial=0.0))
 
 
@@ -246,12 +228,7 @@ def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCh
             g[..., _a] = -0.5 / x[..., _a]
             return g
 
-        def HF(x, _a=ai):
-            H = np.zeros(x.shape + (2 * n,))
-            H[..., _a, _a] = 0.5 / x[..., _a] ** 2
-            return H
-
-        cand = FuncWithGrad(F, dF, hess=HF, name=f"-log(a{i + 1})/2")
+        cand = FuncWithGrad(F, dF, name=f"-log(a{i + 1})/2")
         out.append(HamiltonianCheck(
             hamiltonian=cand,
             residual=hamiltonian_residual(L, flds[i], cand, samples)))

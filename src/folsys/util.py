@@ -88,23 +88,6 @@ def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return (vals[:n] - vals[n:]) / two_h
 
 
-def gradient_of(f: Callable, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Use an attached analytic gradient when the callable carries one.
-
-    ``x`` is one point ``(N,)`` or a block ``(..., N)``.  An attached
-    gradient returns ``(..., N)`` or an x-independent ``(N,)``; a callable
-    without one is differenced point by point.
-    """
-    g = getattr(f, "gradient", None)
-    if g is not None:
-        return np.asarray(g(x), dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        rows = [grad_fd(f, row, step=step) for row in x.reshape(-1, x.shape[-1])]
-        return np.reshape(rows, x.shape)
-    return grad_fd(f, x, step=step)
-
-
 def dot_last(u, v) -> np.ndarray:
     """Dot product over the last axis, broadcast over the leading axes.
 
@@ -128,8 +111,9 @@ def vecmat(v, M) -> np.ndarray:
 class FuncWithGrad:
     """Scalar map bundled with its analytic gradient (and optional Hessian).
 
-    ``hessian`` is only present when one was attached, so consumers can probe
-    with getattr and fall back to finite differences.
+    ``gradient`` returns ``(..., N)`` for points ``(..., N)``, or an
+    x-independent ``(N,)``.  ``hessian`` is present only when one was
+    attached; the Jacobiator of ``folsys.poisson`` reads it.
     """
 
     def __init__(self, func, grad, hess=None, name: str = ""):

@@ -122,6 +122,13 @@ def test_killing_form_glp_degenerate():
         InvariantMetric(builtin_algebra("glp:1"), K)
 
 
+def test_zero_killing_form_is_a_degenerate_metric():
+    # every singular value is 0: the ratio test alone reads 0 < 0 and passes
+    ab = builtin_algebra("abelian:2")
+    with pytest.raises(MetricError, match="degenerate"):
+        InvariantMetric(ab, killing_form(ab))
+
+
 def test_killing_symmetric_and_invariant():
     for name in ("sl2", "glp:2"):
         alg = builtin_algebra(name)

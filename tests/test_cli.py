@@ -637,6 +637,23 @@ def test_rows_of_one_call_share_its_runtime(tmp_path, monkeypatch):
     assert {r.runtime_s for r in reports} == {1.0}
 
 
+def test_a_scenario_assembles_its_field_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(fs):
+        calls.append(fs.name)
+        return assemble(fs)
+
+    monkeypatch.setattr(folsys.cli, "assemble", counting)
+    # no superposition: the convergence runs do not join a batch
+    reports, _ = run(ScenarioConfig.from_dict({
+        "model": "lax", "checks": ["spectrum", "convergence"],
+        "integration": {"t0": 0.0, "t1": 1.0, "step": 0.01}, "out": str(tmp_path)}))
+    assert [r.check for r in reports] == ["convergence.order_gap", "spectrum.drift",
+                                          "spectrum.lax_pair"]
+    assert len(calls) == 1
+
+
 # --- coefficient tables against the per-stage field ----------------------------
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -776,14 +793,21 @@ def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
     # doubled coefficients: the field is no longer [V, M], by more as t grows
     bundle = dataclasses.replace(bundle, system=dataclasses.replace(
         fs, coeffs=lambda t, x: 2.0 * fs.coeffs(t, x)))
+    F = assemble(bundle.system)
+
+    def spectrum_rows(traj):
+        scenario = folsys.cli.Scenario(cfg, bundle, F, traj)
+        return [row for group in folsys.cli.CHECKS["spectrum"].rows(scenario)
+                for row in group]
+
     traj = _moving_lax_trajectory(bundle, 2001)
-    rows = folsys.cli._run_check("spectrum", bundle, cfg, traj, None, None)
+    rows = spectrum_rows(traj)
     # the rows as evaluated on the whole trajectory at once
     spectra = bundle.observables["spectrum"](traj.states)
-    gaps = np.abs(assemble(bundle.system).func(traj.times, traj.states)
+    gaps = np.abs(F.func(traj.times, traj.states)
                   - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states))
-    assert [r.value for r in rows] == [np.max(np.abs(spectra - spectra[0])),
-                                       np.max(gaps)]
+    assert [value for _, value, _ in rows] == [np.max(np.abs(spectra - spectra[0])),
+                                               np.max(gaps)]
     # both maxima lie beyond the first block of 256 samples
     assert np.argmax(np.abs(spectra - spectra[0]).max(axis=1)) == 2000
     assert np.argmax(gaps.max(axis=1)) > 256
@@ -793,7 +817,7 @@ def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
         long = _moving_lax_trajectory(bundle, samples)
         tracemalloc.start()
         try:
-            folsys.cli._run_check("spectrum", bundle, cfg, long, None, None)
+            spectrum_rows(long)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,8 +14,8 @@ from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             is_foliated_lie_hamilton,
                             jacobiator, kirillov_bivector, linear_coordinates,
                             poisson_bracket, rmatrix_bivector_aff)
-from folsys.util import (FuncWithGrad, coordinate_function, gradient_of,
-                         linear_form, seeded_rng)
+from folsys.util import (FuncWithGrad, coordinate_function, linear_form,
+                         seeded_rng)
 
 
 def sl2_setup():
@@ -80,16 +80,6 @@ def test_kirillov_jacobiator_coordinate_triples():
     worst = max(abs(jacobiator(L, coords[0], coords[1], coords[2], v))
                 for v in pts)
     assert worst <= 1e-10
-
-
-def test_jacobiator_fd_fallback_matches_analytic():
-    _, _, L = sl2_setup()
-    L_fd = PoissonBivector(L.dim, L.coeff, dcoeff=None)
-    coords = [coordinate_function(i, 3) for i in range(3)]
-    v = np.array([0.7, -0.4, 1.1])
-    a = jacobiator(L, coords[0], coords[1], coords[2], v)
-    b = jacobiator(L_fd, coords[0], coords[1], coords[2], v)
-    assert abs(a - b) <= 1e-9
 
 
 def test_adjoint_fields_are_hamiltonian_for_linear_candidates():
@@ -218,8 +208,10 @@ def test_rmatrix_hamiltonian_checks():
 # ---------------------------------------------------------------------------
 
 def _quadratic(dim):
-    """Nonlinear candidate with an analytic gradient and no Hessian."""
+    """Nonlinear candidate with an analytic gradient and Hessian."""
     w = np.linspace(0.5, 1.5, dim)
+    hess = np.diag(w)
+    hess[0, 1] = hess[1, 0] = 1.0
 
     def grad(x):
         g = w * x
@@ -228,12 +220,7 @@ def _quadratic(dim):
         return g
 
     return FuncWithGrad(lambda x: 0.5 * np.sum(w * x * x, axis=-1) + x[..., 0] * x[..., 1],
-                        grad, name="quadratic")
-
-
-def _plain(x):
-    """Candidate without a gradient: differenced one point at a time."""
-    return float(np.sin(x[0]) * x[-1] + x[1] ** 3)
+                        grad, hess=lambda x: hess, name="quadratic")
 
 
 def _rmatrix_points(rng, rows):
@@ -247,28 +234,24 @@ def _block_cases():
     adj = adjoint_foliated_system(sl2, metric)
     lin = linear_coordinates(metric)
     kir_pts = seeded_rng(11).uniform(-2.0, 2.0, size=(40, 3))
-    kir_cands = ([coordinate_function(i, 3) for i in range(3)] + lin
-                 + [_quadratic(3), _plain])
+    kir_cands = [coordinate_function(i, 3) for i in range(3)] + lin + [_quadratic(3)]
     kir_pairs = list(zip(adj.realized.fields, lin))
     Lr = rmatrix_bivector_aff(2)
     aff_pts = _rmatrix_points(seeded_rng(12), 40)
-    aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4), _plain]
+    aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4)]
     aff_pairs = list(zip(aff_right_invariant_fields(2),
                          [ch.hamiltonian
                           for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]))
     aff_pairs.append((aff_right_invariant_fields(2)[2], aff_cands[0]))
-    fd = lambda B: PoissonBivector(B.dim, B.coeff, dcoeff=None, name=B.name + "-fd")
     return [("kirillov", L, kir_cands, kir_pairs, kir_pts),
-            ("kirillov-fd", fd(L), kir_cands, kir_pairs, kir_pts),
-            ("rmatrix", Lr, aff_cands, aff_pairs, aff_pts),
-            ("rmatrix-fd", fd(Lr), aff_cands, aff_pairs, aff_pts)]
+            ("rmatrix", Lr, aff_cands, aff_pairs, aff_pts)]
 
 
 def _hamiltonian_residual_per_point(L, X, f, samples):
     """The per-point loop the block evaluation replaced."""
     worst = 0.0
     for x in samples:
-        hf = L.matrix(x) @ gradient_of(f, x)
+        hf = L.matrix(x) @ f.gradient(x)
         worst = max(worst, float(np.max(np.abs(X(x) + hf))))
     return worst
 
@@ -283,9 +266,8 @@ def test_block_evaluation_equals_the_per_point_loop_bitwise(case):
             block = poisson_bracket(L, f, g, pts)
             loop = np.array([poisson_bracket(L, f, g, x) for x in pts])
             assert block.tobytes() == loop.tobytes()
-    quadratic, plain = cands[-2:]
-    for triple in ((cands[0], cands[1], cands[2]), (quadratic, cands[1], cands[0]),
-                   (plain, quadratic, cands[0])):
+    quadratic = cands[-1]
+    for triple in ((cands[0], cands[1], cands[2]), (quadratic, cands[1], cands[0])):
         block = jacobiator(L, *triple, pts)
         loop = np.array([jacobiator(L, *triple, x) for x in pts])
         assert block.tobytes() == loop.tobytes()
@@ -309,7 +291,7 @@ def test_bivector_of_wrong_shape_raises():
     pts = np.ones((4, 2))
     for coeff in (lambda x: np.zeros((3, 2, 2)), lambda x: np.zeros(2)):
         with pytest.raises(DimensionMismatchError):
-            PoissonBivector(2, coeff).matrix(pts)
+            PoissonBivector(2, coeff, lambda x: np.zeros((2, 2, 2))).matrix(pts)
     bad = PoissonBivector(2, lambda x: np.zeros((2, 2)), dcoeff=lambda x: np.zeros((2, 2)))
     with pytest.raises(DimensionMismatchError):
         bad.derivative(pts)
@@ -362,8 +344,10 @@ def test_battery_evaluates_each_bivector_a_fixed_number_of_times(monkeypatch):
     monkeypatch.setattr(cli, "kirillov_bivector", counting(kirillov_bivector))
     monkeypatch.setattr(cli, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
     monkeypatch.setattr(poisson, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
-    rows = cli._poisson_battery("m", 3)
-    assert all(row.status == "pass" for row in rows)
+    scenario = cli.Scenario(cli.ScenarioConfig(model="lax", seed=3), None, None, None)
+    rows = [row for group in cli.CHECKS["poisson"].rows(scenario) for row in group]
+    assert len(rows) == 5
+    assert all(value <= tol for _, value, tol in rows)
     # kirillov: 9 brackets, a Jacobiator (1 + 3) and 3 Hamiltonian fields;
     # r-matrix: 4 Jacobiators (1 + 3 each) and 2 Hamiltonian fields
     assert counts == {"kirillov": 16, "rmatrix-aff2": 18}
