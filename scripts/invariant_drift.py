@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Step-size study of the conserved-quantity drift for the Ermakov model.
 
-Integrates the default member (omega2 = 1 + 0.1 sin t, c1 = c2 = 1) over
-[0, 5] at a ladder of step sizes and reports the relative drift of the
-conserved quantity; the fourth-order signature of the integrator shows up as
-a factor ~16 per halving.  Writes a plot-ready CSV.
+Integrates the default member of ``cli.MODELS`` (omega2 = 1 + 0.1 sin t,
+c1 = c2 = 1) over [0, 5] at a ladder of step sizes and reports the relative
+drift of the conserved quantity; the fourth-order signature of the
+integrator shows up as a factor ~16 per halving.  Writes a plot-ready CSV.
 """
 import argparse
 from pathlib import Path
 
+from folsys.cli import ScenarioConfig, build_bundle
 from folsys.foliated import assemble, sup_drift
 from folsys.integrate import integrate
-from folsys.models import default_model
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     parser.add_argument("--out", default="out/lewis_drift.csv")
     args = parser.parse_args()
 
-    bundle = default_model("ermakov")
+    bundle = build_bundle(ScenarioConfig(model="ermakov"))
     lewis = bundle.observables["lewis"]
     F = assemble(bundle.system)
     ref = abs(lewis(bundle.default_state))

@@ -93,8 +93,7 @@ class InvariantMetric:
 
 
 # ---------------------------------------------------------------------------
-# Built-in algebras.  "sl2" in the (e, h, f) basis, "abelian:<n>", and
-# "glp:<n>" = R^n |x R^n with [h_i, e_j] = 2 delta_ij e_j.
+# Built-in algebras: "sl2" in the (e, h, f) basis and "abelian:<n>".
 # ---------------------------------------------------------------------------
 
 def _sl2() -> LieAlgebra:
@@ -114,22 +113,10 @@ def _abelian(n: int) -> LieAlgebra:
     return LieAlgebra(n, labels, np.zeros((n, n, n)))
 
 
-def _glp(n: int) -> LieAlgebra:
-    r = 2 * n
-    c = np.zeros((r, r, r))
-    for i in range(n):
-        c[n + i, i, i] = 2.0   # [h_i, e_i] = 2 e_i
-        c[i, n + i, i] = -2.0
-    labels = tuple(f"e{i + 1}" for i in range(n)) + tuple(f"h{i + 1}" for i in range(n))
-    return LieAlgebra(r, labels, c)
-
-
 def builtin_algebra(name: str) -> LieAlgebra:
     if name == "sl2":
         return _sl2()
     if name.startswith("abelian:"):
         return _abelian(int(name.split(":", 1)[1]))
-    if name.startswith("glp:"):
-        return _glp(int(name.split(":", 1)[1]))
     raise KeyError(f"unknown algebra name: {name!r}")
 

@@ -37,10 +37,6 @@ from .poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
 from .superposition import rule_points, rule_report
 from .util import coordinate_function, seeded_rng
 
-PARAM_NAMES = {"riccati": ("a0", "a1", "a2"),
-               "hamilton_jacobi": ("n", "hamiltonian"),
-               "lax": ("n", "hamiltonian"),
-               "ermakov": ("omega2", "c1", "c2")}
 REPORT_FORMATS = ("json", "csv")
 RULE_TRIALS = 3
 MAX_STEPS = 10 ** 6  # cap on (t1 - t0) / step, the RK4 steps of one grid
@@ -160,8 +156,7 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     return value
 
 
-def _number(section: dict, key: str, default):
-    value = section.get(key, default)
+def _number(key: str, value):
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -185,6 +180,14 @@ class ScenarioConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        # names are looked up in a tuple of the keys, so that a JSON list or
+        # object is an unknown name and raises no TypeError (unhashable)
+        if self.model not in tuple(MODELS):
+            raise ConfigError(f"unknown model {self.model!r}; known: {tuple(MODELS)}")
+        known = tuple(MODELS[self.model].params)
+        unknown = sorted(set(self.params) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown {self.model} params {unknown}; known: {known}")
         # also covers values set after parsing, such as --step
         for name in ("t0", "t1", "step"):
             if not math.isfinite(getattr(self, name)):
@@ -206,32 +209,20 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        model = raw.get("model")
-        if model not in mdl.MODEL_NAMES:
-            raise ConfigError(f"unknown model {model!r}; known: {mdl.MODEL_NAMES}")
         integ = raw.get("integration", {})
         params = raw.get("params", {})
         for key, section in (("integration", integ), ("params", params)):
             if not isinstance(section, dict):
                 raise ConfigError(f"{key} must be a JSON object, got {section!r}")
-        t0 = _number(integ, "t0", 0.0)
-        t1 = _number(integ, "t1", 2.0)
-        step = _number(integ, "step", 1e-3)
-        params = dict(params)
-        unknown = sorted(set(params) - set(PARAM_NAMES[model]))
-        if unknown:
-            raise ConfigError(f"unknown {model} params {unknown}; "
-                              f"known: {PARAM_NAMES[model]}")
-        if model in ("hamilton_jacobi", "lax"):
-            n = params.get("n", 2)
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+        t0 = _number("t0", integ.get("t0", 0.0))
+        t1 = _number("t1", integ.get("t1", 2.0))
+        step = _number("step", integ.get("step", 1e-3))
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError(f"checks must be a list, got {checks!r}")
         checks = tuple(checks)
         for c in checks:
-            if c not in CHECKS:
+            if c not in tuple(CHECKS):  # a tuple, as for the model name
                 raise ConfigError(f"unknown check {c!r}; known: {tuple(CHECKS)}")
         init = raw.get("initial_state")
         if init is not None:
@@ -240,7 +231,7 @@ class ScenarioConfig:
                     and all(isinstance(v, (int, float)) for v in init)):
                 raise ConfigError(f"initial_state must be a list of numbers, got {init!r}")
             init = tuple(init)
-        return cls(model=model, params=params,
+        return cls(model=raw.get("model"), params=dict(params),
                    t0=t0, t1=t1, step=step, checks=checks,
                    seed=raw.get("seed", 42),
                    initial_state=init,
@@ -275,49 +266,63 @@ def _expr_coeff(value, variables):
     raise ConfigError(f"coefficient must be a number or expression: {value!r}")
 
 
+def _riccati(a0, a1, a2) -> mdl.ModelBundle:
+    return mdl.riccati_system(mdl.RiccatiSpec(*(_expr_coeff(a, ("t",))
+                                                for a in (a0, a1, a2))))
+
+
+def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
+    """h(t, P1..Pn) of the hamilton_jacobi and lax models: the ``sum_cos``
+    preset or a compiled expression."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+    if hamiltonian == "sum_cos":
+        return mdl.sum_cos_spec(n)
+    variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))
+    fn = compile_expression(str(hamiltonian), variables)
+
+    def H(t, P):
+        # .T splits off the last axis and puts the result back;
+        # times, one per point, are laid out like the columns
+        if isinstance(t, np.ndarray):
+            t = np.broadcast_to(t, P.shape[:-1]).T
+        v = fn(t, *P.T)
+        # one value per point, also where the expression has no P
+        return v.T if isinstance(v, np.ndarray) else np.broadcast_to(v, P.shape[:-1])
+
+    return mdl.HamiltonJacobiSpec(n=n, H=H)
+
+
+def _ermakov(omega2, c1, c2) -> mdl.ModelBundle:
+    return mdl.ermakov_system(mdl.ErmakovSpec(omega2=_expr_coeff(omega2, ("t", "I")),
+                                              c1=_number("c1", c1),
+                                              c2=_number("c2", c2)))
+
+
+@dataclass(frozen=True)
+class Model:
+    """A model's config ``params`` with their defaults, and ``build``, which
+    takes every param as a keyword, its default filled in, and returns the
+    bundle."""
+
+    params: dict
+    build: Callable[..., mdl.ModelBundle]
+
+
+_HAMILTONIAN = {"n": 2, "hamiltonian": "sum_cos"}
+MODELS = {
+    "riccati": Model({"a0": 1.0, "a1": 0.0, "a2": -1.0}, _riccati),
+    "hamilton_jacobi": Model(_HAMILTONIAN, lambda **p: mdl.hj_system(_hamiltonian(**p))),
+    "lax": Model(_HAMILTONIAN, lambda **p: mdl.lax_system(_hamiltonian(**p))),
+    "ermakov": Model({"omega2": "1+0.1*sin(t)", "c1": 1.0, "c2": 1.0}, _ermakov),
+}
+
+
 def build_bundle(cfg: ScenarioConfig) -> mdl.ModelBundle:
-    p = cfg.params
-    if cfg.model == "riccati":
-        names = ("a0", "a1", "a2")
-        defaults = (1.0, 0.0, -1.0)
-        spec = mdl.RiccatiSpec(*[_expr_coeff(p.get(nm, dv), ("t",))
-                                 for nm, dv in zip(names, defaults)])
-        return mdl.riccati_system(spec)
-    if cfg.model in ("hamilton_jacobi", "lax"):
-        n = p.get("n", 2)
-        ham = p.get("hamiltonian", "sum_cos")
-        if ham == "sum_cos":
-            spec = mdl.sum_cos_spec(n)
-        else:
-            variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))
-            fn = compile_expression(str(ham), variables)
-
-            def H(t, P):
-                # .T splits off the last axis and puts the result back;
-                # times, one per point, are laid out like the columns
-                if isinstance(t, np.ndarray):
-                    t = np.broadcast_to(t, P.shape[:-1]).T
-                v = fn(t, *P.T)
-                # one value per point, also where the expression has no P
-                return v.T if isinstance(v, np.ndarray) else np.broadcast_to(
-                    v, P.shape[:-1])
-
-            spec = mdl.HamiltonJacobiSpec(n=n, H=H)
-        if cfg.model == "hamilton_jacobi":
-            return mdl.hj_system(spec)
-        return mdl.lax_system(mdl.lax_from_hamiltonian(n, spec.gradient))
-    if cfg.model == "ermakov":
-        omega2 = p.get("omega2", "1+0.1*sin(t)")
-        spec = mdl.ErmakovSpec(
-            omega2=_expr_coeff(omega2, ("t", "I")),
-            c1=_number(p, "c1", 1.0), c2=_number(p, "c2", 1.0))
-        bundle = mdl.ermakov_system(spec)
-        if spec.c1 == 0.0 and spec.c2 == 0.0:
-            # only the uncoupled member admits the linear group action
-            bundle = dataclasses.replace(bundle,
-                                         action=mdl.ermakov_matrix_action(spec))
-        return bundle
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    """The bundle of ``cfg.model`` from its entry of MODELS, with the config
+    params over their defaults."""
+    model = MODELS[cfg.model]
+    return model.build(**{**model.params, **cfg.params})
 
 
 def _coarse_step(cfg: ScenarioConfig) -> float:
@@ -513,8 +518,7 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     traj = rule_runs = finals = joint = None
     if "superposition" in cfg.checks:
         try:
-            pts = rule_points(bundle.rule, bundle.system, RULE_TRIALS, cfg.seed,
-                              bundle.extras.get("rule_min_separation", 0.0))
+            pts = rule_points(bundle.rule, bundle.system, RULE_TRIALS, cfg.seed)
             if join:
                 try:
                     joint = integrate(F, np.vstack([pts, x0] + [x0] * len(conv)),
@@ -605,7 +609,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_models:
-        for name in mdl.MODEL_NAMES:
+        for name in MODELS:
             print(name)
         return 0
     if not args.config:

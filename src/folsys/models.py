@@ -6,12 +6,13 @@ Conventions worth pinning down once:
 * Hamiltonian model on (Q, P): dQ^i/dt = -dH/dP^i(t, P), dP/dt = 0.  The
   translation fields d/dQ^i carry coefficients -dH/dP^i.
 
-* Block ("Lax") model on v = (v^1..v^n, v^{n+1}..v^{2n}): the dynamics are
-  generated from the matrix commutator dv/dt = [v, m] with
-  m = -sum_a f_a(t, v) e_a, which in components gives
-  dv^a/dt = -2 f_a(t, v) v^{n+a}.  The commutator is the structural
-  definition and fixes every sign downstream; the translation fields
-  2 d/dv^a then carry coefficients -f_a(t, v) v^{n+a}.
+* Block ("Lax") model on v = (v^1..v^n, I = v^{n+1}..v^{2n}), built from a
+  Hamiltonian h(t, I): the dynamics are generated from the matrix
+  commutator dv/dt = [v, m] with m = -sum_a f_a(t, I) e_a and
+  f_a = (dh/dI_a) / I_a, which in components gives dv^a/dt = -2 dh/dI_a.
+  The commutator is the structural definition and fixes every sign
+  downstream; the translation fields 2 d/dv^a carry coefficients -dh/dI_a,
+  and f, defined only where every I_a is nonzero, enters the matrix m alone.
 
 * Ermakov model on (x, y, vx, vy): second-order system
   x'' = -w2(t, I) x + c2/(x^2 y), y'' = -w2(t, I) y + c1/(x y^2) with the
@@ -47,7 +48,6 @@ class ModelBundle:
     default_state: np.ndarray
     observables: dict = field(default_factory=dict)
     spec: object = None
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +62,6 @@ class RiccatiSpec:
     a0: Callable[[float], float]
     a1: Callable[[float], float]
     a2: Callable[[float], float]
-
-    @classmethod
-    def constant(cls, a0: float, a1: float, a2: float) -> "RiccatiSpec":
-        return cls(lambda t: a0, lambda t: a1, lambda t: a2)
 
 
 def _sl2_algebra(names: tuple[str, str, str]) -> la.LieAlgebra:
@@ -92,7 +88,9 @@ def _distinct_scale(pairs) -> np.ndarray:
 
 def riccati_rule() -> SuperpositionRule:
     """Cross-ratio rule in three particular solutions and one constant; its
-    first integral is the cross ratio k = (x-u1)(u3-u2) / ((u2-x)(u3-u1))."""
+    first integral is the cross ratio k = (x-u1)(u3-u2) / ((u2-x)(u3-u1)).
+    Its trial points are drawn at least 0.15 apart, away from the coincident
+    solutions where it is singular."""
 
     def psi(sols, k):
         u1, u2, u3 = (s[..., 0] for s in sols)
@@ -112,7 +110,7 @@ def riccati_rule() -> SuperpositionRule:
         return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
-                             vg_dim=3)
+                             vg_dim=3, min_separation=0.15)
 
 
 def translation_rule(n: int) -> SuperpositionRule:
@@ -155,7 +153,6 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     return ModelBundle(
         name="riccati", system=system, rule=riccati_rule(), action=None,
         default_state=np.array([0.0]), spec=spec,
-        extras={"rule_min_separation": 0.15},
     )
 
 
@@ -223,9 +220,10 @@ def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
     return HamiltonJacobiSpec(n=n, H=H, dH=dH)
 
 
-def _translation_model(name: str, spec, scale: float, coeffs, q0,
+def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
                        labels: tuple[str, str], observables=None) -> ModelBundle:
-    """Leaves P = const of R^{2n} = (Q, P), fields ``scale`` d/dQ^i.
+    """Leaves P = const of R^{2n} = (Q, P), fields ``scale`` d/dQ^i with
+    coefficients -dH/dP^i(t, P).
 
     The abelian action moves Q by -scale * lambda; ``labels`` are the field
     name prefix and the action name.  The default state is (q0, P) with P
@@ -233,6 +231,7 @@ def _translation_model(name: str, spec, scale: float, coeffs, q0,
     """
     n = spec.n
     dim = 2 * n
+    coeffs = lambda t, x: -spec.gradient(t, x[..., n:])
 
     # constant fields, so along a solution the system depends on time alone
     flds = tuple(VectorField.constant(scale * np.eye(dim)[i], name=f"{labels[0]}{i + 1}")
@@ -267,35 +266,16 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     into the n coordinate translations, which is exactly what the
     decomposition (and everything built on it) exploits.
     """
-    n = spec.n
     res = spec.gradient_consistency()
     if res > 1e-5:
         raise ValueError(f"declared gradient disagrees with H: residual {res:.3e}")
-    coeffs = lambda t, x: -spec.gradient(t, x[..., n:])
-    return _translation_model("hamilton_jacobi", spec, 1.0, coeffs, np.zeros(n),
+    return _translation_model("hamilton_jacobi", spec, 1.0, np.zeros(spec.n),
                               ("dQ", "Q-translation"))
 
 
 # ---------------------------------------------------------------------------
 # Isospectral block model.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LaxSpec:
-    """Coefficients f(t, I) = (f_1, ..., f_n)(t, I), depending only on time
-    and the leaf coordinates I: an array ``(..., n)`` for coordinates
-    ``(..., n)`` and a float time or an array of times ``(...)``."""
-
-    n: int
-    f: Callable[[float, np.ndarray], np.ndarray]
-
-
-def lax_from_hamiltonian(n: int,
-                         dh: Callable[[float, np.ndarray], np.ndarray]) -> LaxSpec:
-    """Coefficients f_a = (dh/dI_a) / I_a, defined where the leaf coordinates
-    are nonzero; the reduced group system then has coefficients dh/dI_a."""
-    return LaxSpec(n=n, f=lambda t, I: dh(t, I) / I)
-
 
 def lax_matrix(n: int, v) -> np.ndarray:
     """Block-diagonal matrix with 2x2 blocks [[2 v^{n+a}, v^a], [0, 0]], per state."""
@@ -307,18 +287,21 @@ def lax_matrix(n: int, v) -> np.ndarray:
     return M
 
 
-def lax_pair_rhs(spec: LaxSpec, t, v) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore")
+def lax_pair_rhs(spec: HamiltonJacobiSpec, t, v) -> np.ndarray:
     """Component derivatives read off the commutator [V, M], where
-    M = -sum_a f_a(t, I) e_a and I = (v^{n+1}..v^{2n}).
+    M = -sum_a f_a(t, I) e_a, f_a = (dh/dI_a) / I_a and I = (v^{n+1}..v^{2n}).
 
     ``v`` is one state ``(2n,)`` or a block ``(..., 2n)``; ``t`` is a float
-    or an array of times broadcasting against ``v.shape[:-1]``.
+    or an array of times broadcasting against ``v.shape[:-1]``.  Where an
+    I_a is zero the Lax form does not exist, and the derivatives are NaN or
+    infinite, without a warning.
     """
     v = np.asarray(v, dtype=float)
     n = spec.n
     V = lax_matrix(n, v)
     M = np.zeros(V.shape)
-    f = spec.f(t, v[..., n:])
+    f = spec.gradient(t, v[..., n:]) / v[..., n:]
     for a in range(n):
         M[..., 2 * a, 2 * a + 1] = -f[..., a]
     C = V @ M - M @ V
@@ -335,11 +318,11 @@ def lax_spectrum(n: int, v) -> np.ndarray:
     return np.sort(eig.real, axis=-1)
 
 
-def lax_system(spec: LaxSpec) -> ModelBundle:
+def lax_system(spec: HamiltonJacobiSpec) -> ModelBundle:
+    """The block model of h = spec.H: fields 2 d/dv^a with coefficients
+    -dh/dI_a, from dv^a/dt = -2 f_a I_a."""
     n = spec.n
-    # coefficients relative to 2 d/dv^a, from dv^a/dt = -2 f_a v^{n+a}
-    coeffs = lambda t, x: -spec.f(t, x[..., n:]) * x[..., n:]
-    return _translation_model("lax", spec, 2.0, coeffs, np.linspace(0.5, -0.3, n),
+    return _translation_model("lax", spec, 2.0, np.linspace(0.5, -0.3, n),
                               ("2dv", "block-translation"),
                               observables={"spectrum": lambda x: lax_spectrum(n, x)})
 
@@ -448,8 +431,11 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     system = FoliatedSystem(realized, coeffs, chart, name="ermakov",
                             domain=domain, combine=combine)
     observables = {"lewis": lambda s: lewis_invariant(spec, s)}
+    # only the uncoupled member admits the linear group action
+    action = (ermakov_matrix_action(spec) if spec.c1 == 0.0 and spec.c2 == 0.0
+              else None)
     return ModelBundle(name="ermakov", system=system, rule=None,
-                       action=None, default_state=np.array([1.0, 1.0, 0.0, 1.0]),
+                       action=action, default_state=np.array([1.0, 1.0, 0.0, 1.0]),
                        observables=observables, spec=spec)
 
 
@@ -479,24 +465,3 @@ def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
 
     return GroupAction(kind="matrix", act=act, identity=np.eye(2),
                        generators=(A1, A2, A3), name="pairwise-linear")
-
-
-# ---------------------------------------------------------------------------
-# Registry used by the command line.
-# ---------------------------------------------------------------------------
-
-MODEL_NAMES = ("riccati", "hamilton_jacobi", "lax", "ermakov")
-
-
-def default_model(name: str) -> ModelBundle:
-    if name == "riccati":
-        return riccati_system(RiccatiSpec.constant(1.0, 0.0, -1.0))
-    if name == "hamilton_jacobi":
-        return hj_system(sum_cos_spec(2))
-    if name == "lax":
-        spec = sum_cos_spec(2)
-        return lax_system(lax_from_hamiltonian(2, spec.dH))
-    if name == "ermakov":
-        return ermakov_system(ErmakovSpec(
-            omega2=lambda t, I: 1.0 + 0.1 * np.sin(t), c1=1.0, c2=1.0))
-    raise KeyError(f"unknown model name: {name!r}")

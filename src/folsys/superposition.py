@@ -30,7 +30,8 @@ FIRST_INTEGRAL_EPS = 1e-6
 class SuperpositionRule:
     """psi: (x_(1), ..., x_(m); k) -> x and its first integral
     F: (x; x_(1), ..., x_(m)) -> k, both on the last axis of arrays
-    ``(..., state_dim)``; F returns ``(..., param_dim)``."""
+    ``(..., state_dim)``; F returns ``(..., param_dim)``.  The m + 1 points
+    of a trial are drawn at least ``min_separation`` apart (sup norm)."""
 
     m: int
     state_dim: int
@@ -38,6 +39,7 @@ class SuperpositionRule:
     psi: Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray]
     F: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
     vg_dim: int | None = None
+    min_separation: float = 0.0
 
     def __post_init__(self):
         # necessary count: m * dim(O) must cover the algebra dimension
@@ -140,14 +142,14 @@ def _separated(pts, eps: float) -> bool:
 
 
 def rule_points(rule: SuperpositionRule, fs: FoliatedSystem, trials: int = 3,
-                seed: int = 42, min_separation: float = 0.0) -> np.ndarray:
+                seed: int = 42) -> np.ndarray:
     """Initial points ``(trials * (m+1), N)`` of the rule runs, trial by trial:
     rule.m particular initial conditions, then one target, on a common random
     leaf drawn from its own generator ``seed + trial``."""
     pts = []
     for trial in range(trials):
         rng = seeded_rng(seed + trial)  # independent, reproducible trials
-        pts += _sample_on_leaf(fs, rng, rule.m + 1, min_separation=min_separation)
+        pts += _sample_on_leaf(fs, rng, rule.m + 1, rule.min_separation)
     return np.array(pts)
 
 
@@ -176,11 +178,11 @@ def rule_report(rule: SuperpositionRule, fs: FoliatedSystem, states,
 
 def verify_rule(rule: SuperpositionRule, fs: FoliatedSystem,
                 horizon: tuple[float, float], trials: int = 3, seed: int = 42,
-                h: float = DEFAULT_STEP, min_separation: float = 0.0) -> RuleReport:
+                h: float = DEFAULT_STEP) -> RuleReport:
     """Empirical check that one parameter fit at t0 reconstructs the target for all t:
     the points of ``rule_points``, integrated together as one batch over the
     horizon, measured by ``rule_report``."""
-    pts = rule_points(rule, fs, trials, seed, min_separation)
+    pts = rule_points(rule, fs, trials, seed)
     traj = integrate(assemble(fs), pts, *horizon, h)
     return rule_report(rule, fs, traj.states, trials)
 

@@ -1,18 +1,26 @@
 """Let ``python -m folsys.cli`` subprocesses import this checkout's package,
 as ``pythonpath`` in pyproject.toml does for the test process itself; and
-share the count of particular solutions of a realization."""
+share the bundles of the configured models and the count of particular
+solutions of a realization."""
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import rank_at
 from folsys.util import seeded_rng
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def model_bundle(name: str, **params):
+    """The bundle of the model ``name`` of ``cli.MODELS``, its params at their
+    defaults but for ``params``."""
+    return build_bundle(ScenarioConfig(model=name, params=params))
 
 
 def minimal_solution_count(ra, cap: int = 10, samples: int = 5):

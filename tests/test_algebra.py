@@ -40,7 +40,7 @@ def killing_loop_oracle(alg):
 
 
 def test_builtin_algebras_satisfy_jacobi():
-    for name in ("sl2", "abelian:1", "abelian:4", "glp:1", "glp:3"):
+    for name in ("sl2", "abelian:1", "abelian:4"):
         assert jacobi_loop_oracle(builtin_algebra(name)) == 0.0
 
 
@@ -49,19 +49,6 @@ def test_structure_must_be_antisymmetric():
     c[0, 1, 0] = 1.0  # missing the antisymmetric partner
     with pytest.raises(ValueError):
         LieAlgebra(2, ("a", "b"), c)
-
-
-def test_bracket_glp_relations():
-    # [x, y] = ad_x y
-    glp1 = builtin_algebra("glp:1")
-    e1 = np.array([1.0, 0.0])
-    assert np.array_equal(adjoint_matrix(glp1, 1) @ e1, 2.0 * e1)
-    assert np.array_equal(adjoint_matrix(glp1, 0) @ np.array([0.0, 1.0]), -2.0 * e1)
-
-    glp2 = builtin_algebra("glp:2")
-    e2 = np.zeros(4)
-    e2[1] = 1.0
-    assert np.all(adjoint_matrix(glp2, 2) @ e2 == 0.0)  # [h1, e2] = 0
 
 
 def test_adjoint_matrix_sl2():
@@ -83,16 +70,9 @@ def test_adjoint_matrix_abelian_zero_and_range():
         adjoint_matrix(ab, 3)
 
 
-def test_adjoint_glp_relation():
-    glp1 = builtin_algebra("glp:1")
-    ad_e = adjoint_matrix(glp1, 0)
-    h1 = np.array([0.0, 1.0])
-    assert np.allclose(ad_e @ h1, np.array([-2.0, 0.0]))  # [e1, h1] = -2 e1
-
-
 def test_adjoint_is_representation():
     # ad_{[x,y]} = ad_x ad_y - ad_y ad_x on basis pairs
-    for name in ("sl2", "glp:2"):
+    for name in ("sl2", "abelian:3"):
         alg = builtin_algebra(name)
         r = alg.dim
         for a in range(r):
@@ -115,11 +95,17 @@ def test_killing_form_abelian_zero():
 
 
 def test_killing_form_glp_degenerate():
-    K = killing_form(builtin_algebra("glp:1"))
-    assert np.array_equal(K, killing_loop_oracle(builtin_algebra("glp:1")))
-    assert np.all(K[0] == 0.0)  # nilpotent generator: vanishing trace row
+    # the split extension (e, h) with [h, e] = 2 e: K = diag(0, 4), nonzero
+    # and degenerate
+    c = np.zeros((2, 2, 2))
+    c[1, 0, 0] = 2.0
+    c[0, 1, 0] = -2.0
+    alg = LieAlgebra(2, ("e", "h"), c)
+    K = killing_form(alg)
+    assert np.array_equal(K, killing_loop_oracle(alg))
+    assert np.array_equal(K, np.diag([0.0, 4.0]))  # nilpotent e: vanishing row
     with pytest.raises(MetricError):
-        InvariantMetric(builtin_algebra("glp:1"), K)
+        InvariantMetric(alg, K)
 
 
 def test_zero_killing_form_is_a_degenerate_metric():
@@ -130,7 +116,7 @@ def test_zero_killing_form_is_a_degenerate_metric():
 
 
 def test_killing_symmetric_and_invariant():
-    for name in ("sl2", "glp:2"):
+    for name in ("sl2", "abelian:3"):
         alg = builtin_algebra(name)
         K = killing_form(alg)
         assert np.max(np.abs(K - K.T)) <= 1e-12

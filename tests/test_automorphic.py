@@ -20,18 +20,19 @@ from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import TDependentVectorField
 from folsys.foliated import assemble, leaf_of
 from folsys.integrate import integrate
-from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, default_model,
-                           ermakov_matrix_action, ermakov_system, hj_system,
-                           lax_from_hamiltonian, lax_system, sum_cos_spec)
+from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, ermakov_matrix_action,
+                           ermakov_system, hj_system, lax_system, sum_cos_spec)
 from folsys.util import seeded_rng
 
-# the glp:1 generators e1, h1 as 2 x 2 matrices: [h1, e1] = 2 e1
+from .conftest import model_bundle
+
+# generators e1, h1 of the split extension as 2 x 2 matrices: [h1, e1] = 2 e1
 GLP1 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
 
 
 def test_action_axioms_hold_for_models():
     for name in ("hamilton_jacobi", "lax"):
-        bundle = default_model(name)
+        bundle = model_bundle(name)
         act = bundle.action.act
         pts = bundle.system.realized.box.sample_many(seeded_rng(1), 10)
         assert np.array_equal(act(bundle.action.identity, pts), pts)
@@ -42,7 +43,7 @@ def test_action_axioms_hold_for_models():
 
 def test_fundamental_field_gate_matches_models():
     for name in ("hamilton_jacobi", "lax"):
-        bundle = default_model(name)
+        bundle = model_bundle(name)
         pts = bundle.system.realized.box.sample_many(seeded_rng(2), 20)
         res = fundamental_field_residual(bundle.action,
                                          bundle.system.realized.fields, pts)
@@ -62,7 +63,7 @@ def _fundamental_field_residual_per_point(action, fields, points):
 
 def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
     spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
-    cases = [(default_model(name).action, default_model(name).system)
+    cases = [(model_bundle(name).action, model_bundle(name).system)
              for name in ("hamilton_jacobi", "lax")]
     cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
     for action, fs in cases:
@@ -82,7 +83,7 @@ def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
 
 
 def test_gate_residual_keeps_a_nan_field():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     fs = bundle.system
     nan_field = dataclasses.replace(fs.realized.fields[0],
                                     func=lambda x: np.full(x.shape, np.nan))
@@ -95,7 +96,7 @@ def test_gate_residual_keeps_a_nan_field():
 
 
 def test_reduce_rejects_a_nan_gate_residual(monkeypatch):
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     monkeypatch.setattr(folsys.automorphic, "fundamental_field_residual",
                         lambda action, fields, points: float("nan"))
     with pytest.raises(IncompatibleActionError, match="residual nan"):
@@ -103,7 +104,7 @@ def test_reduce_rejects_a_nan_gate_residual(monkeypatch):
 
 
 def test_reduce_rejects_sign_flipped_action():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     n = 2
 
     def flipped(lam, x):
@@ -177,7 +178,7 @@ def test_reduce_hj_coefficients_are_hamiltonian_gradient():
 
 def test_reduce_lax_coefficients_are_leaf_gradient():
     spec = sum_cos_spec(2)
-    lax = lax_system(lax_from_hamiltonian(2, spec.dH))
+    lax = lax_system(spec)
     asys = reduce_system(lax.system, lax.action)
     rng = seeded_rng(3)
     for _ in range(20):
@@ -192,7 +193,7 @@ def test_shared_reduction_coefficients_pointwise_equal():
     # translation coefficients under the leaf identification
     spec = sum_cos_spec(2)
     hj = hj_system(spec)
-    lax = lax_system(lax_from_hamiltonian(2, spec.dH))
+    lax = lax_system(spec)
     hj_red = reduce_system(hj.system, hj.action)
     lax_red = reduce_system(lax.system, lax.action)
     rng = seeded_rng(13)
@@ -325,7 +326,7 @@ def test_solve_abelian_memory_per_sample():
 
 
 def test_reconstruct_identity_curve_is_constant():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     times = np.linspace(0.0, 1.0, 11)
     curve = GroupCurve(ABELIAN, times, np.zeros((11, 2)), 0.1)
     x0 = np.array([0.3, -0.4, 1.0, 1.5])
@@ -334,9 +335,9 @@ def test_reconstruct_identity_curve_is_constant():
 
 
 def test_reconstruct_lax_hand_value():
-    # n = 1, v(0) = (5, 3), f chosen so the reduced coefficient is dH/dI = I
-    spec = lax_from_hamiltonian(1, lambda t, I: I.copy())  # H = I^2/2
-    lax = lax_system(spec)
+    # n = 1, v(0) = (5, 3), H = I^2/2: the reduced coefficient is dH/dI = I
+    lax = lax_system(HamiltonJacobiSpec(1, H=lambda t, I: 0.5 * np.sum(I * I, axis=-1),
+                                        dH=lambda t, I: I.copy()))
     asys = reduce_system(lax.system, lax.action)
     curve = solve_abelian(asys, np.array([3.0]), 0.0, 1.0, 1e-3)
     assert curve.elements[-1, 0] == pytest.approx(3.0, abs=1e-12)
@@ -348,11 +349,11 @@ def test_reconstruct_lax_hand_value():
 
 def test_reconstruction_error_hj_lax():
     rng = seeded_rng(10)
-    hj = default_model("hamilton_jacobi")
+    hj = model_bundle("hamilton_jacobi")
     x0 = hj.system.realized.box.sample(rng)
     direct = integrate(assemble(hj.system), x0, 0.0, 2.0, 1e-3)
     assert reconstruction_error(hj.system, hj.action, direct) <= 1e-8
-    lax = default_model("lax")
+    lax = model_bundle("lax")
     v0 = lax.system.realized.box.sample(rng)
     direct = integrate(assemble(lax.system), v0, 0.0, 2.0, 1e-3)
     assert reconstruction_error(lax.system, lax.action, direct) <= 1e-8
@@ -429,8 +430,8 @@ def _abelian_cases():
     lax_expr = _configured("lax", {
         "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"})
     cases = {name: (reduce_system(b.system, b.action), b.default_state, b.system.chart)
-             for name, b in (("hamilton_jacobi", default_model("hamilton_jacobi")),
-                             ("lax", default_model("lax")),
+             for name, b in (("hamilton_jacobi", model_bundle("hamilton_jacobi")),
+                             ("lax", model_bundle("lax")),
                              ("hamilton_jacobi-expr", hj_expr),
                              ("lax-expr", lax_expr))}
     return {name: (asys, leaf_of(chart, x0)) for name, (asys, x0, chart) in cases.items()}
@@ -585,7 +586,7 @@ def test_solve_abelian_keeps_the_argument_errors_of_integrate():
 def test_shipped_actions_act_on_blocks_point_by_point():
     spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
     rng = seeded_rng(5)
-    cases = [(default_model(name).action, default_model(name).system)
+    cases = [(model_bundle(name).action, model_bundle(name).system)
              for name in ("hamilton_jacobi", "lax")]
     cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
     for action, fs in cases:
@@ -617,7 +618,7 @@ def _shipped_actions_with_curves():
     shipped action, the curve reduced and solved from the trajectory's x0."""
     ermakov = _configured("ermakov", {"omega2": "0.9+0.05*sin(t)", "c1": 0.0, "c2": 0.0})
     out = []
-    for b in (default_model("hamilton_jacobi"), default_model("lax"), ermakov):
+    for b in (model_bundle("hamilton_jacobi"), model_bundle("lax"), ermakov):
         x0 = b.default_state
         direct = integrate(assemble(b.system), x0, 0.0, 1.0, 0.01)
         asys = reduce_system(b.system, b.action)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import folsys.automorphic
 import folsys.cli
 import folsys.superposition
-from folsys.cli import (ScenarioConfig, build_bundle, compile_expression,
-                        main, run)
+from folsys.cli import (MODELS, ScenarioConfig, build_bundle,
+                        compile_expression, main, run)
 from folsys.algebra import builtin_algebra
 from folsys.errors import ConfigError
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
@@ -215,6 +215,18 @@ def test_build_bundle_expression_models():
     assert b2.spec.H(0.5, np.array([1.2])) == pytest.approx(np.cos(0.6))
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+def test_every_model_builds_from_its_defaults_alone(name):
+    model = MODELS[name]
+    bundle = model.build(**model.params)
+    assert bundle.name == name
+    # a config that names no param builds the same field
+    configured = build_bundle(ScenarioConfig.from_dict({"model": name}))
+    x = bundle.default_state
+    assert np.array_equal(assemble(configured.system)(0.3, x),
+                          assemble(bundle.system)(0.3, x))
+
+
 # --- running scenarios -----------------------------------------------------------
 
 def test_run_all_checks_pass(tmp_path):
@@ -282,8 +294,7 @@ def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
 def test_scenario_row_of_the_rule_batch_is_bitwise_its_own_run(model, params):
     bundle = build_bundle(ScenarioConfig.from_dict({"model": model,
                                                     "params": params}))
-    pts = rule_points(bundle.rule, bundle.system, trials=3, seed=5,
-                      min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    pts = rule_points(bundle.rule, bundle.system, trials=3, seed=5)
     F = assemble(bundle.system)
     x0 = bundle.default_state
     alone = integrate(F, x0, 0.0, 1.0, 0.01).states
@@ -463,6 +474,7 @@ def test_cli_config_error_exit_code(tmp_path):
     {"integration": {"step": "nan"}},
     {"integration": {"t1": "inf"}},
     {"model": "lax", "params": {"n": 0}},
+    {"model": "hamilton_jacobi", "params": {"n": 0}},
     {"model": "lax", "params": {"n": 2.7}},
     {"model": "lax", "params": {"n": True}},
     {"model": "lax", "params": {"n": "3"}},
@@ -474,6 +486,8 @@ def test_cli_config_error_exit_code(tmp_path):
     {"seed": "abc"},
     {"seed": -1},
     {"checks": 5},
+    {"checks": [["foliated"]]},
+    {"model": ["riccati"]},
     {"model": "ermakov", "params": {"c1": "abc"}},
     {"model": "riccati", "params": {"a9": 1}},
     {"format": "xml"},
@@ -591,7 +605,7 @@ def test_report_render_empty(tmp_path, capsys):
 def test_cli_list_models(capsys):
     assert main(["--list-models"]) == 0
     out = capsys.readouterr().out.split()
-    assert out == ["riccati", "hamilton_jacobi", "lax", "ermakov"]
+    assert out == list(MODELS) == ["riccati", "hamilton_jacobi", "lax", "ermakov"]
 
 
 def test_cli_subprocess_list_models():
@@ -774,6 +788,20 @@ def test_riccati_blow_up_keeps_its_warnings_and_error(tmp_path):
     assert rc == 2
     # the RK4 loop warns about neither the overflow in x^2 nor the NaN after it
     assert err == ["error: blow-up at t=1.6"]
+
+
+def test_a_lax_leaf_with_a_zero_coordinate_fails_only_its_lax_pair_row(tmp_path):
+    # I_1 = 0: the field -2 dh/dI_a is finite, but f_1 = (dh/dI_1) / I_1 is
+    # not, and neither is the Lax form [V, M]
+    rc, err = _stderr_lines({
+        "model": "lax", "initial_state": [0.5, -0.3, 0.0, 1.5],
+        "checks": ["foliated", "leaf_drift", "spectrum"]}, tmp_path)
+    assert (rc, err) == (1, [])
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())
+    rows = {row["check"]: row for row in rows}
+    lax_pair = rows.pop("spectrum.lax_pair")
+    assert (lax_pair["value"], lax_pair["status"]) == ("nan", "fail")
+    assert len(rows) == 6 and all(row["status"] == "pass" for row in rows.values())
 
 
 def _moving_lax_trajectory(bundle, samples):

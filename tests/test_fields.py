@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folsys.algebra import builtin_algebra
+from folsys.algebra import LieAlgebra, builtin_algebra
 from folsys.errors import DimensionMismatchError
 from folsys.fields import (RealizedAlgebra, VectorField, directional_derivative,
                            lie_bracket_at, rank_at, structure_residual)
-from folsys.models import default_model, riccati_system, RiccatiSpec
 from folsys.util import Box, seeded_rng
+
+from .conftest import model_bundle
 
 
 def const_field(dim, direction):
@@ -55,7 +56,7 @@ def test_bracket_antisymmetric_at_points():
 
 
 def test_bracket_on_a_block_equals_the_bracket_at_each_point():
-    X1, X2, X3 = default_model("ermakov").system.realized.fields
+    X1, X2, X3 = model_bundle("ermakov").system.realized.fields
     pts = seeded_rng(2).uniform([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6],
                                 size=(3, 5, 4))
     for X, Y in ((X1, X2), (X1, X3), (X2, X3)):
@@ -71,7 +72,10 @@ def test_glp_adjoint_realization_matches_structure():
     # fundamental fields of the adjoint flow: 2 v^2 d/dv1 and -2 v^1 d/dv1
     xe = VectorField(2, lambda v: v[..., ::-1] * [2.0, 0.0])
     xh = VectorField(2, lambda v: v * [-2.0, 0.0])
-    ra = RealizedAlgebra(builtin_algebra("glp:1"), (xe, xh),
+    c = np.zeros((2, 2, 2))  # the split extension (e, h): [h, e] = 2 e
+    c[1, 0, 0] = 2.0
+    c[0, 1, 0] = -2.0
+    ra = RealizedAlgebra(LieAlgebra(2, ("e", "h"), c), (xe, xh),
                          Box([-2, 0.5], [2, 2]))
     pts = ra.box.sample_many(seeded_rng(3), 50)
     # the fields are linear, so the value-only bracket is exact but for the
@@ -100,13 +104,13 @@ def test_directional_derivative_examples():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
 def test_prolongation_replicates_constant_field(vals):
-    X = default_model("riccati").system.realized.fields[0]
+    X = model_bundle("riccati").system.realized.fields[0]
     assert np.array_equal(X(np.array(vals)[:, None]).reshape(3), np.ones(3))
 
 
 def test_prolongation_componentwise():
     for name in ("riccati", "hamilton_jacobi", "lax", "ermakov"):
-        ra = default_model(name).system.realized
+        ra = model_bundle(name).system.realized
         n = ra.ambient_dim
         block = ra.box.sample_many(seeded_rng(7), 12).reshape(4, 3, n)
         for X in ra.fields:
@@ -124,7 +128,7 @@ def test_rank_riccati_ambient():
 
 
 def test_rank_prolonged_riccati_vandermonde():
-    flds = default_model("riccati").system.realized.fields
+    flds = model_bundle("riccati").system.realized.fields
     block = np.array([[0.0], [1.0], [2.0]])
     values = [X(block).reshape(3) for X in flds]
     # SVD oracle on the explicit 3x3 value matrix
@@ -148,7 +152,7 @@ def test_rank_on_a_block_equals_the_rank_at_each_point():
 
 
 def test_rank_invariant_under_reordering():
-    flds = default_model("riccati").system.realized.fields
+    flds = model_bundle("riccati").system.realized.fields
     block = np.array([[0.4], [-1.0], [0.9]])
     values = [X(block).reshape(3) for X in flds]
     r1 = rank_at(flds, block.reshape(3), values=values)
@@ -157,13 +161,12 @@ def test_rank_invariant_under_reordering():
 
 
 def test_minimal_solutions_riccati_is_three(minimal_solutions):
-    bundle = riccati_system(RiccatiSpec.constant(1.0, 0.0, -1.0))
-    assert minimal_solutions(bundle.system.realized) == 3
+    assert minimal_solutions(model_bundle("riccati").system.realized) == 3
 
 
 def test_minimal_solutions_translation_models_are_one(minimal_solutions):
     for name in ("hamilton_jacobi", "lax"):
-        ra = default_model(name).system.realized
+        ra = model_bundle(name).system.realized
         assert minimal_solutions(ra) == 1
 
 
@@ -184,6 +187,6 @@ def test_minimal_solutions_rank_deficiency(minimal_solutions):
 
 def test_structure_residual_builtins_at_seeded_points():
     for name in ("riccati", "hamilton_jacobi", "lax", "ermakov"):
-        ra = default_model(name).system.realized
+        ra = model_bundle(name).system.realized
         pts = ra.box.sample_many(seeded_rng(5), 100)
         assert structure_residual(ra, pts) <= 1e-6

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
-from folsys.cli import ScenarioConfig, build_bundle
+from folsys.cli import MODELS, ScenarioConfig, build_bundle
 from folsys.errors import DimensionMismatchError
 from folsys.fields import (RealizedAlgebra, VectorField, rank_at,
                            structure_residual)
@@ -17,12 +17,13 @@ from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              coefficient_values, leaf_drift, leaf_of, sup_drift,
                              verify_foliated)
 from folsys.integrate import TABLE_BLOCK, integrate
-from folsys.models import (MODEL_NAMES, ErmakovSpec, default_model,
-                           ermakov_system, hj_system, lewis_invariant,
+from folsys.models import (ErmakovSpec, ermakov_system, hj_system, lewis_invariant,
                            sum_cos_spec)
 from folsys.poisson import adjoint_foliated_system
 from folsys.util import (Box, central_differences, dot_last, jacobian_fd,
                          seeded_rng)
+
+from .conftest import model_bundle
 
 folsys_integrate = sys.modules["folsys.integrate"]
 
@@ -41,7 +42,7 @@ INTERPRETED = {
 def _bundle(name):
     if name in INTERPRETED:
         return build_bundle(ScenarioConfig.from_dict(INTERPRETED[name]))
-    return default_model(name)
+    return model_bundle(name)
 
 
 def test_assemble_hj_matches_closed_form():
@@ -73,7 +74,7 @@ def test_assemble_rejects_coefficient_map_of_wrong_shape():
             verify_foliated(broken, trials=1)
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("name", tuple(MODELS))
 def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
     # never once per row or per stage: on every chart, Ermakov's invariant
     # chart too, one call covers every stage of a block of steps, x0
@@ -97,7 +98,7 @@ def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
             assert shapes == [(3, k) + x0.shape for k in sizes]
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES + tuple(INTERPRETED))
+@pytest.mark.parametrize("name", tuple(MODELS) + tuple(INTERPRETED))
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
        t=st.floats(0.0, 2.0))
@@ -113,7 +114,7 @@ def test_assembled_batch_rows_equal_single_states_bitwise(name, seed, rows, t):
 
 def test_assemble_lax_commutator_sign():
     # built-in n = 2 with f_a = (dH/dI_a)/I_a, so dv^a/dt = -2 f_a I_a = -2 dH/dI_a
-    lax = default_model("lax")
+    lax = model_bundle("lax")
     F = assemble(lax.system)
     v = np.array([0.5, -0.3, 1.0, 1.5])
     t = 0.7
@@ -148,7 +149,7 @@ def test_assemble_linear_in_coefficients_generic():
 
 def test_verify_foliated_hj_and_lax():
     for name in ("hamilton_jacobi", "lax"):
-        rep = verify_foliated(default_model(name).system, trials=100, seed=42)
+        rep = verify_foliated(model_bundle(name).system, trials=100, seed=42)
         assert rep.rank_shortfall == 0.0
         assert rep.com_residual <= 1e-8
         assert rep.chart_residual <= 1e-8
@@ -256,8 +257,8 @@ def _system(name):
     return _bundle(name).system
 
 
-_VERIFIED = MODEL_NAMES + ("hamilton_jacobi-expr", "lax-expr", "ermakov-expr",
-                           "sl2-adjoint")
+_VERIFIED = tuple(MODELS) + ("hamilton_jacobi-expr", "lax-expr", "ermakov-expr",
+                              "sl2-adjoint")
 
 
 # configured models with constant or time-only coefficients
@@ -331,15 +332,15 @@ def test_verify_foliated_reports_the_rank_shortfall():
 
 
 def test_leaf_of_identity_charts():
-    hj = default_model("hamilton_jacobi")
+    hj = model_bundle("hamilton_jacobi")
     assert np.array_equal(leaf_of(hj.system.chart, np.array([1.0, 2, 3, 4])), [3.0, 4.0])
-    lax1 = default_model("lax")
+    lax1 = model_bundle("lax")
     labels = leaf_of(lax1.system.chart, np.array([5.0, 1.0, 3.0, 1.5]))
     assert np.array_equal(labels, [3.0, 1.5])
 
 
 def test_leaf_of_ermakov_lewis_label():
-    erm = default_model("ermakov")
+    erm = model_bundle("ermakov")
     val = leaf_of(erm.system.chart, np.array([1.0, 1.0, 0.0, 1.0]))
     assert val[0] == pytest.approx(2.5, abs=1e-12)
     # quadrature oracle for the coupling integral: I = w^2/2 + int_1^{x/y}
@@ -399,7 +400,7 @@ _SPLIT = ("riccati", "hamilton_jacobi", "lax", "hamilton_jacobi-expr", "lax-expr
 
 
 def test_split_chart_models_are_the_listed_ones():
-    split = {name for name in MODEL_NAMES + tuple(INTERPRETED) + tuple(_CONFIGURED)
+    split = {name for name in (*MODELS, *INTERPRETED, *_CONFIGURED)
              if _split_system(name).chart.is_split}
     assert split == set(_SPLIT)
 
@@ -434,20 +435,20 @@ def test_split_chart_coefficients_read_only_the_labels(name):
 
 def test_leaf_drift_exact_zero_hj_lax():
     for name in ("hamilton_jacobi", "lax"):
-        bundle = default_model(name)
+        bundle = model_bundle(name)
         traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 2.0, 1e-3)
         assert leaf_drift(traj, bundle.system.chart) == 0.0
 
 
 def test_leaf_drift_ermakov_lewis():
-    erm = default_model("ermakov")
+    erm = model_bundle("ermakov")
     traj = integrate(assemble(erm.system), erm.default_state, 0.0, 5.0, 1e-3)
     ref = abs(lewis_invariant(erm.spec, erm.default_state))
     assert leaf_drift(traj, erm.system.chart) / ref <= 1e-6
 
 
 def test_leaf_drift_trivial_chart_is_zero():
-    ric = default_model("riccati")
+    ric = model_bundle("riccati")
     traj = integrate(assemble(ric.system), ric.default_state, 0.0, 1.0, 1e-2)
     assert leaf_drift(traj, ric.system.chart) == 0.0
 

@@ -17,13 +17,15 @@ from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_of)
-from folsys.cli import ScenarioConfig, build_bundle
+from folsys.cli import MODELS, ScenarioConfig, build_bundle
 from folsys.integrate import (Trajectory, convergence_order, convergence_steps,
                               integrate, order_from_finals, time_grid,
                               trajectory_to_csv)
-from folsys.models import (MODEL_NAMES, ErmakovSpec, RiccatiSpec, default_model,
-                           ermakov_matrix_action, ermakov_system, riccati_system)
+from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
+                           ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
+
+from .conftest import model_bundle
 
 EXP = TDependentVectorField(1, lambda t, x: x.copy())
 ZERO = TDependentVectorField(3, lambda t, x: np.zeros(3))
@@ -143,9 +145,9 @@ def test_csv_export_bytes_equal_the_per_value_format(tmp_path):
 
 # --- batches -------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("name", tuple(MODELS))
 def test_batch_equals_single_runs(name):
-    fs = default_model(name).system
+    fs = model_bundle(name).system
     F = assemble(fs)
     x0 = fs.realized.box.sample_many(seeded_rng(3), 4)
     batch = integrate(F, x0, 0.0, 0.5, 0.01)
@@ -227,7 +229,7 @@ ROW_STEP_SYSTEMS = {
         "model": "riccati",
         "params": {"a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)",
                    "a2": "-0.7+0.05*cos(t)"}})).system,
-    "hamilton_jacobi": default_model("hamilton_jacobi").system,
+    "hamilton_jacobi": model_bundle("hamilton_jacobi").system,
 }
 ROW_STEPS = st.one_of(st.sampled_from([0.05, 0.1, 0.3]),
                       st.floats(0.01, 0.5, allow_nan=False))
@@ -306,13 +308,13 @@ def _configured_system(model, params):
 
 
 TABLE_SYSTEMS = {
-    "riccati-const": default_model("riccati").system,
+    "riccati-const": model_bundle("riccati").system,
     "riccati-sin": _configured_system("riccati", {
         "a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)", "a2": "-0.7+0.05*cos(t)"}),
-    "hamilton_jacobi": default_model("hamilton_jacobi").system,
+    "hamilton_jacobi": model_bundle("hamilton_jacobi").system,
     "hamilton_jacobi-expr": _configured_system("hamilton_jacobi", {
         "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}),
-    "lax": default_model("lax").system,
+    "lax": model_bundle("lax").system,
     "lax-expr": _configured_system("lax", {
         "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"}),
     # an invariant chart whose frequency reads no I: coefficients of time alone
@@ -394,7 +396,7 @@ def test_an_ermakov_frequency_that_reads_no_invariant_is_tabulated():
         fs = _configured_system("ermakov", {"omega2": omega2})
         F = assemble(fs)
         assert F.table is not None and F.combine is fs.combine is not None, omega2
-    fs = default_model("ermakov").system
+    fs = model_bundle("ermakov").system
     assert assemble(fs).table is not None and assemble(fs).combine is fs.combine
 
 
@@ -513,7 +515,7 @@ def test_time_only_block_whose_table_raises_keeps_the_config_error():
     F = assemble(fs)
     assert F.combine is None
     plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
-    x0 = default_model("hamilton_jacobi").default_state
+    x0 = model_bundle("hamilton_jacobi").default_state
     with pytest.raises(ConfigError) as summed:
         integrate(F, x0, 0.0, 2.0, 0.125)
     with pytest.raises(ConfigError) as per_stage:
@@ -523,7 +525,7 @@ def test_time_only_block_whose_table_raises_keeps_the_config_error():
 
 
 def test_constant_fields_return_their_value_on_random_blocks():
-    systems = dict(TABLE_SYSTEMS, ermakov=default_model("ermakov").system)
+    systems = dict(TABLE_SYSTEMS, ermakov=model_bundle("ermakov").system)
     rng = seeded_rng(21)
     declared = 0
     for name, fs in systems.items():
@@ -650,7 +652,7 @@ def test_step_matrix_domain_guard_checks_the_states_in_step_order():
 
 def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matrix_route():
     systems = dict(TABLE_SYSTEMS, **{
-        "ermakov": default_model("ermakov").system,
+        "ermakov": model_bundle("ermakov").system,
         "ermakov-uncoupled-const": STEP_MATRIX_SYSTEMS["ermakov-const"],
         # the frequency reads I, which the table freezes at x0's labels:
         # linear along a solution too
@@ -677,7 +679,7 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
 
     erm = build_bundle(ScenarioConfig.from_dict({
         "model": "ermakov", "params": {"omega2": 0.9, "c1": 0.0, "c2": 0.0}}))
-    hj = default_model("hamilton_jacobi")
+    hj = model_bundle("hamilton_jacobi")
     with mock.patch.object(sys.modules["folsys.automorphic"], "integrate", recorded):
         solve_matrix(reduce_system(erm.system, erm.action), np.ones(1), 0.0, 1.0, 0.1)
         solve_abelian(reduce_system(hj.system, hj.action), np.zeros(2), 0.0, 1.0, 0.1)
@@ -728,8 +730,8 @@ def test_fused_stage_equals_the_per_field_sum_bitwise(a, timed, x, layout,
     # constant coefficients (with c0 = -0.0 among them) or coefficients of
     # time; states at +-0.0 among others; runs that blow up compare their
     # step and partial trajectory
-    spec = (RiccatiSpec(*(lambda t, c=c: c + 0.25 * np.sin(t) for c in a)) if timed
-            else RiccatiSpec.constant(*a))
+    spec = RiccatiSpec(*(lambda t, c=c: c + 0.25 * np.sin(t) if timed else c
+                         for c in a))
     fs = riccati_system(spec).system
     F = assemble(fs)
     assert F.table is not None and F.combine is not None
@@ -784,15 +786,15 @@ def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
     # field either; without it the fields, which declare no terms, are
     # called per stage, each once
     calls = []
-    fs = _field_calls(default_model("ermakov").system, calls)
-    x0 = default_model("ermakov").default_state
+    fs = _field_calls(model_bundle("ermakov").system, calls)
+    x0 = model_bundle("ermakov").default_state
     integrate(assemble(fs), x0, 0.0, 1.0, 0.05)
     assert calls == []
     integrate(assemble(dataclasses.replace(fs, combine=None)), x0, 0.0, 1.0, 0.05)
     assert calls == ["X1", "X2", "X3"] * 4 * 20
     # x' = 1 + x^2 blows up at t = pi/2: at the step and with the partial
     # trajectory of the per-field sum
-    fs = riccati_system(RiccatiSpec.constant(1.0, 0.0, 1.0)).system
+    fs = model_bundle("riccati", a2=1.0).system
     for x0 in (np.array([0.0]), np.array([[0.0], [-0.5]])):
         got = _outcome(assemble(fs), x0, 2.0, 0.01)
         assert got[:2] == ("BlowUpError", 1.6)
@@ -872,7 +874,7 @@ def test_ermakov_stage_equals_the_per_field_sum_bitwise(g, c, states, per_state,
 # --- the rebuild contract ----------------------------------------------------
 
 ROUTES = {
-    "ermakov-stage": default_model("ermakov").system,
+    "ermakov-stage": model_bundle("ermakov").system,
     "riccati-fused": TABLE_SYSTEMS["riccati-sin"],
     "simpson": TABLE_SYSTEMS["lax-expr"],
     "step-matrices": TABLE_SYSTEMS["ermakov-sin"],

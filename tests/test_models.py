@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from folsys.automorphic import reconstruction_error
+from folsys.automorphic import MATRIX, reconstruction_error
 from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
-from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, LaxSpec,
-                           RiccatiSpec, default_model, ermakov_fields,
-                           ermakov_system, hj_system, lax_from_hamiltonian,
-                           lax_matrix, lax_pair_rhs, lax_spectrum, lax_system,
-                           lewis_invariant, riccati_system, sum_cos_spec)
+from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, RiccatiSpec,
+                           ermakov_fields, ermakov_system, hj_system, lax_matrix,
+                           lax_pair_rhs, lax_spectrum, lax_system, lewis_invariant,
+                           riccati_system, sum_cos_spec)
 from folsys.util import grad_fd, seeded_rng
+
+from .conftest import model_bundle
 
 
 # --- coefficient maps ----------------------------------------------------------
@@ -28,7 +29,7 @@ def test_translation_models_take_one_gradient_per_rhs_evaluation():
         return np.sum(np.cos(t * P), axis=-1)
 
     spec = HamiltonJacobiSpec(3, H=H)
-    bundles = (hj_system(spec), lax_system(lax_from_hamiltonian(3, spec.gradient)))
+    bundles = (hj_system(spec), lax_system(spec))
     x = np.array([0.1, -0.2, 0.3, 1.0, 1.2, 1.4])
     for bundle in bundles:
         for states in (x, np.stack([x, 2.0 * x])):
@@ -60,7 +61,7 @@ def test_hj_gradient_needs_one_value_of_H_per_point():
 # --- Riccati -----------------------------------------------------------------
 
 def test_riccati_commutation_relations():
-    bundle = riccati_system(RiccatiSpec.constant(1.0, 0.0, -1.0))
+    bundle = model_bundle("riccati")
     x0f, x1f, x2f = bundle.system.realized.fields
     pt = np.array([1.0])
     assert lie_bracket_at(x0f, x2f, pt)[0] == pytest.approx(2.0 * x1f(pt)[0], abs=1e-8)
@@ -72,7 +73,7 @@ def test_riccati_commutation_relations():
 
 
 def test_riccati_tanh_solution():
-    bundle = riccati_system(RiccatiSpec.constant(1.0, 0.0, -1.0))
+    bundle = model_bundle("riccati")
     traj = integrate(assemble(bundle.system), np.array([0.0]), 0.0, 2.0, 1e-3)
     assert np.max(np.abs(traj.states[:, 0] - np.tanh(traj.times))) <= 1e-10
 
@@ -95,7 +96,7 @@ def test_hj_assembled_field_closed_form():
 
 
 def test_hj_momenta_exactly_constant():
-    hj = default_model("hamilton_jacobi")
+    hj = model_bundle("hamilton_jacobi")
     traj = integrate(assemble(hj.system), hj.default_state, 0.0, 2.0, 1e-3)
     assert np.all(traj.states[:, 2:] == hj.default_state[2:])
 
@@ -137,7 +138,9 @@ def test_lax_block_matrix_and_spectrum():
 
 
 def test_lax_commutator_rhs_hand_value():
-    spec = LaxSpec(n=1, f=lambda t, I: np.ones(1))
+    # H = I^2/2, so dH = I and f = dH/I = 1
+    spec = HamiltonJacobiSpec(n=1, H=lambda t, I: 0.5 * np.sum(I * I, axis=-1),
+                              dH=lambda t, I: I)
     v = np.array([5.0, 3.0])
     # oracle: 2x2 blocks [[6,5],[0,0]] and [[0,-1],[0,0]] by hand
     V = np.array([[6.0, 5.0], [0.0, 0.0]])
@@ -148,7 +151,7 @@ def test_lax_commutator_rhs_hand_value():
 
 
 def test_lax_assembled_equals_commutator_rhs():
-    spec = lax_from_hamiltonian(2, sum_cos_spec(2).dH)
+    spec = sum_cos_spec(2)
     bundle = lax_system(spec)
     F = assemble(bundle.system)
     rng = seeded_rng(12)
@@ -159,7 +162,7 @@ def test_lax_assembled_equals_commutator_rhs():
 
 
 def test_lax_pair_on_a_block_equals_the_loop_bitwise():
-    bundle = default_model("lax")
+    bundle = model_bundle("lax")
     traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 2.0, 1e-2)
     block = lax_pair_rhs(bundle.spec, traj.times, traj.states)
     loop = np.array([lax_pair_rhs(bundle.spec, float(t), v)
@@ -169,7 +172,7 @@ def test_lax_pair_on_a_block_equals_the_loop_bitwise():
 
 
 def test_lax_leaf_drift_and_spectrum_drift():
-    bundle = default_model("lax")
+    bundle = model_bundle("lax")
     traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 2.0, 1e-3)
     assert leaf_drift(traj, bundle.system.chart) == 0.0
     ref = lax_spectrum(2, traj.states[0])
@@ -210,7 +213,7 @@ def test_ermakov_commutation_relations_at_seeded_points():
 
 
 def test_ermakov_fields_annihilate_invariant():
-    bundle = default_model("ermakov")
+    bundle = model_bundle("ermakov")
     lw = bundle.observables["lewis"]
     rng = seeded_rng(4)
     worst = 0.0
@@ -237,7 +240,7 @@ def test_ermakov_frequency_coefficient_is_leafwise_constant():
 
 
 def test_ermakov_lewis_drift_along_flow():
-    bundle = default_model("ermakov")
+    bundle = model_bundle("ermakov")
     traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 5.0, 1e-3)
     lw = bundle.observables["lewis"]
     ref = lw(traj.states[0])
@@ -247,7 +250,7 @@ def test_ermakov_lewis_drift_along_flow():
 
 def test_ermakov_convergence_order():
     from folsys.integrate import convergence_order
-    bundle = default_model("ermakov")
+    bundle = model_bundle("ermakov")
     order = convergence_order(assemble(bundle.system), bundle.default_state,
                               0.0, 2.0, 0.01)
     assert 3.5 <= order <= 4.5
@@ -262,6 +265,15 @@ def test_ermakov_domain_guard():
                   0.0, 1.0, 1e-2)
 
 
+def test_ermakov_action_only_for_the_uncoupled_member():
+    omega2 = lambda t, I: 1.0  # noqa: E731
+    uncoupled = ermakov_system(ErmakovSpec(omega2=omega2, c1=0.0, c2=0.0))
+    assert uncoupled.action.name == "pairwise-linear"
+    assert uncoupled.action.kind == MATRIX
+    for c1, c2 in ((1.0, 1.0), (0.0, 0.5), (0.5, 0.0)):
+        assert ermakov_system(ErmakovSpec(omega2=omega2, c1=c1, c2=c2)).action is None
+
+
 # --- shared reduction ----------------------------------------------------------
 
 def test_equivalence_constant_hamiltonian_trivial():
@@ -269,7 +281,7 @@ def test_equivalence_constant_hamiltonian_trivial():
     # reconstructs its flow exactly from the identity curve
     spec = HamiltonJacobiSpec(1, H=lambda t, P: 1.0, dH=lambda t, P: np.zeros(1))
     x0 = np.array([0.3, 1.0])
-    for bundle in (hj_system(spec), lax_system(lax_from_hamiltonian(1, spec.dH))):
+    for bundle in (hj_system(spec), lax_system(spec)):
         direct = integrate(assemble(bundle.system), x0, 0.0, 2.0, 1e-3)
         assert np.all(direct.states == x0)
         assert reconstruction_error(bundle.system, bundle.action, direct) == 0.0

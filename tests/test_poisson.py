@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from folsys.algebra import (InvariantMetric, builtin_algebra, killing_form)
+from folsys.algebra import (InvariantMetric, LieAlgebra, builtin_algebra,
+                            killing_form)
 from folsys.errors import DimensionMismatchError
-from folsys.fields import lie_bracket_at, structure_residual
+from folsys.fields import VectorField, lie_bracket_at, structure_residual
 from folsys.foliated import assemble, leaf_of
-from folsys.models import default_model
 from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             aff_right_invariant_fields,
                             check_rmatrix_hamiltonian, hamiltonian_residual,
@@ -16,6 +16,8 @@ from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             poisson_bracket, rmatrix_bivector_aff)
 from folsys.util import (FuncWithGrad, coordinate_function, linear_form,
                          seeded_rng)
+
+from .conftest import model_bundle
 
 
 def sl2_setup():
@@ -60,10 +62,14 @@ def test_bracket_of_function_with_itself_vanishes():
 
 
 def test_kirillov_rejects_degenerate_metric():
-    glp = builtin_algebra("glp:1")
+    # the split extension [h, e] = 2 e: its Killing form diag(0, 4) is singular
+    c = np.zeros((2, 2, 2))
+    c[1, 0, 0] = 2.0
+    c[0, 1, 0] = -2.0
+    alg = LieAlgebra(2, ("e", "h"), c)
     from folsys.errors import MetricError
     with pytest.raises(MetricError):
-        InvariantMetric(glp, killing_form(glp))
+        InvariantMetric(alg, killing_form(alg))
 
 
 def test_abelian_kirillov_is_zero_bivector():
@@ -128,7 +134,7 @@ def test_foliated_lie_hamilton_adjoint_true():
 
 
 def test_foliated_lie_hamilton_zero_bivector_false():
-    hj = default_model("hamilton_jacobi")
+    hj = model_bundle("hamilton_jacobi")
     zero = PoissonBivector(4, lambda x: np.zeros((4, 4)),
                            dcoeff=lambda x: np.zeros((4, 4, 4)))
     candidates = [linear_form(np.eye(4)[i]) for i in range(2)]
@@ -159,15 +165,21 @@ def test_rmatrix_bivector_coefficients():
         L.matrix(np.array([-1.0, 0.0]))
 
 
+def _aff_h_field(n):
+    """X^R_h = 2a d/da + 2b d/db of the first of n affine factors."""
+    return VectorField(2 * n, lambda x: 2.0 * x * (np.arange(2 * n) < 2))
+
+
 def test_rmatrix_right_invariant_fields_bracket():
-    flds = aff_right_invariant_fields(1)
+    (X_e,) = aff_right_invariant_fields(1)
+    X_h = _aff_h_field(1)
     rng = seeded_rng(7)
     for _ in range(20):
         x = np.array([rng.uniform(0.5, 2.0), rng.uniform(-1, 1)])
         # right-invariant fields realize the opposite-sign bracket:
         # [X_h, X_e] = -2 X_e
-        br = lie_bracket_at(flds[1], flds[0], x)
-        assert np.max(np.abs(br + 2.0 * flds[0](x))) <= 1e-8
+        br = lie_bracket_at(X_h, X_e, x)
+        assert np.max(np.abs(br + 2.0 * X_e(x))) <= 1e-8
 
 
 def test_rmatrix_jacobiator_two_factors():
@@ -242,7 +254,7 @@ def _block_cases():
     aff_pairs = list(zip(aff_right_invariant_fields(2),
                          [ch.hamiltonian
                           for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]))
-    aff_pairs.append((aff_right_invariant_fields(2)[2], aff_cands[0]))
+    aff_pairs.append((_aff_h_field(2), aff_cands[0]))
     return [("kirillov", L, kir_cands, kir_pairs, kir_pts),
             ("rmatrix", Lr, aff_cands, aff_pairs, aff_pts)]
 

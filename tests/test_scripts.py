@@ -1,0 +1,28 @@
+"""The scripts under ``scripts/``, each run as a command in a subprocess."""
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(script: str, out: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPTS / script), "--out", str(out)],
+                          capture_output=True, text=True)
+
+
+def test_invariant_drift_shows_fourth_order_halving_ratios(tmp_path):
+    proc = _run("invariant_drift.py", tmp_path / "drift.csv")
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.splitlines()[-1]
+    assert line.startswith("halving ratios: ")
+    ratios = [float(r) for r in line.split(": ", 1)[1].split(", ")]
+    assert len(ratios) == 4 and all(15.0 <= r <= 17.0 for r in ratios), ratios
+    assert (tmp_path / "drift.csv").read_text().count("\n") == 6  # header + 5 steps
+
+
+def test_run_scenarios_passes_every_bundled_check(tmp_path):
+    proc = _run("run_scenarios.py", tmp_path / "all")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "33/33 checks passed"
+    assert (tmp_path / "all" / "report.json").is_file()

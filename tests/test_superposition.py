@@ -10,15 +10,17 @@ from folsys.errors import (DimensionMismatchError, FolsysError,
 from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
-from folsys.models import default_model, hj_system, sum_cos_spec, translation_rule
+from folsys.models import hj_system, sum_cos_spec, translation_rule
 from folsys.superposition import (SuperpositionRule, _sample_on_leaf, apply_rule,
                                   first_integral_residual, solve_parameters,
                                   verify_rule)
 from folsys.util import seeded_rng
 
+from .conftest import model_bundle
+
 
 def riccati_rule():
-    return default_model("riccati").rule
+    return model_bundle("riccati").rule
 
 
 def test_riccati_rule_values():
@@ -55,7 +57,7 @@ def test_riccati_rule_singular_inputs():
 
 @pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi", "lax"])
 def test_rule_over_a_block_equals_per_sample_bitwise(name):
-    bundle = default_model(name)
+    bundle = model_bundle(name)
     rule = bundle.rule
     rng = seeded_rng(11)
     sols = [bundle.system.realized.box.sample_many(rng, 40) for _ in range(rule.m)]
@@ -69,7 +71,7 @@ def test_rule_over_a_block_equals_per_sample_bitwise(name):
 
 @pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
 def test_verify_rule_applies_the_rule_once_per_trial(name):
-    bundle = default_model(name)
+    bundle = model_bundle(name)
     blocks = []
 
     def psi(sols, k):
@@ -78,26 +80,25 @@ def test_verify_rule_applies_the_rule_once_per_trial(name):
         return bundle.rule.psi(sols, k)
 
     counted = dataclasses.replace(bundle.rule, psi=psi)
-    verify_rule(counted, bundle.system, (0.0, 0.5), trials=3, seed=42, h=0.01,
-                min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    verify_rule(counted, bundle.system, (0.0, 0.5), trials=3, seed=42, h=0.01)
     # one reconstruction per trial, over all 51 samples of the grid
     assert blocks == [(51, bundle.system.dim)] * 3
 
 
 def test_hj_rule_translation():
-    rule = default_model("hamilton_jacobi").rule
+    rule = model_bundle("hamilton_jacobi").rule
     out = apply_rule(rule, [np.array([1.0, 2.0, 3.0, 4.0])], [10.0, 20.0])
     assert np.array_equal(out, [11.0, 22.0, 3.0, 4.0])
 
 
 def test_lax_rule_translation():
-    rule = default_model("lax").rule
+    rule = model_bundle("lax").rule
     out = apply_rule(rule, [np.array([5.0, 0.0, 3.0, 1.0])], [4.0, 0.0])
     assert np.array_equal(out, [9.0, 0.0, 3.0, 1.0])
 
 
 def test_apply_rule_dimension_checks():
-    rule = default_model("hamilton_jacobi").rule
+    rule = model_bundle("hamilton_jacobi").rule
     with pytest.raises(DimensionMismatchError):
         apply_rule(rule, [np.zeros(3)], [0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
@@ -114,7 +115,7 @@ def test_rule_parameter_count_guard():
 
 def test_constructed_rules_satisfy_count():
     for name in ("riccati", "hamilton_jacobi", "lax"):
-        rule = default_model(name).rule
+        rule = model_bundle(name).rule
         assert rule.vg_dim is not None
         assert rule.m * rule.param_dim >= rule.vg_dim
 
@@ -125,7 +126,7 @@ def test_translation_rule_hj_and_lax():
     out = apply_rule(rule, [np.array([5.0, 0.0, 3.0, 1.0])], [4.0, 0.0])
     assert np.array_equal(out, [9.0, 0.0, 3.0, 1.0])
     for name in ("hamilton_jacobi", "lax"):
-        bundle = default_model(name)
+        bundle = model_bundle(name)
         assert (bundle.rule.m, bundle.rule.param_dim) == (1, 2)
         assert apply_rule(bundle.rule, [np.array([5.0, 0.0, 3.0, 1.0])],
                           [4.0, 0.0]).tobytes() == out.tobytes()
@@ -133,7 +134,7 @@ def test_translation_rule_hj_and_lax():
 
 def test_leaf_preservation_of_derived_rules():
     for name in ("hamilton_jacobi", "lax"):
-        bundle = default_model(name)
+        bundle = model_bundle(name)
         rule = bundle.rule
         chart = bundle.system.chart
         rng = seeded_rng(8)
@@ -157,55 +158,53 @@ def test_first_integral_residual_hj():
 
 
 def test_first_integral_residual_lax():
-    lax = default_model("lax")
+    lax = model_bundle("lax")
     rng = seeded_rng(4)
     joint = rng.uniform(0.5, 2.0, size=(10, 2, 4))
     assert first_integral_residual(lax.rule, lax.system, joint) <= 1e-8
 
 
 def test_first_integral_residual_riccati_block_shape():
-    ric = default_model("riccati")
+    ric = model_bundle("riccati")
     with pytest.raises(DimensionMismatchError):
         first_integral_residual(ric.rule, ric.system, np.zeros((5, 3, 1)))
 
 
 def test_verify_rule_hj():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=42)
     assert rep.max_reconstruction_error <= 1e-8
 
 
 def test_verify_rule_lax():
-    bundle = default_model("lax")
+    bundle = model_bundle("lax")
     rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=42)
     assert rep.max_reconstruction_error <= 1e-8
 
 
 def test_verify_rule_riccati():
-    bundle = default_model("riccati")
-    rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=42,
-                      min_separation=0.15)
+    bundle = model_bundle("riccati")
+    rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=42)
     assert rep.max_reconstruction_error <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_rule_riccati_over_seeds(seed):
-    bundle = default_model("riccati")
-    rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=seed,
-                      h=0.02, min_separation=0.15)
+    bundle = model_bundle("riccati")
+    rep = verify_rule(bundle.rule, bundle.system, (0.0, 2.0), trials=3, seed=seed, h=0.02)
     assert rep.max_reconstruction_error <= 1e-6
     assert rep.first_integral <= 1e-8
 
 
 @pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
 def test_sample_on_leaf_raises_a_folsys_error_when_separation_is_impossible(name):
-    fs = default_model(name).system
+    fs = model_bundle(name).system
     with pytest.raises(FolsysError, match="could not draw separated sample points"):
         _sample_on_leaf(fs, seeded_rng(0), 3, min_separation=1e9)
 
 
 def test_verify_rule_wrong_rule_fails_a_row():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
     # F is the translation first integral, but psi ignores the parameter
     wrong = SuperpositionRule(m=1, state_dim=4, param_dim=2,
                               psi=lambda sols, k: sols[0].copy(),
@@ -217,18 +216,17 @@ def test_verify_rule_wrong_rule_fails_a_row():
 
 @pytest.mark.parametrize("name", ["riccati", "hamilton_jacobi"])
 def test_verify_rule_wrong_first_integral_fails(name):
-    bundle = default_model(name)
+    bundle = model_bundle(name)
     rule = bundle.rule
     # scaling the leaf coordinate of x breaks the invariance of F
     wrong = dataclasses.replace(
         rule, F=lambda x, sols: rule.F(x * np.r_[1.5, np.ones(x.shape[-1] - 1)], sols))
-    rep = verify_rule(wrong, bundle.system, (0.0, 1.0), trials=3, seed=42, h=0.05,
-                      min_separation=bundle.extras.get("rule_min_separation", 0.0))
+    rep = verify_rule(wrong, bundle.system, (0.0, 1.0), trials=3, seed=42, h=0.05)
     assert rep.first_integral > 1e-3  # superposition.first_integral: 1e-8
 
 
 def test_verify_rule_keeps_a_nan_reconstruction_error():
-    bundle = default_model("hamilton_jacobi")
+    bundle = model_bundle("hamilton_jacobi")
 
     def psi(sols, k):
         out = bundle.rule.psi(sols, k)
@@ -251,7 +249,7 @@ def test_solve_parameters_propagates_programming_errors():
 
 
 def test_solve_parameters_exactness_on_translations():
-    rule = default_model("hamilton_jacobi").rule
+    rule = model_bundle("hamilton_jacobi").rule
     sol = np.array([0.3, -0.2, 1.0, 1.5])
     target = np.array([1.1, 0.4, 1.0, 1.5])
     k, res = solve_parameters(rule, [sol], target)
@@ -295,7 +293,7 @@ def separated_samples(draw, n, copies, width):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_first_integral_inverts_the_rule(name, data):
-    rule = default_model(name).rule
+    rule = model_bundle(name).rule
     n = 6
     pts = data.draw(separated_samples(n, rule.m + 1, rule.state_dim))
     x, sols = pts[:, -1], [pts[:, i] for i in range(rule.m)]
@@ -311,7 +309,7 @@ def test_first_integral_inverts_the_rule(name, data):
 
 
 def test_riccati_cross_ratio_constant_along_flow():
-    bundle = default_model("riccati")
+    bundle = model_bundle("riccati")
     F = assemble(bundle.system)
     starts = [-0.8, -0.3, 0.3, 0.8]
     trajs = [integrate(F, np.array([u]), 0.0, 2.0, 1e-3) for u in starts]
