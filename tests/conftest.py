@@ -1,13 +1,14 @@
 """Let ``python -m folsys.cli`` subprocesses import this checkout's package,
 as ``pythonpath`` in pyproject.toml does for the test process itself; and
-share the bundles of the configured models and the count of particular
-solutions of a realization."""
+share the bundles of the configured models, the count of particular
+solutions of a realization, and the split extension [h, e] = 2 e."""
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from folsys.algebra import LieAlgebra
 from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import rank_at
 from folsys.util import seeded_rng
@@ -21,6 +22,23 @@ def model_bundle(name: str, **params):
     """The bundle of the model ``name`` of ``cli.MODELS``, its params at their
     defaults but for ``params``."""
     return build_bundle(ScenarioConfig(model=name, params=params))
+
+
+def split_extension(copies: int = 1) -> LieAlgebra:
+    """The split extension [h, e] = 2 e, or the block sum of ``copies`` of it
+    in the basis (e_1, ..., e_n, h_1, ..., h_n): a solvable algebra with
+    nonzero brackets and a nonzero, degenerate Killing form."""
+    n = copies
+    c = np.zeros((2 * n,) * 3)
+    for i in range(n):
+        c[n + i, i, i] = 2.0   # [h_i, e_i] = 2 e_i
+        c[i, n + i, i] = -2.0
+    labels = tuple(f"e{i + 1}" for i in range(n)) + tuple(f"h{i + 1}" for i in range(n))
+    return LieAlgebra(2 * n, labels, c)
+
+
+# the generators e, h of split_extension() as 2 x 2 matrices
+SPLIT_MATRICES = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
 
 
 def minimal_solution_count(ra, cap: int = 10, samples: int = 5):

@@ -6,6 +6,8 @@ from folsys.algebra import (InvariantMetric, LieAlgebra,
                             builtin_algebra, killing_form)
 from folsys.errors import MetricError
 
+from .conftest import SPLIT_MATRICES, split_extension
+
 
 def jacobi_loop_oracle(alg):
     # brute-force evaluation of the Jacobi sum, independent of the einsum path
@@ -72,8 +74,7 @@ def test_adjoint_matrix_abelian_zero_and_range():
 
 def test_adjoint_is_representation():
     # ad_{[x,y]} = ad_x ad_y - ad_y ad_x on basis pairs
-    for name in ("sl2", "abelian:3"):
-        alg = builtin_algebra(name)
+    for alg in (builtin_algebra("sl2"), split_extension(2)):
         r = alg.dim
         for a in range(r):
             for b in range(r):
@@ -95,12 +96,8 @@ def test_killing_form_abelian_zero():
 
 
 def test_killing_form_glp_degenerate():
-    # the split extension (e, h) with [h, e] = 2 e: K = diag(0, 4), nonzero
-    # and degenerate
-    c = np.zeros((2, 2, 2))
-    c[1, 0, 0] = 2.0
-    c[0, 1, 0] = -2.0
-    alg = LieAlgebra(2, ("e", "h"), c)
+    # the split extension [h, e] = 2 e: K = diag(0, 4), nonzero and degenerate
+    alg = split_extension()
     K = killing_form(alg)
     assert np.array_equal(K, killing_loop_oracle(alg))
     assert np.array_equal(K, np.diag([0.0, 4.0]))  # nilpotent e: vanishing row
@@ -116,18 +113,22 @@ def test_zero_killing_form_is_a_degenerate_metric():
 
 
 def test_killing_symmetric_and_invariant():
-    for name in ("sl2", "abelian:3"):
-        alg = builtin_algebra(name)
+    for alg in (builtin_algebra("sl2"), split_extension(2)):
         K = killing_form(alg)
         assert np.max(np.abs(K - K.T)) <= 1e-12
         assert ad_invariance_residual(alg, K) <= 1e-12
 
 
 def test_glp_hand_commutator():
-    # [h1, e1] = 2 e1 for e1 = [[0,1],[0,0]], h1 = [[2,0],[0,0]]
-    e1 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    h1 = np.array([[2.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(h1 @ e1 - e1 @ h1, 2.0 * e1)
+    # [h, e] = 2 e for e = [[0,1],[0,0]], h = [[2,0],[0,0]]: the matrices
+    # realize the structure constants of split_extension()
+    e, h = SPLIT_MATRICES
+    assert np.array_equal(h @ e - e @ h, 2.0 * e)
+    c = split_extension().structure
+    for a in range(2):
+        for b in range(2):
+            x, y = SPLIT_MATRICES[a], SPLIT_MATRICES[b]
+            assert np.array_equal(x @ y - y @ x, c[a, b, 0] * e + c[a, b, 1] * h)
 
 
 def test_invariant_metric_accepts_killing_sl2():

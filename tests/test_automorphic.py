@@ -24,10 +24,7 @@ from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, ermakov_matrix_actio
                            ermakov_system, hj_system, lax_system, sum_cos_spec)
 from folsys.util import seeded_rng
 
-from .conftest import model_bundle
-
-# generators e1, h1 of the split extension as 2 x 2 matrices: [h1, e1] = 2 e1
-GLP1 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
+from .conftest import SPLIT_MATRICES, model_bundle
 
 
 def test_action_axioms_hold_for_models():
@@ -243,7 +240,7 @@ def test_solve_abelian_constant_gradient():
 
 
 def test_solve_matrix_affine_exponentials():
-    e1, h1 = GLP1
+    e1, h1 = SPLIT_MATRICES
     sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), lambda t, k: np.ones(1))
     curve = solve_matrix(sys_e, np.zeros(0), 0.0, 1.0, 1e-3)
     # nilpotent generator: RK4 step polynomial equals the exponential exactly
@@ -257,7 +254,7 @@ def test_solve_matrix_affine_exponentials():
 
 
 def test_solve_matrix_zero_coefficients_identity():
-    asys = AutomorphicSystem.from_reduction(MATRIX, GLP1, lambda t, k: np.zeros(2))
+    asys = AutomorphicSystem.from_reduction(MATRIX, SPLIT_MATRICES, lambda t, k: np.zeros(2))
     curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.elements == np.eye(2))
 
@@ -459,7 +456,7 @@ def _matrix_cases():
         cases.append((reduce_system(b.system, b.action),
                       leaf_of(b.system.chart, np.array([1.0, 1.2, 0.3, -0.2]))))
     cases.append((AutomorphicSystem.from_reduction(
-        MATRIX, GLP1,
+        MATRIX, SPLIT_MATRICES,
         lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1)),
         np.zeros(0)))
     return cases

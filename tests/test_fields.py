@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folsys.algebra import LieAlgebra, builtin_algebra
+from folsys.algebra import builtin_algebra
 from folsys.errors import DimensionMismatchError
 from folsys.fields import (RealizedAlgebra, VectorField, directional_derivative,
                            lie_bracket_at, rank_at, structure_residual)
 from folsys.util import Box, seeded_rng
 
-from .conftest import model_bundle
+from .conftest import model_bundle, split_extension
 
 
 def const_field(dim, direction):
@@ -72,10 +72,7 @@ def test_glp_adjoint_realization_matches_structure():
     # fundamental fields of the adjoint flow: 2 v^2 d/dv1 and -2 v^1 d/dv1
     xe = VectorField(2, lambda v: v[..., ::-1] * [2.0, 0.0])
     xh = VectorField(2, lambda v: v * [-2.0, 0.0])
-    c = np.zeros((2, 2, 2))  # the split extension (e, h): [h, e] = 2 e
-    c[1, 0, 0] = 2.0
-    c[0, 1, 0] = -2.0
-    ra = RealizedAlgebra(LieAlgebra(2, ("e", "h"), c), (xe, xh),
+    ra = RealizedAlgebra(split_extension(), (xe, xh),
                          Box([-2, 0.5], [2, 2]))
     pts = ra.box.sample_many(seeded_rng(3), 50)
     # the fields are linear, so the value-only bracket is exact but for the

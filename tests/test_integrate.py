@@ -25,7 +25,7 @@ from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
                            ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
 
-from .conftest import model_bundle
+from .conftest import SPLIT_MATRICES, model_bundle
 
 EXP = TDependentVectorField(1, lambda t, x: x.copy())
 ZERO = TDependentVectorField(3, lambda t, x: np.zeros(3))
@@ -942,9 +942,8 @@ def test_solve_matrix_matches_reference_loop():
     erm = reduce_system(fs, ermakov_matrix_action(spec))
     k = leaf_of(fs.chart, np.array([1.0, 1.2, 0.3, -0.2]))
 
-    glp1 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
     glp = AutomorphicSystem.from_reduction(
-        MATRIX, glp1,
+        MATRIX, SPLIT_MATRICES,
         lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1))
 
     for asys, kk in ((erm, k), (glp, np.zeros(0))):

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from folsys.algebra import (InvariantMetric, LieAlgebra, builtin_algebra,
-                            killing_form)
+from folsys.algebra import (InvariantMetric, builtin_algebra, killing_form)
 from folsys.errors import DimensionMismatchError
 from folsys.fields import VectorField, lie_bracket_at, structure_residual
 from folsys.foliated import assemble, leaf_of
@@ -17,7 +16,7 @@ from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
 from folsys.util import (FuncWithGrad, coordinate_function, linear_form,
                          seeded_rng)
 
-from .conftest import model_bundle
+from .conftest import model_bundle, split_extension
 
 
 def sl2_setup():
@@ -63,10 +62,7 @@ def test_bracket_of_function_with_itself_vanishes():
 
 def test_kirillov_rejects_degenerate_metric():
     # the split extension [h, e] = 2 e: its Killing form diag(0, 4) is singular
-    c = np.zeros((2, 2, 2))
-    c[1, 0, 0] = 2.0
-    c[0, 1, 0] = -2.0
-    alg = LieAlgebra(2, ("e", "h"), c)
+    alg = split_extension()
     from folsys.errors import MetricError
     with pytest.raises(MetricError):
         InvariantMetric(alg, killing_form(alg))
