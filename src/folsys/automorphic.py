@@ -4,8 +4,9 @@ Sign bookkeeping, fixed once and used everywhere: the fundamental vector
 field of a generator v is X_v(x) = d/ds|_{s=0} act(exp(-s v), x), so the
 compatibility gate checks d/ds|_0 act(exp(+s A_a), x) = -X_a(x).  The
 reduced group system carries coefficients c_a(t,k) = -g_a(t,k); solving
-lambda' = c (abelian) or g' = (sum_a c_a A_a) g (matrix) from the identity
-and mapping x(t) = act(g(t), x0) reproduces the original flow.
+lambda' = sum_a c_a A_a (abelian) or g' = (sum_a c_a A_a) g (matrix), the
+Lie system of the group's fields, from the identity and mapping
+x(t) = act(g(t), x0) reproduces the original flow.
 """
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IncompatibleActionError
-from .fields import TDependentVectorField, VectorField
-from .foliated import FoliatedSystem, coefficient_values, leaf_of
-from .integrate import (DEFAULT_STEP, Trajectory, integrate, stage_blocks,
-                        time_grid)
+from .fields import VectorField
+from .foliated import FoliatedSystem, coefficient_values, leaf_of, lie_system
+from .integrate import DEFAULT_STEP, Trajectory, integrate
 from .util import seeded_rng
 
 GATE_TOL = 1e-6
@@ -178,65 +178,50 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
         kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs)
 
 
+def _group_curve(asys: AutomorphicSystem, fields, identity: np.ndarray, k,
+                 t0: float, t1: float, h: float, domain=None) -> GroupCurve:
+    """RK4 from the identity of the ``lie_system`` of the group's fields on
+    the flattened elements, with the reduced coefficients at the leaf k."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    F = lie_system(fields, lambda t, g: asys.coeffs(t, k), domain=domain)
+    traj = integrate(F, identity.ravel(), t0, t1, h)
+    return GroupCurve(asys.kind, traj.times,
+                      traj.states.reshape((-1,) + identity.shape), h)
+
+
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
                   h: float = DEFAULT_STEP) -> GroupCurve:
-    """RK4 of the abelian system lambda' = c(t, k) from the identity
-    (lambda(t0) = 0).
+    """RK4 of lambda' = sum_a c_a(t, k) A_a from lambda(t0) = 0.
 
-    The right-hand side depends on t only, so it is a time-only field whose
-    table is the coefficient map on a block's stage times, and ``integrate``
-    sums it a block at a time by Simpson's rule, bit for bit its RK4 loop.
-    Per stage (a block whose table raises) the map takes one time as an
-    array of one, so its shape is checked as on a table.  A non-finite node
-    raises BlowUpError with the curve before it as ``partial``.
+    The constant fields A_a make it time-only, so ``integrate`` sums it by
+    Simpson's rule a block of steps at a time, bit for bit its RK4 loop.  A
+    non-finite node raises BlowUpError with the curve before it as
+    ``partial``.
     """
     if asys.kind != ABELIAN:
         raise ValueError("solve_abelian requires an abelian system")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    r = len(asys.generators)
-    F = TDependentVectorField.tabled(r, lambda t, lam: asys.coeffs(np.full(1, t), k)[0],
-                                     lambda steps, times, lam0: asys.coeffs(times, k))
-    traj = integrate(F, np.zeros(r), t0, t1, h)
-    return GroupCurve(ABELIAN, traj.times, traj.states, h)
+    gens = asys.generators
+    return _group_curve(asys, [VectorField.constant(A) for A in gens],
+                        np.zeros(gens[0].shape), k, t0, t1, h)
 
 
 def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
                  h: float = DEFAULT_STEP) -> GroupCurve:
     """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
 
-    The coefficients of all stage times are evaluated before stepping, a
-    block of steps at a time, so an error in them raises first.  The
-    right-hand side is linear: on the row-major entries of g it is the
-    matrix sum_a c_a (A_a kron I), and ``integrate`` steps the curve by the
-    RK4 step matrices built from these matrices a block of steps at a time
+    On the row-major entries of g the fields are the linear fields
+    A_a kron I, stepped by the RK4 step matrices a block of steps at a time
     (within 1e-12 max(1, max|g|) of the per-stage loop).  The curve is not
-    reprojected onto the group; drift is measured by the caller, never
-    corrected here.  A determinant below the floor is a domain exit; errors
-    carry the flattened entries so far as ``partial``.
+    reprojected onto the group; drift is measured by the caller.  A
+    determinant below the floor is a domain exit; errors carry the
+    flattened entries so far as ``partial``.
     """
     if asys.kind != MATRIX:
         raise ValueError("solve_matrix requires a matrix system")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    gens = asys.generators
-    d = gens[0].shape[0]
-    grid = time_grid(t0, t1, h)
-    c = np.empty((3, grid.size - 1, len(gens)))
-    for steps, _, stages in stage_blocks(grid, 3 * d * d):
-        c[:, steps] = asys.coeffs(stages, k)
-    # g -> A g on the row-major entries of g
-    entry_gens = [np.kron(A, np.eye(d)) for A in gens]
-
-    def matrices(coeffs):
-        M = np.zeros(coeffs.shape[:-1] + (d * d, d * d))
-        for a, A in enumerate(entry_gens):
-            M += coeffs[..., a, None, None] * A
-        return M
-
-    F = TDependentVectorField.linear(
-        d * d, lambda t, g: matrices(asys.coeffs(t, k)) @ g,
-        lambda steps, times, g0: matrices(c[:, steps]), domain=_det_guard(d))
-    traj = integrate(F, np.eye(d).ravel(), t0, t1, h)
-    return GroupCurve(MATRIX, traj.times, traj.states.reshape(-1, d, d), h)
+    d = asys.generators[0].shape[0]
+    return _group_curve(asys, [VectorField.linear(np.kron(A, np.eye(d)))
+                               for A in asys.generators],
+                        np.eye(d), k, t0, t1, h, domain=_det_guard(d))
 
 
 def _det_guard(d: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -247,13 +232,6 @@ def _det_guard(d: int) -> Callable[[np.ndarray], np.ndarray]:
     if d == 2:
         return lambda g: np.abs(g[..., 0] * g[..., 3] - g[..., 1] * g[..., 2]) >= _DET_FLOOR
     return lambda g: np.abs(np.linalg.det(g.reshape(g.shape[:-1] + (d, d)))) >= _DET_FLOOR
-
-
-def solve_group(asys: AutomorphicSystem, k, t0: float, t1: float,
-                h: float = DEFAULT_STEP) -> GroupCurve:
-    if asys.kind == ABELIAN:
-        return solve_abelian(asys, k, t0, t1, h)
-    return solve_matrix(asys, k, t0, t1, h)
 
 
 def reconstruct(action: GroupAction, curve: GroupCurve, x0) -> Trajectory:
@@ -269,6 +247,7 @@ def reconstruction_error(fs: FoliatedSystem, action: GroupAction,
     x0 = direct.states[0]
     asys = reduce_system(fs, action, seed=seed)
     k = leaf_of(fs.chart, x0)
-    curve = solve_group(asys, k, direct.times[0], direct.times[-1], direct.step)
+    solve = solve_abelian if asys.kind == ABELIAN else solve_matrix
+    curve = solve(asys, k, direct.times[0], direct.times[-1], direct.step)
     rec = reconstruct(action, curve, x0)
     return float(np.max(np.abs(rec.states - direct.states)))

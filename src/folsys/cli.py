@@ -276,6 +276,10 @@ def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
     preset or a compiled expression."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+    # the abelian:<n> structure constants of the bundle are an (n, n, n) array
+    if n ** 3 > MAX_STATE_VALUES:
+        raise ConfigError(f"n = {n} needs n^3 = {n ** 3} structure constants; "
+                          f"at most {MAX_STATE_VALUES} values are allowed")
     if hamiltonian == "sum_cos":
         return mdl.sum_cos_spec(n)
     variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))

@@ -100,24 +100,24 @@ class TDependentVectorField:
 
     A field built by ``TDependentVectorField.tabled`` splits along a
     solution into values that depend on time alone and a function of the
-    state: at stage s of step k of a solution from x0, ``integrate`` steps
-    ``combine(table(steps, times, x0)[s, k'], x)``, building the values a
-    block of steps at a time: ``steps`` is a slice of the grid's steps,
-    k = steps.start + k', and ``times`` ``(3, K, ...)`` are their start,
-    midpoint and end times, broadcasting against ``x0.shape[:-1]``.  That
-    is ``func(t, x)`` where the table reads all ``func`` reads of x (a split
-    chart's labels); else (Ermakov's invariant) the table freezes the field
-    at x0's leaf, and ``func``, the full field, runs where a table raises.
+    state: at stage s of step k' of a block of steps of a solution from x0,
+    ``integrate`` steps ``combine(table(times, x0)[s, k'], x)``, building
+    the values a block at a time: ``times`` ``(3, K, ...)`` are the start,
+    midpoint and end times of the block's steps, broadcasting against
+    ``x0.shape[:-1]``.  That is ``func(t, x)`` where the table reads all
+    ``func`` reads of x (a split chart's labels); else (Ermakov's invariant)
+    the table freezes the field at x0's leaf, and ``func``, the full field,
+    runs where a table raises a ConfigError.
 
     A field with a ``table`` and no ``combine`` is time-only: along a
     solution its value depends on time alone, and the table rows
     ``(3, K, ..., N)`` are its values, so ``func(t, x)`` equals
-    ``table(steps, times, x0)[s, k']`` at every stage state x.  ``integrate``
+    ``table(times, x0)[s, k']`` at every stage state x.  ``integrate``
     then sums each block of steps at once (Simpson's rule).
 
     A field built by ``TDependentVectorField.linear`` is linear along a
-    solution: at stage s of step k, ``func(t, x)`` equals ``A x`` with A
-    ``matrices(steps, times, x0)[s, k']`` ``(..., N, N)``, and ``integrate``
+    solution: at stage s of step k', ``func(t, x)`` equals ``A x`` with A
+    ``matrices(times, x0)[s, k']`` ``(..., N, N)``, and ``integrate``
     steps it by the RK4 step matrices of a block of steps.
 
     ``table``, ``combine`` and ``matrices`` are carried by ``func`` itself,
@@ -133,14 +133,14 @@ class TDependentVectorField:
     def tabled(cls, dim: int, func, table, combine=None, domain=None,
                name: str = "") -> "TDependentVectorField":
         """The field ``func``, declared to split along a solution into
-        ``table(steps, times, x0)`` and ``combine`` (time-only without one)."""
+        ``table(times, x0)`` and ``combine`` (time-only without one)."""
         return cls(dim, _Along(func, table=table, combine=combine), domain=domain, name=name)
 
     @classmethod
     def linear(cls, dim: int, func, matrices, domain=None,
                name: str = "") -> "TDependentVectorField":
         """The field ``func``, declared linear along a solution with the
-        stage matrices ``matrices(steps, times, x0)``."""
+        stage matrices ``matrices(times, x0)``."""
         return cls(dim, _Along(func, matrices=matrices), domain=domain, name=name)
 
     table = property(lambda s: s.func.table if isinstance(s.func, _Along) else None)

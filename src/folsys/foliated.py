@@ -142,7 +142,26 @@ def coefficient_values(coeffs, r: int, t, x: np.ndarray) -> np.ndarray:
 
 
 def assemble(fs: FoliatedSystem) -> TDependentVectorField:
-    """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x).
+    """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x), the
+    ``lie_system`` of the realized fields and the system's other parts."""
+    return lie_system(fs.realized.fields, fs.coeffs, fs.domain, fs.combine, fs.name)
+
+
+def _coefficient_sum(c, terms, shape):
+    """sum_a c[..., a] terms[a], of shape ``c.shape[:-1] + shape``: from
+    zeros, in field order, a None term skipped."""
+    out = np.zeros(c.shape[:-1] + shape)
+    axes = (None,) * len(shape)
+    for a, term in enumerate(terms):
+        if term is not None:
+            out += c[(..., a) + axes] * term
+    return out
+
+
+def lie_system(fields, coeffs, domain=None, combine=None,
+               name: str = "") -> TDependentVectorField:
+    """The Lie system eval(t,x) = sum_a c_a(t,x) X_a(x) of the fields X_a
+    and the coefficient map ``coeffs`` (see FoliatedSystem).
 
     ``x`` is one state ``(N,)`` or a batch ``(B, N)``.  Each field and the
     coefficient map are called once on the whole array; a field must return
@@ -155,68 +174,82 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     of the block at x0's labels (see FoliatedSystem), so ``integrate``
     calls the map once per block of steps instead of four times per step.
 
-    The route is read from the realized fields when every one declares its
-    ``terms`` (``VectorField.polynomial``):
+    The route is read from the fields when every one declares its
+    ``terms`` (``VectorField.polynomial``).  Each stage table is a
+    coefficient sum sum_a c_a T_a, from zeros and in field order:
 
     - all constant (a ``value``: the translations of hamilton_jacobi and
-      lax): the field is time-only; its table holds the values
-      sum_a g_a X_a of every stage, formed in the order of operations of
-      the per-stage sum, and it has no ``combine``;
-    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields): the
-      field is linear along a solution (``TDependentVectorField.linear``)
-      with stage matrices sum_a g_a M_a;
+      lax, the abelian group curves): the field is time-only; its table
+      holds the values sum_a c_a X_a of every stage, and it has no
+      ``combine``;
+    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields, the
+      matrix group curves): the field is linear along a solution
+      (``TDependentVectorField.linear``) with stage matrices sum_a c_a M_a;
     - any other mix whose terms of degree 1 and 2 act coordinatewise (the
       Riccati fields 1, x and x^2): a fused stage.  Its table holds, per
-      stage, the coefficients of x^0, x^1 and x^2 summed over the fields
-      from 0.0, laid out ``(3, ..., N)`` ahead of the rows, and the stage
-      is ``out = c1 * x; out += c0; out += c2 * x^2``, which calls no
-      field and checks no shape.  It is the per-field sum regrouped by
-      degree; with one unit field per degree in the order 1, x, x^2
-      (Riccati) it is that sum bit for bit, with its ``float_power`` and
-      the sign of its zeros.
+      stage, the coefficients of x^0, x^1 and x^2 summed over the fields,
+      laid out ``(3, ..., N)`` ahead of the rows, and the stage is
+      ``out = c1 * x; out += c0; out += c2 * x^2``, which calls no field
+      and checks no shape.  It is the per-field sum regrouped by degree;
+      with one unit field per degree in the order 1, x, x^2 (Riccati) it
+      is that sum bit for bit, with its ``float_power`` and the sign of
+      its zeros.
 
-    Any other field combines the table rows with the state by the system's
-    declared ``combine`` (coupled Ermakov), or else by the per-field sum
+    Any other field combines the table rows with the state by ``combine``
+    (coupled Ermakov), or else by the per-field sum
     ``out = 0.0; out += c_a X_a(x)``, each field called once per stage.
     Per stage, ``func`` runs the same on the coefficients at its own t, x.
     """
-    flds = tuple((X.name, X.func) for X in fs.realized.fields)
-    coeffs = fs.coeffs
-    r = len(flds)
-    polys = [X.terms for X in fs.realized.fields]
+    fields = tuple(fields)
+    dim, r = fields[0].dim, len(fields)
+    polys = [X.terms for X in fields]
 
     def per_field(c, x):
         # entry a is the coefficient of field a: one number for all states,
         # or a column of one per state (c.T[..., None] for a batch (B, r))
         cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
         out = np.zeros(x.shape)
-        for a, (name, field) in enumerate(flds):
-            v = np.asarray(field(x), dtype=float)
+        for a, X in enumerate(fields):
+            v = np.asarray(X.func(x), dtype=float)
             if v.shape != x.shape:
                 raise DimensionMismatchError(
-                    f"field {name!r} returned shape {v.shape} for states "
+                    f"field {X.name!r} returned shape {v.shape} for states "
                     f"of shape {x.shape}")
             out += cols[a] * v
         return out
 
-    combine = fs.combine or per_field
+    combine = combine or per_field
 
     def func(t, x):
         return combine(coefficient_values(coeffs, r, t, x), x)
+
+    def table(times, x0):
+        # the coefficients at the labels of x0, all a map reads of x
+        c = coefficient_values(coeffs, r, times,
+                               np.broadcast_to(x0, times.shape[:2] + x0.shape).copy())
+        return np.broadcast_to(c, times.shape + c.shape) if c.ndim == 1 else c
+
+    values, matrices = [X.value for X in fields], [X.matrix for X in fields]
+    if all(v is not None for v in values):
+        return TDependentVectorField.tabled(
+            dim, func, lambda times, x0: _coefficient_sum(table(times, x0), values, (dim,)),
+            domain=domain, name=name)
+    if all(m is not None for m in matrices):
+        return TDependentVectorField.linear(
+            dim, func, lambda t, x0: _coefficient_sum(table(t, x0), matrices, (dim, dim)),
+            domain=domain, name=name)
+    if not all(t is not None and all(m is None or m.ndim == 1 for m in t) for t in polys):
+        return TDependentVectorField.tabled(dim, func, table, combine,
+                                            domain=domain, name=name)
+    # the terms of each power of x, over the fields
+    powers = [[t[d] if d < len(t) else None for t in polys] for d in range(3)]
 
     def by_degree(c, axis):
         # coefficients (..., r) -> those of x^0, x^1 and x^2 (..., 3, ..., N),
         # the power axis at ``axis``, so a stage reads c[d] with no transpose.
         # The zeros start the sums as per_field starts its own (0.0 + c0); an
         # absent power keeps 0, whose products the 0.0 + c0 term absorbs
-        shape = c.shape[:-1] + (fs.dim,)
-        out = np.zeros(shape[:axis] + (3,) + shape[axis:])
-        powers = np.moveaxis(out, axis, 0)
-        for a, terms in enumerate(polys):
-            for d, term in enumerate(terms):
-                if term is not None:
-                    powers[d] += c[..., a, None] * term
-        return out
+        return np.stack([_coefficient_sum(c, p, (dim,)) for p in powers], axis)
 
     def fused(c, x):
         out = c[1] * x
@@ -224,46 +257,9 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
         out += c[2] * np.float_power(x, 2)
         return out
 
-    def table(steps, times, x0):
-        # the coefficients at the labels of x0, all a map reads of x
-        lead = times.shape[:2]
-        c = coefficient_values(coeffs, r, times,
-                               np.broadcast_to(x0, lead + x0.shape).copy())
-        return np.broadcast_to(c, lead + c.shape) if c.ndim == 1 else c
-
-    values = [X.value for X in fs.realized.fields]
-    if all(v is not None for v in values):
-        def stage_values(steps, times, x0):
-            c = table(steps, times, x0)
-            out = np.zeros(times.shape[:2] + x0.shape)
-            for a, v in enumerate(values):
-                out += c[..., a, None] * v
-            return out
-
-        return TDependentVectorField.tabled(fs.dim, func, stage_values,
-                                            domain=fs.domain, name=fs.name)
-    matrices = [X.matrix for X in fs.realized.fields]
-    if all(m is not None for m in matrices):
-        def stage_matrices(steps, times, x0):
-            c = table(steps, times, x0)
-            out = np.zeros(c.shape[:-1] + (fs.dim, fs.dim))
-            for a, m in enumerate(matrices):
-                out += c[..., a, None, None] * m
-            return out
-
-        return TDependentVectorField.linear(fs.dim, func, stage_matrices,
-                                            domain=fs.domain, name=fs.name)
-    if all(t is not None and all(m is None or m.ndim == 1 for m in t) for t in polys):
-        def stage_table(steps, times, x0):
-            return by_degree(table(steps, times, x0), 2)
-
-        def fused_func(t, x):
-            return fused(by_degree(coefficient_values(coeffs, r, t, x), 0), x)
-
-        return TDependentVectorField.tabled(fs.dim, fused_func, stage_table, fused,
-                                            domain=fs.domain, name=fs.name)
-    return TDependentVectorField.tabled(fs.dim, func, table, combine,
-                                        domain=fs.domain, name=fs.name)
+    return TDependentVectorField.tabled(
+        dim, lambda t, x: fused(by_degree(coefficient_values(coeffs, r, t, x), 0), x),
+        lambda times, x0: by_degree(table(times, x0), 2), fused, domain=domain, name=name)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BlowUpError, DomainExitError, ErrorFloorError, FolsysError
+from .errors import BlowUpError, ConfigError, DomainExitError, ErrorFloorError
 from .fields import TDependentVectorField
 
 DEFAULT_STEP = 1e-3
@@ -75,24 +75,6 @@ def time_grid(t0: float, t1: float, h: float) -> np.ndarray:
     return times
 
 
-def stage_times(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps ``(T-1, ...)`` of a grid ``(T,)``, or of grids side by side
-    ``(T, B)``, and their RK4 stage times ``(3, T-1, ...)``: the start,
-    midpoint and end of each step."""
-    t = grids[:-1]
-    dt = grids[1:] - t
-    return dt, np.stack([t, t + 0.5 * dt, t + dt])
-
-
-def stage_blocks(grid: np.ndarray, per_step: int):
-    """The steps of a grid ``(T,)``, or of grids side by side ``(T, B)``, in
-    consecutive blocks of at most ``TABLE_BLOCK // per_step`` steps (at least
-    one): per block, the slice of its steps and their ``stage_times``."""
-    size = max(1, TABLE_BLOCK // per_step)
-    for k in range(0, len(grid) - 1, size):
-        yield (slice(k, k + size), *stage_times(grid[k:k + size + 1]))
-
-
 def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
               h: float | list[float] = DEFAULT_STEP) -> Trajectory:
     """Classical 4th-order Runge-Kutta from t0 to t1 (reached exactly).
@@ -135,12 +117,15 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
       order, the loop's states bit for bit (see ``_sum_block``).
     - Any other field is called per stage with the stage times.
 
-    A block whose table or matrices raise a FolsysError runs per stage, so
-    the error surfaces at its own step.  No route warns about an overflow or
-    an invalid value in its steps (the RK4 loop runs each block under one
-    ``np.errstate``): the first non-finite state raises BlowUpError with the
-    loop's partial trajectory, and the domain guard checks the states
-    before it in step order, also when a ``combine`` raises past them.
+    A block whose table or matrices raise a ConfigError (a coefficient
+    that cannot be evaluated at some time) runs per stage, so the error
+    surfaces at its own step; any other error of a table, such as the
+    DimensionMismatchError of a map of the wrong shape, raises.  No route
+    warns about an overflow or an invalid value in its steps or its domain
+    guard (each block is stepped and checked under one ``np.errstate``):
+    the first non-finite state raises BlowUpError with the loop's partial
+    trajectory, and the domain guard checks the states before it in step
+    order, also when a ``combine`` raises past them.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
@@ -164,14 +149,14 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
     for k0, dts, f, values in _stage_values(F, x0, grid):
-        if f in _BLOCK_ROUTES:
-            f(states[k0:k0 + len(dts) + 1], dts, values)
-            _guard_block(states, k0, len(dts), times, h, inside)
-            continue
-        x = states[k0].copy()
-        k = k0
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if f in _BLOCK_ROUTES:
+                f(states[k0:k0 + len(dts) + 1], dts, values)
+                _guard_block(states, k0, len(dts), times, h, inside)
+                continue
+            x = states[k0].copy()
+            k = k0
+            try:
                 for k, dt, t, mid, end in zip(count(k0), dts, *values):
                     k1 = f(t, x)
                     k2 = f(mid, x + 0.5 * dt * k1)
@@ -182,15 +167,17 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
                     if f is F:  # a user's domain may take one step, its field fail past it
                         _guard_block(states, k, 1, times, h, inside)
                 k += 1
-        finally:
-            if f is not F:  # the block's states, or those before a raising stage
-                _guard_block(states, k0, k - k0, times, h, inside)
+            finally:
+                if f is not F:  # the block's states, or those before a raising stage
+                    _guard_block(states, k0, k - k0, times, h, inside)
     return Trajectory(times, states, h)
 
 
 def _stage_values(F, x0, grid):
-    """Per block of steps of ``grid``: its first step, the steps dt, how to
-    step it, and the field's values at the start, midpoint and end of each
+    """Per block of at most ``TABLE_BLOCK // (3 * x0.size)`` steps (at
+    least one) of ``grid`` ``(T,)``, or of grids side by side ``(T, B)``:
+    its first step, the steps dt, how to step it, and the field's values at
+    the stage times ``(3, K, ...)``, the start, midpoint and end of each
     step.  The block routes ``_product_block`` and ``_sum_block`` take the
     stage matrices or the stage values of a time-only field, with dt shaped
     to multiply them.  Otherwise the RK4 loop calls f(value, x) on table
@@ -204,13 +191,18 @@ def _stage_values(F, x0, grid):
         table, combine = F.matrices, _product_block
     elif F.combine is not None:  # F's class, so a subclass sees each stage
         combine = replace(F, func=F.combine)
-    for steps, dt, times in stage_blocks(grid, 3 * x0.size):
+    size = max(1, TABLE_BLOCK // (3 * x0.size))
+    for k0 in range(0, len(grid) - 1, size):
+        block = grid[k0:k0 + size + 1]
+        t = block[:-1]
+        dt = block[1:] - t
+        times = np.stack([t, t + 0.5 * dt, t + dt])
         f, values = F, times
         if table is not None:
             try:
-                values = table(steps, times[..., None] if spread else times, x0)
+                values = table(times[..., None] if spread else times, x0)
                 f = combine
-            except FolsysError:
+            except ConfigError:
                 pass  # per stage, so the error surfaces at its own step
         if f in _BLOCK_ROUTES:
             dt = dt.reshape(dt.shape + (1,) * (values.ndim - 1 - dt.ndim))
@@ -220,7 +212,7 @@ def _stage_values(F, x0, grid):
             dt = dt.tolist()
             if f is F:
                 values = values.tolist()
-        yield steps.start, dt, f, values
+        yield k0, dt, f, values
 
 
 def _sum_block(block, dt, v):
@@ -231,10 +223,9 @@ def _sum_block(block, dt, v):
     step (Hairer, Norsett, Wanner, *Solving ODEs I*, Sec. II.1): the
     increments (dt/6)(v0 + 2 v1 + 2 v1 + v2), in the order of operations of
     the RK4 loop, added to the last state in step order, equal the loop's
-    states bit for bit.  Non-finite values are not warned about."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        block[1:] = (dt / 6.0) * (v[0] + 2.0 * v[1] + 2.0 * v[1] + v[2])
-        np.add.accumulate(block, axis=0, out=block)
+    states bit for bit."""
+    block[1:] = (dt / 6.0) * (v[0] + 2.0 * v[1] + 2.0 * v[1] + v[2])
+    np.add.accumulate(block, axis=0, out=block)
 
 
 def _product_block(block, dt, A):
@@ -250,19 +241,18 @@ def _product_block(block, dt, A):
     for the whole block by batched matmuls.  The loop's stage sum
     (K1 + 2 K2 + 2 K3 + K4) x can overflow a step before its state does;
     the state after such a step is set to inf, so the blow-up is at the
-    loop's step.  Non-finite values are not warned about."""
+    loop's step."""
     eye = np.eye(A.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        K1 = A[0]
-        K2 = A[1] @ (eye + (0.5 * dt) * K1)
-        K3 = A[1] @ (eye + (0.5 * dt) * K2)
-        K4 = A[2] @ (eye + dt * K3)
-        S = K1 + 2.0 * K2 + 2.0 * K3 + K4
-        P = eye + (dt / 6.0) * S
-        cols = block[..., None]  # each state a column, written in place
-        for k, step in enumerate(P):
-            np.matmul(step, cols[k], out=cols[k + 1])
-        sums = S @ cols[:-1]
+    K1 = A[0]
+    K2 = A[1] @ (eye + (0.5 * dt) * K1)
+    K3 = A[1] @ (eye + (0.5 * dt) * K2)
+    K4 = A[2] @ (eye + dt * K3)
+    S = K1 + 2.0 * K2 + 2.0 * K3 + K4
+    P = eye + (dt / 6.0) * S
+    cols = block[..., None]  # each state a column, written in place
+    for k, step in enumerate(P):
+        np.matmul(step, cols[k], out=cols[k + 1])
+    sums = S @ cols[:-1]
     block[1:][~np.isfinite(sums).reshape(len(sums), -1).all(axis=1)] = np.inf
 
 

@@ -113,21 +113,14 @@ def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
     """Draw ``count`` points that share one random leaf of the foliation."""
     chart = fs.chart
     box = fs.realized.box
-    if chart.n_labels == 0:
-        for _ in range(200):
-            pts = [box.sample(rng) for _ in range(count)]
-            if min_separation <= 0.0 or _separated(pts, min_separation):
-                return pts
-        raise FolsysError("could not draw separated sample points")
-    if not chart.is_split:
+    if chart.n_labels and not chart.is_split:
         raise ValueError("leaf sampling needs a split chart")
-    labels = box.sample(rng)[chart.leaf_dim:]
+    labels = box.sample(rng)[chart.leaf_dim:] if chart.n_labels else None
     for _ in range(200):
-        pts = []
-        for _ in range(count):
-            x = box.sample(rng)
-            x[chart.leaf_dim:] = labels
-            pts.append(x)
+        pts = [box.sample(rng) for _ in range(count)]
+        if labels is not None:
+            for x in pts:
+                x[chart.leaf_dim:] = labels
         if min_separation <= 0.0 or _separated(pts, min_separation):
             return pts
     raise FolsysError("could not draw separated sample points")

@@ -273,18 +273,27 @@ def test_solve_matrix_errors_carry_partial():
         assert np.all(np.isfinite(partial.states))
 
 
-def test_solve_matrix_raises_a_coefficient_error_before_stepping():
-    # g' = 1e3 g overflows in the first steps; the coefficients cannot be
-    # evaluated at the stage times from t = 0.9 on, a later block
+def test_solve_matrix_blows_up_before_a_later_coefficient_error():
+    # g' = 1e3 g overflows near t = 0.70; the coefficients cannot be
+    # evaluated from t = 0.9 on.  The curve steps as the per-stage loop
+    # does, calling the map once per block of 341 steps as it reaches it
+    calls = []
+
     def coeffs(t, k):
+        calls.append(np.shape(t))
         if np.any(np.asarray(t) >= 0.9):
             raise ConfigError("cannot be evaluated")
         return np.full(np.shape(t) + (1,), -1e3)
 
     asys = AutomorphicSystem.from_reduction(MATRIX, (np.eye(2),), coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConfigError, match="cannot be evaluated"):
-            solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+    with pytest.raises(BlowUpError) as got:
+        solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+    assert calls == [(3, 341)] * (got.value.partial.times.size // 341 + 1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as want:
+        _solve_matrix_on_integrate(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+    assert got.value.t == want.value.t
+    assert got.value.partial.times.tobytes() == want.value.partial.times.tobytes()
+    _assert_within_tolerance(got.value.partial.states, want.value.partial.states)
 
 
 def test_solve_matrix_memory_per_sample():
@@ -491,6 +500,20 @@ def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
             _assert_within_tolerance(curve.elements, ref.states.reshape(-1, 2, 2))
             again = solve_matrix(asys, k, 0.3, 1.7, 0.07)
             assert curve.elements.tobytes() == again.elements.tobytes()
+        # one reduced-map call per block, on its stage times: blocks of 3
+        # steps of the matrix entries, of 6 steps of an abelian curve in R^2
+        for kind, gens, solve, sizes in (
+                (MATRIX, SPLIT_MATRICES, solve_matrix, [3] * 6 + [2]),
+                (ABELIAN, tuple(np.eye(2)), solve_abelian, [6, 6, 6, 2])):
+            shapes = []
+
+            def coeffs(t, k):
+                shapes.append(np.shape(t))
+                return np.stack([np.sin(t), np.cos(t)], axis=-1)
+
+            solve(AutomorphicSystem.from_reduction(kind, gens, coeffs), np.zeros(0),
+                  0.3, 1.7, 0.07)
+            assert shapes == [(3, n) for n in sizes]
 
 
 def test_the_closed_form_determinant_guard_agrees_with_numpy():

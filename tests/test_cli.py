@@ -478,6 +478,8 @@ def test_cli_config_error_exit_code(tmp_path):
     {"model": "lax", "params": {"n": 2.7}},
     {"model": "lax", "params": {"n": True}},
     {"model": "lax", "params": {"n": "3"}},
+    # the abelian:n structure constants alone would be 10**12 values
+    {"model": "hamilton_jacobi", "params": {"n": 10 ** 4}},
     {"initial_state": [[0.0, 0.0, 1.0, 1.5]]},
     {"integration": [1, 2]},
     {"params": [1]},

@@ -61,6 +61,21 @@ def test_assemble_zero_coefficients():
     assert np.all(F(1.3, np.array([0.1, 0.2, 1.0, 1.5])) == 0.0)
 
 
+@pytest.mark.parametrize("name", tuple(MODELS))
+def test_an_x_independent_coefficient_row_steps_a_batch_on_one_grid(name):
+    # a map that reads neither t nor x may return one row (r,), which every
+    # route broadcasts over the rows of a batch on one grid, each row bit
+    # for bit its own run
+    fs = _bundle(name).system
+    row = np.linspace(0.2, 0.6, len(fs.realized.fields))
+    F = assemble(dataclasses.replace(fs, coeffs=lambda t, x: row))
+    X = fs.realized.box.sample_many(seeded_rng(3), 3)
+    batch = integrate(F, X, 0.0, 0.5, 0.05)
+    for i, x0 in enumerate(X):
+        single = integrate(F, x0, 0.0, 0.5, 0.05)
+        assert batch.states[:, i].tobytes() == single.states.tobytes()
+
+
 def test_assemble_rejects_coefficient_map_of_wrong_shape():
     fs = hj_system(sum_cos_spec(2)).system
     for wrong in (lambda t, x: np.zeros(3), lambda t, x: 0.0):
@@ -295,10 +310,15 @@ def test_coefficient_map_of_wrong_shape_at_an_array_of_times_raises():
     for wrong in (lambda t, x: np.stack([np.cos(t), np.sin(t)]),
                   lambda t, x: np.zeros(np.shape(t) + (3,)),
                   lambda t, x: np.zeros((1, 2))):
+        broken = FoliatedSystem(fs.realized, wrong, fs.chart)
         with pytest.raises(DimensionMismatchError):
             coefficient_values(wrong, 2, ts, xs)
         with pytest.raises(DimensionMismatchError):
-            verify_foliated(FoliatedSystem(fs.realized, wrong, fs.chart), trials=3)
+            verify_foliated(broken, trials=3)
+        # the table raises; it does not fall back to the per-stage field,
+        # where a float time gives coefficients first the shape (2,)
+        with pytest.raises(DimensionMismatchError):
+            integrate(assemble(broken), np.array([0.1, 0.2, 1.0, 1.5]), 0.0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("name", _VERIFIED)

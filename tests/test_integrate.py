@@ -461,7 +461,7 @@ def _time_only_field(value, domain=None):
     """Time-only field of dimension 1 whose value at time t is value(t)."""
     return TDependentVectorField.tabled(
         1, lambda t, x: np.array([value(t)]),
-        lambda steps, times, x0: value(times)[..., None], domain=domain)
+        lambda times, x0: value(times)[..., None], domain=domain)
 
 
 def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
@@ -603,7 +603,7 @@ def _linear_field(value, domain=None):
     M = np.array([[1.0, 1.0], [-1.0, 0.5]])
     return TDependentVectorField.linear(
         2, lambda t, x: np.asarray(value(t))[..., None] * (x @ M.T),
-        lambda steps, times, x0: value(times)[..., None, None] * M, domain=domain)
+        lambda times, x0: value(times)[..., None, None] * M, domain=domain)
 
 
 def _assert_raises_as_per_stage(F, error, x0, t1, h):

@@ -107,3 +107,16 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     assert {"superposition.SuperpositionRule.psi", "fields.VectorField.func"} <= {
         qualified for qualified, _ in dataclass_fields(ROOT / "src" / "folsys")}
     assert unread_fields(ROOT) == []
+
+
+def test_only_foliated_builds_tabled_or_linear_fields():
+    # every Lie system, foliated or on a group, is built by foliated.lie_system
+    callers = set()
+    for path in (ROOT / "src" / "folsys").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("tabled", "linear")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "TDependentVectorField"):
+                callers.add(path.name)
+    assert callers == {"foliated.py"}
