@@ -38,6 +38,8 @@ from .superposition import rule_points, rule_report
 from .util import coordinate_function, seeded_rng
 
 REPORT_FORMATS = ("json", "csv")
+CONFIG_KEYS = ("model", "params", "integration", "checks", "seed", "initial_state",
+               "out", "format")
 RULE_TRIALS = 3
 MAX_STEPS = 10 ** 6  # cap on (t1 - t0) / step, the RK4 steps of one grid
 # cap on samples x batch rows x state dim of the scenario's RK4 batch: 40 MB
@@ -214,6 +216,11 @@ class ScenarioConfig:
         for key, section in (("integration", integ), ("params", params)):
             if not isinstance(section, dict):
                 raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+        for key, section, known in (("config", raw, CONFIG_KEYS),
+                                    ("integration", integ, ("t0", "t1", "step"))):
+            if set(section) - set(known):
+                raise ConfigError(f"unknown {key} keys {sorted(set(section) - set(known))}; "
+                                  f"known: {known}")
         t0 = _number("t0", integ.get("t0", 0.0))
         t1 = _number("t1", integ.get("t1", 2.0))
         step = _number("step", integ.get("step", 1e-3))
@@ -224,6 +231,9 @@ class ScenarioConfig:
         for c in checks:
             if c not in tuple(CHECKS):  # a tuple, as for the model name
                 raise ConfigError(f"unknown check {c!r}; known: {tuple(CHECKS)}")
+        if not checks or len(set(checks)) < len(checks):
+            raise ConfigError(f"checks must name at least one check, each once; "
+                              f"got {list(checks)}")
         init = raw.get("initial_state")
         if init is not None:
             # one flat state: a nested list would reach the integrator as a batch
@@ -371,9 +381,9 @@ def _leaf_drift(s: Scenario):
 def _superposition(s: Scenario):
     if isinstance(s.rule_runs, FolsysError):
         raise s.rule_runs
-    rep = rule_report(s.bundle.rule, s.bundle.system, s.rule_runs, RULE_TRIALS)
-    tol = 1e-6 if s.bundle.name == "riccati" else 1e-8
-    yield [("superposition.reconstruction", rep.max_reconstruction_error, tol),
+    rule = s.bundle.rule
+    rep = rule_report(rule, s.bundle.system, s.rule_runs, RULE_TRIALS)
+    yield [("superposition.reconstruction", rep.max_reconstruction_error, rule.tolerance),
            ("superposition.first_integral", rep.first_integral, 1e-8)]
 
 

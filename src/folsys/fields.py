@@ -17,30 +17,26 @@ from .util import FD_SCALE, Box, grad_fd
 RANK_RTOL = 1e-10
 
 
-class _Polynomial:
-    """Points ``(..., N)`` to sum_d terms[d] x^d: each term None, a vector
-    ``(N,)`` scaling x^d coordinatewise (x^0 = 1) or a matrix ``(N, N)``; x^2
-    is libm's ``np.float_power(x, 2)``, not numpy's square (a last-bit gap)."""
+class _Declared:
+    """Points ``(..., N)`` to the constant ``value`` ``(N,)`` or to
+    ``matrix @ x``, ``matrix`` ``(N, N)``: the func of a field that carries
+    the one it is built from, read-only."""
 
-    def __init__(self, terms):
-        self.terms = tuple(None if c is None else np.array(c, dtype=float) for c in terms)
-        for c in filter(lambda c: c is not None, self.terms):
-            c.setflags(write=False)
+    def __init__(self, value=None, matrix=None):
+        self.value, self.matrix = value, matrix
+        (value if matrix is None else matrix).setflags(write=False)
 
     def __call__(self, x):
-        powers = (np.ones(x.shape), x, np.float_power(x, 2) if len(self.terms) > 2 else None)
-        parts = [p @ c.T if c.ndim == 2 else p * c
-                 for p, c in zip(powers, self.terms) if c is not None]
-        return sum(parts[1:], parts[0])
+        return np.ones(x.shape) * self.value if self.matrix is None else x @ self.matrix.T
 
 
 class _Along:
-    """A right-hand side ``func(t, x)`` carrying how ``integrate`` builds it a
-    block of steps at a time: a ``table`` and a ``combine``, or the stage
-    ``matrices`` of a field linear along a solution (see TDependentVectorField)."""
+    """A right-hand side ``func(t, x)`` carrying how ``integrate`` steps it a
+    block of steps at a time: its ``table`` and its ``route`` (see
+    TDependentVectorField)."""
 
-    def __init__(self, func, table=None, combine=None, matrices=None):
-        self.func, self.table, self.combine, self.matrices = func, table, combine, matrices
+    def __init__(self, func, table, route):
+        self.func, self.table, self.route = func, table, route
 
     def __call__(self, t, x):
         return self.func(t, x)
@@ -48,42 +44,28 @@ class _Along:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous vector field; ``VectorField.polynomial`` declares one of
-    degree at most 2, whose ``terms`` (see ``_Polynomial``) give its ``func``,
-    so the two cannot disagree (``terms`` is None for any other field):
-    ``value`` is b for terms (b,), ``matrix`` M for terms (None, M), else None."""
+    """Autonomous vector field; ``VectorField.constant`` and ``.linear``
+    declare one whose ``value`` or ``matrix`` gives its ``func``, so the two
+    cannot disagree (both are None for any other field)."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     @classmethod
-    def polynomial(cls, terms, name: str = "") -> "VectorField":
-        """The field sum_d ``terms[d]`` x^d, d = 0, 1, 2 (see ``_Polynomial``)."""
-        return cls(len(next(c for c in terms if c is not None)), _Polynomial(terms), name)
-
-    @classmethod
     def constant(cls, value, name: str = "") -> "VectorField":
         """The field whose value is ``value`` ``(N,)`` at every point."""
-        return cls.polynomial([value], name=name)
+        value = np.array(value, dtype=float)
+        return cls(value.size, _Declared(value=value), name)
 
     @classmethod
     def linear(cls, matrix, name: str = "") -> "VectorField":
         """The field whose value at x is ``matrix @ x``, ``matrix`` ``(N, N)``."""
-        return cls.polynomial([None, matrix], name=name)
+        matrix = np.array(matrix, dtype=float)
+        return cls(len(matrix), _Declared(matrix=matrix), name)
 
-    @property
-    def terms(self) -> tuple | None:
-        return self.func.terms if isinstance(self.func, _Polynomial) else None
-
-    @property
-    def value(self) -> np.ndarray | None:
-        return self.terms[0] if len(self.terms or ()) == 1 else None
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        t = self.terms or ()
-        return t[1] if len(t) == 2 and t[0] is None and t[1].ndim == 2 else None
+    value = property(lambda s: s.func.value if isinstance(s.func, _Declared) else None)
+    matrix = property(lambda s: s.func.matrix if isinstance(s.func, _Declared) else None)
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -95,34 +77,21 @@ class TDependentVectorField:
     it maps states ``(..., N)`` to bools ``(...)``, so one call checks a block.
 
     ``t`` is a float, or an array of times, one per state of a batch, which
-    is passed through as it is; the copy with ``func = combine`` that
-    ``integrate`` calls per stage takes the table rows in its place.
+    is passed through as it is.
 
-    A field built by ``TDependentVectorField.tabled`` splits along a
-    solution into values that depend on time alone and a function of the
-    state: at stage s of step k' of a block of steps of a solution from x0,
-    ``integrate`` steps ``combine(table(times, x0)[s, k'], x)``, building
-    the values a block at a time: ``times`` ``(3, K, ...)`` are the start,
-    midpoint and end times of the block's steps, broadcasting against
-    ``x0.shape[:-1]``.  That is ``func(t, x)`` where the table reads all
-    ``func`` reads of x (a split chart's labels); else (Ermakov's invariant)
-    the table freezes the field at x0's leaf, and ``func``, the full field,
-    runs where a table raises a ConfigError.
-
-    A field with a ``table`` and no ``combine`` is time-only: along a
-    solution its value depends on time alone, and the table rows
-    ``(3, K, ..., N)`` are its values, so ``func(t, x)`` equals
-    ``table(times, x0)[s, k']`` at every stage state x.  ``integrate``
-    then sums each block of steps at once (Simpson's rule).
-
-    A field built by ``TDependentVectorField.linear`` is linear along a
-    solution: at stage s of step k', ``func(t, x)`` equals ``A x`` with A
-    ``matrices(times, x0)[s, k']`` ``(..., N, N)``, and ``integrate``
-    steps it by the RK4 step matrices of a block of steps.
-
-    ``table``, ``combine`` and ``matrices`` are carried by ``func`` itself,
-    so a copy of the field rebuilt from ``(dim, func, domain, name)`` takes
-    the same route to the same bits; they read None for any other field."""
+    A field built by ``TDependentVectorField.tabled`` (in the package only
+    ``foliated.lie_system`` builds one) is a Lie system tabulated along a
+    solution from x0: ``table(times, x0)`` holds its rows at the stage times
+    ``(3, K, ...)`` of a block of K steps, and ``route`` steps them: the
+    block routes ``integrate._sum_block`` (stage values) and
+    ``integrate._product_block`` (stage matrices), or a stage
+    ``route(rows, x)``, which ``integrate`` calls per stage through a copy
+    of the field with ``func = route``.  Stage rows are the coefficients
+    laid out by field, ahead of the rows of a batch, and summed from 0.0.
+    ``func(t, x)`` is the Lie system at its own t and x; ``integrate``
+    never calls it.  ``table`` and ``route`` are carried by ``func``, so a
+    copy rebuilt from ``(dim, func, domain, name)`` takes the same route to
+    the same bits; they read None for any other field."""
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
@@ -130,22 +99,14 @@ class TDependentVectorField:
     name: str = ""
 
     @classmethod
-    def tabled(cls, dim: int, func, table, combine=None, domain=None,
+    def tabled(cls, dim: int, func, table, route, domain=None,
                name: str = "") -> "TDependentVectorField":
-        """The field ``func``, declared to split along a solution into
-        ``table(times, x0)`` and ``combine`` (time-only without one)."""
-        return cls(dim, _Along(func, table=table, combine=combine), domain=domain, name=name)
-
-    @classmethod
-    def linear(cls, dim: int, func, matrices, domain=None,
-               name: str = "") -> "TDependentVectorField":
-        """The field ``func``, declared linear along a solution with the
-        stage matrices ``matrices(times, x0)``."""
-        return cls(dim, _Along(func, matrices=matrices), domain=domain, name=name)
+        """The field ``func``, declared to be stepped along a solution by
+        ``route`` on the values ``table(times, x0)``."""
+        return cls(dim, _Along(func, table, route), domain=domain, name=name)
 
     table = property(lambda s: s.func.table if isinstance(s.func, _Along) else None)
-    combine = property(lambda s: s.func.combine if isinstance(s.func, _Along) else None)
-    matrices = property(lambda s: s.func.matrices if isinstance(s.func, _Along) else None)
+    route = property(lambda s: s.func.route if isinstance(s.func, _Along) else None)
 
     def __call__(self, t, x) -> np.ndarray:
         if type(t) is not float and not isinstance(t, np.ndarray):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .fields import (RealizedAlgebra, TDependentVectorField, rank_at,
                      structure_residual)
-from .integrate import Trajectory
+from .integrate import Trajectory, _product_block, _sum_block
 from .util import central_differences, dot_last, seeded_rng
 
 
@@ -102,8 +102,11 @@ class FoliatedSystem:
 
     ``domain``, when set, maps states ``(..., N)`` to bools ``(...)``, True
     inside the domain; ``integrate`` checks a block of states in one call.
-    ``combine``, when set, is sum_a c_a X_a(x) in one function of the
-    coefficients and states, bit for bit the per-field sum of ``assemble``.
+    ``combine``, when set, is sum_a c_a X_a(x) in one function
+    ``combine(c, x)`` of the coefficients and states, bit for bit the
+    per-field sum of ``assemble``: ``c`` holds them laid out by field and
+    summed from 0.0 (``c[a]`` is 0.0 + c_a, one number, or a column
+    ``(B, 1)`` against a batch ``(B, N)``).
     """
 
     realized: RealizedAlgebra
@@ -149,13 +152,23 @@ def assemble(fs: FoliatedSystem) -> TDependentVectorField:
 
 def _coefficient_sum(c, terms, shape):
     """sum_a c[..., a] terms[a], of shape ``c.shape[:-1] + shape``: from
-    zeros, in field order, a None term skipped."""
+    zeros, in field order."""
     out = np.zeros(c.shape[:-1] + shape)
     axes = (None,) * len(shape)
     for a, term in enumerate(terms):
-        if term is not None:
-            out += c[(..., a) + axes] * term
+        out += c[(..., a) + axes] * term
     return out
+
+
+def _field_rows(c, lead):
+    """Coefficients ``(lead axes, [rows,] r)`` as a stage reads them: 0.0 + c,
+    the field axis moved ahead of the rows of a batch, which gain a trailing
+    state axis, so that entry a is one number or a column against states
+    ``(B, N)``.  Contiguous: a stage on strided rows runs slower."""
+    c = 0.0 + c
+    if c.ndim > lead + 1:
+        c = np.moveaxis(c, -1, lead)[..., None]
+    return np.ascontiguousarray(c)
 
 
 def lie_system(fields, coeffs, domain=None, combine=None,
@@ -168,46 +181,28 @@ def lie_system(fields, coeffs, domain=None, combine=None,
     an array of the shape of ``x``, the map ``x.shape[:-1] + (r,)`` or an
     x-independent ``(r,)``, which is broadcast over the batch.
 
-    The field has a coefficient table (see ``TDependentVectorField``): one
-    call of the map on a block's stage times ``(3, K[, B])`` and x0
-    broadcast to ``(3, K[, B], N)`` gives the coefficients of every stage
-    of the block at x0's labels (see FoliatedSystem), so ``integrate``
-    calls the map once per block of steps instead of four times per step.
+    The field is tabled (see ``TDependentVectorField``): one call of the map
+    on a block's stage times ``(3, K[, B])`` and x0 broadcast to
+    ``(3, K[, B], N)`` gives the coefficients of every stage of the block at
+    x0's labels (see FoliatedSystem).  Its route is chosen here, once:
 
-    The route is read from the fields when every one declares its
-    ``terms`` (``VectorField.polynomial``).  Each stage table is a
-    coefficient sum sum_a c_a T_a, from zeros and in field order:
+    - all fields constant (a ``value``: the translations of hamilton_jacobi
+      and lax, the abelian group curves): ``integrate._sum_block`` on the
+      stage values sum_a c_a X_a;
+    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields, the matrix
+      group curves): ``integrate._product_block`` on the stage matrices
+      sum_a c_a M_a;
+    - otherwise a stage on the coefficient rows (``_field_rows``): the
+      declared ``combine`` (Riccati, coupled Ermakov), or else the per-field
+      sum ``out = 0.0; out += c_a X_a(x)``, each field called once per stage.
 
-    - all constant (a ``value``: the translations of hamilton_jacobi and
-      lax, the abelian group curves): the field is time-only; its table
-      holds the values sum_a c_a X_a of every stage, and it has no
-      ``combine``;
-    - all linear (a ``matrix`` M_a: the uncoupled Ermakov fields, the
-      matrix group curves): the field is linear along a solution
-      (``TDependentVectorField.linear``) with stage matrices sum_a c_a M_a;
-    - any other mix whose terms of degree 1 and 2 act coordinatewise (the
-      Riccati fields 1, x and x^2): a fused stage.  Its table holds, per
-      stage, the coefficients of x^0, x^1 and x^2 summed over the fields,
-      laid out ``(3, ..., N)`` ahead of the rows, and the stage is
-      ``out = c1 * x; out += c0; out += c2 * x^2``, which calls no field
-      and checks no shape.  It is the per-field sum regrouped by degree;
-      with one unit field per degree in the order 1, x, x^2 (Riccati) it
-      is that sum bit for bit, with its ``float_power`` and the sign of
-      its zeros.
-
-    Any other field combines the table rows with the state by ``combine``
-    (coupled Ermakov), or else by the per-field sum
-    ``out = 0.0; out += c_a X_a(x)``, each field called once per stage.
-    Per stage, ``func`` runs the same on the coefficients at its own t, x.
+    Both sums start from zeros and go in field order.  ``func`` runs the
+    same Lie system on the coefficients at its own t and x.
     """
     fields = tuple(fields)
     dim, r = fields[0].dim, len(fields)
-    polys = [X.terms for X in fields]
 
     def per_field(c, x):
-        # entry a is the coefficient of field a: one number for all states,
-        # or a column of one per state (c.T[..., None] for a batch (B, r))
-        cols = c if c.ndim == 1 else c.transpose((-1, *range(c.ndim - 1)))[..., None]
         out = np.zeros(x.shape)
         for a, X in enumerate(fields):
             v = np.asarray(X.func(x), dtype=float)
@@ -215,51 +210,30 @@ def lie_system(fields, coeffs, domain=None, combine=None,
                 raise DimensionMismatchError(
                     f"field {X.name!r} returned shape {v.shape} for states "
                     f"of shape {x.shape}")
-            out += cols[a] * v
+            out += c[a] * v
         return out
 
-    combine = combine or per_field
+    stage = combine or per_field
 
     def func(t, x):
-        return combine(coefficient_values(coeffs, r, t, x), x)
+        return stage(_field_rows(coefficient_values(coeffs, r, t, x), 0), x)
+
+    values, matrices = [X.value for X in fields], [X.matrix for X in fields]
+    if all(v is not None for v in values):
+        terms, shape, route = values, (dim,), _sum_block
+    elif all(m is not None for m in matrices):
+        terms, shape, route = matrices, (dim, dim), _product_block
+    else:
+        terms, shape, route = None, None, stage
 
     def table(times, x0):
         # the coefficients at the labels of x0, all a map reads of x
         c = coefficient_values(coeffs, r, times,
                                np.broadcast_to(x0, times.shape[:2] + x0.shape).copy())
-        return np.broadcast_to(c, times.shape + c.shape) if c.ndim == 1 else c
+        c = np.broadcast_to(c, times.shape + c.shape) if c.ndim == 1 else c
+        return _field_rows(c, 2) if terms is None else _coefficient_sum(c, terms, shape)
 
-    values, matrices = [X.value for X in fields], [X.matrix for X in fields]
-    if all(v is not None for v in values):
-        return TDependentVectorField.tabled(
-            dim, func, lambda times, x0: _coefficient_sum(table(times, x0), values, (dim,)),
-            domain=domain, name=name)
-    if all(m is not None for m in matrices):
-        return TDependentVectorField.linear(
-            dim, func, lambda t, x0: _coefficient_sum(table(t, x0), matrices, (dim, dim)),
-            domain=domain, name=name)
-    if not all(t is not None and all(m is None or m.ndim == 1 for m in t) for t in polys):
-        return TDependentVectorField.tabled(dim, func, table, combine,
-                                            domain=domain, name=name)
-    # the terms of each power of x, over the fields
-    powers = [[t[d] if d < len(t) else None for t in polys] for d in range(3)]
-
-    def by_degree(c, axis):
-        # coefficients (..., r) -> those of x^0, x^1 and x^2 (..., 3, ..., N),
-        # the power axis at ``axis``, so a stage reads c[d] with no transpose.
-        # The zeros start the sums as per_field starts its own (0.0 + c0); an
-        # absent power keeps 0, whose products the 0.0 + c0 term absorbs
-        return np.stack([_coefficient_sum(c, p, (dim,)) for p in powers], axis)
-
-    def fused(c, x):
-        out = c[1] * x
-        out += c[0]
-        out += c[2] * np.float_power(x, 2)
-        return out
-
-    return TDependentVectorField.tabled(
-        dim, lambda t, x: fused(by_degree(coefficient_values(coeffs, r, t, x), 0), x),
-        lambda times, x0: by_degree(table(times, x0), 2), fused, domain=domain, name=name)
+    return TDependentVectorField.tabled(dim, func, table, route, domain=domain, name=name)
 
 
 @dataclass(frozen=True)

@@ -97,35 +97,36 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     every sample, and ``states[-1]`` is every row at t1.
 
     The steps go in blocks of at most TABLE_BLOCK stage state values
-    (3 stages x K steps x B rows x N), and each block takes one of four
-    routes, read from the field:
+    (3 stages x K steps x B rows x N).  A field without a table is called
+    per stage with the stage times (Python floats on one grid), and the
+    domain guard checks each new state.  A tabled field (see
+    TDependentVectorField) has its table built once per block from the
+    block's stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
+    ``(3, K, B)`` for one step per row, and takes the route it names:
 
-    - A field linear along a solution (``F.matrices``, carried by its
-      ``func``) has its stage matrices A_0, A_1, A_2 ``(3, K, ..., N, N)``
-      built once per block, and steps by the RK4 step matrices,
-      x_{k+1} = P_k x_k (see ``_product_block``).  The order of operations
-      is not the loop's: the states agree with the per-stage loop to within
-      1e-12 max(1, max|x|), and bit for bit between runs.
-    - A field with a ``table`` has it built once per block from the block's
-      stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
-      ``(3, K, B)`` for one step per row.  With a ``combine`` the RK4 loop
-      calls F's copy with ``func = combine`` on the table rows (``assemble``'s
-      stages: the fused Riccati stage, the declared Ermakov one).
-    - Without one the field is time-only and the rows are its stage values:
+    - ``_sum_block``: the rows are the stage values of a time-only field;
       then k2 = k3, RK4 is Simpson's rule on each step, and the block's
       increments are formed at once and added to the last state in step
-      order, the loop's states bit for bit (see ``_sum_block``).
-    - Any other field is called per stage with the stage times.
+      order, the loop's states bit for bit.
+    - ``_product_block``: the rows are the stage matrices A_0, A_1, A_2
+      ``(3, K, ..., N, N)`` of a field linear along a solution, which steps
+      by the RK4 step matrices, x_{k+1} = P_k x_k.  The order of operations
+      is not the loop's: the states agree with the per-stage loop to within
+      1e-12 max(1, max|x|), and bit for bit between runs.
+    - a stage: the RK4 loop calls F's copy with ``func = route`` on the
+      table rows (laid out by field, summed from 0.0) in place of the stage
+      times, so a subclass of F sees every stage.
 
-    A block whose table or matrices raise a ConfigError (a coefficient
-    that cannot be evaluated at some time) runs per stage, so the error
-    surfaces at its own step; any other error of a table, such as the
-    DimensionMismatchError of a map of the wrong shape, raises.  No route
+    A block whose table raises a ConfigError (a coefficient that cannot be
+    evaluated at some time) is rebuilt one step at a time on the same
+    route, so the error surfaces at its own step; any other error of a
+    table, such as the DimensionMismatchError of a map of the wrong shape,
+    raises.  ``integrate`` never calls a tabled field's ``func``.  No route
     warns about an overflow or an invalid value in its steps or its domain
     guard (each block is stepped and checked under one ``np.errstate``):
     the first non-finite state raises BlowUpError with the loop's partial
     trajectory, and the domain guard checks the states before it in step
-    order, also when a ``combine`` raises past them.
+    order, also when a stage or a table raises past them.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[-1] != F.dim:
@@ -176,43 +177,46 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 def _stage_values(F, x0, grid):
     """Per block of at most ``TABLE_BLOCK // (3 * x0.size)`` steps (at
     least one) of ``grid`` ``(T,)``, or of grids side by side ``(T, B)``:
-    its first step, the steps dt, how to step it, and the field's values at
-    the stage times ``(3, K, ...)``, the start, midpoint and end of each
-    step.  The block routes ``_product_block`` and ``_sum_block`` take the
-    stage matrices or the stage values of a time-only field, with dt shaped
-    to multiply them.  Otherwise the RK4 loop calls f(value, x) on table
-    rows, for the leafwise field, or on stage times, for F (Python floats on
-    one grid, so that path works on no numpy scalar)."""
+    its first step, the steps dt, how to step it, and the values at the
+    stage times ``(3, K, ...)``, the start, midpoint and end of each step.
+    The block routes ``_product_block`` and ``_sum_block`` take the stage
+    matrices or values, with dt shaped to multiply them.  Otherwise the RK4
+    loop calls f(value, x) on table rows, for a stage route, or on stage
+    times, for a field without a table (Python floats on one grid, so that
+    path works on no numpy scalar)."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
-    table, combine = F.table, _sum_block
-    if F.matrices is not None:
-        table, combine = F.matrices, _product_block
-    elif F.combine is not None:  # F's class, so a subclass sees each stage
-        combine = replace(F, func=F.combine)
+    table, f = F.table, F.route
+    if table is None:
+        f = F
+    elif f not in _BLOCK_ROUTES:  # F's class, so a subclass sees each stage
+        f = replace(F, func=f)
     size = max(1, TABLE_BLOCK // (3 * x0.size))
     for k0 in range(0, len(grid) - 1, size):
         block = grid[k0:k0 + size + 1]
         t = block[:-1]
         dt = block[1:] - t
         times = np.stack([t, t + 0.5 * dt, t + dt])
-        f, values = F, times
-        if table is not None:
-            try:
-                values = table(times[..., None] if spread else times, x0)
-                f = combine
-            except ConfigError:
-                pass  # per stage, so the error surfaces at its own step
-        if f in _BLOCK_ROUTES:
-            dt = dt.reshape(dt.shape + (1,) * (values.ndim - 1 - dt.ndim))
-        elif not one_grid:
-            dt = dt[..., None]  # one step per row, against states (B, N)
+        if table is None:
+            parts = [(k0, dt, times.tolist() if one_grid else times)]
         else:
-            dt = dt.tolist()
-            if f is F:
-                values = values.tolist()
-        yield k0, dt, f, values
+            times = times[..., None] if spread else times
+            try:
+                parts = [(k0, dt, table(times, x0))]
+            except ConfigError:
+                # one step at a time: the steps before the failing one are
+                # stepped and guarded, and its table raises in its place
+                parts = ((k0 + j, dt[j:j + 1], table(times[:, j:j + 1], x0))
+                         for j in range(len(dt)))
+        for k, steps, values in parts:
+            if f in _BLOCK_ROUTES:
+                steps = steps.reshape(steps.shape + (1,) * (values.ndim - 1 - steps.ndim))
+            elif one_grid:
+                steps = steps.tolist()
+            else:
+                steps = steps[..., None]  # one step per row, against states (B, N)
+            yield k, steps, f, values
 
 
 def _sum_block(block, dt, v):

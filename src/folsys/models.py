@@ -90,7 +90,8 @@ def riccati_rule() -> SuperpositionRule:
     """Cross-ratio rule in three particular solutions and one constant; its
     first integral is the cross ratio k = (x-u1)(u3-u2) / ((u2-x)(u3-u1)).
     Its trial points are drawn at least 0.15 apart, away from the coincident
-    solutions where it is singular."""
+    solutions where it is singular, and its rational combination, which
+    amplifies the rounding of the solutions, reconstructs them to 1e-6."""
 
     def psi(sols, k):
         u1, u2, u3 = (s[..., 0] for s in sols)
@@ -110,7 +111,7 @@ def riccati_rule() -> SuperpositionRule:
         return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
-                             vg_dim=3, min_separation=0.15)
+                             vg_dim=3, min_separation=0.15, tolerance=1e-6)
 
 
 def translation_rule(n: int) -> SuperpositionRule:
@@ -130,12 +131,22 @@ def translation_rule(n: int) -> SuperpositionRule:
                              vg_dim=n)
 
 
+def _riccati_stage(c, x):
+    """c0 + c1 x + c2 x^2 on the coefficient rows of ``lie_system``, each
+    from 0.0: the per-field sum ((0.0 + c0) + c1 x) + c2 x^2 bit for bit,
+    with x^2 as the field X2 computes it."""
+    out = c[1] * x
+    out += c[0]
+    out += c[2] * np.float_power(x, 2)
+    return out
+
+
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
-    # 1, x and x^2, declared coordinatewise: assemble steps them by its
-    # fused stage, which calls no field
+    # 1, x and x^2, stepped by the declared stage, which calls no field;
+    # x^2 is libm's float_power, not numpy's square (a last-bit gap)
     x0f = VectorField.constant([1.0], name="X0")
-    x1f = VectorField.polynomial([None, [1.0]], name="X1")
-    x2f = VectorField.polynomial([None, None, [1.0]], name="X2")
+    x1f = VectorField(1, lambda x: x.copy(), name="X1")
+    x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
@@ -149,7 +160,8 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
             out[..., a] = value
         return out
 
-    system = FoliatedSystem(realized, coeffs, chart, name="riccati")
+    system = FoliatedSystem(realized, coeffs, chart, name="riccati",
+                            combine=_riccati_stage)
     return ModelBundle(
         name="riccati", system=system, rule=riccati_rule(), action=None,
         default_state=np.array([0.0]), spec=spec,
@@ -379,10 +391,11 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
 
 
 def _ermakov_combine(spec: ErmakovSpec):
-    """g1 X1 + g2 X2 + g3 X3 of the coupled fields, coefficients ``(..., 3)``
-    against states ``(..., 4)``, in the order of operations of ``assemble``'s
-    per-field sum (from 0.0), so bit for bit that sum.  One state runs on
-    Python floats, and on numpy where Python raises (a zero divisor: inf)."""
+    """g1 X1 + g2 X2 + g3 X3 of the coupled fields, on the coefficient rows
+    of ``lie_system`` (``c[a]`` one number, or a column against states
+    ``(B, 4)``), in the order of operations of ``assemble``'s per-field sum
+    (from 0.0), so bit for bit that sum.  One state runs on Python floats,
+    and on numpy where Python raises (a zero divisor: inf)."""
     def terms(g1, g2, g3, x, y, vx, vy):
         return (0.0 + g1 * vx + g2 * (x * 0.5) + g3 * 0.0,
                 0.0 + g1 * vy + g2 * (y * 0.5) + g3 * 0.0,
@@ -395,7 +408,8 @@ def _ermakov_combine(spec: ErmakovSpec):
                 return np.array(terms(*c.tolist(), *s.tolist()))
             except ZeroDivisionError:
                 pass
-        return np.stack(terms(*np.moveaxis(c, -1, 0), *np.moveaxis(s, -1, 0)), axis=-1)
+        # the state's columns (..., 1), against the rows of c
+        return np.concatenate(terms(*c, *np.moveaxis(s, -1, 0)[..., None]), axis=-1)
 
     return combine
 

@@ -31,7 +31,8 @@ class SuperpositionRule:
     """psi: (x_(1), ..., x_(m); k) -> x and its first integral
     F: (x; x_(1), ..., x_(m)) -> k, both on the last axis of arrays
     ``(..., state_dim)``; F returns ``(..., param_dim)``.  The m + 1 points
-    of a trial are drawn at least ``min_separation`` apart (sup norm)."""
+    of a trial are drawn at least ``min_separation`` apart (sup norm), and
+    ``tolerance`` bounds the sup reconstruction error of the runs."""
 
     m: int
     state_dim: int
@@ -40,6 +41,7 @@ class SuperpositionRule:
     F: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
     vg_dim: int | None = None
     min_separation: float = 0.0
+    tolerance: float = 1e-8
 
     def __post_init__(self):
         # necessary count: m * dim(O) must cover the algebra dimension
@@ -64,12 +66,10 @@ def apply_rule(rule: SuperpositionRule, sols: Sequence[np.ndarray], k) -> np.nda
 
 
 def solve_parameters(rule: SuperpositionRule, sols0: Sequence[np.ndarray],
-                     target0) -> tuple[np.ndarray, float]:
-    """k = F(target0, sols0) and the residual max |psi(sols0, k) - target0|."""
-    target0 = np.asarray(target0, dtype=float)
-    k = np.asarray(rule.F(target0, [np.asarray(s, dtype=float) for s in sols0]),
-                   dtype=float)
-    return k, float(np.max(np.abs(apply_rule(rule, sols0, k) - target0)))
+                     target0) -> np.ndarray:
+    """The parameter k = F(target0, sols0) of target0 in the rule."""
+    return np.asarray(rule.F(np.asarray(target0, dtype=float),
+                             [np.asarray(s, dtype=float) for s in sols0]), dtype=float)
 
 
 def first_integral_residual(rule: SuperpositionRule, fs: FoliatedSystem,
@@ -161,7 +161,7 @@ def rule_report(rule: SuperpositionRule, fs: FoliatedSystem, states,
     errs = []
     for trial in range(trials):
         sols, target = runs[:, trial, :m], runs[:, trial, m]
-        k, _ = solve_parameters(rule, list(sols[0]), target[0])
+        k = solve_parameters(rule, list(sols[0]), target[0])
         rec = apply_rule(rule, list(sols.swapaxes(0, 1)), k)
         errs.append(np.max(np.abs(rec - target)))
     # np.max keeps a NaN that the builtin max would drop

@@ -16,7 +16,6 @@ from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
                                 solve_abelian, solve_matrix)
 from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, IncompatibleActionError)
-from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import TDependentVectorField
 from folsys.foliated import assemble, leaf_of
 from folsys.integrate import integrate
@@ -299,8 +298,7 @@ def test_solve_matrix_blows_up_before_a_later_coefficient_error():
 def test_solve_matrix_memory_per_sample():
     # the coefficients of every stage (72 B a sample) and the curve (32 B);
     # one coefficient matrix per stage time in a dict took 786 B a sample
-    b = build_bundle(ScenarioConfig.from_dict({"model": "ermakov", "params": {
-        "omega2": "1+0.1*sin(t)", "c1": 0.0, "c2": 0.0}}))
+    b = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=0.0, c2=0.0)
     asys = reduce_system(b.system, b.action)
     k = leaf_of(b.system.chart, b.default_state)
     tracemalloc.start()
@@ -317,8 +315,8 @@ def test_solve_abelian_memory_per_sample():
     # the curve (16 B a sample) and its times (8 B); the reduced map on the
     # stage times of the whole grid at once, with the central differences of
     # an interpreted Hamiltonian, took 544 B a sample
-    b = build_bundle(ScenarioConfig.from_dict({"model": "hamilton_jacobi", "params": {
-        "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2"}}))
+    b = model_bundle("hamilton_jacobi", n=2,
+                     hamiltonian="0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2")
     asys = reduce_system(b.system, b.action)
     k = leaf_of(b.system.chart, b.default_state)
     tracemalloc.start()
@@ -427,7 +425,7 @@ _GRIDS = ((0.0, 2.0, 3e-3), (0.3, 1.7, 0.07), (-1.0, 1.0, 0.01))
 
 
 def _configured(model, params):
-    return build_bundle(ScenarioConfig.from_dict({"model": model, "params": params}))
+    return model_bundle(model, **params)
 
 
 def _abelian_cases():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -25,9 +26,11 @@ from folsys.errors import ConfigError
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import FoliatedSystem, FoliationChart, assemble
 from folsys import models as mdl
-from folsys.integrate import Trajectory, integrate, trajectory_to_csv
+from folsys.integrate import Trajectory, _product_block, integrate, trajectory_to_csv
 from folsys.superposition import rule_points
 from folsys.util import Box
+
+from .conftest import model_bundle
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -190,28 +193,21 @@ def test_config_rejects_bad_step_and_horizon():
                                   "checks": ["superposition"]})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"model": "riccati",
-                                  "integration": {"t0": 1.0, "t1": 0.0}})
+                                  "integration": {"t0": 1.0, "t1": 0.0},
+                                  "checks": ["foliated"]})
 
 
 def test_config_rejects_unknown_model_and_check():
     with pytest.raises(ConfigError):
-        ScenarioConfig.from_dict({"model": "pendulum"})
+        ScenarioConfig.from_dict({"model": "pendulum", "checks": ["foliated"]})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"model": "riccati", "checks": ["entropy"]})
 
 
 def test_build_bundle_expression_models():
-    cfg = ScenarioConfig.from_dict({
-        "model": "ermakov",
-        "params": {"omega2": "1+0.1*sin(t)", "c1": 1.0, "c2": 1.0},
-    })
-    bundle = build_bundle(cfg)
+    bundle = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=1.0, c2=1.0)
     assert bundle.name == "ermakov"
-    cfg2 = ScenarioConfig.from_dict({
-        "model": "hamilton_jacobi",
-        "params": {"n": 1, "hamiltonian": "cos(t*P1)"},
-    })
-    b2 = build_bundle(cfg2)
+    b2 = model_bundle("hamilton_jacobi", n=1, hamiltonian="cos(t*P1)")
     assert b2.spec.H(0.5, np.array([1.2])) == pytest.approx(np.cos(0.6))
 
 
@@ -221,7 +217,7 @@ def test_every_model_builds_from_its_defaults_alone(name):
     bundle = model.build(**model.params)
     assert bundle.name == name
     # a config that names no param builds the same field
-    configured = build_bundle(ScenarioConfig.from_dict({"model": name}))
+    configured = model_bundle(name)
     x = bundle.default_state
     assert np.array_equal(assemble(configured.system)(0.3, x),
                           assemble(bundle.system)(0.3, x))
@@ -292,8 +288,7 @@ def test_run_integrates_the_scenario_trajectory_once(tmp_path, monkeypatch):
     ("lax", {"n": 3, "hamiltonian": "cos(P1) + P2*P3 + t*P1**2"}),
 ])
 def test_scenario_row_of_the_rule_batch_is_bitwise_its_own_run(model, params):
-    bundle = build_bundle(ScenarioConfig.from_dict({"model": model,
-                                                    "params": params}))
+    bundle = model_bundle(model, **params)
     pts = rule_points(bundle.rule, bundle.system, trials=3, seed=5)
     F = assemble(bundle.system)
     x0 = bundle.default_state
@@ -460,6 +455,33 @@ def test_cli_riccati_seed_2_fits_its_rule(tmp_path):
         r["check"] for r in rows}
 
 
+@pytest.mark.parametrize("model, tolerance", [
+    ("riccati", 1e-6), ("hamilton_jacobi", 1e-8), ("lax", 1e-8)])
+def test_superposition_row_carries_the_tolerance_of_its_rule(tmp_path, monkeypatch,
+                                                             model, tolerance):
+    # the rule states its tolerance, as it states its min_separation; a rule
+    # of the same model with another tolerance is held to that one
+    assert [name for name in MODELS if model_bundle(name).rule is not None] == [
+        "riccati", "hamilton_jacobi", "lax"]
+    assert model_bundle(model).rule.tolerance == tolerance
+    raw = {"model": model, "integration": {"t0": 0.0, "t1": 0.5, "step": 0.01},
+           "checks": ["superposition"]}
+
+    def row():
+        reports, _ = run(ScenarioConfig.from_dict(dict(raw, out=str(tmp_path))))
+        return next(r for r in reports if r.check == "superposition.reconstruction")
+
+    assert row().tolerance == tolerance
+
+    def build(cfg):
+        bundle = build_bundle(cfg)
+        return dataclasses.replace(bundle, rule=dataclasses.replace(
+            bundle.rule, tolerance=3.0 * bundle.rule.tolerance))
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", build)
+    assert row().tolerance == 3.0 * tolerance
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": "riccati",
@@ -493,6 +515,12 @@ def test_cli_config_error_exit_code(tmp_path):
     {"model": "ermakov", "params": {"c1": "abc"}},
     {"model": "riccati", "params": {"a9": 1}},
     {"format": "xml"},
+    # a misspelt key, which would run at the default step, no check, and a
+    # check asked for twice
+    {"stepp": 0.5},
+    {"integration": {"t0": 0.0, "t1": 2.0, "stpe": 0.5}},
+    {"checks": []},
+    {"checks": ["leaf_drift", "superposition", "leaf_drift"]},
 ])
 def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path / "bad.json", **overrides)
@@ -672,25 +700,27 @@ def test_a_scenario_assembles_its_field_once(tmp_path, monkeypatch):
 
 # --- coefficient tables against the per-stage field ----------------------------
 
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 
 
-def _per_stage_assemble(fs):
+def _per_stage_assemble(fs, matrices=True):
     """The assembled field called per stage: a plain function drops the table
-    and combine that a copy rebuilt from ``func`` keeps.  The step-matrix
-    route stays, since it changes the order of operations (test_integrate
-    checks it against the per-stage loop within its tolerance)."""
+    and route that a copy rebuilt from ``func`` keeps.  The step-matrix
+    route stays unless ``matrices`` is False, since it changes the order of
+    operations."""
     F = assemble(fs)
-    func = F.func if F.matrices is not None else (lambda t, x: F.func(t, x))
+    keep = matrices and F.route is _product_block
+    func = F.func if keep else (lambda t, x: F.func(t, x))
     return TDependentVectorField(F.dim, func, domain=F.domain, name=F.name)
 
 
-def _leafwise_per_stage(x0):
+def _leafwise_per_stage(x0, matrices=True):
     """``_per_stage_assemble`` of the leafwise system through x0: every
     stage reads the coefficients at x0 instead of at its own state."""
     def build(fs):
         return _per_stage_assemble(dataclasses.replace(
-            fs, coeffs=lambda t, x: fs.coeffs(t, np.broadcast_to(x0, x.shape))))
+            fs, coeffs=lambda t, x: fs.coeffs(t, np.broadcast_to(x0, x.shape))), matrices)
     return build
 
 
@@ -736,6 +766,22 @@ BITWISE_CONFIGS = [pytest.param(json.loads(path.read_text()), id=path.stem)
 ]
 
 
+def _benchmark_members(seed: int):
+    """The members of every benchmark workload at ``seed``, read from
+    ``perfbench/scenarios.py``, which is loaded under a name of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_scenarios", ROOT / "perfbench" / "scenarios.py")
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    return [pytest.param(member["config"], id=f"{workload}:{seed}:{member['name']}")
+            for workload in scenarios.WORKLOADS
+            for member in scenarios.generate(workload, seed)]
+
+
+# the benchmark's own inputs hold every route to its stated bound
+BITWISE_CONFIGS += _benchmark_members(1)
+
+
 @pytest.mark.parametrize("raw", BITWISE_CONFIGS)
 def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
         raw, tmp_path, monkeypatch):
@@ -749,13 +795,17 @@ def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
     monkeypatch.setattr(folsys.cli, "assemble", per_stage)
     assert _outputs(raw, tmp_path / "per-stage") == tabled
     if raw["model"] == "ermakov":
-        # the full per-stage field reads the coefficients at each stage
-        # state: within the stated tolerance, 1e-10 max(1, max|x|)
-        monkeypatch.setattr(folsys.cli, "assemble", _per_stage_assemble)
-        got, want = (_csv_states(out[1]) for out in (
-            tabled, _outputs(raw, tmp_path / "full")))
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        # within the stated tolerances, times max(1, max|x|): the full
+        # per-stage field, which reads the coefficients at each stage state,
+        # 1e-10; the per-stage loop of the leafwise field, whose step
+        # matrices (uncoupled) change the order of operations, 1e-12
+        for build, bound in ((_per_stage_assemble, 1e-10),
+                             (_leafwise_per_stage(x0, matrices=False), 1e-12)):
+            monkeypatch.setattr(folsys.cli, "assemble", build)
+            got, want = (_csv_states(out[1]) for out in (
+                tabled, _outputs(raw, tmp_path / f"{bound}")))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want)))
 
 
 def _stderr_lines(config: dict, tmp_path) -> tuple[int, list[str]]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
-from folsys.cli import MODELS, ScenarioConfig, build_bundle
+from folsys.cli import MODELS
 from folsys.errors import DimensionMismatchError
 from folsys.fields import (RealizedAlgebra, VectorField, rank_at,
                            structure_residual)
@@ -41,7 +41,7 @@ INTERPRETED = {
 @functools.cache
 def _bundle(name):
     if name in INTERPRETED:
-        return build_bundle(ScenarioConfig.from_dict(INTERPRETED[name]))
+        return model_bundle(INTERPRETED[name]["model"], **INTERPRETED[name]["params"])
     return model_bundle(name)
 
 
@@ -285,10 +285,13 @@ _CONFIGURED = {
 }
 
 
+def _configured(name):
+    return model_bundle(_CONFIGURED[name]["model"], **_CONFIGURED[name]["params"]).system
+
+
 @pytest.mark.parametrize("name", _VERIFIED + tuple(_CONFIGURED))
 def test_coefficients_at_an_array_of_times_equal_the_per_time_calls(name):
-    fs = (build_bundle(ScenarioConfig.from_dict(_CONFIGURED[name])).system
-          if name in _CONFIGURED else _system(name))
+    fs = _configured(name) if name in _CONFIGURED else _system(name)
     r = len(fs.realized.fields)
     rng = seeded_rng(4)
     ts = rng.uniform(-1.0, 3.0, size=6)
@@ -427,7 +430,7 @@ def test_split_chart_models_are_the_listed_ones():
 
 def _split_system(name):
     if name in _CONFIGURED:
-        return build_bundle(ScenarioConfig.from_dict(_CONFIGURED[name])).system
+        return _configured(name)
     return _bundle(name).system
 
 

@@ -17,10 +17,10 @@ from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_of)
-from folsys.cli import MODELS, ScenarioConfig, build_bundle
-from folsys.integrate import (Trajectory, convergence_order, convergence_steps,
-                              integrate, order_from_finals, time_grid,
-                              trajectory_to_csv)
+from folsys.cli import MODELS
+from folsys.integrate import (Trajectory, _product_block, _sum_block,
+                              convergence_order, convergence_steps, integrate,
+                              order_from_finals, time_grid, trajectory_to_csv)
 from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
                            ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
@@ -225,10 +225,8 @@ def reference_rk4(F, x0, t0, t1, h):
 # a Riccati field with a sin(t) coefficient, compiled from an expression, and
 # a translation field whose coefficients depend on t
 ROW_STEP_SYSTEMS = {
-    "riccati": build_bundle(ScenarioConfig.from_dict({
-        "model": "riccati",
-        "params": {"a0": "1.4+0.1*sin(t)", "a1": "0.05*cos(t)",
-                   "a2": "-0.7+0.05*cos(t)"}})).system,
+    "riccati": model_bundle("riccati", a0="1.4+0.1*sin(t)", a1="0.05*cos(t)",
+                            a2="-0.7+0.05*cos(t)").system,
     "hamilton_jacobi": model_bundle("hamilton_jacobi").system,
 }
 ROW_STEPS = st.one_of(st.sampled_from([0.05, 0.1, 0.3]),
@@ -304,7 +302,7 @@ def test_order_from_finals_is_convergence_order():
 # --- coefficient tables --------------------------------------------------------
 
 def _configured_system(model, params):
-    return build_bundle(ScenarioConfig.from_dict({"model": model, "params": params})).system
+    return model_bundle(model, **params).system
 
 
 TABLE_SYSTEMS = {
@@ -357,10 +355,11 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
     F = assemble(dataclasses.replace(fs, coeffs=counted))
     # the translation systems are time-only (summed by Simpson blocks), the
     # uncoupled Ermakov one steps by step matrices, and the Riccati and
-    # coupled Ermakov ones combine their table rows with the state in the
-    # RK4 loop
-    assert (F.combine is None) == (name in TIME_ONLY_SYSTEMS or name in LINEAR_SYSTEMS)
-    assert (F.matrices is not None) == (name in LINEAR_SYSTEMS)
+    # coupled Ermakov ones step their declared stage on the table rows in
+    # the RK4 loop
+    routes = (dict.fromkeys(TIME_ONLY_SYSTEMS, _sum_block)
+              | dict.fromkeys(LINEAR_SYSTEMS, _product_block))
+    assert F.route is routes.get(name, fs.combine) is not None
     # a plain function: per stage on every system
     plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
     rng = seeded_rng(seed)
@@ -395,9 +394,9 @@ def test_an_ermakov_frequency_that_reads_no_invariant_is_tabulated():
     for omega2 in ("1+0.1*sin(t)", 1.2, 2, "1+0.02*I", "sin(t*I)"):
         fs = _configured_system("ermakov", {"omega2": omega2})
         F = assemble(fs)
-        assert F.table is not None and F.combine is fs.combine is not None, omega2
+        assert F.table is not None and F.route is fs.combine is not None, omega2
     fs = model_bundle("ermakov").system
-    assert assemble(fs).table is not None and assemble(fs).combine is fs.combine
+    assert assemble(fs).table is not None and assemble(fs).route is fs.combine
 
 
 def test_a_block_whose_table_raises_runs_per_stage():
@@ -416,9 +415,10 @@ def test_a_block_whose_table_raises_runs_per_stage():
         with pytest.raises(ConfigError) as tabled:
             integrate(F, np.array([0.5]), 0.0, 2.0, 0.125)
         # blocks of 4 steps: three tables, then the block from t = 1.5 fails
-        # as a table and runs per stage, the step from 1.625 raising at its
-        # last stage, 1.75
-        assert calls == [(3, 4)] * 4 + [()] * 8
+        # as a table and is rebuilt a step at a time on its route: the step
+        # from 1.5 runs, and the table of the step from 1.625 raises at its
+        # last stage time, 1.75
+        assert calls == [(3, 4)] * 4 + [(3, 1)] * 2
         with pytest.raises(ConfigError) as per_stage:
             integrate(plain, np.array([0.5]), 0.0, 2.0, 0.125)
     assert str(tabled.value) == str(per_stage.value)
@@ -435,11 +435,13 @@ def _counted(kind, fn, calls):
 
 
 def _counted_field(F, calls):
-    """F with each call of func, table and combine recorded in ``calls``."""
+    """F with each call of func, table and a stage route recorded in ``calls``."""
+    route = F.route
+    if route not in (_sum_block, _product_block):
+        route = _counted("stage", route, calls)
     return TDependentVectorField.tabled(
         F.dim, _counted("func", F.func, calls), _counted("table", F.table, calls),
-        None if F.combine is None else _counted("combine", F.combine, calls),
-        domain=F.domain)
+        route, domain=F.domain)
 
 
 @pytest.mark.parametrize("name", sorted(TIME_ONLY_SYSTEMS))
@@ -461,7 +463,7 @@ def _time_only_field(value, domain=None):
     """Time-only field of dimension 1 whose value at time t is value(t)."""
     return TDependentVectorField.tabled(
         1, lambda t, x: np.array([value(t)]),
-        lambda times, x0: value(times)[..., None], domain=domain)
+        lambda times, x0: value(times)[..., None], _sum_block, domain=domain)
 
 
 def test_time_only_blow_up_keeps_the_step_and_partial_of_the_per_stage_field():
@@ -513,7 +515,7 @@ def test_time_only_block_whose_table_raises_keeps_the_config_error():
     # H = P1/(t-1) cannot be evaluated at t = 1, a stage time of two steps
     fs = _configured_system("hamilton_jacobi", {"n": 2, "hamiltonian": "P1/(t-1)"})
     F = assemble(fs)
-    assert F.combine is None
+    assert F.route is _sum_block
     plain = TDependentVectorField(F.dim, lambda t, x: F.func(t, x))
     x0 = model_bundle("hamilton_jacobi").default_state
     with pytest.raises(ConfigError) as summed:
@@ -576,7 +578,7 @@ def test_step_matrices_are_within_tolerance_of_the_per_stage_loop(
         name, layout, block_steps, runs, seed):
     fs = STEP_MATRIX_SYSTEMS[name]
     F = assemble(fs)
-    assert F.matrices is not None and F.table is None and F.combine is None
+    assert F.route is _product_block
     rng = seeded_rng(seed)
     x0 = (fs.realized.box.sample(rng) if layout == "one state"
           else fs.realized.box.sample_many(rng, 3))
@@ -587,7 +589,7 @@ def test_step_matrices_are_within_tolerance_of_the_per_stage_loop(
     # the perfbench tracer rebuilds an assembled field, keeps the route
     per_stage = TDependentVectorField(F.dim, lambda t, x: F.func(t, x), domain=F.domain)
     rebuilt = TDependentVectorField(F.dim, F.func, domain=F.domain, name=F.name)
-    assert rebuilt.matrices is F.matrices
+    assert rebuilt.table is F.table and rebuilt.route is F.route
     with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
         got = integrate(F, x0, 0.0, 0.8, steps)
         ref = integrate(per_stage, x0, 0.0, 0.8, steps)
@@ -601,9 +603,10 @@ def test_step_matrices_are_within_tolerance_of_the_per_stage_loop(
 def _linear_field(value, domain=None):
     """x' = value(t) M x on R^2, a growing spiral for value 1."""
     M = np.array([[1.0, 1.0], [-1.0, 0.5]])
-    return TDependentVectorField.linear(
+    return TDependentVectorField.tabled(
         2, lambda t, x: np.asarray(value(t))[..., None] * (x @ M.T),
-        lambda times, x0: value(times)[..., None, None] * M, domain=domain)
+        lambda times, x0: value(times)[..., None, None] * M, _product_block,
+        domain=domain)
 
 
 def _assert_raises_as_per_stage(F, error, x0, t1, h):
@@ -658,18 +661,16 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
         # linear along a solution too
         "ermakov-uncoupled-reads-I": _configured_system("ermakov", {
             "omega2": "0.9+0.02*I", "c1": 0.0, "c2": 0.0})})
-    routed = {name for name, fs in systems.items() if assemble(fs).matrices is not None}
+    routed = {name for name, fs in systems.items() if assemble(fs).route is _product_block}
     assert routed == {"ermakov-sin", "ermakov-uncoupled-const", "ermakov-uncoupled-reads-I"}
     # the route builds the matrices once per block and calls no stage
     F = assemble(systems["ermakov-sin"])
     calls = []
-    G = TDependentVectorField.linear(F.dim, _counted("func", F.func, calls),
-                                     _counted("matrices", F.matrices, calls),
-                                     domain=F.domain)
+    G = _counted_field(F, calls)
     # 20 steps in blocks of 6: 6, 6, 6 and 2
     with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * 4):
         integrate(G, np.array([1.2, 1.1, 0.1, -0.1]), 0.0, 1.0, 0.05)
-    assert calls == ["matrices"] * 4
+    assert calls == ["table"] * 4
     # the group solves: the matrix curve takes the route, the abelian one not
     fields = []
 
@@ -677,16 +678,15 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
         fields.append(F)
         return integrate(F, *args)
 
-    erm = build_bundle(ScenarioConfig.from_dict({
-        "model": "ermakov", "params": {"omega2": 0.9, "c1": 0.0, "c2": 0.0}}))
+    erm = model_bundle("ermakov", omega2=0.9, c1=0.0, c2=0.0)
     hj = model_bundle("hamilton_jacobi")
     with mock.patch.object(sys.modules["folsys.automorphic"], "integrate", recorded):
         solve_matrix(reduce_system(erm.system, erm.action), np.ones(1), 0.0, 1.0, 0.1)
         solve_abelian(reduce_system(hj.system, hj.action), np.zeros(2), 0.0, 1.0, 0.1)
-    assert [F.matrices is not None for F in fields] == [True, False]
+    assert [F.route for F in fields] == [_product_block, _sum_block]
 
 
-# --- declared polynomial fields: the fused Riccati stage ------------------------
+# --- the declared Riccati stage ------------------------------------------------
 
 def _per_field_reference(fs):
     """The assembled field written out as the per-field sum
@@ -734,7 +734,7 @@ def test_fused_stage_equals_the_per_field_sum_bitwise(a, timed, x, layout,
                          for c in a))
     fs = riccati_system(spec).system
     F = assemble(fs)
-    assert F.table is not None and F.combine is not None
+    assert F.table is not None and F.route is fs.combine is not None
     x0 = np.array(x[:1]) if layout == "one state" else np.array(x)[:, None]
     n = {"K": block_steps, "K + 1": block_steps + 1, "2K + 1": 2 * block_steps + 1}[runs]
     h = 0.8 / n
@@ -750,25 +750,18 @@ def test_fused_stage_equals_the_per_field_sum_bitwise(a, timed, x, layout,
 
 def _field_calls(fs, calls):
     """fs with each call of a realized field recorded in ``calls``.  The
-    counting fields declare no terms, so this keeps the route only of
-    fields that declare none."""
+    counting fields declare no value or matrix, so this keeps the route only
+    of a system stepped by a stage."""
     fields = tuple(VectorField(X.dim, _counted(X.name, X.func, calls), name=X.name)
                    for X in fs.realized.fields)
     return dataclasses.replace(fs, realized=dataclasses.replace(fs.realized, fields=fields))
 
 
 def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
-    polynomial = sys.modules["folsys.fields"]._Polynomial
-    evaluate = polynomial.__call__
     field_calls = []
-
-    def counted(self, x):
-        field_calls.append(x.shape)
-        return evaluate(self, x)
-
     rng = seeded_rng(4)
     for name in ("riccati-const", "riccati-sin"):
-        fs = TABLE_SYSTEMS[name]
+        fs = _field_calls(TABLE_SYSTEMS[name], field_calls)
         for x0, steps in ((fs.realized.box.sample(rng), 0.05),
                           (fs.realized.box.sample_many(rng, 3), 0.05),
                           (fs.realized.box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
@@ -776,14 +769,13 @@ def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
             F = _counted_field(assemble(fs), calls)
             # 20 steps in blocks of 6: 6, 6, 6 and 2, each a table and then
             # four stages a step
-            with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * x0.size), \
-                    mock.patch.object(polynomial, "__call__", counted):
+            with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 6 * x0.size):
                 integrate(F, x0, 0.0, 1.0, steps)
             assert calls == [kind for k in (6, 6, 6, 2)
-                             for kind in ["table"] + ["combine"] * 4 * k], name
+                             for kind in ["table"] + ["stage"] * 4 * k], name
             assert field_calls == [], name
     # the coupled Ermakov system declares its stage, which calls no realized
-    # field either; without it the fields, which declare no terms, are
+    # field either; without it the fields, neither constant nor linear, are
     # called per stage, each once
     calls = []
     fs = _field_calls(model_bundle("ermakov").system, calls)
@@ -853,14 +845,14 @@ def test_ermakov_stage_equals_the_per_field_sum_bitwise(g, c, states, per_state,
     if not guarded:
         fs = dataclasses.replace(fs, domain=None)
     F, G = assemble(fs), assemble(dataclasses.replace(fs, combine=None))
-    assert F.combine is fs.combine is not None and G.combine is not fs.combine
+    assert F.route is fs.combine is not None and G.route is not fs.combine
     batch = np.array(states)
     x0 = batch[0] if layout == "one state" else batch
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the stage alone, on one state, each state of the batch and the batch
+        # the stage alone, on the coefficient rows of one state, each state
+        # of the batch and the batch
         for x in (*batch, batch):
-            row = np.array(g) if not per_state else np.broadcast_to(g, x.shape[:-1] + (3,))
-            assert _same_bits(F.combine(row, x), G.combine(row, x))
+            assert _same_bits(F.func(0.0, x), G.func(0.0, x))
         # whole runs: trajectories, or the step and partial of a blow-up or
         # domain exit, over K, K + 1 and 2K + 1 steps of 0.2
         with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * block_steps * x0.size):
@@ -895,9 +887,8 @@ def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(nam
     fs = ROUTES[name]
     F = assemble(fs)
     rebuilt = Counted(F.dim, F.func, domain=F.domain, name=F.name)
-    assert (F.table, F.combine, F.matrices) != (None, None, None)
-    assert rebuilt.table is F.table and rebuilt.combine is F.combine
-    assert rebuilt.matrices is F.matrices
+    assert F.table is not None and F.route is not None
+    assert rebuilt.table is F.table and rebuilt.route is F.route
     rng = seeded_rng(22)
     box = fs.realized.box
     for x0, steps in ((box.sample(rng), 0.01), (box.sample_many(rng, 3), 0.01),
@@ -906,10 +897,45 @@ def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(nam
         with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 40 * x0.size):
             got = integrate(rebuilt, x0, 0.0, 1.0, steps)
             # a stage route calls the field at every stage, a block route never
-            assert calls == ([x0.shape] * 4 * 100 if F.combine is not None else [])
+            stage = F.route not in (_sum_block, _product_block)
+            assert calls == ([x0.shape] * 4 * 100 if stage else [])
             want = integrate(F, x0, 0.0, 1.0, steps)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
+
+
+NO_FUNC_ROUTES = dict(ROUTES, **{
+    # the coupled Ermakov system without its declared stage: the per-field sum
+    "per-field": dataclasses.replace(model_bundle("ermakov").system, combine=None),
+    # a coefficient that cannot be evaluated at t = 1.75, on a stage and on
+    # the time-only route
+    "raises-stage": _configured_system("riccati", {"a0": "1+0*(1/(t-1.75))", "a2": -1}),
+    "raises-time-only": _configured_system("hamilton_jacobi", {
+        "n": 2, "hamiltonian": "P1/(t-1.75)"}),
+})
+
+
+@pytest.mark.parametrize("name", sorted(NO_FUNC_ROUTES))
+def test_integrate_never_calls_the_func_of_a_tabled_field(name):
+    # func, the Lie system at its own t and x, is not what integrate steps
+    # (on the Ermakov chart it reads I at every stage): a block's table is
+    # built from the stage times, also a step at a time after a ConfigError
+    calls = []
+    fs = NO_FUNC_ROUTES[name]
+    F = assemble(fs)
+    F = TDependentVectorField.tabled(F.dim, _counted("func", F.func, calls), F.table,
+                                     F.route, domain=F.domain)
+    box = fs.realized.box
+    rng = seeded_rng(23)
+    for x0, steps in ((box.sample(rng), 0.125), (box.sample_many(rng, 3), 0.125),
+                      (box.sample_many(rng, 3), [0.125, 0.25, 0.5])):
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 4 * x0.size):
+            if name.startswith("raises-"):
+                with pytest.raises(ConfigError, match="cannot be evaluated"):
+                    integrate(F, x0, 0.0, 2.0, steps)
+            else:
+                integrate(F, x0, 0.0, 2.0, steps)
+    assert calls == []
 
 
 # --- solve_matrix on the kernel ----------------------------------------------

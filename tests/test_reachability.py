@@ -110,13 +110,21 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 
 
 def test_only_foliated_builds_tabled_or_linear_fields():
-    # every Lie system, foliated or on a group, is built by foliated.lie_system
-    callers = set()
+    # every Lie system, foliated or on a group, is built by foliated.lie_system,
+    # which alone chooses its route: no other module builds a tabled field or
+    # names a block route of integrate
+    builders, namers = set(), set()
     for path in (ROOT / "src" / "folsys").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("tabled", "linear")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "TDependentVectorField"):
-                callers.add(path.name)
-    assert callers == {"foliated.py"}
+            if (isinstance(node, ast.Attribute) and node.attr == "tabled"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "TDependentVectorField"):
+                builders.add(path.name)
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if {"_sum_block", "_product_block"} & set(names):
+                namers.add(path.name)
+    assert builders == {"foliated.py"}
+    assert namers == {"foliated.py", "integrate.py"}

@@ -239,11 +239,11 @@ def test_verify_rule_keeps_a_nan_reconstruction_error():
 
 
 def test_solve_parameters_propagates_programming_errors():
-    def psi(sols, k):
+    def F(x, sols):
         raise TypeError("broken rule")
 
-    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=psi,
-                             F=lambda x, sols: x - sols[0])
+    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1,
+                             psi=lambda sols, k: sols[0] + k, F=F)
     with pytest.raises(TypeError, match="broken rule"):
         solve_parameters(rule, [np.array([0.1])], np.array([0.2]))
 
@@ -252,18 +252,18 @@ def test_solve_parameters_exactness_on_translations():
     rule = model_bundle("hamilton_jacobi").rule
     sol = np.array([0.3, -0.2, 1.0, 1.5])
     target = np.array([1.1, 0.4, 1.0, 1.5])
-    k, res = solve_parameters(rule, [sol], target)
+    k = solve_parameters(rule, [sol], target)
     assert np.array_equal(k, target[:2] - sol[:2])
-    assert res <= 1e-15
+    assert np.max(np.abs(apply_rule(rule, [sol], k) - target)) <= 1e-15
 
 
 def test_solve_parameters_crosses_the_cross_ratio_pole():
     # x just beyond u2 gives k far outside any bounded search box
     rule = riccati_rule()
     sols = [np.array([0.1]), np.array([0.5]), np.array([-0.3])]
-    k, res = solve_parameters(rule, sols, np.array([0.51]))
+    k = solve_parameters(rule, sols, np.array([0.51]))
     assert abs(k[0]) > 20.0
-    assert res <= 1e-14
+    assert np.max(np.abs(apply_rule(rule, sols, k) - 0.51)) <= 1e-14
 
 
 def test_riccati_first_integral_singular_inputs():
