@@ -107,13 +107,12 @@ class AutomorphicSystem:
     """Group-valued system g' = sum_a c_a(t,k) X^R_a(g), leafwise constant.
 
     ``coeffs(t, k)`` returns (c_1, ..., c_r)(t, k), one entry per generator,
-    as one array of shape ``np.shape(t) + (r,)``: ``(r,)`` for a float time,
-    one row per time for an array of times.
+    as one array of shape ``np.shape(t) + (r,)``, one row per time.
     """
 
     kind: str
     generators: tuple[np.ndarray, ...]
-    coeffs: Callable[[float, np.ndarray], np.ndarray]
+    coeffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
@@ -149,7 +148,7 @@ class GroupCurve:
 
 
 def reduce_system(fs: FoliatedSystem, action: GroupAction,
-                  gate_points: int = GATE_POINTS, seed: int = 42) -> AutomorphicSystem:
+                  seed: int = 42) -> AutomorphicSystem:
     """Reduce a foliated system through a compatible group action.
 
     The action's generator flows are compared against the realized fields at
@@ -160,7 +159,7 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     if len(action.generators) != fs.realized.algebra.dim:
         raise IncompatibleActionError("one generator per realized field is required")
     rng = seeded_rng(seed)
-    pts = fs.realized.box.sample_many(rng, gate_points)
+    pts = fs.realized.box.sample_many(rng, GATE_POINTS)
     res = fundamental_field_residual(action, fs.realized.fields, pts)
     if not res <= GATE_TOL:  # a NaN residual fails too
         raise IncompatibleActionError(

@@ -68,13 +68,12 @@ def _power(a, b):
     return out
 
 
-def _periodic(scalar_fn, array_fn):
+def _periodic(fn):
     def call(a):
-        if isinstance(a, float):
-            return scalar_fn(a)  # raises on infinities, as Python does
+        # math.sin and math.cos raise on infinities; numpy would give nan
         if np.count_nonzero(np.isinf(a)):
             raise ValueError("math domain error")
-        return array_fn(a)
+        return fn(a)
     return call
 
 
@@ -88,8 +87,8 @@ def _apply(fn, operands):
 
 
 # name -> (function, number of arguments)
-_ALLOWED_CALLS = {"sin": (_periodic(math.sin, np.sin), 1),
-                  "cos": (_periodic(math.cos, np.cos), 1),
+_ALLOWED_CALLS = {"sin": (_periodic(np.sin), 1),
+                  "cos": (_periodic(np.cos), 1),
                   "pow": (_power, 2)}
 _ALLOWED_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                    ast.Mult: operator.mul, ast.Div: _divide, ast.Pow: _power}
@@ -204,6 +203,8 @@ class ScenarioConfig:
                               f"steps from t0 to t1; at most {MAX_STEPS} are allowed")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory name, got {self.out!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ConfigError(f"format must be one of {REPORT_FORMATS}, got {self.fmt!r}")
 
@@ -245,7 +246,7 @@ class ScenarioConfig:
                    t0=t0, t1=t1, step=step, checks=checks,
                    seed=raw.get("seed", 42),
                    initial_state=init,
-                   out=str(raw.get("out", "out")),
+                   out=raw.get("out", "out"),
                    fmt=raw.get("format", "json"))
 
 
@@ -298,9 +299,7 @@ def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
     def H(t, P):
         # .T splits off the last axis and puts the result back;
         # times, one per point, are laid out like the columns
-        if isinstance(t, np.ndarray):
-            t = np.broadcast_to(t, P.shape[:-1]).T
-        v = fn(t, *P.T)
+        v = fn(np.broadcast_to(t, P.shape[:-1]).T, *P.T)
         # one value per point, also where the expression has no P
         return v.T if isinstance(v, np.ndarray) else np.broadcast_to(v, P.shape[:-1])
 

@@ -76,8 +76,8 @@ class TDependentVectorField:
     """Time-dependent vector field; ``domain``, when set, guards integration:
     it maps states ``(..., N)`` to bools ``(...)``, so one call checks a block.
 
-    ``t`` is a float, or an array of times, one per state of a batch, which
-    is passed through as it is.
+    ``t`` is a numpy time, passed through as it is: an array of times, one
+    per state of a batch, or the numpy scalar of one time.
 
     A field built by ``TDependentVectorField.tabled`` (in the package only
     ``foliated.lie_system`` builds one) is a Lie system tabulated along a
@@ -94,7 +94,7 @@ class TDependentVectorField:
     the same bits; they read None for any other field."""
 
     dim: int
-    func: Callable[[float, np.ndarray], np.ndarray]
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
@@ -109,8 +109,6 @@ class TDependentVectorField:
     route = property(lambda s: s.func.route if isinstance(s.func, _Along) else None)
 
     def __call__(self, t, x) -> np.ndarray:
-        if type(t) is not float and not isinstance(t, np.ndarray):
-            t = float(t)
         return np.asarray(self.func(t, np.asarray(x, dtype=float)), dtype=float)
 
 
@@ -140,8 +138,7 @@ def directional_derivative(X: VectorField, f: Callable[[np.ndarray], float], x) 
     return float(grad_fd(f, x) @ X(x))
 
 
-def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL,
-            values=None):
+def rank_at(fields: Sequence[VectorField], x, values=None):
     """Numerical rank of the N x r matrix of field values at x.
 
     ``x`` is one point ``(N,)``, which gives an int, or a block ``(..., N)``,
@@ -153,8 +150,8 @@ def rank_at(fields: Sequence[VectorField], x, rtol: float = RANK_RTOL,
     M = np.stack([X(x) for X in fields] if values is None else values, axis=-1)
     finite = np.isfinite(M).all(axis=(-2, -1), keepdims=True)
     sv = np.linalg.svd(np.where(finite, M, 0.0), compute_uv=False)
-    # a zero matrix has rank 0: no singular value exceeds rtol * 0
-    ranks = np.sum(sv > rtol * sv[..., :1], axis=-1)
+    # a zero matrix has rank 0: no singular value exceeds RANK_RTOL * 0
+    ranks = np.sum(sv > RANK_RTOL * sv[..., :1], axis=-1)
     return int(ranks) if x.ndim == 1 else ranks
 
 

@@ -56,16 +56,6 @@ class FoliationChart:
             is_split=True,
         )
 
-    @classmethod
-    def from_invariants(cls, dim: int, leaf_dim: int,
-                        invariants: Callable[[np.ndarray], np.ndarray],
-                        n_labels: int,
-                        leaf_point: Callable[[np.ndarray], np.ndarray] | None = None,
-                        ) -> "FoliationChart":
-        """Chart exposing only conserved labels, without adapted coordinates."""
-        return cls(dim=dim, leaf_dim=leaf_dim, n_labels=n_labels,
-                   leaf_map=invariants, leaf_point=leaf_point)
-
 
 def leaf_of(chart: FoliationChart, x) -> np.ndarray:
     """Transverse label block identifying the leaf through x.
@@ -85,8 +75,8 @@ class FoliatedSystem:
 
     ``coeffs(t, x)`` maps states ``(..., N)`` to all r coefficients as one
     array ``(..., r)``, so values they share (a gradient, an invariant) are
-    computed once per call.  ``t`` is a float or an array of times, one per
-    point, broadcasting against ``x.shape[:-1]``.  A map whose values do not
+    computed once per call.  ``t`` is an array of times, one per point,
+    broadcasting against ``x.shape[:-1]``.  A map whose values do not
     depend on x may return ``np.shape(t) + (r,)`` instead, or ``(r,)`` when
     they depend on neither; see ``coefficient_values``.
 
@@ -110,7 +100,7 @@ class FoliatedSystem:
     """
 
     realized: RealizedAlgebra
-    coeffs: Callable[[float, np.ndarray], np.ndarray]
+    coeffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart: FoliationChart
     name: str = ""
     domain: Callable[[np.ndarray], np.ndarray] | None = None
@@ -128,15 +118,14 @@ class FoliatedSystem:
 def coefficient_values(coeffs, r: int, t, x: np.ndarray) -> np.ndarray:
     """``coeffs(t, x)`` as an array, checked against the coefficient-map contract.
 
-    ``t`` is a float or an array of times broadcasting against
-    ``x.shape[:-1]``.  The value has shape ``x.shape[:-1] + (r,)``, or, when
-    it does not depend on x, ``np.shape(t) + (r,)`` or ``(r,)``; any other
-    shape raises DimensionMismatchError.  The time-array shape is tested
-    last, so a float ``t`` adds no numpy call to the check.
+    ``t`` is an array of times broadcasting against ``x.shape[:-1]``.  The
+    value has shape ``x.shape[:-1] + (r,)``, or, when it does not depend on
+    x, ``np.shape(t) + (r,)`` or ``(r,)``; any other shape raises
+    DimensionMismatchError.
     """
     c = np.asarray(coeffs(t, x))
     if (c.shape != x.shape[:-1] + (r,) and c.shape != (r,)
-            and not (isinstance(t, np.ndarray) and c.shape == t.shape + (r,))):
+            and c.shape != np.shape(t) + (r,)):
         raise DimensionMismatchError(
             f"coefficient map returned shape {c.shape} for states of shape "
             f"{x.shape} at times of shape {np.shape(t)}; need {r} coefficients "

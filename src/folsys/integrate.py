@@ -98,7 +98,7 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 
     The steps go in blocks of at most TABLE_BLOCK stage state values
     (3 stages x K steps x B rows x N).  A field without a table is called
-    per stage with the stage times (Python floats on one grid), and the
+    per stage with the stage times, numpy scalars on one grid, and the
     domain guard checks each new state.  A tabled field (see
     TDependentVectorField) has its table built once per block from the
     block's stage times ``(3, K)``, ``(3, K, 1)`` for a batch on one grid or
@@ -182,8 +182,7 @@ def _stage_values(F, x0, grid):
     The block routes ``_product_block`` and ``_sum_block`` take the stage
     matrices or values, with dt shaped to multiply them.  Otherwise the RK4
     loop calls f(value, x) on table rows, for a stage route, or on stage
-    times, for a field without a table (Python floats on one grid, so that
-    path works on no numpy scalar)."""
+    times, for a field without a table."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
@@ -199,7 +198,7 @@ def _stage_values(F, x0, grid):
         dt = block[1:] - t
         times = np.stack([t, t + 0.5 * dt, t + dt])
         if table is None:
-            parts = [(k0, dt, times.tolist() if one_grid else times)]
+            parts = [(k0, dt, times)]
         else:
             times = times[..., None] if spread else times
             try:

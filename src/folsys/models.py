@@ -32,7 +32,7 @@ from .errors import DimensionMismatchError, SingularCombinationError
 from .fields import RealizedAlgebra, VectorField
 from .foliated import FoliatedSystem, FoliationChart
 from .superposition import SuperpositionRule
-from .util import Box, central_differences, grad_fd, seeded_rng
+from .util import Box, central_differences
 
 ERMAKOV_GUARD = 1e-6
 
@@ -56,12 +56,12 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class RiccatiSpec:
-    """Coefficients a_i(t): a float for a float t; for an array of times, one
-    value per time or one constant value."""
+    """Coefficients a_i(t) of an array of times: one value per time or one
+    constant value."""
 
-    a0: Callable[[float], float]
-    a1: Callable[[float], float]
-    a2: Callable[[float], float]
+    a0: Callable[[np.ndarray], np.ndarray]
+    a1: Callable[[np.ndarray], np.ndarray]
+    a2: Callable[[np.ndarray], np.ndarray]
 
 
 def _sl2_algebra(names: tuple[str, str, str]) -> la.LieAlgebra:
@@ -152,12 +152,9 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
 
     def coeffs(t, x):
-        c = (spec.a0(t), spec.a1(t), spec.a2(t))
-        if not isinstance(t, np.ndarray):
-            return np.array(c, dtype=float)
-        out = np.empty(t.shape + (3,))  # one row per time
-        for a, value in enumerate(c):
-            out[..., a] = value
+        out = np.empty(np.shape(t) + (3,))  # one row per time
+        for a, a_i in enumerate((spec.a0, spec.a1, spec.a2)):
+            out[..., a] = a_i(t)
         return out
 
     system = FoliatedSystem(realized, coeffs, chart, name="riccati",
@@ -175,14 +172,14 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
 @dataclass(frozen=True)
 class HamiltonJacobiSpec:
     """H(t, P) maps momenta ``(..., n)`` to one value per point ``(...)``;
-    ``dH`` maps them to ``(..., n)``.  ``t`` is a float or an array of
-    times ``(...)``, one per point."""
+    ``dH`` maps them to ``(..., n)``.  ``t`` is an array of times ``(...)``,
+    one per point."""
 
     n: int
-    H: Callable[[float, np.ndarray], np.ndarray]
-    dH: Callable[[float, np.ndarray], np.ndarray] | None = None
+    H: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dH: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def gradient(self, t: float, P: np.ndarray) -> np.ndarray:
+    def gradient(self, t: np.ndarray, P: np.ndarray) -> np.ndarray:
         """dH/dP at momenta ``(..., n)``: the analytic ``dH``, else central
         differences from one call of H on the ``(2n, ..., n)`` block of
         perturbed momenta, where H must return one value per point."""
@@ -201,32 +198,16 @@ class HamiltonJacobiSpec:
         g = central_differences(values, P, ())
         return g.transpose((*range(1, g.ndim), 0))  # (n, ...) -> (..., n)
 
-    def gradient_consistency(self, seed: int = 42, trials: int = 10) -> float:
-        """Relative deviation of the declared gradient from central differences."""
-        if self.dH is None:
-            return 0.0
-        rng = seeded_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            t = float(rng.uniform(0.0, 2.0))
-            P = rng.uniform(0.5, 2.0, size=self.n)
-            fd = grad_fd(lambda p: self.H(t, p), P)
-            scale = max(1.0, float(np.max(np.abs(fd))))
-            worst = max(worst, float(np.max(np.abs(self.dH(t, P) - fd))) / scale)
-        return worst
-
 
 def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
     """H(t, P) = sum_i cos(t P_i) with analytic gradient -t sin(t P_i)."""
 
     def H(t, P):
-        if isinstance(t, np.ndarray):
-            t = t[..., None]  # times (...) against momenta (..., n)
+        t = np.asarray(t)[..., None]  # times (...) against momenta (..., n)
         return np.sum(np.cos(t * P), axis=-1)
 
     def dH(t, P):
-        if isinstance(t, np.ndarray):
-            t = t[..., None]
+        t = np.asarray(t)[..., None]
         return -t * np.sin(t * P)
 
     return HamiltonJacobiSpec(n=n, H=H, dH=dH)
@@ -278,9 +259,6 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     into the n coordinate translations, which is exactly what the
     decomposition (and everything built on it) exploits.
     """
-    res = spec.gradient_consistency()
-    if res > 1e-5:
-        raise ValueError(f"declared gradient disagrees with H: residual {res:.3e}")
     return _translation_model("hamilton_jacobi", spec, 1.0, np.zeros(spec.n),
                               ("dQ", "Q-translation"))
 
@@ -304,8 +282,8 @@ def lax_pair_rhs(spec: HamiltonJacobiSpec, t, v) -> np.ndarray:
     """Component derivatives read off the commutator [V, M], where
     M = -sum_a f_a(t, I) e_a, f_a = (dh/dI_a) / I_a and I = (v^{n+1}..v^{2n}).
 
-    ``v`` is one state ``(2n,)`` or a block ``(..., 2n)``; ``t`` is a float
-    or an array of times broadcasting against ``v.shape[:-1]``.  Where an
+    ``v`` is one state ``(2n,)`` or a block ``(..., 2n)``; ``t`` is an
+    array of times broadcasting against ``v.shape[:-1]``.  Where an
     I_a is zero the Lax form does not exist, and the derivatives are NaN or
     infinite, without a warning.
     """
@@ -345,11 +323,11 @@ def lax_system(spec: HamiltonJacobiSpec) -> ModelBundle:
 
 @dataclass(frozen=True)
 class ErmakovSpec:
-    """omega2(t, I) takes invariant values ``(...)``, and a float time or an
-    array of times broadcasting against them, and returns one frequency per
-    value, or one I-independent frequency."""
+    """omega2(t, I) takes invariant values ``(...)`` and an array of times
+    broadcasting against them, and returns one frequency per value, or one
+    I-independent frequency."""
 
-    omega2: Callable[[float, np.ndarray], np.ndarray]
+    omega2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     c1: float = 1.0
     c2: float = 1.0
 
@@ -428,8 +406,8 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
             raise ValueError(f"no representative point for invariant value {k}")
         return np.array([1.0, 1.0, 0.0, np.sqrt(w2)])
 
-    chart = FoliationChart.from_invariants(
-        4, 3, lambda s: lewis_invariant(spec, s)[..., None], 1, leaf_point=leaf_point)
+    chart = FoliationChart(4, 3, 1, lambda s: lewis_invariant(spec, s)[..., None],
+                           leaf_point=leaf_point)
 
     def coeffs(t, s):
         out = np.zeros(s.shape[:-1] + (3,))

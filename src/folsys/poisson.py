@@ -257,10 +257,8 @@ def adjoint_foliated_system(alg: la.LieAlgebra,
         out[..., 2] = 0.1 * cas
         return out
 
-    chart = FoliationChart.from_invariants(
-        dim=r, leaf_dim=r - 1, invariants=lambda v: casimir(v)[..., None],
-        n_labels=1,
-    )
+    chart = FoliationChart(dim=r, leaf_dim=r - 1, n_labels=1,
+                           leaf_map=lambda v: casimir(v)[..., None])
     realized = RealizedAlgebra(alg, flds, Box(np.full(r, 0.6), np.full(r, 1.4)))
     return FoliatedSystem(realized, coeffs, chart, name="adjoint")
 

@@ -17,11 +17,10 @@ def fd_step(x: np.ndarray) -> float:
     return FD_SCALE * max(1.0, float(np.max(np.abs(x))))
 
 
-def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray,
-            step: float | None = None) -> np.ndarray:
+def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Gradient of a scalar map by central differences."""
     x = np.asarray(x, dtype=float)
-    h = fd_step(x) if step is None else step
+    h = fd_step(x)
     g = np.empty(x.size)
     for j in range(x.size):
         xp = x.copy()
@@ -32,11 +31,10 @@ def grad_fd(f: Callable[[np.ndarray], float], x: np.ndarray,
     return g
 
 
-def jacobian_fd(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: float | None = None) -> np.ndarray:
+def jacobian_fd(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Jacobian of a vector map by central differences, columns = coordinates."""
     x = np.asarray(x, dtype=float)
-    h = fd_step(x) if step is None else step
+    h = fd_step(x)
     cols = []
     for j in range(x.size):
         xp = x.copy()
@@ -56,7 +54,7 @@ def _unit_mask(n: int, ndim: int) -> np.ndarray:
 
 
 def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        tail: tuple[int, ...], scale: float = FD_SCALE) -> np.ndarray:
+                        tail: tuple[int, ...]) -> np.ndarray:
     """Central differences of a map that takes blocks, from one call of F.
 
     ``x`` is one point ``(N,)`` or a block ``(..., N)``.  F is called once on
@@ -65,12 +63,12 @@ def central_differences(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     ``tail`` once; any other shape raises DimensionMismatchError.  Entry j of
     the result, shape ``(N,) + x.shape[:-1] + tail``, is
     (F(x + h e_j) - F(x - h e_j)) / (2h) with the step
-    h = scale * max(1, max|x|) of each point: the values ``jacobian_fd``
+    h = FD_SCALE * max(1, max|x|) of each point: the values ``jacobian_fd``
     gives one point at a time.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = scale * np.maximum(1.0, np.abs(x).max(axis=-1))
+    h = FD_SCALE * np.maximum(1.0, np.abs(x).max(axis=-1))
     pts = np.empty((2 * n,) + x.shape)
     pts[...] = x
     # only the perturbed coordinate of each copy is written, as x[j] += h

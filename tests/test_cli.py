@@ -521,6 +521,10 @@ def test_cli_config_error_exit_code(tmp_path):
     {"integration": {"t0": 0.0, "t1": 2.0, "stpe": 0.5}},
     {"checks": []},
     {"checks": ["leaf_drift", "superposition", "leaf_drift"]},
+    # an output directory that is not a string, which would be named by str()
+    {"model": "riccati", "params": {}, "checks": ["foliated"], "out": None},
+    {"model": "riccati", "params": {}, "checks": ["foliated"], "out": ["a"]},
+    {"model": "riccati", "params": {}, "checks": ["foliated"], "out": 3},
 ])
 def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path / "bad.json", **overrides)
@@ -806,6 +810,28 @@ def test_bundled_configs_are_bitwise_the_same_on_the_per_stage_field(
                 tabled, _outputs(raw, tmp_path / f"{bound}")))
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= bound * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_configs_call_the_coefficient_map_on_arrays_of_times(
+        path, tmp_path, monkeypatch):
+    times = []
+
+    def recording_bundle(cfg):
+        bundle = build_bundle(cfg)
+        coeffs = bundle.system.coeffs
+
+        def recorded(t, x):
+            times.append(t)
+            return coeffs(t, x)
+
+        return dataclasses.replace(
+            bundle, system=dataclasses.replace(bundle.system, coeffs=recorded))
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", recording_bundle)
+    run(ScenarioConfig.from_dict(dict(json.loads(path.read_text()), out=str(tmp_path))))
+    assert times
+    assert all(isinstance(t, np.ndarray) for t in times)
 
 
 def _stderr_lines(config: dict, tmp_path) -> tuple[int, list[str]]:

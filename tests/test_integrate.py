@@ -268,7 +268,9 @@ def test_per_row_steps_pass_one_time_per_row():
 
     F = TDependentVectorField(1, func)
     integrate(F, np.zeros((2, 1)), 0.0, 1.0, 0.25)
-    assert {type(t) for t in seen} == {float}
+    # one grid: one numpy scalar time per stage, against the whole batch
+    assert {type(t) for t in seen} == {np.float64}
+    assert [float(t) for t in seen[-4:]] == [0.75, 0.875, 0.875, 1.0]
     seen.clear()
     traj = integrate(F, np.zeros((2, 1)), 0.0, 1.0, [0.5, 0.25])
     assert all(isinstance(t, np.ndarray) and t.shape == (2,) for t in seen)

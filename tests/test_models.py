@@ -109,11 +109,17 @@ def test_hj_quadrature_endpoint():
     assert oracle == pytest.approx(np.pi, abs=1e-10)
 
 
-def test_hj_gradient_consistency_guard():
-    bad = HamiltonJacobiSpec(1, H=lambda t, P: float(P[0] ** 2),
-                             dH=lambda t, P: 3.0 * P)
-    with pytest.raises(ValueError):
-        hj_system(bad)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sum_cos_gradient_matches_central_differences(n):
+    # the only analytic gradient a config can select
+    spec = sum_cos_spec(n)
+    rng = seeded_rng(42)
+    for _ in range(10):
+        t = rng.uniform(0.0, 2.0, size=1)[0]
+        P = rng.uniform(0.5, 2.0, size=n)
+        fd = grad_fd(lambda p: spec.H(t, p), P)
+        scale = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(spec.dH(t, P) - fd)) <= 1e-5 * scale
 
 
 def test_hj_finite_difference_gradient_fallback():

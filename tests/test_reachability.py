@@ -11,28 +11,35 @@ check is loose: it finds definitions that nothing mentions at all.
 A public field of a dataclass counts as reached when its name occurs as an
 attribute or a string constant in the same files: a field that is only
 ever set, by a keyword or a positional argument, is read by nothing.
+
+A defaulted parameter of a public function or method counts as passed when
+some call of that name, in those files or in ``tests/``, passes it by
+keyword or position, or passes ``*args`` or ``**kwargs``: a parameter that
+no call passes is a constant.
 """
 import ast
+import itertools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def public_definitions(package: Path):
-    """(qualified name, name) of each public top-level function and class,
-    and of each public method of those classes."""
+    """(qualified name, node, whether it is a method) of each public
+    top-level function and class, and of each public method of those
+    classes."""
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                        yield f"{path.stem}.{node.name}.{item.name}", item, True
 
 
 def dataclass_fields(package: Path):
@@ -87,8 +94,8 @@ def used_names(root: Path) -> set[str]:
 def unreached(root: Path) -> list[str]:
     used = used_names(root)
     return [qualified
-            for qualified, name in public_definitions(root / "src" / "folsys")
-            if name not in used]
+            for qualified, node, _ in public_definitions(root / "src" / "folsys")
+            if node.name not in used]
 
 
 def test_every_public_name_is_reached_outside_the_tests():
@@ -128,3 +135,61 @@ def test_only_foliated_builds_tabled_or_linear_fields():
                 namers.add(path.name)
     assert builders == {"foliated.py"}
     assert namers == {"foliated.py", "integrate.py"}
+
+
+def defaulted_parameters(package: Path):
+    """(qualified name, function name, parameter, position) of each
+    defaulted parameter of a public function or method, the position not
+    counting ``self`` or ``cls`` and None for a keyword-only parameter.
+    Parameters whose names start with ``_`` bind a value, not an option,
+    and are skipped."""
+    for qualified, func, method in public_definitions(package):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in func.decorator_list)
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        named = [(arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+        named += [(arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+        for arg, position in named:
+            if not arg.arg.startswith("_"):
+                yield qualified, func.name, arg.arg, position
+
+
+def passed_arguments(root: Path) -> dict[str, tuple[set, int, bool]]:
+    """Per called name: the keywords passed, the most positional arguments
+    passed, and whether some call passes ``*args`` or ``**kwargs``."""
+    tests = (ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for path in (root / "tests").rglob("*.py"))
+    calls = {}
+    for node in itertools.chain(program_nodes(root), *tests):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        keywords, most, star = calls.get(name, (set(), 0, False))
+        star = (star or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords))
+        keywords.update(k.arg for k in node.keywords if k.arg is not None)
+        calls[name] = (keywords, max(most, len(node.args)), star)
+    return calls
+
+
+def unpassed_parameters(root: Path) -> list[str]:
+    calls = passed_arguments(root)
+    unpassed = []
+    for qualified, name, param, position in defaulted_parameters(
+            root / "src" / "folsys"):
+        keywords, most, star = calls.get(name, (set(), 0, False))
+        if not (star or param in keywords
+                or (position is not None and most > position)):
+            unpassed.append(f"{qualified}({param})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert unpassed_parameters(ROOT) == []
