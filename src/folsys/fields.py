@@ -85,8 +85,8 @@ class TDependentVectorField:
     ``(3, K, ...)`` of a block of K steps, and ``route`` steps them: the
     block routes ``integrate._sum_block`` (stage values) and
     ``integrate._product_block`` (stage matrices), or a stage
-    ``route(rows, x)``, which ``integrate`` calls per stage through a copy
-    of the field with ``func = route``.  Stage rows are the coefficients
+    ``route(rows, x)``, which ``integrate`` calls per batch stage through a
+    copy of the field with ``func = route``.  Stage rows are the coefficients
     laid out by field, ahead of the rows of a batch, and summed from 0.0.
     ``func(t, x)`` is the Lie system at its own t and x; ``integrate``
     never calls it.  ``table`` and ``route`` are carried by ``func``, so a

@@ -96,7 +96,9 @@ class FoliatedSystem:
     ``combine(c, x)`` of the coefficients and states, bit for bit the
     per-field sum of ``assemble``: ``c`` holds them laid out by field and
     summed from 0.0 (``c[a]`` is 0.0 + c_a, one number, or a column
-    ``(B, 1)`` against a batch ``(B, N)``).
+    ``(B, 1)`` against a batch ``(B, N)``).  Its float form, the N values
+    ``combine.floats(*c, *x)`` on Python floats, steps one state (see
+    ``integrate``), so a subclass of the field sees batch stages only.
     """
 
     realized: RealizedAlgebra
@@ -182,8 +184,8 @@ def lie_system(fields, coeffs, domain=None, combine=None,
       group curves): ``integrate._product_block`` on the stage matrices
       sum_a c_a M_a;
     - otherwise a stage on the coefficient rows (``_field_rows``): the
-      declared ``combine`` (Riccati, coupled Ermakov), or else the per-field
-      sum ``out = 0.0; out += c_a X_a(x)``, each field called once per stage.
+      declared ``combine`` (Riccati, coupled Ermakov; one state on its float
+      form), or else the per-field sum ``out = 0.0; out += c_a X_a(x)``.
 
     Both sums start from zeros and go in field order.  ``func`` runs the
     same Lie system on the coefficients at its own t and x.

@@ -115,7 +115,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
       1e-12 max(1, max|x|), and bit for bit between runs.
     - a stage: the RK4 loop calls F's copy with ``func = route`` on the
       table rows (laid out by field, summed from 0.0) in place of the stage
-      times, so a subclass of F sees every stage.
+      times, so a subclass of F sees every stage of a batch.  One state
+      steps on the float form ``route.floats`` (``_float_steps``), which no
+      subclass sees, and on the loop where Python raises.
 
     A block whose table raises a ConfigError (a coefficient that cannot be
     evaluated at some time) is rebuilt one step at a time on the same
@@ -149,10 +151,14 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
 
     states = np.empty((times.size,) + x0.shape)
     states[0] = x0
+    floats = getattr(F.route, "floats", None) if x0.ndim == 1 else None
     for k0, dts, f, values in _stage_values(F, x0, grid):
         with np.errstate(over="ignore", invalid="ignore"):
             if f in _BLOCK_ROUTES:
                 f(states[k0:k0 + len(dts) + 1], dts, values)
+                _guard_block(states, k0, len(dts), times, h, inside)
+                continue
+            if floats is not None and _float_steps(floats, states, k0, dts, values):
                 _guard_block(states, k0, len(dts), times, h, inside)
                 continue
             x = states[k0].copy()
@@ -181,8 +187,8 @@ def _stage_values(F, x0, grid):
     stage times ``(3, K, ...)``, the start, midpoint and end of each step.
     The block routes ``_product_block`` and ``_sum_block`` take the stage
     matrices or values, with dt shaped to multiply them.  Otherwise the RK4
-    loop calls f(value, x) on table rows, for a stage route, or on stage
-    times, for a field without a table."""
+    loop calls f(value, x) on table rows, for a stage route not on floats,
+    or on stage times, for a field without a table."""
     one_grid = grid.ndim == 1
     # a batch on one grid: one time per step, against the rows of x0
     spread = one_grid and x0.ndim == 2
@@ -216,6 +222,28 @@ def _stage_values(F, x0, grid):
             else:
                 steps = steps[..., None]  # one step per row, against states (B, N)
             yield k, steps, f, values
+
+
+def _float_steps(form, states, k0, dts, values):
+    """Fill the states after ``states[k0]`` of one state on a stage route,
+    on Python floats in the RK4 loop's order of operations, so bit for bit:
+    ``form(*c, *x)`` is the stage on a table row c.  False, writing nothing,
+    where Python raises (a zero divisor, ``math.pow`` overflowing)."""
+    x, out = states[k0].tolist(), []
+    try:
+        for dt, c0, c1, c2 in zip(dts, *values.tolist()):
+            half, sixth = 0.5 * dt, dt / 6.0
+            k1 = form(*c0, *x)
+            k2 = form(*c1, *[a + half * b for a, b in zip(x, k1)])
+            k3 = form(*c1, *[a + half * b for a, b in zip(x, k2)])
+            k4 = form(*c2, *[a + dt * b for a, b in zip(x, k3)])
+            x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            out.append(x)
+    except (ZeroDivisionError, OverflowError):
+        return False
+    states[k0 + 1:k0 + len(out) + 1] = out
+    return True
 
 
 def _sum_block(block, dt, v):

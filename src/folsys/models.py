@@ -21,6 +21,7 @@ Conventions worth pinning down once:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -134,11 +135,15 @@ def translation_rule(n: int) -> SuperpositionRule:
 def _riccati_stage(c, x):
     """c0 + c1 x + c2 x^2 on the coefficient rows of ``lie_system``, each
     from 0.0: the per-field sum ((0.0 + c0) + c1 x) + c2 x^2 bit for bit,
-    with x^2 as the field X2 computes it."""
+    with x^2 as the field X2 computes it.  Its float form takes math.pow,
+    float_power bit for bit, where x * x and numpy's x ** 2.0 are not."""
     out = c[1] * x
     out += c[0]
     out += c[2] * np.float_power(x, 2)
     return out
+
+
+_riccati_stage.floats = lambda c0, c1, c2, x: ((c1 * x + c0) + c2 * math.pow(x, 2.0),)
 
 
 def riccati_system(spec: RiccatiSpec) -> ModelBundle:
@@ -372,8 +377,8 @@ def _ermakov_combine(spec: ErmakovSpec):
     """g1 X1 + g2 X2 + g3 X3 of the coupled fields, on the coefficient rows
     of ``lie_system`` (``c[a]`` one number, or a column against states
     ``(B, 4)``), in the order of operations of ``assemble``'s per-field sum
-    (from 0.0), so bit for bit that sum.  One state runs on Python floats,
-    and on numpy where Python raises (a zero divisor: inf)."""
+    (from 0.0), so bit for bit that sum.  ``terms`` on Python floats steps
+    one state; numpy columns serve batches, ``func`` and where Python raises."""
     def terms(g1, g2, g3, x, y, vx, vy):
         return (0.0 + g1 * vx + g2 * (x * 0.5) + g3 * 0.0,
                 0.0 + g1 * vy + g2 * (y * 0.5) + g3 * 0.0,
@@ -381,14 +386,10 @@ def _ermakov_combine(spec: ErmakovSpec):
                 0.0 + g1 * (spec.c1 / (x * y * y)) + g2 * (vy * -0.5) + g3 * -y)
 
     def combine(c, s):
-        if s.ndim == 1:
-            try:
-                return np.array(terms(*c.tolist(), *s.tolist()))
-            except ZeroDivisionError:
-                pass
         # the state's columns (..., 1), against the rows of c
         return np.concatenate(terms(*c, *np.moveaxis(s, -1, 0)[..., None]), axis=-1)
 
+    combine.floats = terms
     return combine
 
 

@@ -878,7 +878,9 @@ ROUTES = {
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(name):
     # the perfbench tracer rebuilds every assembled field as a subclass
-    # that times its calls, from (F.dim, F.func, domain=F.domain, name=F.name)
+    # that times its calls, from (F.dim, F.func, domain=F.domain, name=F.name);
+    # the subclass sees the stages of a batch, while one state on a declared
+    # stage steps on Python floats and calls no field
     calls = []
 
     class Counted(TDependentVectorField):
@@ -898,8 +900,9 @@ def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(nam
         calls.clear()
         with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * 40 * x0.size):
             got = integrate(rebuilt, x0, 0.0, 1.0, steps)
-            # a stage route calls the field at every stage, a block route never
-            stage = F.route not in (_sum_block, _product_block)
+            # a stage route calls the field at every stage of a batch, a
+            # block route never
+            stage = F.route not in (_sum_block, _product_block) and x0.ndim == 2
             assert calls == ([x0.shape] * 4 * 100 if stage else [])
             want = integrate(F, x0, 0.0, 1.0, steps)
         assert got.times.tobytes() == want.times.tobytes()
@@ -938,6 +941,79 @@ def test_integrate_never_calls_the_func_of_a_tabled_field(name):
             else:
                 integrate(F, x0, 0.0, 2.0, steps)
     assert calls == []
+
+
+# --- one state on Python floats ------------------------------------------------
+
+FLOAT_RUNS = {
+    # name: the system, x0, the step, the steps n (odd) and how the run ends
+    "ermakov": (model_bundle("ermakov").system, [1.0, 1.0, 0.0, 1.0], 0.125, 17,
+                "trajectory"),
+    "ermakov-reads-I": (_configured_system("ermakov", {"omega2": "1+0.02*I"}),
+                        [1.2, 0.9, 0.1, 0.8], 0.125, 17, "trajectory"),
+    # x^2 the largest term: a stage whose x^2 is x * x changes the bits
+    "riccati-const": (_configured_system("riccati", {"a0": 100.0, "a2": -1.0}),
+                      [-9.0], 0.01, 401, "trajectory"),
+    "riccati-texpr": (_configured_system("riccati", {
+        "a0": "4+2*sin(3*t)", "a1": "cos(t)", "a2": -1.0}), [2.0], 0.05, 401,
+        "trajectory"),
+    # x' = 1 + x^2 and x0 = 1e308: math.pow overflows, and the block re-runs
+    # on numpy, which blows up at the step
+    "riccati-blow-up": (_configured_system("riccati", {"a0": 1.0, "a2": 1.0}),
+                        [0.0], 0.125, 17, "BlowUpError"),
+    "riccati-1e308": (model_bundle("riccati").system, [1e308], 0.125, 17,
+                      "BlowUpError"),
+    # x' = vx = -1 reaches x = 0 at t = 0.5 with no domain guard: a zero
+    # divisor, on numpy inf
+    "ermakov-zero-divisor": (
+        dataclasses.replace(_ermakov_with((1.0, 0.0, 0.0), 1.0, 0.0, False), domain=None),
+        [0.5, 1.0, -1.0, 0.0], 0.125, 7, "BlowUpError"),
+    # the table raises at t = 1.75, in the step from 1.625
+    "table-raises": (NO_FUNC_ROUTES["raises-stage"], [0.5], 0.125, 17, "ConfigError"),
+}
+
+
+def _one_solution(F, x0, t1, h):
+    """The run of F from x0, one state ``(N,)`` or a batch of one ``(1, N)``,
+    as bytes of its one solution, or the error it raises with its message,
+    and the time and partial trajectory of a blow-up or domain exit."""
+    try:
+        traj = integrate(F, x0, 0.0, t1, h)
+    except (BlowUpError, DomainExitError) as exc:
+        p = exc.partial  # states (T, N), or (T, 1, N) for the batch
+        return (type(exc).__name__, str(exc), exc.t, None if p is None
+                else (p.times.tobytes(), p.states.reshape(len(p), -1).tobytes()))
+    except ConfigError as exc:
+        return type(exc).__name__, str(exc)
+    return "trajectory", traj.times.tobytes(), traj.states.reshape(len(traj), -1).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_RUNS))
+def test_one_state_on_python_floats_equals_its_batch_of_one_bitwise(name):
+    # one state on a declared stage steps on the stage's float form, a batch
+    # of one on numpy; Python raises on a zero divisor and where math.pow
+    # overflows, and the block then re-runs on the numpy loop
+    fs, x0, h, n, ends = FLOAT_RUNS[name]
+    F = assemble(fs)
+    assert F.route.floats is fs.combine.floats
+    x0 = np.array(x0)
+    float_steps, blocks = folsys_integrate._float_steps, []
+
+    def recorded(*args):
+        blocks.append(float_steps(*args))
+        return blocks[-1]
+
+    # blocks of K steps: runs of K, K + 1 and 2K + 1 steps
+    for K in (n, n - 1, (n - 1) // 2):
+        blocks.clear()
+        with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * K * x0.size), \
+                mock.patch.object(folsys_integrate, "_float_steps", recorded), \
+                np.errstate(divide="ignore"):
+            got = _one_solution(F, x0, n * h, h)
+            assert _one_solution(F, x0[None], n * h, h) == got
+        assert got[0] == ends
+        # a blow-up: the block re-run on numpy; else every block on floats
+        assert blocks and (False in blocks) == (ends == "BlowUpError")
 
 
 # --- solve_matrix on the kernel ----------------------------------------------
