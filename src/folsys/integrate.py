@@ -117,15 +117,16 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
       table rows (laid out by field, summed from 0.0) in place of the stage
       times, so a subclass of F sees every stage of a batch.  One state
       steps on the float form ``route.floats`` (``_float_steps``), which no
-      subclass sees, and on the loop where Python raises.
+      subclass sees, and on the loop where Python raises.  The loop forms
+      a block's 0.5 dt and dt/6 once, as arrays of its steps.
 
     A block whose table raises a ConfigError (a coefficient that cannot be
     evaluated at some time) is rebuilt one step at a time on the same
     route, so the error surfaces at its own step; any other error of a
     table, such as the DimensionMismatchError of a map of the wrong shape,
     raises.  ``integrate`` never calls a tabled field's ``func``.  No route
-    warns about an overflow or an invalid value in its steps or its domain
-    guard (each block is stepped and checked under one ``np.errstate``):
+    warns about an overflow, a zero divisor or an invalid value in its steps
+    or domain guard (each block is stepped and checked under one errstate):
     the first non-finite state raises BlowUpError with the loop's partial
     trajectory, and the domain guard checks the states before it in step
     order, also when a stage or a table raises past them.
@@ -153,7 +154,7 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     states[0] = x0
     floats = getattr(F.route, "floats", None) if x0.ndim == 1 else None
     for k0, dts, f, values in _stage_values(F, x0, grid):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if f in _BLOCK_ROUTES:
                 f(states[k0:k0 + len(dts) + 1], dts, values)
                 _guard_block(states, k0, len(dts), times, h, inside)
@@ -164,12 +165,13 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
             x = states[k0].copy()
             k = k0
             try:
-                for k, dt, t, mid, end in zip(count(k0), dts, *values):
+                for k, dt, half, sixth, t, mid, end in zip(
+                        count(k0), dts, 0.5 * dts, dts / 6.0, *values):
                     k1 = f(t, x)
-                    k2 = f(mid, x + 0.5 * dt * k1)
-                    k3 = f(mid, x + 0.5 * dt * k2)
+                    k2 = f(mid, x + half * k1)
+                    k3 = f(mid, x + half * k2)
                     k4 = f(end, x + dt * k3)
-                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     states[k + 1] = x
                     if f is F:  # a user's domain may take one step, its field fail past it
                         _guard_block(states, k, 1, times, h, inside)
@@ -217,9 +219,7 @@ def _stage_values(F, x0, grid):
         for k, steps, values in parts:
             if f in _BLOCK_ROUTES:
                 steps = steps.reshape(steps.shape + (1,) * (values.ndim - 1 - steps.ndim))
-            elif one_grid:
-                steps = steps.tolist()
-            else:
+            elif not one_grid:
                 steps = steps[..., None]  # one step per row, against states (B, N)
             yield k, steps, f, values
 
@@ -231,7 +231,7 @@ def _float_steps(form, states, k0, dts, values):
     where Python raises (a zero divisor, ``math.pow`` overflowing)."""
     x, out = states[k0].tolist(), []
     try:
-        for dt, c0, c1, c2 in zip(dts, *values.tolist()):
+        for dt, c0, c1, c2 in zip(dts.tolist(), *values.tolist()):
             half, sixth = 0.5 * dt, dt / 6.0
             k1 = form(*c0, *x)
             k2 = form(*c1, *[a + half * b for a, b in zip(x, k1)])

@@ -36,6 +36,7 @@ from .superposition import SuperpositionRule
 from .util import Box, central_differences
 
 ERMAKOV_GUARD = 1e-6
+_TWO = np.array(2.0)  # x^2's exponent: float_power converts a 0-d array faster than 2
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _riccati_stage(c, x):
     float_power bit for bit, where x * x and numpy's x ** 2.0 are not."""
     out = c[1] * x
     out += c[0]
-    out += c[2] * np.float_power(x, 2)
+    out += c[2] * np.float_power(x, _TWO)
     return out
 
 
@@ -151,7 +152,7 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     # x^2 is libm's float_power, not numpy's square (a last-bit gap)
     x0f = VectorField.constant([1.0], name="X0")
     x1f = VectorField(1, lambda x: x.copy(), name="X1")
-    x2f = VectorField(1, lambda x: np.float_power(x, 2), name="X2")
+    x2f = VectorField(1, lambda x: np.float_power(x, _TWO), name="X2")
     realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
                                Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels

@@ -60,6 +60,10 @@ class PoissonBivector:
         x = np.asarray(x, dtype=float)
         return self._checked(self.dcoeff(x), x, 3)
 
+    def at(self, x) -> "_AtPoints":
+        """This bivector at the points x, taken in its place by the functions below."""
+        return _AtPoints(self, x)
+
 
 def _per_point(value, x: np.ndarray):
     """A float for one point ``(N,)``, an array ``(...,)`` for a block."""
@@ -68,27 +72,41 @@ def _per_point(value, x: np.ndarray):
     return np.broadcast_to(value, x.shape[:-1])
 
 
+class _AtPoints:
+    """A bivector at points x: Lambda(x), and once each, on first use, its derivative
+    and each f's gradient, Hessian, grad f Lambda, Lambda grad f, Lambda^T grad f."""
+
+    def __init__(self, L: PoissonBivector, x):
+        self.x = x = np.asarray(x, dtype=float)
+        lam = L.matrix(x)
+
+        def once(make):
+            values = {}  # one per kind: a memo keyed by make would be a cycle
+
+            def value(f=None):
+                return values[f] if f in values else values.setdefault(f, make(f))
+            return value
+
+        self.derivative = once(lambda _: L.derivative(x))
+        self.grad = grad = once(lambda f: f.gradient(x))
+        self.hess = once(lambda f: f.hessian(x))
+        self.row = once(lambda f: vecmat(grad(f), lam))
+        self.col = once(lambda f: matvec(lam, grad(f)))
+        self.col_t = once(lambda f: matvec(np.swapaxes(lam, -1, -2), grad(f)))
+
+    def at(self, x) -> "_AtPoints":
+        if x is not self.x:  # itself, at its own points only
+            raise ValueError("a bivector at points is taken at those points only")
+        return self
+
+
 def poisson_bracket(L: PoissonBivector, f, g, x):
     """{f, g}(x) = grad f . Lambda(x) . grad g.
 
     A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
     """
-    x = np.asarray(x, dtype=float)
-    return _per_point(dot_last(vecmat(f.gradient(x), L.matrix(x)), g.gradient(x)), x)
-
-
-def _bracket_gradient(L: PoissonBivector, g, h, x) -> np.ndarray:
-    """Gradient of the function y -> {g, h}(y) at x."""
-    Lam = L.matrix(x)
-    dLam = L.derivative(x)
-    gg = g.gradient(x)
-    gh = h.gradient(x)
-    Hg = g.hessian(x)
-    Hh = h.hessian(x)
-    term_g = matvec(Hg, matvec(Lam, gh))
-    term_h = matvec(Hh, matvec(np.swapaxes(Lam, -1, -2), gg))
-    term_l = np.einsum("...i,...mij,...j->...m", gg, dLam, gh)
-    return term_g + term_l + term_h
+    at = L.at(x)
+    return _per_point(dot_last(at.row(f), at.grad(g)), at.x)
 
 
 def jacobiator(L: PoissonBivector, f, g, h, x):
@@ -96,21 +114,22 @@ def jacobiator(L: PoissonBivector, f, g, h, x):
 
     A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
     """
-    x = np.asarray(x, dtype=float)
-    Lam = L.matrix(x)
+    at = L.at(x)
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        total += dot_last(vecmat(a.gradient(x), Lam), _bracket_gradient(L, b, c, x))
-    return _per_point(total, x)
+        grad_bc = (matvec(at.hess(b), at.col(c))  # grad of y -> {b, c}(y)
+                   + np.einsum("...i,...mij,...j->...m", at.grad(b), at.derivative(), at.grad(c))
+                   + matvec(at.hess(c), at.col_t(b)))
+        total += dot_last(at.row(a), grad_bc)
+    return _per_point(total, at.x)
 
 
 def hamiltonian_residual(L: PoissonBivector, X: VectorField, f,
                          samples: np.ndarray) -> float:
     """Max deviation |X + i_{df} Lambda| of X from the Hamiltonian field of f
     over samples ``(P, N)``."""
-    x = np.asarray(samples, dtype=float)
-    hf = matvec(L.matrix(x), f.gradient(x))
-    return float(np.max(np.abs(X(x) + hf), initial=0.0))
+    at = L.at(samples)
+    return float(np.max(np.abs(X(at.x) + at.col(f)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +205,12 @@ def rmatrix_bivector_aff(n: int) -> PoissonBivector:
             M[..., bi, ai] = 2.0 * x[..., ai]
         return M
 
-    def dcoeff(x):
-        D = np.zeros((dim, dim, dim))
-        for i in range(n):
-            ai, bi = 2 * i, 2 * i + 1
-            D[ai, ai, bi] = -2.0
-            D[ai, bi, ai] = 2.0
-        return D
-
-    return PoissonBivector(dim, coeff, dcoeff=dcoeff, name=f"rmatrix-aff{n}")
+    dLam = np.zeros((dim, dim, dim))  # constant, like the kirillov one
+    for i in range(n):
+        ai, bi = 2 * i, 2 * i + 1
+        dLam[ai, ai, bi] = -2.0
+        dLam[ai, bi, ai] = 2.0
+    return PoissonBivector(dim, coeff, dcoeff=lambda x: dLam, name=f"rmatrix-aff{n}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +221,7 @@ class HamiltonianCheck:
 
 def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCheck]:
     """Verify each X^R_e factor is Hamiltonian with candidate -1/2 log a_i."""
-    L = rmatrix_bivector_aff(n)
+    at = rmatrix_bivector_aff(n).at(samples)
     flds = aff_right_invariant_fields(n)
     out = []
     for i in range(n):
@@ -220,9 +236,7 @@ def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCh
             return g
 
         cand = FuncWithGrad(F, dF, name=f"-log(a{i + 1})/2")
-        out.append(HamiltonianCheck(
-            hamiltonian=cand,
-            residual=hamiltonian_residual(L, flds[i], cand, samples)))
+        out.append(HamiltonianCheck(cand, hamiltonian_residual(at, flds[i], cand, at.x)))
     return out
 
 
@@ -271,6 +285,6 @@ def is_foliated_lie_hamilton(fs: FoliatedSystem, L: PoissonBivector,
     foliated Lie-Hamilton for L where all of them vanish."""
     if len(candidates) != fs.realized.algebra.dim:
         raise DimensionMismatchError("one candidate Hamiltonian per field")
-    pts = fs.realized.box.sample_many(seeded_rng(seed), trials)
-    return tuple(hamiltonian_residual(L, X, cand, pts)
+    at = L.at(fs.realized.box.sample_many(seeded_rng(seed), trials))
+    return tuple(hamiltonian_residual(at, X, cand, at.x)
                  for X, cand in zip(fs.realized.fields, candidates))

@@ -1007,8 +1007,7 @@ def test_one_state_on_python_floats_equals_its_batch_of_one_bitwise(name):
     for K in (n, n - 1, (n - 1) // 2):
         blocks.clear()
         with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * K * x0.size), \
-                mock.patch.object(folsys_integrate, "_float_steps", recorded), \
-                np.errstate(divide="ignore"):
+                mock.patch.object(folsys_integrate, "_float_steps", recorded):
             got = _one_solution(F, x0, n * h, h)
             assert _one_solution(F, x0[None], n * h, h) == got
         assert got[0] == ends

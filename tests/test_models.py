@@ -86,6 +86,22 @@ def test_riccati_time_dependent_coefficients():
     assert F(0.3, x)[0] == pytest.approx(np.cos(0.3) + 0.1 * 0.5 - 0.25, abs=1e-14)
 
 
+def test_riccati_square_equals_float_power_of_two_bitwise():
+    # the stage and X2 pass float_power a 0-d exponent 2.0 in place of the
+    # int 2: the same libm pow, so the same bytes, at every magnitude
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    rng = seeded_rng(7)
+    n = 10 ** 6 - len(special)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    x = np.concatenate([special, mags])[:, None]
+    system = model_bundle("riccati").system
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = np.float_power(x, 2)
+        stage = system.combine(np.array([0.0, 0.0, 1.0]), x)
+        assert stage.tobytes() == ((0.0 * x + 0.0) + 1.0 * square).tobytes()
+        assert system.realized.fields[2](x).tobytes() == square.tobytes()
+
+
 # --- momentum-conserving Hamiltonian model -----------------------------------
 
 def test_hj_assembled_field_closed_form():

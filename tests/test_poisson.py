@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -295,6 +296,16 @@ def test_block_results_keep_the_block_shape_for_constant_terms():
     assert poisson_bracket(L, f, g, pts[0]) == 1.0
 
 
+def test_a_bivector_at_points_is_taken_at_those_points_only():
+    _, _, L = sl2_setup()
+    f, g = coordinate_function(0, 3), coordinate_function(1, 3)
+    pts = seeded_rng(14).uniform(-2.0, 2.0, size=(5, 3))
+    at = L.at(pts)
+    assert poisson_bracket(at, f, g, pts).tobytes() == poisson_bracket(L, f, g, pts).tobytes()
+    with pytest.raises(ValueError):
+        poisson_bracket(at, f, g, pts.copy())
+
+
 def test_bivector_of_wrong_shape_raises():
     pts = np.ones((4, 2))
     for coeff in (lambda x: np.zeros((3, 2, 2)), lambda x: np.zeros(2)):
@@ -338,15 +349,17 @@ def test_battery_evaluates_each_bivector_a_fixed_number_of_times(monkeypatch):
 
     counts = {}
 
+    def counted(name, fn):
+        def call(x):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(x)
+        return call
+
     def counting(build):
         def wrapped(*args):
             B = build(*args)
-
-            def coeff(x):
-                counts[B.name] = counts.get(B.name, 0) + 1
-                return B.coeff(x)
-
-            return PoissonBivector(B.dim, coeff, B.dcoeff, B.name)
+            return PoissonBivector(B.dim, counted(("coeff", B.name), B.coeff),
+                                   counted(("dcoeff", B.name), B.dcoeff), B.name)
         return wrapped
 
     monkeypatch.setattr(cli, "kirillov_bivector", counting(kirillov_bivector))
@@ -356,6 +369,50 @@ def test_battery_evaluates_each_bivector_a_fixed_number_of_times(monkeypatch):
     rows = [row for group in cli.CHECKS["poisson"].rows(scenario) for row in group]
     assert len(rows) == 5
     assert all(value <= tol for _, value, tol in rows)
-    # kirillov: 9 brackets, a Jacobiator (1 + 3) and 3 Hamiltonian fields;
-    # r-matrix: 4 Jacobiators (1 + 3 each) and 2 Hamiltonian fields
-    assert counts == {"kirillov": 16, "rmatrix-aff2": 18}
+    # one Lambda per block of points: kirillov on the bracket and Jacobiator
+    # block and on the adjoint samples, the r-matrix on the Jacobiator block
+    # and on the Hamiltonian samples; one derivative per Jacobiator block
+    assert counts == {("coeff", "kirillov"): 2, ("dcoeff", "kirillov"): 1,
+                      ("coeff", "rmatrix-aff2"): 2, ("dcoeff", "rmatrix-aff2"): 1}
+
+
+def _battery_per_call(seed):
+    """The poisson battery's five values from one call of poisson_bracket per
+    pair, jacobiator per triple and hamiltonian_residual per field, each
+    evaluating the bivector afresh."""
+    rng = seeded_rng(seed)
+    sl2, metric, L = sl2_setup()
+    lin = linear_coordinates(metric)
+    c = sl2.structure
+    pts = rng.uniform(-2.0, 2.0, size=(100, 3))
+    identity = 0.0
+    for a in range(3):
+        for b in range(3):
+            rhs = sum(c[a, b, g] * lin[g](pts) for g in range(3))
+            gap = poisson_bracket(L, lin[a], lin[b], pts) - rhs
+            identity = max(identity, float(np.max(np.abs(gap))))
+    coords = [coordinate_function(i, 3) for i in range(3)]
+    kirillov_jacobi = float(np.max(np.abs(jacobiator(L, *coords, pts))))
+    adj = adjoint_foliated_system(sl2, metric)
+    samples = adj.realized.box.sample_many(seeded_rng(seed), 100)
+    adjoint = max(hamiltonian_residual(L, X, f, samples)
+                  for X, f in zip(adj.realized.fields, lin))
+    aff_pts = _rmatrix_points(rng, 100)
+    Lr = rmatrix_bivector_aff(2)
+    coords4 = [coordinate_function(i, 4) for i in range(4)]
+    rmatrix_jacobi = max(float(np.max(np.abs(jacobiator(Lr, *triple, aff_pts))))
+                         for triple in itertools.combinations(coords4, 3))
+    cands = [ch.hamiltonian for ch in check_rmatrix_hamiltonian(2, aff_pts[:1])]
+    rmatrix_ham = max(hamiltonian_residual(Lr, X, f, aff_pts[:50])
+                      for X, f in zip(aff_right_invariant_fields(2), cands))
+    return [identity, kirillov_jacobi, adjoint, rmatrix_jacobi, rmatrix_ham]
+
+
+def test_battery_rows_equal_the_per_call_formulas_bitwise():
+    import folsys.cli as cli
+
+    for seed in range(20):
+        scenario = cli.Scenario(cli.ScenarioConfig(model="lax", seed=seed), None, None, None)
+        rows = [value for group in cli.CHECKS["poisson"].rows(scenario)
+                for _, value, _ in group]
+        assert np.array(rows).tobytes() == np.array(_battery_per_call(seed)).tobytes(), seed

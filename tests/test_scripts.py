@@ -26,3 +26,13 @@ def test_run_scenarios_passes_every_bundled_check(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "33/33 checks passed"
     assert (tmp_path / "all" / "report.json").is_file()
+
+
+def test_output_digest_prints_every_reference_scenario_without_an_error():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    # the 4 bundled configs and the 23 members of the three workloads at seeds 1 and 2
+    assert len({name for name, *_ in lines}) == 50
+    assert not [line for line in lines if line[1] == "error"]
