@@ -27,7 +27,11 @@ class _Declared:
         (value if matrix is None else matrix).setflags(write=False)
 
     def __call__(self, x):
-        return np.ones(x.shape) * self.value if self.matrix is None else x @ self.matrix.T
+        if self.matrix is not None:
+            return x @ self.matrix.T
+        out = np.empty(x.shape)
+        out[...] = self.value  # a fill: the bytes of value, -0.0 and nan too
+        return out
 
 
 class _Along:

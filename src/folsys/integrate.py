@@ -6,6 +6,7 @@ deterministic runs, not adaptive efficiency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import count
 from pathlib import Path
 
@@ -116,9 +117,9 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
     - a stage: the RK4 loop calls F's copy with ``func = route`` on the
       table rows (laid out by field, summed from 0.0) in place of the stage
       times, so a subclass of F sees every stage of a batch.  One state
-      steps on the float form ``route.floats`` (``_float_steps``), which no
-      subclass sees, and on the loop where Python raises.  The loop forms
-      a block's 0.5 dt and dt/6 once, as arrays of its steps.
+      steps on the float form ``route.floats`` in a straight-line step per
+      dimension (``_float_steps``), which no subclass sees; a block where
+      Python raises re-runs on the loop, which forms its 0.5 dt and dt/6 once.
 
     A block whose table raises a ConfigError (a coefficient that cannot be
     evaluated at some time) is rebuilt one step at a time on the same
@@ -225,25 +226,40 @@ def _stage_values(F, x0, grid):
 
 
 def _float_steps(form, states, k0, dts, values):
-    """Fill the states after ``states[k0]`` of one state on a stage route,
-    on Python floats in the RK4 loop's order of operations, so bit for bit:
-    ``form(*c, *x)`` is the stage on a table row c.  False, writing nothing,
+    """Fill the states after ``states[k0]`` of one state by ``_float_block``
+    on the stage ``form(*c, *x)`` of table rows c; False, writing nothing,
     where Python raises (a zero divisor, ``math.pow`` overflowing)."""
-    x, out = states[k0].tolist(), []
     try:
-        for dt, c0, c1, c2 in zip(dts.tolist(), *values.tolist()):
-            half, sixth = 0.5 * dt, dt / 6.0
-            k1 = form(*c0, *x)
-            k2 = form(*c1, *[a + half * b for a, b in zip(x, k1)])
-            k3 = form(*c1, *[a + half * b for a, b in zip(x, k2)])
-            k4 = form(*c2, *[a + dt * b for a, b in zip(x, k3)])
-            x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            out.append(x)
+        out = _float_block(states.shape[-1])(
+            form, states[k0].tolist(), dts.tolist(), *values.tolist())
     except (ZeroDivisionError, OverflowError):
         return False
     states[k0 + 1:k0 + len(out) + 1] = out
     return True
+
+
+@cache
+def _float_block(n):
+    """``steps(form, x, dts, c0s, c1s, c2s)``: the states after x, a tuple a
+    step, of RK4 written out on local floats x0, ..., x{n-1}, so no stage
+    builds a list; each coordinate in the numpy loop's order of operations,
+    so bit for bit.  Generated from ``range(n)``, compiled once per n."""
+    def each(term):  # term at each coordinate i, each followed by a comma
+        return " ".join(term.format(i=i) + "," for i in range(n))
+    x = each("x{i}")
+    exec(f"""def steps(form, x, dts, c0s, c1s, c2s):
+    {x} = x
+    out = []
+    for dt, c0, c1, c2 in zip(dts, c0s, c1s, c2s):
+        half, sixth = 0.5 * dt, dt / 6.0
+        {each("a{i}")} = form(*c0, {x})
+        {each("b{i}")} = form(*c1, {each("x{i} + half * a{i}")})
+        {each("d{i}")} = form(*c1, {each("x{i} + half * b{i}")})
+        {each("e{i}")} = form(*c2, {each("x{i} + dt * d{i}")})
+        {x} = {each("x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * d{i} + e{i})")}
+        out.append(({x}))
+    return out""", scope := {})
+    return scope["steps"]
 
 
 def _sum_block(block, dt, v):

@@ -105,6 +105,21 @@ def test_prolongation_replicates_constant_field(vals):
     assert np.array_equal(X(np.array(vals)[:, None]).reshape(3), np.ones(3))
 
 
+@pytest.mark.parametrize("lead", [(), (2, 5)])
+def test_a_constant_field_fills_the_bytes_of_ones_times_its_value(lead):
+    # signed zeros, infinities and a nan of each sign, on (N,) and (B, K, N)
+    value = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
+                      np.copysign(np.nan, -1.0), 1.5, -2.25])
+    X = VectorField.constant(value)
+    x = np.zeros(lead + value.shape)
+    got = X(x)
+    assert got.tobytes() == (np.ones(x.shape) * value).tobytes()
+    # a fresh writable array: no view of the read-only value or of x
+    assert not np.shares_memory(got, X.value) and not np.shares_memory(got, x)
+    got[...] = 7.0
+    assert X(x).tobytes() == (np.ones(x.shape) * value).tobytes()
+
+
 def test_prolongation_componentwise():
     for name in ("riccati", "hamilton_jacobi", "lax", "ermakov"):
         ra = model_bundle(name).system.realized

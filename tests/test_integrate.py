@@ -16,9 +16,10 @@ from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, ErrorFloorError)
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
-                             leaf_of)
+                             leaf_of, lie_system)
 from folsys.cli import MODELS
-from folsys.integrate import (Trajectory, _product_block, _sum_block,
+from folsys.integrate import (Trajectory, _float_block, _float_steps,
+                              _product_block, _stage_values, _sum_block,
                               convergence_order, convergence_steps, integrate,
                               order_from_finals, time_grid, trajectory_to_csv)
 from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
@@ -1013,6 +1014,99 @@ def test_one_state_on_python_floats_equals_its_batch_of_one_bitwise(name):
         assert got[0] == ends
         # a blow-up: the block re-run on numpy; else every block on floats
         assert blocks and (False in blocks) == (ends == "BlowUpError")
+
+
+def _rational_terms(c0, c1, *x):
+    """A rational, quadratic coordinate sum, on Python floats or on numpy
+    columns alike: c0 x_{i-1} - c1 x_i^2 / (1 + |x|^2)."""
+    s = 1.0
+    for v in x:
+        s = s + v * v
+    return tuple(c0 * x[i - 1] - c1 * (x[i] * x[i]) / s for i in range(len(x)))
+
+
+def _rational_system(n, floats=_rational_terms):
+    """The Lie system of n coordinates on the declared stage
+    ``_rational_terms``, with the float form ``floats``."""
+    def combine(c, s):
+        return np.concatenate(
+            _rational_terms(*c, *np.moveaxis(s, -1, 0)[..., None]), axis=-1)
+
+    combine.floats = floats
+    fields = [VectorField(n, lambda x: x, name=f"X{a}") for a in (1, 2)]
+    return lie_system(fields, lambda t, x: np.stack([np.cos(t), 0.5 + np.sin(t)], -1),
+                      combine=combine)
+
+
+_FLOAT_RUN = dict(n=st.integers(1, 6), h=st.floats(0.01, 0.5), K=st.integers(1, 8),
+                  steps=st.integers(1, 20), data=st.data())
+
+
+def _draw_state(data, n):
+    return np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_FLOAT_RUN)
+def test_one_state_on_the_float_block_equals_its_batch_of_one_bitwise(n, h, K, steps, data):
+    F, x0 = _rational_system(n), _draw_state(data, n)
+    assert F.route.floats is _rational_terms
+    blocks = []
+
+    def recorded(*args):
+        blocks.append(_float_steps(*args))
+        return blocks[-1]
+
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * K * n), \
+            mock.patch.object(folsys_integrate, "_float_steps", recorded):
+        one = integrate(F, x0, 0.0, steps * h, h)
+        batch = integrate(F, x0[None], 0.0, steps * h, h)
+    assert blocks and all(blocks)
+    assert one.times.tobytes() == batch.times.tobytes()
+    assert one.states.tobytes() == batch.states[:, 0].tobytes()
+    # the step of each dimension is built once
+    assert _float_block(n) is _float_block(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_FLOAT_RUN)
+def test_a_float_block_that_raises_writes_nothing_and_reruns_on_numpy(n, h, K, steps, data):
+    x0 = _draw_state(data, n)
+    grid = time_grid(0.0, steps * h, h)
+    # the stage call that raises, four a step
+    at = data.draw(st.integers(0, 4 * (len(grid) - 1) - 1))
+
+    def raising():
+        calls = iter(range(at + 1))
+
+        def form(*args):
+            if next(calls, None) == at:
+                raise ZeroDivisionError
+            return _rational_terms(*args)
+        return form
+
+    # the first block, on its own: False, and its states untouched
+    F = _rational_system(n, raising())
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * (at // 4 + 1) * n):
+        k0, dts, _, values = next(_stage_values(F, x0, grid))
+    states = np.full((len(grid), n), np.nan)
+    states[0] = x0
+    before = states.tobytes()
+    assert not _float_steps(F.route.floats, states, k0, dts, values)
+    assert states.tobytes() == before
+    # in a run, the block holding the raising stage re-runs on numpy
+    F, blocks = _rational_system(n, raising()), []
+
+    def recorded(*args):
+        blocks.append(_float_steps(*args))
+        return blocks[-1]
+
+    with mock.patch.object(folsys_integrate, "TABLE_BLOCK", 3 * K * n), \
+            mock.patch.object(folsys_integrate, "_float_steps", recorded):
+        one = integrate(F, x0, 0.0, steps * h, h)
+        batch = integrate(F, x0[None], 0.0, steps * h, h)
+    assert blocks.count(False) == 1
+    assert one.states.tobytes() == batch.states[:, 0].tobytes()
 
 
 # --- solve_matrix on the kernel ----------------------------------------------

@@ -137,6 +137,20 @@ def test_only_foliated_builds_tabled_or_linear_fields():
     assert namers == {"foliated.py", "integrate.py"}
 
 
+def test_only_the_float_block_runs_generated_code():
+    # the builtins exec, eval and compile run only the RK4 step generated
+    # from range(n) in integrate._float_block, so a config expression is
+    # interpreted from its AST, never through eval(), as cli says
+    calls = set()
+    for path in (ROOT / "src" / "folsys").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("exec", "eval", "compile")):
+                    calls.add((path.stem, getattr(top, "name", None), node.func.id))
+    assert calls == {("integrate", "_float_block", "exec")}
+
+
 def defaulted_parameters(package: Path):
     """(qualified name, function name, parameter, position) of each
     defaulted parameter of a public function or method, the position not
