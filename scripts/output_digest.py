@@ -13,16 +13,23 @@ identical runs) and the ``repr`` of the row's value.  A diff of two outputs
 thus names every row that was added, removed or changed, and shows by how
 much a value moved.
 
+The first line names the numpy and Python versions, since a value's last
+bits may depend on them.  ``scripts/reference_digest.txt`` is this output
+at the current commit, and tier-1 compares a fresh run with it
+(``tests/test_scripts.py``); a change that moves a value regenerates it in
+the same commit, from the repository root:
+
+    python3 scripts/output_digest.py > scripts/reference_digest.txt
+
 The scenarios run on the folsys package of the checkout holding this
 script, so to compare with another commit, copy the script into a checkout
-of it.  Run it from the repository root of both checkouts and diff:
-
-    python3 scripts/output_digest.py > digest.txt
+of it, run it there and diff.
 """
 import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import scenarios  # noqa: E402
 from folsys.cli import ScenarioConfig, report_render, run  # noqa: E402
 from folsys.errors import ConfigError, FolsysError  # noqa: E402
@@ -73,6 +81,7 @@ def digest(config: dict, out_dir: Path) -> list[str]:
 
 
 def main() -> int:
+    print(f"numpy {np.__version__} python {platform.python_version()}")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, config) in enumerate(reference_configs()):
             for line in digest(config, Path(tmp) / str(i)):

@@ -1,4 +1,5 @@
 """The scripts under ``scripts/``, each run as a command in a subprocess."""
+import difflib
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,13 @@ def test_output_digest_prints_every_reference_scenario_without_an_error():
     proc = subprocess.run([sys.executable, str(SCRIPTS / "output_digest.py")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    versions, *out = proc.stdout.splitlines()
+    lines = [line.split(" ", 2) for line in out]
     # the 4 bundled configs and the 23 members of the three workloads at seeds 1 and 2
     assert len({name for name, *_ in lines}) == 50
     assert not [line for line in lines if line[1] == "error"]
+    # every trajectory and row as committed; a change that moves one regenerates the file
+    ref_versions, *ref = (SCRIPTS / "reference_digest.txt").read_text().splitlines()
+    assert versions == ref_versions, f"digest made with {ref_versions}, run with {versions}"
+    diff = list(difflib.unified_diff(ref, out, "reference_digest.txt", "now", n=0, lineterm=""))
+    assert not diff, "\n".join(diff)
