@@ -16,11 +16,11 @@ from .superposition import (SuperpositionRule, apply_rule,
 from .automorphic import (AutomorphicSystem, GroupAction, GroupCurve,
                           reconstruct, reconstruction_error, reduce_system,
                           solve_abelian, solve_matrix)
-from .poisson import (HamiltonianCheck, PoissonBivector,
-                      adjoint_foliated_system, check_rmatrix_hamiltonian,
-                      hamiltonian_residual, is_foliated_lie_hamilton,
-                      jacobiator, kirillov_bivector, linear_coordinates,
-                      poisson_bracket, rmatrix_bivector_aff)
+from .poisson import (PoissonBivector, adjoint_foliated_system,
+                      check_rmatrix_hamiltonian, hamiltonian_residual,
+                      is_foliated_lie_hamilton, jacobiator, kirillov_bivector,
+                      linear_coordinates, poisson_bracket, rmatrix_bivector_aff,
+                      rmatrix_hamiltonians)
 from .util import Box
 
 __version__ = "0.1.0"

@@ -138,7 +138,6 @@ class AutomorphicSystem:
 class GroupCurve:
     """Sampled curve in the group: vectors (abelian) or matrices (matrix kind)."""
 
-    kind: str
     times: np.ndarray
     elements: np.ndarray
     step: float
@@ -184,8 +183,7 @@ def _group_curve(asys: AutomorphicSystem, fields, identity: np.ndarray, k,
     k = np.atleast_1d(np.asarray(k, dtype=float))
     F = lie_system(fields, lambda t, g: asys.coeffs(t, k), domain=domain)
     traj = integrate(F, identity.ravel(), t0, t1, h)
-    return GroupCurve(asys.kind, traj.times,
-                      traj.states.reshape((-1,) + identity.shape), h)
+    return GroupCurve(traj.times, traj.states.reshape((-1,) + identity.shape), h)
 
 
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,

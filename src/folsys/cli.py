@@ -222,9 +222,7 @@ class ScenarioConfig:
             if set(section) - set(known):
                 raise ConfigError(f"unknown {key} keys {sorted(set(section) - set(known))}; "
                                   f"known: {known}")
-        t0 = _number("t0", integ.get("t0", 0.0))
-        t1 = _number("t1", integ.get("t1", 2.0))
-        step = _number("step", integ.get("step", 1e-3))
+        times = {key: _number(key, integ[key]) for key in ("t0", "t1", "step") if key in integ}
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError(f"checks must be a list, got {checks!r}")
@@ -242,12 +240,10 @@ class ScenarioConfig:
                     and all(isinstance(v, (int, float)) for v in init)):
                 raise ConfigError(f"initial_state must be a list of numbers, got {init!r}")
             init = tuple(init)
-        return cls(model=raw.get("model"), params=dict(params),
-                   t0=t0, t1=t1, step=step, checks=checks,
-                   seed=raw.get("seed", 42),
-                   initial_state=init,
-                   out=raw.get("out", "out"),
-                   fmt=raw.get("format", "json"))
+        given = {name: raw[key] for key, name in (("seed", "seed"), ("out", "out"),
+                                                  ("format", "fmt")) if key in raw}
+        return cls(model=raw.get("model"), params=dict(params), checks=checks,
+                   initial_state=init, **times, **given)
 
 
 @dataclass(frozen=True)
@@ -406,13 +402,13 @@ def _poisson(s: Scenario):
     vals = [f(pts) for f in lin]
     worst = 0.0
     for a, b in itertools.product(range(3), repeat=2):
-        lhs = poisson_bracket(at, lin[a], lin[b], pts)
+        lhs = poisson_bracket(at, lin[a], lin[b])
         rhs = sum(c[a, b, g] * vals[g] for g in range(3))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     yield [("poisson.kirillov_identity", worst, 1e-12)]
 
     coords = [coordinate_function(i, 3) for i in range(3)]
-    worst = float(np.max(np.abs(jacobiator(at, *coords, pts))))
+    worst = float(np.max(np.abs(jacobiator(at, *coords))))
     yield [("poisson.kirillov_jacobiator", worst, 1e-10)]
 
     adj = adjoint_foliated_system(sl2, metric)
@@ -425,12 +421,12 @@ def _poisson(s: Scenario):
                                rng.uniform(-1.0, 1.0, 100)])
     coords4 = [coordinate_function(i, 4) for i in range(4)]
     at = rmatrix_bivector_aff(2).at(aff_pts)
-    worst = max(float(np.max(np.abs(jacobiator(at, *triple, aff_pts))))
+    worst = max(float(np.max(np.abs(jacobiator(at, *triple))))
                 for triple in itertools.combinations(coords4, 3))
     yield [("poisson.rmatrix_jacobiator", worst, 1e-10)]
 
-    checks = check_rmatrix_hamiltonian(2, aff_pts[:50])
-    yield [("poisson.rmatrix_hamiltonian", max(ch.residual for ch in checks), 1e-8)]
+    residuals = check_rmatrix_hamiltonian(2, aff_pts[:50])
+    yield [("poisson.rmatrix_hamiltonian", max(residuals), 1e-8)]
 
 
 def _spectrum(s: Scenario):

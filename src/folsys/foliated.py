@@ -27,17 +27,16 @@ class FoliationChart:
     ``leaf_map`` extracts the transverse labels and is always present.  A
     split chart (``is_split``, set only by ``FoliationChart.split``) runs along
     the leaf in the first ``leaf_dim`` coordinates and is labelled by the
-    rest; a model may instead expose fewer labels than its true codimension
-    (e.g. a single conserved quantity) and then only drift checks are
-    available.
+    rest.  A chart has ``n_labels = dim - leaf_dim`` labels.
     """
 
     dim: int
     leaf_dim: int
-    n_labels: int
     leaf_map: Callable[[np.ndarray], np.ndarray]
     leaf_point: Callable[[np.ndarray], np.ndarray] | None = None
     is_split: bool = False
+
+    n_labels = property(lambda s: s.dim - s.leaf_dim)
 
     @classmethod
     def split(cls, dim: int, leaf_dim: int) -> "FoliationChart":
@@ -50,7 +49,6 @@ class FoliationChart:
         return cls(
             dim=dim,
             leaf_dim=s,
-            n_labels=dim - s,
             leaf_map=lambda x: np.asarray(x, dtype=float)[..., s:].copy(),
             leaf_point=leaf_point,
             is_split=True,

@@ -408,7 +408,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
             raise ValueError(f"no representative point for invariant value {k}")
         return np.array([1.0, 1.0, 0.0, np.sqrt(w2)])
 
-    chart = FoliationChart(4, 3, 1, lambda s: lewis_invariant(spec, s)[..., None],
+    chart = FoliationChart(4, 3, lambda s: lewis_invariant(spec, s)[..., None],
                            leaf_point=leaf_point)
 
     def coeffs(t, s):

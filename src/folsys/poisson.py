@@ -61,7 +61,7 @@ class PoissonBivector:
         return self._checked(self.dcoeff(x), x, 3)
 
     def at(self, x) -> "_AtPoints":
-        """This bivector at the points x, taken in its place by the functions below."""
+        """This bivector at the points x, the argument of the functions below."""
         return _AtPoints(self, x)
 
 
@@ -94,27 +94,20 @@ class _AtPoints:
         self.col = once(lambda f: matvec(lam, grad(f)))
         self.col_t = once(lambda f: matvec(np.swapaxes(lam, -1, -2), grad(f)))
 
-    def at(self, x) -> "_AtPoints":
-        if x is not self.x:  # itself, at its own points only
-            raise ValueError("a bivector at points is taken at those points only")
-        return self
 
-
-def poisson_bracket(L: PoissonBivector, f, g, x):
-    """{f, g}(x) = grad f . Lambda(x) . grad g.
+def poisson_bracket(at: _AtPoints, f, g):
+    """{f, g}(x) = grad f . Lambda(x) . grad g at the points of ``at = L.at(x)``.
 
     A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
     """
-    at = L.at(x)
     return _per_point(dot_last(at.row(f), at.grad(g)), at.x)
 
 
-def jacobiator(L: PoissonBivector, f, g, h, x):
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} at x.
+def jacobiator(at: _AtPoints, f, g, h):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} at the points of ``at = L.at(x)``.
 
     A float at one point ``(N,)``, an array ``(...,)`` on a block ``(..., N)``.
     """
-    at = L.at(x)
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
         grad_bc = (matvec(at.hess(b), at.col(c))  # grad of y -> {b, c}(y)
@@ -124,11 +117,9 @@ def jacobiator(L: PoissonBivector, f, g, h, x):
     return _per_point(total, at.x)
 
 
-def hamiltonian_residual(L: PoissonBivector, X: VectorField, f,
-                         samples: np.ndarray) -> float:
+def hamiltonian_residual(at: _AtPoints, X: VectorField, f) -> float:
     """Max deviation |X + i_{df} Lambda| of X from the Hamiltonian field of f
-    over samples ``(P, N)``."""
-    at = L.at(samples)
+    over the samples ``(P, N)`` of ``at = L.at(samples)``."""
     return float(np.max(np.abs(X(at.x) + at.col(f)), initial=0.0))
 
 
@@ -173,19 +164,9 @@ def kirillov_bivector(alg: la.LieAlgebra, metric: la.InvariantMetric) -> Poisson
 # ---------------------------------------------------------------------------
 
 def aff_right_invariant_fields(n: int) -> list[VectorField]:
-    """The fields X^R_e of the n factors, in order."""
-    dim = 2 * n
-    fields = []
-    for i in range(n):
-        bi = 2 * i + 1
-
-        def e_func(x, _b=bi):
-            out = np.zeros(x.shape)
-            out[..., _b] = 1.0
-            return out
-
-        fields.append(VectorField(dim, e_func, name=f"XR_e{i + 1}"))
-    return fields
+    """The fields X^R_e = d/db_i of the n factors, in order."""
+    return [VectorField.constant(e, name=f"XR_e{i + 1}")
+            for i, e in enumerate(np.eye(2 * n)[1::2])]
 
 
 def rmatrix_bivector_aff(n: int) -> PoissonBivector:
@@ -213,31 +194,23 @@ def rmatrix_bivector_aff(n: int) -> PoissonBivector:
     return PoissonBivector(dim, coeff, dcoeff=lambda x: dLam, name=f"rmatrix-aff{n}")
 
 
-@dataclass(frozen=True)
-class HamiltonianCheck:
-    hamiltonian: object
-    residual: float
-
-
-def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> list[HamiltonianCheck]:
-    """Verify each X^R_e factor is Hamiltonian with candidate -1/2 log a_i."""
-    at = rmatrix_bivector_aff(n).at(samples)
-    flds = aff_right_invariant_fields(n)
-    out = []
-    for i in range(n):
-        ai = 2 * i
-
-        def F(x, _a=ai):
-            return -0.5 * np.log(x[..., _a])
-
-        def dF(x, _a=ai):
+def rmatrix_hamiltonians(n: int) -> list[FuncWithGrad]:
+    """The candidates -1/2 log a_i for the fields X^R_e, in order."""
+    def candidate(a):
+        def dF(x):
             g = np.zeros(x.shape)
-            g[..., _a] = -0.5 / x[..., _a]
+            g[..., a] = -0.5 / x[..., a]
             return g
+        return FuncWithGrad(lambda x: -0.5 * np.log(x[..., a]), dF,
+                            name=f"-log(a{a // 2 + 1})/2")
+    return [candidate(a) for a in range(0, 2 * n, 2)]
 
-        cand = FuncWithGrad(F, dF, name=f"-log(a{i + 1})/2")
-        out.append(HamiltonianCheck(cand, hamiltonian_residual(at, flds[i], cand, at.x)))
-    return out
+
+def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> tuple[float, ...]:
+    """Residual of each X^R_e against the Hamiltonian field of -1/2 log a_i."""
+    at = rmatrix_bivector_aff(n).at(samples)
+    return tuple(hamiltonian_residual(at, X, cand) for X, cand in
+                 zip(aff_right_invariant_fields(n), rmatrix_hamiltonians(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +225,9 @@ def adjoint_foliated_system(alg: la.LieAlgebra,
     the metric Casimir, of dimension r - 1.  Any algebra other than a
     three-dimensional one fails the coefficient-map contract when evaluated."""
     r = alg.dim
-    ads = [la.adjoint_matrix(alg, a) for a in range(r)]
-    flds = tuple(
-        VectorField(r, lambda v, _A=ads[a]: -matvec(_A, v),
-                    name=f"Xad_{alg.basis_labels[a]}")
-        for a in range(r)
-    )
+    flds = tuple(VectorField.linear(-la.adjoint_matrix(alg, a),
+                                    name=f"Xad_{alg.basis_labels[a]}")
+                 for a in range(r))
     G = metric.g
 
     def casimir(v):
@@ -271,7 +241,7 @@ def adjoint_foliated_system(alg: la.LieAlgebra,
         out[..., 2] = 0.1 * cas
         return out
 
-    chart = FoliationChart(dim=r, leaf_dim=r - 1, n_labels=1,
+    chart = FoliationChart(dim=r, leaf_dim=r - 1,
                            leaf_map=lambda v: casimir(v)[..., None])
     realized = RealizedAlgebra(alg, flds, Box(np.full(r, 0.6), np.full(r, 1.4)))
     return FoliatedSystem(realized, coeffs, chart, name="adjoint")
@@ -286,5 +256,5 @@ def is_foliated_lie_hamilton(fs: FoliatedSystem, L: PoissonBivector,
     if len(candidates) != fs.realized.algebra.dim:
         raise DimensionMismatchError("one candidate Hamiltonian per field")
     at = L.at(fs.realized.box.sample_many(seeded_rng(seed), trials))
-    return tuple(hamiltonian_residual(at, X, cand, at.x)
+    return tuple(hamiltonian_residual(at, X, cand)
                  for X, cand in zip(fs.realized.fields, candidates))

@@ -332,7 +332,7 @@ def test_solve_abelian_memory_per_sample():
 def test_reconstruct_identity_curve_is_constant():
     bundle = model_bundle("hamilton_jacobi")
     times = np.linspace(0.0, 1.0, 11)
-    curve = GroupCurve(ABELIAN, times, np.zeros((11, 2)), 0.1)
+    curve = GroupCurve(times, np.zeros((11, 2)), 0.1)
     x0 = np.array([0.3, -0.4, 1.0, 1.5])
     rec = reconstruct(bundle.action, curve, x0)
     assert np.all(rec.states == x0)

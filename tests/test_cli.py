@@ -204,6 +204,15 @@ def test_config_rejects_unknown_model_and_check():
         ScenarioConfig.from_dict({"model": "riccati", "checks": ["entropy"]})
 
 
+def test_a_config_key_left_out_takes_the_dataclass_default():
+    raw = {"model": "lax", "checks": ["poisson"]}
+    assert ScenarioConfig.from_dict(raw) == ScenarioConfig(model="lax", checks=("poisson",))
+    given = ScenarioConfig.from_dict(dict(raw, integration={"t1": 3, "step": 0.01},
+                                          seed=7, out="elsewhere", format="csv"))
+    assert given == ScenarioConfig(model="lax", checks=("poisson",), t1=3.0, step=0.01,
+                                   seed=7, out="elsewhere", fmt="csv")
+
+
 def test_build_bundle_expression_models():
     bundle = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=1.0, c2=1.0)
     assert bundle.name == "ermakov"

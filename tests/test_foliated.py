@@ -487,3 +487,18 @@ def test_plain_lie_system_restriction_freezing():
     for q in (-1.0, 0.0, 2.0):
         x = np.array([q, 1.3])  # on the leaf P = 1.3
         assert np.array_equal(F(0.7, x), F_frozen(0.7, x))
+
+
+@pytest.mark.parametrize("name", _VERIFIED)
+def test_a_chart_labels_its_leaves_by_its_codimension(name):
+    """n_labels is dim - leaf_dim, the count leaf_of returns; a leaf map that
+    returns another count fails verify_foliated's central differences."""
+    fs = _system(name)
+    chart = fs.chart
+    x = fs.realized.box.sample_many(seeded_rng(3), 4)
+    assert chart.n_labels == chart.dim - chart.leaf_dim
+    assert leaf_of(chart, x).shape == (4, chart.n_labels)
+    extra = dataclasses.replace(
+        chart, leaf_map=lambda y: np.zeros(y.shape[:-1] + (chart.n_labels + 1,)))
+    with pytest.raises(DimensionMismatchError):
+        verify_foliated(dataclasses.replace(fs, chart=extra), trials=1)

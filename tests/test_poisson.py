@@ -13,7 +13,8 @@ from folsys.poisson import (PoissonBivector, adjoint_foliated_system,
                             check_rmatrix_hamiltonian, hamiltonian_residual,
                             is_foliated_lie_hamilton,
                             jacobiator, kirillov_bivector, linear_coordinates,
-                            poisson_bracket, rmatrix_bivector_aff)
+                            poisson_bracket, rmatrix_bivector_aff,
+                            rmatrix_hamiltonians)
 from folsys.util import (FuncWithGrad, coordinate_function, linear_form,
                          seeded_rng)
 
@@ -35,7 +36,7 @@ def test_kirillov_linear_coordinate_identity():
     for v in pts:
         for a in range(3):
             for b in range(3):
-                lhs = poisson_bracket(L, lin[a], lin[b], v)
+                lhs = poisson_bracket(L.at(v), lin[a], lin[b])
                 rhs = sum(c[a, b, g] * lin[g](v) for g in range(3))
                 worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
@@ -46,10 +47,10 @@ def test_kirillov_bracket_hand_values():
     f_e, f_h, f_f = linear_coordinates(metric)
     # {f_h, f_e} = 2 f_e; at the basis point f: f_e(f) = K(e, f) = 4
     v_f = np.array([0.0, 0.0, 1.0])
-    assert poisson_bracket(L, f_h, f_e, v_f) == pytest.approx(8.0, abs=1e-12)
+    assert poisson_bracket(L.at(v_f), f_h, f_e) == pytest.approx(8.0, abs=1e-12)
     # at the basis point e: f_e(e) = K(e, e) = 0
     v_e = np.array([1.0, 0.0, 0.0])
-    assert poisson_bracket(L, f_h, f_e, v_e) == pytest.approx(0.0, abs=1e-12)
+    assert poisson_bracket(L.at(v_e), f_h, f_e) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bracket_of_function_with_itself_vanishes():
@@ -58,7 +59,7 @@ def test_bracket_of_function_with_itself_vanishes():
     pts = seeded_rng(2).uniform(-2, 2, size=(20, 3))
     for v in pts:
         for f in lin:
-            assert poisson_bracket(L, f, f, v) == 0.0
+            assert poisson_bracket(L.at(v), f, f) == 0.0
 
 
 def test_kirillov_rejects_degenerate_metric():
@@ -80,7 +81,7 @@ def test_kirillov_jacobiator_coordinate_triples():
     _, _, L = sl2_setup()
     coords = [coordinate_function(i, 3) for i in range(3)]
     pts = seeded_rng(3).uniform(-2, 2, size=(100, 3))
-    worst = max(abs(jacobiator(L, coords[0], coords[1], coords[2], v))
+    worst = max(abs(jacobiator(L.at(v), coords[0], coords[1], coords[2]))
                 for v in pts)
     assert worst <= 1e-10
 
@@ -92,7 +93,7 @@ def test_adjoint_fields_are_hamiltonian_for_linear_candidates():
     pts = adj.realized.box.sample_many(seeded_rng(4), 100)
     for X, f in zip(adj.realized.fields, lin):
         # X_f = -i_{df} Lambda
-        assert hamiltonian_residual(L, X, f, pts) <= 1e-8
+        assert hamiltonian_residual(L.at(pts), X, f) <= 1e-8
 
 
 def test_wrong_candidate_has_large_residual():
@@ -100,7 +101,7 @@ def test_wrong_candidate_has_large_residual():
     adj = adjoint_foliated_system(sl2, metric)
     lin = linear_coordinates(metric)
     pts = adj.realized.box.sample_many(seeded_rng(5), 30)
-    assert hamiltonian_residual(L, adj.realized.fields[0], lin[1], pts) > 0.1
+    assert hamiltonian_residual(L.at(pts), adj.realized.fields[0], lin[1]) > 0.1
 
 
 def test_metric_invariance_index_identity():
@@ -179,6 +180,43 @@ def test_rmatrix_right_invariant_fields_bracket():
         assert np.max(np.abs(br + 2.0 * X_e(x))) <= 1e-8
 
 
+def _special_blocks(rng, dim):
+    """Blocks ``(P, dim)`` of random values with ±0, ±inf and nan entries."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for shape in ((dim,), (40, dim), (2, 30, dim)):
+        x = rng.uniform(-2.0, 2.0, size=shape)
+        mask = rng.uniform(size=shape) < 0.4
+        x[mask] = rng.choice(special, size=mask.sum())
+        yield x
+
+
+def test_poisson_fields_are_declared():
+    """X^R_e is the constant field e_{2i+1} and each adjoint field the linear
+    field -ad_a, with the values of the closures they replaced."""
+    from folsys.algebra import adjoint_matrix
+    from folsys.util import matvec
+
+    rng = seeded_rng(15)
+    for n in (1, 2, 3):
+        for i, X in enumerate(aff_right_invariant_fields(n)):
+            assert np.array_equal(X.value, np.eye(2 * n)[2 * i + 1])
+            for x in _special_blocks(rng, 2 * n):
+                closure = np.zeros(x.shape)
+                closure[..., 2 * i + 1] = 1.0
+                assert X(x).tobytes() == closure.tobytes()
+    ab = builtin_algebra("abelian:3")
+    sl2, metric, _ = sl2_setup()
+    for alg, g in ((sl2, metric), (ab, InvariantMetric(ab, np.eye(3)))):
+        for a, X in enumerate(adjoint_foliated_system(alg, g).realized.fields):
+            ad = adjoint_matrix(alg, a)
+            assert np.array_equal(X.matrix, -ad)
+            for x in _special_blocks(rng, 3):
+                with np.errstate(invalid="ignore"):  # inf * 0 in both
+                    value, closure = X(x), -matvec(ad, x)
+                # equal up to the sign of zero, which every row reads through |.|
+                assert np.array_equal(value, closure, equal_nan=True)
+
+
 def test_rmatrix_jacobiator_two_factors():
     L = rmatrix_bivector_aff(2)
     rng = seeded_rng(8)
@@ -190,8 +228,8 @@ def test_rmatrix_jacobiator_two_factors():
         for i in range(4):
             for j in range(i + 1, 4):
                 for k in range(j + 1, 4):
-                    worst = max(worst, abs(jacobiator(L, coords[i], coords[j],
-                                                      coords[k], x)))
+                    worst = max(worst, abs(jacobiator(L.at(x), coords[i], coords[j],
+                                                      coords[k])))
     assert worst <= 1e-10
 
 
@@ -199,16 +237,15 @@ def test_rmatrix_hamiltonian_checks():
     rng = seeded_rng(9)
     pts = np.column_stack([rng.uniform(0.5, 2, 40), rng.uniform(-1, 1, 40),
                            rng.uniform(0.5, 2, 40), rng.uniform(-1, 1, 40)])
-    checks = check_rmatrix_hamiltonian(2, pts)
-    assert len(checks) == 2
-    for ch in checks:
-        assert ch.residual <= 1e-8
+    residuals = check_rmatrix_hamiltonian(2, pts)
+    assert len(residuals) == 2
+    assert max(residuals) <= 1e-8
 
     # a wrong candidate fails loudly
     L = rmatrix_bivector_aff(1)
     flds = aff_right_invariant_fields(1)
     b_coord = coordinate_function(1, 2)
-    res = hamiltonian_residual(L, flds[0], b_coord, pts[:10, :2])
+    res = hamiltonian_residual(L.at(pts[:10, :2]), flds[0], b_coord)
     assert res > 0.1
 
 
@@ -248,9 +285,7 @@ def _block_cases():
     Lr = rmatrix_bivector_aff(2)
     aff_pts = _rmatrix_points(seeded_rng(12), 40)
     aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4)]
-    aff_pairs = list(zip(aff_right_invariant_fields(2),
-                         [ch.hamiltonian
-                          for ch in check_rmatrix_hamiltonian(2, aff_pts[:2])]))
+    aff_pairs = list(zip(aff_right_invariant_fields(2), rmatrix_hamiltonians(2)))
     aff_pairs.append((_aff_h_field(2), aff_cands[0]))
     return [("kirillov", L, kir_cands, kir_pairs, kir_pts),
             ("rmatrix", Lr, aff_cands, aff_pairs, aff_pts)]
@@ -272,16 +307,16 @@ def test_block_evaluation_equals_the_per_point_loop_bitwise(case):
     assert L.derivative(pts).shape[-3:] == (L.dim,) * 3
     for f in cands:
         for g in cands:
-            block = poisson_bracket(L, f, g, pts)
-            loop = np.array([poisson_bracket(L, f, g, x) for x in pts])
+            block = poisson_bracket(L.at(pts), f, g)
+            loop = np.array([poisson_bracket(L.at(x), f, g) for x in pts])
             assert block.tobytes() == loop.tobytes()
     quadratic = cands[-1]
     for triple in ((cands[0], cands[1], cands[2]), (quadratic, cands[1], cands[0])):
-        block = jacobiator(L, *triple, pts)
-        loop = np.array([jacobiator(L, *triple, x) for x in pts])
+        block = jacobiator(L.at(pts), *triple)
+        loop = np.array([jacobiator(L.at(x), *triple) for x in pts])
         assert block.tobytes() == loop.tobytes()
     for X, f in pairs:
-        assert (hamiltonian_residual(L, X, f, pts)
+        assert (hamiltonian_residual(L.at(pts), X, f)
                 == _hamiltonian_residual_per_point(L, X, f, pts))
 
 
@@ -291,19 +326,9 @@ def test_block_results_keep_the_block_shape_for_constant_terms():
                         dcoeff=lambda x: np.zeros((2, 2, 2)))
     f, g = coordinate_function(0, 2), coordinate_function(1, 2)
     pts = np.ones((5, 2))
-    assert np.array_equal(poisson_bracket(L, f, g, pts), np.ones(5))
-    assert np.array_equal(jacobiator(L, f, g, f, pts), np.zeros(5))
-    assert poisson_bracket(L, f, g, pts[0]) == 1.0
-
-
-def test_a_bivector_at_points_is_taken_at_those_points_only():
-    _, _, L = sl2_setup()
-    f, g = coordinate_function(0, 3), coordinate_function(1, 3)
-    pts = seeded_rng(14).uniform(-2.0, 2.0, size=(5, 3))
-    at = L.at(pts)
-    assert poisson_bracket(at, f, g, pts).tobytes() == poisson_bracket(L, f, g, pts).tobytes()
-    with pytest.raises(ValueError):
-        poisson_bracket(at, f, g, pts.copy())
+    assert np.array_equal(poisson_bracket(L.at(pts), f, g), np.ones(5))
+    assert np.array_equal(jacobiator(L.at(pts), f, g, f), np.zeros(5))
+    assert poisson_bracket(L.at(pts[0]), f, g) == 1.0
 
 
 def test_bivector_of_wrong_shape_raises():
@@ -389,22 +414,21 @@ def _battery_per_call(seed):
     for a in range(3):
         for b in range(3):
             rhs = sum(c[a, b, g] * lin[g](pts) for g in range(3))
-            gap = poisson_bracket(L, lin[a], lin[b], pts) - rhs
+            gap = poisson_bracket(L.at(pts), lin[a], lin[b]) - rhs
             identity = max(identity, float(np.max(np.abs(gap))))
     coords = [coordinate_function(i, 3) for i in range(3)]
-    kirillov_jacobi = float(np.max(np.abs(jacobiator(L, *coords, pts))))
+    kirillov_jacobi = float(np.max(np.abs(jacobiator(L.at(pts), *coords))))
     adj = adjoint_foliated_system(sl2, metric)
     samples = adj.realized.box.sample_many(seeded_rng(seed), 100)
-    adjoint = max(hamiltonian_residual(L, X, f, samples)
+    adjoint = max(hamiltonian_residual(L.at(samples), X, f)
                   for X, f in zip(adj.realized.fields, lin))
     aff_pts = _rmatrix_points(rng, 100)
     Lr = rmatrix_bivector_aff(2)
     coords4 = [coordinate_function(i, 4) for i in range(4)]
-    rmatrix_jacobi = max(float(np.max(np.abs(jacobiator(Lr, *triple, aff_pts))))
+    rmatrix_jacobi = max(float(np.max(np.abs(jacobiator(Lr.at(aff_pts), *triple))))
                          for triple in itertools.combinations(coords4, 3))
-    cands = [ch.hamiltonian for ch in check_rmatrix_hamiltonian(2, aff_pts[:1])]
-    rmatrix_ham = max(hamiltonian_residual(Lr, X, f, aff_pts[:50])
-                      for X, f in zip(aff_right_invariant_fields(2), cands))
+    rmatrix_ham = max(hamiltonian_residual(Lr.at(aff_pts[:50]), X, f)
+                      for X, f in zip(aff_right_invariant_fields(2), rmatrix_hamiltonians(2)))
     return [identity, kirillov_jacobi, adjoint, rmatrix_jacobi, rmatrix_ham]
 
 
