@@ -207,7 +207,9 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
 
     On the row-major entries of g the fields are the linear fields
-    A_a kron I, stepped by the RK4 step matrices a block of steps at a time
+    A_a kron I, stepped by the RK4 step matrices a block of steps at a time:
+    each block's elements come from the scanned cumulative products of its
+    step matrices, and a block that is not all finite re-runs step by step
     (within 1e-12 max(1, max|g|) of the per-stage loop).  The curve is not
     reprojected onto the group; drift is measured by the caller.  A
     determinant below the floor is a domain exit; errors carry the

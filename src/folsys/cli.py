@@ -17,6 +17,7 @@ import operator
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -388,15 +389,28 @@ def _automorphic(s: Scenario):
     yield [("automorphic.reconstruction", err, tol)]
 
 
+@cache
+def _poisson_setup():
+    """The parts of the poisson battery, none of which reads the scenario,
+    built once per process: sl2's structure constants, its Kirillov
+    bivector, linear coordinates, coordinate functions and adjoint system,
+    and the r-matrix bivector on two affine factors with the triples of the
+    coordinate functions of R^4."""
+    sl2 = builtin_algebra("sl2")
+    metric = InvariantMetric(sl2, killing_form(sl2))
+    coords4 = [coordinate_function(i, 4) for i in range(4)]
+    return (sl2.structure, kirillov_bivector(sl2, metric),
+            tuple(linear_coordinates(metric)),
+            tuple(coordinate_function(i, 3) for i in range(3)),
+            adjoint_foliated_system(sl2, metric), rmatrix_bivector_aff(2),
+            tuple(itertools.combinations(coords4, 3)))
+
+
 def _poisson(s: Scenario):
     """Structure-constant bracket, r-matrix and Hamiltonianity checks, which
     do not read the scenario's model; each bivector is evaluated once a block."""
+    c, L, lin, coords, adj, rmatrix, triples = _poisson_setup()
     rng = seeded_rng(s.cfg.seed)
-    sl2 = builtin_algebra("sl2")
-    metric = InvariantMetric(sl2, killing_form(sl2))
-    L = kirillov_bivector(sl2, metric)
-    lin = linear_coordinates(metric)
-    c = sl2.structure
     pts = rng.uniform(-2.0, 2.0, size=(100, 3))
     at = L.at(pts)
     vals = [f(pts) for f in lin]
@@ -407,11 +421,9 @@ def _poisson(s: Scenario):
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     yield [("poisson.kirillov_identity", worst, 1e-12)]
 
-    coords = [coordinate_function(i, 3) for i in range(3)]
     worst = float(np.max(np.abs(jacobiator(at, *coords))))
     yield [("poisson.kirillov_jacobiator", worst, 1e-10)]
 
-    adj = adjoint_foliated_system(sl2, metric)
     residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=s.cfg.seed)
     yield [("poisson.adjoint_hamiltonian", max(residuals), 1e-8)]
 
@@ -419,10 +431,8 @@ def _poisson(s: Scenario):
                                rng.uniform(-1.0, 1.0, 100),
                                rng.uniform(0.5, 2.0, 100),
                                rng.uniform(-1.0, 1.0, 100)])
-    coords4 = [coordinate_function(i, 4) for i in range(4)]
-    at = rmatrix_bivector_aff(2).at(aff_pts)
-    worst = max(float(np.max(np.abs(jacobiator(at, *triple))))
-                for triple in itertools.combinations(coords4, 3))
+    at = rmatrix.at(aff_pts)
+    worst = max(float(np.max(np.abs(jacobiator(at, *triple)))) for triple in triples)
     yield [("poisson.rmatrix_jacobiator", worst, 1e-10)]
 
     residuals = check_rmatrix_hamiltonian(2, aff_pts[:50])

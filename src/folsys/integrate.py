@@ -111,9 +111,12 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
       order, the loop's states bit for bit.
     - ``_product_block``: the rows are the stage matrices A_0, A_1, A_2
       ``(3, K, ..., N, N)`` of a field linear along a solution, which steps
-      by the RK4 step matrices, x_{k+1} = P_k x_k.  The order of operations
-      is not the loop's: the states agree with the per-stage loop to within
-      1e-12 max(1, max|x|), and bit for bit between runs.
+      by the RK4 step matrices, x_{k+1} = P_k x_k.  The states come from the
+      cumulative products P_k ... P_0, formed by a scan in about log2 K
+      batched matmuls; a block whose scanned states are not all finite
+      re-runs step by step.  The order of operations is not the loop's: the
+      states agree with the per-stage loop to within 1e-12 max(1, max|x|),
+      and bit for bit between runs.
     - a stage: the RK4 loop calls F's copy with ``func = route`` on the
       table rows (laid out by field, summed from 0.0) in place of the stage
       times, so a subclass of F sees every stage of a batch.  One state
@@ -285,10 +288,16 @@ def _product_block(block, dt, A):
     ODEs I*, Sec. II.1, with the stages written as matrix products):
     K1 = A0, K2 = A1 (I + dt/2 K1), K3 = A1 (I + dt/2 K2),
     K4 = A2 (I + dt K3) and P = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4), built
-    for the whole block by batched matmuls.  The loop's stage sum
-    (K1 + 2 K2 + 2 K3 + K4) x can overflow a step before its state does;
-    the state after such a step is set to inf, so the blow-up is at the
-    loop's step."""
+    for the whole block by batched matmuls.  The states are
+    x_{k+1} = Q_k x_0 with the cumulative products Q_k = P_k ... P_0, formed
+    by a scan on the step axis in ceil(log2 K) batched matmuls (Hillis and
+    Steele, "Data parallel algorithms", CACM 29 (1986)).  A block whose
+    scanned states are not all finite, where a product may overflow or meet
+    inf * 0 before the states do, re-runs step by step, x_{k+1} = P_k x_k,
+    so a blow-up or domain exit is at the loop's step.  The loop's stage
+    sum (K1 + 2 K2 + 2 K3 + K4) x can overflow a step before its state
+    does; the state after such a step is set to inf, so the blow-up is at
+    the loop's step."""
     eye = np.eye(A.shape[-1])
     K1 = A[0]
     K2 = A[1] @ (eye + (0.5 * dt) * K1)
@@ -297,8 +306,15 @@ def _product_block(block, dt, A):
     S = K1 + 2.0 * K2 + 2.0 * K3 + K4
     P = eye + (dt / 6.0) * S
     cols = block[..., None]  # each state a column, written in place
-    for k, step in enumerate(P):
-        np.matmul(step, cols[k], out=cols[k + 1])
+    Q = P.copy()
+    s = 1
+    while s < len(Q):
+        Q[s:] = Q[s:] @ Q[:-s]
+        s *= 2
+    np.matmul(Q, cols[0], out=cols[1:])
+    if not np.isfinite(block[1:]).all():
+        for k, step in enumerate(P):
+            np.matmul(step, cols[k], out=cols[k + 1])
     sums = S @ cols[:-1]
     block[1:][~np.isfinite(sums).reshape(len(sums), -1).all(axis=1)] = np.inf
 

@@ -16,6 +16,7 @@ block gives the values of a per-point loop bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,14 +164,17 @@ def kirillov_bivector(alg: la.LieAlgebra, metric: la.InvariantMetric) -> Poisson
 # X^R_e = d/db, X^R_h = 2a d/da + 2b d/db; the checks read X^R_e alone.
 # ---------------------------------------------------------------------------
 
-def aff_right_invariant_fields(n: int) -> list[VectorField]:
-    """The fields X^R_e = d/db_i of the n factors, in order."""
-    return [VectorField.constant(e, name=f"XR_e{i + 1}")
-            for i, e in enumerate(np.eye(2 * n)[1::2])]
+@cache
+def aff_right_invariant_fields(n: int) -> tuple[VectorField, ...]:
+    """The fields X^R_e = d/db_i of the n factors, in order; built once per n."""
+    return tuple(VectorField.constant(e, name=f"XR_e{i + 1}")
+                 for i, e in enumerate(np.eye(2 * n)[1::2]))
 
 
+@cache
 def rmatrix_bivector_aff(n: int) -> PoissonBivector:
-    """Wedge of the right-invariant fields, one e ^ h block per factor."""
+    """Wedge of the right-invariant fields, one e ^ h block per factor;
+    built once per n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dim = 2 * n
@@ -191,11 +195,14 @@ def rmatrix_bivector_aff(n: int) -> PoissonBivector:
         ai, bi = 2 * i, 2 * i + 1
         dLam[ai, ai, bi] = -2.0
         dLam[ai, bi, ai] = 2.0
+    dLam.setflags(write=False)  # the cached bivector returns it to every caller
     return PoissonBivector(dim, coeff, dcoeff=lambda x: dLam, name=f"rmatrix-aff{n}")
 
 
-def rmatrix_hamiltonians(n: int) -> list[FuncWithGrad]:
-    """The candidates -1/2 log a_i for the fields X^R_e, in order."""
+@cache
+def rmatrix_hamiltonians(n: int) -> tuple[FuncWithGrad, ...]:
+    """The candidates -1/2 log a_i for the fields X^R_e, in order; built
+    once per n."""
     def candidate(a):
         def dF(x):
             g = np.zeros(x.shape)
@@ -203,7 +210,7 @@ def rmatrix_hamiltonians(n: int) -> list[FuncWithGrad]:
             return g
         return FuncWithGrad(lambda x: -0.5 * np.log(x[..., a]), dF,
                             name=f"-log(a{a // 2 + 1})/2")
-    return [candidate(a) for a in range(0, 2 * n, 2)]
+    return tuple(candidate(a) for a in range(0, 2 * n, 2))
 
 
 def check_rmatrix_hamiltonian(n: int, samples: np.ndarray) -> tuple[float, ...]:

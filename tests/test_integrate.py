@@ -656,6 +656,43 @@ def test_step_matrix_domain_guard_checks_the_states_in_step_order():
             _assert_raises_as_per_stage(F, error, np.array([0.25, 0.5]), 2.0, 0.01)
 
 
+def test_step_matrix_block_whose_products_overflow_reruns_step_by_step():
+    # x' = diag(60, 0) x from (0, 1): the loop keeps x1 = 0 exactly, while
+    # the cumulative step products overflow near t = 15 and inf * 0 is NaN;
+    # the block re-runs step by step and ends at (0, 1) with no blow-up
+    F = TDependentVectorField.tabled(
+        2, lambda t, x: x * np.array([60.0, 0.0]),
+        lambda times, x0: np.broadcast_to(np.diag([60.0, 0.0]), np.shape(times) + (2, 2)),
+        _product_block)
+    per_stage = TDependentVectorField(2, lambda t, x: F.func(t, x))
+    got = integrate(F, np.array([0.0, 1.0]), 0.0, 100.0, 0.1)
+    want = integrate(per_stage, np.array([0.0, 1.0]), 0.0, 100.0, 0.1)
+    assert got.final_state.tolist() == [0.0, 1.0]
+    assert got.states.tobytes() == want.states.tobytes()
+
+
+def test_step_matrices_at_the_production_block_size_are_within_tolerance():
+    # TABLE_BLOCK as shipped: one 4-dim state steps in blocks of 341, so the
+    # scan of the cumulative products runs 9 levels deep
+    assert max(1, folsys_integrate.TABLE_BLOCK // (3 * 4)) == 341
+    x0 = np.array([1.2, 0.9, 0.3, -0.4])
+    for name in ("ermakov-const", "ermakov-sin"):
+        F = assemble(STEP_MATRIX_SYSTEMS[name])
+        assert F.route is _product_block
+        per_stage = TDependentVectorField(F.dim, lambda t, x: F.func(t, x), domain=F.domain)
+        got = integrate(F, x0, 0.0, 3.0, 1.25e-3)
+        assert len(got) == 2401
+        assert_within_tolerance(got.states, integrate(per_stage, x0, 0.0, 3.0, 1.25e-3).states)
+        assert got.states.tobytes() == integrate(F, x0, 0.0, 3.0, 1.25e-3).states.tobytes()
+    erm = model_bundle("ermakov", omega2="0.9+0.06*sin(t)", c1=0.0, c2=0.0)
+    asys = reduce_system(erm.system, erm.action)
+    k = leaf_of(erm.system.chart, x0)
+    curve = solve_matrix(asys, k, 0.0, 3.0, 1.25e-3)
+    assert len(curve) == 2401
+    assert_within_tolerance(curve.elements, matrix_rk4_reference(asys, k, curve.times))
+    assert curve.elements.tobytes() == solve_matrix(asys, k, 0.0, 3.0, 1.25e-3).elements.tobytes()
+
+
 def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matrix_route():
     systems = dict(TABLE_SYSTEMS, **{
         "ermakov": model_bundle("ermakov").system,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -341,6 +342,12 @@ def test_bivector_of_wrong_shape_raises():
         bad.derivative(pts)
 
 
+def test_rmatrix_parts_are_built_once_per_n_as_tuples():
+    for build in (rmatrix_bivector_aff, aff_right_invariant_fields, rmatrix_hamiltonians):
+        assert build(2) is build(2) and build(1) is not build(2)
+    assert type(aff_right_invariant_fields(2)) is type(rmatrix_hamiltonians(2)) is tuple
+
+
 def test_rmatrix_domain_guard_tests_every_row_of_a_block():
     L = rmatrix_bivector_aff(2)
     pts = _rmatrix_points(seeded_rng(13), 6)
@@ -368,37 +375,50 @@ def test_adjoint_system_takes_blocks_row_by_row():
             assert row.tobytes() == np.asarray(fn(x)).tobytes()
 
 
-def test_battery_evaluates_each_bivector_a_fixed_number_of_times(monkeypatch):
+def test_battery_builds_its_setup_once_and_evaluates_each_bivector_a_fixed_number_of_times(
+        monkeypatch):
     import folsys.cli as cli
     import folsys.poisson as poisson
 
     counts = {}
 
     def counted(name, fn):
-        def call(x):
+        def call(*args):
             counts[name] = counts.get(name, 0) + 1
-            return fn(x)
+            return fn(*args)
         return call
 
     def counting(build):
         def wrapped(*args):
             B = build(*args)
+            counts[("build", B.name)] = counts.get(("build", B.name), 0) + 1
             return PoissonBivector(B.dim, counted(("coeff", B.name), B.coeff),
                                    counted(("dcoeff", B.name), B.dcoeff), B.name)
         return wrapped
 
+    monkeypatch.setattr(cli, "builtin_algebra", counted("sl2", cli.builtin_algebra))
     monkeypatch.setattr(cli, "kirillov_bivector", counting(kirillov_bivector))
-    monkeypatch.setattr(cli, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
-    monkeypatch.setattr(poisson, "rmatrix_bivector_aff", counting(rmatrix_bivector_aff))
-    scenario = cli.Scenario(cli.ScenarioConfig(model="lax", seed=3), None, None, None)
-    rows = [row for group in cli.CHECKS["poisson"].rows(scenario) for row in group]
-    assert len(rows) == 5
-    assert all(value <= tol for _, value, tol in rows)
-    # one Lambda per block of points: kirillov on the bracket and Jacobiator
-    # block and on the adjoint samples, the r-matrix on the Jacobiator block
-    # and on the Hamiltonian samples; one derivative per Jacobiator block
-    assert counts == {("coeff", "kirillov"): 2, ("dcoeff", "kirillov"): 1,
-                      ("coeff", "rmatrix-aff2"): 2, ("dcoeff", "rmatrix-aff2"): 1}
+    # cached, as rmatrix_bivector_aff is: the battery and
+    # check_rmatrix_hamiltonian share one bivector
+    rmatrix = functools.cache(counting(rmatrix_bivector_aff))
+    monkeypatch.setattr(cli, "rmatrix_bivector_aff", rmatrix)
+    monkeypatch.setattr(poisson, "rmatrix_bivector_aff", rmatrix)
+    cli._poisson_setup.cache_clear()  # built afresh, from the counted builders
+    try:
+        for seed in (3, 4):
+            scenario = cli.Scenario(cli.ScenarioConfig(model="lax", seed=seed), None, None, None)
+            rows = [row for group in cli.CHECKS["poisson"].rows(scenario) for row in group]
+            assert len(rows) == 5
+            assert all(value <= tol for _, value, tol in rows)
+    finally:
+        cli._poisson_setup.cache_clear()
+    # one setup for both scenarios, and per scenario one Lambda per block of
+    # points: kirillov on the bracket and Jacobiator block and on the adjoint
+    # samples, the r-matrix on the Jacobiator block and on the Hamiltonian
+    # samples; one derivative per Jacobiator block
+    assert counts == {"sl2": 1, ("build", "kirillov"): 1, ("build", "rmatrix-aff2"): 1,
+                      ("coeff", "kirillov"): 4, ("dcoeff", "kirillov"): 2,
+                      ("coeff", "rmatrix-aff2"): 4, ("dcoeff", "rmatrix-aff2"): 2}
 
 
 def _battery_per_call(seed):
