@@ -134,18 +134,6 @@ class AutomorphicSystem:
         return cls(kind=kind, generators=tuple(generators), coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class GroupCurve:
-    """Sampled curve in the group: vectors (abelian) or matrices (matrix kind)."""
-
-    times: np.ndarray
-    elements: np.ndarray
-    step: float
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
 def reduce_system(fs: FoliatedSystem, action: GroupAction,
                   seed: int = 42) -> AutomorphicSystem:
     """Reduce a foliated system through a compatible group action.
@@ -177,18 +165,18 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
 
 
 def _group_curve(asys: AutomorphicSystem, fields, identity: np.ndarray, k,
-                 t0: float, t1: float, h: float, domain=None) -> GroupCurve:
+                 t0: float, t1: float, h: float, domain=None) -> Trajectory:
     """RK4 from the identity of the ``lie_system`` of the group's fields on
     the flattened elements, with the reduced coefficients at the leaf k."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     F = lie_system(fields, lambda t, g: asys.coeffs(t, k), domain=domain)
-    traj = integrate(F, identity.ravel(), t0, t1, h)
-    return GroupCurve(traj.times, traj.states.reshape((-1,) + identity.shape), h)
+    return integrate(F, identity.ravel(), t0, t1, h)
 
 
 def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
-                  h: float = DEFAULT_STEP) -> GroupCurve:
-    """RK4 of lambda' = sum_a c_a(t, k) A_a from lambda(t0) = 0.
+                  h: float = DEFAULT_STEP) -> Trajectory:
+    """RK4 of lambda' = sum_a c_a(t, k) A_a from lambda(t0) = 0, the curve
+    ``(T, r)`` that ``integrate`` returns.
 
     The constant fields A_a make it time-only, so ``integrate`` sums it by
     Simpson's rule a block of steps at a time, bit for bit its RK4 loop.  A
@@ -203,17 +191,19 @@ def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
 
 
 def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
-                 h: float = DEFAULT_STEP) -> GroupCurve:
-    """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I.
+                 h: float = DEFAULT_STEP) -> Trajectory:
+    """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I,
+    the curve of row-major entries ``(T, d*d)`` that ``integrate`` returns.
 
-    On the row-major entries of g the fields are the linear fields
-    A_a kron I, stepped by the RK4 step matrices a block of steps at a time:
-    each block's elements come from the scanned cumulative products of its
-    step matrices, and a block that is not all finite re-runs step by step
-    (within 1e-12 max(1, max|g|) of the per-stage loop).  The curve is not
-    reprojected onto the group; drift is measured by the caller.  A
-    determinant below the floor is a domain exit; errors carry the
-    flattened entries so far as ``partial``.
+    On those entries the fields are the linear fields A_a kron I, stepped
+    by the RK4 step matrices a block of steps at a time: each block's
+    elements come from the scanned cumulative products of its step
+    matrices, and a block that is not all finite re-runs step by step
+    (within max(1e-12, K 2^-52) max(1, max|g|) of the per-stage loop after
+    K steps).  The curve is not reprojected onto the group; drift is
+    measured by the caller.  A determinant below the floor is a domain
+    exit; errors carry the entries so far as ``partial``, in the same
+    layout.
     """
     if asys.kind != MATRIX:
         raise ValueError("solve_matrix requires a matrix system")
@@ -233,9 +223,12 @@ def _det_guard(d: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda g: np.abs(np.linalg.det(g.reshape(g.shape[:-1] + (d, d)))) >= _DET_FLOOR
 
 
-def reconstruct(action: GroupAction, curve: GroupCurve, x0) -> Trajectory:
-    """Trajectory with states act(g(t_i), x0), one act call on the curve."""
-    states = action.act(curve.elements, np.asarray(x0, dtype=float))
+def reconstruct(action: GroupAction, curve: Trajectory, x0) -> Trajectory:
+    """Trajectory with states act(g(t_i), x0), one act call on the curve of
+    ``solve_abelian`` or ``solve_matrix``, read as elements of the
+    identity's shape."""
+    elements = curve.states.reshape((-1,) + action.identity.shape)
+    states = action.act(elements, np.asarray(x0, dtype=float))
     return Trajectory(curve.times, states, curve.step)
 
 

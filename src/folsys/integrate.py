@@ -114,9 +114,10 @@ def integrate(F: TDependentVectorField, x0, t0: float, t1: float,
       by the RK4 step matrices, x_{k+1} = P_k x_k.  The states come from the
       cumulative products P_k ... P_0, formed by a scan in about log2 K
       batched matmuls; a block whose scanned states are not all finite
-      re-runs step by step.  The order of operations is not the loop's: the
-      states agree with the per-stage loop to within 1e-12 max(1, max|x|),
-      and bit for bit between runs.
+      re-runs step by step.  The order of operations is not the loop's:
+      after K steps the states agree with the per-stage loop to within
+      max(1e-12, K 2^-52) max(1, max|x|), a bound that grows with K like
+      accumulated roundoff, and bit for bit between runs.
     - a stage: the RK4 loop calls F's copy with ``func = route`` on the
       table rows (laid out by field, summed from 0.0) in place of the stage
       times, so a subclass of F sees every stage of a batch.  One state

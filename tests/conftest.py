@@ -1,7 +1,8 @@
 """Let ``python -m folsys.cli`` subprocesses import this checkout's package,
 as ``pythonpath`` in pyproject.toml does for the test process itself; and
-share the bundles of the configured models, the count of particular
-solutions of a realization, and the split extension [h, e] = 2 e."""
+share the bundles of the configured models, the per-stage reference field,
+the count of particular solutions of a realization, and the split extension
+[h, e] = 2 e."""
 import os
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from folsys.algebra import LieAlgebra
 from folsys.cli import ScenarioConfig, build_bundle
-from folsys.fields import rank_at
+from folsys.fields import TDependentVectorField, rank_at
 from folsys.util import seeded_rng
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -22,6 +23,13 @@ def model_bundle(name: str, **params):
     """The bundle of the model ``name`` of ``cli.MODELS``, its params at their
     defaults but for ``params``."""
     return build_bundle(ScenarioConfig(model=name, params=params))
+
+
+def per_stage(F):
+    """F called per stage, the reference for every route: a plain function
+    drops the table and route that a copy rebuilt from ``F.func`` keeps."""
+    return TDependentVectorField(F.dim, lambda t, x: F.func(t, x),
+                                 domain=F.domain, name=F.name)
 
 
 def split_extension(copies: int = 1) -> LieAlgebra:

@@ -148,7 +148,7 @@ def test_criterion_07_group_reconstruction():
             MATRIX, (gen,), lambda t, k, _c=coeff: np.array([_c]))
         curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
         closed = scipy.linalg.expm(-coeff * gen)
-        worst_mat = max(worst_mat, float(np.max(np.abs(curve.elements[-1] - closed))))
+        worst_mat = max(worst_mat, float(np.max(np.abs(curve.states[-1].reshape(2, 2) - closed))))
 
     hj = model_bundle("hamilton_jacobi")
     asys0 = AutomorphicSystem.from_reduction(

@@ -23,14 +23,14 @@ from folsys.cli import (MODELS, ScenarioConfig, build_bundle,
                         compile_expression, main, run)
 from folsys.algebra import builtin_algebra
 from folsys.errors import ConfigError
-from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
+from folsys.fields import RealizedAlgebra, VectorField
 from folsys.foliated import FoliatedSystem, FoliationChart, assemble
 from folsys import models as mdl
 from folsys.integrate import Trajectory, _product_block, integrate, trajectory_to_csv
 from folsys.superposition import rule_points
 from folsys.util import Box
 
-from .conftest import model_bundle
+from .conftest import model_bundle, per_stage
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -542,6 +542,21 @@ def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_flags_override_the_config(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(folsys.cli, "run", lambda cfg: seen.append(cfg) or ([], {}))
+    monkeypatch.setattr(folsys.cli, "report_render", lambda reports, out, fmt: None)
+    path = write_config(tmp_path / "cfg.json")
+    assert main(["--config", str(path), "--seed", "7", "--step", "0.01",
+                 "--out", "o", "--format", "csv"]) == 0
+    raw = ScenarioConfig.from_dict(json.loads(path.read_text()))
+    assert seen == [dataclasses.replace(raw, seed=7, step=0.01, out="o", fmt="csv")]
+    # two invalid flags: the error printed is the first the config's own
+    # checks raise (the step before the seed), whatever the flag order
+    assert main(["--config", str(path), "--seed", "-1", "--step", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: step must lie in")
+
+
 def _negated_constants(fs):
     alg = fs.realized.algebra
     realized = dataclasses.replace(
@@ -622,6 +637,40 @@ def test_cli_lax_pair_row_fails_on_a_doubled_coefficient_map(tmp_path, monkeypat
     assert rows["spectrum.drift"]["status"] == "pass"
     assert rows["spectrum.lax_pair"]["status"] == "fail"
     assert rows["spectrum.lax_pair"]["value"] > 0.1
+
+
+def _nan_at_call(index, func):
+    """``func``, but its call number ``index`` (from 0) returns NaN values."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        value = func(*args, **kwargs)
+        return value * np.nan if next(calls) == index else value
+    return wrapped
+
+
+# a NaN after the first value collected: the second of the nine Kirillov
+# brackets, the second of the four r-matrix Jacobiators (the first
+# jacobiator call is the Kirillov one), and the second residual of each
+# Hamiltonianity check
+@pytest.mark.parametrize("row, name, faulty", [
+    ("poisson.kirillov_identity", "poisson_bracket", lambda f: _nan_at_call(1, f)),
+    ("poisson.rmatrix_jacobiator", "jacobiator", lambda f: _nan_at_call(2, f)),
+    ("poisson.adjoint_hamiltonian", "is_foliated_lie_hamilton",
+     lambda f: lambda *args, **kwargs: (1e-16, math.nan, 0.0)),
+    ("poisson.rmatrix_hamiltonian", "check_rmatrix_hamiltonian",
+     lambda f: lambda *args: (0.0, math.nan)),
+], ids=("kirillov_identity", "rmatrix_jacobiator", "adjoint_hamiltonian",
+        "rmatrix_hamiltonian"))
+def test_cli_poisson_rows_keep_a_nan_after_their_first_value(tmp_path, monkeypatch,
+                                                            row, name, faulty):
+    monkeypatch.setattr(folsys.cli, name, faulty(getattr(folsys.cli, name)))
+    cfg_path = write_config(tmp_path / "cfg.json", checks=["poisson"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    rows = {r["check"]: r for r in json.loads((out / "report.json").read_text())}
+    assert rows[row]["value"] == "nan"
+    assert {name for name, r in rows.items() if r["status"] == "fail"} == {row}
 
 
 def test_cli_ermakov_uncoupled_automorphic(tmp_path):
@@ -718,14 +767,11 @@ CONFIGS = ROOT / "scripts" / "configs"
 
 
 def _per_stage_assemble(fs, matrices=True):
-    """The assembled field called per stage: a plain function drops the table
-    and route that a copy rebuilt from ``func`` keeps.  The step-matrix
-    route stays unless ``matrices`` is False, since it changes the order of
-    operations."""
+    """The assembled field called per stage (``per_stage``).  The
+    step-matrix route stays unless ``matrices`` is False, since it changes
+    the order of operations."""
     F = assemble(fs)
-    keep = matrices and F.route is _product_block
-    func = F.func if keep else (lambda t, x: F.func(t, x))
-    return TDependentVectorField(F.dim, func, domain=F.domain, name=F.name)
+    return F if matrices and F.route is _product_block else per_stage(F)
 
 
 def _leafwise_per_stage(x0, matrices=True):
