@@ -13,9 +13,8 @@ from .integrate import (Trajectory, convergence_order, integrate,
 from .superposition import (SuperpositionRule, apply_rule,
                             first_integral_residual, solve_parameters,
                             verify_rule)
-from .automorphic import (AutomorphicSystem, GroupAction, reconstruct,
-                          reconstruction_error, reduce_system, solve_abelian,
-                          solve_matrix)
+from .automorphic import (GroupAction, reconstruct, reconstruction_error,
+                          reduce_system, solve_abelian, solve_matrix)
 from .poisson import (PoissonBivector, adjoint_foliated_system,
                       check_rmatrix_hamiltonian, hamiltonian_residual,
                       is_foliated_lie_hamilton, jacobiator, kirillov_bivector,

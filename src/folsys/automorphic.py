@@ -102,46 +102,16 @@ def fundamental_field_residual(action: GroupAction, fields: Sequence[VectorField
     return float(np.max(worst, initial=0.0))  # np.max keeps a NaN
 
 
-@dataclass(frozen=True)
-class AutomorphicSystem:
-    """Group-valued system g' = sum_a c_a(t,k) X^R_a(g), leafwise constant.
-
-    ``coeffs(t, k)`` returns (c_1, ..., c_r)(t, k), one entry per generator,
-    as one array of shape ``np.shape(t) + (r,)``, one row per time.
-    """
-
-    kind: str
-    generators: tuple[np.ndarray, ...]
-    coeffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-
-    @classmethod
-    def from_reduction(cls, kind: str, generators,
-                       foliated_coeffs) -> "AutomorphicSystem":
-        """Build the reduced system from a foliated coefficient map (sign
-        absorbed).  The map returns one row per time or, when it does not
-        depend on t, one ``(r,)`` row that is broadcast; any other shape
-        raises DimensionMismatchError when evaluated."""
-        r = len(generators)
-
-        def coeffs(t, k):
-            c = -np.asarray(coefficient_values(foliated_coeffs, r, t, k), dtype=float)
-            return np.broadcast_to(c, np.shape(t) + (r,))
-
-        return cls(kind=kind, generators=tuple(generators), coeffs=coeffs)
-
-
 def reduce_system(fs: FoliatedSystem, action: GroupAction,
-                  seed: int = 42) -> AutomorphicSystem:
-    """Reduce a foliated system through a compatible group action.
+                  seed: int = 42) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Reduce a foliated system through a compatible group action to the
+    coefficient map ``coeffs(t, k)`` of its group system on the action's group.
 
     The action's generator flows are compared against the realized fields at
     seeded sample points before anything else; mismatch beyond 1e-6 raises.
-    Coefficient maps are evaluated at the chart's representative point of the
-    requested leaf, repeated once per requested time.
+    The map evaluates ``fs.coeffs`` at the chart's representative point of
+    the leaf k, repeated once per time, and returns c = -g as one row per
+    time, ``np.shape(t) + (r,)``.
     """
     if len(action.generators) != fs.realized.algebra.dim:
         raise IncompatibleActionError("one generator per realized field is required")
@@ -155,44 +125,46 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     chart = fs.chart
     if chart.leaf_point is None:
         raise IncompatibleActionError("chart has no representative-point map")
+    r = len(action.generators)
 
-    def leaf_coeffs(t, k):
+    def coeffs(t, k):
         x = chart.leaf_point(np.atleast_1d(k))
-        return fs.coeffs(t, np.broadcast_to(x, np.shape(t) + x.shape))
+        c = coefficient_values(fs.coeffs, r, t, np.broadcast_to(x, np.shape(t) + x.shape))
+        return np.broadcast_to(-np.asarray(c, dtype=float), np.shape(t) + (r,))
 
-    return AutomorphicSystem.from_reduction(
-        kind=action.kind, generators=action.generators, foliated_coeffs=leaf_coeffs)
+    return coeffs
 
 
-def _group_curve(asys: AutomorphicSystem, fields, identity: np.ndarray, k,
-                 t0: float, t1: float, h: float, domain=None) -> Trajectory:
-    """RK4 from the identity of the ``lie_system`` of the group's fields on
-    the flattened elements, with the reduced coefficients at the leaf k."""
+def _group_curve(action: GroupAction, fields, coeffs, k, t0: float, t1: float,
+                 h: float, domain=None) -> Trajectory:
+    """RK4 from the action's identity of the ``lie_system`` of the group's
+    fields on the flattened elements, with the coefficients at the leaf k."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    F = lie_system(fields, lambda t, g: asys.coeffs(t, k), domain=domain)
-    return integrate(F, identity.ravel(), t0, t1, h)
+    F = lie_system(fields, lambda t, g: coeffs(t, k), domain=domain)
+    return integrate(F, action.identity.ravel(), t0, t1, h)
 
 
-def solve_abelian(asys: AutomorphicSystem, k, t0: float, t1: float,
+def solve_abelian(action: GroupAction, coeffs, k, t0: float, t1: float,
                   h: float = DEFAULT_STEP) -> Trajectory:
-    """RK4 of lambda' = sum_a c_a(t, k) A_a from lambda(t0) = 0, the curve
-    ``(T, r)`` that ``integrate`` returns.
+    """RK4 of lambda' = sum_a c_a(t, k) A_a on the abelian group of ``action``
+    from its identity, c the map of ``reduce_system``: the curve ``(T, r)``
+    that ``integrate`` returns.
 
     The constant fields A_a make it time-only, so ``integrate`` sums it by
     Simpson's rule a block of steps at a time, bit for bit its RK4 loop.  A
     non-finite node raises BlowUpError with the curve before it as
     ``partial``.
     """
-    if asys.kind != ABELIAN:
-        raise ValueError("solve_abelian requires an abelian system")
-    gens = asys.generators
-    return _group_curve(asys, [VectorField.constant(A) for A in gens],
-                        np.zeros(gens[0].shape), k, t0, t1, h)
+    if action.kind != ABELIAN:
+        raise ValueError("solve_abelian requires an abelian action")
+    return _group_curve(action, [VectorField.constant(A) for A in action.generators],
+                        coeffs, k, t0, t1, h)
 
 
-def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
+def solve_matrix(action: GroupAction, coeffs, k, t0: float, t1: float,
                  h: float = DEFAULT_STEP) -> Trajectory:
-    """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g from g(t0) = I,
+    """RK4 on the matrix entries of g' = (sum_a c_a(t,k) A_a) g on the matrix
+    group of ``action`` from its identity, c the map of ``reduce_system``:
     the curve of row-major entries ``(T, d*d)`` that ``integrate`` returns.
 
     On those entries the fields are the linear fields A_a kron I, stepped
@@ -205,12 +177,12 @@ def solve_matrix(asys: AutomorphicSystem, k, t0: float, t1: float,
     exit; errors carry the entries so far as ``partial``, in the same
     layout.
     """
-    if asys.kind != MATRIX:
-        raise ValueError("solve_matrix requires a matrix system")
-    d = asys.generators[0].shape[0]
-    return _group_curve(asys, [VectorField.linear(np.kron(A, np.eye(d)))
-                               for A in asys.generators],
-                        np.eye(d), k, t0, t1, h, domain=_det_guard(d))
+    if action.kind != MATRIX:
+        raise ValueError("solve_matrix requires a matrix action")
+    d = action.identity.shape[0]
+    return _group_curve(action, [VectorField.linear(np.kron(A, np.eye(d)))
+                                 for A in action.generators],
+                        coeffs, k, t0, t1, h, domain=_det_guard(d))
 
 
 def _det_guard(d: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -237,9 +209,9 @@ def reconstruction_error(fs: FoliatedSystem, action: GroupAction,
     """Sup-norm gap between ``direct``, an integrated flow of ``fs``, and its
     group reconstruction from ``direct.states[0]`` on the same time grid."""
     x0 = direct.states[0]
-    asys = reduce_system(fs, action, seed=seed)
+    coeffs = reduce_system(fs, action, seed=seed)
     k = leaf_of(fs.chart, x0)
-    solve = solve_abelian if asys.kind == ABELIAN else solve_matrix
-    curve = solve(asys, k, direct.times[0], direct.times[-1], direct.step)
+    solve = solve_abelian if action.kind == ABELIAN else solve_matrix
+    curve = solve(action, coeffs, k, direct.times[0], direct.times[-1], direct.step)
     rec = reconstruct(action, curve, x0)
     return float(np.max(np.abs(rec.states - direct.states)))

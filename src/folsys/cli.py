@@ -508,14 +508,14 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     for name in cfg.checks:
         need = CHECKS[name].needs
         if need and bundle.observables.get(need, getattr(bundle, need, None)) is None:
-            raise ConfigError(f"check {name!r} not supported for {bundle.name}: "
+            raise ConfigError(f"check {name!r} not supported for {bundle.system.name}: "
                               f"the model carries no {need}")
     x0 = bundle.default_state
     if cfg.initial_state is not None:
         x0 = np.asarray(cfg.initial_state, dtype=float)
         if x0.size != bundle.system.dim:
             raise ConfigError(f"initial_state must have {bundle.system.dim} entries "
-                              f"for {bundle.name}, got {x0.size}")
+                              f"for {bundle.system.name}, got {x0.size}")
     conv = convergence_steps(_coarse_step(cfg))
     join = "convergence" in cfg.checks and cfg.step <= min(conv)
     rows = 1
@@ -569,7 +569,7 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     for name in cfg.checks:
         for group in CHECKS[name].rows(scenario):
             end = time.perf_counter()
-            reports += [CheckReport(check=row, model=bundle.name, value=float(value),
+            reports += [CheckReport(check=row, model=bundle.system.name, value=float(value),
                                     tolerance=float(tol), runtime_s=end - start,
                                     seed=cfg.seed)
                         for row, value, tol in group]
@@ -583,19 +583,21 @@ def report_render(reports: list[CheckReport], out_dir, fmt: str = "json") -> dic
 
     ``report.json`` is strict JSON: a NaN or infinite value is written as
     the string ``repr(value)``, ``"nan"``, ``"inf"`` or ``"-inf"``;
-    ``report.csv`` keeps it a number."""
+    ``report.csv`` keeps it a number.  Each replaces any file at its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [r.to_dict() for r in sorted(reports, key=lambda r: (r.check, r.model))]
     json_path = out_dir / "report.json"
     json_rows = [dict(r, value=r["value"] if math.isfinite(r["value"])
                       else repr(r["value"])) for r in rows]
+    json_path.unlink(missing_ok=True)
     with json_path.open("w", encoding="utf-8") as fh:
         json.dump(json_rows, fh, indent=2, allow_nan=False)
         fh.write("\n")
     written = {"report_json": str(json_path)}
     if fmt == "csv":
         csv_path = out_dir / "report.csv"
+        csv_path.unlink(missing_ok=True)
         with csv_path.open("w", encoding="utf-8") as fh:
             fh.write("check,model,status,value,tolerance,runtime_s,seed\n")
             for r in rows:

@@ -43,7 +43,6 @@ _TWO = np.array(2.0)  # x^2's exponent: float_power converts a 0-d array faster 
 class ModelBundle:
     """Everything a scenario needs: system, rule, action, defaults, observables."""
 
-    name: str
     system: FoliatedSystem
     rule: SuperpositionRule | None
     action: GroupAction | None
@@ -166,7 +165,7 @@ def riccati_system(spec: RiccatiSpec) -> ModelBundle:
     system = FoliatedSystem(realized, coeffs, chart, name="riccati",
                             combine=_riccati_stage)
     return ModelBundle(
-        name="riccati", system=system, rule=riccati_rule(), action=None,
+        system=system, rule=riccati_rule(), action=None,
         default_state=np.array([0.0]), spec=spec,
     )
 
@@ -251,7 +250,7 @@ def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
     action = GroupAction(kind=ABELIAN, act=act, identity=np.zeros(n),
                          generators=tuple(np.eye(n)), name=labels[1])
     default_state = np.concatenate([q0, np.linspace(1.0, 1.5, n)])
-    return ModelBundle(name=name, system=system, rule=translation_rule(n),
+    return ModelBundle(system=system, rule=translation_rule(n),
                        action=action, default_state=default_state,
                        observables=observables or {}, spec=spec)
 
@@ -428,7 +427,7 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     # only the uncoupled member admits the linear group action
     action = (ermakov_matrix_action(spec) if spec.c1 == 0.0 and spec.c2 == 0.0
               else None)
-    return ModelBundle(name="ermakov", system=system, rule=None,
+    return ModelBundle(system=system, rule=None,
                        action=action, default_state=np.array([1.0, 1.0, 0.0, 1.0]),
                        observables=observables, spec=spec)
 

@@ -109,29 +109,28 @@ class RuleReport:
 
 
 def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
-                    min_separation: float = 0.0) -> list[np.ndarray]:
-    """Draw ``count`` points that share one random leaf of the foliation."""
+                    min_separation: float = 0.0) -> np.ndarray:
+    """Draw ``count`` points ``(count, N)`` that share one random leaf of the
+    foliation, each attempt in one draw."""
     chart = fs.chart
     box = fs.realized.box
     if chart.n_labels and not chart.is_split:
         raise ValueError("leaf sampling needs a split chart")
     labels = box.sample(rng)[chart.leaf_dim:] if chart.n_labels else None
     for _ in range(200):
-        pts = [box.sample(rng) for _ in range(count)]
+        pts = box.sample_many(rng, count)
         if labels is not None:
-            for x in pts:
-                x[chart.leaf_dim:] = labels
+            pts[:, chart.leaf_dim:] = labels
         if min_separation <= 0.0 or _separated(pts, min_separation):
             return pts
     raise FolsysError("could not draw separated sample points")
 
 
-def _separated(pts, eps: float) -> bool:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.max(np.abs(pts[i] - pts[j])) < eps:
-                return False
-    return True
+def _separated(pts: np.ndarray, eps: float) -> bool:
+    """Whether no two of the points ``(P, N)`` are less than eps apart in the
+    sup norm."""
+    gaps = np.abs(pts[:, None] - pts[None]).max(axis=-1)
+    return not np.any(gaps[np.triu_indices(len(pts), 1)] < eps)
 
 
 def rule_points(rule: SuperpositionRule, fs: FoliatedSystem, trials: int = 3,
@@ -139,11 +138,10 @@ def rule_points(rule: SuperpositionRule, fs: FoliatedSystem, trials: int = 3,
     """Initial points ``(trials * (m+1), N)`` of the rule runs, trial by trial:
     rule.m particular initial conditions, then one target, on a common random
     leaf drawn from its own generator ``seed + trial``."""
-    pts = []
-    for trial in range(trials):
-        rng = seeded_rng(seed + trial)  # independent, reproducible trials
-        pts += _sample_on_leaf(fs, rng, rule.m + 1, rule.min_separation)
-    return np.array(pts)
+    # independent, reproducible trials
+    return np.concatenate([_sample_on_leaf(fs, seeded_rng(seed + trial), rule.m + 1,
+                                           rule.min_separation)
+                           for trial in range(trials)])
 
 
 def rule_report(rule: SuperpositionRule, fs: FoliatedSystem, states,

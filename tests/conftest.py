@@ -1,8 +1,8 @@
 """Let ``python -m folsys.cli`` subprocesses import this checkout's package,
 as ``pythonpath`` in pyproject.toml does for the test process itself; and
 share the bundles of the configured models, the per-stage reference field,
-the count of particular solutions of a realization, and the split extension
-[h, e] = 2 e."""
+the count of particular solutions of a realization, the split extension
+[h, e] = 2 e, and groups acting on themselves."""
 import os
 from pathlib import Path
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from folsys.algebra import LieAlgebra
+from folsys.automorphic import ABELIAN, MATRIX, GroupAction
 from folsys.cli import ScenarioConfig, build_bundle
 from folsys.fields import TDependentVectorField, rank_at
 from folsys.util import seeded_rng
@@ -47,6 +48,22 @@ def split_extension(copies: int = 1) -> LieAlgebra:
 
 # the generators e, h of split_extension() as 2 x 2 matrices
 SPLIT_MATRICES = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [0.0, 0.0]]))
+
+
+def group_action(kind: str, generators) -> GroupAction:
+    """The group R^r (``ABELIAN``) or of invertible d x d matrices
+    (``MATRIX``) acting on itself, by translation or by left multiplication
+    of the row-major entries, with ``generators`` and the group's identity."""
+    gens = tuple(np.asarray(A, dtype=float) for A in generators)
+    if kind == ABELIAN:
+        return GroupAction(ABELIAN, np.add, np.zeros(gens[0].shape), gens)
+    d = gens[0].shape[0]
+
+    def act(g, x):
+        gx = g @ x.reshape(x.shape[:-1] + (d, d))
+        return gx.reshape(gx.shape[:-2] + (d * d,))
+
+    return GroupAction(MATRIX, act, np.eye(d), gens)
 
 
 def minimal_solution_count(ra, cap: int = 10, samples: int = 5):

@@ -12,9 +12,8 @@ import pytest
 import scipy.linalg
 
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
-from folsys.automorphic import (MATRIX, AutomorphicSystem, reconstruct,
-                                reconstruction_error, reduce_system,
-                                solve_abelian, solve_matrix)
+from folsys.automorphic import (MATRIX, reconstruct, reconstruction_error,
+                                reduce_system, solve_abelian, solve_matrix)
 from folsys.fields import directional_derivative, structure_residual
 from folsys.foliated import assemble, leaf_drift, verify_foliated
 from folsys.integrate import convergence_order, integrate
@@ -28,7 +27,7 @@ from folsys.poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
 from folsys.superposition import verify_rule
 from folsys.util import coordinate_function, seeded_rng
 
-from .conftest import model_bundle
+from .conftest import group_action, model_bundle
 
 
 def report(num, name, ok, detail):
@@ -144,17 +143,15 @@ def test_criterion_07_group_reconstruction():
     h1 = np.array([[2.0, 0.0], [0.0, 0.0]])
     worst_mat = 0.0
     for gen, coeff in ((e1, 1.0), (h1, 1.0), (h1, -0.7)):
-        asys = AutomorphicSystem.from_reduction(
-            MATRIX, (gen,), lambda t, k, _c=coeff: np.array([_c]))
-        curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+        curve = solve_matrix(group_action(MATRIX, (gen,)),
+                             lambda t, k, _c=coeff: np.array([-_c]),
+                             np.zeros(0), 0.0, 1.0, 1e-3)
         closed = scipy.linalg.expm(-coeff * gen)
         worst_mat = max(worst_mat, float(np.max(np.abs(curve.states[-1].reshape(2, 2) - closed))))
 
     hj = model_bundle("hamilton_jacobi")
-    asys0 = AutomorphicSystem.from_reduction(
-        "abelian", hj.action.generators,
-        lambda t, k: np.zeros(2))
-    curve0 = solve_abelian(asys0, np.array([1.0, 1.5]), 0.0, 2.0, 1e-3)
+    curve0 = solve_abelian(hj.action, lambda t, k: -np.zeros(2), np.array([1.0, 1.5]),
+                           0.0, 2.0, 1e-3)
     x0 = np.array([0.3, -0.4, 1.0, 1.5])
     rec0 = reconstruct(hj.action, curve0, x0)
     identity_exact = bool(np.all(rec0.states == x0))
@@ -175,12 +172,12 @@ def test_criterion_08_shared_reduction():
     rng = seeded_rng(8)
     ts = rng.uniform(0.0, 2.0, 50)
     ks = rng.uniform(0.5, 2.0, size=(50, 2))
-    coeff = max(float(np.max(np.abs(hj_red.coeffs(t, k) - lax_red.coeffs(t, k))))
+    coeff = max(float(np.max(np.abs(hj_red(t, k) - lax_red(t, k))))
                 for t, k in zip(ts, ks))
     errs = {}
     for b in (hj, lax):
         direct = integrate(assemble(b.system), b.default_state, 0.0, 2.0, 1e-3)
-        errs[b.name] = reconstruction_error(b.system, b.action, direct)
+        errs[b.system.name] = reconstruction_error(b.system, b.action, direct)
     traj = integrate(assemble(hj_system(sum_cos_spec(1)).system),
                      np.array([0.0, 1.0]), 0.0, np.pi, 1e-3)
     q_err = abs(traj.final_state[0] - np.pi)

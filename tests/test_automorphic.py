@@ -9,8 +9,7 @@ import pytest
 import scipy.linalg
 
 import folsys.automorphic
-from folsys.automorphic import (ABELIAN, MATRIX, AutomorphicSystem,
-                                GroupAction, _expm,
+from folsys.automorphic import (ABELIAN, MATRIX, GroupAction, _expm,
                                 fundamental_field_residual, reconstruct,
                                 reconstruction_error, reduce_system,
                                 solve_abelian, solve_matrix)
@@ -23,7 +22,7 @@ from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, ermakov_matrix_actio
                            ermakov_system, hj_system, lax_system, sum_cos_spec)
 from folsys.util import seeded_rng
 
-from .conftest import SPLIT_MATRICES, model_bundle
+from .conftest import SPLIT_MATRICES, group_action, model_bundle
 
 
 def test_action_axioms_hold_for_models():
@@ -161,26 +160,26 @@ def test_reduce_rejects_a_non_finite_generator(value):
 
 def test_reduce_hj_coefficients_are_hamiltonian_gradient():
     hj = hj_system(sum_cos_spec(2))
-    asys = reduce_system(hj.system, hj.action)
-    assert asys.kind == ABELIAN
+    coeffs = reduce_system(hj.system, hj.action)
+    assert hj.action.kind == ABELIAN
     rng = seeded_rng(3)
     for _ in range(20):
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
         expected = -t * np.sin(t * k)  # dH/dP for H = sum cos(t P)
-        got = asys.coeffs(t, k)
+        got = coeffs(t, k)
         assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_reduce_lax_coefficients_are_leaf_gradient():
     spec = sum_cos_spec(2)
     lax = lax_system(spec)
-    asys = reduce_system(lax.system, lax.action)
+    coeffs = reduce_system(lax.system, lax.action)
     rng = seeded_rng(3)
     for _ in range(20):
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
-        got = asys.coeffs(t, k)
+        got = coeffs(t, k)
         assert np.allclose(got, -t * np.sin(t * k), atol=1e-12)
 
 
@@ -196,13 +195,13 @@ def test_shared_reduction_coefficients_pointwise_equal():
     for _ in range(30):
         t = float(rng.uniform(0, 2))
         k = rng.uniform(0.5, 2.0, size=2)
-        assert np.max(np.abs(hj_red.coeffs(t, k) - lax_red.coeffs(t, k))) <= 1e-12
+        assert np.max(np.abs(hj_red(t, k) - lax_red(t, k))) <= 1e-12
 
 
 def test_solve_abelian_quadrature_cos_hamiltonian():
     hj = hj_system(sum_cos_spec(1))
-    asys = reduce_system(hj.system, hj.action)
-    curve = solve_abelian(asys, np.array([1.0]), 0.0, np.pi, 1e-3)
+    coeffs = reduce_system(hj.system, hj.action)
+    curve = solve_abelian(hj.action, coeffs, np.array([1.0]), 0.0, np.pi, 1e-3)
     # closed form: integral of -t sin t over [0, pi] is -pi
     assert curve.states[-1, 0] == pytest.approx(-np.pi, abs=1e-10)
     rec = reconstruct(hj.action, curve, np.array([0.0, 1.0]))
@@ -210,18 +209,17 @@ def test_solve_abelian_quadrature_cos_hamiltonian():
 
 
 def test_solve_abelian_zero_coefficients_identity():
-    asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.zeros(2))
-    curve = solve_abelian(asys, np.zeros(0), 0.0, 1.0, 1e-2)
+    curve = solve_abelian(group_action(ABELIAN, np.eye(2)), lambda t, k: -np.zeros(2),
+                          np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.states == 0.0)
 
 
 def test_reduced_coefficient_map_of_wrong_shape_raises():
     for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
                               (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
-        asys = AutomorphicSystem.from_reduction(kind, gens, lambda t, k: np.ones(1))
         with pytest.raises(DimensionMismatchError):
-            solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
+            solve(group_action(kind, gens), lambda t, k: -np.ones(1),
+                  np.zeros(0), 0.0, 1.0, 1e-2)
 
 
 def test_solve_abelian_constant_gradient():
@@ -229,8 +227,8 @@ def test_solve_abelian_constant_gradient():
     spec = HamiltonJacobiSpec(1, H=lambda t, P: float(P[0] ** 2) / 2.0,
                               dH=lambda t, P: P.copy())
     hj = hj_system(spec)
-    asys = reduce_system(hj.system, hj.action)
-    curve = solve_abelian(asys, np.array([3.0]), 0.0, 1.0, 1e-3)
+    coeffs = reduce_system(hj.system, hj.action)
+    curve = solve_abelian(hj.action, coeffs, np.array([3.0]), 0.0, 1.0, 1e-3)
     assert curve.states[-1, 0] == pytest.approx(3.0, abs=1e-12)
     rec = reconstruct(hj.action, curve, np.array([0.0, 3.0]))
     assert rec.final_state[0] == pytest.approx(-3.0, abs=1e-10)
@@ -240,13 +238,13 @@ def test_solve_abelian_constant_gradient():
 
 def test_solve_matrix_affine_exponentials():
     e1, h1 = SPLIT_MATRICES
-    sys_e = AutomorphicSystem.from_reduction(MATRIX, (e1,), lambda t, k: np.ones(1))
-    curve = solve_matrix(sys_e, np.zeros(0), 0.0, 1.0, 1e-3)
+    curve = solve_matrix(group_action(MATRIX, (e1,)), lambda t, k: -np.ones(1),
+                         np.zeros(0), 0.0, 1.0, 1e-3)
     # nilpotent generator: RK4 step polynomial equals the exponential exactly
     assert np.array_equal(curve.states[-1].reshape(2, 2), np.array([[1.0, -1.0], [0.0, 1.0]]))
 
-    sys_h = AutomorphicSystem.from_reduction(MATRIX, (h1,), lambda t, k: np.ones(1))
-    curve_h = solve_matrix(sys_h, np.zeros(0), 0.0, 1.0, 1e-3)
+    curve_h = solve_matrix(group_action(MATRIX, (h1,)), lambda t, k: -np.ones(1),
+                           np.zeros(0), 0.0, 1.0, 1e-3)
     expected = scipy.linalg.expm(-h1)
     g = curve_h.states[-1].reshape(2, 2)
     assert np.max(np.abs(g - expected)) <= 1e-10
@@ -254,19 +252,19 @@ def test_solve_matrix_affine_exponentials():
 
 
 def test_solve_matrix_zero_coefficients_identity():
-    asys = AutomorphicSystem.from_reduction(MATRIX, SPLIT_MATRICES, lambda t, k: np.zeros(2))
-    curve = solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-2)
+    curve = solve_matrix(group_action(MATRIX, SPLIT_MATRICES), lambda t, k: -np.zeros(2),
+                         np.zeros(0), 0.0, 1.0, 1e-2)
     assert np.all(curve.states.reshape(-1, 2, 2) == np.eye(2))
 
 
 def test_solve_matrix_errors_carry_partial():
     # g' = -c g: c < 0 overflows the entries, c > 0 collapses the determinant
     for coeff, error in ((-1e3, BlowUpError), (100.0, DomainExitError)):
-        asys = AutomorphicSystem.from_reduction(
-            MATRIX, (np.eye(2),), lambda t, k, _c=coeff: np.array([_c]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(error) as exc:
-                solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+                solve_matrix(group_action(MATRIX, (np.eye(2),)),
+                             lambda t, k, _c=coeff: np.array([-_c]),
+                             np.zeros(0), 0.0, 1.0, 1e-3)
         partial = exc.value.partial
         assert partial is not None
         assert partial.states.shape[1:] == (4,)
@@ -283,14 +281,14 @@ def test_solve_matrix_blows_up_before_a_later_coefficient_error():
         calls.append(np.shape(t))
         if np.any(np.asarray(t) >= 0.9):
             raise ConfigError("cannot be evaluated")
-        return np.full(np.shape(t) + (1,), -1e3)
+        return -np.full(np.shape(t) + (1,), -1e3)
 
-    asys = AutomorphicSystem.from_reduction(MATRIX, (np.eye(2),), coeffs)
+    action = group_action(MATRIX, (np.eye(2),))
     with pytest.raises(BlowUpError) as got:
-        solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+        solve_matrix(action, coeffs, np.zeros(0), 0.0, 1.0, 1e-4)
     assert calls == [(3, 341)] * (got.value.partial.times.size // 341 + 1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as want:
-        _solve_matrix_on_integrate(asys, np.zeros(0), 0.0, 1.0, 1e-4)
+        _solve_matrix_on_integrate(action, coeffs, np.zeros(0), 0.0, 1.0, 1e-4)
     assert got.value.t == want.value.t
     assert got.value.partial.times.tobytes() == want.value.partial.times.tobytes()
     _assert_within_tolerance(got.value.partial.states, want.value.partial.states)
@@ -300,11 +298,11 @@ def test_solve_matrix_memory_per_sample():
     # the coefficients of every stage (72 B a sample) and the curve (32 B);
     # one coefficient matrix per stage time in a dict took 786 B a sample
     b = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=0.0, c2=0.0)
-    asys = reduce_system(b.system, b.action)
+    coeffs = reduce_system(b.system, b.action)
     k = leaf_of(b.system.chart, b.default_state)
     tracemalloc.start()
     try:
-        curve = solve_matrix(asys, k, 0.0, 1.0, 5e-5)
+        curve = solve_matrix(b.action, coeffs, k, 0.0, 1.0, 5e-5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,11 +316,11 @@ def test_solve_abelian_memory_per_sample():
     # an interpreted Hamiltonian, took 544 B a sample
     b = model_bundle("hamilton_jacobi", n=2,
                      hamiltonian="0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2")
-    asys = reduce_system(b.system, b.action)
+    coeffs = reduce_system(b.system, b.action)
     k = leaf_of(b.system.chart, b.default_state)
     tracemalloc.start()
     try:
-        curve = solve_abelian(asys, k, 0.0, 1.0, 5e-5)
+        curve = solve_abelian(b.action, coeffs, k, 0.0, 1.0, 5e-5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,8 +341,8 @@ def test_reconstruct_lax_hand_value():
     # n = 1, v(0) = (5, 3), H = I^2/2: the reduced coefficient is dH/dI = I
     lax = lax_system(HamiltonJacobiSpec(1, H=lambda t, I: 0.5 * np.sum(I * I, axis=-1),
                                         dH=lambda t, I: I.copy()))
-    asys = reduce_system(lax.system, lax.action)
-    curve = solve_abelian(asys, np.array([3.0]), 0.0, 1.0, 1e-3)
+    coeffs = reduce_system(lax.system, lax.action)
+    curve = solve_abelian(lax.action, coeffs, np.array([3.0]), 0.0, 1.0, 1e-3)
     assert curve.states[-1, 0] == pytest.approx(3.0, abs=1e-12)
     rec = reconstruct(lax.action, curve, np.array([5.0, 3.0]))
     assert rec.final_state[0] == pytest.approx(-1.0, abs=1e-10)  # 5 - 2*3
@@ -392,26 +390,26 @@ def test_matrix_generator_commutators():
 
 # --- group solves against the integrate loops they replaced ------------------
 
-def _solve_abelian_on_integrate(asys, k, t0, t1, h):
+def _solve_abelian_on_integrate(action, coeffs, k, t0, t1, h):
     """RK4 through integrate on the t-only field, one coefficient call per
     stage: the loop the Simpson quadrature of solve_abelian replaced."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    r = len(asys.generators)
-    return integrate(TDependentVectorField(r, lambda t, lam: asys.coeffs(t, k)),
+    r = len(action.generators)
+    return integrate(TDependentVectorField(r, lambda t, lam: coeffs(t, k)),
                      np.zeros(r), t0, t1, h)
 
 
-def _solve_matrix_on_integrate(asys, k, t0, t1, h):
+def _solve_matrix_on_integrate(action, coeffs, k, t0, t1, h):
     """integrate with one coefficient call and one matrix sum per stage, and
     the np.linalg.det guard: the per-stage loop that the step matrices of
     solve_matrix replaced."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    gens = asys.generators
+    gens = action.generators
     d = gens[0].shape[0]
 
     def rhs(t, g):
         M = np.zeros((d, d))
-        for c, A in zip(asys.coeffs(t, k), gens):
+        for c, A in zip(coeffs(t, k), gens):
             M += c * A
         return (M @ g.reshape(d, d)).ravel()
 
@@ -434,12 +432,12 @@ def _abelian_cases():
         "n": 2, "hamiltonian": "0.8*cos(t*P1)+1.3*cos(t*P2)+0.2*P1*P2+sin(t)"})
     lax_expr = _configured("lax", {
         "n": 3, "hamiltonian": "cos(t*P1)+0.7*cos(t*P2)*P3-0.1*P1*P3"})
-    cases = {name: (reduce_system(b.system, b.action), b.default_state, b.system.chart)
-             for name, b in (("hamilton_jacobi", model_bundle("hamilton_jacobi")),
-                             ("lax", model_bundle("lax")),
-                             ("hamilton_jacobi-expr", hj_expr),
-                             ("lax-expr", lax_expr))}
-    return {name: (asys, leaf_of(chart, x0)) for name, (asys, x0, chart) in cases.items()}
+    bundles = (("hamilton_jacobi", model_bundle("hamilton_jacobi")),
+               ("lax", model_bundle("lax")),
+               ("hamilton_jacobi-expr", hj_expr),
+               ("lax-expr", lax_expr))
+    return {name: (b.action, reduce_system(b.system, b.action),
+                   leaf_of(b.system.chart, b.default_state)) for name, b in bundles}
 
 
 @pytest.mark.parametrize("grid", _GRIDS)
@@ -447,12 +445,11 @@ def test_solve_abelian_equals_the_integrate_loop_bitwise(grid):
     cases = _abelian_cases()
     # -0.0 coefficients: the running sum starts from a zero row, as the loop
     # turned 0.0 + (-0.0) into 0.0
-    cases["negative-zero"] = (AutomorphicSystem.from_reduction(
-        ABELIAN, tuple(np.eye(2)), lambda t, k: np.zeros(np.shape(t) + (2,))),
-        np.zeros(0))
-    for name, (asys, k) in cases.items():
-        curve = solve_abelian(asys, k, *grid)
-        ref = _solve_abelian_on_integrate(asys, k, *grid)
+    cases["negative-zero"] = (group_action(ABELIAN, np.eye(2)),
+                              lambda t, k: -np.zeros(np.shape(t) + (2,)), np.zeros(0))
+    for name, case in cases.items():
+        curve = solve_abelian(*case, *grid)
+        ref = _solve_abelian_on_integrate(*case, *grid)
         assert curve.times.tobytes() == ref.times.tobytes(), name
         assert curve.states.tobytes() == ref.states.tobytes(), name
 
@@ -461,12 +458,11 @@ def _matrix_cases():
     cases = []
     for omega2 in (0.9, "0.9+0.05*sin(t)+0.02*I"):
         b = _configured("ermakov", {"omega2": omega2, "c1": 0.0, "c2": 0.0})
-        cases.append((reduce_system(b.system, b.action),
+        cases.append((b.action, reduce_system(b.system, b.action),
                       leaf_of(b.system.chart, np.array([1.0, 1.2, 0.3, -0.2]))))
-    cases.append((AutomorphicSystem.from_reduction(
-        MATRIX, SPLIT_MATRICES,
-        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1)),
-        np.zeros(0)))
+    cases.append((group_action(MATRIX, SPLIT_MATRICES),
+                  lambda t, k: -np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1),
+                  np.zeros(0)))
     return cases
 
 
@@ -482,23 +478,23 @@ def _assert_within_tolerance(got, want):
 # within the stated tolerance of it, and the same bits on every run
 @pytest.mark.parametrize("grid", _GRIDS)
 def test_solve_matrix_equals_the_integrate_loop_bitwise(grid):
-    for asys, k in _matrix_cases():
-        curve = solve_matrix(asys, k, *grid)
-        ref = _solve_matrix_on_integrate(asys, k, *grid)
+    for case in _matrix_cases():
+        curve = solve_matrix(*case, *grid)
+        ref = _solve_matrix_on_integrate(*case, *grid)
         assert curve.times.tobytes() == ref.times.tobytes()
         _assert_within_tolerance(curve.states, ref.states)
-        assert curve.states.tobytes() == solve_matrix(asys, k, *grid).states.tobytes()
+        assert curve.states.tobytes() == solve_matrix(*case, *grid).states.tobytes()
 
 
 def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
     # blocks of 3 steps (3 stages x 3 steps x 4 entries) over the 20 steps
     with mock.patch.object(sys.modules["folsys.integrate"], "TABLE_BLOCK", 36):
-        for asys, k in _matrix_cases():
-            curve = solve_matrix(asys, k, 0.3, 1.7, 0.07)
-            ref = _solve_matrix_on_integrate(asys, k, 0.3, 1.7, 0.07)
+        for case in _matrix_cases():
+            curve = solve_matrix(*case, 0.3, 1.7, 0.07)
+            ref = _solve_matrix_on_integrate(*case, 0.3, 1.7, 0.07)
             assert len(curve) == 21
             _assert_within_tolerance(curve.states, ref.states)
-            again = solve_matrix(asys, k, 0.3, 1.7, 0.07)
+            again = solve_matrix(*case, 0.3, 1.7, 0.07)
             assert curve.states.tobytes() == again.states.tobytes()
         # one reduced-map call per block, on its stage times: blocks of 3
         # steps of the matrix entries, of 6 steps of an abelian curve in R^2
@@ -509,10 +505,9 @@ def test_solve_matrix_over_blocks_of_steps_equals_the_integrate_loop_bitwise():
 
             def coeffs(t, k):
                 shapes.append(np.shape(t))
-                return np.stack([np.sin(t), np.cos(t)], axis=-1)
+                return -np.stack([np.sin(t), np.cos(t)], axis=-1)
 
-            solve(AutomorphicSystem.from_reduction(kind, gens, coeffs), np.zeros(0),
-                  0.3, 1.7, 0.07)
+            solve(group_action(kind, gens), coeffs, np.zeros(0), 0.3, 1.7, 0.07)
             assert shapes == [(3, n) for n in sizes]
 
 
@@ -536,12 +531,12 @@ def test_the_closed_form_determinant_guard_agrees_with_numpy():
 def test_a_determinant_crossing_the_floor_exits_as_with_the_numpy_guard(d):
     # g' = -c g: det g = exp(-c d t) crosses the floor 1e-12 inside a step
     for c in (100.0, 37.0):
-        asys = AutomorphicSystem.from_reduction(
-            MATRIX, (np.eye(d),), lambda t, k, _c=c: np.array([_c]))
+        case = (group_action(MATRIX, (np.eye(d),)), lambda t, k, _c=c: np.array([-_c]),
+                np.zeros(0), 0.0, 1.0, 1e-3)
         with pytest.raises(DomainExitError) as got:
-            solve_matrix(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+            solve_matrix(*case)
         with pytest.raises(DomainExitError) as want:
-            _solve_matrix_on_integrate(asys, np.zeros(0), 0.0, 1.0, 1e-3)
+            _solve_matrix_on_integrate(*case)
         assert got.value.t == want.value.t
         assert len(got.value.partial) == len(want.value.partial)
         _assert_within_tolerance(got.value.partial.states, want.value.partial.states)
@@ -549,18 +544,18 @@ def test_a_determinant_crossing_the_floor_exits_as_with_the_numpy_guard(d):
 
 def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():
     blowups = {
-        "inf": lambda t, k: np.where(np.asarray(t) < 5.0, 1.0, np.inf)[..., None],
-        "nan": lambda t, k: np.where(np.asarray(t) < 2.5, 1.0, np.nan)[..., None],
-        "inf-at-t0": lambda t, k: np.full(np.shape(t) + (1,), -np.inf),
+        "inf": lambda t, k: -np.where(np.asarray(t) < 5.0, 1.0, np.inf)[..., None],
+        "nan": lambda t, k: -np.where(np.asarray(t) < 2.5, 1.0, np.nan)[..., None],
+        "inf-at-t0": lambda t, k: -np.full(np.shape(t) + (1,), -np.inf),
         # finite increments whose running sum overflows near t = 18
-        "overflow": lambda t, k: np.full(np.shape(t) + (1,), -1e307),
+        "overflow": lambda t, k: -np.full(np.shape(t) + (1,), -1e307),
     }
     for name, coeffs in blowups.items():
-        asys = AutomorphicSystem.from_reduction(ABELIAN, (np.eye(1)[0],), coeffs)
+        case = (group_action(ABELIAN, (np.eye(1)[0],)), coeffs, np.zeros(0), 0.0, 100.0, 0.5)
         with pytest.raises(BlowUpError) as exc:
-            solve_abelian(asys, np.zeros(0), 0.0, 100.0, 0.5)
+            solve_abelian(*case)
         with np.errstate(over="ignore"), pytest.raises(BlowUpError) as loop:
-            _solve_abelian_on_integrate(asys, np.zeros(0), 0.0, 100.0, 0.5)
+            _solve_abelian_on_integrate(*case)
         assert exc.value.t == loop.value.t, name
         got, want = exc.value.partial, loop.value.partial
         if name == "inf-at-t0":
@@ -572,14 +567,16 @@ def test_solve_abelian_non_finite_coefficient_raises_blowup_with_partial():
 
 
 def test_time_independent_reduced_map_is_broadcast():
-    asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.array([1.0, -2.0]))
+    hj = model_bundle("hamilton_jacobi")
+    fs = dataclasses.replace(hj.system, coeffs=lambda t, x: np.array([1.0, -2.0]))
+    coeffs = reduce_system(fs, hj.action)
+    k = np.array([1.0, 1.5])
     times = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-    c = asys.coeffs(times, np.zeros(0))
+    c = coeffs(times, k)
     assert c.shape == (3, 4, 2)
     assert np.all(c == [-1.0, 2.0])
-    assert asys.coeffs(0.5, np.zeros(0)).shape == (2,)
-    curve = solve_abelian(asys, np.zeros(0), 0.0, 1.0, 0.125)
+    assert coeffs(0.5, k).shape == (2,)
+    curve = solve_abelian(hj.action, coeffs, k, 0.0, 1.0, 0.125)
     assert np.allclose(curve.states[-1], [-1.0, 2.0], rtol=0, atol=1e-15)
 
 
@@ -587,20 +584,18 @@ def test_reduced_map_stacked_on_the_wrong_axis_raises():
     # one row per time is np.shape(t) + (r,); coefficients first is rejected
     for kind, gens, solve in ((ABELIAN, tuple(np.eye(2)), solve_abelian),
                               (MATRIX, (np.eye(2), np.eye(2)), solve_matrix)):
-        asys = AutomorphicSystem.from_reduction(
-            kind, gens, lambda t, k: np.stack([np.cos(t), np.sin(t)]))
         with pytest.raises(DimensionMismatchError):
-            solve(asys, np.zeros(0), 0.0, 1.0, 1e-2)
+            solve(group_action(kind, gens), lambda t, k: -np.stack([np.cos(t), np.sin(t)]),
+                  np.zeros(0), 0.0, 1.0, 1e-2)
 
 
 def test_solve_abelian_keeps_the_argument_errors_of_integrate():
-    asys = AutomorphicSystem.from_reduction(ABELIAN, tuple(np.eye(2)),
-                                            lambda t, k: np.ones(2))
+    action = group_action(ABELIAN, np.eye(2))
     for t0, t1, h, match in ((1.0, 1.0, 0.1, "t1 > t0"), (0.0, 1.0, 0.0, "0 < h"),
                              (0.0, 1.0, 2.0, "0 < h")):
         for solve in (solve_abelian, _solve_abelian_on_integrate):
             with pytest.raises(ValueError, match=match):
-                solve(asys, np.zeros(0), t0, t1, h)
+                solve(action, lambda t, k: -np.ones(2), np.zeros(0), t0, t1, h)
 
 
 def test_shipped_actions_act_on_blocks_point_by_point():
@@ -641,9 +636,9 @@ def _shipped_actions_with_curves():
     for b in (model_bundle("hamilton_jacobi"), model_bundle("lax"), ermakov):
         x0 = b.default_state
         direct = integrate(assemble(b.system), x0, 0.0, 1.0, 0.01)
-        asys = reduce_system(b.system, b.action)
         curve = (solve_abelian if b.action.kind == ABELIAN else solve_matrix)(
-            asys, leaf_of(b.system.chart, x0), 0.0, 1.0, 0.01)
+            b.action, reduce_system(b.system, b.action), leaf_of(b.system.chart, x0),
+            0.0, 1.0, 0.01)
         out.append((b.action, b.system, curve, direct))
     return out
 

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import re
 import struct
 import subprocess
@@ -215,7 +216,7 @@ def test_a_config_key_left_out_takes_the_dataclass_default():
 
 def test_build_bundle_expression_models():
     bundle = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=1.0, c2=1.0)
-    assert bundle.name == "ermakov"
+    assert bundle.system.name == "ermakov"
     b2 = model_bundle("hamilton_jacobi", n=1, hamiltonian="cos(t*P1)")
     assert b2.spec.H(0.5, np.array([1.2])) == pytest.approx(np.cos(0.6))
 
@@ -224,7 +225,7 @@ def test_build_bundle_expression_models():
 def test_every_model_builds_from_its_defaults_alone(name):
     model = MODELS[name]
     bundle = model.build(**model.params)
-    assert bundle.name == name
+    assert bundle.system.name == name
     # a config that names no param builds the same field
     configured = model_bundle(name)
     x = bundle.default_state
@@ -726,6 +727,24 @@ def test_repeated_runs_identical_reports(tmp_path):
     assert rows_a == rows_b
     assert (outs[0] / "trajectory.csv").read_bytes() == \
         (outs[1] / "trajectory.csv").read_bytes()
+
+
+def test_a_rerun_replaces_its_outputs_with_new_files(tmp_path):
+    # a handle open on an output of the first run keeps that file; the rerun
+    # writes new files in its place rather than truncating it
+    cfg_path = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out), "--format", "csv"]
+    assert main(args) == 0
+    paths = [out / name for name in ("trajectory.csv", "report.json", "report.csv")]
+    handles = [path.open("rb") for path in paths]
+    try:
+        assert main(args) == 0
+        for path, handle in zip(paths, handles):
+            assert os.fstat(handle.fileno()).st_ino != os.stat(path).st_ino, path.name
+    finally:
+        for handle in handles:
+            handle.close()
 
 
 def test_rows_of_one_call_share_its_runtime(tmp_path, monkeypatch):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from folsys.algebra import builtin_algebra
-from folsys.automorphic import (MATRIX, AutomorphicSystem, reduce_system,
-                                solve_abelian, solve_matrix)
+from folsys.automorphic import MATRIX, reduce_system, solve_abelian, solve_matrix
 from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, ErrorFloorError)
 from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
@@ -26,7 +25,7 @@ from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
                            ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
 
-from .conftest import SPLIT_MATRICES, model_bundle, per_stage
+from .conftest import SPLIT_MATRICES, group_action, model_bundle, per_stage
 
 EXP = TDependentVectorField(1, lambda t, x: x.copy())
 ZERO = TDependentVectorField(3, lambda t, x: np.zeros(3))
@@ -686,12 +685,11 @@ def test_step_matrices_at_the_production_block_size_are_within_tolerance():
         assert_within_tolerance(got.states, integrate(plain, x0, 0.0, 3.0, 1.25e-3).states)
         assert got.states.tobytes() == integrate(F, x0, 0.0, 3.0, 1.25e-3).states.tobytes()
     erm = model_bundle("ermakov", omega2="0.9+0.06*sin(t)", c1=0.0, c2=0.0)
-    asys = reduce_system(erm.system, erm.action)
-    k = leaf_of(erm.system.chart, x0)
-    curve = solve_matrix(asys, k, 0.0, 3.0, 1.25e-3)
+    case = (erm.action, reduce_system(erm.system, erm.action), leaf_of(erm.system.chart, x0))
+    curve = solve_matrix(*case, 0.0, 3.0, 1.25e-3)
     assert len(curve) == 2401
-    assert_within_tolerance(curve.states, matrix_rk4_reference(asys, k, curve.times))
-    assert curve.states.tobytes() == solve_matrix(asys, k, 0.0, 3.0, 1.25e-3).states.tobytes()
+    assert_within_tolerance(curve.states, matrix_rk4_reference(*case, curve.times))
+    assert curve.states.tobytes() == solve_matrix(*case, 0.0, 3.0, 1.25e-3).states.tobytes()
 
 
 def test_step_matrices_over_ten_thousand_steps_are_within_the_step_count_bound():
@@ -738,8 +736,10 @@ def test_exactly_the_uncoupled_ermakov_flows_and_solve_matrix_take_the_step_matr
     erm = model_bundle("ermakov", omega2=0.9, c1=0.0, c2=0.0)
     hj = model_bundle("hamilton_jacobi")
     with mock.patch.object(sys.modules["folsys.automorphic"], "integrate", recorded):
-        solve_matrix(reduce_system(erm.system, erm.action), np.ones(1), 0.0, 1.0, 0.1)
-        solve_abelian(reduce_system(hj.system, hj.action), np.zeros(2), 0.0, 1.0, 0.1)
+        solve_matrix(erm.action, reduce_system(erm.system, erm.action), np.ones(1),
+                     0.0, 1.0, 0.1)
+        solve_abelian(hj.action, reduce_system(hj.system, hj.action), np.zeros(2),
+                      0.0, 1.0, 0.1)
     assert [F.route for F in fields] == [_product_block, _sum_block]
 
 
@@ -1165,16 +1165,16 @@ def test_a_float_block_that_raises_writes_nothing_and_reruns_on_numpy(n, h, K, s
 
 # --- solve_matrix on the kernel ----------------------------------------------
 
-def matrix_rk4_reference(asys, k, times):
+def matrix_rk4_reference(action, coeffs, k, times):
     """RK4 written out on d x d matrices, as a reference for solve_matrix:
     the row-major entries ``(T, d*d)`` of the matrices."""
     def coeff_matrix(t):
-        M = np.zeros_like(asys.generators[0])
-        for c, A in zip(asys.coeffs(t, k), asys.generators):
+        M = np.zeros_like(action.generators[0])
+        for c, A in zip(coeffs(t, k), action.generators):
             M += c * A
         return M
 
-    g = np.eye(asys.generators[0].shape[0])
+    g = np.eye(action.generators[0].shape[0])
     out = [g]
     for t, t_next in zip(times[:-1], times[1:]):
         dt = t_next - t
@@ -1191,18 +1191,19 @@ def test_solve_matrix_matches_reference_loop():
     spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.02 * I,
                        c1=0.0, c2=0.0)
     fs = ermakov_system(spec).system
-    erm = reduce_system(fs, ermakov_matrix_action(spec))
-    k = leaf_of(fs.chart, np.array([1.0, 1.2, 0.3, -0.2]))
+    action = ermakov_matrix_action(spec)
+    x0 = np.array([1.0, 1.2, 0.3, -0.2])
+    erm = (action, reduce_system(fs, action), leaf_of(fs.chart, x0))
 
-    glp = AutomorphicSystem.from_reduction(
-        MATRIX, SPLIT_MATRICES,
-        lambda t, k: np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1))
+    glp = (group_action(MATRIX, SPLIT_MATRICES),
+           lambda t, k: -np.stack([1.0 + 0.5 * np.sin(t), -0.7 * np.cos(t)], axis=-1),
+           np.zeros(0))
 
-    for asys, kk in ((erm, k), (glp, np.zeros(0))):
-        curve = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)
+    for case in (erm, glp):
+        curve = solve_matrix(*case, 0.0, 1.0, 3e-3)
         assert curve.states.shape == (len(curve), 4)
         # the step matrices change the order of operations: the stated
         # tolerance against the reference, and the same bits on every run
-        assert_within_tolerance(curve.states, matrix_rk4_reference(asys, kk, curve.times))
-        again = solve_matrix(asys, kk, 0.0, 1.0, 3e-3)
+        assert_within_tolerance(curve.states, matrix_rk4_reference(*case, curve.times))
+        again = solve_matrix(*case, 0.0, 1.0, 3e-3)
         assert curve.states.tobytes() == again.states.tobytes()

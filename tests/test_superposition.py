@@ -11,9 +11,9 @@ from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
 from folsys.models import hj_system, sum_cos_spec, translation_rule
-from folsys.superposition import (SuperpositionRule, _sample_on_leaf, apply_rule,
-                                  first_integral_residual, solve_parameters,
-                                  verify_rule)
+from folsys.superposition import (SuperpositionRule, _sample_on_leaf, _separated,
+                                  apply_rule, first_integral_residual,
+                                  solve_parameters, verify_rule)
 from folsys.util import seeded_rng
 
 from .conftest import model_bundle
@@ -201,6 +201,28 @@ def test_sample_on_leaf_raises_a_folsys_error_when_separation_is_impossible(name
     fs = model_bundle(name).system
     with pytest.raises(FolsysError, match="could not draw separated sample points"):
         _sample_on_leaf(fs, seeded_rng(0), 3, min_separation=1e9)
+
+
+def _separated_by_pairs(pts, eps):
+    """The loop over pairs of points that _separated replaced."""
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if np.max(np.abs(pts[i] - pts[j])) < eps:
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-8, 8).map(lambda v: v / 4), min_size=n, max_size=n),
+           min_size=1, max_size=6)),
+       st.floats(0.0, 5.0))
+def test_separated_agrees_with_the_pairwise_loop(rows, eps):
+    pts = np.array(rows)
+    # every gap between two points is also tried as eps: gaps exactly at eps
+    gaps = [float(np.max(np.abs(a - b))) for a in pts for b in pts]
+    for e in [eps] + gaps:
+        assert _separated(pts, e) == _separated_by_pairs(pts, e)
 
 
 def test_verify_rule_wrong_rule_fails_a_row():
