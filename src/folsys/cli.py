@@ -583,21 +583,19 @@ def report_render(reports: list[CheckReport], out_dir, fmt: str = "json") -> dic
 
     ``report.json`` is strict JSON: a NaN or infinite value is written as
     the string ``repr(value)``, ``"nan"``, ``"inf"`` or ``"-inf"``;
-    ``report.csv`` keeps it a number.  Each replaces any file at its path."""
+    ``report.csv`` keeps it a number."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [r.to_dict() for r in sorted(reports, key=lambda r: (r.check, r.model))]
     json_path = out_dir / "report.json"
     json_rows = [dict(r, value=r["value"] if math.isfinite(r["value"])
                       else repr(r["value"])) for r in rows]
-    json_path.unlink(missing_ok=True)
     with json_path.open("w", encoding="utf-8") as fh:
         json.dump(json_rows, fh, indent=2, allow_nan=False)
         fh.write("\n")
     written = {"report_json": str(json_path)}
     if fmt == "csv":
         csv_path = out_dir / "report.csv"
-        csv_path.unlink(missing_ok=True)
         with csv_path.open("w", encoding="utf-8") as fh:
             fh.write("check,model,status,value,tolerance,runtime_s,seed\n")
             for r in rows:

@@ -379,8 +379,7 @@ def convergence_order(F: TDependentVectorField, x0, t0: float, t1: float,
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write header ``t,x1,...,xN`` and one row per sample, 17 significant
-    digits, to a new file that replaces any file at ``path``."""
+    """Write header ``t,x1,...,xN`` and one row per sample, 17 significant digits."""
     if traj.states.ndim != 2:
         raise ValueError("CSV export takes a single trajectory, not a batch")
     cols = ",".join(f"x{i + 1}" for i in range(traj.state_dim))
@@ -388,6 +387,4 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     # one format for all rows; "%.17g" formats a float as f"{v:.17g}" does
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     text = (line * len(table)) % tuple(table.ravel().tolist())
-    # a new file: writing over old data can make close wait for it to reach disk
-    Path(path).unlink(missing_ok=True)
     Path(path).write_text(f"t,{cols}\n{text}", encoding="utf-8")

@@ -3,7 +3,6 @@ import importlib.util
 import itertools
 import json
 import math
-import os
 import re
 import struct
 import subprocess
@@ -727,24 +726,6 @@ def test_repeated_runs_identical_reports(tmp_path):
     assert rows_a == rows_b
     assert (outs[0] / "trajectory.csv").read_bytes() == \
         (outs[1] / "trajectory.csv").read_bytes()
-
-
-def test_a_rerun_replaces_its_outputs_with_new_files(tmp_path):
-    # a handle open on an output of the first run keeps that file; the rerun
-    # writes new files in its place rather than truncating it
-    cfg_path = write_config(tmp_path / "cfg.json")
-    out = tmp_path / "out"
-    args = ["--config", str(cfg_path), "--out", str(out), "--format", "csv"]
-    assert main(args) == 0
-    paths = [out / name for name in ("trajectory.csv", "report.json", "report.csv")]
-    handles = [path.open("rb") for path in paths]
-    try:
-        assert main(args) == 0
-        for path, handle in zip(paths, handles):
-            assert os.fstat(handle.fileno()).st_ino != os.stat(path).st_ino, path.name
-    finally:
-        for handle in handles:
-            handle.close()
 
 
 def test_rows_of_one_call_share_its_runtime(tmp_path, monkeypatch):
