@@ -4,8 +4,8 @@ rules, group-valued reductions, and compatible Poisson structures."""
 
 from .algebra import (InvariantMetric, LieAlgebra, adjoint_matrix,
                       builtin_algebra, killing_form)
-from .fields import (RealizedAlgebra, TDependentVectorField, VectorField,
-                     directional_derivative, lie_bracket_at, rank_at)
+from .fields import (TDependentVectorField, VectorField, directional_derivative,
+                     lie_bracket_at, rank_at)
 from .foliated import (FoliatedSystem, FoliationChart, assemble, leaf_drift,
                        leaf_of, sup_drift, verify_foliated)
 from .integrate import (Trajectory, convergence_order, integrate,

@@ -113,11 +113,11 @@ def reduce_system(fs: FoliatedSystem, action: GroupAction,
     the leaf k, repeated once per time, and returns c = -g as one row per
     time, ``np.shape(t) + (r,)``.
     """
-    if len(action.generators) != fs.realized.algebra.dim:
+    if len(action.generators) != fs.algebra.dim:
         raise IncompatibleActionError("one generator per realized field is required")
     rng = seeded_rng(seed)
-    pts = fs.realized.box.sample_many(rng, GATE_POINTS)
-    res = fundamental_field_residual(action, fs.realized.fields, pts)
+    pts = fs.box.sample_many(rng, GATE_POINTS)
+    res = fundamental_field_residual(action, fs.fields, pts)
     if not res <= GATE_TOL:  # a NaN residual fails too
         raise IncompatibleActionError(
             f"action incompatible with realization: residual {res:.3e}"

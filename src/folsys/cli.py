@@ -275,8 +275,7 @@ def _expr_coeff(value, variables):
 
 
 def _riccati(a0, a1, a2) -> mdl.ModelBundle:
-    return mdl.riccati_system(mdl.RiccatiSpec(*(_expr_coeff(a, ("t",))
-                                                for a in (a0, a1, a2))))
+    return mdl.riccati_system(*(_expr_coeff(a, ("t",)) for a in (a0, a1, a2)))
 
 
 def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:

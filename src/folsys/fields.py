@@ -1,4 +1,4 @@
-"""Vector fields on R^N: numeric brackets, ranks, realized algebras.
+"""Vector fields on R^N: numeric brackets, ranks, structure residuals.
 
 A field acts on the last axis, so its values on a block ``(..., m, N)`` of
 m points are the values of its m-fold diagonal prolongation.
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import algebra as la
 from .errors import DimensionMismatchError
-from .util import FD_SCALE, Box, grad_fd
+from .util import FD_SCALE, grad_fd
 
 RANK_RTOL = 1e-10
 
@@ -159,31 +159,10 @@ def rank_at(fields: Sequence[VectorField], x, values=None):
     return int(ranks) if x.ndim == 1 else ranks
 
 
-@dataclass(frozen=True)
-class RealizedAlgebra:
-    """Vector-field realization of a Lie algebra on a common R^N with a sampling box."""
-
-    algebra: la.LieAlgebra
-    fields: tuple[VectorField, ...]
-    box: Box
-
-    def __post_init__(self):
-        if len(self.fields) != self.algebra.dim:
-            raise DimensionMismatchError("need one field per basis element")
-        dims = {X.dim for X in self.fields}
-        if len(dims) != 1:
-            raise DimensionMismatchError("fields must share an ambient dimension")
-        if self.box.dim != self.fields[0].dim:
-            raise DimensionMismatchError("box dimension must match the fields")
-        object.__setattr__(self, "fields", tuple(self.fields))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.fields[0].dim
-
-
-def structure_residual(ra: RealizedAlgebra, x, values=None) -> float:
-    """Max deviation of the brackets [X_a, X_b] from sum_g c[a,b,g] X_g.
+def structure_residual(algebra: la.LieAlgebra, fields: Sequence[VectorField], x,
+                       values=None) -> float:
+    """Max deviation of the brackets [X_a, X_b] of ``fields`` from
+    sum_g c[a,b,g] X_g, c the structure constants of ``algebra``.
 
     ``x`` is one point ``(N,)`` or a block ``(..., N)``; the fields are called
     once on it for their values, unless ``values`` lists them, and
@@ -191,13 +170,13 @@ def structure_residual(ra: RealizedAlgebra, x, values=None) -> float:
     deviation is kept, so the value then fails any tolerance.
     """
     x = np.asarray(x, dtype=float)
-    c = ra.algebra.structure
-    vals = [X(x) for X in ra.fields] if values is None else values
+    c = algebra.structure
+    vals = [X(x) for X in fields] if values is None else values
     r = len(vals)
     worst = []
     for a in range(r):
         for b in range(a + 1, r):
-            lhs = lie_bracket_at(ra.fields[a], ra.fields[b], x, (vals[a], vals[b]))
+            lhs = lie_bracket_at(fields[a], fields[b], x, (vals[a], vals[b]))
             rhs = sum(c[a, b, g] * vals[g] for g in range(r))
             worst.append(np.abs(lhs - rhs).max(initial=0.0))
     # ndarray.max, unlike the builtin max, keeps a NaN deviation

@@ -13,11 +13,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import algebra as la
 from .errors import DimensionMismatchError
-from .fields import (RealizedAlgebra, TDependentVectorField, rank_at,
+from .fields import (TDependentVectorField, VectorField, rank_at,
                      structure_residual)
 from .integrate import Trajectory, _product_block, _sum_block
-from .util import central_differences, dot_last, seeded_rng
+from .util import Box, central_differences, dot_last, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ def leaf_of(chart: FoliationChart, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoliatedSystem:
-    """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over a realized algebra.
+    """Decomposition X(t,x) = sum_a g_a(t,x) X_a(x) over the fields X_a of a
+    realization of ``algebra`` on R^N, one field per basis element, with the
+    sampling ``box`` of R^N.
 
     ``coeffs(t, x)`` maps states ``(..., N)`` to all r coefficients as one
     array ``(..., r)``, so values they share (a gradient, an invariant) are
@@ -99,7 +102,9 @@ class FoliatedSystem:
     ``integrate``), so a subclass of the field sees batch stages only.
     """
 
-    realized: RealizedAlgebra
+    algebra: la.LieAlgebra
+    fields: tuple[VectorField, ...]
+    box: Box
     coeffs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     chart: FoliationChart
     name: str = ""
@@ -107,12 +112,17 @@ class FoliatedSystem:
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.chart.dim != self.realized.ambient_dim:
-            raise DimensionMismatchError("chart dimension must match the realization")
+        if len(self.fields) != self.algebra.dim:
+            raise DimensionMismatchError("need one field per basis element")
+        if len({X.dim for X in self.fields}) != 1:
+            raise DimensionMismatchError("fields must share an ambient dimension")
+        if self.box.dim != self.dim:
+            raise DimensionMismatchError("box dimension must match the fields")
+        if self.chart.dim != self.dim:
+            raise DimensionMismatchError("chart dimension must match the fields")
+        object.__setattr__(self, "fields", tuple(self.fields))
 
-    @property
-    def dim(self) -> int:
-        return self.realized.ambient_dim
+    dim = property(lambda s: s.fields[0].dim)
 
 
 def coefficient_values(coeffs, r: int, t, x: np.ndarray) -> np.ndarray:
@@ -136,7 +146,7 @@ def coefficient_values(coeffs, r: int, t, x: np.ndarray) -> np.ndarray:
 def assemble(fs: FoliatedSystem) -> TDependentVectorField:
     """Time-dependent field eval(t,x) = sum_a g_a(t,x) X_a(x), the
     ``lie_system`` of the realized fields and the system's other parts."""
-    return lie_system(fs.realized.fields, fs.coeffs, fs.domain, fs.combine, fs.name)
+    return lie_system(fs.fields, fs.coeffs, fs.domain, fs.combine, fs.name)
 
 
 def _coefficient_sum(c, terms, shape):
@@ -259,16 +269,15 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed)
-    ra = fs.realized
-    lo, hi = np.append(ra.box.lo, t_range[0]), np.append(ra.box.hi, t_range[1])
+    lo, hi = np.append(fs.box.lo, t_range[0]), np.append(fs.box.hi, t_range[1])
     draws = rng.uniform(lo, hi, size=(trials, lo.size))
     xs, ts = np.ascontiguousarray(draws[:, :-1]), draws[:, -1].copy()
-    vals = [X(xs) for X in ra.fields]
+    vals = [X(xs) for X in fs.fields]
     shortfall = float(max(0, fs.chart.leaf_dim
-                          - int(rank_at(ra.fields, xs, values=vals).min())))
+                          - int(rank_at(fs.fields, xs, values=vals).min())))
     # (trials, r, N): the values at each sample are contiguous rows
     values = np.stack(vals, axis=1)
-    r = len(ra.fields)
+    r = len(fs.fields)
 
     def coeffs(y):
         # y is (2N, trials, N); a value of one row per time is spread over 2N
@@ -282,7 +291,8 @@ def verify_foliated(fs: FoliatedSystem, trials: int = 100, seed: int = 42,
     chart_res = float(_rates(labels, values).max(initial=0.0))
     return FoliationReport(com_residual=com, rank_shortfall=shortfall,
                            chart_residual=chart_res,
-                           structure_residual=structure_residual(ra, xs, vals))
+                           structure_residual=structure_residual(
+                               fs.algebra, fs.fields, xs, vals))
 
 
 def sup_drift(observable: Callable[[np.ndarray], object], states,

@@ -30,7 +30,7 @@ import numpy as np
 from . import algebra as la
 from .automorphic import ABELIAN, GroupAction
 from .errors import DimensionMismatchError, SingularCombinationError
-from .fields import RealizedAlgebra, VectorField
+from .fields import VectorField
 from .foliated import FoliatedSystem, FoliationChart
 from .superposition import SuperpositionRule
 from .util import Box, central_differences
@@ -54,16 +54,6 @@ class ModelBundle:
 # ---------------------------------------------------------------------------
 # Riccati: dx/dt = a0(t) + a1(t) x + a2(t) x^2
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RiccatiSpec:
-    """Coefficients a_i(t) of an array of times: one value per time or one
-    constant value."""
-
-    a0: Callable[[np.ndarray], np.ndarray]
-    a1: Callable[[np.ndarray], np.ndarray]
-    a2: Callable[[np.ndarray], np.ndarray]
-
 
 def _sl2_algebra(names: tuple[str, str, str]) -> la.LieAlgebra:
     # basis (A, B, C) with [A,B] = A, [A,C] = 2 B, [B,C] = C: the Riccati
@@ -112,7 +102,7 @@ def riccati_rule() -> SuperpositionRule:
         return ((u - u1) * (u3 - u2) / ((u2 - u) * (u3 - u1)))[..., None]
 
     return SuperpositionRule(m=3, state_dim=1, param_dim=1, psi=psi, F=F,
-                             vg_dim=3, min_separation=0.15, tolerance=1e-6)
+                             min_separation=0.15, tolerance=1e-6)
 
 
 def translation_rule(n: int) -> SuperpositionRule:
@@ -128,8 +118,7 @@ def translation_rule(n: int) -> SuperpositionRule:
     def F(x, sols):
         return x[..., :n] - sols[0][..., :n]
 
-    return SuperpositionRule(m=1, state_dim=2 * n, param_dim=n, psi=psi, F=F,
-                             vg_dim=n)
+    return SuperpositionRule(m=1, state_dim=2 * n, param_dim=n, psi=psi, F=F)
 
 
 def _riccati_stage(c, x):
@@ -146,28 +135,29 @@ def _riccati_stage(c, x):
 _riccati_stage.floats = lambda c0, c1, c2, x: ((c1 * x + c0) + c2 * math.pow(x, 2.0),)
 
 
-def riccati_system(spec: RiccatiSpec) -> ModelBundle:
+def riccati_system(a0: Callable[[np.ndarray], np.ndarray],
+                   a1: Callable[[np.ndarray], np.ndarray],
+                   a2: Callable[[np.ndarray], np.ndarray]) -> ModelBundle:
+    """dx/dt = a0(t) + a1(t) x + a2(t) x^2; each a_i maps an array of times
+    to one value per time or to one constant value."""
     # 1, x and x^2, stepped by the declared stage, which calls no field;
     # x^2 is libm's float_power, not numpy's square (a last-bit gap)
     x0f = VectorField.constant([1.0], name="X0")
     x1f = VectorField(1, lambda x: x.copy(), name="X1")
     x2f = VectorField(1, lambda x: np.float_power(x, _TWO), name="X2")
-    realized = RealizedAlgebra(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
-                               Box([-0.9], [0.9]))
     chart = FoliationChart.split(1, 1)  # single leaf: no transverse labels
 
     def coeffs(t, x):
         out = np.empty(np.shape(t) + (3,))  # one row per time
-        for a, a_i in enumerate((spec.a0, spec.a1, spec.a2)):
+        for a, a_i in enumerate((a0, a1, a2)):
             out[..., a] = a_i(t)
         return out
 
-    system = FoliatedSystem(realized, coeffs, chart, name="riccati",
+    system = FoliatedSystem(_sl2_algebra(("X0", "X1", "X2")), (x0f, x1f, x2f),
+                            Box([-0.9], [0.9]), coeffs, chart, name="riccati",
                             combine=_riccati_stage)
-    return ModelBundle(
-        system=system, rule=riccati_rule(), action=None,
-        default_state=np.array([0.0]), spec=spec,
-    )
+    return ModelBundle(system=system, rule=riccati_rule(), action=None,
+                       default_state=np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +225,8 @@ def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
     flds = tuple(VectorField.constant(scale * np.eye(dim)[i], name=f"{labels[0]}{i + 1}")
                  for i in range(n))
     box = Box([-2.0] * n + [0.5] * n, [2.0] * n + [2.0] * n)
-    realized = RealizedAlgebra(la.builtin_algebra(f"abelian:{n}"), flds, box)
-    system = FoliatedSystem(realized, coeffs, FoliationChart.split(dim, n),
-                            name=name)
+    system = FoliatedSystem(la.builtin_algebra(f"abelian:{n}"), flds, box, coeffs,
+                            FoliationChart.split(dim, n), name=name)
 
     def act(lam, x):
         lam = np.asarray(lam, dtype=float)
@@ -398,7 +387,6 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
     # box keeps x, y away from the axes so finite differences of the
     # invariant stay well below the verification tolerances
     box = Box([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6])
-    realized = RealizedAlgebra(_sl2_algebra(("X1", "X2", "X3")), flds, box)
 
     def leaf_point(labels):
         k = float(np.atleast_1d(labels)[0])
@@ -421,8 +409,8 @@ def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
 
     # the uncoupled fields are linear: assemble steps them by step matrices
     combine = None if flds[0].matrix is not None else _ermakov_combine(spec)
-    system = FoliatedSystem(realized, coeffs, chart, name="ermakov",
-                            domain=domain, combine=combine)
+    system = FoliatedSystem(_sl2_algebra(("X1", "X2", "X3")), flds, box, coeffs,
+                            chart, name="ermakov", domain=domain, combine=combine)
     observables = {"lewis": lambda s: lewis_invariant(spec, s)}
     # only the uncoupled member admits the linear group action
     action = (ermakov_matrix_action(spec) if spec.c1 == 0.0 and spec.c2 == 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra as la
 from .errors import DimensionMismatchError
-from .fields import RealizedAlgebra, VectorField
+from .fields import VectorField
 from .foliated import FoliatedSystem, FoliationChart
 from .util import (Box, FuncWithGrad, dot_last, linear_form, matvec,
                    seeded_rng, vecmat)
@@ -250,8 +250,8 @@ def adjoint_foliated_system(alg: la.LieAlgebra,
 
     chart = FoliationChart(dim=r, leaf_dim=r - 1,
                            leaf_map=lambda v: casimir(v)[..., None])
-    realized = RealizedAlgebra(alg, flds, Box(np.full(r, 0.6), np.full(r, 1.4)))
-    return FoliatedSystem(realized, coeffs, chart, name="adjoint")
+    return FoliatedSystem(alg, flds, Box(np.full(r, 0.6), np.full(r, 1.4)), coeffs,
+                          chart, name="adjoint")
 
 
 def is_foliated_lie_hamilton(fs: FoliatedSystem, L: PoissonBivector,
@@ -260,8 +260,8 @@ def is_foliated_lie_hamilton(fs: FoliatedSystem, L: PoissonBivector,
     """Residual of each realized field against the Hamiltonian field of its
     candidate, at ``trials`` seeded samples of the box; the system is
     foliated Lie-Hamilton for L where all of them vanish."""
-    if len(candidates) != fs.realized.algebra.dim:
+    if len(candidates) != fs.algebra.dim:
         raise DimensionMismatchError("one candidate Hamiltonian per field")
-    at = L.at(fs.realized.box.sample_many(seeded_rng(seed), trials))
+    at = L.at(fs.box.sample_many(seeded_rng(seed), trials))
     return tuple(hamiltonian_residual(at, X, cand)
-                 for X, cand in zip(fs.realized.fields, candidates))
+                 for X, cand in zip(fs.fields, candidates))

@@ -39,17 +39,8 @@ class SuperpositionRule:
     param_dim: int
     psi: Callable[[Sequence[np.ndarray], np.ndarray], np.ndarray]
     F: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
-    vg_dim: int | None = None
     min_separation: float = 0.0
     tolerance: float = 1e-8
-
-    def __post_init__(self):
-        # necessary count: m * dim(O) must cover the algebra dimension
-        if self.vg_dim is not None and self.m * self.param_dim < self.vg_dim:
-            raise ValueError(
-                f"parameter count too small: m*param_dim = "
-                f"{self.m * self.param_dim} < algebra dimension {self.vg_dim}"
-            )
 
 
 def apply_rule(rule: SuperpositionRule, sols: Sequence[np.ndarray], k) -> np.ndarray:
@@ -95,7 +86,7 @@ def first_integral_residual(rule: SuperpositionRule, fs: FoliatedSystem,
 
     scale = np.maximum(1.0, np.abs(F(joint)))
     worst = []
-    for X in fs.realized.fields:
+    for X in fs.fields:
         Z = X(joint)
         dF = (F(joint + eps * Z) - F(joint - eps * Z)) / (2.0 * eps)
         worst.append(np.max(np.abs(dF) / scale))
@@ -112,8 +103,7 @@ def _sample_on_leaf(fs: FoliatedSystem, rng, count: int,
                     min_separation: float = 0.0) -> np.ndarray:
     """Draw ``count`` points ``(count, N)`` that share one random leaf of the
     foliation, each attempt in one draw."""
-    chart = fs.chart
-    box = fs.realized.box
+    chart, box = fs.chart, fs.box
     if chart.n_labels and not chart.is_split:
         raise ValueError("leaf sampling needs a split chart")
     labels = box.sample(rng)[chart.leaf_dim:] if chart.n_labels else None
@@ -137,7 +127,13 @@ def rule_points(rule: SuperpositionRule, fs: FoliatedSystem, trials: int = 3,
                 seed: int = 42) -> np.ndarray:
     """Initial points ``(trials * (m+1), N)`` of the rule runs, trial by trial:
     rule.m particular initial conditions, then one target, on a common random
-    leaf drawn from its own generator ``seed + trial``."""
+    leaf drawn from its own generator ``seed + trial``.  The m * param_dim
+    parameters of the rule must cover the algebra dimension of ``fs``, a
+    necessary count; ValueError otherwise."""
+    if rule.m * rule.param_dim < fs.algebra.dim:
+        raise ValueError(
+            f"parameter count too small: m*param_dim = "
+            f"{rule.m * rule.param_dim} < algebra dimension {fs.algebra.dim}")
     # independent, reproducible trials
     return np.concatenate([_sample_on_leaf(fs, seeded_rng(seed + trial), rule.m + 1,
                                            rule.min_separation)

@@ -66,7 +66,8 @@ def group_action(kind: str, generators) -> GroupAction:
     return GroupAction(MATRIX, act, np.eye(d), gens)
 
 
-def minimal_solution_count(ra, cap: int = 10, samples: int = 5):
+def minimal_solution_count(algebra, fields, box, cap: int = 10,
+                           samples: int = 5):
     """Least m whose m-fold diagonal prolongations reach rank dim V at most of
     ``samples`` seeded joint points, or None when no m <= cap does.
 
@@ -74,12 +75,12 @@ def minimal_solution_count(ra, cap: int = 10, samples: int = 5):
     points, reshaped to ``(P, m*N)``, are the values of its prolongation.
     """
     rng = seeded_rng(42)
-    n = ra.ambient_dim
+    n = box.dim
     for m in range(1, cap + 1):
-        block = ra.box.sample_many(rng, samples * m).reshape(samples, m, n)
-        values = [X(block).reshape(samples, m * n) for X in ra.fields]
-        ranks = rank_at(ra.fields, block.reshape(samples, m * n), values=values)
-        if np.sum(ranks == ra.algebra.dim) > samples // 2:
+        block = box.sample_many(rng, samples * m).reshape(samples, m, n)
+        values = [X(block).reshape(samples, m * n) for X in fields]
+        ranks = rank_at(fields, block.reshape(samples, m * n), values=values)
+        if np.sum(ranks == algebra.dim) > samples // 2:
             return m
     return None
 

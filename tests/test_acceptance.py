@@ -93,8 +93,10 @@ def test_criterion_04_leaf_invariance():
 
 def test_criterion_05_minimal_solution_counts(minimal_solutions):
     # least m whose field values on blocks of m points reach rank dim V
-    counts = {name: minimal_solutions(model_bundle(name).system.realized)
-              for name in ("riccati", "hamilton_jacobi", "lax")}
+    systems = {name: model_bundle(name).system
+               for name in ("riccati", "hamilton_jacobi", "lax")}
+    counts = {name: minimal_solutions(fs.algebra, fs.fields, fs.box)
+              for name, fs in systems.items()}
     ok = counts == {"riccati": 3, "hamilton_jacobi": 1, "lax": 1}
     report(5, "minimal solution counts", ok, f"{counts}")
 
@@ -119,8 +121,7 @@ def test_criterion_06_superposition():
                    for i in range(len(trajs[0])))
 
     counts_ok = all(
-        b.rule.vg_dim is not None and b.rule.m * b.rule.param_dim >= b.rule.vg_dim
-        for b in (hj, lax, ric))
+        b.rule.m * b.rule.param_dim >= b.system.algebra.dim for b in (hj, lax, ric))
     ok = (rep_hj.max_reconstruction_error <= 1e-8
           and rep_lax.max_reconstruction_error <= 1e-8
           and cr_drift <= 1e-6 and counts_ok)
@@ -135,7 +136,7 @@ def test_criterion_07_group_reconstruction():
     errs = {}
     for name in ("hamilton_jacobi", "lax"):
         b = model_bundle(name)
-        x0 = b.system.realized.box.sample(rng)
+        x0 = b.system.box.sample(rng)
         direct = integrate(assemble(b.system), x0, 0.0, 2.0, 1e-3)
         errs[name] = reconstruction_error(b.system, b.action, direct)
 
@@ -190,12 +191,12 @@ def test_criterion_08_shared_reduction():
 
 def test_criterion_09_ermakov_structure():
     erm = model_bundle("ermakov")
-    X1, X2, X3 = erm.system.realized.fields
+    X1, X2, X3 = erm.system.fields
     lw = erm.observables["lewis"]
     rng = seeded_rng(42)
-    pts = np.array([erm.system.realized.box.sample(rng) for _ in range(100)])
+    pts = np.array([erm.system.box.sample(rng) for _ in range(100)])
     # [X1, X2] = X1, [X1, X3] = 2 X2, [X2, X3] = X3
-    worst_br = structure_residual(erm.system.realized, pts)
+    worst_br = structure_residual(erm.system.algebra, erm.system.fields, pts)
     worst_dd = 0.0
     for s in pts:
         for X in (X1, X2, X3):
@@ -228,9 +229,9 @@ def test_criterion_10_poisson_layer():
                 for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
 
     adj = adjoint_foliated_system(sl2, metric)
-    adj_pts = adj.realized.box.sample_many(rng, 100)
+    adj_pts = adj.box.sample_many(rng, 100)
     adj_res = max(hamiltonian_residual(L.at(adj_pts), X, f)
-                  for X, f in zip(adj.realized.fields, lin))
+                  for X, f in zip(adj.fields, lin))
     rmat_res = max(check_rmatrix_hamiltonian(2, aff_pts[:50]))
     flh = max(is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=42))
 

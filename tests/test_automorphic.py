@@ -29,7 +29,7 @@ def test_action_axioms_hold_for_models():
     for name in ("hamilton_jacobi", "lax"):
         bundle = model_bundle(name)
         act = bundle.action.act
-        pts = bundle.system.realized.box.sample_many(seeded_rng(1), 10)
+        pts = bundle.system.box.sample_many(seeded_rng(1), 10)
         assert np.array_equal(act(bundle.action.identity, pts), pts)
         # the group is R^n under addition
         g, h = seeded_rng(2).uniform(-0.5, 0.5, size=(2, 2))
@@ -39,9 +39,9 @@ def test_action_axioms_hold_for_models():
 def test_fundamental_field_gate_matches_models():
     for name in ("hamilton_jacobi", "lax"):
         bundle = model_bundle(name)
-        pts = bundle.system.realized.box.sample_many(seeded_rng(2), 20)
+        pts = bundle.system.box.sample_many(seeded_rng(2), 20)
         res = fundamental_field_residual(bundle.action,
-                                         bundle.system.realized.fields, pts)
+                                         bundle.system.fields, pts)
         assert res <= 1e-8
 
 
@@ -62,8 +62,8 @@ def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
              for name in ("hamilton_jacobi", "lax")]
     cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
     for action, fs in cases:
-        pts = fs.realized.box.sample_many(seeded_rng(3), 25)
-        ref = _fundamental_field_residual_per_point(action, fs.realized.fields, pts)
+        pts = fs.box.sample_many(seeded_rng(3), 25)
+        ref = _fundamental_field_residual_per_point(action, fs.fields, pts)
         calls, acts = [], []
         exp = GroupAction.exp
         monkeypatch.setattr(GroupAction, "exp",
@@ -71,23 +71,22 @@ def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
         # and one act call per element on the whole block
         counted = dataclasses.replace(
             action, act=lambda g, x, act=action.act: acts.append(g) or act(g, x))
-        res = fundamental_field_residual(counted, fs.realized.fields, pts)
+        res = fundamental_field_residual(counted, fs.fields, pts)
         monkeypatch.undo()
-        assert len(calls) == len(acts) == 2 * len(fs.realized.fields)
+        assert len(calls) == len(acts) == 2 * len(fs.fields)
         assert res == ref
 
 
 def test_gate_residual_keeps_a_nan_field():
     bundle = model_bundle("hamilton_jacobi")
     fs = bundle.system
-    nan_field = dataclasses.replace(fs.realized.fields[0],
+    nan_field = dataclasses.replace(fs.fields[0],
                                     func=lambda x: np.full(x.shape, np.nan))
-    realized = dataclasses.replace(
-        fs.realized, fields=(nan_field,) + fs.realized.fields[1:])
-    pts = realized.box.sample_many(seeded_rng(3), 25)
-    assert np.isnan(fundamental_field_residual(bundle.action, realized.fields, pts))
+    broken = dataclasses.replace(fs, fields=(nan_field,) + fs.fields[1:])
+    pts = broken.box.sample_many(seeded_rng(3), 25)
+    assert np.isnan(fundamental_field_residual(bundle.action, broken.fields, pts))
     with pytest.raises(IncompatibleActionError):
-        reduce_system(dataclasses.replace(fs, realized=realized), bundle.action)
+        reduce_system(broken, bundle.action)
 
 
 def test_reduce_rejects_a_nan_gate_residual(monkeypatch):
@@ -353,11 +352,11 @@ def test_reconstruct_lax_hand_value():
 def test_reconstruction_error_hj_lax():
     rng = seeded_rng(10)
     hj = model_bundle("hamilton_jacobi")
-    x0 = hj.system.realized.box.sample(rng)
+    x0 = hj.system.box.sample(rng)
     direct = integrate(assemble(hj.system), x0, 0.0, 2.0, 1e-3)
     assert reconstruction_error(hj.system, hj.action, direct) <= 1e-8
     lax = model_bundle("lax")
-    v0 = lax.system.realized.box.sample(rng)
+    v0 = lax.system.box.sample(rng)
     direct = integrate(assemble(lax.system), v0, 0.0, 2.0, 1e-3)
     assert reconstruction_error(lax.system, lax.action, direct) <= 1e-8
 
@@ -382,7 +381,7 @@ def test_matrix_generator_commutators():
     bundle = ermakov_system(spec)
     action = ermakov_matrix_action(spec)
     A = np.array(action.generators)
-    c = bundle.system.realized.algebra.structure
+    c = bundle.system.algebra.structure
     # [A_a, A_b] = sum_g c[a, b, g] A_g
     comm = np.einsum("aij,bjk->abik", A, A) - np.einsum("bij,ajk->abik", A, A)
     assert np.max(np.abs(comm - np.einsum("abg,gik->abik", c, A))) <= 1e-12
@@ -605,7 +604,7 @@ def test_shipped_actions_act_on_blocks_point_by_point():
              for name in ("hamilton_jacobi", "lax")]
     cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
     for action, fs in cases:
-        pts = fs.realized.box.sample_many(rng, 12).reshape(3, 4, -1)
+        pts = fs.box.sample_many(rng, 12).reshape(3, 4, -1)
         for a in range(len(action.generators)):
             g = action.exp(0.3, a)
             block = action.act(g, pts)
@@ -648,7 +647,7 @@ def test_shipped_actions_act_on_stacks_element_by_element():
     for action, fs, curve, direct in _shipped_actions_with_curves():
         T = len(curve)
         elements = curve.states.reshape((-1,) + action.identity.shape)
-        pts = fs.realized.box.sample_many(rng, T)
+        pts = fs.box.sample_many(rng, T)
         exps = np.stack([action.exp(c, a) for c in (0.3, -0.7)
                          for a in range(len(action.generators))])
         batch = integrate(assemble(fs), pts[:3], 0.0, 1.0, 0.01).states

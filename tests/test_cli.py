@@ -23,7 +23,7 @@ from folsys.cli import (MODELS, ScenarioConfig, build_bundle,
                         compile_expression, main, run)
 from folsys.algebra import builtin_algebra
 from folsys.errors import ConfigError
-from folsys.fields import RealizedAlgebra, VectorField
+from folsys.fields import VectorField
 from folsys.foliated import FoliatedSystem, FoliationChart, assemble
 from folsys import models as mdl
 from folsys.integrate import Trajectory, _product_block, integrate, trajectory_to_csv
@@ -558,29 +558,26 @@ def test_cli_flags_override_the_config(tmp_path, capsys, monkeypatch):
 
 
 def _negated_constants(fs):
-    alg = fs.realized.algebra
-    realized = dataclasses.replace(
-        fs.realized, algebra=dataclasses.replace(alg, structure=-alg.structure))
-    return dataclasses.replace(fs, realized=realized)
+    alg = fs.algebra
+    return dataclasses.replace(
+        fs, algebra=dataclasses.replace(alg, structure=-alg.structure))
 
 
 def _nan_field(fs):
     # X2 is NaN for x < -0.5: inside the sampling box [-0.9, 0.9], but away
     # from the trajectory from x0 = 0, which rises to tanh(2)
-    X2 = fs.realized.fields[2]
+    X2 = fs.fields[2]
     nan = dataclasses.replace(
         X2, func=lambda x: np.where(x < -0.5, np.nan, X2.func(x)))
-    realized = dataclasses.replace(fs.realized,
-                                   fields=fs.realized.fields[:2] + (nan,))
-    return dataclasses.replace(fs, realized=realized)
+    return dataclasses.replace(fs, fields=fs.fields[:2] + (nan,))
 
 
 def _vanishing_field(fs):
     # one field vanishing for x < 0: the rank drops on half the sampling box,
     # and x0 = 0 stays put
     X = VectorField(1, lambda x: np.maximum(x, 0.0), name="X")
-    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1.0], [1.0]))
-    return FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
+    return FoliatedSystem(builtin_algebra("abelian:1"), (X,), Box([-1.0], [1.0]),
+                          lambda t, x: np.ones(1), FoliationChart.split(1, 1))
 
 
 def _reject_constant(name):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from folsys.algebra import builtin_algebra
 from folsys.errors import DimensionMismatchError
-from folsys.fields import (RealizedAlgebra, VectorField, directional_derivative,
-                           lie_bracket_at, rank_at, structure_residual)
+from folsys.fields import (VectorField, directional_derivative, lie_bracket_at,
+                           rank_at, structure_residual)
 from folsys.util import Box, seeded_rng
 
 from .conftest import model_bundle, split_extension
@@ -56,7 +56,7 @@ def test_bracket_antisymmetric_at_points():
 
 
 def test_bracket_on_a_block_equals_the_bracket_at_each_point():
-    X1, X2, X3 = model_bundle("ermakov").system.realized.fields
+    X1, X2, X3 = model_bundle("ermakov").system.fields
     pts = seeded_rng(2).uniform([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6],
                                 size=(3, 5, 4))
     for X, Y in ((X1, X2), (X1, X3), (X2, X3)):
@@ -72,12 +72,10 @@ def test_glp_adjoint_realization_matches_structure():
     # fundamental fields of the adjoint flow: 2 v^2 d/dv1 and -2 v^1 d/dv1
     xe = VectorField(2, lambda v: v[..., ::-1] * [2.0, 0.0])
     xh = VectorField(2, lambda v: v * [-2.0, 0.0])
-    ra = RealizedAlgebra(split_extension(), (xe, xh),
-                         Box([-2, 0.5], [2, 2]))
-    pts = ra.box.sample_many(seeded_rng(3), 50)
+    pts = Box([-2, 0.5], [2, 2]).sample_many(seeded_rng(3), 50)
     # the fields are linear, so the value-only bracket is exact but for the
     # roundoff of its differences, of order eps |X| / h, below 1e-9 here
-    assert structure_residual(ra, pts) <= 1e-8
+    assert structure_residual(split_extension(), (xe, xh), pts) <= 1e-8
 
 
 def test_directional_derivative_examples():
@@ -101,7 +99,7 @@ def test_directional_derivative_examples():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
 def test_prolongation_replicates_constant_field(vals):
-    X = model_bundle("riccati").system.realized.fields[0]
+    X = model_bundle("riccati").system.fields[0]
     assert np.array_equal(X(np.array(vals)[:, None]).reshape(3), np.ones(3))
 
 
@@ -122,10 +120,10 @@ def test_a_constant_field_fills_the_bytes_of_ones_times_its_value(lead):
 
 def test_prolongation_componentwise():
     for name in ("riccati", "hamilton_jacobi", "lax", "ermakov"):
-        ra = model_bundle(name).system.realized
-        n = ra.ambient_dim
-        block = ra.box.sample_many(seeded_rng(7), 12).reshape(4, 3, n)
-        for X in ra.fields:
+        fs = model_bundle(name).system
+        n = fs.dim
+        block = fs.box.sample_many(seeded_rng(7), 12).reshape(4, 3, n)
+        for X in fs.fields:
             per_copy = np.concatenate([X(block[:, i]) for i in range(3)], axis=-1)
             assert X(block).reshape(4, 3 * n).tobytes() == per_copy.tobytes()
 
@@ -140,7 +138,7 @@ def test_rank_riccati_ambient():
 
 
 def test_rank_prolonged_riccati_vandermonde():
-    flds = model_bundle("riccati").system.realized.fields
+    flds = model_bundle("riccati").system.fields
     block = np.array([[0.0], [1.0], [2.0]])
     values = [X(block).reshape(3) for X in flds]
     # SVD oracle on the explicit 3x3 value matrix
@@ -164,7 +162,7 @@ def test_rank_on_a_block_equals_the_rank_at_each_point():
 
 
 def test_rank_invariant_under_reordering():
-    flds = model_bundle("riccati").system.realized.fields
+    flds = model_bundle("riccati").system.fields
     block = np.array([[0.4], [-1.0], [0.9]])
     values = [X(block).reshape(3) for X in flds]
     r1 = rank_at(flds, block.reshape(3), values=values)
@@ -173,32 +171,31 @@ def test_rank_invariant_under_reordering():
 
 
 def test_minimal_solutions_riccati_is_three(minimal_solutions):
-    assert minimal_solutions(model_bundle("riccati").system.realized) == 3
+    fs = model_bundle("riccati").system
+    assert minimal_solutions(fs.algebra, fs.fields, fs.box) == 3
 
 
 def test_minimal_solutions_translation_models_are_one(minimal_solutions):
     for name in ("hamilton_jacobi", "lax"):
-        ra = model_bundle(name).system.realized
-        assert minimal_solutions(ra) == 1
+        fs = model_bundle(name).system
+        assert minimal_solutions(fs.algebra, fs.fields, fs.box) == 1
 
 
 def test_minimal_solutions_abelian_plane(minimal_solutions):
-    ra = RealizedAlgebra(builtin_algebra("abelian:2"),
-                         (const_field(2, 0), const_field(2, 1)),
-                         Box([-2, -2], [2, 2]))
-    assert minimal_solutions(ra) == 1
+    assert minimal_solutions(builtin_algebra("abelian:2"),
+                             (const_field(2, 0), const_field(2, 1)),
+                             Box([-2, -2], [2, 2])) == 1
 
 
 def test_minimal_solutions_rank_deficiency(minimal_solutions):
     # two copies of the same translation never become independent
-    ra = RealizedAlgebra(builtin_algebra("abelian:2"),
-                         (const_field(2, 0), const_field(2, 0)),
-                         Box([-2, -2], [2, 2]))
-    assert minimal_solutions(ra, cap=4) is None
+    assert minimal_solutions(builtin_algebra("abelian:2"),
+                             (const_field(2, 0), const_field(2, 0)),
+                             Box([-2, -2], [2, 2]), cap=4) is None
 
 
 def test_structure_residual_builtins_at_seeded_points():
     for name in ("riccati", "hamilton_jacobi", "lax", "ermakov"):
-        ra = model_bundle(name).system.realized
-        pts = ra.box.sample_many(seeded_rng(5), 100)
-        assert structure_residual(ra, pts) <= 1e-6
+        fs = model_bundle(name).system
+        pts = fs.box.sample_many(seeded_rng(5), 100)
+        assert structure_residual(fs.algebra, fs.fields, pts) <= 1e-6

@@ -11,8 +11,7 @@ from scipy.integrate import quad
 from folsys.algebra import InvariantMetric, builtin_algebra, killing_form
 from folsys.cli import MODELS
 from folsys.errors import DimensionMismatchError
-from folsys.fields import (RealizedAlgebra, VectorField, rank_at,
-                           structure_residual)
+from folsys.fields import VectorField, rank_at, structure_residual
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              coefficient_values, leaf_drift, leaf_of, sup_drift,
                              verify_foliated)
@@ -53,10 +52,23 @@ def test_assemble_hj_matches_closed_form():
         assert np.allclose(val, [t * np.sin(t * p), 0.0], atol=1e-13)
 
 
+@pytest.mark.parametrize("change", [
+    lambda fs: {"fields": fs.fields[:1]},
+    lambda fs: {"fields": (fs.fields[0], VectorField.constant([1.0, 0.0]))},
+    lambda fs: {"box": Box([-1.0] * 3, [1.0] * 3)},
+    lambda fs: {"chart": FoliationChart.split(3, 2)},
+], ids=["missing field", "mixed field dimensions", "box dimension",
+        "chart dimension"])
+def test_foliated_system_rejects_a_dimension_mismatch(change):
+    fs = hj_system(sum_cos_spec(2)).system
+    with pytest.raises(DimensionMismatchError):
+        dataclasses.replace(fs, **change(fs))
+
+
 def test_assemble_zero_coefficients():
     hj = hj_system(sum_cos_spec(2))
     fs = hj.system
-    zeroed = FoliatedSystem(fs.realized, lambda t, x: np.zeros(2), fs.chart)
+    zeroed = dataclasses.replace(fs, coeffs=lambda t, x: np.zeros(2))
     F = assemble(zeroed)
     assert np.all(F(1.3, np.array([0.1, 0.2, 1.0, 1.5])) == 0.0)
 
@@ -67,9 +79,9 @@ def test_an_x_independent_coefficient_row_steps_a_batch_on_one_grid(name):
     # route broadcasts over the rows of a batch on one grid, each row bit
     # for bit its own run
     fs = _bundle(name).system
-    row = np.linspace(0.2, 0.6, len(fs.realized.fields))
+    row = np.linspace(0.2, 0.6, len(fs.fields))
     F = assemble(dataclasses.replace(fs, coeffs=lambda t, x: row))
-    X = fs.realized.box.sample_many(seeded_rng(3), 3)
+    X = fs.box.sample_many(seeded_rng(3), 3)
     batch = integrate(F, X, 0.0, 0.5, 0.05)
     for i, x0 in enumerate(X):
         single = integrate(F, x0, 0.0, 0.5, 0.05)
@@ -79,7 +91,7 @@ def test_an_x_independent_coefficient_row_steps_a_batch_on_one_grid(name):
 def test_assemble_rejects_coefficient_map_of_wrong_shape():
     fs = hj_system(sum_cos_spec(2)).system
     for wrong in (lambda t, x: np.zeros(3), lambda t, x: 0.0):
-        broken = FoliatedSystem(fs.realized, wrong, fs.chart)
+        broken = dataclasses.replace(fs, coeffs=wrong)
         F = assemble(broken)
         with pytest.raises(DimensionMismatchError):
             F(0.5, np.array([0.1, 0.2, 1.0, 1.5]))
@@ -103,7 +115,7 @@ def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
 
     F = assemble(dataclasses.replace(fs, coeffs=counted))
     rng = seeded_rng(5)
-    box = fs.realized.box
+    box = fs.box
     for x0 in (box.sample(rng), box.sample_many(rng, 1), box.sample_many(rng, 7)):
         for block, sizes in ((TABLE_BLOCK, [10]), (3 * 4 * x0.size, [4, 4, 2])):
             monkeypatch.setattr(folsys_integrate, "TABLE_BLOCK", block)
@@ -120,7 +132,7 @@ def test_assemble_calls_the_coefficient_map_once_per_stage(name, monkeypatch):
 def test_assembled_batch_rows_equal_single_states_bitwise(name, seed, rows, t):
     fs = _bundle(name).system
     F = assemble(fs)
-    X = fs.realized.box.sample_many(seeded_rng(seed), rows)
+    X = fs.box.sample_many(seeded_rng(seed), rows)
     batch = F(t, X)
     for i in range(rows):
         # tobytes also tells -0.0 from 0.0
@@ -140,11 +152,10 @@ def test_assemble_lax_commutator_sign():
 
 def test_assemble_linear_in_coefficients_exact_integers():
     x1 = VectorField(1, lambda x: np.array([2.0]))
-    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (x1,), Box([-1], [1]))
-    chart = FoliationChart.split(1, 1)
-    f1 = FoliatedSystem(ra, lambda t, x: np.array([2.0]), chart)
-    f2 = FoliatedSystem(ra, lambda t, x: np.array([3.0]), chart)
-    fsum = FoliatedSystem(ra, lambda t, x: np.array([2.0 + 3.0]), chart)
+    f1 = FoliatedSystem(builtin_algebra("abelian:1"), (x1,), Box([-1], [1]),
+                        lambda t, x: np.array([2.0]), FoliationChart.split(1, 1))
+    f2 = dataclasses.replace(f1, coeffs=lambda t, x: np.array([3.0]))
+    fsum = dataclasses.replace(f1, coeffs=lambda t, x: np.array([2.0 + 3.0]))
     x = np.array([0.3])
     assert np.array_equal(assemble(fsum)(0.0, x),
                           assemble(f1)(0.0, x) + assemble(f2)(0.0, x))
@@ -155,9 +166,9 @@ def test_assemble_linear_in_coefficients_generic():
     fs = hj.system
     other = lambda t, x: np.cos(t + np.arange(2))
     summed = lambda t, x: fs.coeffs(t, x) + other(t, x)
-    f_sum = assemble(FoliatedSystem(fs.realized, summed, fs.chart))
+    f_sum = assemble(dataclasses.replace(fs, coeffs=summed))
     f_a = assemble(fs)
-    f_b = assemble(FoliatedSystem(fs.realized, other, fs.chart))
+    f_b = assemble(dataclasses.replace(fs, coeffs=other))
     x = np.array([0.1, -0.4, 1.2, 0.9])
     assert np.allclose(f_sum(0.8, x), f_a(0.8, x) + f_b(0.8, x), atol=1e-13)
 
@@ -185,7 +196,7 @@ def test_verify_foliated_ermakov_with_invariant_coupling():
 def test_verify_foliated_broken_coefficient():
     hj = hj_system(sum_cos_spec(1))
     fs = hj.system
-    broken = FoliatedSystem(fs.realized, lambda t, x: x[..., :1], fs.chart)
+    broken = dataclasses.replace(fs, coeffs=lambda t, x: x[..., :1])
     rep = verify_foliated(broken, trials=20, seed=42)
     assert rep.com_residual == pytest.approx(1.0, rel=1e-6)
 
@@ -206,7 +217,8 @@ def test_verify_foliated_differentiates_the_coefficient_map_once():
         return fs.chart.leaf_map(x)
 
     chart = dataclasses.replace(fs.chart, leaf_map=counted_labels)
-    rep = verify_foliated(FoliatedSystem(fs.realized, counted, chart), trials=3)
+    rep = verify_foliated(dataclasses.replace(fs, coeffs=counted, chart=chart),
+                          trials=3)
     assert calls == [((3,), (2 * fs.dim, 3, fs.dim))]
     assert label_calls == [(2 * fs.dim, 3, fs.dim)]
     assert rep.com_residual <= 1e-8
@@ -219,9 +231,8 @@ def test_verify_foliated_evaluates_each_field_on_the_block_of_samples():
     def counted(X):
         return dataclasses.replace(X, func=lambda x: shapes.append(x.shape) or X.func(x))
 
-    fields = tuple(counted(X) for X in fs.realized.fields)
-    realized = dataclasses.replace(fs.realized, fields=fields)
-    verify_foliated(dataclasses.replace(fs, realized=realized), trials=5)
+    fields = tuple(counted(X) for X in fs.fields)
+    verify_foliated(dataclasses.replace(fs, fields=fields), trials=5)
     # once for the values that serve the ranks, the rates and the structure
     # residual, and four shifted times for each of the three pairs a < b
     assert shapes == [(5, 4)] * (3 + 3 * 4)
@@ -232,9 +243,9 @@ def _verify_foliated_per_point(fs, trials, seed, t_range=(0.0, 2.0)):
     rng = seeded_rng(seed)
     com = chart_res = 0.0
     for _ in range(trials):
-        x = fs.realized.box.sample(rng)
+        x = fs.box.sample(rng)
         t = float(rng.uniform(*t_range))
-        values = [X(x) for X in fs.realized.fields]
+        values = [X(x) for X in fs.fields]
         for grad in jacobian_fd(lambda y: fs.coeffs(t, y), x):
             com = max(com, *(abs(float(grad @ v)) for v in values))
         for grad in jacobian_fd(lambda y: leaf_of(fs.chart, y), x):
@@ -247,17 +258,16 @@ def _verify_foliated_per_sample(fs, trials, seed, t_range=(0.0, 2.0)):
     field values, one difference block of the labels and one structure
     residual per sample; returns the four values of the report."""
     rng = seeded_rng(seed)
-    ra = fs.realized
     com = chart_res = structure = 0.0
     rank = fs.chart.leaf_dim
     for _ in range(trials):
-        x = ra.box.sample(rng)
+        x = fs.box.sample(rng)
         t = float(rng.uniform(*t_range))
-        rank = min(rank, rank_at(ra.fields, x))
-        structure = max(structure, structure_residual(ra, x))
-        values = np.array([X(x) for X in ra.fields])
+        rank = min(rank, rank_at(fs.fields, x))
+        structure = max(structure, structure_residual(fs.algebra, fs.fields, x))
+        values = np.array([X(x) for X in fs.fields])
         rates = []
-        for F, k in ((lambda y: fs.coeffs(t, y), len(ra.fields)),
+        for F, k in ((lambda y: fs.coeffs(t, y), len(fs.fields)),
                      (lambda y: leaf_of(fs.chart, y), fs.chart.n_labels)):
             grads = central_differences(F, x, (k,)).T.copy()
             rates.append(float(np.abs(dot_last(grads[:, None, :], values)).max(initial=0.0)))
@@ -292,12 +302,12 @@ def _configured(name):
 @pytest.mark.parametrize("name", _VERIFIED + tuple(_CONFIGURED))
 def test_coefficients_at_an_array_of_times_equal_the_per_time_calls(name):
     fs = _configured(name) if name in _CONFIGURED else _system(name)
-    r = len(fs.realized.fields)
+    r = len(fs.fields)
     rng = seeded_rng(4)
     ts = rng.uniform(-1.0, 3.0, size=6)
     # one time per sample, on the samples and on a block of copies of them
-    for xs in (fs.realized.box.sample_many(rng, 6),
-               fs.realized.box.sample_many(rng, 12).reshape(2, 6, -1)):
+    for xs in (fs.box.sample_many(rng, 6),
+               fs.box.sample_many(rng, 12).reshape(2, 6, -1)):
         got = np.broadcast_to(coefficient_values(fs.coeffs, r, ts, xs),
                               xs.shape[:-1] + (r,))
         want = np.array([[fs.coeffs(float(t), x) for t, x in zip(ts, row)]
@@ -313,7 +323,7 @@ def test_coefficient_map_of_wrong_shape_at_an_array_of_times_raises():
     for wrong in (lambda t, x: np.stack([np.cos(t), np.sin(t)]),
                   lambda t, x: np.zeros(np.shape(t) + (3,)),
                   lambda t, x: np.zeros((1, 2))):
-        broken = FoliatedSystem(fs.realized, wrong, fs.chart)
+        broken = dataclasses.replace(fs, coeffs=wrong)
         with pytest.raises(DimensionMismatchError):
             coefficient_values(wrong, 2, ts, xs)
         with pytest.raises(DimensionMismatchError):
@@ -345,8 +355,8 @@ def test_verify_foliated_reports_the_rank_shortfall():
     # field vanishing on half the box: rank drops below leaf_dim there, and
     # the other conditions are still measured
     X = VectorField(1, lambda x: np.maximum(x, 0.0))
-    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1], [1]))
-    fs = FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1))
+    fs = FoliatedSystem(builtin_algebra("abelian:1"), (X,), Box([-1], [1]),
+                        lambda t, x: np.ones(1), FoliationChart.split(1, 1))
     rep = verify_foliated(fs, trials=200, seed=1)
     assert rep.rank_shortfall == 1.0
     got = (rep.com_residual, rep.chart_residual, rep.rank_shortfall,
@@ -380,7 +390,7 @@ def test_leaf_of_ermakov_lewis_label():
 def test_sup_drift_evaluates_the_observable_once_on_the_block(name):
     bundle = _bundle(name)
     fs = bundle.system
-    x0 = fs.realized.box.sample(seeded_rng(8))
+    x0 = fs.box.sample(seeded_rng(8))
     states = integrate(assemble(fs), x0, 0.0, 0.5, 0.01).states
     # leaf labels, and the lax spectrum or the Lewis invariant
     observables = [lambda x: leaf_of(fs.chart, x), *bundle.observables.values()]
@@ -440,17 +450,17 @@ def test_split_chart_coefficients_read_only_the_labels(name):
     # not see the leaf coordinates, and no field moves the labels
     fs = _split_system(name)
     s = fs.chart.leaf_dim
-    r = len(fs.realized.fields)
+    r = len(fs.fields)
     rng = seeded_rng(12)
-    xs = fs.realized.box.sample_many(rng, 40)
+    xs = fs.box.sample_many(rng, 40)
     ts = rng.uniform(0.0, 2.0, size=40)
-    redrawn = fs.realized.box.sample_many(rng, 40)
+    redrawn = fs.box.sample_many(rng, 40)
     redrawn[:, s:] = xs[:, s:]
     assert not np.array_equal(redrawn[:, :s], xs[:, :s])
     for t, x, y in [(ts, xs, redrawn), *zip(ts[:5].tolist(), xs[:5], redrawn[:5])]:
         assert (coefficient_values(fs.coeffs, r, t, x).tobytes()
                 == coefficient_values(fs.coeffs, r, t, y).tobytes())
-    for X in fs.realized.fields:
+    for X in fs.fields:
         labels = X(xs)[:, s:]
         # exactly 0.0: a -0.0 would still compare equal to zero
         assert labels.tobytes() == np.zeros(labels.shape).tobytes()
@@ -483,7 +493,7 @@ def test_plain_lie_system_restriction_freezing():
     leaf_rep = fs.chart.leaf_point(np.array([1.3]))
     frozen = lambda t, x: fs.coeffs(t, leaf_rep)
     F = assemble(fs)
-    F_frozen = assemble(FoliatedSystem(fs.realized, frozen, fs.chart))
+    F_frozen = assemble(dataclasses.replace(fs, coeffs=frozen))
     for q in (-1.0, 0.0, 2.0):
         x = np.array([q, 1.3])  # on the leaf P = 1.3
         assert np.array_equal(F(0.7, x), F_frozen(0.7, x))
@@ -495,7 +505,7 @@ def test_a_chart_labels_its_leaves_by_its_codimension(name):
     returns another count fails verify_foliated's central differences."""
     fs = _system(name)
     chart = fs.chart
-    x = fs.realized.box.sample_many(seeded_rng(3), 4)
+    x = fs.box.sample_many(seeded_rng(3), 4)
     assert chart.n_labels == chart.dim - chart.leaf_dim
     assert leaf_of(chart, x).shape == (4, chart.n_labels)
     extra = dataclasses.replace(

@@ -13,7 +13,7 @@ from folsys.algebra import builtin_algebra
 from folsys.automorphic import MATRIX, reduce_system, solve_abelian, solve_matrix
 from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
                            DomainExitError, ErrorFloorError)
-from folsys.fields import RealizedAlgebra, TDependentVectorField, VectorField
+from folsys.fields import TDependentVectorField, VectorField
 from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              leaf_of, lie_system)
 from folsys.cli import MODELS
@@ -21,7 +21,7 @@ from folsys.integrate import (Trajectory, _float_block, _float_steps,
                               _product_block, _stage_values, _sum_block,
                               convergence_order, convergence_steps, integrate,
                               order_from_finals, time_grid, trajectory_to_csv)
-from folsys.models import (ErmakovSpec, RiccatiSpec, ermakov_matrix_action,
+from folsys.models import (ErmakovSpec, ermakov_matrix_action,
                            ermakov_system, riccati_system)
 from folsys.util import Box, seeded_rng
 
@@ -149,7 +149,7 @@ def test_csv_export_bytes_equal_the_per_value_format(tmp_path):
 def test_batch_equals_single_runs(name):
     fs = model_bundle(name).system
     F = assemble(fs)
-    x0 = fs.realized.box.sample_many(seeded_rng(3), 4)
+    x0 = fs.box.sample_many(seeded_rng(3), 4)
     batch = integrate(F, x0, 0.0, 0.5, 0.01)
     assert batch.states.shape == (len(batch), 4, fs.dim)
     assert batch.state_dim == fs.dim
@@ -185,9 +185,8 @@ def test_batch_domain_guard_checks_every_row():
 
 def test_single_point_field_rejected_in_batch():
     X = VectorField(1, lambda x: np.array([1.0]))  # ignores the batch axis
-    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,),
-                         Box([-1.0], [1.0]))
-    F = assemble(FoliatedSystem(ra, lambda t, x: np.ones(1), FoliationChart.split(1, 1)))
+    F = assemble(FoliatedSystem(builtin_algebra("abelian:1"), (X,), Box([-1.0], [1.0]),
+                                lambda t, x: np.ones(1), FoliationChart.split(1, 1)))
     assert integrate(F, np.array([0.0]), 0.0, 0.1, 0.01).final_state[0] > 0.0
     with pytest.raises(DimensionMismatchError):
         integrate(F, np.zeros((3, 1)), 0.0, 0.1, 0.01)
@@ -240,7 +239,7 @@ ROW_STEPS = st.one_of(st.sampled_from([0.05, 0.1, 0.3]),
 def test_per_row_steps_match_the_runs_alone(model, steps, seed):
     fs = ROW_STEP_SYSTEMS[model]
     F = assemble(fs)
-    x0 = fs.realized.box.sample_many(seeded_rng(seed), len(steps))
+    x0 = fs.box.sample_many(seeded_rng(seed), len(steps))
     ragged = integrate(F, x0, 0.0, 1.0, steps)
     h = min(steps)
     assert ragged.step == h
@@ -367,8 +366,8 @@ def test_coefficient_table_equals_the_per_stage_field_bitwise(
     plain = per_stage(F)
     rng = seeded_rng(seed)
     # one state (rows = 0) or a batch
-    x0 = (fs.realized.box.sample(rng) if rows == 0
-          else fs.realized.box.sample_many(rng, rows))
+    x0 = (fs.box.sample(rng) if rows == 0
+          else fs.box.sample_many(rng, rows))
     # exactly one block, one step more, or several blocks and a remainder
     n = block_steps * (1 + extra // 2) + extra % 2
     h = 0.6 / n
@@ -450,7 +449,7 @@ def _counted_field(F, calls):
 @pytest.mark.parametrize("name", sorted(TIME_ONLY_SYSTEMS))
 def test_time_only_route_makes_one_table_call_per_block_and_no_per_stage_call(name):
     fs = TIME_ONLY_SYSTEMS[name]
-    box = fs.realized.box
+    box = fs.box
     rng = seeded_rng(8)
     for x0, steps in ((box.sample(rng), 0.05), (box.sample_many(rng, 3), 0.05),
                       (box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
@@ -534,7 +533,7 @@ def test_constant_fields_return_their_value_on_random_blocks():
     rng = seeded_rng(21)
     declared = 0
     for name, fs in systems.items():
-        for X in fs.realized.fields:
+        for X in fs.fields:
             if X.value is None:
                 continue
             declared += 1
@@ -559,8 +558,9 @@ def _split_linear_system():
     """x' = cos(t) k x on R^2 split into x and its label k = y: a linear field
     whose stage matrices differ from row to row of a batch."""
     X = VectorField.linear([[1.0, 0.0], [0.0, 0.0]], name="dilation")
-    ra = RealizedAlgebra(builtin_algebra("abelian:1"), (X,), Box([-1.0, 0.5], [1.0, 1.5]))
-    return FoliatedSystem(ra, lambda t, x: np.cos(t)[..., None] * x[..., 1:],
+    return FoliatedSystem(builtin_algebra("abelian:1"), (X,),
+                          Box([-1.0, 0.5], [1.0, 1.5]),
+                          lambda t, x: np.cos(t)[..., None] * x[..., 1:],
                           FoliationChart.split(2, 1), name="split-linear")
 
 
@@ -583,8 +583,8 @@ def test_step_matrices_are_within_tolerance_of_the_per_stage_loop(
     F = assemble(fs)
     assert F.route is _product_block
     rng = seeded_rng(seed)
-    x0 = (fs.realized.box.sample(rng) if layout == "one state"
-          else fs.realized.box.sample_many(rng, 3))
+    x0 = (fs.box.sample(rng) if layout == "one state"
+          else fs.box.sample_many(rng, 3))
     n = {"K": block_steps, "K + 1": block_steps + 1, "2K + 1": 2 * block_steps + 1}[runs]
     h = 0.8 / n
     steps = [h, min(1.7 * h, 0.8), 0.8] if layout == "one step per row" else h
@@ -751,7 +751,7 @@ def _per_field_reference(fs):
     def rhs(t, x):
         c = np.asarray(fs.coeffs(t, x))
         out = np.zeros(x.shape)
-        for a, X in enumerate(fs.realized.fields):
+        for a, X in enumerate(fs.fields):
             out += c[..., a, None] * X(x)
         return out
     return TDependentVectorField(fs.dim, rhs, domain=fs.domain)
@@ -787,9 +787,8 @@ def test_fused_stage_equals_the_per_field_sum_bitwise(a, timed, x, layout,
     # constant coefficients (with c0 = -0.0 among them) or coefficients of
     # time; states at +-0.0 among others; runs that blow up compare their
     # step and partial trajectory
-    spec = RiccatiSpec(*(lambda t, c=c: c + 0.25 * np.sin(t) if timed else c
-                         for c in a))
-    fs = riccati_system(spec).system
+    fs = riccati_system(*(lambda t, c=c: c + 0.25 * np.sin(t) if timed else c
+                          for c in a)).system
     F = assemble(fs)
     assert F.table is not None and F.route is fs.combine is not None
     x0 = np.array(x[:1]) if layout == "one state" else np.array(x)[:, None]
@@ -810,8 +809,8 @@ def _field_calls(fs, calls):
     counting fields declare no value or matrix, so this keeps the route only
     of a system stepped by a stage."""
     fields = tuple(VectorField(X.dim, _counted(X.name, X.func, calls), name=X.name)
-                   for X in fs.realized.fields)
-    return dataclasses.replace(fs, realized=dataclasses.replace(fs.realized, fields=fields))
+                   for X in fs.fields)
+    return dataclasses.replace(fs, fields=fields)
 
 
 def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
@@ -819,9 +818,9 @@ def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
     rng = seeded_rng(4)
     for name in ("riccati-const", "riccati-sin"):
         fs = _field_calls(TABLE_SYSTEMS[name], field_calls)
-        for x0, steps in ((fs.realized.box.sample(rng), 0.05),
-                          (fs.realized.box.sample_many(rng, 3), 0.05),
-                          (fs.realized.box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
+        for x0, steps in ((fs.box.sample(rng), 0.05),
+                          (fs.box.sample_many(rng, 3), 0.05),
+                          (fs.box.sample_many(rng, 3), [0.05, 0.1, 0.3])):
             calls = []
             F = _counted_field(assemble(fs), calls)
             # 20 steps in blocks of 6: 6, 6, 6 and 2, each a table and then
@@ -949,7 +948,7 @@ def test_a_field_rebuilt_from_its_func_takes_the_same_route_to_the_same_bits(nam
     assert F.table is not None and F.route is not None
     assert rebuilt.table is F.table and rebuilt.route is F.route
     rng = seeded_rng(22)
-    box = fs.realized.box
+    box = fs.box
     for x0, steps in ((box.sample(rng), 0.01), (box.sample_many(rng, 3), 0.01),
                       (box.sample_many(rng, 3), [0.01, 0.02, 0.03])):
         calls.clear()
@@ -985,7 +984,7 @@ def test_integrate_never_calls_the_func_of_a_tabled_field(name):
     F = assemble(fs)
     F = TDependentVectorField.tabled(F.dim, _counted("func", F.func, calls), F.table,
                                      F.route, domain=F.domain)
-    box = fs.realized.box
+    box = fs.box
     rng = seeded_rng(23)
     for x0, steps in ((box.sample(rng), 0.125), (box.sample_many(rng, 3), 0.125),
                       (box.sample_many(rng, 3), [0.125, 0.25, 0.5])):

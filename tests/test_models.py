@@ -7,7 +7,7 @@ from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
-from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, RiccatiSpec,
+from folsys.models import (ErmakovSpec, HamiltonJacobiSpec,
                            ermakov_fields, ermakov_system, hj_system, lax_matrix,
                            lax_pair_rhs, lax_spectrum, lax_system, lewis_invariant,
                            riccati_system, sum_cos_spec)
@@ -62,7 +62,7 @@ def test_hj_gradient_needs_one_value_of_H_per_point():
 
 def test_riccati_commutation_relations():
     bundle = model_bundle("riccati")
-    x0f, x1f, x2f = bundle.system.realized.fields
+    x0f, x1f, x2f = bundle.system.fields
     pt = np.array([1.0])
     assert lie_bracket_at(x0f, x2f, pt)[0] == pytest.approx(2.0 * x1f(pt)[0], abs=1e-8)
     rng = seeded_rng(6)
@@ -79,9 +79,8 @@ def test_riccati_tanh_solution():
 
 
 def test_riccati_time_dependent_coefficients():
-    spec = RiccatiSpec(a0=lambda t: np.cos(t), a1=lambda t: 0.1,
-                       a2=lambda t: -1.0)
-    F = assemble(riccati_system(spec).system)
+    F = assemble(riccati_system(a0=lambda t: np.cos(t), a1=lambda t: 0.1,
+                                a2=lambda t: -1.0).system)
     x = np.array([0.5])
     assert F(0.3, x)[0] == pytest.approx(np.cos(0.3) + 0.1 * 0.5 - 0.25, abs=1e-14)
 
@@ -99,7 +98,7 @@ def test_riccati_square_equals_float_power_of_two_bitwise():
         square = np.float_power(x, 2)
         stage = system.combine(np.array([0.0, 0.0, 1.0]), x)
         assert stage.tobytes() == ((0.0 * x + 0.0) + 1.0 * square).tobytes()
-        assert system.realized.fields[2](x).tobytes() == square.tobytes()
+        assert system.fields[2](x).tobytes() == square.tobytes()
 
 
 # --- momentum-conserving Hamiltonian model -----------------------------------
@@ -179,7 +178,7 @@ def test_lax_assembled_equals_commutator_rhs():
     rng = seeded_rng(12)
     for _ in range(25):
         t = float(rng.uniform(0, 2))
-        v = bundle.system.realized.box.sample(rng)
+        v = bundle.system.box.sample(rng)
         assert np.allclose(F(t, v), lax_pair_rhs(spec, t, v), atol=1e-13)
 
 
@@ -240,8 +239,8 @@ def test_ermakov_fields_annihilate_invariant():
     rng = seeded_rng(4)
     worst = 0.0
     for _ in range(100):
-        s = bundle.system.realized.box.sample(rng)
-        for X in bundle.system.realized.fields:
+        s = bundle.system.box.sample(rng)
+        for X in bundle.system.fields:
             worst = max(worst, abs(directional_derivative(X, lw, s)))
     assert worst <= 1e-8
 
@@ -254,9 +253,9 @@ def test_ermakov_frequency_coefficient_is_leafwise_constant():
     rng = seeded_rng(5)
     worst = 0.0
     for _ in range(100):
-        s = bundle.system.realized.box.sample(rng)
+        s = bundle.system.box.sample(rng)
         frozen = lambda y: g3(0.7, y)
-        for X in bundle.system.realized.fields:
+        for X in bundle.system.fields:
             worst = max(worst, abs(directional_derivative(X, frozen, s)))
     assert worst <= 1e-8
 

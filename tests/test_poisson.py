@@ -91,8 +91,8 @@ def test_adjoint_fields_are_hamiltonian_for_linear_candidates():
     sl2, metric, L = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
     lin = linear_coordinates(metric)
-    pts = adj.realized.box.sample_many(seeded_rng(4), 100)
-    for X, f in zip(adj.realized.fields, lin):
+    pts = adj.box.sample_many(seeded_rng(4), 100)
+    for X, f in zip(adj.fields, lin):
         # X_f = -i_{df} Lambda
         assert hamiltonian_residual(L.at(pts), X, f) <= 1e-8
 
@@ -101,8 +101,8 @@ def test_wrong_candidate_has_large_residual():
     sl2, metric, L = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
     lin = linear_coordinates(metric)
-    pts = adj.realized.box.sample_many(seeded_rng(5), 30)
-    assert hamiltonian_residual(L.at(pts), adj.realized.fields[0], lin[1]) > 0.1
+    pts = adj.box.sample_many(seeded_rng(5), 30)
+    assert hamiltonian_residual(L.at(pts), adj.fields[0], lin[1]) > 0.1
 
 
 def test_metric_invariance_index_identity():
@@ -117,10 +117,10 @@ def test_metric_invariance_index_identity():
 def test_adjoint_foliated_structure_and_brackets():
     sl2, metric, _ = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
-    pts = adj.realized.box.sample_many(seeded_rng(6), 30)
+    pts = adj.box.sample_many(seeded_rng(6), 30)
     # the fields are linear, so the value-only bracket is exact but for the
     # roundoff of its differences, of order eps |X| / h, below 1e-9 here
-    assert structure_residual(adj.realized, pts) <= 1e-8
+    assert structure_residual(adj.algebra, adj.fields, pts) <= 1e-8
 
 
 def test_foliated_lie_hamilton_adjoint_true():
@@ -145,12 +145,10 @@ def test_foliated_lie_hamilton_zero_bivector_false():
 def test_foliated_lie_hamilton_fails_a_field_of_the_opposite_sign():
     sl2, metric, L = sl2_setup()
     adj = adjoint_foliated_system(sl2, metric)
-    X = adj.realized.fields[0]
+    X = adj.fields[0]
     negated = dataclasses.replace(X, func=lambda v: -X.func(v))
-    realized = dataclasses.replace(adj.realized,
-                                   fields=(negated,) + adj.realized.fields[1:])
     residuals = is_foliated_lie_hamilton(
-        dataclasses.replace(adj, realized=realized), L,
+        dataclasses.replace(adj, fields=(negated,) + adj.fields[1:]), L,
         linear_coordinates(metric), trials=100, seed=42)
     assert residuals[0] > 1.0  # |X + i_{df} Lambda| = 2 |X|
     assert max(residuals[1:]) <= 1e-8
@@ -208,7 +206,7 @@ def test_poisson_fields_are_declared():
     ab = builtin_algebra("abelian:3")
     sl2, metric, _ = sl2_setup()
     for alg, g in ((sl2, metric), (ab, InvariantMetric(ab, np.eye(3)))):
-        for a, X in enumerate(adjoint_foliated_system(alg, g).realized.fields):
+        for a, X in enumerate(adjoint_foliated_system(alg, g).fields):
             ad = adjoint_matrix(alg, a)
             assert np.array_equal(X.matrix, -ad)
             for x in _special_blocks(rng, 3):
@@ -282,7 +280,7 @@ def _block_cases():
     lin = linear_coordinates(metric)
     kir_pts = seeded_rng(11).uniform(-2.0, 2.0, size=(40, 3))
     kir_cands = [coordinate_function(i, 3) for i in range(3)] + lin + [_quadratic(3)]
-    kir_pairs = list(zip(adj.realized.fields, lin))
+    kir_pairs = list(zip(adj.fields, lin))
     Lr = rmatrix_bivector_aff(2)
     aff_pts = _rmatrix_points(seeded_rng(12), 40)
     aff_cands = [coordinate_function(i, 4) for i in range(4)] + [_quadratic(4)]
@@ -367,7 +365,7 @@ def test_adjoint_system_takes_blocks_row_by_row():
     block = np.array([[1.0, 0.7, 1.3], [0.6, 1.4, 0.9]])
     F = assemble(fs)
     evaluations = [lambda v: fs.coeffs(0.4, v), lambda v: leaf_of(fs.chart, v),
-                   lambda v: F(0.4, v), *fs.realized.fields]
+                   lambda v: F(0.4, v), *fs.fields]
     for fn in evaluations:
         rows = np.asarray(fn(block))
         assert rows.shape[0] == 2
@@ -439,9 +437,9 @@ def _battery_per_call(seed):
     coords = [coordinate_function(i, 3) for i in range(3)]
     kirillov_jacobi = float(np.max(np.abs(jacobiator(L.at(pts), *coords))))
     adj = adjoint_foliated_system(sl2, metric)
-    samples = adj.realized.box.sample_many(seeded_rng(seed), 100)
+    samples = adj.box.sample_many(seeded_rng(seed), 100)
     adjoint = max(hamiltonian_residual(L.at(samples), X, f)
-                  for X, f in zip(adj.realized.fields, lin))
+                  for X, f in zip(adj.fields, lin))
     aff_pts = _rmatrix_points(rng, 100)
     Lr = rmatrix_bivector_aff(2)
     coords4 = [coordinate_function(i, 4) for i in range(4)]

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/``, each run as a command in a subprocess."""
 import difflib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,15 @@ def test_output_digest_prints_every_reference_scenario_without_an_error():
     assert versions == ref_versions, f"digest made with {ref_versions}, run with {versions}"
     diff = list(difflib.unified_diff(ref, out, "reference_digest.txt", "now", n=0, lineterm=""))
     assert not diff, "\n".join(diff)
+
+
+def test_the_readme_library_example_runs():
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=SCRIPTS.parent,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("FoliationReport(")

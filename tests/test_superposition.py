@@ -13,7 +13,7 @@ from folsys.foliated import assemble
 from folsys.models import hj_system, sum_cos_spec, translation_rule
 from folsys.superposition import (SuperpositionRule, _sample_on_leaf, _separated,
                                   apply_rule, first_integral_residual,
-                                  solve_parameters, verify_rule)
+                                  rule_points, solve_parameters, verify_rule)
 from folsys.util import seeded_rng
 
 from .conftest import model_bundle
@@ -60,7 +60,7 @@ def test_rule_over_a_block_equals_per_sample_bitwise(name):
     bundle = model_bundle(name)
     rule = bundle.rule
     rng = seeded_rng(11)
-    sols = [bundle.system.realized.box.sample_many(rng, 40) for _ in range(rule.m)]
+    sols = [bundle.system.box.sample_many(rng, 40) for _ in range(rule.m)]
     k = rng.uniform(-1.0, 1.0, size=rule.param_dim)
     block = apply_rule(rule, sols, k)
     assert block.shape == (40, rule.state_dim)
@@ -108,26 +108,29 @@ def test_apply_rule_dimension_checks():
 
 
 def test_rule_parameter_count_guard():
+    # one parameter of one solution cannot cover the three Riccati fields
+    rule = SuperpositionRule(m=1, state_dim=1, param_dim=1, psi=lambda s, k: s[0],
+                             F=lambda x, s: x[..., :1] - s[0][..., :1])
     with pytest.raises(ValueError):
-        SuperpositionRule(m=1, state_dim=2, param_dim=1, psi=lambda s, k: s[0],
-                          F=lambda x, s: x[..., :1] - s[0][..., :1], vg_dim=3)
+        rule_points(rule, model_bundle("riccati").system)
 
 
 def test_constructed_rules_satisfy_count():
     for name in ("riccati", "hamilton_jacobi", "lax"):
-        rule = model_bundle(name).rule
-        assert rule.vg_dim is not None
-        assert rule.m * rule.param_dim >= rule.vg_dim
+        bundle = model_bundle(name)
+        rule = bundle.rule
+        assert rule.m * rule.param_dim >= bundle.system.algebra.dim
 
 
 def test_translation_rule_hj_and_lax():
     rule = translation_rule(2)
-    assert (rule.m, rule.state_dim, rule.param_dim, rule.vg_dim) == (1, 4, 2, 2)
+    assert (rule.m, rule.state_dim, rule.param_dim) == (1, 4, 2)
     out = apply_rule(rule, [np.array([5.0, 0.0, 3.0, 1.0])], [4.0, 0.0])
     assert np.array_equal(out, [9.0, 0.0, 3.0, 1.0])
     for name in ("hamilton_jacobi", "lax"):
         bundle = model_bundle(name)
-        assert (bundle.rule.m, bundle.rule.param_dim) == (1, 2)
+        assert (bundle.rule.m, bundle.rule.param_dim,
+                bundle.system.algebra.dim) == (1, 2, 2)
         assert apply_rule(bundle.rule, [np.array([5.0, 0.0, 3.0, 1.0])],
                           [4.0, 0.0]).tobytes() == out.tobytes()
 
@@ -139,7 +142,7 @@ def test_leaf_preservation_of_derived_rules():
         chart = bundle.system.chart
         rng = seeded_rng(8)
         for _ in range(100):
-            x = bundle.system.realized.box.sample(rng)
+            x = bundle.system.box.sample(rng)
             k = rng.uniform(-1, 1, size=rule.param_dim)
             out = apply_rule(rule, [x], k)
             assert np.max(np.abs(leaf_of(chart, out) - leaf_of(chart, x))) <= 1e-10
