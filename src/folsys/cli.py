@@ -136,7 +136,7 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                     f"unknown variable {node.id!r}; allowed: {sorted(variables)}")
             return operator.itemgetter(variables.index(node.id))
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ConfigError(f"non-numeric constant: {node.value!r}")
             try:
                 constant = float(node.value)
@@ -159,10 +159,11 @@ def compile_expression(text: str, variables: tuple[str, ...]):
 
 
 def _number(key: str, value):
+    # a JSON number: float() would also read a boolean or a numeric string
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return number
@@ -236,11 +237,10 @@ class ScenarioConfig:
                               f"got {list(checks)}")
         init = raw.get("initial_state")
         if init is not None:
-            # one flat state: a nested list would reach the integrator as a batch
-            if not (isinstance(init, list)
-                    and all(isinstance(v, (int, float)) for v in init)):
+            if not isinstance(init, list):
                 raise ConfigError(f"initial_state must be a list of numbers, got {init!r}")
-            init = tuple(init)
+            # one flat state: a nested list would reach the integrator as a batch
+            init = tuple(_number("initial_state entry", v) for v in init)
         given = {name: raw[key] for key, name in (("seed", "seed"), ("out", "out"),
                                                   ("format", "fmt")) if key in raw}
         return cls(model=raw.get("model"), params=dict(params), checks=checks,
@@ -253,6 +253,7 @@ class CheckReport:
     model: str
     value: float
     tolerance: float
+    measure: str
     runtime_s: float
     seed: int
 
@@ -262,20 +263,20 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {"check": self.check, "model": self.model, "status": self.status,
-                "value": self.value, "tolerance": self.tolerance,
+                "value": self.value, "tolerance": self.tolerance, "measure": self.measure,
                 "runtime_s": self.runtime_s, "seed": self.seed}
 
 
-def _expr_coeff(value, variables):
-    if isinstance(value, (int, float)):
-        return lambda *args: float(value)
+def _expr_coeff(key, value, variables):
     if isinstance(value, str):
         return compile_expression(value, variables)
-    raise ConfigError(f"coefficient must be a number or expression: {value!r}")
+    number = _number(key, value)
+    return lambda *args: number
 
 
 def _riccati(a0, a1, a2) -> mdl.ModelBundle:
-    return mdl.riccati_system(*(_expr_coeff(a, ("t",)) for a in (a0, a1, a2)))
+    return mdl.riccati_system(*(_expr_coeff(f"a{i}", a, ("t",))
+                                for i, a in enumerate((a0, a1, a2))))
 
 
 def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
@@ -303,7 +304,7 @@ def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
 
 
 def _ermakov(omega2, c1, c2) -> mdl.ModelBundle:
-    return mdl.ermakov_system(mdl.ErmakovSpec(omega2=_expr_coeff(omega2, ("t", "I")),
+    return mdl.ermakov_system(mdl.ErmakovSpec(omega2=_expr_coeff("omega2", omega2, ("t", "I")),
                                               c1=_number("c1", c1),
                                               c2=_number("c2", c2)))
 
@@ -356,36 +357,34 @@ class Scenario:
 def _foliated(s: Scenario):
     rep = verify_foliated(s.bundle.system, trials=100, seed=s.cfg.seed,
                           t_range=(s.cfg.t0, s.cfg.t1))
-    yield [("foliated.com_residual", rep.com_residual, 1e-6),
-           ("foliated.chart_residual", rep.chart_residual, 1e-6),
-           ("foliated.rank", rep.rank_shortfall, 0.0),
-           ("foliated.structure", rep.structure_residual, 1e-6)]
+    yield [("foliated.com_residual", rep.com_residual),
+           ("foliated.chart_residual", rep.chart_residual),
+           ("foliated.rank", rep.rank_shortfall),
+           ("foliated.structure", rep.structure_residual)]
 
 
 def _leaf_drift(s: Scenario):
     chart = s.bundle.system.chart
     drift = leaf_drift(s.traj, chart)
     if chart.is_split:
-        yield [("leaf_drift", drift, 0.0)]
+        yield [("leaf_drift", drift)]
     else:
         # conserved labels rather than coordinates: drift relative to x0's
         ref = float(np.max(np.abs(leaf_of(chart, s.traj.states[0]))))
-        yield [("leaf_drift.relative", drift / max(ref, 1e-30), 1e-6)]
+        yield [("leaf_drift.relative", drift / max(ref, 1e-30))]
 
 
 def _superposition(s: Scenario):
     if isinstance(s.rule_runs, FolsysError):
         raise s.rule_runs
-    rule = s.bundle.rule
-    rep = rule_report(rule, s.bundle.system, s.rule_runs, RULE_TRIALS)
-    yield [("superposition.reconstruction", rep.max_reconstruction_error, rule.tolerance),
-           ("superposition.first_integral", rep.first_integral, 1e-8)]
+    rep = rule_report(s.bundle.rule, s.bundle.system, s.rule_runs, RULE_TRIALS)
+    yield [("superposition.reconstruction", rep.max_reconstruction_error),
+           ("superposition.first_integral", rep.first_integral)]
 
 
 def _automorphic(s: Scenario):
     err = reconstruction_error(s.bundle.system, s.bundle.action, s.traj, seed=s.cfg.seed)
-    tol = 1e-6 if s.bundle.action.kind == MATRIX else 1e-8
-    yield [("automorphic.reconstruction", err, tol)]
+    yield [("automorphic.reconstruction", err)]
 
 
 @cache
@@ -416,13 +415,13 @@ def _poisson(s: Scenario):
     gaps = [poisson_bracket(at, lin[a], lin[b]) - sum(c[a, b, g] * vals[g] for g in range(3))
             for a, b in itertools.product(range(3), repeat=2)]
     # np.max keeps a NaN in any position, where the builtin max drops it
-    yield [("poisson.kirillov_identity", float(np.max(np.abs(gaps))), 1e-12)]
+    yield [("poisson.kirillov_identity", float(np.max(np.abs(gaps))))]
 
     worst = float(np.max(np.abs(jacobiator(at, *coords))))
-    yield [("poisson.kirillov_jacobiator", worst, 1e-10)]
+    yield [("poisson.kirillov_jacobiator", worst)]
 
     residuals = is_foliated_lie_hamilton(adj, L, lin, trials=100, seed=s.cfg.seed)
-    yield [("poisson.adjoint_hamiltonian", float(np.max(residuals)), 1e-8)]
+    yield [("poisson.adjoint_hamiltonian", float(np.max(residuals)))]
 
     aff_pts = np.column_stack([rng.uniform(0.5, 2.0, 100),
                                rng.uniform(-1.0, 1.0, 100),
@@ -430,10 +429,10 @@ def _poisson(s: Scenario):
                                rng.uniform(-1.0, 1.0, 100)])
     at = rmatrix.at(aff_pts)
     worst = np.max(np.abs([jacobiator(at, *triple) for triple in triples]))
-    yield [("poisson.rmatrix_jacobiator", float(worst), 1e-10)]
+    yield [("poisson.rmatrix_jacobiator", float(worst))]
 
     residuals = check_rmatrix_hamiltonian(2, aff_pts[:50])
-    yield [("poisson.rmatrix_hamiltonian", float(np.max(residuals)), 1e-8)]
+    yield [("poisson.rmatrix_hamiltonian", float(np.max(residuals)))]
 
 
 def _spectrum(s: Scenario):
@@ -441,20 +440,20 @@ def _spectrum(s: Scenario):
     # (2n, 2n) matrices per sample, taken a block of samples at a time
     size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
     drift = sup_drift(bundle.observables["spectrum"], traj.states, size)
-    yield [("spectrum.drift", drift, 1e-12)]
+    yield [("spectrum.drift", drift)]
     # the Lax-pair form: the assembled field is [V, M] at every state
     gaps = []
     for i in range(0, len(traj), size):
         t, x = traj.times[i:i + size], traj.states[i:i + size]
         gaps.append(np.max(np.abs(s.F.func(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
-    yield [("spectrum.lax_pair", np.max(gaps), 1e-12)]  # np.max keeps a NaN
+    yield [("spectrum.lax_pair", np.max(gaps))]  # np.max keeps a NaN
 
 
 def _lewis(s: Scenario):
     obs = s.bundle.observables["lewis"]
     drift = sup_drift(obs, s.traj.states)
     ref = abs(obs(s.traj.states[0]))
-    yield [("lewis.relative_drift", drift / max(ref, 1e-30), 1e-6)]
+    yield [("lewis.relative_drift", drift / max(ref, 1e-30))]
 
 
 def _convergence(s: Scenario):
@@ -463,16 +462,16 @@ def _convergence(s: Scenario):
                                   _coarse_step(s.cfg))
     else:
         order = order_from_finals(*s.finals)
-    yield [("convergence.order_gap", abs(order - 4.0), 0.5)]
+    yield [("convergence.order_gap", abs(order - 4.0))]
 
 
 @dataclass(frozen=True)
 class Check:
-    """A generator of a check's rows, which yields groups of ``(row, value,
-    tolerance)`` from one Scenario, and what the bundle must carry for it:
-    ``"rule"``, ``"action"``, the name of an observable, or None."""
+    """A generator of a check's rows, which yields groups of ``(row, value)``
+    (ROWS holds the rest) from one Scenario, and what the bundle must carry
+    for it: ``"rule"``, ``"action"``, the name of an observable, or None."""
 
-    rows: Callable[[Scenario], Iterator[list[tuple[str, float, float]]]]
+    rows: Callable[[Scenario], Iterator[list[tuple[str, float]]]]
     needs: str | None = None
 
 
@@ -488,6 +487,40 @@ CHECKS = {
 }
 
 
+def rule_tolerance(bundle: mdl.ModelBundle) -> float:
+    return bundle.rule.tolerance
+
+
+def action_tolerance(bundle: mdl.ModelBundle) -> float:
+    return 1e-6 if bundle.action.kind == MATRIX else 1e-8
+
+
+# row -> (tolerance, subject, measure): the tolerance is a number or, where the
+# model sets it, a function of the bundle; the subject (the row's ``model``) is
+# None for the scenario's model
+ROWS = {
+    "foliated.com_residual": (1e-6, None, "max abs X_a(g_b) at 100 sampled (t, x)"),
+    "foliated.chart_residual": (1e-6, None, "max abs X_a(label_j) at 100 sampled x"),
+    "foliated.rank": (0.0, None, "max(0, leaf dim - least rank of the X_a) at 100 sampled x"),
+    "foliated.structure": (1e-6, None, "max abs([X_a, X_b] - c_ab^g X_g) at 100 sampled x"),
+    "leaf_drift": (0.0, None, "sup over the trajectory of abs(label(x_k) - label(x_0))"),
+    "leaf_drift.relative": (1e-6, None, "leaf drift / max(max abs label(x_0), 1e-30)"),
+    "superposition.reconstruction": (rule_tolerance, None, "sup abs(rule(x_1..m(t), k) - x(t))"),
+    "superposition.first_integral": (1e-8, None, "max abs(X_a F) / max(1, abs F) at t0"),
+    "automorphic.reconstruction": (action_tolerance, None, "sup abs(g(t) x_0 - x(t))"),
+    "poisson.kirillov_identity": (1e-12, "sl2-kirillov", "max abs({f_a, f_b} - c_ab^g f_g)"),
+    "poisson.kirillov_jacobiator": (1e-10, "sl2-kirillov", "max abs Jacobiator of coordinates"),
+    "poisson.adjoint_hamiltonian": (1e-8, "sl2-adjoint", "max abs(X_a + i_df_a Lambda)"),
+    "poisson.rmatrix_jacobiator": (1e-10, "aff2-rmatrix", "max abs Jacobiator of coordinates"),
+    "poisson.rmatrix_hamiltonian": (1e-8, "aff2-rmatrix", "max abs(X_e + i_dH_e Lambda)"),
+    "spectrum.drift": (1e-12, None, "sup over samples of the drift of the sorted spectrum"),
+    "spectrum.lax_pair": (1e-12, None, "sup over samples of abs(F(t, x) - [V, M](t, x))"),
+    "lewis.relative_drift": (1e-6, None, "sup abs(I(x_k) - I(x_0)) / max(abs I(x_0), 1e-30)"),
+    "convergence.order_gap": (0.5, None, "abs(p - 4), p the RK4 order from runs at h = "
+                              "(t1 - t0)/50, h/2, h/4; runtime_s excludes runs in the batch"),
+}
+
+
 def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     """Execute the scenario; returns reports and the written data files.
 
@@ -500,8 +533,9 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     convergence, and the convergence runs follow, each raising as it would
     then.  A batch of more than MAX_STATE_VALUES sampled values is a
     ConfigError raised before any output.  Each requested check's entry of
-    CHECKS then reads one Scenario; the rows it yields together share a
-    ``runtime_s``.
+    CHECKS then reads one Scenario and yields groups of ``(row, value)``;
+    each row's tolerance, subject and measure come from ROWS, and the rows
+    of one group share a ``runtime_s``.
     """
     bundle = build_bundle(cfg)
     for name in cfg.checks:
@@ -568,10 +602,12 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     for name in cfg.checks:
         for group in CHECKS[name].rows(scenario):
             end = time.perf_counter()
-            reports += [CheckReport(check=row, model=bundle.system.name, value=float(value),
-                                    tolerance=float(tol), runtime_s=end - start,
-                                    seed=cfg.seed)
-                        for row, value, tol in group]
+            for row, value in group:
+                tol, subject, measure = ROWS[row]
+                reports.append(CheckReport(
+                    check=row, model=subject or bundle.system.name, value=float(value),
+                    tolerance=float(tol(bundle) if callable(tol) else tol),
+                    measure=measure, runtime_s=end - start, seed=cfg.seed))
             start = end
     reports.sort(key=lambda r: (r.check, r.model))
     return reports, {"trajectory": str(traj_path)}

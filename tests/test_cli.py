@@ -491,6 +491,22 @@ def test_superposition_row_carries_the_tolerance_of_its_rule(tmp_path, monkeypat
     assert row().tolerance == 3.0 * tolerance
 
 
+def test_readme_row_table_equals_ROWS():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| row | tolerance | subject | measure |\n|---|---|---|---|\n", 1)[1]
+    cells = [[c.strip() for c in line.strip().strip("|").split("|")]
+             for line in table.split("\n\n", 1)[0].splitlines()]
+    # a tolerance is a number or the name of its source; a subject, the
+    # scenario's model or a structure
+    got = {name.strip("`"): (tol if tol.startswith("`") else float(tol), subject, measure)
+           for name, tol, subject, measure in cells}
+    want = {name: (f"`{tol.__name__}`" if callable(tol) else tol,
+                   "model" if subject is None else f"`{subject}`", measure)
+            for name, (tol, subject, measure) in folsys.cli.ROWS.items()}
+    assert len(got) == len(cells)
+    assert got == want
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"model": "riccati",
@@ -534,12 +550,23 @@ def test_cli_config_error_exit_code(tmp_path):
     {"model": "riccati", "params": {}, "checks": ["foliated"], "out": None},
     {"model": "riccati", "params": {}, "checks": ["foliated"], "out": ["a"]},
     {"model": "riccati", "params": {}, "checks": ["foliated"], "out": 3},
+    # a boolean, a numeric string and a non-finite value are not numbers,
+    # wherever a config holds a number
+    {"model": "riccati", "params": {}, "initial_state": [True]},
+    {"integration": {"t0": 0.0, "t1": True, "step": 1e-3}},
+    {"integration": {"t0": 0.0, "t1": "2", "step": 1e-3}},
+    {"model": "riccati", "params": {"a0": True}},
+    {"model": "ermakov", "params": {"c1": True}, "checks": ["leaf_drift"]},
+    {"model": "riccati", "params": {"a0": "True*2"}},
+    {"model": "riccati", "params": {}, "initial_state": [math.nan]},
+    {"model": "riccati", "params": {}, "initial_state": [math.inf]},
 ])
 def test_cli_invalid_config_values_exit_2(tmp_path, capsys, overrides):
     path = write_config(tmp_path / "bad.json", **overrides)
     rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_flags_override_the_config(tmp_path, capsys, monkeypatch):
@@ -964,7 +991,7 @@ def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
     spectra = bundle.observables["spectrum"](traj.states)
     gaps = np.abs(F.func(traj.times, traj.states)
                   - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states))
-    assert [value for _, value, _ in rows] == [np.max(np.abs(spectra - spectra[0])),
+    assert [value for _, value in rows] == [np.max(np.abs(spectra - spectra[0])),
                                                np.max(gaps)]
     # both maxima lie beyond the first block of 256 samples
     assert np.argmax(np.abs(spectra - spectra[0]).max(axis=1)) == 2000
