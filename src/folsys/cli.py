@@ -279,9 +279,9 @@ def _riccati(a0, a1, a2) -> mdl.ModelBundle:
                                 for i, a in enumerate((a0, a1, a2))))
 
 
-def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
-    """h(t, P1..Pn) of the hamilton_jacobi and lax models: the ``sum_cos``
-    preset or a compiled expression."""
+def _hamiltonian(n, hamiltonian) -> tuple[int, Callable]:
+    """n and the gradient dh/dP(t, P) of the hamilton_jacobi and lax models:
+    the ``sum_cos`` preset's, or that of a compiled expression h(t, P1..Pn)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
     # the abelian:<n> structure constants of the bundle are an (n, n, n) array
@@ -289,7 +289,7 @@ def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
         raise ConfigError(f"n = {n} needs n^3 = {n ** 3} structure constants; "
                           f"at most {MAX_STATE_VALUES} values are allowed")
     if hamiltonian == "sum_cos":
-        return mdl.sum_cos_spec(n)
+        return n, mdl.sum_cos_gradient
     variables = ("t",) + tuple(f"P{i + 1}" for i in range(n))
     fn = compile_expression(str(hamiltonian), variables)
 
@@ -300,13 +300,12 @@ def _hamiltonian(n, hamiltonian) -> mdl.HamiltonJacobiSpec:
         # one value per point, also where the expression has no P
         return v.T if isinstance(v, np.ndarray) else np.broadcast_to(v, P.shape[:-1])
 
-    return mdl.HamiltonJacobiSpec(n=n, H=H)
+    return n, mdl.hamiltonian_gradient(H)
 
 
 def _ermakov(omega2, c1, c2) -> mdl.ModelBundle:
-    return mdl.ermakov_system(mdl.ErmakovSpec(omega2=_expr_coeff("omega2", omega2, ("t", "I")),
-                                              c1=_number("c1", c1),
-                                              c2=_number("c2", c2)))
+    return mdl.ermakov_system(_expr_coeff("omega2", omega2, ("t", "I")),
+                              _number("c1", c1), _number("c2", c2))
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,8 @@ class Model:
 _HAMILTONIAN = {"n": 2, "hamiltonian": "sum_cos"}
 MODELS = {
     "riccati": Model({"a0": 1.0, "a1": 0.0, "a2": -1.0}, _riccati),
-    "hamilton_jacobi": Model(_HAMILTONIAN, lambda **p: mdl.hj_system(_hamiltonian(**p))),
-    "lax": Model(_HAMILTONIAN, lambda **p: mdl.lax_system(_hamiltonian(**p))),
+    "hamilton_jacobi": Model(_HAMILTONIAN, lambda **p: mdl.hj_system(*_hamiltonian(**p))),
+    "lax": Model(_HAMILTONIAN, lambda **p: mdl.lax_system(*_hamiltonian(**p))),
     "ermakov": Model({"omega2": "1+0.1*sin(t)", "c1": 1.0, "c2": 1.0}, _ermakov),
 }
 
@@ -436,16 +435,16 @@ def _poisson(s: Scenario):
 
 
 def _spectrum(s: Scenario):
-    bundle, traj = s.bundle, s.traj
+    observables, traj = s.bundle.observables, s.traj
     # (2n, 2n) matrices per sample, taken a block of samples at a time
-    size = max(1, SPECTRUM_BLOCK // (2 * bundle.spec.n) ** 2)
-    drift = sup_drift(bundle.observables["spectrum"], traj.states, size)
+    size = max(1, SPECTRUM_BLOCK // s.bundle.system.dim ** 2)
+    drift = sup_drift(observables["spectrum"], traj.states, size)
     yield [("spectrum.drift", drift)]
     # the Lax-pair form: the assembled field is [V, M] at every state
     gaps = []
     for i in range(0, len(traj), size):
         t, x = traj.times[i:i + size], traj.states[i:i + size]
-        gaps.append(np.max(np.abs(s.F.func(t, x) - mdl.lax_pair_rhs(bundle.spec, t, x))))
+        gaps.append(np.max(np.abs(s.F.func(t, x) - observables["lax_pair"](t, x))))
     yield [("spectrum.lax_pair", np.max(gaps))]  # np.max keeps a NaN
 
 
@@ -468,21 +467,21 @@ def _convergence(s: Scenario):
 @dataclass(frozen=True)
 class Check:
     """A generator of a check's rows, which yields groups of ``(row, value)``
-    (ROWS holds the rest) from one Scenario, and what the bundle must carry
-    for it: ``"rule"``, ``"action"``, the name of an observable, or None."""
+    (ROWS holds the rest) from one Scenario, and all it reads of the bundle
+    but the system and default state: ``"rule"``, ``"action"``, observables."""
 
     rows: Callable[[Scenario], Iterator[list[tuple[str, float]]]]
-    needs: str | None = None
+    needs: tuple[str, ...] = ()
 
 
 CHECKS = {
     "foliated": Check(_foliated),
     "leaf_drift": Check(_leaf_drift),
-    "superposition": Check(_superposition, "rule"),
-    "automorphic": Check(_automorphic, "action"),
+    "superposition": Check(_superposition, ("rule",)),
+    "automorphic": Check(_automorphic, ("action",)),
     "poisson": Check(_poisson),
-    "spectrum": Check(_spectrum, "spectrum"),
-    "lewis": Check(_lewis, "lewis"),
+    "spectrum": Check(_spectrum, ("spectrum", "lax_pair")),
+    "lewis": Check(_lewis, ("lewis",)),
     "convergence": Check(_convergence),
 }
 
@@ -539,10 +538,10 @@ def run(cfg: ScenarioConfig) -> tuple[list[CheckReport], dict]:
     """
     bundle = build_bundle(cfg)
     for name in cfg.checks:
-        need = CHECKS[name].needs
-        if need and bundle.observables.get(need, getattr(bundle, need, None)) is None:
-            raise ConfigError(f"check {name!r} not supported for {bundle.system.name}: "
-                              f"the model carries no {need}")
+        for need in CHECKS[name].needs:
+            if bundle.observables.get(need, getattr(bundle, need, None)) is None:
+                raise ConfigError(f"check {name!r} not supported for {bundle.system.name}: "
+                                  f"the model carries no {need}")
     x0 = bundle.default_state
     if cfg.initial_state is not None:
         x0 = np.asarray(cfg.initial_state, dtype=float)

@@ -6,9 +6,9 @@ Conventions worth pinning down once:
 * Hamiltonian model on (Q, P): dQ^i/dt = -dH/dP^i(t, P), dP/dt = 0.  The
   translation fields d/dQ^i carry coefficients -dH/dP^i.
 
-* Block ("Lax") model on v = (v^1..v^n, I = v^{n+1}..v^{2n}), built from a
-  Hamiltonian h(t, I): the dynamics are generated from the matrix
-  commutator dv/dt = [v, m] with m = -sum_a f_a(t, I) e_a and
+* Block ("Lax") model on v = (v^1..v^n, I = v^{n+1}..v^{2n}), built from the
+  gradient dh/dI(t, I) of a Hamiltonian: the dynamics are generated from the
+  matrix commutator dv/dt = [v, m] with m = -sum_a f_a(t, I) e_a and
   f_a = (dh/dI_a) / I_a, which in components gives dv^a/dt = -2 dh/dI_a.
   The commutator is the structural definition and fixes every sign
   downstream; the translation fields 2 d/dv^a carry coefficients -dh/dI_a,
@@ -48,7 +48,6 @@ class ModelBundle:
     action: GroupAction | None
     default_state: np.ndarray
     observables: dict = field(default_factory=dict)
-    spec: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -164,51 +163,33 @@ def riccati_system(a0: Callable[[np.ndarray], np.ndarray],
 # Momentum-conserving Hamiltonian flow on (Q, P).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HamiltonJacobiSpec:
-    """H(t, P) maps momenta ``(..., n)`` to one value per point ``(...)``;
-    ``dH`` maps them to ``(..., n)``.  ``t`` is an array of times ``(...)``,
-    one per point."""
+def sum_cos_gradient(t, P) -> np.ndarray:
+    """dH/dP = -t sin(t P_i) of H(t, P) = sum_i cos(t P_i), at momenta
+    ``(..., n)`` and an array of times ``(...)``, one per point."""
+    t = np.asarray(t)[..., None]  # times (...) against momenta (..., n)
+    return -t * np.sin(t * P)
 
-    n: int
-    H: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dH: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def gradient(self, t: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """dH/dP at momenta ``(..., n)``: the analytic ``dH``, else central
-        differences from one call of H on the ``(2n, ..., n)`` block of
-        perturbed momenta, where H must return one value per point."""
-        P = np.asarray(P, dtype=float)
-        if self.dH is not None:
-            return np.asarray(self.dH(t, P), dtype=float)
-
+def hamiltonian_gradient(H: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """dH/dP(t, P) of an H(t, P) that maps momenta ``(..., n)`` and an array
+    of times ``(...)`` to one value per point ``(...)``: central differences
+    from one call of H on the ``(2n, ..., n)`` block of perturbed momenta."""
+    def gradient(t, P):
         def values(pts):
-            v = np.asarray(self.H(t, pts), dtype=float)
+            v = np.asarray(H(t, pts), dtype=float)
             if v.shape != pts.shape[:-1]:
                 raise DimensionMismatchError(
                     f"H returned shape {v.shape} for momenta of shape {pts.shape}; "
                     f"need one value per point")
             return v
 
-        g = central_differences(values, P, ())
+        g = central_differences(values, np.asarray(P, dtype=float), ())
         return g.transpose((*range(1, g.ndim), 0))  # (n, ...) -> (..., n)
 
-
-def sum_cos_spec(n: int) -> HamiltonJacobiSpec:
-    """H(t, P) = sum_i cos(t P_i) with analytic gradient -t sin(t P_i)."""
-
-    def H(t, P):
-        t = np.asarray(t)[..., None]  # times (...) against momenta (..., n)
-        return np.sum(np.cos(t * P), axis=-1)
-
-    def dH(t, P):
-        t = np.asarray(t)[..., None]
-        return -t * np.sin(t * P)
-
-    return HamiltonJacobiSpec(n=n, H=H, dH=dH)
+    return gradient
 
 
-def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
+def _translation_model(name: str, n: int, dH, scale: float, q0,
                        labels: tuple[str, str], observables=None) -> ModelBundle:
     """Leaves P = const of R^{2n} = (Q, P), fields ``scale`` d/dQ^i with
     coefficients -dH/dP^i(t, P).
@@ -217,9 +198,8 @@ def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
     name prefix and the action name.  The default state is (q0, P) with P
     spread over [1, 1.5].
     """
-    n = spec.n
     dim = 2 * n
-    coeffs = lambda t, x: -spec.gradient(t, x[..., n:])
+    coeffs = lambda t, x: -dH(t, x[..., n:])
 
     # constant fields, so along a solution the system depends on time alone
     flds = tuple(VectorField.constant(scale * np.eye(dim)[i], name=f"{labels[0]}{i + 1}")
@@ -241,11 +221,12 @@ def _translation_model(name: str, spec: HamiltonJacobiSpec, scale: float, q0,
     default_state = np.concatenate([q0, np.linspace(1.0, 1.5, n)])
     return ModelBundle(system=system, rule=translation_rule(n),
                        action=action, default_state=default_state,
-                       observables=observables or {}, spec=spec)
+                       observables=observables or {})
 
 
-def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
-    """Flow of dQ/dt = -dH/dP(t, P), dP/dt = 0 as a decomposed system.
+def hj_system(n: int, dH) -> ModelBundle:
+    """Flow of dQ/dt = -dH(t, P), dP/dt = 0 on R^{2n} as a decomposed system,
+    the gradient map ``dH`` taking momenta ``(..., n)`` to ``(..., n)``.
 
     For a generic H the time-slice fields -dH/dP(t, P) d/dQ span an
     infinite-dimensional function space, so no finite basis captures the
@@ -253,7 +234,7 @@ def hj_system(spec: HamiltonJacobiSpec) -> ModelBundle:
     into the n coordinate translations, which is exactly what the
     decomposition (and everything built on it) exploits.
     """
-    return _translation_model("hamilton_jacobi", spec, 1.0, np.zeros(spec.n),
+    return _translation_model("hamilton_jacobi", n, dH, 1.0, np.zeros(n),
                               ("dQ", "Q-translation"))
 
 
@@ -272,9 +253,9 @@ def lax_matrix(n: int, v) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def lax_pair_rhs(spec: HamiltonJacobiSpec, t, v) -> np.ndarray:
+def lax_pair_rhs(dH, t, v) -> np.ndarray:
     """Component derivatives read off the commutator [V, M], where
-    M = -sum_a f_a(t, I) e_a, f_a = (dh/dI_a) / I_a and I = (v^{n+1}..v^{2n}).
+    M = -sum_a f_a(t, I) e_a, f_a = dH(t, I)_a / I_a and I = (v^{n+1}..v^{2n}).
 
     ``v`` is one state ``(2n,)`` or a block ``(..., 2n)``; ``t`` is an
     array of times broadcasting against ``v.shape[:-1]``.  Where an
@@ -282,10 +263,10 @@ def lax_pair_rhs(spec: HamiltonJacobiSpec, t, v) -> np.ndarray:
     infinite, without a warning.
     """
     v = np.asarray(v, dtype=float)
-    n = spec.n
+    n = v.shape[-1] // 2
     V = lax_matrix(n, v)
     M = np.zeros(V.shape)
-    f = spec.gradient(t, v[..., n:]) / v[..., n:]
+    f = dH(t, v[..., n:]) / v[..., n:]
     for a in range(n):
         M[..., 2 * a, 2 * a + 1] = -f[..., a]
     C = V @ M - M @ V
@@ -302,42 +283,31 @@ def lax_spectrum(n: int, v) -> np.ndarray:
     return np.sort(eig.real, axis=-1)
 
 
-def lax_system(spec: HamiltonJacobiSpec) -> ModelBundle:
-    """The block model of h = spec.H: fields 2 d/dv^a with coefficients
-    -dh/dI_a, from dv^a/dt = -2 f_a I_a."""
-    n = spec.n
-    return _translation_model("lax", spec, 2.0, np.linspace(0.5, -0.3, n),
+def lax_system(n: int, dH) -> ModelBundle:
+    """The block model of the gradient ``dH(t, I)`` of h: fields 2 d/dv^a
+    with coefficients -dh/dI_a, from dv^a/dt = -2 f_a I_a.  Its observables
+    are the spectrum and the Lax-pair form ``(t, v) -> [V, M]``."""
+    return _translation_model("lax", n, dH, 2.0, np.linspace(0.5, -0.3, n),
                               ("2dv", "block-translation"),
-                              observables={"spectrum": lambda x: lax_spectrum(n, x)})
+                              observables={"spectrum": lambda x: lax_spectrum(n, x),
+                                           "lax_pair": lambda t, v: lax_pair_rhs(dH, t, v)})
 
 
 # ---------------------------------------------------------------------------
 # Generalized Ermakov system.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErmakovSpec:
-    """omega2(t, I) takes invariant values ``(...)`` and an array of times
-    broadcasting against them, and returns one frequency per value, or one
-    I-independent frequency."""
-
-    omega2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    c1: float = 1.0
-    c2: float = 1.0
-
-
-def lewis_invariant(spec: ErmakovSpec, state):
+def lewis_invariant(c1: float, c2: float, state):
     # .T splits off the last axis and puts the result back: (..., 4) -> (...)
     x, y, vx, vy = np.asarray(state, dtype=float).T
     w = x * vy - y * vx
-    return (0.5 * w * w + spec.c1 * x / y + spec.c2 * y / x).T
+    return (0.5 * w * w + c1 * x / y + c2 * y / x).T
 
 
-def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorField]:
+def ermakov_fields(c1: float, c2: float) -> tuple[VectorField, VectorField, VectorField]:
     """X1 = (vx, vy, c2/(x^2 y), c1/(x y^2)), X2 = (x, y, -vx, -vy)/2 and
     X3 = (0, 0, -x, -y); with c1 = c2 = 0 all three are linear and built by
     ``VectorField.linear``, so the uncoupled flow is linear."""
-    c1, c2 = spec.c1, spec.c2
     half = np.array([0.5, 0.5, -0.5, -0.5])
     if c1 == 0.0 and c2 == 0.0:
         return (VectorField.linear(np.eye(4, k=2), name="X1"),
@@ -362,7 +332,7 @@ def ermakov_fields(spec: ErmakovSpec) -> tuple[VectorField, VectorField, VectorF
             VectorField(4, f3, name="X3"))
 
 
-def _ermakov_combine(spec: ErmakovSpec):
+def _ermakov_combine(c1: float, c2: float):
     """g1 X1 + g2 X2 + g3 X3 of the coupled fields, on the coefficient rows
     of ``lie_system`` (``c[a]`` one number, or a column against states
     ``(B, 4)``), in the order of operations of ``assemble``'s per-field sum
@@ -371,8 +341,8 @@ def _ermakov_combine(spec: ErmakovSpec):
     def terms(g1, g2, g3, x, y, vx, vy):
         return (0.0 + g1 * vx + g2 * (x * 0.5) + g3 * 0.0,
                 0.0 + g1 * vy + g2 * (y * 0.5) + g3 * 0.0,
-                0.0 + g1 * (spec.c2 / (x * x * y)) + g2 * (vx * -0.5) + g3 * -x,
-                0.0 + g1 * (spec.c1 / (x * y * y)) + g2 * (vy * -0.5) + g3 * -y)
+                0.0 + g1 * (c2 / (x * x * y)) + g2 * (vx * -0.5) + g3 * -x,
+                0.0 + g1 * (c1 / (x * y * y)) + g2 * (vy * -0.5) + g3 * -y)
 
     def combine(c, s):
         # the state's columns (..., 1), against the rows of c
@@ -382,45 +352,49 @@ def _ermakov_combine(spec: ErmakovSpec):
     return combine
 
 
-def ermakov_system(spec: ErmakovSpec) -> ModelBundle:
-    flds = ermakov_fields(spec)
+def ermakov_system(omega2: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   c1: float, c2: float) -> ModelBundle:
+    """The Ermakov model with coupling constants c1, c2; omega2(t, I) takes
+    invariant values ``(...)`` and an array of times broadcasting against
+    them, and returns one frequency per value, or one I-independent
+    frequency."""
+    flds = ermakov_fields(c1, c2)
     # box keeps x, y away from the axes so finite differences of the
     # invariant stay well below the verification tolerances
     box = Box([0.8, 0.8, -0.6, -0.6], [1.6, 1.6, 0.6, 0.6])
 
     def leaf_point(labels):
         k = float(np.atleast_1d(labels)[0])
-        w2 = 2.0 * (k - spec.c1 - spec.c2)
+        w2 = 2.0 * (k - c1 - c2)
         if w2 < 0.0:
             raise ValueError(f"no representative point for invariant value {k}")
         return np.array([1.0, 1.0, 0.0, np.sqrt(w2)])
 
-    chart = FoliationChart(4, 3, lambda s: lewis_invariant(spec, s)[..., None],
+    chart = FoliationChart(4, 3, lambda s: lewis_invariant(c1, c2, s)[..., None],
                            leaf_point=leaf_point)
 
     def coeffs(t, s):
         out = np.zeros(s.shape[:-1] + (3,))
         out[..., 0] = 1.0
-        out[..., 2] = spec.omega2(t, lewis_invariant(spec, s))
+        out[..., 2] = omega2(t, lewis_invariant(c1, c2, s))
         return out
 
     def domain(s):
         return (np.abs(s[..., 0]) >= ERMAKOV_GUARD) & (np.abs(s[..., 1]) >= ERMAKOV_GUARD)
 
     # the uncoupled fields are linear: assemble steps them by step matrices
-    combine = None if flds[0].matrix is not None else _ermakov_combine(spec)
+    combine = None if flds[0].matrix is not None else _ermakov_combine(c1, c2)
     system = FoliatedSystem(_sl2_algebra(("X1", "X2", "X3")), flds, box, coeffs,
                             chart, name="ermakov", domain=domain, combine=combine)
-    observables = {"lewis": lambda s: lewis_invariant(spec, s)}
+    observables = {"lewis": lambda s: lewis_invariant(c1, c2, s)}
     # only the uncoupled member admits the linear group action
-    action = (ermakov_matrix_action(spec) if spec.c1 == 0.0 and spec.c2 == 0.0
-              else None)
+    action = ermakov_matrix_action() if c1 == 0.0 and c2 == 0.0 else None
     return ModelBundle(system=system, rule=None,
                        action=action, default_state=np.array([1.0, 1.0, 0.0, 1.0]),
-                       observables=observables, spec=spec)
+                       observables=observables)
 
 
-def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
+def ermakov_matrix_action() -> GroupAction:
     """Linear 2x2 action on the (x, vx) and (y, vy) pairs simultaneously.
 
     Only the uncoupled c1 = c2 = 0 member is linear, so the action (and the
@@ -428,8 +402,6 @@ def ermakov_matrix_action(spec: ErmakovSpec) -> GroupAction:
     Experimental: the leafwise group structure of the coupled system is not
     modeled here.
     """
-    if spec.c1 != 0.0 or spec.c2 != 0.0:
-        raise ValueError("matrix action requires c1 = c2 = 0")
     A1 = np.array([[0.0, -1.0], [0.0, 0.0]])
     A2 = np.array([[-0.5, 0.0], [0.0, 0.5]])
     A3 = np.array([[0.0, 0.0], [1.0, 0.0]])

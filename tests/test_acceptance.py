@@ -18,8 +18,7 @@ from folsys.fields import directional_derivative, structure_residual
 from folsys.foliated import assemble, leaf_drift, verify_foliated
 from folsys.integrate import convergence_order, integrate
 from folsys.fields import TDependentVectorField
-from folsys.models import (hj_system, lax_spectrum, lax_system, lewis_invariant,
-                           sum_cos_spec)
+from folsys.models import hj_system, lax_spectrum, lax_system, sum_cos_gradient
 from folsys.poisson import (adjoint_foliated_system, check_rmatrix_hamiltonian,
                             hamiltonian_residual, is_foliated_lie_hamilton,
                             jacobiator, kirillov_bivector, linear_coordinates,
@@ -63,8 +62,8 @@ def test_criterion_02_integrator_order():
 def test_criterion_03_foliated_verification():
     worst = 0.0
     all_rank = True
-    systems = [hj_system(sum_cos_spec(n)).system for n in (1, 2, 3)]
-    systems += [lax_system(sum_cos_spec(n)).system for n in (1, 2, 3)]
+    systems = [hj_system(n, sum_cos_gradient).system for n in (1, 2, 3)]
+    systems += [lax_system(n, sum_cos_gradient).system for n in (1, 2, 3)]
     systems.append(model_bundle("ermakov").system)
     for fs in systems:
         rep = verify_foliated(fs, trials=100, seed=42)
@@ -84,7 +83,7 @@ def test_criterion_04_leaf_invariance():
     erm = model_bundle("ermakov")
     traj = integrate(assemble(erm.system), erm.default_state, 0.0, 5.0, 1e-3)
     rel = leaf_drift(traj, erm.system.chart) / abs(
-        lewis_invariant(erm.spec, erm.default_state))
+        erm.observables["lewis"](erm.default_state))
     ok = drifts["hamilton_jacobi"] == 0.0 and drifts["lax"] == 0.0 and rel <= 1e-6
     report(4, "leaf invariance", ok,
            f"hj={drifts['hamilton_jacobi']} lax={drifts['lax']} "
@@ -179,7 +178,7 @@ def test_criterion_08_shared_reduction():
     for b in (hj, lax):
         direct = integrate(assemble(b.system), b.default_state, 0.0, 2.0, 1e-3)
         errs[b.system.name] = reconstruction_error(b.system, b.action, direct)
-    traj = integrate(assemble(hj_system(sum_cos_spec(1)).system),
+    traj = integrate(assemble(hj_system(1, sum_cos_gradient).system),
                      np.array([0.0, 1.0]), 0.0, np.pi, 1e-3)
     q_err = abs(traj.final_state[0] - np.pi)
     ok = (coeff <= 1e-12 and errs["hamilton_jacobi"] <= 1e-8
@@ -245,7 +244,7 @@ def test_criterion_10_poisson_layer():
 def test_criterion_11_isospectrality():
     worst = 0.0
     for n in (1, 2, 3):
-        bundle = lax_system(sum_cos_spec(n))
+        bundle = lax_system(n, sum_cos_gradient)
         traj = integrate(assemble(bundle.system), bundle.default_state,
                          0.0, 2.0, 1e-3)
         ref = lax_spectrum(n, traj.states[0])

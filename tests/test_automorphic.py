@@ -18,8 +18,8 @@ from folsys.errors import (BlowUpError, ConfigError, DimensionMismatchError,
 from folsys.fields import TDependentVectorField
 from folsys.foliated import assemble, leaf_of
 from folsys.integrate import Trajectory, integrate
-from folsys.models import (ErmakovSpec, HamiltonJacobiSpec, ermakov_matrix_action,
-                           ermakov_system, hj_system, lax_system, sum_cos_spec)
+from folsys.models import (ermakov_matrix_action, ermakov_system, hj_system,
+                           lax_system, sum_cos_gradient)
 from folsys.util import seeded_rng
 
 from .conftest import SPLIT_MATRICES, group_action, model_bundle
@@ -57,10 +57,9 @@ def _fundamental_field_residual_per_point(action, fields, points):
 
 
 def test_fundamental_field_residual_computes_each_exponential_once(monkeypatch):
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
     cases = [(model_bundle(name).action, model_bundle(name).system)
              for name in ("hamilton_jacobi", "lax")]
-    cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
+    cases.append((ermakov_matrix_action(), ermakov_system(lambda t, I: 1.0, 0.0, 0.0).system))
     for action, fs in cases:
         pts = fs.box.sample_many(seeded_rng(3), 25)
         ref = _fundamental_field_residual_per_point(action, fs.fields, pts)
@@ -145,8 +144,7 @@ def test_expm_of_a_non_finite_entry_is_non_finite_without_a_warning(value):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_reduce_rejects_a_non_finite_generator(value):
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
-    action = ermakov_matrix_action(spec)
+    action = ermakov_matrix_action()
     A = action.generators[1].copy()
     A[0, 0] = value
     bad = dataclasses.replace(action, generators=(action.generators[0], A,
@@ -154,11 +152,11 @@ def test_reduce_rejects_a_non_finite_generator(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IncompatibleActionError, match="residual nan"):
-            reduce_system(ermakov_system(spec).system, bad)
+            reduce_system(ermakov_system(lambda t, I: 1.0, 0.0, 0.0).system, bad)
 
 
 def test_reduce_hj_coefficients_are_hamiltonian_gradient():
-    hj = hj_system(sum_cos_spec(2))
+    hj = hj_system(2, sum_cos_gradient)
     coeffs = reduce_system(hj.system, hj.action)
     assert hj.action.kind == ABELIAN
     rng = seeded_rng(3)
@@ -171,8 +169,7 @@ def test_reduce_hj_coefficients_are_hamiltonian_gradient():
 
 
 def test_reduce_lax_coefficients_are_leaf_gradient():
-    spec = sum_cos_spec(2)
-    lax = lax_system(spec)
+    lax = lax_system(2, sum_cos_gradient)
     coeffs = reduce_system(lax.system, lax.action)
     rng = seeded_rng(3)
     for _ in range(20):
@@ -185,9 +182,8 @@ def test_reduce_lax_coefficients_are_leaf_gradient():
 def test_shared_reduction_coefficients_pointwise_equal():
     # the Hamiltonian and block models with matched data reduce to the same
     # translation coefficients under the leaf identification
-    spec = sum_cos_spec(2)
-    hj = hj_system(spec)
-    lax = lax_system(spec)
+    hj = hj_system(2, sum_cos_gradient)
+    lax = lax_system(2, sum_cos_gradient)
     hj_red = reduce_system(hj.system, hj.action)
     lax_red = reduce_system(lax.system, lax.action)
     rng = seeded_rng(13)
@@ -198,7 +194,7 @@ def test_shared_reduction_coefficients_pointwise_equal():
 
 
 def test_solve_abelian_quadrature_cos_hamiltonian():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     coeffs = reduce_system(hj.system, hj.action)
     curve = solve_abelian(hj.action, coeffs, np.array([1.0]), 0.0, np.pi, 1e-3)
     # closed form: integral of -t sin t over [0, pi] is -pi
@@ -223,9 +219,7 @@ def test_reduced_coefficient_map_of_wrong_shape_raises():
 
 def test_solve_abelian_constant_gradient():
     # H = P^2/2 at P = 3: lambda(1) = 3, reconstruction Q(1) = Q(0) - 3
-    spec = HamiltonJacobiSpec(1, H=lambda t, P: float(P[0] ** 2) / 2.0,
-                              dH=lambda t, P: P.copy())
-    hj = hj_system(spec)
+    hj = hj_system(1, lambda t, P: P.copy())
     coeffs = reduce_system(hj.system, hj.action)
     curve = solve_abelian(hj.action, coeffs, np.array([3.0]), 0.0, 1.0, 1e-3)
     assert curve.states[-1, 0] == pytest.approx(3.0, abs=1e-12)
@@ -338,8 +332,7 @@ def test_reconstruct_identity_curve_is_constant():
 
 def test_reconstruct_lax_hand_value():
     # n = 1, v(0) = (5, 3), H = I^2/2: the reduced coefficient is dH/dI = I
-    lax = lax_system(HamiltonJacobiSpec(1, H=lambda t, I: 0.5 * np.sum(I * I, axis=-1),
-                                        dH=lambda t, I: I.copy()))
+    lax = lax_system(1, lambda t, I: I.copy())
     coeffs = reduce_system(lax.system, lax.action)
     curve = solve_abelian(lax.action, coeffs, np.array([3.0]), 0.0, 1.0, 1e-3)
     assert curve.states[-1, 0] == pytest.approx(3.0, abs=1e-12)
@@ -362,24 +355,17 @@ def test_reconstruction_error_hj_lax():
 
 
 def test_reconstruction_error_ermakov_matrix_case():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t), c1=0.0, c2=0.0)
-    bundle = ermakov_system(spec)
-    action = ermakov_matrix_action(spec)
+    bundle = ermakov_system(lambda t, I: 1.0 + 0.1 * np.sin(t), 0.0, 0.0)
+    action = ermakov_matrix_action()
     x0 = np.array([1.0, 1.2, 0.3, -0.2])
     direct = integrate(assemble(bundle.system), x0, 0.0, 2.0, 1e-3)
     err = reconstruction_error(bundle.system, action, direct)
     assert err <= 1e-6
 
 
-def test_ermakov_matrix_action_requires_uncoupled():
-    with pytest.raises(ValueError):
-        ermakov_matrix_action(ErmakovSpec(omega2=lambda t, I: 1.0, c1=1.0, c2=1.0))
-
-
 def test_matrix_generator_commutators():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
-    bundle = ermakov_system(spec)
-    action = ermakov_matrix_action(spec)
+    bundle = ermakov_system(lambda t, I: 1.0, 0.0, 0.0)
+    action = ermakov_matrix_action()
     A = np.array(action.generators)
     c = bundle.system.algebra.structure
     # [A_a, A_b] = sum_g c[a, b, g] A_g
@@ -598,11 +584,10 @@ def test_solve_abelian_keeps_the_argument_errors_of_integrate():
 
 
 def test_shipped_actions_act_on_blocks_point_by_point():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=0.0, c2=0.0)
     rng = seeded_rng(5)
     cases = [(model_bundle(name).action, model_bundle(name).system)
              for name in ("hamilton_jacobi", "lax")]
-    cases.append((ermakov_matrix_action(spec), ermakov_system(spec).system))
+    cases.append((ermakov_matrix_action(), ermakov_system(lambda t, I: 1.0, 0.0, 0.0).system))
     for action, fs in cases:
         pts = fs.box.sample_many(rng, 12).reshape(3, 4, -1)
         for a in range(len(action.generators)):

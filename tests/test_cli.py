@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import importlib.util
 import itertools
 import json
@@ -217,7 +218,8 @@ def test_build_bundle_expression_models():
     bundle = model_bundle("ermakov", omega2="1+0.1*sin(t)", c1=1.0, c2=1.0)
     assert bundle.system.name == "ermakov"
     b2 = model_bundle("hamilton_jacobi", n=1, hamiltonian="cos(t*P1)")
-    assert b2.spec.H(0.5, np.array([1.2])) == pytest.approx(np.cos(0.6))
+    # the coefficient -dh/dP1 of h = cos(t P1) is t sin(t P1)
+    assert b2.system.coeffs(0.5, np.array([0.0, 1.2])) == pytest.approx([0.5 * np.sin(0.6)])
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -963,7 +965,7 @@ def test_a_lax_leaf_with_a_zero_coordinate_fails_only_its_lax_pair_row(tmp_path)
 
 def _moving_lax_trajectory(bundle, samples):
     """Samples of the lax model whose labels (the spectrum) grow with time."""
-    n = bundle.spec.n
+    n = bundle.system.dim // 2
     times = np.linspace(0.0, 2.0, samples)
     states = np.tile(bundle.default_state, (samples, 1))
     states[:, n:] *= 1.0 + 0.1 * times[:, None]
@@ -990,7 +992,7 @@ def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
     # the rows as evaluated on the whole trajectory at once
     spectra = bundle.observables["spectrum"](traj.states)
     gaps = np.abs(F.func(traj.times, traj.states)
-                  - mdl.lax_pair_rhs(bundle.spec, traj.times, traj.states))
+                  - bundle.observables["lax_pair"](traj.times, traj.states))
     assert [value for _, value in rows] == [np.max(np.abs(spectra - spectra[0])),
                                                np.max(gaps)]
     # both maxima lie beyond the first block of 256 samples
@@ -1007,3 +1009,168 @@ def test_spectrum_rows_over_blocks_equal_one_pass_and_bound_memory():
         finally:
             tracemalloc.stop()
         assert peak < 4e6, (samples, peak)
+
+
+# --- failing twins: a finite fault fails exactly the rows that measure it -------
+
+def _failing_rows(out) -> dict:
+    rows = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    return {r["check"]: r for r in rows if r["status"] == "fail"}
+
+
+def test_lax_fields_with_a_momentum_component_fail_the_leaf_and_spectrum_rows(
+        tmp_path, monkeypatch):
+    # the field 2 d/dv^1 also moves I_1 by 1e-3 per unit of its coefficient:
+    # the labels, hence the spectrum, drift, and the field leaves [V, M]
+    def build(cfg):
+        bundle = build_bundle(cfg)
+        fs = bundle.system
+        drifting = VectorField.constant(fs.fields[0].value + 1e-3 * np.eye(fs.dim)[fs.dim // 2],
+                                        name=fs.fields[0].name)
+        return dataclasses.replace(bundle, system=dataclasses.replace(
+            fs, fields=(drifting,) + fs.fields[1:]))
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", build)
+    cfg_path = write_config(tmp_path / "cfg.json", model="lax",
+                            checks=["leaf_drift", "spectrum", "convergence"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert set(_failing_rows(out)) == {"leaf_drift", "spectrum.drift", "spectrum.lax_pair"}
+
+
+def test_ermakov_at_a_coarse_step_fails_both_relative_invariant_rows_equally(tmp_path):
+    # the chart's label is the Lewis invariant, so both rows measure one drift
+    raw = dict(json.loads((CONFIGS / "ermakov.json").read_text()), checks=["leaf_drift", "lewis"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "--step", "0.5"]) == 1
+    failing = _failing_rows(out)
+    assert set(failing) == {"leaf_drift.relative", "lewis.relative_drift"}
+    assert failing["leaf_drift.relative"]["value"] == failing["lewis.relative_drift"]["value"]
+
+
+@pytest.mark.parametrize("model, params", [
+    ("hamilton_jacobi", {}), ("ermakov", {"c1": 0.0, "c2": 0.0})], ids=("abelian", "matrix"))
+def test_a_perturbed_group_curve_fails_the_reconstruction_row(tmp_path, monkeypatch,
+                                                               model, params):
+    reconstruct = folsys.automorphic.reconstruct
+
+    def perturbed(action, curve, x0):
+        # every group element scaled by 1 + 1e-3: for the matrix group the
+        # identity too, for the abelian group all but lambda(t0) = 0
+        return reconstruct(action, Trajectory(curve.times, curve.states * (1.0 + 1e-3),
+                                              curve.step), x0)
+
+    monkeypatch.setattr(folsys.automorphic, "reconstruct", perturbed)
+    cfg_path = write_config(tmp_path / "cfg.json", model=model, params=params,
+                            checks=["leaf_drift", "automorphic"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert set(_failing_rows(out)) == {"automorphic.reconstruction"}
+
+
+def _forward_euler(F, x0, t0, t1, h):
+    """x0 carried from t0 to t1 by forward Euler steps of h: first order."""
+    x = np.asarray(x0, dtype=float)
+    steps = round((t1 - t0) / h)
+    for k in range(steps):
+        x = x + h * F(t0 + k * h, x)
+    return Trajectory(np.array([t0, t1]), np.array([x0, x]), h)
+
+
+def test_first_order_convergence_runs_fail_the_order_gap_row(tmp_path, monkeypatch):
+    # convergence_order steps the runs by the integrate of its own module
+    # (which the package's name ``folsys.integrate`` hides), the scenario
+    # trajectory by the cli's
+    monkeypatch.setattr(importlib.import_module("folsys.integrate"), "integrate",
+                        _forward_euler)
+    cfg_path = write_config(tmp_path / "cfg.json", model="riccati", params={},
+                            checks=["leaf_drift", "convergence"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    failing = _failing_rows(out)
+    assert set(failing) == {"convergence.order_gap"}
+    # first-order errors against the h/4 run read p = log2(3) ~ 1.58
+    assert failing["convergence.order_gap"]["value"] == pytest.approx(4.0 - math.log2(3.0),
+                                                                     abs=0.05)
+
+
+@pytest.fixture
+def fresh_poisson_setup():
+    """The battery's parts built afresh for the test and again after it."""
+    folsys.cli._poisson_setup.cache_clear()
+    yield
+    folsys.cli._poisson_setup.cache_clear()
+
+
+def test_a_kirillov_bivector_off_the_jacobi_identity_fails_its_jacobiator_row(
+        tmp_path, monkeypatch, fresh_poisson_setup):
+    # [e0, e1] = -2 e0 becomes -(2 + 1e-3) e0: the Jacobiator of the
+    # bracket is 1e-3 e1, the brackets of the linear coordinates no longer
+    # close on sl2's constants, and sl2's adjoint fields are no longer the
+    # Hamiltonian fields of the bivector; the r-matrix rows stay
+    kirillov_bivector = folsys.cli.kirillov_bivector
+
+    def perturbed(alg, metric):
+        c = alg.structure.copy()
+        c[0, 1, 0] -= 1e-3
+        c[1, 0, 0] += 1e-3
+        return kirillov_bivector(dataclasses.replace(alg, structure=c), metric)
+
+    monkeypatch.setattr(folsys.cli, "kirillov_bivector", perturbed)
+    cfg_path = write_config(tmp_path / "cfg.json", checks=["poisson"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert set(_failing_rows(out)) == {"poisson.kirillov_jacobiator",
+                                       "poisson.kirillov_identity",
+                                       "poisson.adjoint_hamiltonian"}
+
+
+# --- each check reads of the bundle only what its needs name --------------------
+
+def _stripped(bundle, needs):
+    """``bundle`` with its system and default state, and of its rule, action
+    and observables only those that ``needs`` names."""
+    return mdl.ModelBundle(system=bundle.system,
+                           rule=bundle.rule if "rule" in needs else None,
+                           action=bundle.action if "action" in needs else None,
+                           default_state=bundle.default_state,
+                           observables={key: obs for key, obs in bundle.observables.items()
+                                        if key in needs})
+
+
+def _rows_but_runtime(reports):
+    return [(r.check, r.model, struct.pack("<d", r.value), r.tolerance, r.measure, r.seed)
+            for r in reports]
+
+
+@pytest.mark.parametrize("raw, check", [
+    pytest.param(raw, check, id=f"{path.stem}-{check}")
+    for path in sorted(CONFIGS.glob("*.json"))
+    for raw in [json.loads(path.read_text())] for check in raw["checks"]])
+def test_a_check_reads_only_the_bundle_parts_its_needs_name(tmp_path, monkeypatch,
+                                                            raw, check):
+    raw = dict(raw, checks=[check])
+    full, _ = run(ScenarioConfig.from_dict(dict(raw, out=str(tmp_path / "full"))))
+    needs = folsys.cli.CHECKS[check].needs
+    monkeypatch.setattr(folsys.cli, "build_bundle",
+                        lambda cfg: _stripped(build_bundle(cfg), needs))
+    lean, _ = run(ScenarioConfig.from_dict(dict(raw, out=str(tmp_path / "lean"))))
+    assert _rows_but_runtime(lean) == _rows_but_runtime(full)
+
+
+def test_a_lax_bundle_without_its_lax_pair_form_cannot_run_spectrum(tmp_path, monkeypatch,
+                                                                     capsys):
+    def build(cfg):
+        bundle = build_bundle(cfg)
+        return dataclasses.replace(bundle, observables={
+            "spectrum": bundle.observables["spectrum"]})
+
+    monkeypatch.setattr(folsys.cli, "build_bundle", build)
+    cfg_path = write_config(tmp_path / "cfg.json", model="lax", checks=["spectrum"])
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: check 'spectrum' not supported for lax: "
+                                       "the model carries no lax_pair\n")
+    assert not out.exists()

@@ -16,8 +16,7 @@ from folsys.foliated import (FoliatedSystem, FoliationChart, assemble,
                              coefficient_values, leaf_drift, leaf_of, sup_drift,
                              verify_foliated)
 from folsys.integrate import TABLE_BLOCK, integrate
-from folsys.models import (ErmakovSpec, ermakov_system, hj_system, lewis_invariant,
-                           sum_cos_spec)
+from folsys.models import ermakov_system, hj_system, sum_cos_gradient
 from folsys.poisson import adjoint_foliated_system
 from folsys.util import (Box, central_differences, dot_last, jacobian_fd,
                          seeded_rng)
@@ -45,7 +44,7 @@ def _bundle(name):
 
 
 def test_assemble_hj_matches_closed_form():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     F = assemble(hj.system)
     for t, q, p in [(0.5, 0.0, 1.0), (1.7, 2.0, 0.8)]:
         val = F(t, np.array([q, p]))
@@ -60,13 +59,13 @@ def test_assemble_hj_matches_closed_form():
 ], ids=["missing field", "mixed field dimensions", "box dimension",
         "chart dimension"])
 def test_foliated_system_rejects_a_dimension_mismatch(change):
-    fs = hj_system(sum_cos_spec(2)).system
+    fs = hj_system(2, sum_cos_gradient).system
     with pytest.raises(DimensionMismatchError):
         dataclasses.replace(fs, **change(fs))
 
 
 def test_assemble_zero_coefficients():
-    hj = hj_system(sum_cos_spec(2))
+    hj = hj_system(2, sum_cos_gradient)
     fs = hj.system
     zeroed = dataclasses.replace(fs, coeffs=lambda t, x: np.zeros(2))
     F = assemble(zeroed)
@@ -89,7 +88,7 @@ def test_an_x_independent_coefficient_row_steps_a_batch_on_one_grid(name):
 
 
 def test_assemble_rejects_coefficient_map_of_wrong_shape():
-    fs = hj_system(sum_cos_spec(2)).system
+    fs = hj_system(2, sum_cos_gradient).system
     for wrong in (lambda t, x: np.zeros(3), lambda t, x: 0.0):
         broken = dataclasses.replace(fs, coeffs=wrong)
         F = assemble(broken)
@@ -162,7 +161,7 @@ def test_assemble_linear_in_coefficients_exact_integers():
 
 
 def test_assemble_linear_in_coefficients_generic():
-    hj = hj_system(sum_cos_spec(2))
+    hj = hj_system(2, sum_cos_gradient)
     fs = hj.system
     other = lambda t, x: np.cos(t + np.arange(2))
     summed = lambda t, x: fs.coeffs(t, x) + other(t, x)
@@ -184,9 +183,8 @@ def test_verify_foliated_hj_and_lax():
 
 def test_verify_foliated_ermakov_with_invariant_coupling():
     # frequency law genuinely depending on the conserved label
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.05 * I,
-                       c1=1.0, c2=1.0)
-    rep = verify_foliated(ermakov_system(spec).system, trials=100, seed=42)
+    fs = ermakov_system(lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.05 * I, 1.0, 1.0).system
+    rep = verify_foliated(fs, trials=100, seed=42)
     assert rep.rank_shortfall == 0.0
     assert rep.com_residual <= 1e-8
     assert rep.chart_residual <= 1e-6
@@ -194,7 +192,7 @@ def test_verify_foliated_ermakov_with_invariant_coupling():
 
 
 def test_verify_foliated_broken_coefficient():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     fs = hj.system
     broken = dataclasses.replace(fs, coeffs=lambda t, x: x[..., :1])
     rep = verify_foliated(broken, trials=20, seed=42)
@@ -204,7 +202,7 @@ def test_verify_foliated_broken_coefficient():
 def test_verify_foliated_differentiates_the_coefficient_map_once():
     # one map call and one label call, each on the 2N = 8 perturbed copies
     # of all samples; the map gets the sample times, one per sample
-    fs = hj_system(sum_cos_spec(2)).system
+    fs = hj_system(2, sum_cos_gradient).system
     calls = []
     label_calls = []
 
@@ -316,7 +314,7 @@ def test_coefficients_at_an_array_of_times_equal_the_per_time_calls(name):
 
 
 def test_coefficient_map_of_wrong_shape_at_an_array_of_times_raises():
-    fs = hj_system(sum_cos_spec(2)).system
+    fs = hj_system(2, sum_cos_gradient).system
     ts = np.linspace(0.0, 1.0, 3)
     xs = np.ones((3, 4))
     # coefficients first, a row of the wrong length, a time axis the map dropped
@@ -392,8 +390,11 @@ def test_sup_drift_evaluates_the_observable_once_on_the_block(name):
     fs = bundle.system
     x0 = fs.box.sample(seeded_rng(8))
     states = integrate(assemble(fs), x0, 0.0, 0.5, 0.01).states
-    # leaf labels, and the lax spectrum or the Lewis invariant
-    observables = [lambda x: leaf_of(fs.chart, x), *bundle.observables.values()]
+    # leaf labels, and the lax spectrum or the Lewis invariant: the
+    # observables of the state alone (the Lax-pair form reads t too)
+    observables = [lambda x: leaf_of(fs.chart, x),
+                   *(bundle.observables[key] for key in ("spectrum", "lewis")
+                     if key in bundle.observables)]
     for obs in observables:
         block = np.asarray(obs(states))
         for i, row in enumerate(states):
@@ -476,7 +477,7 @@ def test_leaf_drift_exact_zero_hj_lax():
 def test_leaf_drift_ermakov_lewis():
     erm = model_bundle("ermakov")
     traj = integrate(assemble(erm.system), erm.default_state, 0.0, 5.0, 1e-3)
-    ref = abs(lewis_invariant(erm.spec, erm.default_state))
+    ref = abs(erm.observables["lewis"](erm.default_state))
     assert leaf_drift(traj, erm.system.chart) / ref <= 1e-6
 
 
@@ -488,7 +489,7 @@ def test_leaf_drift_trivial_chart_is_zero():
 
 def test_plain_lie_system_restriction_freezing():
     # time-only coefficients: freezing the state dependence on a leaf changes nothing
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     fs = hj.system
     leaf_rep = fs.chart.leaf_point(np.array([1.3]))
     frozen = lambda t, x: fs.coeffs(t, leaf_rep)

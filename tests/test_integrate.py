@@ -21,8 +21,7 @@ from folsys.integrate import (Trajectory, _float_block, _float_steps,
                               _product_block, _stage_values, _sum_block,
                               convergence_order, convergence_steps, integrate,
                               order_from_finals, time_grid, trajectory_to_csv)
-from folsys.models import (ErmakovSpec, ermakov_matrix_action,
-                           ermakov_system, riccati_system)
+from folsys.models import ermakov_matrix_action, ermakov_system, riccati_system
 from folsys.util import Box, seeded_rng
 
 from .conftest import SPLIT_MATRICES, group_action, model_bundle, per_stage
@@ -854,7 +853,7 @@ def test_riccati_takes_the_fused_stage_and_calls_no_realized_field():
 def _ermakov_with(g, c1, c2, per_state):
     """The coupled Ermakov system with the constant coefficients g, returned
     as one row ``(3,)`` or one row per state ``(..., 3)``."""
-    fs = ermakov_system(ErmakovSpec(omega2=lambda t, I: 1.0, c1=c1, c2=c2)).system
+    fs = ermakov_system(lambda t, I: 1.0, c1, c2).system
     g = np.array(g)
     return dataclasses.replace(fs, coeffs=(
         lambda t, x: np.broadcast_to(g, x.shape[:-1] + (3,)).copy()) if per_state
@@ -1187,10 +1186,8 @@ def matrix_rk4_reference(action, coeffs, k, times):
 
 
 def test_solve_matrix_matches_reference_loop():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.02 * I,
-                       c1=0.0, c2=0.0)
-    fs = ermakov_system(spec).system
-    action = ermakov_matrix_action(spec)
+    fs = ermakov_system(lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.02 * I, 0.0, 0.0).system
+    action = ermakov_matrix_action()
     x0 = np.array([1.0, 1.2, 0.3, -0.2])
     erm = (action, reduce_system(fs, action), leaf_of(fs.chart, x0))
 

@@ -7,10 +7,10 @@ from folsys.errors import DimensionMismatchError
 from folsys.fields import lie_bracket_at, directional_derivative
 from folsys.foliated import assemble, leaf_drift
 from folsys.integrate import integrate
-from folsys.models import (ErmakovSpec, HamiltonJacobiSpec,
-                           ermakov_fields, ermakov_system, hj_system, lax_matrix,
-                           lax_pair_rhs, lax_spectrum, lax_system, lewis_invariant,
-                           riccati_system, sum_cos_spec)
+from folsys.models import (ermakov_fields, ermakov_system, hamiltonian_gradient,
+                           hj_system, lax_matrix, lax_pair_rhs, lax_spectrum,
+                           lax_system, lewis_invariant, riccati_system,
+                           sum_cos_gradient)
 from folsys.util import grad_fd, seeded_rng
 
 from .conftest import model_bundle
@@ -28,8 +28,8 @@ def test_translation_models_take_one_gradient_per_rhs_evaluation():
         shapes.append(P.shape)
         return np.sum(np.cos(t * P), axis=-1)
 
-    spec = HamiltonJacobiSpec(3, H=H)
-    bundles = (hj_system(spec), lax_system(spec))
+    dH = hamiltonian_gradient(H)
+    bundles = (hj_system(3, dH), lax_system(3, dH))
     x = np.array([0.1, -0.2, 0.3, 1.0, 1.2, 1.4])
     for bundle in bundles:
         for states in (x, np.stack([x, 2.0 * x])):
@@ -39,23 +39,23 @@ def test_translation_models_take_one_gradient_per_rhs_evaluation():
 
 
 def test_hj_block_gradient_equals_grad_fd_per_point_bitwise():
-    spec = HamiltonJacobiSpec(2, H=lambda t, P: np.sum(np.cos(t * P), axis=-1))
+    H = lambda t, P: np.sum(np.cos(t * P), axis=-1)  # noqa: E731
     P = seeded_rng(4).uniform(0.5, 2.0, size=(3, 5, 2))
-    block = spec.gradient(0.9, P)
+    block = hamiltonian_gradient(H)(0.9, P)
     assert block.shape == P.shape
     for idx in np.ndindex(P.shape[:-1]):
-        ref = grad_fd(lambda p: spec.H(0.9, p), P[idx])
+        ref = grad_fd(lambda p: H(0.9, p), P[idx])
         assert block[idx].tobytes() == ref.tobytes()
 
 
 def test_hj_gradient_needs_one_value_of_H_per_point():
     # a scalar-collapsing H would be broadcast as P-independent and give a
     # zero gradient; the fallback rejects it instead
-    spec = HamiltonJacobiSpec(2, H=lambda t, P: float(np.sum(np.cos(t * P))))
+    dH = hamiltonian_gradient(lambda t, P: float(np.sum(np.cos(t * P))))
     with pytest.raises(DimensionMismatchError, match="one value per point"):
-        spec.gradient(0.5, np.array([1.0, 1.5]))
+        dH(0.5, np.array([1.0, 1.5]))
     with pytest.raises(DimensionMismatchError):
-        hj_system(spec).system.coeffs(0.5, np.array([0.0, 0.0, 1.0, 1.5]))
+        hj_system(2, dH).system.coeffs(0.5, np.array([0.0, 0.0, 1.0, 1.5]))
 
 
 # --- Riccati -----------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_riccati_square_equals_float_power_of_two_bitwise():
 # --- momentum-conserving Hamiltonian model -----------------------------------
 
 def test_hj_assembled_field_closed_form():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     F = assemble(hj.system)
     val = F(1.2, np.array([0.4, 0.9]))
     assert np.allclose(val, [1.2 * np.sin(1.2 * 0.9), 0.0], atol=1e-14)
@@ -117,7 +117,7 @@ def test_hj_momenta_exactly_constant():
 
 
 def test_hj_quadrature_endpoint():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     traj = integrate(assemble(hj.system), np.array([0.0, 1.0]), 0.0, np.pi, 1e-3)
     oracle, _ = quad(lambda s: s * np.sin(s), 0.0, np.pi)
     assert traj.final_state[0] == pytest.approx(oracle, abs=1e-8)
@@ -126,25 +126,26 @@ def test_hj_quadrature_endpoint():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sum_cos_gradient_matches_central_differences(n):
-    # the only analytic gradient a config can select
-    spec = sum_cos_spec(n)
+    # the only analytic gradient a config can select, against its H
+    def H(t, P):
+        return np.sum(np.cos(t * P), axis=-1)
+
     rng = seeded_rng(42)
     for _ in range(10):
         t = rng.uniform(0.0, 2.0, size=1)[0]
         P = rng.uniform(0.5, 2.0, size=n)
-        fd = grad_fd(lambda p: spec.H(t, p), P)
+        fd = grad_fd(lambda p: H(t, p), P)
         scale = max(1.0, float(np.max(np.abs(fd))))
-        assert np.max(np.abs(spec.dH(t, P) - fd)) <= 1e-5 * scale
+        assert np.max(np.abs(sum_cos_gradient(t, P) - fd)) <= 1e-5 * scale
 
 
 def test_hj_finite_difference_gradient_fallback():
-    spec = HamiltonJacobiSpec(2, H=lambda t, P: np.sum(np.cos(t * P), axis=-1))
-    ref = sum_cos_spec(2)
+    dH = hamiltonian_gradient(lambda t, P: np.sum(np.cos(t * P), axis=-1))
     rng = seeded_rng(9)
     for _ in range(10):
         t = float(rng.uniform(0, 2))
         P = rng.uniform(0.5, 2, size=2)
-        assert np.allclose(spec.gradient(t, P), ref.dH(t, P), atol=1e-7)
+        assert np.allclose(dH(t, P), sum_cos_gradient(t, P), atol=1e-7)
 
 
 # --- isospectral block model ---------------------------------------------------
@@ -160,33 +161,31 @@ def test_lax_block_matrix_and_spectrum():
 
 def test_lax_commutator_rhs_hand_value():
     # H = I^2/2, so dH = I and f = dH/I = 1
-    spec = HamiltonJacobiSpec(n=1, H=lambda t, I: 0.5 * np.sum(I * I, axis=-1),
-                              dH=lambda t, I: I)
     v = np.array([5.0, 3.0])
     # oracle: 2x2 blocks [[6,5],[0,0]] and [[0,-1],[0,0]] by hand
     V = np.array([[6.0, 5.0], [0.0, 0.0]])
     M = np.array([[0.0, -1.0], [0.0, 0.0]])
     C = V @ M - M @ V
     assert np.array_equal(C, np.array([[0.0, -6.0], [0.0, 0.0]]))
-    assert np.array_equal(lax_pair_rhs(spec, 0.0, v), [-6.0, 0.0])
+    assert np.array_equal(lax_pair_rhs(lambda t, I: I, 0.0, v), [-6.0, 0.0])
 
 
 def test_lax_assembled_equals_commutator_rhs():
-    spec = sum_cos_spec(2)
-    bundle = lax_system(spec)
+    bundle = lax_system(2, sum_cos_gradient)
     F = assemble(bundle.system)
     rng = seeded_rng(12)
     for _ in range(25):
         t = float(rng.uniform(0, 2))
         v = bundle.system.box.sample(rng)
-        assert np.allclose(F(t, v), lax_pair_rhs(spec, t, v), atol=1e-13)
+        assert np.allclose(F(t, v), lax_pair_rhs(sum_cos_gradient, t, v), atol=1e-13)
 
 
 def test_lax_pair_on_a_block_equals_the_loop_bitwise():
     bundle = model_bundle("lax")
     traj = integrate(assemble(bundle.system), bundle.default_state, 0.0, 2.0, 1e-2)
-    block = lax_pair_rhs(bundle.spec, traj.times, traj.states)
-    loop = np.array([lax_pair_rhs(bundle.spec, float(t), v)
+    lax_pair = bundle.observables["lax_pair"]
+    block = lax_pair(traj.times, traj.states)
+    loop = np.array([lax_pair(float(t), v)
                      for t, v in zip(traj.times, traj.states)])
     assert block.shape == traj.states.shape
     assert block.tobytes() == loop.tobytes()
@@ -204,14 +203,12 @@ def test_lax_leaf_drift_and_spectrum_drift():
 # --- Ermakov model -------------------------------------------------------------
 
 def test_lewis_invariant_closed_form_values():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=1.0, c2=1.0)
-    assert lewis_invariant(spec, [1.0, 1.0, 0.0, 1.0]) == pytest.approx(2.5, abs=1e-14)
-    assert lewis_invariant(spec, [1.0, 1.0, 1.0, 1.0]) == pytest.approx(2.0, abs=1e-14)
+    assert lewis_invariant(1.0, 1.0, [1.0, 1.0, 0.0, 1.0]) == pytest.approx(2.5, abs=1e-14)
+    assert lewis_invariant(1.0, 1.0, [1.0, 1.0, 1.0, 1.0]) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_lewis_invariant_quadrature_oracle():
     c1, c2 = 0.7, 1.3
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=c1, c2=c2)
     rng = seeded_rng(2)
     for _ in range(10):
         x, y = rng.uniform(0.8, 1.6, size=2)
@@ -219,12 +216,11 @@ def test_lewis_invariant_quadrature_oracle():
         w = x * vy - y * vx
         integral, _ = quad(lambda u: c1 - c2 * u ** -2, 1.0, x / y)
         oracle = 0.5 * w * w + integral + (c1 + c2)
-        assert lewis_invariant(spec, [x, y, vx, vy]) == pytest.approx(oracle, abs=1e-10)
+        assert lewis_invariant(c1, c2, [x, y, vx, vy]) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_ermakov_commutation_relations_at_seeded_points():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=1.0, c2=1.0)
-    X1, X2, X3 = ermakov_fields(spec)
+    X1, X2, X3 = ermakov_fields(1.0, 1.0)
     rng = seeded_rng(3)
     for _ in range(100):
         s = np.concatenate([rng.uniform(0.8, 1.6, 2), rng.uniform(-0.6, 0.6, 2)])
@@ -246,9 +242,7 @@ def test_ermakov_fields_annihilate_invariant():
 
 
 def test_ermakov_frequency_coefficient_is_leafwise_constant():
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.2 * I,
-                       c1=1.0, c2=1.0)
-    bundle = ermakov_system(spec)
+    bundle = ermakov_system(lambda t, I: 1.0 + 0.1 * np.sin(t) + 0.2 * I, 1.0, 1.0)
     g3 = lambda t, y: bundle.system.coeffs(t, y)[2]
     rng = seeded_rng(5)
     worst = 0.0
@@ -279,8 +273,7 @@ def test_ermakov_convergence_order():
 
 def test_ermakov_domain_guard():
     from folsys.errors import DomainExitError
-    spec = ErmakovSpec(omega2=lambda t, I: 1.0, c1=1.0, c2=1.0)
-    bundle = ermakov_system(spec)
+    bundle = ermakov_system(lambda t, I: 1.0, 1.0, 1.0)
     with pytest.raises(DomainExitError):
         integrate(assemble(bundle.system), np.array([1e-9, 1.0, 0.0, 0.0]),
                   0.0, 1.0, 1e-2)
@@ -288,11 +281,11 @@ def test_ermakov_domain_guard():
 
 def test_ermakov_action_only_for_the_uncoupled_member():
     omega2 = lambda t, I: 1.0  # noqa: E731
-    uncoupled = ermakov_system(ErmakovSpec(omega2=omega2, c1=0.0, c2=0.0))
+    uncoupled = ermakov_system(omega2, 0.0, 0.0)
     assert uncoupled.action.name == "pairwise-linear"
     assert uncoupled.action.kind == MATRIX
     for c1, c2 in ((1.0, 1.0), (0.0, 0.5), (0.5, 0.0)):
-        assert ermakov_system(ErmakovSpec(omega2=omega2, c1=c1, c2=c2)).action is None
+        assert ermakov_system(omega2, c1, c2).action is None
 
 
 # --- shared reduction ----------------------------------------------------------
@@ -300,9 +293,9 @@ def test_ermakov_action_only_for_the_uncoupled_member():
 def test_equivalence_constant_hamiltonian_trivial():
     # a constant H leaves both translation models at rest, and each
     # reconstructs its flow exactly from the identity curve
-    spec = HamiltonJacobiSpec(1, H=lambda t, P: 1.0, dH=lambda t, P: np.zeros(1))
+    dH = lambda t, P: np.zeros(1)  # noqa: E731
     x0 = np.array([0.3, 1.0])
-    for bundle in (hj_system(spec), lax_system(spec)):
+    for bundle in (hj_system(1, dH), lax_system(1, dH)):
         direct = integrate(assemble(bundle.system), x0, 0.0, 2.0, 1e-3)
         assert np.all(direct.states == x0)
         assert reconstruction_error(bundle.system, bundle.action, direct) == 0.0

@@ -10,7 +10,7 @@ from folsys.errors import (DimensionMismatchError, FolsysError,
 from folsys.foliated import leaf_of
 from folsys.integrate import integrate
 from folsys.foliated import assemble
-from folsys.models import hj_system, sum_cos_spec, translation_rule
+from folsys.models import hj_system, sum_cos_gradient, translation_rule
 from folsys.superposition import (SuperpositionRule, _sample_on_leaf, _separated,
                                   apply_rule, first_integral_residual,
                                   rule_points, solve_parameters, verify_rule)
@@ -149,7 +149,7 @@ def test_leaf_preservation_of_derived_rules():
 
 
 def test_first_integral_residual_hj():
-    hj = hj_system(sum_cos_spec(1))
+    hj = hj_system(1, sum_cos_gradient)
     rule = translation_rule(1)
     # joint points (x_(1), x): (Q1, P1), (Q, P)
     rng = seeded_rng(4)
